@@ -1,29 +1,26 @@
 #!/usr/bin/env python3
-"""Benchmark the profile-gain sweep kernel: numba vs numpy backends.
+"""Benchmark the numpy profile-gain sweep kernel.
 
 Builds a 3-type, 3-action additive game whose penalty catalog touches
 every kernel branch (total variation, exposure, polyline, step), then
 times sweep_profile_gains in two regimes:
 
-  * batch-size sweep at a fixed grid, showing per-call latency (the
-    jit path skips the numpy path's temporary allocations, so it wins
-    when batches are small);
+  * batch-size sweep at a fixed grid, showing per-call latency;
   * resolution sweep at a large fixed batch, showing bulk throughput.
 
-Outputs from the two backends are checked for exact (bitwise)
-agreement before any timing is reported.
+Before any timing, kernel gains on a sample of profiles are checked for
+exact (bitwise) agreement with the exact evaluator, profile_report.
 
 Run from the repository root after installing the package:
 
     python3 benchmarks/bench_kernels.py
 """
 
-import os
 import time
 
 import numpy as np
 
-from perception_games.kernels import HAVE_NUMBA, pack_game, sweep_profile_gains
+from perception_games.kernels import pack_game, sweep_profile_gains
 from perception_games.model import (
     ActionSpace,
     Belief,
@@ -33,6 +30,7 @@ from perception_games.model import (
     UtilityModel,
 )
 from perception_games.simplex import SimplexGrid
+from perception_games.single import _decode_profile, profile_report
 
 
 def build_game() -> PerceptionGame:
@@ -63,66 +61,49 @@ def build_game() -> PerceptionGame:
     )
 
 
-def time_backend(pack, pts, idx, backend: str, n_runs: int) -> tuple[float, np.ndarray]:
-    """Best wall-clock seconds over n_runs, plus the output array."""
-    out = sweep_profile_gains(pack, pts, idx, backend=backend)
+def best_time(pack, pts, idx, n_runs: int) -> float:
+    """Best wall-clock seconds over n_runs."""
     best = float("inf")
     for _ in range(n_runs):
         t0 = time.perf_counter()
-        out = sweep_profile_gains(pack, pts, idx, backend=backend)
+        sweep_profile_gains(pack, pts, idx)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best
 
 
-def compare(pack, pts, idx, n_runs: int, use_numba: bool) -> str:
-    t_np, out_np = time_backend(pack, pts, idx, "numpy", n_runs)
-    cells = f"{t_np * 1e6:>14.1f}"
-    if use_numba:
-        t_nb, out_nb = time_backend(pack, pts, idx, "numba", n_runs)
-        if not np.array_equal(out_np, out_nb):
-            raise SystemExit("backend outputs disagree; kernel bug")
-        ratio = t_np / t_nb
-        cells += f"{t_nb * 1e6:>14.1f}{ratio:>12.2f}"
-    return cells
+def check_exact(game, pack, pts, idx) -> None:
+    gains = sweep_profile_gains(pack, pts, idx)
+    for code, gain in zip(idx, gains):
+        sigma = _decode_profile(int(code), pts.shape[0], pts, game.n)
+        if gain != profile_report(game, sigma).max_gain:
+            raise SystemExit(f"kernel and profile_report disagree at profile {code}")
 
 
 def main() -> None:
-    use_numba = HAVE_NUMBA and not os.environ.get("PGAME_NO_NUMBA")
-
-    print("sweep_profile_gains backend benchmark")
-    print("=" * 64)
-    if not use_numba:
-        reason = "PGAME_NO_NUMBA set" if HAVE_NUMBA else "numba not importable"
-        print(f"numba path disabled ({reason}); timing numpy only")
+    print("sweep_profile_gains benchmark (numpy)")
+    print("=" * 40)
 
     game = build_game()
     pack = pack_game(game)
     rng = np.random.default_rng(0)
 
-    if use_numba:
-        # first call pays JIT compilation; keep it out of the timings
-        warm_pts = SimplexGrid(game.m, 2).points()
-        warm_idx = np.arange(warm_pts.shape[0] ** game.n, dtype=np.int64)
-        t0 = time.perf_counter()
-        sweep_profile_gains(pack, warm_pts, warm_idx, backend="numba")
-        print(f"numba warmup (JIT compile): {time.perf_counter() - t0:.2f}s")
-
-    tail = f"{'numba (us)':>14}{'np/nb':>12}" if use_numba else ""
+    pts = SimplexGrid(game.m, 16).points()
+    total = pts.shape[0] ** game.n
+    check_exact(game, pack, pts, rng.choice(total, size=500, replace=False))
+    print("kernel gains equal profile_report on 500 sampled profiles")
 
     print()
     print("batch-size sweep, resolution 16 grid")
-    header = f"{'profiles':<10}{'numpy (us)':>14}" + tail
+    header = f"{'profiles':<10}{'numpy (us)':>14}"
     print(header)
     print("-" * len(header))
-    pts = SimplexGrid(game.m, 16).points()
-    total = pts.shape[0] ** game.n
     for take in (64, 512, 4096, 32768):
         idx = rng.choice(total, size=take, replace=False).astype(np.int64)
-        print(f"{take:<10}" + compare(pack, pts, idx, n_runs=5, use_numba=use_numba))
+        print(f"{take:<10}{best_time(pack, pts, idx, n_runs=5) * 1e6:>14.1f}")
 
     print()
     print("resolution sweep, 200000-profile batch")
-    header = f"{'resolution':<10}{'numpy (us)':>14}" + tail
+    header = f"{'resolution':<10}{'numpy (us)':>14}"
     print(header)
     print("-" * len(header))
     for resolution in (8, 16, 24):
@@ -130,11 +111,7 @@ def main() -> None:
         total = pts.shape[0] ** game.n
         take = min(total, 200_000)
         idx = rng.choice(total, size=take, replace=False).astype(np.int64)
-        print(f"{resolution:<10}" + compare(pack, pts, idx, n_runs=3, use_numba=use_numba))
-
-    if use_numba:
-        print()
-        print("outputs matched bitwise in every row")
+        print(f"{resolution:<10}{best_time(pack, pts, idx, n_runs=3) * 1e6:>14.1f}")
 
 
 if __name__ == "__main__":

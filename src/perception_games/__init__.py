@@ -35,7 +35,6 @@ from .experiments import (
     welfare_report_2p,
 )
 from .fixtures import FIXTURE_NAMES, get_fixture
-from .kernels import HAVE_NUMBA, active_backend, set_backend
 from .model import (
     ActionSpace,
     PerceptionGame,
@@ -47,7 +46,7 @@ from .model import (
     validate_game,
 )
 from .penalties import PenaltySpec, penalty_range, penalty_value
-from .simplex import Belief, SimplexGrid, optimize_over_simplex, tv_distance
+from .simplex import Belief, SimplexGrid, tv_distance
 from .single import (
     PerceptionMap,
     Strategy,
@@ -76,7 +75,6 @@ __all__ = [
     "FIXTURE_NAMES",
     "FORMAT_VERSION",
     "GameFormatError",
-    "HAVE_NUMBA",
     "MajorityFamily",
     "PenaltySpec",
     "PerceptionGame",
@@ -90,7 +88,6 @@ __all__ = [
     "TwoPlayerStrategy",
     "TypeSpace",
     "UtilityModel",
-    "active_backend",
     "build_separating_equilibrium",
     "canonical_json",
     "check_separation_margin",
@@ -105,7 +102,6 @@ __all__ = [
     "legislation_welfare",
     "load_game",
     "load_profile",
-    "optimize_over_simplex",
     "parse_game",
     "parse_profile",
     "penalty_range",
@@ -117,7 +113,6 @@ __all__ = [
     "scan_alpha",
     "search_mixed_equilibria",
     "separation_uniqueness_bound",
-    "set_backend",
     "to_document",
     "tv_distance",
     "validate_game",

@@ -235,7 +235,6 @@ def _cmd_equilibria(args) -> int:
         "total": res.total,
         "swept": res.swept,
         "subsampled": res.subsampled,
-        "backend": res.backend,
         "min_max_gain": res.min_max_gain,
         "survivor_count": res.survivor_count,
         "truncated": res.truncated,
@@ -243,7 +242,7 @@ def _cmd_equilibria(args) -> int:
     }
     lines = [
         f"swept {res.swept} of {res.total} grid profiles "
-        f"(step {fmt(res.step)}, backend {res.backend})",
+        f"(step {fmt(res.step)})",
         f"min max-gain {fmt(res.min_max_gain)}; {res.survivor_count} survivors",
     ]
     for rep in res.survivors[:20]:

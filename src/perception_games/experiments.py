@@ -16,7 +16,6 @@ equilibrium and compares against the analytic sufficiency bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -36,9 +35,10 @@ from .single import (
     MixedSearchResult,
     PerceptionMap,
     Strategy,
+    _decode_profile,
+    _sweep,
     enumerate_pure_equilibria,
     legislation_welfare,
-    profile_report,
     search_mixed_equilibria,
 )
 from .two_player import enumerate_pure_bne, enumerate_pure_equilibria_2p
@@ -551,7 +551,6 @@ def counterexample_check(
     epsilons: Sequence[float] = (0.1,),
     tol: float = WEAK_TOL,
     seed: int | None = None,
-    backend: str | None = None,
 ) -> NonexistenceReport:
     if game.continuous:
         raise ValueError(
@@ -559,19 +558,10 @@ def counterexample_check(
             "continuous games always admit equilibria in principle and the "
             "pure and grid sweeps below would not be informative"
         )
-    best = None
-    best_sigma = None
-    for actions in product(range(game.m), repeat=game.n):
-        sigma = np.zeros((game.n, game.m))
-        for t, a in enumerate(actions):
-            sigma[t, a] = 1.0
-        rep = profile_report(game, sigma, tol)
-        if best is None or rep.max_gain < best:
-            best = rep.max_gain
-            best_sigma = sigma
-    sweep = search_mixed_equilibria(
-        game, step=strategy_step, tol=tol, seed=seed, backend=backend
-    )
+    vertices = np.eye(game.m)
+    gains, pure_eq = _sweep(game, vertices, np.arange(game.m ** game.n, dtype=np.int64), tol)
+    best = int(np.argmin(gains))
+    sweep = search_mixed_equilibria(game, step=strategy_step, tol=tol, seed=seed)
     found: dict[float, bool] = {}
     witness: dict[float, Strategy | None] = {}
     for eps in epsilons:
@@ -579,9 +569,9 @@ def counterexample_check(
         found[float(eps)] = bool(hit)
         witness[float(eps)] = sweep.argmin if hit else None
     return NonexistenceReport(
-        pure_min_gain=float(best),
-        pure_argmin=Strategy(game, best_sigma),
-        pure_equilibrium_exists=best <= tol,
+        pure_min_gain=float(gains[best]),
+        pure_argmin=Strategy(game, _decode_profile(best, game.m, vertices, game.n)),
+        pure_equilibrium_exists=bool(pure_eq),
         sweep=sweep,
         eps_equilibrium_found=found,
         eps_witness=witness,

@@ -1,25 +1,19 @@
-"""Numeric kernels for mixed-profile sweeps.
+"""Numpy kernel for profile sweeps.
 
-The hot loop of the mixed-strategy search evaluates, for every profile
+The hot loop of every single-player sweep evaluates, for each profile
 in a batch, the best deviation gain any type can realize when off-path
-perceptions are chosen as favorably as possible for the profile. Two
-implementations exist:
+perceptions are chosen as favorably as possible for the profile. The
+batch axis is vectorized; types and actions are accumulated in
+ascending order, the same order the exact evaluator
+(``single.profile_report``) uses, so the two agree bitwise and the
+test suite asserts exact equality.
 
-- a numba ``@njit`` scalar kernel (used when numba imports cleanly and
-  the ``PGAME_NO_NUMBA`` environment variable is unset), and
-- a pure-numpy batched fallback.
-
-Both accumulate in the same order (types ascending, then actions
-ascending, batch axis vectorized), with ``fastmath`` off, so their
-outputs are bit-identical; the test suite asserts exact equality.
-
-Only additive utilities are packed for kernel sweeps. Tabulated games
-go through the plain Python evaluator instead.
+Only additive utilities are packed. Tabulated games are evaluated by
+``profile_report`` directly (see ``single``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,31 +21,14 @@ import numpy as np
 from .model import PerceptionGame
 from .penalties import MARGINAL_KINDS
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # decorator stand-in so the module imports without numba
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 __all__ = [
-    "HAVE_NUMBA",
-    "active_backend",
-    "set_backend",
     "GamePack",
     "pack_game",
     "sweep_profile_gains",
 ]
+
+# float64 cells per chunk of the (profiles, n, m) working arrays
+_CHUNK_BUDGET = 32_768
 
 _PEN_ZERO = 0
 _PEN_TV = 1
@@ -67,33 +44,13 @@ _KIND_CODE = {
     "step_marginal": _PEN_STEP,
 }
 
-# finite stand-in for "no row yet" so both paths share max() semantics
+# finite stand-in for "no row yet" in the max() reductions
 _NEG = -1.7976931348623157e308
-
-_backend_override: str | None = None
-
-
-def set_backend(name: str | None) -> None:
-    """Force 'numba' or 'numpy'; None restores automatic selection."""
-    global _backend_override
-    if name not in (None, "numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba is not importable in this environment")
-    _backend_override = name
-
-
-def active_backend() -> str:
-    if _backend_override is not None:
-        return _backend_override
-    if os.environ.get("PGAME_NO_NUMBA"):
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
 
 
 @dataclass
 class GamePack:
-    """Dense-array image of an additive game, ready for the kernels."""
+    """Dense-array image of an additive game, ready for the kernel."""
 
     prior: np.ndarray  # (n,)
     v: np.ndarray  # (n, m)
@@ -161,130 +118,6 @@ def pack_game(game: PerceptionGame) -> GamePack:
         u_min=np.ascontiguousarray(u_min),
         u_max=np.ascontiguousarray(u_max),
     )
-
-
-@njit(cache=True)
-def _bisect_left(arr, cnt, x):
-    lo = 0
-    hi = cnt
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-@njit(cache=True)
-def _penalty_scalar(t, post, prior, pen_kind, pen_weight, event, knots_x, knots_y, knot_count, pieces, piece_count):
-    kind = pen_kind[t]
-    if kind == 0:
-        return 0.0
-    w = pen_weight[t]
-    if kind == 1:
-        acc = 0.0
-        for s in range(prior.shape[0]):
-            acc = acc + abs(post[s] - prior[s])
-        return w * 0.5 * acc
-    if kind == 2:
-        return w * post[t]
-    x = 0.0
-    for s in range(prior.shape[0]):
-        x = x + event[t, s] * post[s]
-    if kind == 3:
-        cnt = knot_count[t]
-        j = _bisect_left(knots_x[t], cnt, x) - 1
-        if j < 0:
-            j = 0
-        if j > cnt - 2:
-            j = cnt - 2
-        frac = (x - knots_x[t, j]) / (knots_x[t, j + 1] - knots_x[t, j])
-        return w * (knots_y[t, j] + frac * (knots_y[t, j + 1] - knots_y[t, j]))
-    # step: first matching piece wins, unmatched x is 0
-    val = 0.0
-    for p in range(piece_count[t]):
-        lo = pieces[t, p, 0]
-        hi = pieces[t, p, 1]
-        lo_ok = x >= lo if pieces[t, p, 3] == 1.0 else x > lo
-        hi_ok = x <= hi if pieces[t, p, 4] == 1.0 else x < hi
-        if lo_ok and hi_ok:
-            val = pieces[t, p, 2]
-            break
-    return w * val
-
-
-@njit(cache=True)
-def _gains_numba(idx, grid_pts, prior, v, pen_kind, pen_weight, event, knots_x, knots_y, knot_count, pieces, piece_count, u_min, u_max):
-    B = idx.shape[0]
-    G = grid_pts.shape[0]
-    m = grid_pts.shape[1]
-    n = prior.shape[0]
-    gains = np.empty(B)
-    sig = np.empty((n, m))
-    pa = np.empty(m)
-    post = np.empty(n)
-    rows = np.empty((n, m))
-    free = np.empty((n, m), dtype=np.bool_)
-    for b in range(B):
-        code = idx[b]
-        for t in range(n - 1, -1, -1):
-            g = code % G
-            code = code // G
-            for a in range(m):
-                sig[t, a] = grid_pts[g, a]
-        for a in range(m):
-            acc = 0.0
-            for t in range(n):
-                acc = acc + prior[t] * sig[t, a]
-            pa[a] = acc
-        for a in range(m):
-            if pa[a] > 0.0:
-                for s in range(n):
-                    post[s] = prior[s] * sig[s, a] / pa[a]
-                for t in range(n):
-                    pen = _penalty_scalar(
-                        t, post, prior, pen_kind, pen_weight, event,
-                        knots_x, knots_y, knot_count, pieces, piece_count,
-                    )
-                    rows[t, a] = v[t, a] - pen
-                    free[t, a] = False
-            else:
-                for t in range(n):
-                    if sig[t, a] > 0.0:
-                        free[t, a] = True
-                        rows[t, a] = 0.0
-                    else:
-                        free[t, a] = False
-                        rows[t, a] = u_min[t, a]
-        worst = _NEG
-        for t in range(n):
-            has_free = False
-            m0 = _NEG
-            free_lo = _NEG
-            for a in range(m):
-                if free[t, a]:
-                    has_free = True
-                    if u_min[t, a] > free_lo:
-                        free_lo = u_min[t, a]
-                elif rows[t, a] > m0:
-                    m0 = rows[t, a]
-            if has_free:
-                cap = m0 if m0 > free_lo else free_lo
-                for a in range(m):
-                    if free[t, a]:
-                        rows[t, a] = u_max[t, a] if u_max[t, a] < cap else cap
-            played = 0.0
-            best = _NEG
-            for a in range(m):
-                played = played + sig[t, a] * rows[t, a]
-                if rows[t, a] > best:
-                    best = rows[t, a]
-            gain = best - played
-            if gain > worst:
-                worst = gain
-        gains[b] = worst
-    return gains
 
 
 def _penalty_batch(pack: GamePack, t: int, post: np.ndarray) -> np.ndarray:
@@ -365,28 +198,18 @@ def _gains_numpy(idx: np.ndarray, grid_pts: np.ndarray, pack: GamePack) -> np.nd
     return (best - played).max(axis=1)
 
 
-def sweep_profile_gains(
-    pack: GamePack,
-    grid_pts: np.ndarray,
-    idx: np.ndarray,
-    backend: str | None = None,
-    chunk: int = 8192,
-) -> np.ndarray:
+def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Best deviation gain per profile index, under favorable off-path
     perceptions. A gain within tolerance of zero means the profile can
     be completed into an equilibrium.
+
+    Profile ``code`` gives type ``t`` the grid point at base-``G`` digit
+    ``t`` of the code, type 0 most significant. Work proceeds in chunks
+    of ``_CHUNK_BUDGET // (n * m)`` profiles to bound memory.
     """
-    which = backend or active_backend()
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     grid_pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
-    if which == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return _gains_numba(
-            idx, grid_pts, pack.prior, pack.v, pack.pen_kind, pack.pen_weight,
-            pack.event, pack.knots_x, pack.knots_y, pack.knot_count,
-            pack.pieces, pack.piece_count, pack.u_min, pack.u_max,
-        )
+    chunk = max(1, _CHUNK_BUDGET // pack.v.size)
     out = np.empty(idx.shape[0])
     for start in range(0, idx.shape[0], chunk):
         stop = min(start + chunk, idx.shape[0])

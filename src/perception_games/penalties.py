@@ -15,8 +15,11 @@ covers the shapes the solvers know how to bound exactly:
   so games using it must opt in via ``allow_discontinuous``.
 
 Ranges over the simplex are computed in closed form for every kind,
-with witness beliefs attaining them. The Lipschitz constants reported
-here feed the grid-search error bounds.
+with witness beliefs attaining them. The Lipschitz constants are
+reported by game validation.
+
+Sums over types run in index order, the order the sweep kernel uses,
+so the kernel and the exact evaluator agree bitwise.
 """
 
 from __future__ import annotations
@@ -184,7 +187,10 @@ def step_value(pieces, x: float) -> float:
 
 
 def _event_mass(mu: np.ndarray, event_mask: np.ndarray) -> float:
-    return float(mu[event_mask].sum())
+    x = 0.0
+    for s in np.flatnonzero(event_mask).tolist():
+        x = x + float(mu[s])
+    return x
 
 
 def penalty_value(
@@ -205,7 +211,10 @@ def penalty_value(
     if spec.kind == "tv_to_prior":
         if prior is None:
             raise ValueError("tv_to_prior needs the prior")
-        return spec.weight * 0.5 * float(np.abs(m - np.asarray(prior)).sum())
+        acc = 0.0
+        for mu_s, prior_s in zip(m.tolist(), np.asarray(prior, dtype=np.float64).tolist()):
+            acc = acc + abs(mu_s - prior_s)
+        return spec.weight * 0.5 * acc
     if spec.kind == "exposure":
         if type_index is None:
             raise ValueError("exposure needs the type index")

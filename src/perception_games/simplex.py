@@ -1,19 +1,16 @@
 """Probability simplex primitives.
 
 Beliefs are points of the probability simplex over a finite label set.
-This module provides the point type, exact rational grids on the simplex,
-total variation distance, and grid optimization with a Lipschitz error
-bound. Everything downstream (penalties, games, solvers) works in terms
-of these primitives.
+This module provides the point type, exact rational grids on the simplex
+and total variation distance. Everything downstream (penalties, games,
+solvers) works in terms of these primitives.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,9 +27,6 @@ __all__ = [
     "uniform",
     "tv_distance",
     "SimplexGrid",
-    "default_resolution",
-    "SimplexOptimum",
-    "optimize_over_simplex",
 ]
 
 
@@ -116,27 +110,6 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def default_resolution(n: int) -> int:
-    """Grid denominator used when the caller does not pick one.
-
-    The ``PGAME_GRID`` environment variable overrides the default for
-    every dimension at once (n=1 stays at 1, the simplex is a point).
-    """
-    if n <= 1:
-        return 1
-    env = os.environ.get("PGAME_GRID")
-    if env:
-        k = int(env)
-        if k < 1:
-            raise ValueError("PGAME_GRID must be a positive integer")
-        return k
-    if n == 2:
-        return 200
-    if n == 3:
-        return 60
-    return 24
-
-
 class SimplexGrid:
     """All points of the simplex with coordinates ``i/resolution``.
 
@@ -145,11 +118,11 @@ class SimplexGrid:
     deterministic tie-break everywhere grids are scanned.
     """
 
-    def __init__(self, n: int, resolution: int | None = None):
+    def __init__(self, n: int, resolution: int):
         if n < 1:
             raise ValueError("need at least one label")
         self.n = n
-        self.resolution = default_resolution(n) if resolution is None else int(resolution)
+        self.resolution = int(resolution)
         if self.resolution < 1:
             raise ValueError("resolution must be a positive integer")
         self._points: np.ndarray | None = None
@@ -186,65 +159,5 @@ class SimplexGrid:
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.points())
 
-    def covering_radius_l1(self) -> float:
-        """Upper bound on the L1 distance from any simplex point to the grid."""
-        return 2.0 / self.resolution
-
     def __repr__(self) -> str:
         return f"SimplexGrid(n={self.n}, resolution={self.resolution})"
-
-
-@dataclass(frozen=True)
-class SimplexOptimum:
-    """Result of a grid scan over the simplex.
-
-    ``error_bound`` bounds ``|true optimum - value|`` when a Lipschitz
-    constant was supplied; None means no certificate.
-    """
-
-    value: float
-    point: Belief
-    error_bound: float | None
-    resolution: int
-
-
-def optimize_over_simplex(
-    f: Callable[[np.ndarray], float],
-    n: int,
-    mode: str = "max",
-    grid: SimplexGrid | None = None,
-    resolution: int | None = None,
-    lipschitz_l1: float | None = None,
-) -> SimplexOptimum:
-    """Scan ``f`` over a simplex grid and return the best point.
-
-    ``f`` receives a read-only ndarray row. Ties go to the first grid
-    point in lexicographic order. ``lipschitz_l1`` is the Lipschitz
-    constant of ``f`` in the L1 norm; when given, the returned
-    ``error_bound`` equals ``lipschitz_l1 * 2 / resolution``.
-    """
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    if grid is None:
-        grid = SimplexGrid(n, resolution)
-    elif grid.n != n:
-        raise ValueError(f"grid is over {grid.n} labels, expected {n}")
-    best_val = None
-    best_pt = None
-    for pt in grid.points():
-        val = float(f(pt))
-        if best_val is None:
-            best_val, best_pt = val, pt
-        elif mode == "max" and val > best_val:
-            best_val, best_pt = val, pt
-        elif mode == "min" and val < best_val:
-            best_val, best_pt = val, pt
-    bound = None
-    if lipschitz_l1 is not None:
-        bound = float(lipschitz_l1) * grid.covering_radius_l1()
-    return SimplexOptimum(
-        value=best_val,
-        point=Belief(best_pt),
-        error_bound=bound,
-        resolution=grid.resolution,
-    )

@@ -15,12 +15,11 @@ model layer, so acceptance decisions carry no grid error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .kernels import active_backend, pack_game, sweep_profile_gains
+from .kernels import pack_game, sweep_profile_gains
 from .model import PerceptionGame, PrivacyReport, classify_privacy
 from .simplex import WEAK_TOL, Belief, SimplexGrid, tv_distance
 
@@ -348,6 +347,34 @@ def profile_report(
     )
 
 
+def _sweep(
+    game: PerceptionGame,
+    pts: np.ndarray,
+    idx: np.ndarray,
+    tol: float,
+    max_survivors: int | None = None,
+) -> tuple[np.ndarray, list[EquilibriumReport]]:
+    """Max deviation gain of each profile ``idx`` over the grid ``pts``,
+    and the reports of the first ``max_survivors`` profiles whose gain
+    is at most ``tol``.
+
+    The numpy kernel screens additive games; games it cannot pack
+    (tabulated) take their gains from ``profile_report``. Either way a
+    screened profile survives only when its exact report confirms it.
+    """
+    G = pts.shape[0]
+
+    def report(code) -> EquilibriumReport:
+        return profile_report(game, _decode_profile(int(code), G, pts, game.n), tol)
+
+    if game.utility.kind == "additive_separable":
+        gains = sweep_profile_gains(pack_game(game), pts, idx)
+    else:
+        gains = np.array([report(code).max_gain for code in idx])
+    rebuilt = (report(code) for code in idx[gains <= tol][:max_survivors])
+    return gains, [rep for rep in rebuilt if rep.max_gain <= tol]
+
+
 def enumerate_pure_equilibria(
     game: PerceptionGame,
     tol: float = WEAK_TOL,
@@ -364,15 +391,7 @@ def enumerate_pure_equilibria(
             f"{total} pure profiles exceed max_profiles={max_profiles}; "
             "use search_mixed_equilibria or raise the cap"
         )
-    out: list[EquilibriumReport] = []
-    for actions in product(range(game.m), repeat=game.n):
-        sigma = np.zeros((game.n, game.m))
-        for t, a in enumerate(actions):
-            sigma[t, a] = 1.0
-        report = profile_report(game, sigma, tol)
-        if report.max_gain <= tol:
-            out.append(report)
-    return out
+    return _sweep(game, np.eye(game.m), np.arange(total, dtype=np.int64), tol)[1]
 
 
 @dataclass(frozen=True)
@@ -384,7 +403,6 @@ class MixedSearchResult:
     total: int
     swept: int
     subsampled: bool
-    backend: str
     min_max_gain: float
     argmin: Strategy
     survivors: tuple[EquilibriumReport, ...]
@@ -399,14 +417,14 @@ def search_mixed_equilibria(
     seed: int | None = None,
     max_profiles: int = 2_000_000,
     max_survivors: int = 10_000,
-    backend: str | None = None,
 ) -> MixedSearchResult:
     """Sweep the product of per-type simplex grids with mesh ``step``.
 
     When the grid has more than ``max_profiles`` profiles, a seeded
     uniform subsample of that size is swept instead (the only use the
-    seed has). Survivor reports are rebuilt in exact Python semantics,
-    so kernel rounding never decides membership.
+    seed has). ``survivor_count`` counts screened profiles; the
+    reported survivors are rebuilt and confirmed in exact Python
+    semantics, so kernel rounding never decides membership.
     """
     resolution = round(1.0 / step)
     if abs(step * resolution - 1.0) > 1e-9 or resolution < 1:
@@ -424,16 +442,9 @@ def search_mixed_equilibria(
     else:
         idx = np.arange(total, dtype=np.int64)
         subsampled = False
-    which = backend or active_backend()
-    pack = pack_game(game)
-    gains = sweep_profile_gains(pack, pts, idx, backend=which)
+    gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
     best = int(np.argmin(gains))
-    survivors_idx = idx[gains <= tol]
-    truncated = survivors_idx.size > max_survivors
-    reports: list[EquilibriumReport] = []
-    for code in survivors_idx[:max_survivors]:
-        sigma = _decode_profile(int(code), G, pts, game.n)
-        reports.append(profile_report(game, sigma, tol))
+    screened = int(np.count_nonzero(gains <= tol))
     argmin_sigma = _decode_profile(int(idx[best]), G, pts, game.n)
     return MixedSearchResult(
         step=step,
@@ -441,12 +452,11 @@ def search_mixed_equilibria(
         total=total,
         swept=int(idx.size),
         subsampled=subsampled,
-        backend=which,
         min_max_gain=float(gains[best]),
         argmin=Strategy(game, argmin_sigma),
-        survivors=tuple(reports),
-        survivor_count=int(survivors_idx.size),
-        truncated=truncated,
+        survivors=tuple(survivors),
+        survivor_count=screened,
+        truncated=screened > max_survivors,
     )
 
 

@@ -37,7 +37,9 @@ from .model import (
     TypeSpace,
     ActionSpace,
 )
-from .penalties import PenaltyRange, PenaltySpec, penalty_range, penalty_value
+from .penalties import PenaltySpec
+# module attributes that perfbench's tracer wraps to count penalty calls
+from .penalties import penalty_range, penalty_value  # noqa: F401
 from .simplex import WEAK_TOL, Belief, tv_distance
 
 __all__ = [
@@ -158,27 +160,6 @@ def is_consistent_2p(
     return (not violations, tuple(violations))
 
 
-def _w(game: TwoPlayerPerceptionGame, i: int, t: int, mu, observer: int) -> float:
-    """Penalty at ``mu``; the prior reference is the observer's belief."""
-    return penalty_value(
-        game.players[i].penalties[t],
-        mu,
-        prior=game.players[1 - i].beliefs[observer],
-        type_index=t,
-        event_mask=game.mask_of(i, t),
-    )
-
-
-def _w_range(game: TwoPlayerPerceptionGame, i: int, t: int, observer: int) -> PenaltyRange:
-    return penalty_range(
-        game.players[i].penalties[t],
-        game.players[i].types.n,
-        prior=game.players[1 - i].beliefs[observer],
-        type_index=t,
-        event_mask=game.mask_of(i, t),
-    )
-
-
 def _action_values(
     game: TwoPlayerPerceptionGame,
     i: int,
@@ -199,7 +180,7 @@ def _action_values(
             for b in range(other.actions.m):
                 if sigma_opp[t_opp, b] > 0.0:
                     inner = inner + sigma_opp[t_opp, b] * ps.v[t, t_opp, a, b]
-            term = inner - _w(game, i, t, tau_i[t_opp, a], t_opp)
+            term = inner - game.w(i, t, tau_i[t_opp, a], t_opp)
             acc = acc + beliefs[t_opp] * term
         vals[a] = acc
     return vals
@@ -324,9 +305,9 @@ def _pure_pair_report(
                 for t in range(ps.types.n):
                     if post is not None:
                         tau[t, t_obs, a] = post
-                        wvals[t, t_obs, a] = _w(game, i, t, post, t_obs)
+                        wvals[t, t_obs, a] = game.w(i, t, post, t_obs)
                     else:
-                        rng = _w_range(game, i, t, t_obs)
+                        rng = game.penalty_range_of(i, t, t_obs)
                         if actions[i][t] == a:
                             tau[t, t_obs, a] = rng.argmin.p
                             wvals[t, t_obs, a] = rng.min
@@ -396,9 +377,7 @@ def enumerate_pure_bne(
         if fold_prior_penalty:
             for t in range(ps.types.n):
                 for t_obs in range(other.types.n):
-                    base[t, t_obs] -= _w(
-                        game, i, t, game.players[1 - i].beliefs[t_obs], t_obs
-                    )
+                    base[t, t_obs] -= game.w(i, t, other.beliefs[t_obs], t_obs)
         folded.append(base)
     out: list[PureBNEReport] = []
     for acts0 in product(range(p0.actions.m), repeat=p0.types.n):

@@ -5,6 +5,8 @@ from the package's penalty or solver modules, so a bug there cannot
 cancel out of both sides of a comparison. Where a test needs exact
 tie agreement (pooling), the closed forms below use the same
 arithmetic expressions the package derives, written out directly.
+The one game factory (``tabulate``) only copies a game's own values
+onto a lattice.
 """
 
 from __future__ import annotations
@@ -156,3 +158,25 @@ def oracle_pure_gains(prior, v, pens, actions, tol=1e-9):
     for t in range(n):
         gains[t] = rows[t].max() - rows[t, actions[t]]
     return gains
+
+
+# --- game factories --------------------------------------------------
+
+
+def tabulate(game, resolution: int):
+    """``game`` as a ``tabulated_grid`` game holding its utilities at the
+    points of the resolution-``resolution`` type simplex lattice."""
+    from perception_games.model import PerceptionGame, UtilityModel
+    from perception_games.simplex import SimplexGrid
+
+    pts = SimplexGrid(game.n, resolution).points()
+    values = np.array(
+        [[[game.u(t, a, p) for p in pts] for a in range(game.m)] for t in range(game.n)]
+    )
+    return PerceptionGame(
+        types=game.types,
+        actions=game.actions,
+        prior=game.prior,
+        utility=UtilityModel(kind="tabulated_grid", resolution=resolution, values=values),
+        name=game.name + "-tab",
+    )

@@ -13,6 +13,8 @@ from perception_games.docio import (
 from perception_games.fixtures import blog, get_fixture
 from perception_games.single import PerceptionMap, Strategy, profile_report
 
+from helpers import tabulate
+
 
 @pytest.fixture
 def blog_path(tmp_path):
@@ -105,6 +107,16 @@ class TestEquilibria:
         doc = _json_out(capsys)
         assert doc["mode"] == "mixed"
         assert doc["survivor_count"] == 3
+
+    def test_mixed_json_tabulated(self, tmp_path, capsys):
+        path = tmp_path / "blog-tab.json"
+        save_game(tabulate(blog(), 8), path)
+        assert main(
+            ["equilibria", "--game", str(path), "--mode", "mixed", "--step", "0.25", "--format", "json"]
+        ) == 0
+        doc = _json_out(capsys)
+        assert doc["survivor_count"] == 3
+        assert sorted(e["label"] for e in doc["survivors"]) == ["pool:L", "pool:R", "separating"]
 
     def test_grid_flag_overrides_step(self, blog_path, capsys):
         assert main(

@@ -1,25 +1,14 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+from perception_games import kernels
 from perception_games.fixtures import blog
-from perception_games.kernels import (
-    HAVE_NUMBA,
-    _bisect_left,
-    active_backend,
-    pack_game,
-    set_backend,
-    sweep_profile_gains,
-)
+from perception_games.kernels import pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
+from perception_games.penalties import PenaltySpec
 from perception_games.simplex import SimplexGrid
 from perception_games.single import _decode_profile, profile_report
-from perception_games.testing import random_mixed_catalog_game
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
+from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
 
 def _all_profiles(game, resolution):
@@ -28,35 +17,38 @@ def _all_profiles(game, resolution):
     return pts, idx
 
 
-class TestBackendSelection:
-    def test_set_backend_roundtrip(self):
-        try:
-            set_backend("numpy")
-            assert active_backend() == "numpy"
-        finally:
-            set_backend(None)
+def _sample(total, size, seed):
+    if total <= size:
+        return np.arange(total, dtype=np.int64)
+    return np.random.default_rng(seed).choice(total, size=size, replace=False)
 
-    def test_bad_name(self):
-        with pytest.raises(ValueError):
-            set_backend("fortran")
 
-    def test_env_flag_disables_numba(self):
-        code = (
-            "import os; os.environ['PGAME_NO_NUMBA'] = '1';"
-            "from perception_games.kernels import active_backend;"
-            "print(active_backend())"
+def eight_type_game() -> PerceptionGame:
+    """8 types, 3 actions: tv_to_prior on even types, step penalties on
+    odd ones. Eight summands is where numpy's pairwise summation starts
+    to differ from summing in index order."""
+    rng = np.random.default_rng(8)
+    labels = tuple(f"t{i}" for i in range(8))
+    penalties = tuple(
+        PenaltySpec.tv_to_prior(float(rng.uniform(0.5, 3.0)))
+        if t % 2 == 0
+        else PenaltySpec.step(
+            pieces=((0.25, 0.5, float(rng.uniform(0.5, 2.0)), True, False),),
+            over=labels[t - 1 : t + 1],
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_explicit_backend_argument_wins(self):
-        game = blog()
-        pack = pack_game(game)
-        pts, idx = _all_profiles(game, 4)
-        g = sweep_profile_gains(pack, pts, idx, backend="numpy")
-        assert g.shape == idx.shape
+        for t in range(8)
+    )
+    return PerceptionGame(
+        types=TypeSpace.plain(labels),
+        actions=ActionSpace.plain(("a0", "a1", "a2")),
+        prior=dyadic_prior(rng, 8),
+        utility=UtilityModel(
+            kind="additive_separable",
+            v=rng.uniform(0.0, 1.0, size=(8, 3)),
+            penalties=penalties,
+        ),
+        allow_discontinuous=True,
+    )
 
 
 class TestPackGame:
@@ -77,71 +69,44 @@ class TestPackGame:
         np.testing.assert_allclose(pack.prior, [0.5, 0.5])
 
 
-@needs_numba
-class TestBisectLeft:
-    def test_matches_searchsorted(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            cnt = int(rng.integers(1, 8))
-            arr = np.sort(rng.uniform(0, 1, size=8))
-            x = float(rng.uniform(-0.1, 1.1))
-            ours = _bisect_left(arr, cnt, x)
-            ref = int(np.searchsorted(arr[:cnt], x, side="left"))
-            assert ours == ref
-
-    def test_ties_go_left(self):
-        arr = np.array([0.0, 0.5, 0.5, 1.0])
-        assert _bisect_left(arr, 4, 0.5) == 1
-
-
 class TestNumpyGainsAgainstEvaluator:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_gain_matches_profile_report(self, seed):
-        rng = np.random.default_rng(seed)
-        game = random_mixed_catalog_game(rng)
-        pack = pack_game(game)
-        pts, idx = _all_profiles(game, 3)
-        if idx.size > 600:
-            idx = np.random.default_rng(seed).choice(idx, size=600, replace=False)
-        gains = sweep_profile_gains(pack, pts, idx, backend="numpy")
+    """Kernel gains equal the exact evaluator's bit for bit."""
+
+    @staticmethod
+    def _assert_equal(game, pts, idx):
+        gains = sweep_profile_gains(pack_game(game), pts, idx)
+        assert gains.shape == idx.shape
         G = pts.shape[0]
         for k in range(idx.size):
             sigma = _decode_profile(int(idx[k]), G, pts, game.n)
-            rep = profile_report(game, sigma, 1e-9)
-            assert gains[k] == pytest.approx(rep.max_gain, abs=1e-9)
+            assert gains[k] == profile_report(game, sigma, 1e-9).max_gain
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gain_matches_profile_report(self, seed):
+        game = random_mixed_catalog_game(np.random.default_rng(seed))
+        pts, idx = _all_profiles(game, 3)
+        self._assert_equal(game, pts, _sample(idx.size, 600, seed))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pure_grid_matches_profile_report(self, seed):
+        game = random_mixed_catalog_game(np.random.default_rng(seed))
+        self._assert_equal(game, np.eye(game.m), np.arange(game.m**game.n, dtype=np.int64))
+
+    def test_eight_types_tv_and_step(self):
+        game = eight_type_game()
+        self._assert_equal(game, np.eye(3), _sample(3**8, 400, 1))
+        pts = SimplexGrid(3, 2).points()
+        self._assert_equal(game, pts, _sample(pts.shape[0] ** 8, 400, 2))
 
 
-@needs_numba
-class TestBitwiseParity:
-    @pytest.mark.parametrize("seed", range(15))
-    def test_random_games_random_grids(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        game = random_mixed_catalog_game(rng)
-        pack = pack_game(game)
-        resolution = int(rng.integers(2, 6))
-        pts = SimplexGrid(game.m, resolution).points()
-        total = pts.shape[0] ** game.n
-        take = min(total, 2000)
-        idx = rng.choice(total, size=take, replace=False).astype(np.int64)
-        a = sweep_profile_gains(pack, pts, idx, backend="numba")
-        b = sweep_profile_gains(pack, pts, idx, backend="numpy")
-        np.testing.assert_array_equal(a, b)
-
-    def test_blog_full_grid(self):
-        game = blog()
-        pack = pack_game(game)
-        pts, idx = _all_profiles(game, 20)
-        a = sweep_profile_gains(pack, pts, idx, backend="numba")
-        b = sweep_profile_gains(pack, pts, idx, backend="numpy")
-        np.testing.assert_array_equal(a, b)
-
-    def test_chunking_does_not_change_numpy_results(self):
+class TestChunking:
+    def test_chunking_does_not_change_numpy_results(self, monkeypatch):
         game = blog()
         pack = pack_game(game)
         pts, idx = _all_profiles(game, 12)
-        a = sweep_profile_gains(pack, pts, idx, backend="numpy", chunk=7)
-        b = sweep_profile_gains(pack, pts, idx, backend="numpy", chunk=10_000)
-        np.testing.assert_array_equal(a, b)
+        whole = sweep_profile_gains(pack, pts, idx)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 7 * game.n * game.m)
+        np.testing.assert_array_equal(sweep_profile_gains(pack, pts, idx), whole)
 
 
 class TestDecodeProfile:

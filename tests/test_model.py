@@ -16,6 +16,8 @@ from perception_games.model import (
 from perception_games.penalties import PenaltySpec
 from perception_games.simplex import Belief, SimplexGrid
 
+from helpers import tabulate
+
 
 def _additive(v, penalties, prior, labels=None, actions=None, **kw):
     n, m = np.asarray(v).shape
@@ -235,26 +237,10 @@ class TestPrivacy:
             classify_privacy(blog(), "sideways")
 
 
-def _tabulate(game: PerceptionGame, resolution: int) -> PerceptionGame:
-    pts = SimplexGrid(game.n, resolution).points()
-    values = np.empty((game.n, game.m, len(pts)))
-    for t in range(game.n):
-        for a in range(game.m):
-            for i in range(len(pts)):
-                values[t, a, i] = game.u(t, a, pts[i])
-    return PerceptionGame(
-        types=game.types,
-        actions=game.actions,
-        prior=game.prior,
-        utility=UtilityModel(kind="tabulated_grid", resolution=resolution, values=values),
-        name=game.name + "-tab",
-    )
-
-
 class TestTabulated:
     def test_lattice_vertices_exact(self):
         g = blog()
-        tg = _tabulate(g, 8)
+        tg = tabulate(g, 8)
         for p in SimplexGrid(2, 8).points():
             for t in range(2):
                 for a in range(2):
@@ -294,7 +280,7 @@ class TestTabulated:
 
     def test_u_range_over_lattice(self):
         g = blog()
-        tg = _tabulate(g, 10)
+        tg = tabulate(g, 10)
         r = tg.u_range(0, 0)
         vals = [tg.u(0, 0, p) for p in SimplexGrid(2, 10).points()]
         assert r.max == pytest.approx(max(vals))
@@ -303,6 +289,6 @@ class TestTabulated:
 
     def test_privacy_on_tabulated(self):
         g = blog()
-        tg = _tabulate(g, 200)  # prior (1/2, 1/2) is a lattice point
+        tg = tabulate(g, 200)  # prior (1/2, 1/2) is a lattice point
         rep = classify_privacy(tg, "upper")
         assert rep.holds

@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from perception_games.simplex import (
     Belief,
     SimplexGrid,
-    default_resolution,
     dirac,
-    optimize_over_simplex,
     tv_distance,
     uniform,
 )
@@ -93,78 +91,8 @@ class TestSimplexGrid:
         np.testing.assert_allclose(pts.sum(axis=1), 1.0, atol=1e-12)
         assert pts.flags.writeable is False
 
-    def test_covering_radius(self):
-        assert SimplexGrid(3, 10).covering_radius_l1() == pytest.approx(0.2)
-
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             SimplexGrid(2, 0)
         with pytest.raises(ValueError):
             SimplexGrid(0, 5)
-
-
-class TestDefaultResolution:
-    def test_by_dimension(self):
-        assert default_resolution(1) == 1
-        assert default_resolution(2) == 200
-        assert default_resolution(3) == 60
-        assert default_resolution(4) == 24
-        assert default_resolution(7) == 24
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PGAME_GRID", "17")
-        assert default_resolution(2) == 17
-        assert default_resolution(5) == 17
-
-    def test_env_override_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv("PGAME_GRID", "zero")
-        with pytest.raises(ValueError):
-            default_resolution(2)
-        monkeypatch.setenv("PGAME_GRID", "0")
-        with pytest.raises(ValueError):
-            default_resolution(2)
-
-
-class TestOptimizeOverSimplex:
-    def test_linear_max_at_vertex(self):
-        c = np.array([0.3, 1.7, -0.5])
-        res = optimize_over_simplex(lambda mu: float(c @ mu), 3, mode="max", resolution=10)
-        assert res.value == pytest.approx(1.7)
-        assert res.point == dirac(1, 3)
-
-    def test_linear_min_at_vertex(self):
-        c = np.array([0.3, 1.7, -0.5])
-        res = optimize_over_simplex(lambda mu: float(c @ mu), 3, mode="min", resolution=10)
-        assert res.value == pytest.approx(-0.5)
-        assert res.point == dirac(2, 3)
-
-    def test_error_bound_uses_lipschitz(self):
-        res = optimize_over_simplex(lambda mu: 0.0, 2, resolution=50, lipschitz_l1=3.0)
-        assert res.error_bound == pytest.approx(3.0 * 2.0 / 50.0)
-        assert res.resolution == 50
-
-    def test_error_bound_none_without_lipschitz(self):
-        res = optimize_over_simplex(lambda mu: 0.0, 2, resolution=10)
-        assert res.error_bound is None
-
-    def test_tie_takes_first_grid_point(self):
-        res = optimize_over_simplex(lambda mu: 1.0, 2, mode="max", resolution=4)
-        first = SimplexGrid(2, 4).points()[0]
-        np.testing.assert_array_equal(np.asarray(res.point), first)
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            optimize_over_simplex(lambda mu: 0.0, 2, mode="sup", resolution=4)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_grid_value_within_bound_of_true_max(self, seed):
-        rng = np.random.default_rng(seed)
-        c = rng.uniform(-2.0, 2.0, size=3)
-        lip = float(np.abs(c).max())  # |c . (mu - nu)| <= max|c| * ||mu - nu||_1
-        res = optimize_over_simplex(
-            lambda mu: float(c @ mu), 3, mode="max", resolution=12, lipschitz_l1=lip
-        )
-        true = float(c.max())
-        assert res.value <= true + 1e-12
-        assert true <= res.value + res.error_bound + 1e-12

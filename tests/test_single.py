@@ -18,7 +18,7 @@ from perception_games.single import (
     verify_equilibrium,
 )
 
-from helpers import oracle_pure_gains, spec_to_dict
+from helpers import oracle_pure_gains, spec_to_dict, tabulate
 
 
 def _blog_weight(w):
@@ -278,6 +278,23 @@ class TestMixedSearchMechanics:
         g = blog()
         with pytest.raises(ValueError):
             enumerate_pure_equilibria(g, max_profiles=3)
+
+
+class TestTabulatedGames:
+    """Games the kernel cannot pack are swept on the exact evaluator."""
+
+    def test_pure_enumeration(self):
+        reports = enumerate_pure_equilibria(tabulate(blog(), 8))
+        assert [r.label for r in reports] == ["pool:L", "separating", "pool:R"]
+
+    def test_mixed_search_matches_additive(self):
+        tab = search_mixed_equilibria(tabulate(blog(), 8), step=0.25)
+        add = search_mixed_equilibria(blog(), step=0.25)
+        assert (tab.total, tab.swept, tab.survivor_count) == (25, 25, 3)
+        assert len(tab.survivors) == len(add.survivors) == 3
+        for t, a in zip(tab.survivors, add.survivors):
+            assert t.label == a.label
+            np.testing.assert_array_equal(t.strategy.sigma, a.strategy.sigma)
 
 
 class TestProfileReportAgainstOracle:
