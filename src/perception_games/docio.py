@@ -167,6 +167,15 @@ def _parse_penalty(value: Any, path: str, errs: _Errors) -> PenaltySpec | None:
     return None if problems else spec
 
 
+def _parse_penalties(raw: Any, path: str, errs: _Errors) -> tuple[PenaltySpec, ...] | None:
+    """One penalty per type; None when any entry is bad (all are reported)."""
+    if not isinstance(raw, list):
+        errs.add(path, "must be a list, one penalty per type")
+        return None
+    specs = [_parse_penalty(item, f"{path}/{j}", errs) for j, item in enumerate(raw)]
+    return None if None in specs else tuple(specs)
+
+
 def _parse_utility(value: Any, path: str, errs: _Errors) -> UtilityModel | None:
     if not isinstance(value, dict):
         errs.add(path, "must be an object")
@@ -175,21 +184,10 @@ def _parse_utility(value: Any, path: str, errs: _Errors) -> UtilityModel | None:
     if kind == "additive_separable":
         _check_keys(value, {"kind", "v", "penalties"}, path, errs)
         v = _floats(value.get("v"), 2, f"{path}/v", errs)
-        raw = value.get("penalties")
-        penalties: list[PenaltySpec] | None = []
-        if not isinstance(raw, list):
-            errs.add(f"{path}/penalties", "must be a list, one penalty per type")
-            penalties = None
-        else:
-            for j, item in enumerate(raw):
-                spec = _parse_penalty(item, f"{path}/penalties/{j}", errs)
-                if spec is None:
-                    penalties = None
-                elif penalties is not None:
-                    penalties.append(spec)
+        penalties = _parse_penalties(value.get("penalties"), f"{path}/penalties", errs)
         if v is None or penalties is None:
             return None
-        return UtilityModel(kind=kind, v=v, penalties=tuple(penalties))
+        return UtilityModel(kind=kind, v=v, penalties=penalties)
     if kind == "tabulated_grid":
         _check_keys(value, {"kind", "resolution", "values"}, path, errs)
         res = value.get("resolution")
@@ -213,18 +211,7 @@ def _parse_player(value: Any, path: str, errs: _Errors) -> PlayerSpec | None:
     actions = _labels(value.get("actions"), f"{path}/actions", errs)
     beliefs = _floats(value.get("beliefs"), 2, f"{path}/beliefs", errs)
     v = _floats(value.get("v"), 4, f"{path}/v", errs)
-    raw = value.get("penalties")
-    penalties: list[PenaltySpec] | None = []
-    if not isinstance(raw, list):
-        errs.add(f"{path}/penalties", "must be a list, one penalty per type")
-        penalties = None
-    else:
-        for j, item in enumerate(raw):
-            spec = _parse_penalty(item, f"{path}/penalties/{j}", errs)
-            if spec is None:
-                penalties = None
-            elif penalties is not None:
-                penalties.append(spec)
+    penalties = _parse_penalties(value.get("penalties"), f"{path}/penalties", errs)
     if any(x is None for x in (types, actions, beliefs, v)) or penalties is None:
         return None
     return PlayerSpec(
@@ -232,7 +219,7 @@ def _parse_player(value: Any, path: str, errs: _Errors) -> PlayerSpec | None:
         actions=ActionSpace.plain(actions),
         beliefs=beliefs,
         v=v,
-        penalties=tuple(penalties),
+        penalties=penalties,
     )
 
 
@@ -379,13 +366,16 @@ def canonical_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_game(path: str | Path) -> PerceptionGame | TwoPlayerPerceptionGame:
+def _read_json(path: str | Path) -> Any:
     text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GameFormatError([("/", f"not valid JSON: {exc}")]) from None
-    return parse_game(doc)
+
+
+def load_game(path: str | Path) -> PerceptionGame | TwoPlayerPerceptionGame:
+    return parse_game(_read_json(path))
 
 
 def save_game(game: PerceptionGame | TwoPlayerPerceptionGame, path: str | Path) -> None:
@@ -450,9 +440,4 @@ def profile_to_document(strategy, perceptions) -> dict:
 
 
 def load_profile(path: str | Path, game):
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError([("/", f"not valid JSON: {exc}")]) from None
-    return parse_profile(doc, game)
+    return parse_profile(_read_json(path), game)

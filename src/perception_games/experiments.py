@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .kernels import decode_profiles
 from .model import (
     ActionSpace,
     PerceptionGame,
@@ -35,7 +36,6 @@ from .single import (
     MixedSearchResult,
     PerceptionMap,
     Strategy,
-    _decode_profile,
     _sweep,
     enumerate_pure_equilibria,
     legislation_welfare,
@@ -565,12 +565,14 @@ def counterexample_check(
     found: dict[float, bool] = {}
     witness: dict[float, Strategy | None] = {}
     for eps in epsilons:
+        # min_max_gain is the kernel's gain, equal bitwise to
+        # profile_report(...).max_gain, so this test is exact
         hit = sweep.min_max_gain <= eps
         found[float(eps)] = bool(hit)
         witness[float(eps)] = sweep.argmin if hit else None
     return NonexistenceReport(
         pure_min_gain=float(gains[best]),
-        pure_argmin=Strategy(game, _decode_profile(best, game.m, vertices, game.n)),
+        pure_argmin=Strategy(game, decode_profiles(vertices, best, game.n)),
         pure_equilibrium_exists=bool(pure_eq),
         sweep=sweep,
         eps_equilibrium_found=found,

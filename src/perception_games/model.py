@@ -280,8 +280,6 @@ class PerceptionGame:
                 max=base - pr.min,
                 argmin=pr.argmax,
                 argmax=pr.argmin,
-                error_bound=0.0,
-                exact=True,
             )
         vals = self.utility.values[t, a]
         grid = SimplexGrid(self.n, self.utility.resolution)
@@ -294,8 +292,6 @@ class PerceptionGame:
             max=float(vals[i_max]),
             argmin=Belief(pts[i_min]),
             argmax=Belief(pts[i_max]),
-            error_bound=0.0,
-            exact=True,
         )
 
     def utility_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -419,8 +415,6 @@ class UtilityRange:
     max: float
     argmin: Belief
     argmax: Belief
-    error_bound: float | None
-    exact: bool
 
 
 @dataclass

@@ -18,8 +18,9 @@ Ranges over the simplex are computed in closed form for every kind,
 with witness beliefs attaining them. The Lipschitz constants are
 reported by game validation.
 
-Sums over types run in index order, the order the sweep kernel uses,
-so the kernel and the exact evaluator agree bitwise.
+``penalty_value`` evaluates one belief and is the exact evaluator's
+path; ``penalty_batch`` evaluates a batch of beliefs for the sweep
+kernel. Both sum over types in index order, so they agree bitwise.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ __all__ = [
     "MARGINAL_KINDS",
     "PenaltySpec",
     "PenaltyRange",
+    "knot_arrays",
     "piecewise_linear_value",
     "step_value",
     "penalty_value",
+    "penalty_batch",
     "penalty_range",
     "validate_spec",
 ]
@@ -168,6 +171,11 @@ def validate_spec(spec: PenaltySpec) -> list[str]:
     return errs
 
 
+def knot_arrays(spec: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The knots of a piecewise linear spec as (x, y) coordinate arrays."""
+    return np.array([k[0] for k in spec.knots]), np.array([k[1] for k in spec.knots])
+
+
 def piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -> float:
     """Evaluate the knot polyline at ``x``, linear on each segment."""
     j = int(np.searchsorted(knots_x, x, side="left")) - 1
@@ -223,12 +231,50 @@ def penalty_value(
         raise ValueError(f"{spec.kind} needs the event mask")
     x = _event_mass(m, event_mask)
     if spec.kind == "piecewise_linear_marginal":
-        kx = np.array([k[0] for k in spec.knots])
-        ky = np.array([k[1] for k in spec.knots])
-        return spec.weight * piecewise_linear_value(kx, ky, x)
+        return spec.weight * piecewise_linear_value(*knot_arrays(spec), x)
     if spec.kind == "step_marginal":
         return spec.weight * step_value(spec.pieces, x)
     raise ValueError(f"unknown penalty kind {spec.kind!r}")
+
+
+def penalty_batch(
+    spec: PenaltySpec,
+    post: np.ndarray,
+    prior: np.ndarray,
+    type_index: int,
+    event: np.ndarray | None,
+    knots: tuple[np.ndarray, np.ndarray] | None,
+) -> np.ndarray:
+    """``penalty_value``, bitwise, at each belief in ``post`` (types on the
+    last axis). ``event`` holds the event's type indices for the marginal
+    kinds and ``knots`` the polyline's ``knot_arrays``; else both are None."""
+    w = spec.weight
+    if spec.kind == "zero":
+        return np.zeros(post.shape[:-1])
+    if spec.kind == "tv_to_prior":
+        acc = np.zeros(post.shape[:-1])
+        for s in range(post.shape[-1]):
+            acc = acc + np.abs(post[..., s] - prior[s])
+        return w * 0.5 * acc
+    if spec.kind == "exposure":
+        return w * post[..., type_index]
+    x = np.zeros(post.shape[:-1])
+    for s in event.tolist():
+        x = x + post[..., s]
+    if spec.kind == "piecewise_linear_marginal":
+        kx, ky = knots
+        j = np.clip(np.searchsorted(kx, x, side="left") - 1, 0, kx.size - 2)
+        frac = (x - kx[j]) / (kx[j + 1] - kx[j])
+        return w * (ky[j] + frac * (ky[j + 1] - ky[j]))
+    val = np.zeros(x.shape)
+    assigned = np.zeros(x.shape, dtype=bool)
+    for lo, hi, pv, il, ih in spec.pieces:
+        lo_ok = (x >= lo) if il else (x > lo)
+        hi_ok = (x <= hi) if ih else (x < hi)
+        match = lo_ok & hi_ok & ~assigned
+        val[match] = pv
+        assigned |= match
+    return w * val
 
 
 @dataclass(frozen=True)
@@ -304,8 +350,7 @@ def penalty_range(
         raise ValueError(f"{spec.kind} needs the event mask")
     lo_x, hi_x = _marginal_domain(n, event_mask)
     if spec.kind == "piecewise_linear_marginal":
-        kx = np.array([k[0] for k in spec.knots])
-        ky = np.array([k[1] for k in spec.knots])
+        kx, ky = knot_arrays(spec)
         if lo_x == hi_x:
             candidates = [lo_x]
         else:

@@ -7,15 +7,10 @@ the other side get strings they can float() back.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any
 
 import numpy as np
-
-from .simplex import Belief
-from .single import PerceptionMap, Strategy
-from .two_player import TwoPlayerPerceptions, TwoPlayerStrategy
 
 __all__ = ["fmt", "jsonable", "dumps"]
 
@@ -26,7 +21,8 @@ def fmt(x: float) -> str:
 
 
 def jsonable(obj: Any) -> Any:
-    """Recursively convert a result object into JSON-ready data."""
+    """Recursively convert plain dicts, lists and numpy values into
+    JSON-ready data."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
@@ -37,20 +33,6 @@ def jsonable(obj: Any) -> Any:
         return bool(obj)
     if isinstance(obj, np.ndarray):
         return [jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, Belief):
-        return [jsonable(x) for x in obj.p.tolist()]
-    if isinstance(obj, Strategy):
-        return {"sigma": jsonable(obj.sigma)}
-    if isinstance(obj, PerceptionMap):
-        return {"tau": jsonable(obj.tau)}
-    if isinstance(obj, TwoPlayerStrategy):
-        return {"sigmas": [jsonable(s) for s in obj.sigmas]}
-    if isinstance(obj, TwoPlayerPerceptions):
-        return {"taus": [jsonable(t) for t in obj.taus]}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-        }
     if isinstance(obj, dict):
         return {
             (fmt(k) if isinstance(k, float) else str(k)): jsonable(v)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import pack_game, sweep_profile_gains
+from .kernels import decode_profiles, pack_game, sweep_profile_gains
 from .model import PerceptionGame, PrivacyReport, classify_privacy
 from .simplex import WEAK_TOL, Belief, SimplexGrid, tv_distance
 
@@ -362,10 +362,9 @@ def _sweep(
     (tabulated) take their gains from ``profile_report``. Either way a
     screened profile survives only when its exact report confirms it.
     """
-    G = pts.shape[0]
 
     def report(code) -> EquilibriumReport:
-        return profile_report(game, _decode_profile(int(code), G, pts, game.n), tol)
+        return profile_report(game, decode_profiles(pts, code, game.n), tol)
 
     if game.utility.kind == "additive_separable":
         gains = sweep_profile_gains(pack_game(game), pts, idx)
@@ -445,7 +444,7 @@ def search_mixed_equilibria(
     gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
     best = int(np.argmin(gains))
     screened = int(np.count_nonzero(gains <= tol))
-    argmin_sigma = _decode_profile(int(idx[best]), G, pts, game.n)
+    argmin_sigma = decode_profiles(pts, idx[best], game.n)
     return MixedSearchResult(
         step=step,
         resolution=resolution,
@@ -458,14 +457,6 @@ def search_mixed_equilibria(
         survivor_count=screened,
         truncated=screened > max_survivors,
     )
-
-
-def _decode_profile(code: int, G: int, pts: np.ndarray, n: int) -> np.ndarray:
-    rows = np.empty((n, pts.shape[1]))
-    for t in range(n - 1, -1, -1):
-        rows[t] = pts[code % G]
-        code //= G
-    return rows
 
 
 @dataclass(frozen=True)

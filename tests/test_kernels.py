@@ -1,13 +1,15 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from perception_games import kernels
 from perception_games.fixtures import blog
-from perception_games.kernels import pack_game, sweep_profile_gains
+from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
 from perception_games.simplex import SimplexGrid
-from perception_games.single import _decode_profile, profile_report
+from perception_games.single import profile_report
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
 
@@ -21,6 +23,18 @@ def _sample(total, size, seed):
     if total <= size:
         return np.arange(total, dtype=np.int64)
     return np.random.default_rng(seed).choice(total, size=size, replace=False)
+
+
+def _game(prior, v, penalties) -> PerceptionGame:
+    v = np.asarray(v, dtype=np.float64)
+    n, m = v.shape
+    return PerceptionGame(
+        types=TypeSpace.plain(tuple(f"t{i}" for i in range(n))),
+        actions=ActionSpace.plain(tuple(f"a{i}" for i in range(m))),
+        prior=prior,
+        utility=UtilityModel(kind="additive_separable", v=v, penalties=tuple(penalties)),
+        allow_discontinuous=True,
+    )
 
 
 def eight_type_game() -> PerceptionGame:
@@ -38,16 +52,60 @@ def eight_type_game() -> PerceptionGame:
         )
         for t in range(8)
     )
-    return PerceptionGame(
-        types=TypeSpace.plain(labels),
-        actions=ActionSpace.plain(("a0", "a1", "a2")),
-        prior=dyadic_prior(rng, 8),
-        utility=UtilityModel(
-            kind="additive_separable",
-            v=rng.uniform(0.0, 1.0, size=(8, 3)),
-            penalties=penalties,
-        ),
-        allow_discontinuous=True,
+    return _game(dyadic_prior(rng, 8), rng.uniform(0.0, 1.0, size=(8, 3)), penalties)
+
+
+def zero_prior_game() -> PerceptionGame:
+    """t2 has no prior mass: an action only t2 plays is off path, and
+    t2's row there is free, raised toward its cap and clamped when its
+    best belief would beat the cap."""
+    return _game(
+        [0.5, 0.5, 0.0],
+        [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.2, 0.4, 3.0]],
+        [
+            PenaltySpec.tv_to_prior(1.0),
+            PenaltySpec.exposure(0.75),
+            PenaltySpec.piecewise_linear(((0.0, 0.0), (0.5, 1.5), (1.0, 0.5)), over=("t2",)),
+        ],
+    )
+
+
+def step_bounds_game() -> PerceptionGame:
+    """Each type's step pieces end on quarter values, one type for each
+    open/closed combination of the two bounds."""
+    labels = ("t0", "t1", "t2", "t3")
+    penalties = [
+        PenaltySpec.step(
+            pieces=((0.25, 0.5, 1.5, il, ih), (0.5, 0.75, 0.5, il, ih)),
+            over=(labels[t], labels[(t + 1) % 4]),
+        )
+        for t, (il, ih) in enumerate(product((True, False), repeat=2))
+    ]
+    v = [[1.0, 0.25], [0.5, 1.0], [0.75, 0.5], [0.0, 1.25]]
+    return _game([0.25] * 4, v, penalties)
+
+
+def polyline_knots_game() -> PerceptionGame:
+    """Knots on quarter values. At x = 0.25, the segment on the left
+    gives 0.3 + (0.9 - 0.3) = 0.9000000000000001, the one on the right
+    0.9, so the kernel must pick the same segment as the evaluator."""
+    knots = ((0.0, 0.3), (0.25, 0.9), (0.5, 0.3), (0.75, 1.7), (1.0, 0.1))
+    return _game(
+        [0.25, 0.5, 0.25],
+        [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0]],
+        [
+            PenaltySpec.piecewise_linear(knots, over=("t0",)),
+            PenaltySpec.piecewise_linear(knots, over=("t0", "t1")),
+            PenaltySpec.piecewise_linear(knots, over=("t1", "t2"), weight=0.5),
+        ],
+    )
+
+
+def tied_prior_tv_game() -> PerceptionGame:
+    return _game(
+        [0.125, 0.375, 0.125, 0.375],
+        [[1.0, 0.0], [0.25, 1.0], [0.5, 0.75], [1.0, 0.5]],
+        [PenaltySpec.tv_to_prior(w) for w in (1.0, 2.0, 0.5, 1.5)],
     )
 
 
@@ -76,10 +134,9 @@ class TestNumpyGainsAgainstEvaluator:
     def _assert_equal(game, pts, idx):
         gains = sweep_profile_gains(pack_game(game), pts, idx)
         assert gains.shape == idx.shape
-        G = pts.shape[0]
-        for k in range(idx.size):
-            sigma = _decode_profile(int(idx[k]), G, pts, game.n)
-            assert gains[k] == profile_report(game, sigma, 1e-9).max_gain
+        reports = [profile_report(game, s, 1e-9) for s in decode_profiles(pts, idx, game.n)]
+        assert gains.tolist() == [rep.max_gain for rep in reports]
+        return reports
 
     @pytest.mark.parametrize("seed", range(12))
     def test_gain_matches_profile_report(self, seed):
@@ -98,6 +155,37 @@ class TestNumpyGainsAgainstEvaluator:
         pts = SimplexGrid(3, 2).points()
         self._assert_equal(game, pts, _sample(pts.shape[0] ** 8, 400, 2))
 
+    def test_zero_prior_type_free_rows_and_cap(self):
+        game = zero_prior_game()
+        reports = self._assert_equal(game, np.eye(3), np.arange(27, dtype=np.int64))
+        pts, idx = _all_profiles(game, 4)
+        reports += self._assert_equal(game, pts, _sample(idx.size, 600, 3))
+        assert {rep.clamped for rep in reports} == {True, False}
+
+    def test_step_bounds_on_grid_values(self):
+        game = step_bounds_game()
+        pts, idx = _all_profiles(game, 4)
+        self._assert_equal(game, pts, idx)
+        self._assert_equal(game, np.eye(2), np.arange(16, dtype=np.int64))
+        # with a uniform prior, the mass on t0's event {t0, t1} after an
+        # action is that action's share of the two types' strategy mass
+        sig = decode_profiles(pts, idx, game.n)
+        with np.errstate(invalid="ignore"):
+            x = sig[:, :2, :].sum(axis=1) / sig.sum(axis=1)
+        assert {0.25, 0.5, 0.75} <= set(x[np.isfinite(x)].tolist())
+
+    def test_polyline_knots_on_grid_values(self):
+        game = polyline_knots_game()
+        pts, idx = _all_profiles(game, 4)
+        self._assert_equal(game, pts, _sample(idx.size, 600, 4))
+        self._assert_equal(game, np.eye(3), np.arange(27, dtype=np.int64))
+
+    def test_tv_with_tied_prior(self):
+        game = tied_prior_tv_game()
+        pts, idx = _all_profiles(game, 4)
+        self._assert_equal(game, pts, idx)
+        self._assert_equal(game, np.eye(2), np.arange(16, dtype=np.int64))
+
 
 class TestChunking:
     def test_chunking_does_not_change_numpy_results(self, monkeypatch):
@@ -114,9 +202,17 @@ class TestDecodeProfile:
         pts = SimplexGrid(2, 2).points()
         G = pts.shape[0]
         # type 0 is the most significant digit
-        sigma = _decode_profile(1, G, pts, 2)
-        np.testing.assert_array_equal(sigma[0], pts[0])
-        np.testing.assert_array_equal(sigma[1], pts[1])
-        sigma = _decode_profile(G, G, pts, 2)
-        np.testing.assert_array_equal(sigma[0], pts[1])
-        np.testing.assert_array_equal(sigma[1], pts[0])
+        np.testing.assert_array_equal(decode_profiles(pts, 1, 2), pts[[0, 1]])
+        np.testing.assert_array_equal(decode_profiles(pts, G, 2), pts[[1, 0]])
+
+    def test_batch_shape_and_order(self):
+        pts = SimplexGrid(3, 2).points()
+        G = pts.shape[0]
+        idx = np.arange(G**3, dtype=np.int64)
+        sigmas = decode_profiles(pts, idx, 3)
+        assert sigmas.shape == (G**3, 3, 3)
+        # ascending codes run through the profiles in lexicographic order
+        np.testing.assert_array_equal(sigmas, np.array(list(product(pts, repeat=3))))
+        grid = decode_profiles(pts, idx.reshape(G, G * G), 3)
+        assert grid.shape == (G, G * G, 3, 3)
+        np.testing.assert_array_equal(grid.reshape(sigmas.shape), sigmas)

