@@ -358,9 +358,10 @@ def _sweep(
     and the reports of the first ``max_survivors`` profiles whose gain
     is at most ``tol``.
 
-    The numpy kernel screens additive games; games it cannot pack
-    (tabulated) take their gains from ``profile_report``. Either way a
-    screened profile survives only when its exact report confirms it.
+    The numpy kernel screens additive games, and a screened profile
+    survives only when its exact report confirms it. Games the kernel
+    cannot pack (tabulated) take their gains from ``profile_report`` in
+    one pass, which keeps only the survivors' reports.
     """
 
     def report(code) -> EquilibriumReport:
@@ -368,10 +369,16 @@ def _sweep(
 
     if game.utility.kind == "additive_separable":
         gains = sweep_profile_gains(pack_game(game), pts, idx)
-    else:
-        gains = np.array([report(code).max_gain for code in idx])
-    rebuilt = (report(code) for code in idx[gains <= tol][:max_survivors])
-    return gains, [rep for rep in rebuilt if rep.max_gain <= tol]
+        rebuilt = (report(code) for code in idx[gains <= tol][:max_survivors])
+        return gains, [rep for rep in rebuilt if rep.max_gain <= tol]
+    gains = np.empty(idx.shape[0])
+    survivors: list[EquilibriumReport] = []
+    for i, code in enumerate(idx):
+        rep = report(code)
+        gains[i] = rep.max_gain
+        if rep.max_gain <= tol and (max_survivors is None or len(survivors) < max_survivors):
+            survivors.append(rep)
+    return gains, survivors
 
 
 def enumerate_pure_equilibria(

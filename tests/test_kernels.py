@@ -2,12 +2,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perception_games import kernels
 from perception_games.fixtures import blog
 from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
-from perception_games.penalties import PenaltySpec
+from perception_games.penalties import KINDS, PenaltySpec
 from perception_games.simplex import SimplexGrid
 from perception_games.single import profile_report
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
@@ -109,6 +111,65 @@ def tied_prior_tv_game() -> PerceptionGame:
     )
 
 
+QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def catalog_penalties(draw, labels):
+    kind = draw(st.sampled_from(KINDS))
+    weight = draw(st.floats(0.0, 3.0))
+    if kind == "zero":
+        return PenaltySpec.zero()
+    if kind == "tv_to_prior":
+        return PenaltySpec.tv_to_prior(weight)
+    if kind == "exposure":
+        return PenaltySpec.exposure(weight)
+    over = tuple(sorted(draw(st.sets(st.sampled_from(labels), min_size=1))))
+    if kind == "piecewise_linear_marginal":
+        inner = sorted(draw(st.sets(st.sampled_from(QUARTERS[1:-1]))))
+        xs = [0.0, *inner, 1.0]
+        ys = draw(st.lists(st.floats(0.0, 2.0), min_size=len(xs), max_size=len(xs)))
+        return PenaltySpec.piecewise_linear(tuple(zip(xs, ys)), over=over, weight=weight)
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(QUARTERS), min_size=2, max_size=2)))
+        closed = lo == hi
+        pieces.append((
+            lo, hi, draw(st.floats(0.0, 2.0)),
+            closed or draw(st.booleans()), closed or draw(st.booleans()),
+        ))
+    return PenaltySpec.step(tuple(pieces), over=over, weight=weight)
+
+
+@st.composite
+def catalog_games(draw) -> PerceptionGame:
+    """1-5 types, 1-3 actions, any catalog penalties; some types may
+    have no prior mass."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    labels = tuple(f"t{i}" for i in range(n))
+    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    v = draw(st.lists(st.floats(0.0, 5.0), min_size=n * m, max_size=n * m))
+    return _game(
+        np.array(counts) / sum(counts),
+        np.reshape(v, (n, m)),
+        [draw(catalog_penalties(labels)) for _ in range(n)],
+    )
+
+
+def _has_off_path_action(game, sig) -> np.ndarray:
+    """Per profile: does some action get no prior mass?"""
+    return ~(np.einsum("t,btm->bm", game.prior.p, sig) > 0.0).all(axis=1)
+
+
+def _code(G: int, points) -> int:
+    """Profile code of per-type grid point indices, type 0 most significant."""
+    code = 0
+    for j in points:
+        code = code * G + j
+    return code
+
+
 class TestPackGame:
     def test_rejects_tabulated(self):
         g = PerceptionGame(
@@ -186,6 +247,30 @@ class TestNumpyGainsAgainstEvaluator:
         self._assert_equal(game, pts, idx)
         self._assert_equal(game, np.eye(2), np.arange(16, dtype=np.int64))
 
+    @settings(max_examples=150, deadline=None)
+    @given(game=catalog_games(), resolution=st.sampled_from([0, 3, 4]), data=st.data())
+    def test_random_catalog_games(self, game, resolution, data):
+        """Resolution 0 is the pure grid. One batch, one chunk: it holds
+        a pooling profile, which leaves the other actions off path, and
+        a profile that plays every action where the grid allows."""
+        n, m = game.n, game.m
+        pts = np.eye(m) if resolution == 0 else SimplexGrid(m, resolution).points()
+        G = pts.shape[0]
+        positive = np.flatnonzero(game.prior.p > 0.0)
+        pool = _code(G, [0] * n)
+        if resolution == 0:
+            spread = np.zeros(n, dtype=np.int64)
+            spread[positive] = np.arange(positive.size) % m
+        else:
+            spread = np.full(n, int(np.flatnonzero(pts.min(axis=1) > 0.0)[0]))
+        drawn = data.draw(st.lists(st.integers(0, G**n - 1), max_size=30))
+        idx = np.array([pool, _code(G, spread), *drawn], dtype=np.int64)
+        assert idx.size <= kernels._CHUNK_BUDGET // (n * m)
+        off = _has_off_path_action(game, decode_profiles(pts, idx, n))
+        assert off.any() == (m > 1)
+        assert not off.all() or (resolution == 0 and positive.size < m)
+        self._assert_equal(game, pts, idx)
+
 
 class TestChunking:
     def test_chunking_does_not_change_numpy_results(self, monkeypatch):
@@ -195,6 +280,20 @@ class TestChunking:
         whole = sweep_profile_gains(pack, pts, idx)
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 7 * game.n * game.m)
         np.testing.assert_array_equal(sweep_profile_gains(pack, pts, idx), whole)
+
+    def test_one_profile_per_chunk_with_off_path_fill(self, monkeypatch):
+        """Each chunk either skips the off-path fill or runs it."""
+        game = zero_prior_game()
+        pack = pack_game(game)
+        pts, idx = _all_profiles(game, 4)
+        whole = sweep_profile_gains(pack, pts, idx)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", game.n * game.m)
+        gains = sweep_profile_gains(pack, pts, idx)
+        np.testing.assert_array_equal(gains, whole)
+        sig = decode_profiles(pts, idx, game.n)
+        off = _has_off_path_action(game, sig)
+        assert off.any() and not off.all()
+        assert gains.tolist() == [profile_report(game, s, 1e-9).max_gain for s in sig]
 
 
 class TestDecodeProfile:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from perception_games import single
 from perception_games.fixtures import blog
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
@@ -295,6 +296,29 @@ class TestTabulatedGames:
         for t, a in zip(tab.survivors, add.survivors):
             assert t.label == a.label
             np.testing.assert_array_equal(t.strategy.sigma, a.strategy.sigma)
+
+    def test_one_oracle_call_per_profile(self, monkeypatch):
+        game = tabulate(blog(), 10)
+        pure = enumerate_pure_equilibria(game)
+        mixed = search_mixed_equilibria(game, step=0.25)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return profile_report(*args, **kwargs)
+
+        monkeypatch.setattr(single, "profile_report", counted)
+        reports = enumerate_pure_equilibria(game)
+        assert len(calls) == 4
+        assert [r.label for r in reports] == [r.label for r in pure]
+        for r, p in zip(reports, pure):
+            np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)
+        calls.clear()
+        capped = search_mixed_equilibria(game, step=0.25, max_survivors=2)
+        assert len(calls) == 25
+        assert (capped.survivor_count, capped.truncated) == (3, True)
+        for r, p in zip(capped.survivors, mixed.survivors[:2], strict=True):
+            np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)
 
 
 class TestProfileReportAgainstOracle:
