@@ -18,6 +18,17 @@ trailing axis costs several times more. A profile whose actions are
 all on path has no off-path rows, so the off-path fill runs only on
 the profiles that have an off-path action.
 
+A type's penalty depends only on the posterior, and the posterior
+after action ``a`` only on column ``a`` of the profile. A grid whose
+points take ``V`` distinct values has ``V**n`` columns, so a sweep
+evaluates each type's penalty once per column (``_column_table``) when
+that table has no more cells, ``n * V**n``, than there are codes to
+sweep; otherwise once per profile and action. A grid over two actions
+never takes the table: its ``G`` points take ``V >= G`` distinct
+values, so the table has at least ``n * G**n`` cells, ``n`` times the
+whole grid. A 3-action grid at step 0.05 has 21**3 columns for 231**3
+profiles.
+
 Only additive utilities are packed. Tabulated games are evaluated by
 ``profile_report`` directly (see ``single``).
 """
@@ -82,14 +93,54 @@ def decode_profiles(grid_pts: np.ndarray, idx, n: int) -> np.ndarray:
     ``t`` of the code, type 0 most significant, so codes in ascending
     order run through the profiles in lexicographic order.
     """
-    G = grid_pts.shape[0]
+    # np.take gathers rows several times faster than grid_pts[digits]
+    return np.take(grid_pts, _digits(idx, grid_pts.shape[0], n), axis=0)
+
+
+def _digits(idx, G: int, n: int) -> np.ndarray:
+    """Base-``G`` digits of the codes ``idx``, shape ``idx.shape + (n,)``,
+    type 0 most significant."""
     code = np.array(idx, dtype=np.int64)
     digits = np.empty(code.shape + (n,), dtype=np.int64)
     for t in range(n - 1, -1, -1):
         digits[..., t] = code % G
         code //= G
-    # np.take gathers rows several times faster than grid_pts[digits]
-    return np.take(grid_pts, digits, axis=0)
+    return digits
+
+
+def _column_table(
+    grid_pts: np.ndarray, pack: GamePack
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every type's penalty at every column a profile over ``grid_pts``
+    can have: ``(place, on, pen)``.
+
+    A column lists each type's probability of one action, each drawn
+    from the ``V`` distinct grid values, so there are ``C = V**n``
+    columns, coded base ``V`` with type 0 most significant. ``on[c]``
+    says whether column ``c`` carries prior mass and ``pen[c, t]`` is
+    type ``t``'s penalty at its posterior, computed with the
+    expressions ``_gains_numpy`` uses per profile, so the entries are
+    bitwise the same. ``place[t, g, a]`` is what type ``t`` playing
+    grid point ``g`` adds to the code of column ``a``.
+    """
+    n = pack.v.shape[0]
+    vals, rank = np.unique(grid_pts, return_inverse=True)
+    V = vals.size
+    cols = np.take(vals, _digits(np.arange(V**n), V, n), axis=0)  # (C, n)
+    pa = np.zeros(cols.shape[0])
+    for t in range(n):
+        pa = pa + pack.prior[t] * cols[:, t]
+    on = pa > 0.0
+    denom = np.where(on, pa, 1.0)
+    beliefs = cols * pack.prior / denom[:, None]
+    pen = np.empty(cols.shape)
+    for t in range(n):
+        pen[:, t] = penalty_batch(
+            pack.penalties[t], beliefs, pack.prior, t, pack.events[t], pack.knots[t]
+        )
+    rank = rank.reshape(grid_pts.shape)
+    place = np.stack([rank * V ** (n - 1 - t) for t in range(n)])
+    return place, on, pen
 
 
 def _fill_off_path(
@@ -117,23 +168,37 @@ def _fill_off_path(
     )
 
 
-def _gains_numpy(idx: np.ndarray, grid_pts: np.ndarray, pack: GamePack) -> np.ndarray:
+def _gains_numpy(
+    idx: np.ndarray,
+    grid_pts: np.ndarray,
+    pack: GamePack,
+    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     B = idx.shape[0]
     n, m = pack.v.shape
-    sig = decode_profiles(grid_pts, idx, n)  # (B, n, m)
-    pa = np.zeros((B, m))
-    for t in range(n):
-        pa = pa + pack.prior[t] * sig[:, t, :]
-    on = pa > 0.0
-    denom = np.where(on, pa, 1.0)
-    # (B, m, n): the posterior after each action
-    beliefs = np.ascontiguousarray(sig.transpose(0, 2, 1)) * pack.prior / denom[:, :, None]
-    rows = np.empty((B, n, m))
-    for t in range(n):
-        pen = penalty_batch(
-            pack.penalties[t], beliefs, pack.prior, t, pack.events[t], pack.knots[t]
-        )
-        rows[:, t, :] = pack.v[t] - pen
+    digits = _digits(idx, grid_pts.shape[0], n)
+    sig = np.take(grid_pts, digits, axis=0)  # (B, n, m)
+    if table is None:
+        pa = np.zeros((B, m))
+        for t in range(n):
+            pa = pa + pack.prior[t] * sig[:, t, :]
+        on = pa > 0.0
+        denom = np.where(on, pa, 1.0)
+        # (B, m, n): the posterior after each action
+        beliefs = np.ascontiguousarray(sig.transpose(0, 2, 1)) * pack.prior / denom[:, :, None]
+        rows = np.empty((B, n, m))
+        for t in range(n):
+            pen = penalty_batch(
+                pack.penalties[t], beliefs, pack.prior, t, pack.events[t], pack.knots[t]
+            )
+            rows[:, t, :] = pack.v[t] - pen
+    else:
+        place, on_tab, pen_tab = table
+        col = np.take(place[0], digits[:, 0], axis=0)  # (B, m): column codes
+        for t in range(1, n):
+            col = col + np.take(place[t], digits[:, t], axis=0)
+        on = np.take(on_tab, col)
+        rows = pack.v - np.take(pen_tab, col, axis=0).transpose(0, 2, 1)
     off = ~on[:, 0]
     for a in range(1, m):
         off = off | ~on[:, a]
@@ -159,12 +224,20 @@ def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -
 
     Profile codes are decoded by ``decode_profiles``. Work proceeds in
     chunks of ``_CHUNK_BUDGET // (n * m)`` profiles to bound memory.
+    Penalties come from ``_column_table`` when it has no more cells
+    than ``idx`` has codes, else from each profile's posteriors.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
     grid_pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
+    n = pack.v.shape[0]
+    # distinct grid values (np.unique without return_inverse would
+    # import numpy.ma), raised as a Python int so a large n cannot overflow
+    values = np.count_nonzero(np.diff(np.sort(grid_pts, axis=None))) + 1
+    columns = int(values) ** n
+    table = _column_table(grid_pts, pack) if columns * n <= idx.shape[0] else None
     chunk = max(1, _CHUNK_BUDGET // pack.v.size)
     out = np.empty(idx.shape[0])
     for start in range(0, idx.shape[0], chunk):
         stop = min(start + chunk, idx.shape[0])
-        out[start:stop] = _gains_numpy(idx[start:stop], grid_pts, pack)
+        out[start:stop] = _gains_numpy(idx[start:stop], grid_pts, pack, table)
     return out

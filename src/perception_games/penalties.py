@@ -263,9 +263,16 @@ def penalty_batch(
         x = x + post[..., s]
     if spec.kind == "piecewise_linear_marginal":
         kx, ky = knots
-        j = np.clip(np.searchsorted(kx, x, side="left") - 1, 0, kx.size - 2)
-        frac = (x - kx[j]) / (kx[j + 1] - kx[j])
-        return w * (ky[j] + frac * (ky[j + 1] - ky[j]))
+        # the segment of x: the number of interior knots strictly below
+        # it, which is searchsorted(kx, x, "left") - 1 clipped to the
+        # segments, since the knots strictly increase
+        j = np.zeros(x.shape, dtype=np.int64)
+        for k in kx[1:-1].tolist():
+            j += x > k
+        x0, x1 = np.take(kx, j), np.take(kx, j + 1)
+        y0, y1 = np.take(ky, j), np.take(ky, j + 1)
+        frac = (x - x0) / (x1 - x0)
+        return w * (y0 + frac * (y1 - y0))
     val = np.zeros(x.shape)
     assigned = np.zeros(x.shape, dtype=bool)
     for lo, hi, pv, il, ih in spec.pieces:

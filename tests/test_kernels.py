@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perception_games import kernels
+from perception_games.experiments import default_majority_family
 from perception_games.fixtures import blog
 from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
@@ -144,15 +145,18 @@ def catalog_penalties(draw, labels):
 @st.composite
 def catalog_games(draw) -> PerceptionGame:
     """1-5 types, 1-3 actions, any catalog penalties; some types may
-    have no prior mass."""
+    have no prior mass. Sometimes those types get the largest ``v``, so
+    that a capped free row of theirs decides a profile's gain."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 3))
     labels = tuple(f"t{i}" for i in range(n))
-    counts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
-    v = draw(st.lists(st.floats(0.0, 5.0), min_size=n * m, max_size=n * m))
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)))
+    v = np.reshape(draw(st.lists(st.floats(0.0, 5.0), min_size=n * m, max_size=n * m)), (n, m))
+    if draw(st.booleans()):
+        v[counts == 0] *= 10.0
     return _game(
-        np.array(counts) / sum(counts),
-        np.reshape(v, (n, m)),
+        counts / counts.sum(),
+        v,
         [draw(catalog_penalties(labels)) for _ in range(n)],
     )
 
@@ -193,10 +197,15 @@ class TestNumpyGainsAgainstEvaluator:
 
     @staticmethod
     def _assert_equal(game, pts, idx):
-        gains = sweep_profile_gains(pack_game(game), pts, idx)
-        assert gains.shape == idx.shape
+        """Both ways the chunk function takes penalties: from each
+        profile's posteriors, and from the column table of ``pts``
+        whether or not ``sweep_profile_gains`` would build it."""
+        pack = pack_game(game)
         reports = [profile_report(game, s, 1e-9) for s in decode_profiles(pts, idx, game.n)]
-        assert gains.tolist() == [rep.max_gain for rep in reports]
+        for table in (None, kernels._column_table(pts, pack)):
+            gains = kernels._gains_numpy(idx, pts, pack, table)
+            assert gains.shape == idx.shape
+            assert gains.tolist() == [rep.max_gain for rep in reports]
         return reports
 
     @pytest.mark.parametrize("seed", range(12))
@@ -251,8 +260,11 @@ class TestNumpyGainsAgainstEvaluator:
     @given(game=catalog_games(), resolution=st.sampled_from([0, 3, 4]), data=st.data())
     def test_random_catalog_games(self, game, resolution, data):
         """Resolution 0 is the pure grid. One batch, one chunk: it holds
-        a pooling profile, which leaves the other actions off path, and
-        a profile that plays every action where the grid allows."""
+        a pooling profile, which leaves the other actions off path, a
+        profile that plays every action where the grid allows, and the
+        pool with the zero-prior types playing that spread instead, so
+        that their rows at the actions the pool leaves off path are
+        free and capped."""
         n, m = game.n, game.m
         pts = np.eye(m) if resolution == 0 else SimplexGrid(m, resolution).points()
         G = pts.shape[0]
@@ -264,12 +276,54 @@ class TestNumpyGainsAgainstEvaluator:
         else:
             spread = np.full(n, int(np.flatnonzero(pts.min(axis=1) > 0.0)[0]))
         drawn = data.draw(st.lists(st.integers(0, G**n - 1), max_size=30))
-        idx = np.array([pool, _code(G, spread), *drawn], dtype=np.int64)
+        free = np.where(game.prior.p > 0.0, 0, spread)
+        idx = np.array([pool, _code(G, spread), _code(G, free), *drawn], dtype=np.int64)
         assert idx.size <= kernels._CHUNK_BUDGET // (n * m)
         off = _has_off_path_action(game, decode_profiles(pts, idx, n))
         assert off.any() == (m > 1)
         assert not off.all() or (resolution == 0 and positive.size < m)
         self._assert_equal(game, pts, idx)
+
+
+class TestColumnTableRule:
+    """The sweep builds the column table only when it has no more cells
+    (columns x types) than there are codes to sweep."""
+
+    @staticmethod
+    def _takes_table(monkeypatch, game, pts, idx) -> bool:
+        built = []
+        column_table = kernels._column_table
+
+        def spy(grid_pts, pack):
+            built.append(grid_pts.shape)
+            return column_table(grid_pts, pack)
+
+        monkeypatch.setattr(kernels, "_column_table", spy)
+        sweep_profile_gains(pack_game(game), pts, idx)
+        return bool(built)
+
+    def test_two_action_grid_declines(self, monkeypatch):
+        """4 types x 2 actions at step 0.05: 21**4 columns x 4 types
+        against 21**4 profiles."""
+        game = default_majority_family().game_for(0.5)
+        pts, idx = _all_profiles(game, 20)
+        assert not self._takes_table(monkeypatch, game, pts, idx)
+
+    def test_three_action_sample_takes_it(self, monkeypatch):
+        """3 types x 3 actions at step 0.05: 21**3 columns x 3 types
+        against a 2M-profile sample."""
+        game = polyline_knots_game()
+        pts = SimplexGrid(3, 20).points()
+        idx = np.random.default_rng(5).integers(0, pts.shape[0] ** 3, size=2_000_000)
+        assert self._takes_table(monkeypatch, game, pts, idx)
+
+    def test_pure_grid_at_the_bound(self, monkeypatch):
+        """8 types x 3 actions, pure: 2**8 columns x 8 types = 2,048
+        cells, against 3**8 profiles or the first 2,048 or 2,047."""
+        game = eight_type_game()
+        for size, taken in ((3**8, True), (2048, True), (2047, False)):
+            idx = np.arange(size, dtype=np.int64)
+            assert self._takes_table(monkeypatch, game, np.eye(3), idx) == taken
 
 
 class TestChunking:
