@@ -36,6 +36,7 @@ from .single import (
     MixedSearchResult,
     PerceptionMap,
     Strategy,
+    _pure_codes,
     _sweep,
     enumerate_pure_equilibria,
     legislation_welfare,
@@ -90,10 +91,13 @@ class SeparableGameSpec:
         n_o, n_p, m = len(self.outcomes), len(self.privacy), len(self.actions)
         if self.joint_prior.shape != (n_o, n_p):
             raise ValueError(f"joint_prior must have shape {(n_o, n_p)}")
-        if self.joint_prior.min() < 0 or abs(float(self.joint_prior.sum()) - 1.0) > WEAK_TOL:
+        jp = self.joint_prior  # no tolerance below 0: to_game drops only exact zeros
+        if not np.isfinite(jp).all() or jp.min() < 0 or abs(float(jp.sum()) - 1.0) > WEAK_TOL:
             raise ValueError("joint_prior must be a probability matrix")
         if self.v_outcome.shape != (n_o, m):
             raise ValueError(f"v_outcome must have shape {(n_o, m)}")
+        if not np.isfinite(self.v_outcome).all():
+            raise ValueError("v_outcome entries must be finite")
         assigned = []
         for o in range(n_o):
             row = self.v_outcome[o]
@@ -559,7 +563,7 @@ def counterexample_check(
             "pure and grid sweeps below would not be informative"
         )
     vertices = np.eye(game.m)
-    gains, pure_eq = _sweep(game, vertices, np.arange(game.m ** game.n, dtype=np.int64), tol)
+    gains, pure_eq = _sweep(game, vertices, _pure_codes(game), tol)
     best = int(np.argmin(gains))
     sweep = search_mixed_equilibria(game, step=strategy_step, tol=tol, seed=seed)
     found: dict[float, bool] = {}

@@ -108,6 +108,26 @@ def _digits(idx, G: int, n: int) -> np.ndarray:
     return digits
 
 
+def _penalty_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
+    """``(on, pen)`` for columns ``cols``, types on the last axis: whether
+    a column carries prior mass, and each type's penalty at the column's
+    posterior (``pen[..., t]``). Both sweep paths call this, so a table
+    entry and a per-profile entry are bitwise the same."""
+    n = pack.v.shape[0]
+    pa = np.zeros(cols.shape[:-1])
+    for t in range(n):
+        pa = pa + pack.prior[t] * cols[..., t]
+    on = pa > 0.0
+    denom = np.where(on, pa, 1.0)
+    beliefs = cols * pack.prior / denom[..., None]
+    pen = np.empty(cols.shape)
+    for t in range(n):
+        pen[..., t] = penalty_batch(
+            pack.penalties[t], beliefs, pack.prior, t, pack.events[t], pack.knots[t]
+        )
+    return on, pen
+
+
 def _column_table(
     grid_pts: np.ndarray, pack: GamePack
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,28 +136,16 @@ def _column_table(
 
     A column lists each type's probability of one action, each drawn
     from the ``V`` distinct grid values, so there are ``C = V**n``
-    columns, coded base ``V`` with type 0 most significant. ``on[c]``
-    says whether column ``c`` carries prior mass and ``pen[c, t]`` is
-    type ``t``'s penalty at its posterior, computed with the
-    expressions ``_gains_numpy`` uses per profile, so the entries are
-    bitwise the same. ``place[t, g, a]`` is what type ``t`` playing
-    grid point ``g`` adds to the code of column ``a``.
+    columns, coded base ``V`` with type 0 most significant. ``on`` and
+    ``pen`` are ``_penalty_rows`` of the columns. ``place[t, g, a]`` is
+    what type ``t`` playing grid point ``g`` adds to the code of column
+    ``a``.
     """
     n = pack.v.shape[0]
     vals, rank = np.unique(grid_pts, return_inverse=True)
     V = vals.size
     cols = np.take(vals, _digits(np.arange(V**n), V, n), axis=0)  # (C, n)
-    pa = np.zeros(cols.shape[0])
-    for t in range(n):
-        pa = pa + pack.prior[t] * cols[:, t]
-    on = pa > 0.0
-    denom = np.where(on, pa, 1.0)
-    beliefs = cols * pack.prior / denom[:, None]
-    pen = np.empty(cols.shape)
-    for t in range(n):
-        pen[:, t] = penalty_batch(
-            pack.penalties[t], beliefs, pack.prior, t, pack.events[t], pack.knots[t]
-        )
+    on, pen = _penalty_rows(cols, pack)
     rank = rank.reshape(grid_pts.shape)
     place = np.stack([rank * V ** (n - 1 - t) for t in range(n)])
     return place, on, pen
@@ -179,26 +187,16 @@ def _gains_numpy(
     digits = _digits(idx, grid_pts.shape[0], n)
     sig = np.take(grid_pts, digits, axis=0)  # (B, n, m)
     if table is None:
-        pa = np.zeros((B, m))
-        for t in range(n):
-            pa = pa + pack.prior[t] * sig[:, t, :]
-        on = pa > 0.0
-        denom = np.where(on, pa, 1.0)
-        # (B, m, n): the posterior after each action
-        beliefs = np.ascontiguousarray(sig.transpose(0, 2, 1)) * pack.prior / denom[:, :, None]
-        rows = np.empty((B, n, m))
-        for t in range(n):
-            pen = penalty_batch(
-                pack.penalties[t], beliefs, pack.prior, t, pack.events[t], pack.knots[t]
-            )
-            rows[:, t, :] = pack.v[t] - pen
+        # (B, m, n): each action's column of the profile
+        on, pen = _penalty_rows(np.ascontiguousarray(sig.transpose(0, 2, 1)), pack)
     else:
         place, on_tab, pen_tab = table
         col = np.take(place[0], digits[:, 0], axis=0)  # (B, m): column codes
         for t in range(1, n):
             col = col + np.take(place[t], digits[:, t], axis=0)
         on = np.take(on_tab, col)
-        rows = pack.v - np.take(pen_tab, col, axis=0).transpose(0, 2, 1)
+        pen = np.take(pen_tab, col, axis=0)
+    rows = pack.v - pen.transpose(0, 2, 1)
     off = ~on[:, 0]
     for a in range(1, m):
         off = off | ~on[:, a]

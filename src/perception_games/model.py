@@ -32,7 +32,7 @@ from .penalties import (
     penalty_value,
     validate_spec,
 )
-from .simplex import SUM_TOL, WEAK_TOL, Belief, SimplexGrid, dirac
+from .simplex import WEAK_TOL, Belief, SimplexGrid, dirac, distributions
 
 __all__ = [
     "TypeSpace",
@@ -482,8 +482,9 @@ def validate_game(game) -> ValidationReport:
                 )
             else:
                 for t in range(ps.types.n):
-                    row = ps.beliefs[t]
-                    if row.min() < -SUM_TOL or abs(float(row.sum()) - 1.0) > WEAK_TOL:
+                    try:
+                        distributions(ps.beliefs[t], (other.types.n,), "belief row")
+                    except ValueError:
                         report.errors.append(
                             (f"{base}/beliefs/{t}", "row is not a probability distribution")
                         )

@@ -3,7 +3,8 @@
 Beliefs are points of the probability simplex over a finite label set.
 This module provides the point type, exact rational grids on the simplex
 and total variation distance. Everything downstream (penalties, games,
-solvers) works in terms of these primitives.
+solvers) works in terms of these primitives; ``distributions`` is the
+one check of priors, beliefs, strategies and perception maps.
 """
 
 from __future__ import annotations
@@ -22,12 +23,36 @@ WEAK_TOL = 1e-9
 __all__ = [
     "SUM_TOL",
     "WEAK_TOL",
+    "distributions",
     "Belief",
     "dirac",
     "uniform",
     "tv_distance",
     "SimplexGrid",
 ]
+
+
+def distributions(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values`` whose rows on the last axis
+    are probability distributions: ``shape`` as given, every entry finite
+    and at least ``-SUM_TOL`` (stored as 0.0 when below 0), and each
+    row's mass within ``WEAK_TOL`` of 1. A failure raises ``ValueError``
+    naming ``what``."""
+    arr = np.array(values, dtype=np.float64, copy=True)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    if (arr < -SUM_TOL).any():
+        raise ValueError(f"{what} has negative mass: {arr.min()!r}")
+    totals = arr.sum(axis=-1)
+    off = np.abs(totals - 1.0)
+    if (off > WEAK_TOL).any():
+        total = float(totals.flat[np.argmax(off)])
+        raise ValueError(f"{what} mass sums to {total!r}, expected 1")
+    arr[arr < 0.0] = 0.0
+    arr.setflags(write=False)
+    return arr
 
 
 class Belief:
@@ -40,17 +65,10 @@ class Belief:
     __slots__ = ("p",)
 
     def __init__(self, p: Sequence[float] | np.ndarray):
-        arr = np.array(p, dtype=np.float64, copy=True)
+        arr = np.asarray(p, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("belief must be a nonempty 1-d probability vector")
-        if arr.min() < -SUM_TOL:
-            raise ValueError(f"belief has negative mass: {arr.min()!r}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > WEAK_TOL:
-            raise ValueError(f"belief mass sums to {total!r}, expected 1")
-        arr[arr < 0.0] = 0.0
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", distributions(arr, arr.shape, "belief"))
 
     def __setattr__(self, name, value):
         raise AttributeError("Belief is immutable")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .kernels import decode_profiles, pack_game, sweep_profile_gains
 from .model import PerceptionGame, PrivacyReport, classify_privacy
-from .simplex import WEAK_TOL, Belief, SimplexGrid, tv_distance
+from .simplex import WEAK_TOL, Belief, SimplexGrid, distributions, tv_distance
 
 __all__ = [
     "Strategy",
@@ -52,14 +52,7 @@ class Strategy:
     __slots__ = ("sigma", "action_labels", "type_labels")
 
     def __init__(self, game: PerceptionGame, sigma: np.ndarray):
-        arr = np.array(sigma, dtype=np.float64, copy=True)
-        if arr.shape != (game.n, game.m):
-            raise ValueError(f"strategy must have shape {(game.n, game.m)}, got {arr.shape}")
-        for t in range(game.n):
-            Belief(arr[t])  # row-level mass check
-        arr[arr < 0.0] = 0.0
-        arr.setflags(write=False)
-        self.sigma = arr
+        self.sigma = distributions(sigma, (game.n, game.m), "strategy")
         self.action_labels = game.actions.labels
         self.type_labels = game.types.labels
 
@@ -105,17 +98,7 @@ class PerceptionMap:
     __slots__ = ("tau", "type_labels", "action_labels")
 
     def __init__(self, game: PerceptionGame, tau: np.ndarray):
-        arr = np.array(tau, dtype=np.float64, copy=True)
-        if arr.shape != (game.n, game.m, game.n):
-            raise ValueError(
-                f"perception map must have shape {(game.n, game.m, game.n)}, got {arr.shape}"
-            )
-        for t in range(game.n):
-            for a in range(game.m):
-                Belief(arr[t, a])
-        arr[arr < 0.0] = 0.0
-        arr.setflags(write=False)
-        self.tau = arr
+        self.tau = distributions(tau, (game.n, game.m, game.n), "perception map")
         self.type_labels = game.types.labels
         self.action_labels = game.actions.labels
 
@@ -391,13 +374,16 @@ def enumerate_pure_equilibria(
     Profiles are scanned in lexicographic order with type 0 the most
     significant position.
     """
+    return _sweep(game, np.eye(game.m), _pure_codes(game, max_profiles), tol)[1]
+
+
+def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> np.ndarray:
+    """Codes of all ``m**n`` pure profiles, checked against ``max_profiles``
+    before anything is allocated."""
     total = game.m ** game.n
     if total > max_profiles:
-        raise ValueError(
-            f"{total} pure profiles exceed max_profiles={max_profiles}; "
-            "use search_mixed_equilibria or raise the cap"
-        )
-    return _sweep(game, np.eye(game.m), np.arange(total, dtype=np.int64), tol)[1]
+        raise ValueError(f"{total} pure profiles exceed max_profiles={max_profiles}")
+    return np.arange(total, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .model import (
 from .penalties import PenaltySpec
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
-from .simplex import WEAK_TOL, Belief, tv_distance
+from .simplex import WEAK_TOL, distributions, tv_distance
 
 __all__ = [
     "TwoPlayerStrategy",
@@ -62,19 +62,10 @@ class TwoPlayerStrategy:
     __slots__ = ("sigmas",)
 
     def __init__(self, game: TwoPlayerPerceptionGame, sigmas) -> None:
-        cleaned = []
-        for i, ps in enumerate(game.players):
-            arr = np.array(sigmas[i], dtype=np.float64, copy=True)
-            if arr.shape != (ps.types.n, ps.actions.m):
-                raise ValueError(
-                    f"player {i} strategy must have shape {(ps.types.n, ps.actions.m)}"
-                )
-            for t in range(ps.types.n):
-                Belief(arr[t])
-            arr[arr < 0.0] = 0.0
-            arr.setflags(write=False)
-            cleaned.append(arr)
-        self.sigmas = tuple(cleaned)
+        self.sigmas = tuple(
+            distributions(sigmas[i], (ps.types.n, ps.actions.m), f"player {i} strategy")
+            for i, ps in enumerate(game.players)
+        )
 
     @classmethod
     def pure(cls, game: TwoPlayerPerceptionGame, actions) -> "TwoPlayerStrategy":
@@ -102,19 +93,14 @@ class TwoPlayerPerceptions:
     __slots__ = ("taus",)
 
     def __init__(self, game: TwoPlayerPerceptionGame, taus) -> None:
-        cleaned = []
-        for i, ps in enumerate(game.players):
-            other = game.players[1 - i]
-            expected = (ps.types.n, other.types.n, ps.actions.m, ps.types.n)
-            arr = np.array(taus[i], dtype=np.float64, copy=True)
-            if arr.shape != expected:
-                raise ValueError(f"player {i} perceptions must have shape {expected}")
-            for index in np.ndindex(expected[:3]):
-                Belief(arr[index])
-            arr[arr < 0.0] = 0.0
-            arr.setflags(write=False)
-            cleaned.append(arr)
-        self.taus = tuple(cleaned)
+        self.taus = tuple(
+            distributions(
+                taus[i],
+                (ps.types.n, game.players[1 - i].types.n, ps.actions.m, ps.types.n),
+                f"player {i} perceptions",
+            )
+            for i, ps in enumerate(game.players)
+        )
 
 
 def _observer_posterior(
@@ -431,7 +417,8 @@ def embed_single(game: PerceptionGame) -> TwoPlayerPerceptionGame:
     The singleton opponent has one type and one action and zero
     payoffs; its belief about player 0 is the original prior. Solved
     with the two-player machinery, the embedding reproduces the
-    single-player results bitwise.
+    single-player gains bitwise, and the payoffs except on ``clamped``
+    reports, whose capped free rows it pays at the penalty minimum.
     """
     if game.utility.kind != "additive_separable":
         raise ValueError("only additive games embed into the two-player model")

@@ -19,6 +19,7 @@ from perception_games.fixtures import (
     counterexample_usc,
     two_player_game,
 )
+from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
 from perception_games.single import verify_equilibrium
 from perception_games.testing import random_separable_spec
@@ -50,6 +51,22 @@ class TestSeparableSpecValidation:
     def test_prior_mass(self):
         with pytest.raises(ValueError):
             _toy_spec(joint_prior=np.array([[0.5], [0.6]])).validate_structure()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_prior_must_be_finite(self, bad):
+        spec = _toy_spec(joint_prior=np.array([[bad], [1.0]]))
+        with pytest.raises(ValueError, match="joint_prior"):
+            spec.validate_structure()
+        with pytest.raises(ValueError, match="joint_prior"):
+            spec.to_game()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_values_must_be_finite(self, bad):
+        spec = _toy_spec(v_outcome=np.array([[3.0, bad], [0.0, 3.0]]))
+        with pytest.raises(ValueError, match="v_outcome entries must be finite"):
+            spec.validate_structure()
+        with pytest.raises(ValueError, match="v_outcome entries must be finite"):
+            spec.to_game()
 
     def test_best_action_tie_rejected(self):
         with pytest.raises(ValueError):
@@ -251,6 +268,22 @@ class TestCounterexampleCheck:
     def test_rejects_continuous_game(self):
         with pytest.raises(ValueError):
             counterexample_check(blog())
+
+    def test_pure_scan_capped_before_allocating(self):
+        # 2**21 pure profiles: the cap of enumerate_pure_equilibria applies
+        labels = tuple(f"t{i}" for i in range(21))
+        step = PenaltySpec.step([(0.5, 1.0, 1.0, True, True)], over=labels[:1])
+        game = PerceptionGame(
+            types=TypeSpace.plain(labels),
+            actions=ActionSpace.plain(("a0", "a1")),
+            prior=np.full(21, 1.0 / 21),
+            utility=UtilityModel(
+                kind="additive_separable", v=np.zeros((21, 2)), penalties=(step,) * 21
+            ),
+            allow_discontinuous=True,
+        )
+        with pytest.raises(ValueError, match="2097152 pure profiles exceed max_profiles=1000000"):
+            counterexample_check(game)
 
     def test_lower_semicontinuous_fixture(self):
         rep = counterexample_check(counterexample_lsc(), strategy_step=0.05, epsilons=(0.1,))

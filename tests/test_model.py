@@ -58,6 +58,11 @@ class TestTypeSpace:
 
 
 class TestPerceptionGameBasics:
+    @pytest.mark.parametrize("prior", [[np.nan, 1.0], [np.inf, 0.0], [0.5, -np.inf]])
+    def test_non_finite_prior_rejected(self, prior):
+        with pytest.raises(ValueError, match="belief"):
+            _additive(np.eye(2), [PenaltySpec.zero()] * 2, prior)
+
     def test_chi_is_point_mass(self):
         g = blog()
         np.testing.assert_array_equal(g.chi(0).p, [1.0, 0.0])
@@ -160,6 +165,17 @@ class TestValidateGame:
         g.players[0].beliefs = np.array([[0.7, 0.7], [0.5, 0.5]])
         rep = validate_game(g)
         assert any("beliefs" in p for p, _ in rep.errors)
+
+    def test_two_player_nan_belief_row(self):
+        g = two_player_game()
+        g.players[0].beliefs = np.array([[np.nan, 1.0], [0.5, 0.5]])
+        rep = validate_game(g)
+        assert rep.errors == [("/players/0/beliefs/0", "row is not a probability distribution")]
+
+    def test_two_player_tiny_negative_belief_accepted(self):
+        g = two_player_game()
+        g.players[1].beliefs = np.array([[-1e-13, 1.0 + 1e-13], [0.5, 0.5]])
+        assert validate_game(g).ok
 
     def test_two_player_v_shape(self):
         g = two_player_game()

@@ -1,9 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from perception_games.fixtures import two_player_game
+from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
-from perception_games.single import enumerate_pure_equilibria
+from perception_games.simplex import WEAK_TOL
+from perception_games.single import Strategy, enumerate_pure_equilibria, profile_report
 from perception_games.testing import random_mixed_catalog_game
 from perception_games.two_player import (
     TwoPlayerPerceptions,
@@ -16,6 +21,8 @@ from perception_games.two_player import (
     is_consistent_2p,
     verify_equilibrium_2p,
 )
+
+from test_kernels import catalog_games
 
 # frozen: action pair -> (player 0 payoffs, player 1 payoffs)
 SURVIVOR_TABLE = {
@@ -174,6 +181,15 @@ class TestPureBNE:
         assert all(not r.strict for r in reports)
 
 
+class TestNonFiniteBeliefs:
+    def test_enumeration_raises(self):
+        # player 0's belief row feeds player 1's observer posteriors
+        g = two_player_game()
+        g.players[0].beliefs = np.array([[np.nan, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="player 1 perceptions.*non-finite"):
+            enumerate_pure_equilibria_2p(g)
+
+
 class TestZeroPenaltyReduction:
     def test_equilibria_coincide_with_bne(self):
         g = _zero_penalties(two_player_game())
@@ -196,6 +212,39 @@ class TestEmbedding:
             assert acts[1] == (0,)
             np.testing.assert_array_equal(s.payoffs, d.payoffs[0])
             np.testing.assert_array_equal(s.gains, d.gains[0])
+
+    def test_clamped_report_pays_zero_prior_type_less(self):
+        # type z has no prior mass; under (1, 1, 0) its action 0 is off
+        # path. The single-player report caps that free row at the type's
+        # best on-path row (0.2); the two-player report pays the penalty
+        # minimum there (0.3). Gains agree: both are 0.
+        game = PerceptionGame(
+            types=TypeSpace.plain(("x", "y", "z")),
+            actions=ActionSpace.plain(("a0", "a1")),
+            prior=[0.5, 0.5, 0.0],
+            utility=UtilityModel(
+                kind="additive_separable",
+                v=np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.2]]),
+                penalties=(PenaltySpec.zero(),) * 2 + (PenaltySpec.exposure(1.0),),
+            ),
+        )
+        single = profile_report(game, Strategy.pure(game, (1, 1, 0)).sigma)
+        double = _pure_pair_report(embed_single(game), ((1, 1, 0), (0,)), WEAK_TOL)
+        assert single.clamped
+        assert single.payoffs[2] == 0.2 and double.payoffs[0][2] == 0.3
+        np.testing.assert_array_equal(single.gains, double.gains[0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(game=catalog_games())
+    def test_zero_prior_types_gains_match_payoffs_unless_clamped(self, game):
+        assume((game.prior.p == 0.0).any())
+        embedded = embed_single(game)
+        for acts in product(range(game.m), repeat=game.n):
+            single = profile_report(game, Strategy.pure(game, acts).sigma)
+            double = _pure_pair_report(embedded, (acts, (0,)), WEAK_TOL)
+            np.testing.assert_array_equal(single.gains, double.gains[0])
+            if not single.clamped:
+                np.testing.assert_array_equal(single.payoffs, double.payoffs[0])
 
     def test_embedded_blog_survivors(self):
         from perception_games.fixtures import blog
