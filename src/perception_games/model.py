@@ -360,9 +360,6 @@ class TwoPlayerPerceptionGame:
         self._masks: dict[tuple[int, int], np.ndarray] = {}
         self._pranges: dict[tuple[int, int, int], PenaltyRange] = {}
 
-    def opponent(self, i: int) -> int:
-        return 1 - i
-
     def mask_of(self, i: int, t: int) -> np.ndarray | None:
         key = (i, t)
         if key not in self._masks:

@@ -63,6 +63,8 @@ class Strategy:
         arr = np.zeros((game.n, game.m))
         for t, a in enumerate(actions):
             ai = game.actions.index(a) if isinstance(a, str) else int(a)
+            if not 0 <= ai < game.m:
+                raise ValueError(f"action {a!r} is not in range({game.m})")
             arr[t, ai] = 1.0
         return cls(game, arr)
 

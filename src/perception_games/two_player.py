@@ -17,10 +17,14 @@ adversely for deviations. Each such triple enters exactly one additive
 term of the expected utility, so independent pointwise choice is the
 exact optimum.
 
+One evaluator, ``_action_values``, values a type's actions for
+verification, enumeration and the belief-free base game alike.
+
 The penalty catalog's prior-distance kind measures distance to the
 observer's prior belief about the player (the natural reference in a
-subjective model); on singleton-opponent embeddings this reduces
-bitwise to the single-player behavior.
+subjective model). On singleton-opponent embeddings the gains match the
+single-player solver bitwise, and so do the payoffs except on
+``clamped`` reports (see ``embed_single``).
 """
 
 from __future__ import annotations
@@ -71,9 +75,13 @@ class TwoPlayerStrategy:
     def pure(cls, game: TwoPlayerPerceptionGame, actions) -> "TwoPlayerStrategy":
         sigmas = []
         for i, ps in enumerate(game.players):
+            if len(actions[i]) != ps.types.n:
+                raise ValueError(f"player {i} needs one action per type ({ps.types.n})")
             arr = np.zeros((ps.types.n, ps.actions.m))
             for t, a in enumerate(actions[i]):
                 ai = ps.actions.index(a) if isinstance(a, str) else int(a)
+                if not 0 <= ai < ps.actions.m:
+                    raise ValueError(f"player {i} action {a!r} is not in range({ps.actions.m})")
                 arr[t, ai] = 1.0
             sigmas.append(arr)
         return cls(game, sigmas)
@@ -103,17 +111,53 @@ class TwoPlayerPerceptions:
         )
 
 
-def _observer_posterior(
-    game: TwoPlayerPerceptionGame, i: int, t_obs: int, a: int, sigma_i: np.ndarray
-) -> np.ndarray | None:
-    """Observer ``t_obs``'s Bayes update about player ``i`` after ``a``."""
-    prior = game.players[1 - i].beliefs[t_obs]
+def _beliefs(game: TwoPlayerPerceptionGame) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' belief rows, checked as probability distributions."""
+    return tuple(
+        distributions(ps.beliefs, (ps.types.n, game.players[1 - i].types.n), f"player {i} beliefs")
+        for i, ps in enumerate(game.players)
+    )
+
+
+def _observer_posterior(prior: np.ndarray, sigma_i: np.ndarray, a: int) -> np.ndarray | None:
+    """Bayes update of an observer holding ``prior`` after action ``a``."""
     q = 0.0
     for t in range(prior.shape[0]):
         q = q + prior[t] * sigma_i[t, a]
     if q <= 0.0:
         return None
     return prior * sigma_i[:, a] / q
+
+
+def _action_values(v_t: np.ndarray, beliefs_t: np.ndarray, support, w_t: np.ndarray) -> np.ndarray:
+    """Expected value of each own action for one type.
+
+    ``v_t[t_opp, a, b]`` and ``beliefs_t`` are the type's slices of the
+    player's values and belief rows; ``support[t_opp]`` lists that
+    opponent type's ``(action, probability)`` pairs of positive
+    probability; ``w_t[t_opp, a]`` is the penalty in observer ``t_opp``'s
+    view after ``a``. Sums run in ascending index order, so every caller
+    gets the same bits from the same inputs.
+    """
+    vals = np.empty(v_t.shape[1])
+    for a in range(vals.size):
+        acc = 0.0
+        for t_opp, plays in enumerate(support):
+            inner = 0.0
+            for b, p in plays:
+                inner = inner + p * v_t[t_opp, a, b]
+            acc = acc + beliefs_t[t_opp] * (inner - w_t[t_opp, a])
+        vals[a] = acc
+    return vals
+
+
+def _pure_pairs(game: TwoPlayerPerceptionGame, max_profiles: int):
+    """Every pure profile pair ``(acts0, acts1)``, in lexicographic order."""
+    p0, p1 = game.players
+    total = (p0.actions.m ** p0.types.n) * (p1.actions.m ** p1.types.n)
+    if total > max_profiles:
+        raise ValueError(f"{total} pure profile pairs exceed max_profiles={max_profiles}")
+    return product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players))
 
 
 def is_consistent_2p(
@@ -123,12 +167,13 @@ def is_consistent_2p(
     tol: float = WEAK_TOL,
 ) -> tuple[bool, tuple[tuple[int, str, str, str, float], ...]]:
     """Violations are (player, own type, observer type, action, tv error)."""
+    beliefs = _beliefs(game)
     violations: list[tuple[int, str, str, str, float]] = []
     for i, ps in enumerate(game.players):
         other = game.players[1 - i]
         for t_obs in range(other.types.n):
             for a in range(ps.actions.m):
-                post = _observer_posterior(game, i, t_obs, a, strategy.sigmas[i])
+                post = _observer_posterior(beliefs[1 - i][t_obs], strategy.sigmas[i], a)
                 if post is None:
                     continue
                 for t in range(ps.types.n):
@@ -144,32 +189,6 @@ def is_consistent_2p(
                             )
                         )
     return (not violations, tuple(violations))
-
-
-def _action_values(
-    game: TwoPlayerPerceptionGame,
-    i: int,
-    t: int,
-    sigma_opp: np.ndarray,
-    tau_i: np.ndarray,
-) -> np.ndarray:
-    """Expected value of each own action for type ``t`` of player ``i``,
-    under fixed perceptions ``tau_i[t_obs, a]`` (already sliced to ``t``)."""
-    ps = game.players[i]
-    other = game.players[1 - i]
-    beliefs = ps.beliefs[t]
-    vals = np.empty(ps.actions.m)
-    for a in range(ps.actions.m):
-        acc = 0.0
-        for t_opp in range(other.types.n):
-            inner = 0.0
-            for b in range(other.actions.m):
-                if sigma_opp[t_opp, b] > 0.0:
-                    inner = inner + sigma_opp[t_opp, b] * ps.v[t, t_opp, a, b]
-            term = inner - game.w(i, t, tau_i[t_opp, a], t_opp)
-            acc = acc + beliefs[t_opp] * term
-        vals[a] = acc
-    return vals
 
 
 @dataclass(frozen=True)
@@ -195,18 +214,21 @@ def verify_equilibrium_2p(
     """Accept when perceptions are consistent for every observer type
     and no type of either player gains more than ``eps`` by a pure
     deviation (with ``tol`` float slack)."""
+    beliefs = _beliefs(game)
     consistent, violations = is_consistent_2p(game, strategy, perceptions, tol)
     payoffs = []
     gains = []
     worst = None
     worst_gain = -np.inf
     for i, ps in enumerate(game.players):
+        support = [[(b, p) for b, p in enumerate(row) if p > 0.0] for row in strategy.sigmas[1 - i]]
         pay = np.empty(ps.types.n)
         gn = np.empty(ps.types.n)
         for t in range(ps.types.n):
-            vals = _action_values(
-                game, i, t, strategy.sigmas[1 - i], perceptions.taus[i][t]
-            )
+            # penalty per (observer type, action) at the given perceptions
+            w_t = np.array([[game.w(i, t, tau, t_obs) for tau in taus_obs]
+                            for t_obs, taus_obs in enumerate(perceptions.taus[i][t])])
+            vals = _action_values(ps.v[t], beliefs[i][t], support, w_t)
             played = 0.0
             for a in range(ps.actions.m):
                 played = played + strategy.sigmas[i][t, a] * vals[a]
@@ -253,26 +275,22 @@ def enumerate_pure_equilibria_2p(
     minimum under the player's own action, the penalty maximum for
     deviations.
     """
-    p0, p1 = game.players
-    total = (p0.actions.m ** p0.types.n) * (p1.actions.m ** p1.types.n)
-    if total > max_profiles:
-        raise ValueError(
-            f"{total} pure profile pairs exceed max_profiles={max_profiles}"
-        )
+    beliefs = _beliefs(game)
     out: list[TwoPlayerEquilibriumReport] = []
-    for acts0 in product(range(p0.actions.m), repeat=p0.types.n):
-        for acts1 in product(range(p1.actions.m), repeat=p1.types.n):
-            report = _pure_pair_report(game, (acts0, acts1), tol)
-            if report.max_gain <= tol:
-                out.append(report)
+    for actions in _pure_pairs(game, max_profiles):
+        report = _pure_pair_report(game, actions, beliefs)
+        if report.max_gain <= tol:
+            out.append(report)
     return out
 
 
 def _pure_pair_report(
     game: TwoPlayerPerceptionGame,
     actions: tuple[tuple[int, ...], tuple[int, ...]],
-    tol: float,
+    beliefs: tuple[np.ndarray, np.ndarray],
 ) -> TwoPlayerEquilibriumReport:
+    """The pure pair ``actions`` under its best perceptions, given the
+    belief rows ``_beliefs(game)`` checked once per enumeration."""
     strategy = TwoPlayerStrategy.pure(game, actions)
     taus = []
     payoffs = []
@@ -287,7 +305,7 @@ def _pure_pair_report(
         wvals = np.empty((ps.types.n, other.types.n, ps.actions.m))
         for t_obs in range(other.types.n):
             for a in range(ps.actions.m):
-                post = _observer_posterior(game, i, t_obs, a, strategy.sigmas[i])
+                post = _observer_posterior(beliefs[1 - i][t_obs], strategy.sigmas[i], a)
                 for t in range(ps.types.n):
                     if post is not None:
                         tau[t, t_obs, a] = post
@@ -301,17 +319,11 @@ def _pure_pair_report(
                             tau[t, t_obs, a] = rng.argmax.p
                             wvals[t, t_obs, a] = rng.max
         taus.append(tau)
-        other_acts = actions[1 - i]
+        support = [((b, 1.0),) for b in actions[1 - i]]
         pay = np.empty(ps.types.n)
         gn = np.empty(ps.types.n)
         for t in range(ps.types.n):
-            vals = np.empty(ps.actions.m)
-            for a in range(ps.actions.m):
-                acc = 0.0
-                for t_obs in range(other.types.n):
-                    inner = 1.0 * ps.v[t, t_obs, a, other_acts[t_obs]]
-                    acc = acc + ps.beliefs[t, t_obs] * (inner - wvals[t, t_obs, a])
-                vals[a] = acc
+            vals = _action_values(ps.v[t], beliefs[i][t], support, wvals[t])
             pay[t] = vals[actions[i][t]]
             gn[t] = float(vals.max()) - pay[t]
             worst = max(worst, gn[t])
@@ -352,62 +364,48 @@ def enumerate_pure_bne(
     replies); ``strict`` marks profiles where every type's reply is the
     unique maximizer beyond ``tol``.
     """
-    p0, p1 = game.players
-    total = (p0.actions.m ** p0.types.n) * (p1.actions.m ** p1.types.n)
-    if total > max_profiles:
-        raise ValueError(f"{total} pure profile pairs exceed max_profiles={max_profiles}")
-    folded = []
+    beliefs = _beliefs(game)
+    # penalty table per player and type, w[t_obs, a]: zero, or the
+    # penalty at the observer's prior whatever the action
+    pens = []
     for i, ps in enumerate(game.players):
-        other = game.players[1 - i]
-        base = np.array(ps.v, dtype=np.float64, copy=True)
+        w = np.zeros((ps.types.n, game.players[1 - i].types.n, ps.actions.m))
         if fold_prior_penalty:
             for t in range(ps.types.n):
-                for t_obs in range(other.types.n):
-                    base[t, t_obs] -= game.w(i, t, other.beliefs[t_obs], t_obs)
-        folded.append(base)
+                for t_obs, prior in enumerate(beliefs[1 - i]):
+                    w[t, t_obs] = game.w(i, t, prior, t_obs)
+        pens.append(w)
     out: list[PureBNEReport] = []
-    for acts0 in product(range(p0.actions.m), repeat=p0.types.n):
-        for acts1 in product(range(p1.actions.m), repeat=p1.types.n):
-            acts = (acts0, acts1)
-            ok = True
-            strict = True
-            payoffs = []
-            for i, ps in enumerate(game.players):
-                other_acts = acts[1 - i]
-                pay = np.empty(ps.types.n)
-                for t in range(ps.types.n):
-                    vals = np.empty(ps.actions.m)
-                    for a in range(ps.actions.m):
-                        acc = 0.0
-                        for t_obs in range(game.players[1 - i].types.n):
-                            acc = acc + ps.beliefs[t, t_obs] * folded[i][
-                                t, t_obs, a, other_acts[t_obs]
-                            ]
-                        vals[a] = acc
-                    chosen = acts[i][t]
-                    best = float(vals.max())
-                    if vals[chosen] < best - tol:
-                        ok = False
-                        break
-                    others = np.delete(vals, chosen)
-                    if others.size and float(others.max()) >= vals[chosen] - tol:
-                        strict = False
-                    pay[t] = vals[chosen]
-                if not ok:
+    for acts in _pure_pairs(game, max_profiles):
+        payoffs = []
+        strict = True
+        for i, ps in enumerate(game.players):
+            support = [((b, 1.0),) for b in acts[1 - i]]
+            pay = np.empty(ps.types.n)
+            for t, chosen in enumerate(acts[i]):
+                vals = _action_values(ps.v[t], beliefs[i][t], support, pens[i][t])
+                pay[t] = vals[chosen]
+                if pay[t] < float(vals.max()) - tol:
                     break
+                vals[chosen] = -np.inf  # leaves the best rival reply
+                if float(vals.max()) >= pay[t] - tol:
+                    strict = False
+            else:
                 payoffs.append(pay)
-            if ok:
-                out.append(
-                    PureBNEReport(
-                        actions=acts,
-                        action_labels=tuple(
-                            tuple(game.players[i].actions.labels[a] for a in acts[i])
-                            for i in range(2)
-                        ),
-                        payoffs=(payoffs[0], payoffs[1]),
-                        strict=strict,
-                    )
+                continue
+            break  # a type of player i has a better reply
+        else:
+            out.append(
+                PureBNEReport(
+                    actions=acts,
+                    action_labels=tuple(
+                        tuple(game.players[i].actions.labels[a] for a in acts[i])
+                        for i in range(2)
+                    ),
+                    payoffs=(payoffs[0], payoffs[1]),
+                    strict=strict,
                 )
+            )
     return out
 
 

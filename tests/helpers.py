@@ -1,17 +1,22 @@
 """Independent reference computations for agreement tests.
 
-Everything here is written against raw arrays on purpose: no imports
-from the package's penalty or solver modules, so a bug there cannot
-cancel out of both sides of a comparison. Where a test needs exact
-tie agreement (pooling), the closed forms below use the same
-arithmetic expressions the package derives, written out directly.
-The one game factory (``tabulate``) only copies a game's own values
-onto a lattice.
+The reference computations are written against raw arrays on purpose:
+they call nothing in the package's penalty or solver modules, so a bug
+there cannot cancel out of both sides of a comparison. Where a test
+needs exact tie agreement (pooling), the closed forms below use the
+same arithmetic expressions the package derives, written out directly.
+The game factories at the end only build inputs: ``tabulate`` copies a
+game's own values onto a lattice, and the ``hypothesis`` strategies
+draw random catalog games.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
+from perception_games.penalties import KINDS, PenaltySpec
 
 
 # --- penalty evaluation, reimplemented -------------------------------
@@ -179,4 +184,71 @@ def tabulate(game, resolution: int):
         prior=game.prior,
         utility=UtilityModel(kind="tabulated_grid", resolution=resolution, values=values),
         name=game.name + "-tab",
+    )
+
+
+# --- hypothesis strategies -------------------------------------------
+
+QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def catalog_penalties(draw, labels):
+    kind = draw(st.sampled_from(KINDS))
+    weight = draw(st.floats(0.0, 3.0))
+    if kind == "zero":
+        return PenaltySpec.zero()
+    if kind == "tv_to_prior":
+        return PenaltySpec.tv_to_prior(weight)
+    if kind == "exposure":
+        return PenaltySpec.exposure(weight)
+    over = tuple(sorted(draw(st.sets(st.sampled_from(labels), min_size=1))))
+    if kind == "piecewise_linear_marginal":
+        inner = sorted(draw(st.sets(st.sampled_from(QUARTERS[1:-1]))))
+        xs = [0.0, *inner, 1.0]
+        ys = draw(st.lists(st.floats(0.0, 2.0), min_size=len(xs), max_size=len(xs)))
+        return PenaltySpec.piecewise_linear(tuple(zip(xs, ys)), over=over, weight=weight)
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(QUARTERS), min_size=2, max_size=2)))
+        closed = lo == hi
+        pieces.append((
+            lo, hi, draw(st.floats(0.0, 2.0)),
+            closed or draw(st.booleans()), closed or draw(st.booleans()),
+        ))
+    return PenaltySpec.step(tuple(pieces), over=over, weight=weight)
+
+
+@st.composite
+def dyadic_rows(draw, n: int) -> np.ndarray:
+    """A distribution over ``n`` labels in multiples of 1/64. Cuts land on
+    an end about half the time, so zero entries are common: they put a
+    type off path in one observer's view only."""
+    cut = st.sampled_from((0, 64)) | st.integers(0, 64)
+    cuts = sorted(draw(st.lists(cut, min_size=n - 1, max_size=n - 1)))
+    return np.diff([0, *cuts, 64]) / 64.0
+
+
+@st.composite
+def two_player_catalog_games(draw) -> TwoPlayerPerceptionGame:
+    """1-3 types and 1-3 actions per side, dyadic belief rows (some with
+    zero entries) and any catalog penalty per type."""
+    ns = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    ms = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    players = []
+    for i, (tp, ap) in enumerate((("u", "U"), ("l", "L"))):
+        n, n_opp, m, m_opp = ns[i], ns[1 - i], ms[i], ms[1 - i]
+        labels = tuple(f"{tp}{k}" for k in range(n))
+        size = n * n_opp * m * m_opp
+        v = draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))
+        players.append(PlayerSpec(
+            types=TypeSpace.plain(labels),
+            actions=ActionSpace.plain(tuple(f"{ap}{k}" for k in range(m))),
+            beliefs=np.array([draw(dyadic_rows(n_opp)) for _ in range(n)]),
+            v=np.reshape(v, (n, n_opp, m, m_opp)),
+            penalties=tuple(draw(catalog_penalties(labels)) for _ in range(n)),
+        ))
+    return TwoPlayerPerceptionGame(
+        players=tuple(players),
+        allow_discontinuous=any(not p.is_continuous for ps in players for p in ps.penalties),
     )

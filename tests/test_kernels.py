@@ -10,10 +10,12 @@ from perception_games.experiments import default_majority_family
 from perception_games.fixtures import blog
 from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
-from perception_games.penalties import KINDS, PenaltySpec
+from perception_games.penalties import PenaltySpec
 from perception_games.simplex import SimplexGrid
 from perception_games.single import profile_report
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
+
+from helpers import catalog_penalties
 
 
 def _all_profiles(game, resolution):
@@ -110,36 +112,6 @@ def tied_prior_tv_game() -> PerceptionGame:
         [[1.0, 0.0], [0.25, 1.0], [0.5, 0.75], [1.0, 0.5]],
         [PenaltySpec.tv_to_prior(w) for w in (1.0, 2.0, 0.5, 1.5)],
     )
-
-
-QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-@st.composite
-def catalog_penalties(draw, labels):
-    kind = draw(st.sampled_from(KINDS))
-    weight = draw(st.floats(0.0, 3.0))
-    if kind == "zero":
-        return PenaltySpec.zero()
-    if kind == "tv_to_prior":
-        return PenaltySpec.tv_to_prior(weight)
-    if kind == "exposure":
-        return PenaltySpec.exposure(weight)
-    over = tuple(sorted(draw(st.sets(st.sampled_from(labels), min_size=1))))
-    if kind == "piecewise_linear_marginal":
-        inner = sorted(draw(st.sets(st.sampled_from(QUARTERS[1:-1]))))
-        xs = [0.0, *inner, 1.0]
-        ys = draw(st.lists(st.floats(0.0, 2.0), min_size=len(xs), max_size=len(xs)))
-        return PenaltySpec.piecewise_linear(tuple(zip(xs, ys)), over=over, weight=weight)
-    pieces = []
-    for _ in range(draw(st.integers(1, 2))):
-        lo, hi = sorted(draw(st.lists(st.sampled_from(QUARTERS), min_size=2, max_size=2)))
-        closed = lo == hi
-        pieces.append((
-            lo, hi, draw(st.floats(0.0, 2.0)),
-            closed or draw(st.booleans()), closed or draw(st.booleans()),
-        ))
-    return PenaltySpec.step(tuple(pieces), over=over, weight=weight)
 
 
 @st.composite

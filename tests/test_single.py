@@ -44,6 +44,11 @@ class TestStrategy:
         np.testing.assert_array_equal(s1.sigma, s2.sigma)
         assert s1.is_pure and s1.pure_actions() == (0, 1)
 
+    @pytest.mark.parametrize("actions", [(-1, -1), (0, 2)], ids=["negative", "past-end"])
+    def test_pure_action_out_of_range_raises(self, actions):
+        with pytest.raises(ValueError, match="not in range"):
+            Strategy.pure(blog(), actions)
+
     def test_row_mass_checked(self):
         g = blog()
         with pytest.raises(ValueError):

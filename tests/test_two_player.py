@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from perception_games.fixtures import two_player_game
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
-from perception_games.simplex import WEAK_TOL
 from perception_games.single import Strategy, enumerate_pure_equilibria, profile_report
 from perception_games.testing import random_mixed_catalog_game
 from perception_games.two_player import (
     TwoPlayerPerceptions,
     TwoPlayerStrategy,
     _action_values,
+    _beliefs,
     _pure_pair_report,
     embed_single,
     enumerate_pure_bne,
@@ -22,6 +22,7 @@ from perception_games.two_player import (
     verify_equilibrium_2p,
 )
 
+from helpers import two_player_catalog_games
 from test_kernels import catalog_games
 
 # frozen: action pair -> (player 0 payoffs, player 1 payoffs)
@@ -65,7 +66,10 @@ class TestEnumeration:
         )
         # flexible type plays the stiff action for 3; the tempting base
         # payoff 4 is cut to 2.9 by the worst-case perception penalty
-        vals = _action_values(g, 0, 1, rep.strategy.sigmas[1], rep.perceptions.taus[0][1])
+        tau = rep.perceptions.taus[0][1]
+        w = np.array([[g.w(0, 1, tau[t_obs, a], t_obs) for a in range(2)] for t_obs in range(2)])
+        support = [((0, 1.0),), ((0, 1.0),)]  # player 1 pools on L
+        vals = _action_values(g.players[0].v[1], _beliefs(g)[0][1], support, w)
         assert vals[0] == pytest.approx(3.0)
         assert vals[1] == pytest.approx(2.9)
 
@@ -108,7 +112,7 @@ class TestVerification:
 
     def test_rejects_profitable_deviation(self):
         g = _zero_penalties(two_player_game())
-        rep = _pure_pair_report(g, ((0, 0), (0, 0)), 1e-9)
+        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
         res = verify_equilibrium_2p(g, rep.strategy, rep.perceptions)
         assert not res.accepted
         # with no perception cost the flexible type grabs the base 4
@@ -128,7 +132,7 @@ class TestWeakenedPenaltyVariant:
 
     def test_joint_pooling_no_longer_survives(self):
         g = self._variant()
-        rep = _pure_pair_report(g, ((0, 0), (0, 0)), 1e-9)
+        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
         # deterrence now caps the deviation penalty at 0.5: 4 - 0.5
         # beats the played 3 by 0.5
         assert rep.max_gain == pytest.approx(0.5)
@@ -137,7 +141,7 @@ class TestWeakenedPenaltyVariant:
 
     def test_verify_rejects_at_small_eps_accepts_at_half(self):
         g = self._variant()
-        rep = _pure_pair_report(g, ((0, 0), (0, 0)), 1e-9)
+        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
         assert not verify_equilibrium_2p(g, rep.strategy, rep.perceptions, eps=0.1).accepted
         assert verify_equilibrium_2p(g, rep.strategy, rep.perceptions, eps=0.5).accepted
 
@@ -182,12 +186,60 @@ class TestPureBNE:
 
 
 class TestNonFiniteBeliefs:
-    def test_enumeration_raises(self):
-        # player 0's belief row feeds player 1's observer posteriors
+    """Every entry point checks both players' belief rows first."""
+
+    def _nan_game(self):
         g = two_player_game()
         g.players[0].beliefs = np.array([[np.nan, 1.0], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="player 1 perceptions.*non-finite"):
-            enumerate_pure_equilibria_2p(g)
+        return g
+
+    def test_enumeration_raises(self):
+        with pytest.raises(ValueError, match="player 0 beliefs.*non-finite"):
+            enumerate_pure_equilibria_2p(self._nan_game())
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_bne_raises(self, fold):
+        with pytest.raises(ValueError, match="player 0 beliefs.*non-finite"):
+            enumerate_pure_bne(self._nan_game(), fold_prior_penalty=fold)
+
+    @pytest.mark.parametrize("check", [verify_equilibrium_2p, is_consistent_2p])
+    def test_verification_raises(self, check):
+        g = two_player_game()
+        rep = enumerate_pure_equilibria_2p(g)[0]
+        with pytest.raises(ValueError, match="player 0 beliefs.*non-finite"):
+            check(self._nan_game(), rep.strategy, rep.perceptions)
+
+
+class TestPureStrategyInput:
+    @pytest.mark.parametrize(
+        "actions",
+        [((-1, 0), (0, 1)), ((0, 2), (0, 1)), ((0, 0), (0, 5))],
+        ids=["negative", "past-end", "player-1"],
+    )
+    def test_action_out_of_range_raises(self, actions):
+        with pytest.raises(ValueError, match="not in range"):
+            TwoPlayerStrategy.pure(two_player_game(), actions)
+
+    @pytest.mark.parametrize(
+        "actions", [((0,), (0, 1)), ((0, 0, 0), (0, 1))], ids=["short", "long"]
+    )
+    def test_wrong_profile_length_raises(self, actions):
+        with pytest.raises(ValueError, match="player 0 needs one action per type"):
+            TwoPlayerStrategy.pure(two_player_game(), actions)
+
+
+class TestWitnessesVerifyBitwise:
+    @settings(max_examples=60, deadline=None)
+    @given(game=two_player_catalog_games())
+    def test_every_pure_pair(self, game):
+        beliefs = _beliefs(game)
+        pairs = product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players))
+        for actions in pairs:
+            rep = _pure_pair_report(game, actions, beliefs)
+            res = verify_equilibrium_2p(game, rep.strategy, rep.perceptions)
+            assert res.consistent
+            for got, want in zip(res.payoffs + res.gains, rep.payoffs + rep.gains):
+                assert got.tobytes() == want.tobytes(), (actions, got, want)
 
 
 class TestZeroPenaltyReduction:
@@ -229,7 +281,8 @@ class TestEmbedding:
             ),
         )
         single = profile_report(game, Strategy.pure(game, (1, 1, 0)).sigma)
-        double = _pure_pair_report(embed_single(game), ((1, 1, 0), (0,)), WEAK_TOL)
+        embedded = embed_single(game)
+        double = _pure_pair_report(embedded, ((1, 1, 0), (0,)), _beliefs(embedded))
         assert single.clamped
         assert single.payoffs[2] == 0.2 and double.payoffs[0][2] == 0.3
         np.testing.assert_array_equal(single.gains, double.gains[0])
@@ -239,9 +292,10 @@ class TestEmbedding:
     def test_zero_prior_types_gains_match_payoffs_unless_clamped(self, game):
         assume((game.prior.p == 0.0).any())
         embedded = embed_single(game)
+        beliefs = _beliefs(embedded)
         for acts in product(range(game.m), repeat=game.n):
             single = profile_report(game, Strategy.pure(game, acts).sigma)
-            double = _pure_pair_report(embedded, (acts, (0,)), WEAK_TOL)
+            double = _pure_pair_report(embedded, (acts, (0,)), beliefs)
             np.testing.assert_array_equal(single.gains, double.gains[0])
             if not single.clamped:
                 np.testing.assert_array_equal(single.payoffs, double.payoffs[0])
