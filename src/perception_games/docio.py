@@ -74,11 +74,25 @@ def _labels(value: Any, path: str, errs: _Errors) -> tuple[str, ...] | None:
     return tuple(value)
 
 
+def _numbers(value: Any) -> bool:
+    """Whether ``value`` is a JSON number (no boolean) or nested lists of them."""
+    if isinstance(value, list):
+        return all(_numbers(x) for x in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _floats(value: Any, ndim: int, path: str, errs: _Errors) -> np.ndarray | None:
+    bad = "must be a number" if ndim == 0 else "must be a rectangular numeric array"
+    if not _numbers(value):
+        errs.add(path, bad)
+        return None
     try:
         arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        errs.add(path, "must be a rectangular numeric array")
+    except ValueError:  # ragged
+        errs.add(path, bad)
+        return None
+    except OverflowError:  # an integer literal beyond the float range
+        errs.add(path, "entries must be finite numbers")
         return None
     if arr.ndim != ndim:
         errs.add(path, f"must be {ndim}-dimensional, got {arr.ndim}")
@@ -124,9 +138,8 @@ def _parse_penalty(value: Any, path: str, errs: _Errors) -> PenaltySpec | None:
     if not isinstance(kind, str):
         errs.add(f"{path}/kind", "must be a string")
         return None
-    weight = value.get("weight", 0.0 if kind == "zero" else 1.0)
-    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-        errs.add(f"{path}/weight", "must be a number")
+    weight = _floats(value.get("weight", 0.0 if kind == "zero" else 1.0), 0, f"{path}/weight", errs)
+    if weight is None:
         return None
     knots = None
     if "knots" in value:
@@ -146,18 +159,15 @@ def _parse_penalty(value: Any, path: str, errs: _Errors) -> PenaltySpec | None:
     if "pieces" in value:
         raw = value["pieces"]
         if not isinstance(raw, list) or not all(
-            isinstance(p, list) and len(p) == 5 for p in raw
+            isinstance(p, list) and len(p) == 5 and all(isinstance(f, bool) for f in p[3:])
+            for p in raw
         ):
             errs.add(f"{path}/pieces", "must be a list of [lo, hi, value, include_lo, include_hi]")
             return None
-        try:
-            pieces = tuple(
-                (float(lo), float(hi), float(v), bool(il), bool(ih))
-                for lo, hi, v, il, ih in raw
-            )
-        except (TypeError, ValueError):
-            errs.add(f"{path}/pieces", "bounds and values must be numbers")
+        rows = [_floats(p[:3], 1, f"{path}/pieces/{j}", errs) for j, p in enumerate(raw)]
+        if any(row is None for row in rows):
             return None
+        pieces = tuple((*row.tolist(), *p[3:]) for row, p in zip(rows, raw))
     spec = PenaltySpec(
         kind=kind, weight=float(weight), knots=knots, marginal_over=over, pieces=pieces
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -397,7 +398,7 @@ class TwoPlayerPerceptionGame:
         return self._pranges[key]
 
     def u(self, i: int, t_own: int, t_opp: int, a_own: int, a_opp: int, mu) -> float:
-        return float(self.players[i].v[t_own, t_opp, a_own, a_opp]) - self.w(i, t_own, mu)
+        return float(self.players[i].v[t_own, t_opp, a_own, a_opp]) - self.w(i, t_own, mu, t_opp)
 
     def __repr__(self) -> str:
         shapes = ", ".join(
@@ -544,7 +545,7 @@ def validate_game(game) -> ValidationReport:
         if um.resolution is None or um.resolution < 1:
             report.errors.append(("/utility/resolution", "resolution must be a positive integer"))
         else:
-            size = len(SimplexGrid(types.n, um.resolution))
+            size = comb(um.resolution + types.n - 1, types.n - 1)  # lattice points
             expected = (types.n, actions.m, size)
             if um.values is None or um.values.shape != expected:
                 got = None if um.values is None else um.values.shape

@@ -339,31 +339,14 @@ def _sweep(
     tol: float,
     max_survivors: int | None = None,
 ) -> tuple[np.ndarray, list[EquilibriumReport]]:
-    """Max deviation gain of each profile ``idx`` over the grid ``pts``,
-    and the reports of the first ``max_survivors`` profiles whose gain
-    is at most ``tol``.
-
-    The numpy kernel screens additive games, and a screened profile
-    survives only when its exact report confirms it. Games the kernel
-    cannot pack (tabulated) take their gains from ``profile_report`` in
-    one pass, which keeps only the survivors' reports.
-    """
-
-    def report(code) -> EquilibriumReport:
-        return profile_report(game, decode_profiles(pts, code, game.n), tol)
-
-    if game.utility.kind == "additive_separable":
-        gains = sweep_profile_gains(pack_game(game), pts, idx)
-        rebuilt = (report(code) for code in idx[gains <= tol][:max_survivors])
-        return gains, [rep for rep in rebuilt if rep.max_gain <= tol]
-    gains = np.empty(idx.shape[0])
-    survivors: list[EquilibriumReport] = []
-    for i, code in enumerate(idx):
-        rep = report(code)
-        gains[i] = rep.max_gain
-        if rep.max_gain <= tol and (max_survivors is None or len(survivors) < max_survivors):
-            survivors.append(rep)
-    return gains, survivors
+    """Max deviation gain of each profile ``idx`` over the grid ``pts``
+    (the kernel's screen), and the reports of the first ``max_survivors``
+    profiles whose gain is at most ``tol``, kept when the exact report
+    confirms it."""
+    gains = sweep_profile_gains(pack_game(game), pts, idx)
+    screened = decode_profiles(pts, idx[gains <= tol][:max_survivors], game.n)
+    rebuilt = (profile_report(game, sigma, tol) for sigma in screened)
+    return gains, [rep for rep in rebuilt if rep.max_gain <= tol]
 
 
 def enumerate_pure_equilibria(

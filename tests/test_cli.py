@@ -81,6 +81,14 @@ class TestValidate:
         assert main(["validate", "--game", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        doc = to_document(blog())
+        doc["utility"]["v"][0][0] = 10**400
+        path.write_text(canonical_json(doc))
+        assert main(["validate", "--game", str(path)]) == 1
+        assert "error: /utility/v:" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "--game", "/nonexistent/g.json"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perception_games.docio import (
     GameFormatError,
@@ -15,9 +17,18 @@ from perception_games.docio import (
     to_document,
 )
 from perception_games.fixtures import FIXTURE_NAMES, get_fixture
-from perception_games.model import PerceptionGame, TwoPlayerPerceptionGame
+from perception_games.model import (
+    ActionSpace,
+    PerceptionGame,
+    TwoPlayerPerceptionGame,
+    TypeSpace,
+    UtilityModel,
+)
 from perception_games.single import Strategy, profile_report
 from perception_games.two_player import enumerate_pure_equilibria_2p
+
+from helpers import catalog_penalties, dyadic_rows, tabulate, two_player_catalog_games
+from test_kernels import catalog_games
 
 
 class TestRoundTrip:
@@ -164,3 +175,140 @@ class TestProfiles:
         }
         with pytest.raises(GameFormatError):
             parse_profile(doc, g)
+
+
+class TestOutOfRangeNumbers:
+    """An integer literal beyond the float range is a bad number like
+    any other, reported at its path."""
+
+    @staticmethod
+    def _step_penalty(doc, piece):
+        doc["utility"]["penalties"][0] = {
+            "kind": "step_marginal",
+            "marginal_over": [doc["types"][0]],
+            "pieces": [piece],
+        }
+
+    @pytest.mark.parametrize(
+        "path, mutate",
+        [
+            ("/utility/v", lambda d: d["utility"]["v"][0].__setitem__(0, 10**400)),
+            (
+                "/utility/penalties/0/weight",
+                lambda d: d["utility"]["penalties"][0].__setitem__("weight", 10**400),
+            ),
+            ("/prior", lambda d: d["prior"].__setitem__(0, -(10**400))),
+            (
+                "/utility/penalties/0/pieces/0",
+                lambda d: TestOutOfRangeNumbers._step_penalty(d, [0, 1, 10**400, True, True]),
+            ),
+        ],
+    )
+    def test_reported_at_path(self, path, mutate):
+        doc = to_document(get_fixture("blog"))
+        mutate(doc)
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(doc)
+        assert [p for p, _ in exc.value.errors] == [path]
+
+    def test_resolution_beyond_index_range(self):
+        doc = to_document(tabulate(get_fixture("blog"), 2))
+        doc["utility"]["resolution"] = 10**400
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(doc)
+        assert [p for p, _ in exc.value.errors] == ["/utility/values"]
+
+    def test_booleans_and_strings_are_not_numbers(self):
+        doc = to_document(get_fixture("blog"))
+        doc["utility"]["v"][0][0] = True
+        doc["prior"] = ["0.5", "0.5"]
+        self._step_penalty(doc, [0, 1, 0.5, 1, True])
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(doc)
+        paths = [p for p, _ in exc.value.errors]
+        assert paths == ["/prior", "/utility/v", "/utility/penalties/0/pieces"]
+
+
+@st.composite
+def factored_games(draw) -> PerceptionGame:
+    """A factored type space (possibly a subset of the product) with a
+    dyadic prior and catalog penalties."""
+    outcomes = tuple(f"o{i}" for i in range(draw(st.integers(1, 3))))
+    privacy = tuple(f"p{i}" for i in range(draw(st.integers(1, 2))))
+    product = TypeSpace.product(outcomes, privacy).labels
+    keep = draw(st.lists(st.booleans(), min_size=len(product), max_size=len(product)).filter(any))
+    labels = tuple(x for x, k in zip(product, keep) if k)
+    types = TypeSpace(labels=labels, outcome_labels=outcomes, privacy_labels=privacy)
+    n, m = len(labels), draw(st.integers(1, 3))
+    penalties = tuple(draw(catalog_penalties(labels)) for _ in range(n))
+    v = draw(st.lists(st.floats(-5.0, 5.0), min_size=n * m, max_size=n * m))
+    return PerceptionGame(
+        types=types,
+        actions=ActionSpace.plain(tuple(f"a{j}" for j in range(m))),
+        prior=draw(dyadic_rows(n)),
+        utility=UtilityModel(
+            kind="additive_separable", v=np.reshape(v, (n, m)), penalties=penalties
+        ),
+        allow_discontinuous=any(not p.is_continuous for p in penalties),
+    )
+
+
+any_games = st.one_of(catalog_games(), factored_games(), two_player_catalog_games())
+
+# numbers no float holds, then wrong JSON types and numbers that may
+# be out of range where they land
+UNREPRESENTABLE = (float("nan"), float("inf"), -float("inf"), 10**400, -(10**400))
+OTHER_VALUES = ("x", "0.5", None, True, {}, [], [[[[]]]], -1, 2.5, 1e308)
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def _locations(doc):
+    """Every (container, key) pair inside ``doc``, depth first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from _locations(value)
+
+
+class TestDocumentProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(game=any_games)
+    def test_round_trip(self, game):
+        doc = to_document(game)
+        again = to_document(parse_game(json.loads(canonical_json(doc))))
+        assert canonical_json(again) == canonical_json(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(game=any_games, rng=st.randoms(use_true_random=False))
+    def test_mutations_raise_only_format_errors(self, game, rng):
+        """A mutated document parses or raises ``GameFormatError``. It
+        must raise when the mutation adds an unknown key, puts in a
+        number no float holds, or changes a value's JSON type; a
+        dropped entry (a wrong shape) may leave it valid."""
+        doc = json.loads(canonical_json(to_document(game)))
+        container, key = rng.choice(list(_locations(doc)))
+        mutation = rng.choice(("key", "drop", "value"))
+        if mutation == "key":
+            (container if isinstance(container, dict) else doc)["zz_unknown"] = 1
+            must_fail = True
+        elif mutation == "drop":
+            del container[key]
+            must_fail = False
+        else:
+            bad = rng.choice(UNREPRESENTABLE + OTHER_VALUES)
+            must_fail = any(bad is u for u in UNREPRESENTABLE)
+            must_fail = must_fail or _json_kind(bad) != _json_kind(container[key])
+            container[key] = bad
+        try:
+            parse_game(doc)
+        except GameFormatError:
+            return
+        assert not must_fail, "a document with a bad value parsed"

@@ -15,7 +15,7 @@ from perception_games.simplex import SimplexGrid
 from perception_games.single import profile_report
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
-from helpers import catalog_penalties
+from helpers import catalog_penalties, tabulate
 
 
 def _all_profiles(game, resolution):
@@ -115,7 +115,7 @@ def tied_prior_tv_game() -> PerceptionGame:
 
 
 @st.composite
-def catalog_games(draw) -> PerceptionGame:
+def additive_catalog_games(draw) -> PerceptionGame:
     """1-5 types, 1-3 actions, any catalog penalties; some types may
     have no prior mass. Sometimes those types get the largest ``v``, so
     that a capped free row of theirs decides a profile's gain."""
@@ -133,6 +133,16 @@ def catalog_games(draw) -> PerceptionGame:
     )
 
 
+@st.composite
+def catalog_games(draw) -> PerceptionGame:
+    """An ``additive_catalog_games`` game, or sometimes its utilities
+    tabulated on a lattice of resolution 1 to 6."""
+    game = draw(additive_catalog_games())
+    if draw(st.booleans()):
+        return tabulate(game, draw(st.integers(1, 6)))
+    return game
+
+
 def _has_off_path_action(game, sig) -> np.ndarray:
     """Per profile: does some action get no prior mass?"""
     return ~(np.einsum("t,btm->bm", game.prior.p, sig) > 0.0).all(axis=1)
@@ -147,15 +157,14 @@ def _code(G: int, points) -> int:
 
 
 class TestPackGame:
-    def test_rejects_tabulated(self):
-        g = PerceptionGame(
-            types=TypeSpace.plain(("t",)),
-            actions=ActionSpace.plain(("a",)),
-            prior=[1.0],
-            utility=UtilityModel(kind="tabulated_grid", resolution=1, values=np.zeros((1, 1, 1))),
-        )
-        with pytest.raises(ValueError):
-            pack_game(g)
+    def test_packs_tabulated(self):
+        game = tabulate(blog(), 8)
+        pack = pack_game(game)
+        assert pack.v is None and pack.resolution == 8
+        np.testing.assert_array_equal(pack.values, game.utility.values)
+        u_min, u_max = game.utility_bounds()
+        np.testing.assert_array_equal(pack.u_min, u_min)
+        np.testing.assert_array_equal(pack.u_max, u_max)
 
     def test_blog_pack_shapes(self):
         pack = pack_game(blog())
@@ -255,6 +264,40 @@ class TestNumpyGainsAgainstEvaluator:
         assert off.any() == (m > 1)
         assert not off.all() or (resolution == 0 and positive.size < m)
         self._assert_equal(game, pts, idx)
+
+
+class TestTabulatedGains:
+    """Tabulated games go through the same kernel, and their gains equal
+    the exact evaluator's bit for bit on both kernel paths."""
+
+    @pytest.mark.parametrize("resolution", [0, 4])
+    def test_blog_at_resolution_10(self, resolution):
+        self._check(tabulate(blog(), 10), resolution)
+
+    @pytest.mark.parametrize("resolution", [0, 4])
+    @pytest.mark.parametrize("k", [3, 6, 10])
+    def test_three_by_three_catalog_game(self, k, resolution):
+        game = random_mixed_catalog_game(np.random.default_rng(0))
+        assert (game.n, game.m) == (3, 3)
+        self._check(tabulate(game, k), resolution)
+
+    @staticmethod
+    def _check(game, resolution):
+        """Resolution 0 is the pure grid."""
+        if resolution == 0:
+            pts, idx = np.eye(game.m), np.arange(game.m**game.n, dtype=np.int64)
+        else:
+            pts, idx = _all_profiles(game, resolution)
+            idx = _sample(idx.size, 600, resolution)
+        TestNumpyGainsAgainstEvaluator._assert_equal(game, pts, idx)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_lattice_rank_is_composition_index(self, n):
+        for k in range(1, 11):
+            comps = np.array(list(SimplexGrid(n, k).compositions()), dtype=np.int64)
+            suffix = np.cumsum(comps[:, ::-1], axis=1)[:, ::-1][:, 1:]
+            ranks = kernels._lattice_rank(suffix, k)
+            np.testing.assert_array_equal(ranks, np.arange(comps.shape[0]))
 
 
 class TestColumnTableRule:

@@ -224,6 +224,16 @@ class TestTwoPlayerModel:
         base = g.players[0].v[0, 0, 0, 0]
         assert g.u(0, 0, 0, 0, 0, mu) == pytest.approx(base - g.w(0, 0, mu))
 
+    def test_u_anchors_penalty_at_opponent_type(self):
+        # against opponent type 1, the observer believes (0.875, 0.125)
+        # about player 0: tv to the point mass (1, 0) is 0.125, not the
+        # 0.5 it is from opponent type 0's (0.5, 0.5)
+        g = two_player_game()
+        g.players[0].penalties = (PenaltySpec.tv_to_prior(1.0),) * 2
+        g.players[1].beliefs = np.array([[0.5, 0.5], [0.875, 0.125]])
+        assert g.players[0].v[0, 1, 0, 0] == 5.0
+        assert g.u(0, 0, 1, 0, 0, [1.0, 0.0]) == 4.875
+
 
 class TestPrivacy:
     def test_blog_is_upper_not_lower(self):

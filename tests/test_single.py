@@ -287,7 +287,8 @@ class TestMixedSearchMechanics:
 
 
 class TestTabulatedGames:
-    """Games the kernel cannot pack are swept on the exact evaluator."""
+    """Tabulated games are screened by the kernel like additive ones,
+    and the exact evaluator confirms only the survivors."""
 
     def test_pure_enumeration(self):
         reports = enumerate_pure_equilibria(tabulate(blog(), 8))
@@ -302,7 +303,7 @@ class TestTabulatedGames:
             assert t.label == a.label
             np.testing.assert_array_equal(t.strategy.sigma, a.strategy.sigma)
 
-    def test_one_oracle_call_per_profile(self, monkeypatch):
+    def test_oracle_on_survivors_only(self, monkeypatch):
         game = tabulate(blog(), 10)
         pure = enumerate_pure_equilibria(game)
         mixed = search_mixed_equilibria(game, step=0.25)
@@ -314,13 +315,13 @@ class TestTabulatedGames:
 
         monkeypatch.setattr(single, "profile_report", counted)
         reports = enumerate_pure_equilibria(game)
-        assert len(calls) == 4
+        assert len(calls) == 3
         assert [r.label for r in reports] == [r.label for r in pure]
         for r, p in zip(reports, pure):
             np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)
         calls.clear()
         capped = search_mixed_equilibria(game, step=0.25, max_survivors=2)
-        assert len(calls) == 25
+        assert len(calls) == 2
         assert (capped.survivor_count, capped.truncated) == (3, True)
         for r, p in zip(capped.survivors, mixed.survivors[:2], strict=True):
             np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)

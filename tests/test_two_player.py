@@ -23,7 +23,7 @@ from perception_games.two_player import (
 )
 
 from helpers import two_player_catalog_games
-from test_kernels import catalog_games
+from test_kernels import additive_catalog_games
 
 # frozen: action pair -> (player 0 payoffs, player 1 payoffs)
 SURVIVOR_TABLE = {
@@ -288,7 +288,7 @@ class TestEmbedding:
         np.testing.assert_array_equal(single.gains, double.gains[0])
 
     @settings(max_examples=80, deadline=None)
-    @given(game=catalog_games())
+    @given(game=additive_catalog_games())
     def test_zero_prior_types_gains_match_payoffs_unless_clamped(self, game):
         assume((game.prior.p == 0.0).any())
         embedded = embed_single(game)
