@@ -45,7 +45,7 @@ from .model import (
     classify_privacy,
     validate_game,
 )
-from .penalties import PenaltySpec, penalty_range, penalty_value
+from .penalties import Penalty, PenaltySpec, bind, penalty_range, penalty_value
 from .simplex import Belief, SimplexGrid, tv_distance
 from .single import (
     PerceptionMap,
@@ -76,6 +76,7 @@ __all__ = [
     "FORMAT_VERSION",
     "GameFormatError",
     "MajorityFamily",
+    "Penalty",
     "PenaltySpec",
     "PerceptionGame",
     "PerceptionMap",
@@ -88,6 +89,7 @@ __all__ = [
     "TwoPlayerStrategy",
     "TypeSpace",
     "UtilityModel",
+    "bind",
     "build_separating_equilibrium",
     "canonical_json",
     "check_separation_margin",

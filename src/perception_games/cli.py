@@ -219,7 +219,9 @@ def _cmd_equilibria(args) -> int:
             )
         _emit(args, {"mode": "pure", "count": len(found), "equilibria": rows}, "\n".join(lines))
         return 0
-    step = 1.0 / args.grid if args.grid else args.step
+    if args.grid is not None and args.grid < 1:
+        raise ValueError(f"--grid must be a positive integer, got {args.grid}")
+    step = 1.0 / args.grid if args.grid is not None else args.step
     res = search_mixed_equilibria(game, step=step, tol=args.tol, seed=args.seed)
     rows = [
         {

@@ -15,7 +15,7 @@ equilibrium and compares against the analytic sufficiency bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .model import (
     TypeSpace,
     UtilityModel,
 )
-from .penalties import PenaltySpec, penalty_value
+from .penalties import PenaltySpec, bind, penalty_value
 from .simplex import WEAK_TOL, Belief
 from .single import (
     EquilibriumReport,
@@ -163,15 +163,7 @@ class SeparableGameSpec:
                     f"penalty event {spec.marginal_over!r} only covers "
                     "zero-mass outcomes"
                 )
-            expanded.append(
-                PenaltySpec(
-                    kind=spec.kind,
-                    weight=spec.weight,
-                    knots=spec.knots,
-                    marginal_over=event,
-                    pieces=spec.pieces,
-                )
-            )
+            expanded.append(replace(spec, marginal_over=event))
         utility = UtilityModel(
             kind="additive_separable",
             v=np.array(v_rows, dtype=np.float64),
@@ -192,10 +184,10 @@ def _dirac_marginal_penalty(spec: PenaltySpec, outcome: str, outcomes) -> float:
     if spec.kind == "zero":
         return 0.0
     x = 1.0 if (spec.marginal_over and outcome in spec.marginal_over) else 0.0
-    # two-point stand-in with the right event mass
+    # two-type stand-in whose first type is the event, at the right event mass
     mu = np.array([x, 1.0 - x])
-    mask = np.array([True, False])
-    return penalty_value(spec, mu, event_mask=mask)
+    pen = bind(replace(spec, marginal_over=("in",)), ("in", "out"), mu, 0)
+    return penalty_value(pen, mu)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from math import comb
 import numpy as np
 
 from .model import PerceptionGame
-from .penalties import PenaltySpec, knot_arrays, penalty_batch
+from .penalties import Penalty, penalty_batch
 
 __all__ = [
     "GamePack",
@@ -56,16 +56,14 @@ _NEG = -1.7976931348623157e308
 
 @dataclass
 class GamePack:
-    """What the kernel reads of a game: additive games fill ``v`` to
-    ``knots``, tabulated ones ``values`` and ``resolution``."""
+    """What the kernel reads of a game: additive games fill ``v`` and
+    ``penalties``, tabulated ones ``values`` and ``resolution``."""
 
     prior: np.ndarray  # (n,)
     u_min: np.ndarray  # (n, m)
     u_max: np.ndarray  # (n, m)
     v: np.ndarray | None = None  # (n, m)
-    penalties: tuple[PenaltySpec, ...] = ()  # one per type
-    events: tuple[np.ndarray | None, ...] = ()  # event type indices of the marginal kinds
-    knots: tuple[tuple[np.ndarray, np.ndarray] | None, ...] = ()  # knot_arrays of polylines
+    penalties: tuple[Penalty, ...] = ()  # bound, one per type
     values: np.ndarray | None = None  # (n, m, lattice size)
     resolution: int = 0
 
@@ -75,14 +73,10 @@ def pack_game(game: PerceptionGame) -> GamePack:
     um = game.utility
     if um.kind == "tabulated_grid":
         return GamePack(*shared, values=np.asarray(um.values, np.float64), resolution=um.resolution)
-    penalties = tuple(game.penalty_of(t) for t in range(game.n))
-    masks = [game.mask_of(t) for t in range(game.n)]
     return GamePack(
         *shared,
         v=np.ascontiguousarray(um.v, dtype=np.float64),
-        penalties=penalties,
-        events=tuple(None if mask is None else np.flatnonzero(mask) for mask in masks),
-        knots=tuple(knot_arrays(spec) if spec.knots else None for spec in penalties),
+        penalties=tuple(game.penalty(t) for t in range(game.n)),
     )
 
 
@@ -125,9 +119,7 @@ def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndar
         return on, _interpolate(beliefs, pack.values, pack.resolution)
     pen = np.empty(cols.shape)
     for t in range(n):
-        pen[..., t] = penalty_batch(
-            pack.penalties[t], beliefs, pack.prior, t, pack.events[t], pack.knots[t]
-        )
+        pen[..., t] = penalty_batch(pack.penalties[t], beliefs)
     return on, pack.v.T - pen
 
 

@@ -27,8 +27,10 @@ import numpy as np
 
 from .penalties import (
     MARGINAL_KINDS,
+    Penalty,
     PenaltyRange,
     PenaltySpec,
+    bind,
     penalty_range,
     penalty_value,
     validate_spec,
@@ -48,7 +50,6 @@ __all__ = [
     "TypePrivacy",
     "PrivacyReport",
     "classify_privacy",
-    "event_mask",
 ]
 
 
@@ -117,14 +118,6 @@ class ActionSpace:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown action label {label!r}") from None
-
-
-def event_mask(types: TypeSpace, over: Sequence[str]) -> np.ndarray:
-    """Bool array marking the listed type labels inside ``types``."""
-    mask = np.zeros(types.n, dtype=bool)
-    for label in over:
-        mask[types.index(label)] = True
-    return mask
 
 
 @dataclass
@@ -212,8 +205,9 @@ class PerceptionGame:
         self.utility = utility
         self.allow_discontinuous = allow_discontinuous
         self.name = name
-        self._masks: dict[int, np.ndarray] = {}
+        self._penalties: dict[int, Penalty] = {}
         self._pranges: dict[int, PenaltyRange] = {}
+        self._uranges: dict[tuple[int, int], UtilityRange] = {}
 
     @property
     def n(self) -> int:
@@ -227,29 +221,19 @@ class PerceptionGame:
         """Full self-exposure: the point mass on the type itself."""
         return dirac(t, self.n)
 
-    def penalty_of(self, t: int) -> PenaltySpec:
-        if self.utility.kind != "additive_separable":
-            raise ValueError("penalties exist only for additive utilities")
-        return self.utility.penalties[t]
-
-    def mask_of(self, t: int) -> np.ndarray | None:
-        if t not in self._masks:
-            spec = self.penalty_of(t)
-            if spec.kind in MARGINAL_KINDS:
-                self._masks[t] = event_mask(self.types, spec.marginal_over)
-            else:
-                self._masks[t] = None
-        return self._masks[t]
+    def penalty(self, t: int) -> Penalty:
+        """Type ``t``'s penalty, bound to the prior and the type labels."""
+        if t not in self._penalties:
+            if self.utility.kind != "additive_separable":
+                raise ValueError("penalties exist only for additive utilities")
+            self._penalties[t] = bind(
+                self.utility.penalties[t], self.types.labels, self.prior.p, t
+            )
+        return self._penalties[t]
 
     def w(self, t: int, mu) -> float:
         """Perception penalty of type ``t`` at belief ``mu``."""
-        return penalty_value(
-            self.penalty_of(t),
-            mu,
-            prior=self.prior.p,
-            type_index=t,
-            event_mask=self.mask_of(t),
-        )
+        return penalty_value(self.penalty(t), mu)
 
     def u(self, t: int, a: int, mu) -> float:
         if self.utility.kind == "additive_separable":
@@ -262,13 +246,7 @@ class PerceptionGame:
 
     def penalty_range_of(self, t: int) -> PenaltyRange:
         if t not in self._pranges:
-            self._pranges[t] = penalty_range(
-                self.penalty_of(t),
-                self.n,
-                prior=self.prior.p,
-                type_index=t,
-                event_mask=self.mask_of(t),
-            )
+            self._pranges[t] = penalty_range(self.penalty(t))
         return self._pranges[t]
 
     def u_range(self, t: int, a: int) -> "UtilityRange":
@@ -282,18 +260,21 @@ class PerceptionGame:
                 argmin=pr.argmax,
                 argmax=pr.argmin,
             )
-        vals = self.utility.values[t, a]
-        grid = SimplexGrid(self.n, self.utility.resolution)
-        i_min = int(np.argmin(vals))
-        i_max = int(np.argmax(vals))
-        pts = grid.points()
-        # interpolant extrema sit at lattice vertices, so this is exact
-        return UtilityRange(
-            min=float(vals[i_min]),
-            max=float(vals[i_max]),
-            argmin=Belief(pts[i_min]),
-            argmax=Belief(pts[i_max]),
-        )
+        if not self._uranges:
+            # interpolant extrema sit at lattice vertices, so this is
+            # exact; one lattice serves every (type, action)
+            pts = SimplexGrid(self.n, self.utility.resolution).points()
+            for key in np.ndindex(self.n, self.m):
+                vals = self.utility.values[key]
+                i_min = int(np.argmin(vals))
+                i_max = int(np.argmax(vals))
+                self._uranges[key] = UtilityRange(
+                    min=float(vals[i_min]),
+                    max=float(vals[i_max]),
+                    argmin=Belief(pts[i_min]),
+                    argmax=Belief(pts[i_max]),
+                )
+        return self._uranges[t, a]
 
     def utility_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(n, m) arrays of min and max utility per type and action."""
@@ -358,18 +339,19 @@ class TwoPlayerPerceptionGame:
         self.players = players
         self.allow_discontinuous = allow_discontinuous
         self.name = name
-        self._masks: dict[tuple[int, int], np.ndarray] = {}
+        self._penalties: dict[tuple[int, int, int], Penalty] = {}
         self._pranges: dict[tuple[int, int, int], PenaltyRange] = {}
 
-    def mask_of(self, i: int, t: int) -> np.ndarray | None:
-        key = (i, t)
-        if key not in self._masks:
-            spec = self.players[i].penalties[t]
-            if spec.kind in MARGINAL_KINDS:
-                self._masks[key] = event_mask(self.players[i].types, spec.marginal_over)
-            else:
-                self._masks[key] = None
-        return self._masks[key]
+    def penalty(self, i: int, t: int, observer: int = 0) -> Penalty:
+        """Player ``i``'s penalty for type ``t``, anchored at the belief
+        observer type ``observer`` holds about player ``i``."""
+        key = (i, t, observer)
+        if key not in self._penalties:
+            ps = self.players[i]
+            self._penalties[key] = bind(
+                ps.penalties[t], ps.types.labels, self.players[1 - i].beliefs[observer], t
+            )
+        return self._penalties[key]
 
     def w(self, i: int, t: int, mu, observer: int = 0) -> float:
         """Player ``i``'s penalty for type ``t`` at belief ``mu`` over own types.
@@ -377,24 +359,12 @@ class TwoPlayerPerceptionGame:
         The prior-distance kind is anchored at the observer's prior
         belief about this player, so the observer type matters there.
         """
-        return penalty_value(
-            self.players[i].penalties[t],
-            mu,
-            prior=self.players[1 - i].beliefs[observer],
-            type_index=t,
-            event_mask=self.mask_of(i, t),
-        )
+        return penalty_value(self.penalty(i, t, observer), mu)
 
     def penalty_range_of(self, i: int, t: int, observer: int = 0) -> PenaltyRange:
         key = (i, t, observer)
         if key not in self._pranges:
-            self._pranges[key] = penalty_range(
-                self.players[i].penalties[t],
-                self.players[i].types.n,
-                prior=self.players[1 - i].beliefs[observer],
-                type_index=t,
-                event_mask=self.mask_of(i, t),
-            )
+            self._pranges[key] = penalty_range(self.penalty(i, t, observer))
         return self._pranges[key]
 
     def u(self, i: int, t_own: int, t_opp: int, a_own: int, a_opp: int, mu) -> float:

@@ -14,13 +14,18 @@ covers the shapes the solvers know how to bound exactly:
   given by value pieces with half-open or closed bounds. Discontinuous,
   so games using it must opt in via ``allow_discontinuous``.
 
-Ranges over the simplex are computed in closed form for every kind,
-with witness beliefs attaining them. The Lipschitz constants are
-reported by game validation.
+A spec alone cannot be evaluated: ``tv_to_prior`` measures from an
+anchor belief, ``exposure`` reads the type's own index, and the
+marginal kinds sum over the event's type indices. ``bind`` resolves all
+of that once into a ``Penalty``, and the evaluators take only the bound
+penalty and the belief(s):
 
-``penalty_value`` evaluates one belief and is the exact evaluator's
-path; ``penalty_batch`` evaluates a batch of beliefs for the sweep
-kernel. Both sum over types in index order, so they agree bitwise.
+- ``penalty_value`` evaluates one belief and is the exact evaluator's
+  path; ``penalty_batch`` evaluates a batch of beliefs for the sweep
+  kernel. Both sum over types in index order, so they agree bitwise.
+- ``penalty_range`` gives the range over the simplex in closed form for
+  every kind, with witness beliefs attaining it. The Lipschitz
+  constants are reported by game validation.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ __all__ = [
     "KINDS",
     "MARGINAL_KINDS",
     "PenaltySpec",
+    "Penalty",
+    "bind",
     "PenaltyRange",
-    "knot_arrays",
     "piecewise_linear_value",
     "step_value",
     "penalty_value",
@@ -171,9 +177,38 @@ def validate_spec(spec: PenaltySpec) -> list[str]:
     return errs
 
 
-def knot_arrays(spec: PenaltySpec) -> tuple[np.ndarray, np.ndarray]:
-    """The knots of a piecewise linear spec as (x, y) coordinate arrays."""
-    return np.array([k[0] for k in spec.knots]), np.array([k[1] for k in spec.knots])
+@dataclass(frozen=True, eq=False)
+class Penalty:
+    """A spec bound to one type of an ``n``-type space; built by ``bind``."""
+
+    spec: PenaltySpec
+    n: int
+    anchor: np.ndarray  # the belief tv_to_prior measures from
+    type_index: int
+    event: tuple[int, ...] | None  # the event's type indices, ascending (marginal kinds)
+    knots: tuple[np.ndarray, np.ndarray] | None  # the polyline's (x, y) knot arrays
+
+
+def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> Penalty:
+    """``spec`` as the penalty of type ``type_index`` among the type
+    ``labels``, with ``anchor`` the belief tv_to_prior measures from.
+    Raises ValueError for an unknown kind and KeyError for an event
+    label that is not a type label."""
+    if spec.kind not in KINDS:
+        raise ValueError(f"unknown penalty kind {spec.kind!r}")
+    event = None
+    if spec.kind in MARGINAL_KINDS:
+        over = spec.marginal_over or ()
+        for label in over:
+            if label not in labels:
+                raise KeyError(f"unknown type label {label!r}")
+        event = tuple(s for s, label in enumerate(labels) if label in over)
+    knots = None
+    if spec.knots:
+        knots = np.array([k[0] for k in spec.knots]), np.array([k[1] for k in spec.knots])
+    return Penalty(
+        spec, len(labels), np.asarray(anchor, dtype=np.float64), type_index, event, knots
+    )
 
 
 def piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -> float:
@@ -194,75 +229,46 @@ def step_value(pieces, x: float) -> float:
     return 0.0
 
 
-def _event_mass(mu: np.ndarray, event_mask: np.ndarray) -> float:
-    x = 0.0
-    for s in np.flatnonzero(event_mask).tolist():
-        x = x + float(mu[s])
-    return x
-
-
-def penalty_value(
-    spec: PenaltySpec,
-    mu,
-    prior: np.ndarray | None = None,
-    type_index: int | None = None,
-    event_mask: np.ndarray | None = None,
-) -> float:
-    """Evaluate the penalty at belief ``mu``.
-
-    ``prior`` is needed by tv_to_prior, ``type_index`` by exposure, and
-    ``event_mask`` (bool array over type labels) by the marginal kinds.
-    """
+def penalty_value(pen: Penalty, mu) -> float:
+    """Evaluate the bound penalty at belief ``mu``."""
+    spec = pen.spec
     m = np.asarray(mu, dtype=np.float64)
     if spec.kind == "zero":
         return 0.0
     if spec.kind == "tv_to_prior":
-        if prior is None:
-            raise ValueError("tv_to_prior needs the prior")
         acc = 0.0
-        for mu_s, prior_s in zip(m.tolist(), np.asarray(prior, dtype=np.float64).tolist()):
+        for mu_s, prior_s in zip(m.tolist(), pen.anchor.tolist()):
             acc = acc + abs(mu_s - prior_s)
         return spec.weight * 0.5 * acc
     if spec.kind == "exposure":
-        if type_index is None:
-            raise ValueError("exposure needs the type index")
-        return spec.weight * float(m[type_index])
-    if event_mask is None:
-        raise ValueError(f"{spec.kind} needs the event mask")
-    x = _event_mass(m, event_mask)
+        return spec.weight * float(m[pen.type_index])
+    x = 0.0
+    for s in pen.event:
+        x = x + float(m[s])
     if spec.kind == "piecewise_linear_marginal":
-        return spec.weight * piecewise_linear_value(*knot_arrays(spec), x)
-    if spec.kind == "step_marginal":
-        return spec.weight * step_value(spec.pieces, x)
-    raise ValueError(f"unknown penalty kind {spec.kind!r}")
+        return spec.weight * piecewise_linear_value(*pen.knots, x)
+    return spec.weight * step_value(spec.pieces, x)
 
 
-def penalty_batch(
-    spec: PenaltySpec,
-    post: np.ndarray,
-    prior: np.ndarray,
-    type_index: int,
-    event: np.ndarray | None,
-    knots: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
+def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
     """``penalty_value``, bitwise, at each belief in ``post`` (types on the
-    last axis). ``event`` holds the event's type indices for the marginal
-    kinds and ``knots`` the polyline's ``knot_arrays``; else both are None."""
+    last axis)."""
+    spec = pen.spec
     w = spec.weight
     if spec.kind == "zero":
         return np.zeros(post.shape[:-1])
     if spec.kind == "tv_to_prior":
         acc = np.zeros(post.shape[:-1])
         for s in range(post.shape[-1]):
-            acc = acc + np.abs(post[..., s] - prior[s])
+            acc = acc + np.abs(post[..., s] - pen.anchor[s])
         return w * 0.5 * acc
     if spec.kind == "exposure":
-        return w * post[..., type_index]
+        return w * post[..., pen.type_index]
     x = np.zeros(post.shape[:-1])
-    for s in event.tolist():
+    for s in pen.event:
         x = x + post[..., s]
     if spec.kind == "piecewise_linear_marginal":
-        kx, ky = knots
+        kx, ky = pen.knots
         # the segment of x: the number of interior knots strictly below
         # it, which is searchsorted(kx, x, "left") - 1 clipped to the
         # segments, since the knots strictly increase
@@ -294,78 +300,54 @@ class PenaltyRange:
     argmax: Belief
 
 
-def _belief_with_marginal(x: float, n: int, event_mask: np.ndarray) -> Belief:
+def _belief_with_marginal(x: float, pen: Penalty) -> Belief:
     """A belief putting mass ``x`` on the event; first labels carry it."""
-    p = np.zeros(n)
-    inside = np.flatnonzero(event_mask)
-    outside = np.flatnonzero(~event_mask)
+    p = np.zeros(pen.n)
+    outside = [s for s in range(pen.n) if s not in pen.event]
     x = min(max(x, 0.0), 1.0)
-    if inside.size == 0:
+    if not pen.event:
         p[outside[0]] = 1.0
         return Belief(p)
-    if outside.size == 0:
-        p[inside[0]] = 1.0
+    if not outside:
+        p[pen.event[0]] = 1.0
         return Belief(p)
-    p[inside[0]] = x
+    p[pen.event[0]] = x
     p[outside[0]] = 1.0 - x
     return Belief(p)
 
 
-def _marginal_domain(n: int, event_mask: np.ndarray) -> tuple[float, float]:
-    """Reachable interval of event mass. Degenerate events pin it."""
-    inside = int(event_mask.sum())
-    if inside == 0:
-        return (0.0, 0.0)
-    if inside == n:
-        return (1.0, 1.0)
-    return (0.0, 1.0)
-
-
-def penalty_range(
-    spec: PenaltySpec,
-    n: int,
-    prior: np.ndarray | None = None,
-    type_index: int | None = None,
-    event_mask: np.ndarray | None = None,
-) -> PenaltyRange:
-    """Closed-form min and max of the penalty over the simplex.
+def penalty_range(pen: Penalty) -> PenaltyRange:
+    """Closed-form min and max of the bound penalty over the simplex.
 
     All catalog kinds admit exact extrema: the distance and exposure
     kinds peak at vertices, the marginal kinds reduce to a scalar
     function of the event mass whose extrema sit at knots or on
     piece-boundary candidates. Witness beliefs attain the values.
     """
+    spec, n = pen.spec, pen.n
     if spec.kind == "zero":
         w = dirac(0, n)
         return PenaltyRange(0.0, 0.0, w, w)
     if spec.kind == "tv_to_prior":
-        if prior is None:
-            raise ValueError("tv_to_prior needs the prior")
-        b = np.asarray(prior, dtype=np.float64)
+        b = pen.anchor
         lo_idx = int(np.argmin(b))  # ties: lowest index
         hi = spec.weight * (1.0 - float(b[lo_idx]))
         return PenaltyRange(0.0, hi, Belief(b), dirac(lo_idx, n))
     if spec.kind == "exposure":
-        if type_index is None:
-            raise ValueError("exposure needs the type index")
         if n == 1:
             w = dirac(0, 1)
             return PenaltyRange(float(spec.weight), float(spec.weight), w, w)
-        other = 0 if type_index != 0 else 1
-        return PenaltyRange(0.0, float(spec.weight), dirac(other, n), dirac(type_index, n))
-    if event_mask is None:
-        raise ValueError(f"{spec.kind} needs the event mask")
-    lo_x, hi_x = _marginal_domain(n, event_mask)
+        other = 0 if pen.type_index != 0 else 1
+        return PenaltyRange(0.0, float(spec.weight), dirac(other, n), dirac(pen.type_index, n))
+    # reachable event mass: an empty or a full event pins it
+    pinned = 0.0 if not pen.event else 1.0 if len(pen.event) == n else None
     if spec.kind == "piecewise_linear_marginal":
-        kx, ky = knot_arrays(spec)
-        if lo_x == hi_x:
-            candidates = [lo_x]
-        else:
-            candidates = [float(x) for x in kx]
+        kx, ky = pen.knots
+        candidates = [pinned] if pinned is not None else [float(x) for x in kx]
         vals = [spec.weight * piecewise_linear_value(kx, ky, x) for x in candidates]
-    elif spec.kind == "step_marginal":
-        if lo_x == hi_x:
-            candidates = [lo_x]
+    else:
+        if pinned is not None:
+            candidates = [pinned]
         else:
             bounds = sorted({0.0, 1.0} | {p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
             candidates = list(bounds)
@@ -374,13 +356,11 @@ def penalty_range(
                 if b1 > b0:
                     candidates.append(0.5 * (b0 + b1))
         vals = [spec.weight * step_value(spec.pieces, x) for x in candidates]
-    else:
-        raise ValueError(f"unknown penalty kind {spec.kind!r}")
     i_min = int(np.argmin(vals))
     i_max = int(np.argmax(vals))
     return PenaltyRange(
         min=float(vals[i_min]),
         max=float(vals[i_max]),
-        argmin=_belief_with_marginal(candidates[i_min], n, event_mask),
-        argmax=_belief_with_marginal(candidates[i_max], n, event_mask),
+        argmin=_belief_with_marginal(candidates[i_min], pen),
+        argmax=_belief_with_marginal(candidates[i_max], pen),
     )

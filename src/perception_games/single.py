@@ -26,7 +26,6 @@ from .simplex import WEAK_TOL, Belief, SimplexGrid, distributions, tv_distance
 __all__ = [
     "Strategy",
     "PerceptionMap",
-    "posterior",
     "action_mass",
     "ConsistencyResult",
     "is_consistent",
@@ -122,14 +121,6 @@ def action_mass(game: PerceptionGame, sigma: np.ndarray) -> np.ndarray:
     for t in range(game.n):
         pa = pa + game.prior.p[t] * sigma[t]
     return pa
-
-
-def posterior(game: PerceptionGame, sigma: np.ndarray, a: int) -> Belief | None:
-    """Bayes posterior after action ``a``; None when ``a`` is off path."""
-    pa = action_mass(game, sigma)
-    if pa[a] <= 0.0:
-        return None
-    return Belief(game.prior.p * sigma[:, a] / pa[a])
 
 
 @dataclass(frozen=True)
@@ -399,16 +390,24 @@ def search_mixed_equilibria(
 
     When the grid has more than ``max_profiles`` profiles, a seeded
     uniform subsample of that size is swept instead (the only use the
-    seed has). ``survivor_count`` counts screened profiles; the
-    reported survivors are rebuilt and confirmed in exact Python
-    semantics, so kernel rounding never decides membership.
+    seed has); a per-type grid with more than ``max_profiles`` points
+    is rejected before it is built. ``survivor_count`` counts screened
+    profiles; the reported survivors are rebuilt and confirmed in exact
+    Python semantics, so kernel rounding never decides membership.
     """
-    resolution = round(1.0 / step)
+    # a NaN, infinite, nonpositive or subnormal step leaves resolution 0
+    inverse = 1.0 / step if 0.0 < step < np.inf else 0.0
+    resolution = round(inverse) if np.isfinite(inverse) else 0
     if abs(step * resolution - 1.0) > 1e-9 or resolution < 1:
         raise ValueError(f"step must be the reciprocal of a positive integer, got {step!r}")
     grid = SimplexGrid(game.m, resolution)
+    G = len(grid)
+    if G > max_profiles:
+        raise ValueError(
+            f"the step-{step!r} grid has {G} points per type, more than "
+            f"max_profiles={max_profiles}"
+        )
     pts = grid.points()
-    G = pts.shape[0]
     total = G ** game.n
     if total > max_profiles:
         rng = np.random.default_rng(seed)

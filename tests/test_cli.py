@@ -257,3 +257,22 @@ class TestUsageErrors:
         rc = main(["equilibria", "--game", blog_path, "--mode", "mixed", "--step", "0.3"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equilibria", "--mode", "mixed", "--step", "0"],
+            ["majority-scan", "--alphas", "0.5", "--step", "0"],
+        ],
+    )
+    def test_zero_step(self, blog_path, capsys, argv):
+        if argv[0] == "equilibria":
+            argv = argv + ["--game", blog_path]
+        assert main(argv) == 1
+        assert "step must be the reciprocal of a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0", "-4"])
+    def test_nonpositive_grid(self, blog_path, capsys, grid):
+        rc = main(["equilibria", "--game", blog_path, "--mode", "mixed", "--grid", grid])
+        assert rc == 1
+        assert "--grid must be a positive integer" in capsys.readouterr().err

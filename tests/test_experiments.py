@@ -112,8 +112,8 @@ class TestToGame:
         # the concerned penalty watches the o0 outcome event
         for t, label in enumerate(g.types.labels):
             if label.endswith(":concerned"):
-                np.testing.assert_array_equal(
-                    g.mask_of(t), [lab.startswith("o0:") for lab in g.types.labels]
+                assert g.penalty(t).event == tuple(
+                    s for s, lab in enumerate(g.types.labels) if lab.startswith("o0:")
                 )
 
     def test_prior_matches_joint(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,9 @@ from perception_games.model import (
     TypeSpace,
     UtilityModel,
     classify_privacy,
-    event_mask,
     validate_game,
 )
-from perception_games.penalties import PenaltySpec
+from perception_games.penalties import PenaltySpec, bind
 from perception_games.simplex import Belief, SimplexGrid
 
 from helpers import tabulate
@@ -51,10 +52,12 @@ class TestTypeSpace:
             ts.outcome_of("x")
 
     def test_event_mask(self):
+        # a penalty's event is resolved against the type labels when bound
         ts = TypeSpace.plain(("a", "b", "c"))
-        np.testing.assert_array_equal(event_mask(ts, ("c", "a")), [True, False, True])
+        spec = PenaltySpec.step([(0, 1, 1.0, True, True)], over=("c", "a"))
+        assert bind(spec, ts.labels, [1 / 3] * 3, 0).event == (0, 2)
         with pytest.raises(KeyError):
-            event_mask(ts, ("a", "nope"))
+            bind(replace(spec, marginal_over=("a", "nope")), ts.labels, [1 / 3] * 3, 0)
 
 
 class TestPerceptionGameBasics:
@@ -310,6 +313,26 @@ class TestTabulated:
         vals = [tg.u(0, 0, p) for p in SimplexGrid(2, 10).points()]
         assert r.max == pytest.approx(max(vals))
         assert r.min == pytest.approx(min(vals))
+
+    def test_utility_bounds_build_one_lattice(self, monkeypatch):
+        tg = tabulate(counterexample_lsc(), 4)
+        built = []
+        points = SimplexGrid.points
+
+        def counted(grid):
+            built.append(grid.resolution)
+            return points(grid)
+
+        monkeypatch.setattr(SimplexGrid, "points", counted)
+        u_min, u_max = tg.utility_bounds()
+        tg.utility_bounds()
+        assert built == [4]
+        for t in range(tg.n):
+            for a in range(tg.m):
+                assert (u_min[t, a], u_max[t, a]) == (
+                    tg.utility.values[t, a].min(),
+                    tg.utility.values[t, a].max(),
+                )
 
     def test_privacy_on_tabulated(self):
         g = blog()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from perception_games.penalties import (
     PenaltySpec,
+    bind,
     penalty_range,
     penalty_value,
     piecewise_linear_value,
@@ -106,38 +107,42 @@ class TestStepValue:
 
 class TestPenaltyValue:
     PRIOR = np.array([0.5, 0.3, 0.2])
+    LABELS = ("t0", "t1", "t2")
+
+    def _bind(self, spec, t=0):
+        return bind(spec, self.LABELS, self.PRIOR, t)
 
     def test_zero(self):
-        assert penalty_value(PenaltySpec.zero(), np.array([1.0, 0, 0])) == 0.0
+        assert penalty_value(self._bind(PenaltySpec.zero()), np.array([1.0, 0, 0])) == 0.0
 
     def test_tv(self):
-        spec = PenaltySpec.tv_to_prior(2.0)
-        assert penalty_value(spec, self.PRIOR, prior=self.PRIOR) == 0.0
-        v = penalty_value(spec, np.array([1.0, 0, 0]), prior=self.PRIOR)
+        pen = self._bind(PenaltySpec.tv_to_prior(2.0))
+        assert penalty_value(pen, self.PRIOR) == 0.0
+        v = penalty_value(pen, np.array([1.0, 0, 0]))
         assert v == pytest.approx(2.0 * 0.5)  # tv to dirac = 1 - 0.5
 
-    def test_tv_needs_prior(self):
-        with pytest.raises(ValueError):
-            penalty_value(PenaltySpec.tv_to_prior(1.0), self.PRIOR)
-
     def test_exposure(self):
-        spec = PenaltySpec.exposure(3.0)
-        assert penalty_value(spec, self.PRIOR, type_index=1) == pytest.approx(0.9)
-
-    def test_exposure_needs_index(self):
-        with pytest.raises(ValueError):
-            penalty_value(PenaltySpec.exposure(1.0), self.PRIOR)
+        pen = self._bind(PenaltySpec.exposure(3.0), t=1)
+        assert penalty_value(pen, self.PRIOR) == pytest.approx(0.9)
 
     def test_marginal_kinds_use_event_mass(self):
-        mask = np.array([True, False, True])
-        spec = PenaltySpec.piecewise_linear([(0, 0), (1, 2)], over=("t0", "t2"), weight=1.5)
-        v = penalty_value(spec, self.PRIOR, event_mask=mask)
-        assert v == pytest.approx(1.5 * 2.0 * 0.7)
+        spec = PenaltySpec.piecewise_linear([(0, 0), (1, 2)], over=("t2", "t0"), weight=1.5)
+        pen = self._bind(spec)
+        assert pen.event == (0, 2)  # ascending, whatever the label order
+        assert penalty_value(pen, self.PRIOR) == pytest.approx(1.5 * 2.0 * 0.7)
 
-    def test_marginal_needs_mask(self):
-        spec = PenaltySpec.step([(0, 1, 1.0, True, True)], over=("t0",))
-        with pytest.raises(ValueError):
-            penalty_value(spec, self.PRIOR)
+    def test_unknown_event_label(self):
+        spec = PenaltySpec.step([(0, 1, 1.0, True, True)], over=("t0", "nope"))
+        with pytest.raises(KeyError):
+            self._bind(spec)
+
+
+def _bound(spec, prior, t, mask):
+    """``spec`` bound among labels a, b, c; ``mask`` marks the event the
+    binding must resolve from the labels (None for the other kinds)."""
+    pen = bind(spec, ("a", "b", "c")[: prior.size], prior, t)
+    assert pen.event == (None if mask is None else tuple(np.flatnonzero(mask).tolist()))
+    return pen
 
 
 def _range_case_specs():
@@ -155,9 +160,10 @@ def _range_case_specs():
 class TestPenaltyRange:
     @pytest.mark.parametrize("spec,prior,t,mask", _range_case_specs())
     def test_witnesses_attain_bounds(self, spec, prior, t, mask):
-        r = penalty_range(spec, prior.size, prior=prior, type_index=t, event_mask=mask)
-        at_min = penalty_value(spec, r.argmin.p, prior=prior, type_index=t, event_mask=mask)
-        at_max = penalty_value(spec, r.argmax.p, prior=prior, type_index=t, event_mask=mask)
+        pen = _bound(spec, prior, t, mask)
+        r = penalty_range(pen)
+        at_min = penalty_value(pen, r.argmin.p)
+        at_max = penalty_value(pen, r.argmax.p)
         assert at_min == pytest.approx(r.min, abs=1e-12)
         assert at_max == pytest.approx(r.max, abs=1e-12)
         assert r.min <= r.max
@@ -165,35 +171,46 @@ class TestPenaltyRange:
     @pytest.mark.parametrize("spec,prior,t,mask", _range_case_specs())
     def test_bounds_contain_dense_sample(self, spec, prior, t, mask):
         rng = np.random.default_rng(0)
-        r = penalty_range(spec, prior.size, prior=prior, type_index=t, event_mask=mask)
+        pen = _bound(spec, prior, t, mask)
+        r = penalty_range(pen)
         for _ in range(300):
             mu = rng.dirichlet(np.ones(prior.size))
-            v = penalty_value(spec, mu, prior=prior, type_index=t, event_mask=mask)
+            v = penalty_value(pen, mu)
             assert r.min - 1e-9 <= v <= r.max + 1e-9
 
     def test_tv_max_at_lowest_index_argmin_vertex(self):
         # tied smallest prior entries: witness must use the first
         prior = np.array([0.4, 0.3, 0.3])
-        r = penalty_range(PenaltySpec.tv_to_prior(1.0), 3, prior=prior)
+        r = penalty_range(bind(PenaltySpec.tv_to_prior(1.0), ("a", "b", "c"), prior, 0))
         np.testing.assert_array_equal(r.argmax.p, [0.0, 1.0, 0.0])
         assert r.max == pytest.approx(0.7)
 
     def test_exposure_single_type_space(self):
-        r = penalty_range(PenaltySpec.exposure(2.0), 1, type_index=0)
+        r = penalty_range(bind(PenaltySpec.exposure(2.0), ("a",), [1.0], 0))
         assert r.min == r.max == 2.0
 
     def test_degenerate_full_event(self):
-        mask = np.array([True, True])
         spec = PenaltySpec.piecewise_linear([(0, 5), (1, 1)], over=("a", "b"))
-        r = penalty_range(spec, 2, event_mask=mask)
+        r = penalty_range(bind(spec, ("a", "b"), [0.5, 0.5], 0))
         assert r.min == r.max == 1.0  # event mass is pinned at 1
+
+    def test_degenerate_empty_event(self):
+        spec = PenaltySpec(kind="piecewise_linear_marginal", knots=((0, 5), (1, 1)), marginal_over=())
+        r = penalty_range(bind(spec, ("a", "b"), [0.5, 0.5], 0))
+        assert r.min == r.max == 5.0  # event mass is pinned at 0
+        np.testing.assert_array_equal(r.argmin.p, [1.0, 0.0])
+
+    def test_marginal_witnesses_put_mass_on_first_labels(self):
+        spec = PenaltySpec.piecewise_linear([(0, 1), (0.3, 0.2), (1, 3)], over=("c", "b"))
+        r = penalty_range(bind(spec, ("a", "b", "c"), [1 / 3] * 3, 0))
+        np.testing.assert_allclose(r.argmin.p, [0.7, 0.3, 0.0])
+        np.testing.assert_array_equal(r.argmax.p, [0.0, 1.0, 0.0])
 
     def test_step_open_interval_interior_found(self):
         # value 2 only on an open interval; closed-candidate scan must
         # still see it via the gap midpoint
         spec = PenaltySpec.step([(0.4, 0.6, 2.0, False, False)], over=("a",))
-        mask = np.array([True, False])
-        r = penalty_range(spec, 2, event_mask=mask)
+        r = penalty_range(bind(spec, ("a", "b"), [0.5, 0.5], 0))
         assert r.max == 2.0
         assert r.min == 0.0
 
@@ -225,17 +242,15 @@ def test_penalty_value_matches_independent_reimplementation(seed):
             over=labels[: max(1, n - 1)],
             weight=float(rng.uniform(0, 2)),
         )
-    mask = None
-    if spec.marginal_over is not None:
-        mask = np.array([lab in spec.marginal_over for lab in labels])
     ref_pen = spec_to_dict(spec, labels)
     t = int(rng.integers(0, n))
+    pen = bind(spec, labels, prior, t)
     for _ in range(20):
         mu = rng.dirichlet(np.ones(n))
-        ours = penalty_value(spec, mu, prior=prior, type_index=t, event_mask=mask)
+        ours = penalty_value(pen, mu)
         ref = pen_value(ref_pen, mu, prior, t)
         assert ours == pytest.approx(ref, abs=1e-9)
-    r = penalty_range(spec, n, prior=prior, type_index=t, event_mask=mask)
+    r = penalty_range(pen)
     lo, hi = pen_bounds(ref_pen, prior, n)
     assert r.min == pytest.approx(lo, abs=1e-9)
     assert r.max == pytest.approx(hi, abs=1e-9)

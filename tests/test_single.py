@@ -5,7 +5,7 @@ from perception_games import single
 from perception_games.fixtures import blog
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
-from perception_games.simplex import Belief
+from perception_games.simplex import Belief, SimplexGrid
 from perception_games.single import (
     PerceptionMap,
     Strategy,
@@ -262,6 +262,24 @@ class TestMixedSearchMechanics:
     def test_step_must_divide_one(self):
         with pytest.raises(ValueError):
             search_mixed_equilibria(blog(), step=0.3)
+
+    @pytest.mark.parametrize("step", [0.0, -0.25, float("nan"), float("inf"), 5e-324])
+    def test_nonpositive_or_nonfinite_step(self, step):
+        with pytest.raises(ValueError, match="reciprocal of a positive integer"):
+            search_mixed_equilibria(blog(), step=step)
+
+    def test_per_type_grid_over_the_cap(self):
+        # 101 points per type: even one type's grid exceeds max_profiles
+        with pytest.raises(ValueError, match="101 points per type"):
+            search_mixed_equilibria(blog(), step=0.01, max_profiles=100)
+
+    def test_oversized_grid_is_not_built(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError(f"built {grid!r}")
+
+        monkeypatch.setattr(SimplexGrid, "points", refuse)
+        with pytest.raises(ValueError, match="10000001 points per type"):
+            search_mixed_equilibria(blog(), step=1e-7)
 
     def test_subsample_is_seeded(self):
         g = blog()
