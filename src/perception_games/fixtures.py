@@ -21,6 +21,8 @@ pin their solved behavior, and the README walks through them.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .experiments import default_majority_family
@@ -150,9 +152,7 @@ def counterexample_usc() -> PerceptionGame:
 
 
 def majority_default() -> PerceptionGame:
-    game = default_majority_family().game_for(0.75)
-    game.name = "majority_default"
-    return game
+    return replace(default_majority_family().game_for(0.75), name="majority_default")
 
 
 _BUILDERS = {

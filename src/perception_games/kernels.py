@@ -11,12 +11,19 @@ types and actions are accumulated in ascending order, the same order
 the exact evaluator (``single.profile_report``) uses, so the two agree
 bitwise and the test suite asserts exact equality.
 
-The type and action axes are 1 to a few entries wide, so every max
-over them, and the test for an off-path action, is a fold over
-``range(n)`` or ``range(m)``: a numpy reduction over such a short
-trailing axis costs several times more. A profile whose actions are
-all on path has no off-path rows, so the off-path fill runs only on
-the profiles that have an off-path action.
+The arrays are type-major, with the batch axis last and contiguous: a
+chunk of ``B`` profiles holds its base-``G`` digits as ``(n, B)``, its
+strategies and posteriors as ``(n, m, B)``, whether each action is on
+path as ``(m, B)`` and the utility rows as ``(n, m, B)``. So every
+elementwise operation runs over rows of ``B`` contiguous entries. The
+type and action axes are 1 to a few entries wide, and nothing runs
+along them: every sum and max over types or actions, and the test for
+an off-path action, is a fold over ``range(n)`` or ``range(m)`` of such
+rows, and a penalty reads each type's posterior mass as one row
+(``penalty_batch`` takes types first). A profile whose actions are all
+on path has no off-path rows, so the off-path fill runs only on the
+profiles that have an off-path action, and not at all in a chunk
+without one.
 
 A type's utility of an action depends only on the posterior, and the
 posterior after action ``a`` only on column ``a`` of the profile. A
@@ -27,7 +34,9 @@ codes to sweep; otherwise once per profile and action. A grid over two
 actions never takes the table: its ``G`` points take ``V >= G``
 distinct values, so the table has at least ``n * G**n`` cells, ``n``
 times the whole grid. A 3-action grid at step 0.05 has 21**3 columns
-for 231**3 profiles.
+for 231**3 profiles. The table keeps each type's rows as one
+contiguous row of ``m * V**n`` entries, so one ``np.take`` along those
+rows looks up a chunk's utility rows.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ __all__ = [
     "sweep_profile_gains",
 ]
 
-# float64 cells per chunk of the (profiles, n, m) working arrays
+# float64 cells per chunk of the (n, m, profiles) working arrays
 _CHUNK_BUDGET = 32_768
 
 # finite stand-in for "no row yet" in the max folds
@@ -87,48 +96,51 @@ def decode_profiles(grid_pts: np.ndarray, idx, n: int) -> np.ndarray:
     ``t`` of the code, type 0 most significant, so codes in ascending
     order run through the profiles in lexicographic order.
     """
+    digits = np.moveaxis(_digits(idx, grid_pts.shape[0], n), 0, -1)
     # np.take gathers rows several times faster than grid_pts[digits]
-    return np.take(grid_pts, _digits(idx, grid_pts.shape[0], n), axis=0)
+    return np.take(grid_pts, digits, axis=0)
 
 
 def _digits(idx, G: int, n: int) -> np.ndarray:
-    """Base-``G`` digits of the codes ``idx``, shape ``idx.shape + (n,)``,
+    """Base-``G`` digits of the codes ``idx``, shape ``(n,) + idx.shape``,
     type 0 most significant."""
     code = np.array(idx, dtype=np.int64)
-    digits = np.empty(code.shape + (n,), dtype=np.int64)
+    digits = np.empty((n,) + code.shape, dtype=np.int64)
     for t in range(n - 1, -1, -1):
-        digits[..., t] = code % G
-        code //= G
+        np.divmod(code, G, out=(code, digits[t, ...]))
     return digits
 
 
 def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
-    """``(on, rows)`` for columns ``cols`` of shape ``(..., A, n)``, one
+    """``(on, rows)`` for columns ``cols`` of shape ``(n, A, B)``, one
     per action (``A = m``) or one for all (``A = 1``): whether a column
-    carries prior mass, and ``rows[..., a, t]``, type ``t``'s utility of
-    action ``a`` at its column's posterior. Both sweep paths call this,
-    so a table entry and a per-profile entry are bitwise the same."""
-    n = pack.prior.shape[0]
-    pa = np.zeros(cols.shape[:-1])
+    carries prior mass, shape ``(A, B)``, and ``rows[t, a, b]``, type
+    ``t``'s utility of action ``a`` at its column's posterior. Both
+    sweep paths call this, so a table entry and a per-profile entry are
+    bitwise the same."""
+    n, m = pack.u_min.shape
+    pa = np.zeros(cols.shape[1:])
     for t in range(n):
-        pa = pa + pack.prior[t] * cols[..., t]
+        pa += pack.prior[t] * cols[t]
     on = pa > 0.0
-    denom = np.where(on, pa, 1.0)
-    beliefs = cols * pack.prior / denom[..., None]
+    beliefs = cols * pack.prior[:, None, None]
+    beliefs /= np.where(on, pa, 1.0)
     if pack.values is not None:
-        return on, _interpolate(beliefs, pack.values, pack.resolution)
-    pen = np.empty(cols.shape)
+        return on, _interpolate(beliefs.T, pack.values, pack.resolution).T
+    rows = np.empty((n, m, cols.shape[2]))
     for t in range(n):
-        pen[..., t] = penalty_batch(pack.penalties[t], beliefs)
-    return on, pack.v.T - pen
+        np.subtract(pack.v[t, :, None], penalty_batch(pack.penalties[t], beliefs), out=rows[t])
+    return on, rows
 
 
 def _interpolate(mu: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     """``PerceptionGame.u`` of a tabulated game, bitwise, at the beliefs
-    ``mu`` (shape ``(..., A, n)``, as in ``_utility_rows``), in the steps
-    of ``model._interp_vertices``. A zero-weight vertex may leave the
-    lattice: its rank is clipped into range, and it adds ``0 * value``,
-    which leaves the sum as skipping it does."""
+    ``mu``, in the steps of ``model._interp_vertices``. ``mu`` is batch
+    first, ``(B, A, n)``, and so is the result, ``(B, m, n)``:
+    ``_utility_rows`` passes and takes back transposed views. A
+    zero-weight vertex may leave the lattice: its rank is clipped into
+    range, and it adds ``0 * value``, which leaves the sum as skipping
+    it does."""
     n, m, size = values.shape
     d = n - 1
     z = np.clip(k * np.cumsum(mu[..., ::-1], axis=-1)[..., :d][..., ::-1], 0.0, float(k))
@@ -177,43 +189,43 @@ def _column_table(
     A column lists each type's probability of one action, each drawn
     from the ``V`` distinct grid values, so there are ``C = V**n``
     columns, coded base ``V`` with type 0 most significant. Entry
-    ``c * m + a`` of ``on`` and ``rows`` is column ``c`` at action ``a``,
-    and ``place[t, g, a]`` is what type ``t`` playing grid point ``g``
+    ``a * C + c`` of ``on`` (shape ``(C * m,)``) and of each type's row
+    ``rows[t]`` (shape ``(n, C * m)``) is column ``c`` at action ``a``,
+    and ``place[t, a, g]`` is what type ``t`` playing grid point ``g``
     adds to that entry's index."""
     n, m = pack.u_min.shape
     vals, rank = np.unique(grid_pts, return_inverse=True)
     V = vals.size
-    cols = np.take(vals, _digits(np.arange(V**n), V, n), axis=0)  # (C, n)
-    on, rows = _utility_rows(cols[:, None, :], pack)  # (C, 1), (C, m, n)
-    rank = rank.reshape(grid_pts.shape)
-    place = np.stack([rank * (V ** (n - 1 - t) * m) for t in range(n)])
-    place[0] += np.arange(m)
-    return place, np.repeat(on[:, 0], m), rows.reshape(-1, n)
+    C = V**n
+    cols = np.take(vals, _digits(np.arange(C), V, n))  # (n, C)
+    on, rows = _utility_rows(cols[:, None, :], pack)  # (1, C), (n, m, C)
+    rank = rank.reshape(grid_pts.shape).T  # (m, G)
+    place = np.stack([rank * V ** (n - 1 - t) for t in range(n)])
+    place[0] += np.arange(m)[:, None] * C
+    return place, np.tile(on[0], m), rows.reshape(n, -1)
 
 
 def _fill_off_path(
     rows: np.ndarray, sig: np.ndarray, on: np.ndarray, pack: GamePack
 ) -> np.ndarray:
-    """``rows`` with the off-path entries filled as ``profile_report``
-    fills them: a type's row at an off-path action it plays is free,
-    raised to the type's cap and clamped at ``u_max``; every other
-    off-path row takes ``u_min``."""
+    """``rows`` (``(n, m, B)``, as ``sig``; ``on`` is ``(m, B)``) with
+    the off-path entries filled as ``profile_report`` fills them: a
+    type's row at an off-path action it plays is free, raised to the
+    type's cap and clamped at ``u_max``; every other off-path row takes
+    ``u_min``."""
     m = pack.u_min.shape[1]
-    free = (~on[:, None, :]) & (sig > 0.0)
-    pinned = np.where(on[:, None, :], rows, pack.u_min[None, :, :])
+    u_min = pack.u_min[:, :, None]
+    free = ~on & (sig > 0.0)
+    pinned = np.where(on, rows, u_min)
     held = np.where(free, _NEG, pinned)
-    lo = np.where(free, pack.u_min[None, :, :], _NEG)
-    m0 = held[:, :, 0]
-    free_lo = lo[:, :, 0]
+    lo = np.where(free, u_min, _NEG)
+    m0 = held[:, 0]
+    free_lo = lo[:, 0]
     for a in range(1, m):
-        m0 = np.maximum(m0, held[:, :, a])
-        free_lo = np.maximum(free_lo, lo[:, :, a])
+        m0 = np.maximum(m0, held[:, a])
+        free_lo = np.maximum(free_lo, lo[:, a])
     cap = np.maximum(m0, free_lo)
-    return np.where(
-        free,
-        np.minimum(pack.u_max[None, :, :], cap[:, :, None]),
-        pinned,
-    )
+    return np.where(free, np.minimum(pack.u_max[:, :, None], cap[:, None, :]), pinned)
 
 
 def _gains_numpy(
@@ -222,36 +234,39 @@ def _gains_numpy(
     pack: GamePack,
     table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    B = idx.shape[0]
     n, m = pack.u_min.shape
-    digits = _digits(idx, grid_pts.shape[0], n)
-    sig = np.take(grid_pts, digits, axis=0)  # (B, n, m)
+    digits = _digits(idx, grid_pts.shape[0], n)  # (n, B)
+    by_action = np.ascontiguousarray(grid_pts.T)  # (m, G)
+    sig = np.empty((n, m, idx.shape[0]))
+    for t in range(n):
+        sig[t] = np.take(by_action, digits[t], axis=1)
     if table is None:
-        # (B, m, n): each action's column of the profile
-        on, rows = _utility_rows(np.ascontiguousarray(sig.transpose(0, 2, 1)), pack)
+        # sig[:, a] is each profile's column at action a
+        on, rows = _utility_rows(sig, pack)
     else:
         place, on_tab, rows_tab = table
-        col = np.take(place[0], digits[:, 0], axis=0)  # (B, m): table entries
+        col = np.take(place[0], digits[0], axis=1)  # (m, B): table entries
         for t in range(1, n):
-            col = col + np.take(place[t], digits[:, t], axis=0)
+            col = col + np.take(place[t], digits[t], axis=1)
         on = np.take(on_tab, col)
-        rows = np.take(rows_tab, col, axis=0)
-    rows = rows.transpose(0, 2, 1)  # (B, n, m)
-    off = ~on[:, 0]
+        rows = np.take(rows_tab, col, axis=1)
+    off_path = ~on
+    off = off_path[0]
     for a in range(1, m):
-        off = off | ~on[:, a]
+        off = off | off_path[a]
     if off.any():
-        rows[off] = _fill_off_path(rows[off], sig[off], on[off], pack)
-    played = np.zeros((B, n))
+        sel = np.flatnonzero(off)
+        rows[:, :, sel] = _fill_off_path(rows[:, :, sel], sig[:, :, sel], on[:, sel], pack)
+    played = np.zeros((n, idx.shape[0]))
     for a in range(m):
-        played = played + sig[:, :, a] * rows[:, :, a]
-    best = rows[:, :, 0]
+        played += sig[:, a] * rows[:, a]
+    best = rows[:, 0]
     for a in range(1, m):
-        best = np.maximum(best, rows[:, :, a])
+        best = np.maximum(best, rows[:, a])
     gain = best - played
-    out = gain[:, 0]
+    out = gain[0]
     for t in range(1, n):
-        out = np.maximum(out, gain[:, t])
+        out = np.maximum(out, gain[t])
     return out
 
 

@@ -120,13 +120,23 @@ class ActionSpace:
             raise KeyError(f"unknown action label {label!r}") from None
 
 
-@dataclass
+def _read_only(a):
+    """A read-only copy of ``a``, or None; nothing else is checked."""
+    if a is None:
+        return None
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class UtilityModel:
     """Data for one of the two utility shapes; see the module docstring.
 
     additive_separable fields: ``v`` (n, m), ``penalties`` (one spec per
     type). tabulated_grid fields: ``resolution``, ``values`` with shape
-    (n, m, lattice size) in lexicographic lattice order.
+    (n, m, lattice size) in lexicographic lattice order. The arrays are
+    stored as read-only copies.
     """
 
     kind: str
@@ -134,6 +144,12 @@ class UtilityModel:
     penalties: tuple[PenaltySpec, ...] | None = None
     resolution: int | None = None
     values: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "v", _read_only(self.v))
+        object.__setattr__(self, "values", _read_only(self.values))
+        if self.penalties is not None:
+            object.__setattr__(self, "penalties", tuple(self.penalties))
 
 
 # interpolation simplex of a point, cached per lattice ----------------
@@ -187,27 +203,29 @@ def _interp_vertices(mu: np.ndarray, resolution: int) -> list[tuple[int, float]]
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class PerceptionGame:
-    """Single-player game: types, actions, prior, belief-dependent utility."""
+    """Single-player game: types, actions, prior, belief-dependent utility.
 
-    def __init__(
-        self,
-        types: TypeSpace,
-        actions: ActionSpace,
-        prior: Belief | Sequence[float],
-        utility: UtilityModel,
-        allow_discontinuous: bool = False,
-        name: str = "",
-    ):
-        self.types = types
-        self.actions = actions
-        self.prior = prior if isinstance(prior, Belief) else Belief(prior)
-        self.utility = utility
-        self.allow_discontinuous = allow_discontinuous
-        self.name = name
-        self._penalties: dict[int, Penalty] = {}
-        self._pranges: dict[int, PenaltyRange] = {}
-        self._uranges: dict[tuple[int, int], UtilityRange] = {}
+    Immutable: a changed game is a new one (``dataclasses.replace``), so
+    the bound penalties and ranges it caches always describe its fields.
+    """
+
+    types: TypeSpace
+    actions: ActionSpace
+    prior: Belief | Sequence[float]  # stored as a Belief
+    utility: UtilityModel
+    allow_discontinuous: bool = False
+    name: str = ""
+    _penalties: dict[int, Penalty] = field(default_factory=dict, init=False, repr=False)
+    _pranges: dict[int, PenaltyRange] = field(default_factory=dict, init=False, repr=False)
+    _uranges: dict[tuple[int, int], "UtilityRange"] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def __post_init__(self):
+        if not isinstance(self.prior, Belief):
+            object.__setattr__(self, "prior", Belief(self.prior))
 
     @property
     def n(self) -> int:
@@ -312,14 +330,15 @@ class PerceptionGame:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlayerSpec:
     """One side of a two-player game.
 
     ``beliefs`` row ``t`` is this player's subjective distribution over
     the opponent's types given own type ``t``. ``v`` is indexed by
     (own type, opponent type, own action, opponent action). Penalties
-    take the belief observers hold about this player's own type.
+    take the belief observers hold about this player's own type. The
+    arrays are stored as read-only copies.
     """
 
     types: TypeSpace
@@ -328,19 +347,28 @@ class PlayerSpec:
     v: np.ndarray
     penalties: tuple[PenaltySpec, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "beliefs", _read_only(self.beliefs))
+        object.__setattr__(self, "v", _read_only(self.v))
+        object.__setattr__(self, "penalties", tuple(self.penalties))
 
+
+@dataclass(frozen=True, eq=False)
 class TwoPlayerPerceptionGame:
-    def __init__(
-        self,
-        players: tuple[PlayerSpec, PlayerSpec],
-        allow_discontinuous: bool = False,
-        name: str = "",
-    ):
-        self.players = players
-        self.allow_discontinuous = allow_discontinuous
-        self.name = name
-        self._penalties: dict[tuple[int, int, int], Penalty] = {}
-        self._pranges: dict[tuple[int, int, int], PenaltyRange] = {}
+    """Two players, each a ``PlayerSpec``; immutable like ``PerceptionGame``."""
+
+    players: tuple[PlayerSpec, PlayerSpec]
+    allow_discontinuous: bool = False
+    name: str = ""
+    _penalties: dict[tuple[int, int, int], Penalty] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _pranges: dict[tuple[int, int, int], PenaltyRange] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "players", tuple(self.players))
 
     def penalty(self, i: int, t: int, observer: int = 0) -> Penalty:
         """Player ``i``'s penalty for type ``t``, anchored at the belief

@@ -251,22 +251,23 @@ def penalty_value(pen: Penalty, mu) -> float:
 
 
 def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
-    """``penalty_value``, bitwise, at each belief in ``post`` (types on the
-    last axis)."""
+    """``penalty_value``, bitwise, at each belief in ``post``: types on
+    the first axis, so ``post[s]`` holds every belief's mass on type
+    ``s`` and the result has shape ``post.shape[1:]``."""
     spec = pen.spec
     w = spec.weight
     if spec.kind == "zero":
-        return np.zeros(post.shape[:-1])
+        return np.zeros(post.shape[1:])
     if spec.kind == "tv_to_prior":
-        acc = np.zeros(post.shape[:-1])
-        for s in range(post.shape[-1]):
-            acc = acc + np.abs(post[..., s] - pen.anchor[s])
+        acc = np.zeros(post.shape[1:])
+        for s in range(post.shape[0]):
+            acc = acc + np.abs(post[s] - pen.anchor[s])
         return w * 0.5 * acc
     if spec.kind == "exposure":
-        return w * post[..., pen.type_index]
-    x = np.zeros(post.shape[:-1])
+        return w * post[pen.type_index]
+    x = np.zeros(post.shape[1:])
     for s in pen.event:
-        x = x + post[..., s]
+        x = x + post[s]
     if spec.kind == "piecewise_linear_marginal":
         kx, ky = pen.knots
         # the segment of x: the number of interior knots strictly below

@@ -12,6 +12,8 @@ draw random catalog games.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -185,6 +187,14 @@ def tabulate(game, resolution: int):
         utility=UtilityModel(kind="tabulated_grid", resolution=resolution, values=values),
         name=game.name + "-tab",
     )
+
+
+def with_player(game, i: int, **changes):
+    """The two-player ``game`` with fields ``changes`` of player ``i``
+    replaced; games are immutable, so this builds a new one."""
+    players = list(game.players)
+    players[i] = replace(players[i], **changes)
+    return replace(game, players=tuple(players))
 
 
 # --- hypothesis strategies -------------------------------------------

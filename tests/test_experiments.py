@@ -24,6 +24,8 @@ from perception_games.penalties import PenaltySpec
 from perception_games.single import verify_equilibrium
 from perception_games.testing import random_separable_spec
 
+from helpers import with_player
+
 
 def _toy_spec(**overrides):
     base = dict(
@@ -258,7 +260,7 @@ class TestWelfare:
 
     def test_no_strict_baseline_disables_comparison(self):
         g = two_player_game()
-        g.players[1].v = np.zeros_like(g.players[1].v)
+        g = with_player(g, 1, v=np.zeros_like(g.players[1].v))
         rep = welfare_report_2p(g)
         assert rep.strict_baseline_index is None
         assert rep.all_types_strictly_better is None

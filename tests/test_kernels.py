@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -365,6 +366,20 @@ class TestChunking:
         assert gains.tolist() == [profile_report(game, s, 1e-9).max_gain for s in sig]
 
 
+    @pytest.mark.parametrize("build", [polyline_knots_game, eight_type_game])
+    def test_table_path_in_chunks(self, monkeypatch, build):
+        """3 actions, pure: 2**n columns x n types, 24 or 2,048 cells,
+        against 3**n profiles, so the sweep takes the column table, here
+        a few profiles at a time."""
+        game = build()
+        pack = pack_game(game)
+        pts, idx = np.eye(3), np.arange(3**game.n, dtype=np.int64)
+        assert TestColumnTableRule._takes_table(monkeypatch, game, pts, idx)
+        whole = sweep_profile_gains(pack, pts, idx)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 5 * game.n * game.m)
+        np.testing.assert_array_equal(sweep_profile_gains(pack, pts, idx), whole)
+
+
 class TestDecodeProfile:
     def test_roundtrip_lex_order(self):
         pts = SimplexGrid(2, 2).points()
@@ -384,3 +399,54 @@ class TestDecodeProfile:
         grid = decode_profiles(pts, idx.reshape(G, G * G), 3)
         assert grid.shape == (G, G * G, 3, 3)
         np.testing.assert_array_equal(grid.reshape(sigmas.shape), sigmas)
+
+
+def _majority_full_grid():
+    game = default_majority_family().game_for(0.5)
+    return (game, *_all_profiles(game, 20))
+
+
+def _eight_types_pure():
+    return eight_type_game(), np.eye(3), np.arange(3**8, dtype=np.int64)
+
+
+def _catalog_sample():
+    game = random_mixed_catalog_game(np.random.default_rng(5))
+    pts, idx = _all_profiles(game, 8)
+    return game, pts, _sample(idx.size, 2000, 5)
+
+
+def _tabulated_full_grid():
+    game = tabulate(random_mixed_catalog_game(np.random.default_rng(0)), 6)
+    return (game, *_all_profiles(game, 4))
+
+
+def _tabulated_sample():
+    game = tabulate(random_mixed_catalog_game(np.random.default_rng(0)), 6)
+    pts, idx = _all_profiles(game, 10)
+    return game, pts, _sample(idx.size, 2000, 10)
+
+
+class TestSweepDigests:
+    """The sha256 of ``sweep_profile_gains``' output bytes on fixed
+    inputs, one case per kernel path. The digests were recorded before
+    the kernel became type-major; a change to the kernel must leave
+    every gain's bits, signed zeros included, as they are."""
+
+    @pytest.mark.parametrize(
+        "case, takes_table, digest",
+        [
+            (_majority_full_grid, False, "928b9efcbd50fb5feb292b220a4e2ec87e72c342824ac43d1e8f558451bc1326"),
+            (_eight_types_pure, True, "4083d1138e0317068407a4f48cde561c009a1393017b2412c8cda7d4dda255a7"),
+            (_catalog_sample, False, "70acf2cecd59b97f3f4dab9134dcde92ddb9d96a07d0d49e789e1449e04d4f29"),
+            (_tabulated_full_grid, True, "659d700430cc360e79eb1a8d9836c9c38751bac0339b660d0d7089ee342f33c9"),
+            (_tabulated_sample, False, "6f024e65b61aa5c16f0d6f5afaccd5f3a5b4c6fbf13de43dba6e7a698b1a1e66"),
+        ],
+        ids=["majority", "eight-types-table", "catalog", "tabulated-table", "tabulated"],
+    )
+    def test_gains_bytes(self, monkeypatch, case, takes_table, digest):
+        game, pts, idx = case()
+        assert TestColumnTableRule._takes_table(monkeypatch, game, pts, idx) == takes_table
+        gains = sweep_profile_gains(pack_game(game), pts, idx)
+        assert gains.dtype == np.float64 and gains.shape == idx.shape
+        assert hashlib.sha256(gains.tobytes()).hexdigest() == digest

@@ -1,9 +1,11 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from perception_games.experiments import default_majority_family
 from perception_games.fixtures import blog, counterexample_lsc, two_player_game
+from perception_games.kernels import pack_game
 from perception_games.model import (
     ActionSpace,
     PerceptionGame,
@@ -17,7 +19,7 @@ from perception_games.model import (
 from perception_games.penalties import PenaltySpec, bind
 from perception_games.simplex import Belief, SimplexGrid
 
-from helpers import tabulate
+from helpers import tabulate, with_player
 
 
 def _additive(v, penalties, prior, labels=None, actions=None, **kw):
@@ -164,31 +166,32 @@ class TestValidateGame:
         assert not validate_game(g).ok
 
     def test_two_player_belief_rows(self):
-        g = two_player_game()
-        g.players[0].beliefs = np.array([[0.7, 0.7], [0.5, 0.5]])
+        g = with_player(two_player_game(), 0, beliefs=np.array([[0.7, 0.7], [0.5, 0.5]]))
         rep = validate_game(g)
         assert any("beliefs" in p for p, _ in rep.errors)
 
     def test_two_player_nan_belief_row(self):
-        g = two_player_game()
-        g.players[0].beliefs = np.array([[np.nan, 1.0], [0.5, 0.5]])
+        g = with_player(two_player_game(), 0, beliefs=np.array([[np.nan, 1.0], [0.5, 0.5]]))
         rep = validate_game(g)
         assert rep.errors == [("/players/0/beliefs/0", "row is not a probability distribution")]
 
     def test_two_player_tiny_negative_belief_accepted(self):
-        g = two_player_game()
-        g.players[1].beliefs = np.array([[-1e-13, 1.0 + 1e-13], [0.5, 0.5]])
+        g = with_player(
+            two_player_game(), 1, beliefs=np.array([[-1e-13, 1.0 + 1e-13], [0.5, 0.5]])
+        )
         assert validate_game(g).ok
 
     def test_two_player_v_shape(self):
-        g = two_player_game()
-        g.players[1].v = np.zeros((2, 2, 2))
+        g = with_player(two_player_game(), 1, v=np.zeros((2, 2, 2)))
         rep = validate_game(g)
         assert any("v" in p for p, _ in rep.errors)
 
     def test_two_player_accepts_prior_distance_penalty(self):
-        g = two_player_game()
-        g.players[0].penalties = (PenaltySpec.tv_to_prior(1.0), PenaltySpec.tv_to_prior(1.0))
+        g = with_player(
+            two_player_game(),
+            0,
+            penalties=(PenaltySpec.tv_to_prior(1.0), PenaltySpec.tv_to_prior(1.0)),
+        )
         rep = validate_game(g)
         assert rep.ok, rep.errors
 
@@ -231,11 +234,67 @@ class TestTwoPlayerModel:
         # against opponent type 1, the observer believes (0.875, 0.125)
         # about player 0: tv to the point mass (1, 0) is 0.125, not the
         # 0.5 it is from opponent type 0's (0.5, 0.5)
-        g = two_player_game()
-        g.players[0].penalties = (PenaltySpec.tv_to_prior(1.0),) * 2
-        g.players[1].beliefs = np.array([[0.5, 0.5], [0.875, 0.125]])
+        g = with_player(two_player_game(), 0, penalties=(PenaltySpec.tv_to_prior(1.0),) * 2)
+        g = with_player(g, 1, beliefs=np.array([[0.5, 0.5], [0.875, 0.125]]))
         assert g.players[0].v[0, 1, 0, 0] == 5.0
         assert g.u(0, 0, 1, 0, 0, [1.0, 0.0]) == 4.875
+
+
+class TestImmutableGames:
+    """Games cache bound penalties and ranges, so their fields cannot be
+    reassigned nor their arrays written: a changed game is a new one."""
+
+    @pytest.mark.parametrize(
+        "build, path, field",
+        [
+            (blog, (), "prior"),
+            (blog, (), "utility"),
+            (blog, (), "name"),
+            (blog, ("utility",), "v"),
+            (blog, ("utility",), "penalties"),
+            (two_player_game, (), "players"),
+            (two_player_game, (), "name"),
+            (two_player_game, ("players", 0), "penalties"),
+            (two_player_game, ("players", 0), "beliefs"),
+            (two_player_game, ("players", 1), "v"),
+        ],
+    )
+    def test_assigning_a_field_raises(self, build, path, field):
+        obj = build()
+        for step in path:
+            obj = obj[step] if isinstance(step, int) else getattr(obj, step)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+
+    def test_stored_arrays_are_read_only_copies(self):
+        v = np.array([[1.0, 0.0], [0.0, 1.0]])
+        g = _additive(v, [PenaltySpec.zero()] * 2, [0.5, 0.5])
+        v[0, 0] = 9.0
+        assert g.utility.v[0, 0] == 1.0
+        tab = tabulate(g, 2)
+        ps = two_player_game().players[0]
+        for arr in (g.utility.v, tab.utility.values, ps.beliefs, ps.v):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 2.0
+
+    def test_replaced_player_penalty_is_read(self):
+        g = two_player_game()
+        assert g.w(0, 0, [1.0, 0.0]) == 1.1
+        assert g.penalty_range_of(0, 0).max == 1.1
+        # the observer's belief about player 0 is (0.5, 0.5): tv 0.5
+        g2 = with_player(g, 0, penalties=(PenaltySpec.tv_to_prior(3.0),) * 2)
+        assert g2.w(0, 0, [1.0, 0.0]) == 1.5
+        assert g2.penalty_range_of(0, 0).max == 1.5
+        assert g.w(0, 0, [1.0, 0.0]) == 1.1
+
+    def test_replaced_utility_reaches_the_kernel(self):
+        g = default_majority_family().game_for(0.5)
+        assert pack_game(g).penalties[0].spec.kind == "piecewise_linear_marginal"
+        zero = replace(g.utility, penalties=(PenaltySpec.zero(),) * g.n)
+        g2 = replace(g, utility=zero)
+        assert pack_game(g2).penalties[0].spec == PenaltySpec.zero()
+        assert g2.w(0, [1.0, 0.0, 0.0, 0.0]) == 0.0
+        np.testing.assert_array_equal(pack_game(g2).u_max, g.utility.v)
 
 
 class TestPrivacy:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from perception_games.penalties import (
     PenaltySpec,
     bind,
+    penalty_batch,
     penalty_range,
     penalty_value,
     piecewise_linear_value,
@@ -13,7 +14,9 @@ from perception_games.penalties import (
     validate_spec,
 )
 
-from helpers import pen_bounds, pen_value, spec_to_dict
+from perception_games.simplex import SimplexGrid
+
+from helpers import catalog_penalties, dyadic_rows, pen_bounds, pen_value, spec_to_dict
 
 
 class TestValidateSpec:
@@ -213,6 +216,71 @@ class TestPenaltyRange:
         r = penalty_range(bind(spec, ("a", "b"), [0.5, 0.5], 0))
         assert r.max == 2.0
         assert r.min == 0.0
+
+
+@st.composite
+def _belief_columns(draw, n):
+    """Beliefs over ``n`` types as the columns of an ``(n, k)`` array, in
+    multiples of 1/4 or of 1/64, so that event masses often land on the
+    quarter values the catalog strategies put knots and bounds on."""
+    denom = draw(st.sampled_from((4, 64)))
+    cols = []
+    for _ in range(draw(st.integers(1, 12))):
+        cuts = sorted(draw(st.lists(st.integers(0, denom), min_size=n - 1, max_size=n - 1)))
+        cols.append(np.diff([0, *cuts, denom]) / denom)
+    return np.array(cols).T
+
+
+def _assert_batch_is_value(pen, post):
+    """``penalty_batch`` on the types-first block ``post`` and
+    ``penalty_value`` on each of its columns give the same bits."""
+    got = penalty_batch(pen, post)
+    assert got.shape == post.shape[1:]
+    want = np.array([penalty_value(pen, post[:, j]) for j in range(post.shape[1])])
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPenaltyBatch:
+    LABELS = ("t0", "t1", "t2")
+    KNOTS = ((0.0, 0.3), (0.25, 0.9), (0.5, 0.3), (0.75, 1.7), (1.0, 0.1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_catalog_kinds_match_penalty_value(self, data):
+        n = data.draw(st.integers(1, 5))
+        labels = tuple(f"t{i}" for i in range(n))
+        spec = data.draw(catalog_penalties(labels))
+        anchor = data.draw(dyadic_rows(n))
+        pen = bind(spec, labels, anchor, data.draw(st.integers(0, n - 1)))
+        _assert_batch_is_value(pen, data.draw(_belief_columns(n)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PenaltySpec.piecewise_linear(KNOTS, over=("t0", "t1")),
+            PenaltySpec.piecewise_linear(KNOTS, over=("t2",), weight=0.5),
+            PenaltySpec.step(
+                ((0.25, 0.5, 1.5, False, True), (0.5, 0.75, 0.5, False, False)), over=("t0", "t1")
+            ),
+            PenaltySpec.step(
+                ((0.25, 0.5, 1.5, True, False), (0.75, 0.75, 0.5, True, True)), over=("t1",)
+            ),
+            PenaltySpec.tv_to_prior(1.5),
+        ],
+    )
+    def test_every_quarter_belief(self, spec):
+        """The event mass of the quarter beliefs runs through every knot
+        and every bound; the anchor ties t0 with t2."""
+        post = SimplexGrid(3, 4).points().T
+        pen = bind(spec, self.LABELS, [0.25, 0.5, 0.25], 1)
+        if pen.event is not None:
+            x = post[list(pen.event)].sum(axis=0)
+            assert set(x.tolist()) == {0.0, 0.25, 0.5, 0.75, 1.0}
+        _assert_batch_is_value(pen, post)
+        # every axis after the types is kept
+        block = penalty_batch(pen, post.reshape(3, 3, 5))
+        assert block.shape == (3, 5)
+        assert block.tobytes() == penalty_batch(pen, post).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

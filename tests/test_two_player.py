@@ -22,7 +22,7 @@ from perception_games.two_player import (
     verify_equilibrium_2p,
 )
 
-from helpers import two_player_catalog_games
+from helpers import two_player_catalog_games, with_player
 from test_kernels import additive_catalog_games
 
 # frozen: action pair -> (player 0 payoffs, player 1 payoffs)
@@ -36,8 +36,8 @@ SURVIVOR_TABLE = {
 
 
 def _zero_penalties(game):
-    for ps in game.players:
-        ps.penalties = (PenaltySpec.zero(),) * ps.types.n
+    for i, ps in enumerate(game.players):
+        game = with_player(game, i, penalties=(PenaltySpec.zero(),) * ps.types.n)
     return game
 
 
@@ -127,7 +127,7 @@ class TestWeakenedPenaltyVariant:
             pen = PenaltySpec.piecewise_linear(
                 [(0.0, 0.5), (0.5, 0.0), (1.0, 0.5)], over=over
             )
-            g.players[i].penalties = (pen, pen)
+            g = with_player(g, i, penalties=(pen, pen))
         return g
 
     def test_joint_pooling_no_longer_survives(self):
@@ -174,7 +174,7 @@ class TestPureBNE:
 
     def test_indifferent_opponent_inflates_weak_set(self):
         g = two_player_game()
-        g.players[1].v = np.zeros_like(g.players[1].v)
+        g = with_player(g, 1, v=np.zeros_like(g.players[1].v))
         reports = enumerate_pure_bne(g)
         acts = {r.actions for r in reports}
         # player 0 best-replies (U, D) to every opponent profile; the
@@ -189,9 +189,7 @@ class TestNonFiniteBeliefs:
     """Every entry point checks both players' belief rows first."""
 
     def _nan_game(self):
-        g = two_player_game()
-        g.players[0].beliefs = np.array([[np.nan, 1.0], [0.5, 0.5]])
-        return g
+        return with_player(two_player_game(), 0, beliefs=np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
     def test_enumeration_raises(self):
         with pytest.raises(ValueError, match="player 0 beliefs.*non-finite"):
