@@ -12,6 +12,7 @@ and rejected verifications, 2 for internal failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -53,8 +54,11 @@ def _parse_alphas(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"--alphas range must be start:stop:step, got {spec!r}")
         start, stop, step = (float(x) for x in parts)
-        if step <= 0:
-            raise ValueError("--alphas step must be positive")
+        # NaN and infinities fail these comparisons too
+        if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
+            raise ValueError(f"--alphas start and stop must lie in [0, 1], got {spec!r}")
+        if not 0.0 < step < math.inf:
+            raise ValueError(f"--alphas step must be positive and finite, got {spec!r}")
         out = []
         k = 0
         while True:
@@ -475,7 +479,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for path, msg in exc.errors:
             print(f"error: {path or '/'}: {msg}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError) as exc:

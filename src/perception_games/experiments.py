@@ -29,7 +29,7 @@ from .model import (
     UtilityModel,
 )
 from .penalties import PenaltySpec, bind, penalty_value
-from .simplex import WEAK_TOL, Belief
+from .simplex import WEAK_TOL, Belief, posterior
 from .single import (
     EquilibriumReport,
     LegislationReport,
@@ -179,7 +179,7 @@ class SeparableGameSpec:
         )
 
 
-def _dirac_marginal_penalty(spec: PenaltySpec, outcome: str, outcomes) -> float:
+def _dirac_marginal_penalty(spec: PenaltySpec, outcome: str) -> float:
     """Penalty at a posterior concentrated on one outcome."""
     if spec.kind == "zero":
         return 0.0
@@ -227,9 +227,8 @@ def check_separation_margin(spec: SeparableGameSpec, tol: float = 0.0) -> Margin
                 if (o, p) not in live_cells:
                     continue
                 pen = spec.penalty_by_privacy[spec.privacy[p]]
-                gap_w = _dirac_marginal_penalty(
-                    pen, spec.outcomes[o], spec.outcomes
-                ) - _dirac_marginal_penalty(pen, spec.outcomes[o2], spec.outcomes)
+                w_o = _dirac_marginal_penalty(pen, spec.outcomes[o])
+                gap_w = w_o - _dirac_marginal_penalty(pen, spec.outcomes[o2])
                 margin = gap_v - gap_w
                 rows.append((spec.outcomes[o], spec.outcomes[o2], spec.privacy[p], margin))
                 worst = min(worst, margin)
@@ -248,29 +247,15 @@ def build_separating_equilibrium(
     """
     game = spec.to_game()
     n, m = game.n, game.m
-    action_of_type = np.empty(n, dtype=np.int64)
-    outcome_of_type: list[str] = []
-    for t, label in enumerate(game.types.labels):
-        o_label = game.types.outcome_of(label)
-        o = spec.outcomes.index(o_label)
-        action_of_type[t] = spec.outcome_action(o)
-        outcome_of_type.append(o_label)
     sigma = np.zeros((n, m))
-    for t in range(n):
-        sigma[t, action_of_type[t]] = 1.0
-    used: dict[int, np.ndarray] = {}
-    for a in sorted(set(int(x) for x in action_of_type)):
-        members = np.array([action_of_type[t] == a for t in range(n)])
-        mass = float(game.prior.p[members].sum())
-        post = np.where(members, game.prior.p, 0.0)
-        used[a] = post / mass
+    for t, label in enumerate(game.types.labels):
+        o = spec.outcomes.index(game.types.outcome_of(label))
+        sigma[t, spec.outcome_action(o)] = 1.0
     tau = np.empty((n, m, n))
-    for t in range(n):
-        for a in range(m):
-            if a in used:
-                tau[t, a] = used[a]
-            else:
-                tau[t, a] = game.chi(t).p
+    for a in range(m):
+        post = posterior(game.prior.p, sigma[:, a])
+        for t in range(n):
+            tau[t, a] = game.chi(t).p if post is None else post
     return game, Strategy(game, sigma), PerceptionMap(game, tau)
 
 

@@ -42,12 +42,12 @@ rows looks up a chunk's utility rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
 from .model import PerceptionGame
 from .penalties import Penalty, penalty_batch
+from .simplex import lattice_rank
 
 __all__ = [
     "GamePack",
@@ -154,30 +154,12 @@ def _interpolate(mu: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     weight = 1.0 - sfrac[..., 0] if d else np.ones(mu.shape[:-1])
     acc = np.zeros(mu.shape[:-2] + (m, n))
     for i in range(d + 1):
-        rank = np.clip(_lattice_rank(vertex, k), 0, size - 1)
+        rank = np.clip(lattice_rank(vertex, k), 0, size - 1)
         acc = acc + weight[..., None] * np.take(values, offset + rank[..., None])
         if i < d:
             vertex = vertex + (order[..., i : i + 1] == np.arange(d))
             weight = sfrac[..., i] - (sfrac[..., i + 1] if i + 1 < d else 0.0)
     return acc
-
-
-def _lattice_rank(suffix: np.ndarray, k: int) -> np.ndarray:
-    """Index in ``SimplexGrid(n, k).compositions()`` of the composition
-    ``c`` whose suffix sums ``c[j] + ... + c[n - 1]``, ``j = 1 .. n - 1``,
-    are ``suffix`` (integers, shape ``(..., n - 1)``): the lattice size
-    less one, less the number of compositions after ``c``, which is one
-    binomial per suffix sum."""
-    d = suffix.shape[-1]
-    rank = np.full(suffix.shape[:-1], comb(k + d, d) - 1, dtype=np.int64)
-    for j in range(d):
-        # comb(suffix[..., j] + d - 1 - j, d - j), exactly in integers
-        top = suffix[..., j] + (d - 1 - j)
-        term = np.ones_like(top)
-        for i in range(d - j):
-            term = term * (top - i) // (i + 1)
-        rank = rank - term
-    return rank
 
 
 def _column_table(

@@ -19,8 +19,6 @@ belief observers form about their own type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -28,14 +26,13 @@ import numpy as np
 from .penalties import (
     MARGINAL_KINDS,
     Penalty,
-    PenaltyRange,
     PenaltySpec,
     bind,
     penalty_range,
     penalty_value,
     validate_spec,
 )
-from .simplex import WEAK_TOL, Belief, SimplexGrid, dirac, distributions
+from .simplex import WEAK_TOL, Belief, Range, SimplexGrid, dirac, distributions, lattice_rank
 
 __all__ = [
     "TypeSpace",
@@ -44,7 +41,6 @@ __all__ = [
     "PerceptionGame",
     "PlayerSpec",
     "TwoPlayerPerceptionGame",
-    "UtilityRange",
     "ValidationReport",
     "validate_game",
     "TypePrivacy",
@@ -152,15 +148,6 @@ class UtilityModel:
             object.__setattr__(self, "penalties", tuple(self.penalties))
 
 
-# interpolation simplex of a point, cached per lattice ----------------
-
-
-@lru_cache(maxsize=None)
-def _lattice_lookup(n: int, resolution: int) -> dict[tuple[int, ...], int]:
-    grid = SimplexGrid(n, resolution)
-    return {c: i for i, c in enumerate(grid.compositions())}
-
-
 def _interp_vertices(mu: np.ndarray, resolution: int) -> list[tuple[int, float]]:
     """Lattice indices and barycentric weights for the point ``mu``.
 
@@ -178,19 +165,13 @@ def _interp_vertices(mu: np.ndarray, resolution: int) -> list[tuple[int, float]]
     base = np.floor(z)
     frac = z - base
     order = np.argsort(-frac, kind="stable")
-    lookup = _lattice_lookup(n, k)
     d = n - 1
     out: list[tuple[int, float]] = []
 
     def push(vertex: np.ndarray, weight: float) -> None:
         if weight <= 0.0:
             return
-        suffix = vertex.astype(np.int64)
-        comp = [int(k - suffix[0])]
-        for j in range(d - 1):
-            comp.append(int(suffix[j] - suffix[j + 1]))
-        comp.append(int(suffix[d - 1]))
-        out.append((lookup[tuple(comp)], weight))
+        out.append((int(lattice_rank(vertex.astype(np.int64), k)), weight))
 
     sorted_frac = frac[order]
     vertex = base.copy()
@@ -218,10 +199,8 @@ class PerceptionGame:
     allow_discontinuous: bool = False
     name: str = ""
     _penalties: dict[int, Penalty] = field(default_factory=dict, init=False, repr=False)
-    _pranges: dict[int, PenaltyRange] = field(default_factory=dict, init=False, repr=False)
-    _uranges: dict[tuple[int, int], "UtilityRange"] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _pranges: dict[int, Range] = field(default_factory=dict, init=False, repr=False)
+    _uranges: dict[tuple[int, int], Range] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.prior, Belief):
@@ -262,17 +241,17 @@ class PerceptionGame:
             acc += weight * float(self.utility.values[t, a, idx])
         return acc
 
-    def penalty_range_of(self, t: int) -> PenaltyRange:
+    def penalty_range_of(self, t: int) -> Range:
         if t not in self._pranges:
             self._pranges[t] = penalty_range(self.penalty(t))
         return self._pranges[t]
 
-    def u_range(self, t: int, a: int) -> "UtilityRange":
+    def u_range(self, t: int, a: int) -> Range:
         """Range of ``u(t, a, .)`` over the whole simplex, with witnesses."""
         if self.utility.kind == "additive_separable":
             pr = self.penalty_range_of(t)
             base = float(self.utility.v[t, a])
-            return UtilityRange(
+            return Range(
                 min=base - pr.max,
                 max=base - pr.min,
                 argmin=pr.argmax,
@@ -286,7 +265,7 @@ class PerceptionGame:
                 vals = self.utility.values[key]
                 i_min = int(np.argmin(vals))
                 i_max = int(np.argmax(vals))
-                self._uranges[key] = UtilityRange(
+                self._uranges[key] = Range(
                     min=float(vals[i_min]),
                     max=float(vals[i_max]),
                     argmin=Belief(pts[i_min]),
@@ -363,7 +342,7 @@ class TwoPlayerPerceptionGame:
     _penalties: dict[tuple[int, int, int], Penalty] = field(
         default_factory=dict, init=False, repr=False
     )
-    _pranges: dict[tuple[int, int, int], PenaltyRange] = field(
+    _pranges: dict[tuple[int, int, int], Range] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -389,7 +368,7 @@ class TwoPlayerPerceptionGame:
         """
         return penalty_value(self.penalty(i, t, observer), mu)
 
-    def penalty_range_of(self, i: int, t: int, observer: int = 0) -> PenaltyRange:
+    def penalty_range_of(self, i: int, t: int, observer: int = 0) -> Range:
         key = (i, t, observer)
         if key not in self._pranges:
             self._pranges[key] = penalty_range(self.penalty(i, t, observer))
@@ -405,20 +384,11 @@ class TwoPlayerPerceptionGame:
         return f"TwoPlayerPerceptionGame(name={self.name!r}, {shapes})"
 
 
-@dataclass(frozen=True)
-class UtilityRange:
-    min: float
-    max: float
-    argmin: Belief
-    argmax: Belief
-
-
 @dataclass
 class ValidationReport:
     """Structural findings; ``errors`` are (path, message) pairs."""
 
     errors: list[tuple[str, str]] = field(default_factory=list)
-    warnings: list[tuple[str, str]] = field(default_factory=list)
     continuous: bool = True
     lipschitz_l1: float | None = None
 
@@ -542,9 +512,8 @@ def validate_game(game) -> ValidationReport:
     elif um.kind == "tabulated_grid":
         if um.resolution is None or um.resolution < 1:
             report.errors.append(("/utility/resolution", "resolution must be a positive integer"))
-        else:
-            size = comb(um.resolution + types.n - 1, types.n - 1)  # lattice points
-            expected = (types.n, actions.m, size)
+        elif types.n:
+            expected = (types.n, actions.m, SimplexGrid(types.n, um.resolution).size)
             if um.values is None or um.values.shape != expected:
                 got = None if um.values is None else um.values.shape
                 report.errors.append(("/utility/values", f"expected shape {expected}, got {got}"))

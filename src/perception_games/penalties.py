@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simplex import Belief, dirac
+from .simplex import Belief, Range, dirac
 
 KINDS = ("zero", "tv_to_prior", "exposure", "piecewise_linear_marginal", "step_marginal")
 MARGINAL_KINDS = ("piecewise_linear_marginal", "step_marginal")
@@ -46,7 +46,6 @@ __all__ = [
     "PenaltySpec",
     "Penalty",
     "bind",
-    "PenaltyRange",
     "piecewise_linear_value",
     "step_value",
     "penalty_value",
@@ -187,6 +186,7 @@ class Penalty:
     type_index: int
     event: tuple[int, ...] | None  # the event's type indices, ascending (marginal kinds)
     knots: tuple[np.ndarray, np.ndarray] | None  # the polyline's (x, y) knot arrays
+    steps: tuple[np.ndarray, np.ndarray] | None  # np.diff of each knot array
 
 
 def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> Penalty:
@@ -203,11 +203,12 @@ def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> P
             if label not in labels:
                 raise KeyError(f"unknown type label {label!r}")
         event = tuple(s for s, label in enumerate(labels) if label in over)
-    knots = None
+    knots = steps = None
     if spec.knots:
         knots = np.array([k[0] for k in spec.knots]), np.array([k[1] for k in spec.knots])
+        steps = np.diff(knots[0]), np.diff(knots[1])
     return Penalty(
-        spec, len(labels), np.asarray(anchor, dtype=np.float64), type_index, event, knots
+        spec, len(labels), np.asarray(anchor, dtype=np.float64), type_index, event, knots, steps
     )
 
 
@@ -270,16 +271,15 @@ def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
         x = x + post[s]
     if spec.kind == "piecewise_linear_marginal":
         kx, ky = pen.knots
+        dx, dy = pen.steps
         # the segment of x: the number of interior knots strictly below
         # it, which is searchsorted(kx, x, "left") - 1 clipped to the
         # segments, since the knots strictly increase
         j = np.zeros(x.shape, dtype=np.int64)
         for k in kx[1:-1].tolist():
             j += x > k
-        x0, x1 = np.take(kx, j), np.take(kx, j + 1)
-        y0, y1 = np.take(ky, j), np.take(ky, j + 1)
-        frac = (x - x0) / (x1 - x0)
-        return w * (y0 + frac * (y1 - y0))
+        frac = (x - np.take(kx, j)) / np.take(dx, j)
+        return w * (np.take(ky, j) + frac * np.take(dy, j))
     val = np.zeros(x.shape)
     assigned = np.zeros(x.shape, dtype=bool)
     for lo, hi, pv, il, ih in spec.pieces:
@@ -289,16 +289,6 @@ def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
         val[match] = pv
         assigned |= match
     return w * val
-
-
-@dataclass(frozen=True)
-class PenaltyRange:
-    """Exact range of a penalty over the whole simplex, with witnesses."""
-
-    min: float
-    max: float
-    argmin: Belief
-    argmax: Belief
 
 
 def _belief_with_marginal(x: float, pen: Penalty) -> Belief:
@@ -317,7 +307,7 @@ def _belief_with_marginal(x: float, pen: Penalty) -> Belief:
     return Belief(p)
 
 
-def penalty_range(pen: Penalty) -> PenaltyRange:
+def penalty_range(pen: Penalty) -> Range:
     """Closed-form min and max of the bound penalty over the simplex.
 
     All catalog kinds admit exact extrema: the distance and exposure
@@ -328,18 +318,18 @@ def penalty_range(pen: Penalty) -> PenaltyRange:
     spec, n = pen.spec, pen.n
     if spec.kind == "zero":
         w = dirac(0, n)
-        return PenaltyRange(0.0, 0.0, w, w)
+        return Range(0.0, 0.0, w, w)
     if spec.kind == "tv_to_prior":
         b = pen.anchor
         lo_idx = int(np.argmin(b))  # ties: lowest index
         hi = spec.weight * (1.0 - float(b[lo_idx]))
-        return PenaltyRange(0.0, hi, Belief(b), dirac(lo_idx, n))
+        return Range(0.0, hi, Belief(b), dirac(lo_idx, n))
     if spec.kind == "exposure":
         if n == 1:
             w = dirac(0, 1)
-            return PenaltyRange(float(spec.weight), float(spec.weight), w, w)
+            return Range(float(spec.weight), float(spec.weight), w, w)
         other = 0 if pen.type_index != 0 else 1
-        return PenaltyRange(0.0, float(spec.weight), dirac(other, n), dirac(pen.type_index, n))
+        return Range(0.0, float(spec.weight), dirac(other, n), dirac(pen.type_index, n))
     # reachable event mass: an empty or a full event pins it
     pinned = 0.0 if not pen.event else 1.0 if len(pen.event) == n else None
     if spec.kind == "piecewise_linear_marginal":
@@ -359,7 +349,7 @@ def penalty_range(pen: Penalty) -> PenaltyRange:
         vals = [spec.weight * step_value(spec.pieces, x) for x in candidates]
     i_min = int(np.argmin(vals))
     i_max = int(np.argmax(vals))
-    return PenaltyRange(
+    return Range(
         min=float(vals[i_min]),
         max=float(vals[i_max]),
         argmin=_belief_with_marginal(candidates[i_min], pen),

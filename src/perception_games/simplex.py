@@ -2,13 +2,17 @@
 
 Beliefs are points of the probability simplex over a finite label set.
 This module provides the point type, exact rational grids on the simplex
-and total variation distance. Everything downstream (penalties, games,
-solvers) works in terms of these primitives; ``distributions`` is the
-one check of priors, beliefs, strategies and perception maps.
+and the rank of a grid point, total variation distance, the observer's
+Bayes update and the consistency check built on it, and the range
+record of a function over the simplex. Everything downstream
+(penalties, games, solvers) works in terms of these primitives;
+``distributions`` is the one check of priors, beliefs, strategies and
+perception maps, and ``posterior`` the one scalar Bayes update.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
@@ -28,7 +32,11 @@ __all__ = [
     "dirac",
     "uniform",
     "tv_distance",
+    "posterior",
+    "consistency_errors",
+    "Range",
     "SimplexGrid",
+    "lattice_rank",
 ]
 
 
@@ -128,6 +136,50 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
+def posterior(prior: np.ndarray, column: np.ndarray) -> np.ndarray | None:
+    """Bayes update of an observer holding ``prior`` after an action that
+    type ``t`` plays with probability ``column[t]``, or None when no mass
+    reaches the action (0/0: the action is off path). The mass is summed
+    in type order from 0.0, the order of the sweep kernel's batched
+    update, so the two give the same bits."""
+    q = 0.0
+    for t in range(prior.shape[0]):
+        q = q + prior[t] * column[t]
+    if not q > 0.0:
+        return None
+    return prior * column / q
+
+
+def consistency_errors(
+    prior: np.ndarray, sigma: np.ndarray, tau: np.ndarray, tol: float
+) -> list[tuple[int, int, float]]:
+    """``(t, a, err)`` for every on-path action ``a`` and type ``t`` whose
+    perception ``tau[t, a]`` lies more than ``tol`` in total variation
+    from the posterior of ``prior`` under the strategy ``sigma`` (types
+    by actions), in action-major order."""
+    out: list[tuple[int, int, float]] = []
+    for a in range(sigma.shape[1]):
+        post = posterior(prior, sigma[:, a])
+        if post is None:
+            continue
+        for t in range(tau.shape[0]):
+            err = tv_distance(tau[t, a], post)
+            if err > tol:
+                out.append((t, a, float(err)))
+    return out
+
+
+@dataclass(frozen=True)
+class Range:
+    """Exact range of a function over the whole simplex, with witness
+    beliefs attaining the minimum and the maximum."""
+
+    min: float
+    max: float
+    argmin: Belief
+    argmax: Belief
+
+
 class SimplexGrid:
     """All points of the simplex with coordinates ``i/resolution``.
 
@@ -145,8 +197,14 @@ class SimplexGrid:
             raise ValueError("resolution must be a positive integer")
         self._points: np.ndarray | None = None
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of points, which ``len`` gives too when it fits in
+        an index-sized integer."""
         return comb(self.resolution + self.n - 1, self.n - 1)
+
+    def __len__(self) -> int:
+        return self.size
 
     def compositions(self) -> Iterator[tuple[int, ...]]:
         """Integer coordinate vectors summing to ``resolution``."""
@@ -179,3 +237,21 @@ class SimplexGrid:
 
     def __repr__(self) -> str:
         return f"SimplexGrid(n={self.n}, resolution={self.resolution})"
+
+
+def lattice_rank(suffix: np.ndarray, k: int) -> np.ndarray:
+    """Index in ``SimplexGrid(n, k).compositions()`` of the composition
+    ``c`` whose suffix sums ``c[j] + ... + c[n - 1]``, ``j = 1 .. n - 1``,
+    are ``suffix`` (integers, shape ``(..., n - 1)``): the lattice size
+    less one, less the number of compositions after ``c``, which is one
+    binomial per suffix sum."""
+    d = suffix.shape[-1]
+    rank = np.full(suffix.shape[:-1], comb(k + d, d) - 1, dtype=np.int64)
+    for j in range(d):
+        # comb(suffix[..., j] + d - 1 - j, d - j), exactly in integers
+        top = suffix[..., j] + (d - 1 - j)
+        term = np.ones_like(top)
+        for i in range(d - j):
+            term = term * (top - i) // (i + 1)
+        rank = rank - term
+    return rank

@@ -21,12 +21,11 @@ import numpy as np
 
 from .kernels import decode_profiles, pack_game, sweep_profile_gains
 from .model import PerceptionGame, PrivacyReport, classify_privacy
-from .simplex import WEAK_TOL, Belief, SimplexGrid, distributions, tv_distance
+from .simplex import WEAK_TOL, Belief, SimplexGrid, consistency_errors, distributions, posterior
 
 __all__ = [
     "Strategy",
     "PerceptionMap",
-    "action_mass",
     "ConsistencyResult",
     "is_consistent",
     "expected_utility",
@@ -115,14 +114,6 @@ class PerceptionMap:
         return f"PerceptionMap(shape={self.tau.shape})"
 
 
-def action_mass(game: PerceptionGame, sigma: np.ndarray) -> np.ndarray:
-    """Total prior mass reaching each action under ``sigma``."""
-    pa = np.zeros(game.m)
-    for t in range(game.n):
-        pa = pa + game.prior.p[t] * sigma[t]
-    return pa
-
-
 @dataclass(frozen=True)
 class ConsistencyResult:
     consistent: bool
@@ -136,20 +127,11 @@ def is_consistent(
     tol: float = WEAK_TOL,
 ) -> ConsistencyResult:
     """On-path perceptions must equal the Bayes posterior for every type."""
-    sigma = strategy.sigma
-    pa = action_mass(game, sigma)
-    violations: list[tuple[str, str, float]] = []
-    for a in range(game.m):
-        if pa[a] <= 0.0:
-            continue
-        post = game.prior.p * sigma[:, a] / pa[a]
-        for t in range(game.n):
-            err = tv_distance(perceptions.tau[t, a], post)
-            if err > tol:
-                violations.append(
-                    (game.types.labels[t], game.actions.labels[a], float(err))
-                )
-    return ConsistencyResult(consistent=not violations, violations=tuple(violations))
+    violations = tuple(
+        (game.types.labels[t], game.actions.labels[a], err)
+        for t, a, err in consistency_errors(game.prior.p, strategy.sigma, perceptions.tau, tol)
+    )
+    return ConsistencyResult(consistent=not violations, violations=violations)
 
 
 def expected_utility(
@@ -263,13 +245,7 @@ def profile_report(
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     n, m = game.n, game.m
-    pa = action_mass(game, sigma)
-    posts: list[np.ndarray | None] = []
-    for a in range(m):
-        if pa[a] > 0.0:
-            posts.append(game.prior.p * sigma[:, a] / pa[a])
-        else:
-            posts.append(None)
+    posts = [posterior(game.prior.p, sigma[:, a]) for a in range(m)]
     rows = np.empty((n, m))
     tau = np.empty((n, m, n))
     free = np.zeros((n, m), dtype=bool)
@@ -390,10 +366,13 @@ def search_mixed_equilibria(
 
     When the grid has more than ``max_profiles`` profiles, a seeded
     uniform subsample of that size is swept instead (the only use the
-    seed has); a per-type grid with more than ``max_profiles`` points
-    is rejected before it is built. ``survivor_count`` counts screened
-    profiles; the reported survivors are rebuilt and confirmed in exact
-    Python semantics, so kernel rounding never decides membership.
+    seed has). The subsample draws codes with replacement, so a profile
+    can be swept more than once and ``swept`` counts draws, not
+    distinct profiles. A per-type grid with more than ``max_profiles``
+    points is rejected before it is built. ``survivor_count`` counts
+    screened profiles; the reported survivors are rebuilt and confirmed
+    in exact Python semantics, so kernel rounding never decides
+    membership.
     """
     # a NaN, infinite, nonpositive or subnormal step leaves resolution 0
     inverse = 1.0 / step if 0.0 < step < np.inf else 0.0

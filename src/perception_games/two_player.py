@@ -44,7 +44,7 @@ from .model import (
 from .penalties import PenaltySpec
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
-from .simplex import WEAK_TOL, distributions, tv_distance
+from .simplex import WEAK_TOL, consistency_errors, distributions, posterior
 
 __all__ = [
     "TwoPlayerStrategy",
@@ -119,16 +119,6 @@ def _beliefs(game: TwoPlayerPerceptionGame) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _observer_posterior(prior: np.ndarray, sigma_i: np.ndarray, a: int) -> np.ndarray | None:
-    """Bayes update of an observer holding ``prior`` after action ``a``."""
-    q = 0.0
-    for t in range(prior.shape[0]):
-        q = q + prior[t] * sigma_i[t, a]
-    if q <= 0.0:
-        return None
-    return prior * sigma_i[:, a] / q
-
-
 def _action_values(v_t: np.ndarray, beliefs_t: np.ndarray, support, w_t: np.ndarray) -> np.ndarray:
     """Expected value of each own action for one type.
 
@@ -171,23 +161,14 @@ def is_consistent_2p(
     violations: list[tuple[int, str, str, str, float]] = []
     for i, ps in enumerate(game.players):
         other = game.players[1 - i]
-        for t_obs in range(other.types.n):
-            for a in range(ps.actions.m):
-                post = _observer_posterior(beliefs[1 - i][t_obs], strategy.sigmas[i], a)
-                if post is None:
-                    continue
-                for t in range(ps.types.n):
-                    err = tv_distance(perceptions.taus[i][t, t_obs, a], post)
-                    if err > tol:
-                        violations.append(
-                            (
-                                i,
-                                ps.types.labels[t],
-                                other.types.labels[t_obs],
-                                ps.actions.labels[a],
-                                float(err),
-                            )
-                        )
+        for t_obs, prior in enumerate(beliefs[1 - i]):
+            errors = consistency_errors(
+                prior, strategy.sigmas[i], perceptions.taus[i][:, t_obs], tol
+            )
+            violations.extend(
+                (i, ps.types.labels[t], other.types.labels[t_obs], ps.actions.labels[a], err)
+                for t, a, err in errors
+            )
     return (not violations, tuple(violations))
 
 
@@ -305,7 +286,7 @@ def _pure_pair_report(
         wvals = np.empty((ps.types.n, other.types.n, ps.actions.m))
         for t_obs in range(other.types.n):
             for a in range(ps.actions.m):
-                post = _observer_posterior(beliefs[1 - i][t_obs], strategy.sigmas[i], a)
+                post = posterior(beliefs[1 - i][t_obs], strategy.sigmas[i][:, a])
                 for t in range(ps.types.n):
                     if post is not None:
                         tau[t, t_obs, a] = post

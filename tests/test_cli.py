@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from perception_games import cli
 from perception_games.cli import main
 from perception_games.docio import (
     canonical_json,
@@ -92,6 +94,11 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "--game", "/nonexistent/g.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        assert main(["validate", "--game", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "internal" not in err
 
 
 class TestEquilibria:
@@ -201,6 +208,17 @@ class TestMajorityScan:
     def test_bad_alpha_spec(self, capsys):
         assert main(["majority-scan", "--alphas", "0:1:0"]) == 1
 
+    @pytest.mark.parametrize(
+        "spec", ["0:inf:0.5", "0:1:nan", "-inf:0:1", "0:1:inf", "nan:1:0.5", "0:2:0.5", "-0.5:1:0.5"]
+    )
+    def test_range_outside_unit_interval_scans_nothing(self, monkeypatch, capsys, spec):
+        def scan(*args, **kwargs):
+            raise AssertionError(f"scanned {args[1]}")
+
+        monkeypatch.setattr(cli, "scan_alpha", scan)
+        assert main(["majority-scan", f"--alphas={spec}"]) == 1
+        assert capsys.readouterr().err.startswith("error: --alphas")
+
 
 class TestVerify:
     def _write_profile(self, tmp_path, strategy, perceptions):
@@ -276,3 +294,29 @@ class TestUsageErrors:
         rc = main(["equilibria", "--game", blog_path, "--mode", "mixed", "--grid", grid])
         assert rc == 1
         assert "--grid must be a positive integer" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_session() -> list[tuple[list[str], list[str]]]:
+    """(arguments, output lines) of each ``$ pgame`` command in the
+    README's example session, in order."""
+    steps: list[tuple[list[str], list[str]]] = []
+    for line in README.read_text().splitlines():
+        if line.startswith("$ pgame "):
+            steps.append((line.split()[2:], []))
+        elif steps and line.startswith("```"):
+            break
+        elif steps:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_session_replays(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    steps = _readme_session()
+    assert [argv[0] for argv, _ in steps] == ["example", "validate", "equilibria", "majority-scan"]
+    for argv, want in steps:
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == want

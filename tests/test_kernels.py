@@ -12,7 +12,7 @@ from perception_games.fixtures import blog
 from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
-from perception_games.simplex import SimplexGrid
+from perception_games.simplex import SimplexGrid, lattice_rank
 from perception_games.single import profile_report
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
@@ -297,7 +297,7 @@ class TestTabulatedGains:
         for k in range(1, 11):
             comps = np.array(list(SimplexGrid(n, k).compositions()), dtype=np.int64)
             suffix = np.cumsum(comps[:, ::-1], axis=1)[:, ::-1][:, 1:]
-            ranks = kernels._lattice_rank(suffix, k)
+            ranks = lattice_rank(suffix, k)
             np.testing.assert_array_equal(ranks, np.arange(comps.shape[0]))
 
 

@@ -161,6 +161,15 @@ class TestValidateGame:
         rep = validate_game(g)
         assert any("bogus" in msg for _, msg in rep.errors)
 
+    def test_empty_types_with_tabulated_utility_reported(self):
+        g = PerceptionGame(
+            types=TypeSpace.plain(()),
+            actions=ActionSpace.plain(("a",)),
+            prior=[1.0],
+            utility=UtilityModel(kind="tabulated_grid", resolution=2, values=np.zeros((0, 1, 0))),
+        )
+        assert [p for p, _ in validate_game(g).errors] == ["/types", "/prior"]
+
     def test_duplicate_labels(self):
         g = _additive(np.eye(2), [PenaltySpec.zero()] * 2, [0.5, 0.5], labels=("t", "t"))
         assert not validate_game(g).ok

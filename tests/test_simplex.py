@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from perception_games.fixtures import blog, two_player_game
 from perception_games.simplex import (
     Belief,
     SimplexGrid,
+    consistency_errors,
     dirac,
     distributions,
+    posterior,
     tv_distance,
     uniform,
 )
-from perception_games.single import PerceptionMap, Strategy
-from perception_games.two_player import TwoPlayerPerceptions, TwoPlayerStrategy
+from perception_games.single import PerceptionMap, Strategy, is_consistent
+from perception_games.two_player import TwoPlayerPerceptions, TwoPlayerStrategy, is_consistent_2p
 
 
 class TestBelief:
@@ -169,6 +172,57 @@ class TestTvDistance:
         assert 0.0 <= d <= 1.0 + 1e-12
         assert d == pytest.approx(tv_distance(q, p))
         assert tv_distance(p, p) == 0.0
+
+
+class TestPosterior:
+    def test_sums_mass_in_type_order_from_zero(self):
+        # (0.1 + 0.2) + 0.7 is 1.0, while 0.1 + (0.2 + 0.7) is not
+        prior = np.array([0.1, 0.2, 0.7])
+        np.testing.assert_array_equal(posterior(prior, np.ones(3)), prior)
+
+    def test_conditions_the_prior(self):
+        prior = np.array([0.25, 0.75])
+        column = np.array([1.0, 0.5])
+        np.testing.assert_array_equal(posterior(prior, column), prior * column / 0.625)
+
+    @pytest.mark.parametrize(
+        "prior, column",
+        [([0.5, 0.5], [0.0, 0.0]), ([0.0, 1.0], [1.0, 0.0]), ([0.0, 0.5, 0.5], [1.0, 0.0, 0.0])],
+        ids=["nobody-plays", "zero-prior-player", "zero-prior-player-3"],
+    )
+    def test_zero_mass_is_off_path(self, prior, column):
+        assert posterior(np.array(prior), np.array(column)) is None
+
+
+class TestConsistencyErrors:
+    def test_action_major_type_minor(self):
+        prior = np.array([0.5, 0.5])
+        sigma = np.array([[0.75, 0.25, 0.0], [0.25, 0.75, 0.0]])
+        tau = np.tile([0.0, 1.0], (2, 3, 1))  # action 2 is off path
+        errors = consistency_errors(prior, sigma, tau, 1e-9)
+        assert [(t, a) for t, a, _ in errors] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert [err for _, _, err in errors] == [0.75, 0.75, 0.25, 0.25]
+
+    def test_single_player_labels_keep_the_order(self):
+        game = blog()
+        strategy = Strategy(game, [[0.75, 0.25], [0.25, 0.75]])
+        res = is_consistent(game, strategy, PerceptionMap.constant(game, dirac(1, 2)))
+        assert [v[:2] for v in res.violations] == [("l", "L"), ("r", "L"), ("l", "R"), ("r", "R")]
+
+    def test_two_player_order_is_player_observer_action_type(self):
+        game = two_player_game()
+        sigma = [[0.75, 0.25], [0.25, 0.75]]
+        strategy = TwoPlayerStrategy(game, [sigma, sigma])
+        taus = [np.tile([0.0, 1.0], (2, 2, 2, 1))] * 2
+        ok, violations = is_consistent_2p(game, strategy, TwoPlayerPerceptions(game, taus))
+        assert not ok
+        index = []
+        for i, t, t_obs, a, _ in violations:
+            own, other = game.players[i], game.players[1 - i]
+            index.append(
+                (i, other.types.index(t_obs), own.actions.index(a), own.types.index(t))
+            )
+        assert index == list(product(range(2), repeat=4))
 
 
 class TestSimplexGrid:
