@@ -35,6 +35,10 @@ from .two_player import enumerate_pure_equilibria_2p, verify_equilibrium_2p
 
 __all__ = ["main", "build_parser"]
 
+# most points a start:stop:step --alphas range may have; each alpha is a
+# full enumeration of the majority game
+_MAX_ALPHAS = 10_001
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1; argparse's default of 2 is reserved for crashes
@@ -48,6 +52,33 @@ def _fmt_vec(labels: Sequence[str], values) -> str:
     return " ".join(f"{lab}={fmt(v)}" for lab, v in zip(labels, values))
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` and ``--eps``: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # NaN fails this comparison too
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite, nonnegative number, got {text!r}")
+    return value
+
+
+def _players(game) -> tuple:
+    """The per-player blocks of ``game``, each with ``types`` and
+    ``actions``: a two-player game's players, or the game itself."""
+    return game.players if isinstance(game, TwoPlayerPerceptionGame) else (game,)
+
+
+def _payoffs(players: tuple, payoffs) -> tuple[list, str]:
+    """JSON rows and text of ``payoffs``: one vector per player, or the
+    single-player game's one vector, which stays a flat row."""
+    per = payoffs if len(players) == 2 else (payoffs,)
+    rows = [list(map(float, p)) for p in per]
+    text = " | ".join(_fmt_vec(ps.types.labels, p) for ps, p in zip(players, per))
+    return (rows if len(players) == 2 else rows[0]), text
+
+
 def _parse_alphas(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
@@ -59,6 +90,8 @@ def _parse_alphas(spec: str) -> list[float]:
             raise ValueError(f"--alphas start and stop must lie in [0, 1], got {spec!r}")
         if not 0.0 < step < math.inf:
             raise ValueError(f"--alphas step must be positive and finite, got {spec!r}")
+        if (stop - start) / step + 1 > _MAX_ALPHAS:
+            raise ValueError(f"--alphas range has more than {_MAX_ALPHAS} points, got {spec!r}")
         out = []
         k = 0
         while True:
@@ -89,39 +122,39 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("pure", "mixed"), default="pure")
     p.add_argument("--step", type=float, default=0.05, help="mixed grid mesh (reciprocal of an integer)")
     p.add_argument("--grid", type=int, default=None, help="mixed grid resolution; overrides --step")
-    p.add_argument("--tol", type=float, default=WEAK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_equilibria)
 
     p = add("pooling", "full-pooling existence by the extremal-set test")
     p.add_argument("--game", required=True)
     p.add_argument("--mode", choices=("upper", "lower"), required=True)
-    p.add_argument("--tol", type=float, default=WEAK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
     p.set_defaults(func=_cmd_pooling)
 
     p = add("privacy", "classify the game's privacy direction")
     p.add_argument("--game", required=True)
     p.add_argument("--mode", choices=("upper", "lower"), required=True)
-    p.add_argument("--tol", type=float, default=WEAK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
     p.set_defaults(func=_cmd_privacy)
 
     p = add("welfare", "equilibrium payoffs against the unobserved-action baseline")
     p.add_argument("--game", required=True)
-    p.add_argument("--tol", type=float, default=WEAK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
     p.set_defaults(func=_cmd_welfare)
 
     p = add("majority-scan", "equilibrium census of the majority family over alpha")
     p.add_argument("--alphas", default="0:1:0.05", help="start:stop:step or comma list")
     p.add_argument("--step", type=float, default=None, help="also sweep mixed profiles at this mesh")
-    p.add_argument("--tol", type=float, default=WEAK_TOL)
+    p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_majority_scan)
 
     p = add("verify", "check a (strategy, perceptions) profile against a game")
     p.add_argument("--game", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=WEAK_TOL)
+    p.add_argument("--eps", type=_tolerance, default=0.0)
+    p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
     p.set_defaults(func=_cmd_verify)
 
     p = add("example", "write one of the named example games")
@@ -142,7 +175,8 @@ def _emit(args, payload: dict, text: str) -> None:
 def _cmd_validate(args) -> int:
     game = load_game(args.game)
     rep = validate_game(game)
-    two = isinstance(game, TwoPlayerPerceptionGame)
+    players = _players(game)
+    two = len(players) == 2
     payload = {
         "ok": True,
         "kind": "two_player" if two else "single",
@@ -150,18 +184,9 @@ def _cmd_validate(args) -> int:
         "continuous": rep.continuous,
         "lipschitz_l1": rep.lipschitz_l1,
     }
-    if two:
-        payload["players"] = [
-            {"types": list(ps.types.labels), "actions": list(ps.actions.labels)}
-            for ps in game.players
-        ]
-        shape = " vs ".join(
-            f"{ps.types.n} types x {ps.actions.m} actions" for ps in game.players
-        )
-    else:
-        payload["types"] = list(game.types.labels)
-        payload["actions"] = list(game.actions.labels)
-        shape = f"{game.n} types x {game.m} actions"
+    blocks = [{"types": list(ps.types.labels), "actions": list(ps.actions.labels)} for ps in players]
+    payload.update({"players": blocks} if two else blocks[0])
+    shape = " vs ".join(f"{ps.types.n} types x {ps.actions.m} actions" for ps in players)
     lip = "unbounded" if rep.lipschitz_l1 is None else fmt(rep.lipschitz_l1)
     _emit(
         args,
@@ -175,52 +200,35 @@ def _cmd_validate(args) -> int:
 
 def _cmd_equilibria(args) -> int:
     game = load_game(args.game)
-    if isinstance(game, TwoPlayerPerceptionGame):
-        if args.mode != "pure":
-            raise ValueError("two-player games support --mode pure only")
-        found = enumerate_pure_equilibria_2p(game, tol=args.tol)
-        rows = []
-        lines = [f"{len(found)} pure equilibria"]
-        for rep in found:
-            acts = rep.strategy.pure_actions()
-            labels = tuple(
-                tuple(game.players[i].actions.labels[a] for a in acts[i])
-                for i in range(2)
-            )
-            rows.append(
-                {
-                    "actions": [list(x) for x in labels],
-                    "payoffs": [list(map(float, p)) for p in rep.payoffs],
-                    "max_gain": rep.max_gain,
-                    "profile": profile_to_document(rep.strategy, rep.perceptions),
-                }
-            )
-            pay = " | ".join(
-                _fmt_vec(game.players[i].types.labels, rep.payoffs[i]) for i in range(2)
-            )
-            lines.append(f"- {'/'.join(','.join(x) for x in labels)}  payoffs: {pay}")
-        _emit(args, {"mode": "pure", "count": len(found), "equilibria": rows}, "\n".join(lines))
-        return 0
+    players = _players(game)
+    two = len(players) == 2
+    if two and args.mode != "pure":
+        raise ValueError("two-player games support --mode pure only")
     if args.mode == "pure":
-        found = enumerate_pure_equilibria(game, tol=args.tol)
+        solve = enumerate_pure_equilibria_2p if two else enumerate_pure_equilibria
+        found = solve(game, tol=args.tol)
         rows = []
         lines = [f"{len(found)} pure equilibria"]
         for rep in found:
             acts = rep.strategy.pure_actions()
-            labels = tuple(game.actions.labels[a] for a in acts)
-            rows.append(
-                {
-                    "label": rep.label,
-                    "actions": list(labels),
-                    "payoffs": list(map(float, rep.payoffs)),
-                    "max_gain": rep.max_gain,
-                    "profile": profile_to_document(rep.strategy, rep.perceptions),
-                }
-            )
-            lines.append(
-                f"- {rep.label} ({','.join(labels)})  "
-                f"payoffs: {_fmt_vec(game.types.labels, rep.payoffs)}"
-            )
+            labels = [
+                [ps.actions.labels[a] for a in row]
+                for ps, row in zip(players, acts if two else (acts,))
+            ]
+            payoffs, pay = _payoffs(players, rep.payoffs)
+            row = {
+                "actions": labels if two else labels[0],
+                "payoffs": payoffs,
+                "max_gain": rep.max_gain,
+                "profile": profile_to_document(rep.strategy, rep.perceptions),
+            }
+            head = "/".join(map(",".join, labels))
+            if not two:
+                # a single-player profile is also named by its label
+                row = {"label": rep.label} | row
+                head = f"{rep.label} ({head})"
+            rows.append(row)
+            lines.append(f"- {head}  payoffs: {pay}")
         _emit(args, {"mode": "pure", "count": len(found), "equilibria": rows}, "\n".join(lines))
         return 0
     if args.grid is not None and args.grid < 1:
@@ -336,10 +344,7 @@ def _cmd_welfare(args) -> int:
             if rep.all_types_strictly_better is not None:
                 beats = rep.all_types_strictly_better[j]
                 extra = "  beats strict baseline for every type" if beats else ""
-            pay = " | ".join(
-                _fmt_vec(game.players[i].types.labels, pair[i]) for i in range(2)
-            )
-            lines.append(f"- payoffs: {pay}{extra}")
+            lines.append(f"- payoffs: {_payoffs(game.players, pair)[1]}{extra}")
         _emit(args, payload, "\n".join(lines))
         return 0
     rep = welfare_report(game, tol=args.tol)
@@ -424,31 +429,19 @@ def _cmd_majority_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     game = load_game(args.game)
+    players = _players(game)
     strategy, perceptions = load_profile(args.profile, game)
-    if isinstance(game, TwoPlayerPerceptionGame):
-        res = verify_equilibrium_2p(game, strategy, perceptions, tol=args.tol, eps=args.eps)
-        payload = {
-            "accepted": res.accepted,
-            "consistent": res.consistent,
-            "violations": len(res.violations),
-            "max_gain": res.max_gain,
-            "payoffs": [list(map(float, p)) for p in res.payoffs],
-            "eps": res.eps,
-        }
-        pay = " | ".join(
-            _fmt_vec(game.players[i].types.labels, res.payoffs[i]) for i in range(2)
-        )
-    else:
-        res = verify_equilibrium(game, strategy, perceptions, tol=args.tol, eps=args.eps)
-        payload = {
-            "accepted": res.accepted,
-            "consistent": res.consistent,
-            "violations": len(res.violations),
-            "max_gain": res.max_gain,
-            "payoffs": list(map(float, res.payoffs)),
-            "eps": res.eps,
-        }
-        pay = _fmt_vec(game.types.labels, res.payoffs)
+    verify = verify_equilibrium_2p if len(players) == 2 else verify_equilibrium
+    res = verify(game, strategy, perceptions, tol=args.tol, eps=args.eps)
+    payoffs, pay = _payoffs(players, res.payoffs)
+    payload = {
+        "accepted": res.accepted,
+        "consistent": res.consistent,
+        "violations": len(res.violations),
+        "max_gain": res.max_gain,
+        "payoffs": payoffs,
+        "eps": res.eps,
+    }
     verdict = "accepted" if res.accepted else "rejected"
     why = "" if res.consistent else " (perceptions inconsistent)"
     _emit(

@@ -8,8 +8,9 @@ each action, takes the utility rows there (``_utility_rows``, the one
 place that reads the utility's kind), fills the off-path rows up to
 their caps, and reduces to the gains. The batch axis is vectorized;
 types and actions are accumulated in ascending order, the same order
-the exact evaluator (``single.profile_report``) uses, so the two agree
-bitwise and the test suite asserts exact equality.
+as the scalar evaluator ``single.payoff_and_gain``, which the exact
+``single.profile_report`` calls per type, so the two agree bitwise and
+the test suite asserts exact equality.
 
 The arrays are type-major, with the batch axis last and contiguous: a
 chunk of ``B`` profiles holds its base-``G`` digits as ``(n, B)``, its

@@ -28,7 +28,7 @@ __all__ = [
     "PerceptionMap",
     "ConsistencyResult",
     "is_consistent",
-    "expected_utility",
+    "payoff_and_gain",
     "VerificationResult",
     "verify_equilibrium",
     "EquilibriumReport",
@@ -134,14 +134,22 @@ def is_consistent(
     return ConsistencyResult(consistent=not violations, violations=violations)
 
 
-def expected_utility(
-    game: PerceptionGame, t: int, strategy: Strategy, perceptions: PerceptionMap
-) -> float:
-    acc = 0.0
-    for a in range(game.m):
-        if strategy.sigma[t, a] > 0.0:
-            acc += strategy.sigma[t, a] * game.u(t, a, perceptions.tau[t, a])
-    return acc
+def payoff_and_gain(sigma_row: Sequence[float], values: Sequence[float]) -> tuple[float, float, int]:
+    """A type's payoff under its mixed action ``sigma_row``, its best pure
+    deviation gain and its first best action, given each action's value.
+
+    The payoff sums ``sigma_row[a] * values[a]`` over every action in
+    ascending order from 0.0, the order the sweep kernel folds in, so a
+    pure row's payoff is its action's value bit for bit (a sum from 0.0
+    is never -0.0). Both solvers and both verifiers call this once per type.
+    """
+    # Python floats do the same float64 arithmetic as numpy scalars, faster
+    sig, vals = np.asarray(sigma_row).tolist(), np.asarray(values).tolist()
+    payoff = 0.0
+    for p, x in zip(sig, vals):
+        payoff += p * x
+    best = vals.index(max(vals))
+    return payoff, vals[best] - payoff, best
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,8 @@ class VerificationResult:
     payoffs: np.ndarray
     gains: np.ndarray
     max_gain: float
-    worst_type: str | None
-    worst_action: str | None
+    worst_type: str
+    worst_action: str
     eps: float
     tol: float
 
@@ -172,31 +180,21 @@ def verify_equilibrium(
     cons = is_consistent(game, strategy, perceptions, tol)
     payoffs = np.empty(game.n)
     gains = np.empty(game.n)
-    worst_t = worst_a = None
-    worst_gain = -np.inf
+    best = np.empty(game.n, dtype=np.int64)
     for t in range(game.n):
-        played = expected_utility(game, t, strategy, perceptions)
-        payoffs[t] = played
-        best = -np.inf
-        best_a = 0
-        for a in range(game.m):
-            val = game.u(t, a, perceptions.tau[t, a])
-            if val > best:
-                best, best_a = val, a
-        gains[t] = best - played
-        if gains[t] > worst_gain:
-            worst_gain = gains[t]
-            worst_t, worst_a = t, best_a
-    accepted = bool(cons.consistent and worst_gain <= eps + tol)
+        values = [game.u(t, a, perceptions.tau[t, a]) for a in range(game.m)]
+        payoffs[t], gains[t], best[t] = payoff_and_gain(strategy.sigma[t], values)
+    worst = int(np.argmax(gains))
+    max_gain = float(gains[worst])
     return VerificationResult(
-        accepted=accepted,
+        accepted=bool(cons.consistent and max_gain <= eps + tol),
         consistent=cons.consistent,
         violations=cons.violations,
         payoffs=payoffs,
         gains=gains,
-        max_gain=float(worst_gain),
-        worst_type=game.types.labels[worst_t] if worst_t is not None else None,
-        worst_action=game.actions.labels[worst_a] if worst_a is not None else None,
+        max_gain=max_gain,
+        worst_type=game.types.labels[worst],
+        worst_action=game.actions.labels[best[worst]],
         eps=eps,
         tol=tol,
     )
@@ -280,11 +278,7 @@ def profile_report(
     gains = np.empty(n)
     payoffs = np.empty(n)
     for t in range(n):
-        played = 0.0
-        for a in range(m):
-            played += sigma[t, a] * rows[t, a]
-        payoffs[t] = played
-        gains[t] = rows[t].max() - played
+        payoffs[t], gains[t], _ = payoff_and_gain(sigma[t], rows[t])
     strategy = Strategy(game, sigma)
     pure = strategy.pure_actions()
     label = classify_pure_profile(game, pure) if pure is not None else "mixed"

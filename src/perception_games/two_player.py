@@ -18,7 +18,9 @@ term of the expected utility, so independent pointwise choice is the
 exact optimum.
 
 One evaluator, ``_action_values``, values a type's actions for
-verification, enumeration and the belief-free base game alike.
+verification, enumeration and the belief-free base game alike; the
+single-player ``payoff_and_gain`` turns those values into the type's
+payoff and deviation gain.
 
 The penalty catalog's prior-distance kind measures distance to the
 observer's prior belief about the player (the natural reference in a
@@ -45,6 +47,7 @@ from .penalties import PenaltySpec
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
 from .simplex import WEAK_TOL, consistency_errors, distributions, posterior
+from .single import payoff_and_gain
 
 __all__ = [
     "TwoPlayerStrategy",
@@ -199,8 +202,7 @@ def verify_equilibrium_2p(
     consistent, violations = is_consistent_2p(game, strategy, perceptions, tol)
     payoffs = []
     gains = []
-    worst = None
-    worst_gain = -np.inf
+    moves = []  # (player, type, best action), in the order of the joined gains
     for i, ps in enumerate(game.players):
         support = [[(b, p) for b, p in enumerate(row) if p > 0.0] for row in strategy.sigmas[1 - i]]
         pay = np.empty(ps.types.n)
@@ -210,26 +212,20 @@ def verify_equilibrium_2p(
             w_t = np.array([[game.w(i, t, tau, t_obs) for tau in taus_obs]
                             for t_obs, taus_obs in enumerate(perceptions.taus[i][t])])
             vals = _action_values(ps.v[t], beliefs[i][t], support, w_t)
-            played = 0.0
-            for a in range(ps.actions.m):
-                played = played + strategy.sigmas[i][t, a] * vals[a]
-            pay[t] = played
-            best_a = int(np.argmax(vals))
-            gn[t] = vals[best_a] - played
-            if gn[t] > worst_gain:
-                worst_gain = gn[t]
-                worst = (i, ps.types.labels[t], ps.actions.labels[best_a])
+            pay[t], gn[t], best = payoff_and_gain(strategy.sigmas[i][t], vals)
+            moves.append((i, ps.types.labels[t], ps.actions.labels[best]))
         payoffs.append(pay)
         gains.append(gn)
-    accepted = bool(consistent and worst_gain <= eps + tol)
+    flat = np.concatenate(gains)
+    k = int(np.argmax(flat))
     return TwoPlayerVerification(
-        accepted=accepted,
+        accepted=bool(consistent and flat[k] <= eps + tol),
         consistent=consistent,
         violations=violations,
         payoffs=(payoffs[0], payoffs[1]),
         gains=(gains[0], gains[1]),
-        max_gain=float(worst_gain),
-        worst=worst,
+        max_gain=float(flat[k]),
+        worst=moves[k],
         eps=eps,
         tol=tol,
     )
@@ -276,7 +272,6 @@ def _pure_pair_report(
     taus = []
     payoffs = []
     gains = []
-    worst = -np.inf
     for i, ps in enumerate(game.players):
         other = game.players[1 - i]
         tau = np.empty((ps.types.n, other.types.n, ps.actions.m, ps.types.n))
@@ -305,9 +300,7 @@ def _pure_pair_report(
         gn = np.empty(ps.types.n)
         for t in range(ps.types.n):
             vals = _action_values(ps.v[t], beliefs[i][t], support, wvals[t])
-            pay[t] = vals[actions[i][t]]
-            gn[t] = float(vals.max()) - pay[t]
-            worst = max(worst, gn[t])
+            pay[t], gn[t], _ = payoff_and_gain(strategy.sigmas[i][t], vals)
         payoffs.append(pay)
         gains.append(gn)
     return TwoPlayerEquilibriumReport(
@@ -315,7 +308,7 @@ def _pure_pair_report(
         perceptions=TwoPlayerPerceptions(game, taus),
         payoffs=(payoffs[0], payoffs[1]),
         gains=(gains[0], gains[1]),
-        max_gain=float(worst),
+        max_gain=float(max(gains[0].max(), gains[1].max())),
     )
 
 

@@ -13,7 +13,13 @@ from perception_games.docio import (
     to_document,
 )
 from perception_games.fixtures import blog, get_fixture
-from perception_games.single import PerceptionMap, Strategy, profile_report
+from perception_games.single import (
+    PerceptionMap,
+    Strategy,
+    enumerate_pure_equilibria,
+    profile_report,
+)
+from perception_games.two_player import enumerate_pure_equilibria_2p
 
 from helpers import tabulate
 
@@ -209,7 +215,18 @@ class TestMajorityScan:
         assert main(["majority-scan", "--alphas", "0:1:0"]) == 1
 
     @pytest.mark.parametrize(
-        "spec", ["0:inf:0.5", "0:1:nan", "-inf:0:1", "0:1:inf", "nan:1:0.5", "0:2:0.5", "-0.5:1:0.5"]
+        "spec",
+        [
+            "0:inf:0.5",
+            "0:1:nan",
+            "-inf:0:1",
+            "0:1:inf",
+            "nan:1:0.5",
+            "0:2:0.5",
+            "-0.5:1:0.5",
+            "0:1:1e-300",
+            "0:1:1e-9",
+        ],
     )
     def test_range_outside_unit_interval_scans_nothing(self, monkeypatch, capsys, spec):
         def scan(*args, **kwargs):
@@ -289,11 +306,73 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert "step must be the reciprocal of a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+    @pytest.mark.parametrize(
+        "argv, solver",
+        [
+            (["equilibria", "--tol"], "enumerate_pure_equilibria"),
+            (["equilibria", "--mode", "mixed", "--tol"], "search_mixed_equilibria"),
+            (["pooling", "--mode", "upper", "--tol"], "pooling_check"),
+            (["privacy", "--mode", "upper", "--tol"], "classify_privacy"),
+            (["welfare", "--tol"], "welfare_report"),
+            (["majority-scan", "--alphas", "0,1", "--tol"], "scan_alpha"),
+            (["verify", "--profile", "p.json", "--tol"], "verify_equilibrium"),
+            (["verify", "--profile", "p.json", "--eps"], "verify_equilibrium"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(
+        self, blog_path, monkeypatch, capsys, argv, solver, value
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{solver} was called")
+
+        monkeypatch.setattr(cli, solver, fail)
+        if argv[0] != "majority-scan":
+            argv = argv[:1] + ["--game", blog_path] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 1
+        assert "must be a finite, nonnegative number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0", "-4"])
     def test_nonpositive_grid(self, blog_path, capsys, grid):
         rc = main(["equilibria", "--game", blog_path, "--mode", "mixed", "--grid", grid])
         assert rc == 1
         assert "--grid must be a positive integer" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGolden:
+    """Exact text and JSON output on a single- and a two-player game.
+
+    ``golden/<fixture>-<command>.<format>`` holds each expected output;
+    ``verify`` checks the first enumerated pure equilibrium.
+    """
+
+    @pytest.fixture(params=["blog", "two_player"])
+    def game(self, request, tmp_path):
+        name = request.param
+        g = get_fixture(name)
+        path = tmp_path / f"{name}.json"
+        save_game(g, path)
+        solve = enumerate_pure_equilibria_2p if name == "two_player" else enumerate_pure_equilibria
+        first = solve(g)[0]
+        prof = tmp_path / "prof.json"
+        prof.write_text(canonical_json(profile_to_document(first.strategy, first.perceptions)))
+        return name, str(path), str(prof)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["validate", "equilibria", "verify"])
+    def test_output(self, game, command, fmt, capsys):
+        name, path, prof = game
+        argv = [command, "--game", path, "--format", fmt]
+        if command == "verify":
+            argv += ["--profile", prof]
+        assert main(argv) == 0
+        want = (GOLDEN / f"{name}-{command}.{'txt' if fmt == 'text' else 'json'}").read_text()
+        assert capsys.readouterr().out == want
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -161,6 +161,23 @@ class TestVerifyEquilibrium:
         assert not verify_equilibrium(g, s, PerceptionMap(g, tau), eps=0.5).accepted
         assert verify_equilibrium(g, s, PerceptionMap(g, tau), eps=1.0).accepted
 
+    def test_worst_is_first_type_and_action_among_ties(self):
+        # types b and c both gain 1, by Y or Z alike; a gains only 0.5
+        g = PerceptionGame(
+            types=TypeSpace.plain(("a", "b", "c")),
+            actions=ActionSpace.plain(("X", "Y", "Z")),
+            prior=Belief([0.25, 0.25, 0.5]),
+            utility=UtilityModel(
+                kind="additive_separable",
+                v=np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+                penalties=(PenaltySpec.zero(),) * 3,
+            ),
+        )
+        s = Strategy.pure(g, (0, 0, 0))
+        res = verify_equilibrium(g, s, PerceptionMap.constant(g, g.prior))
+        np.testing.assert_array_equal(res.gains, [0.5, 1.0, 1.0])
+        assert (res.max_gain, res.worst_type, res.worst_action) == (1.0, "b", "Y")
+
 
 class TestClassifyPureProfile:
     def test_plain(self):

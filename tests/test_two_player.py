@@ -119,6 +119,15 @@ class TestVerification:
         assert res.max_gain == pytest.approx(1.0)
         assert res.worst in ((0, "d", "D"), (1, "r", "R"))
 
+    def test_worst_is_first_player_and_type_among_ties(self):
+        g = _zero_penalties(two_player_game())
+        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
+        res = verify_equilibrium_2p(g, rep.strategy, rep.perceptions)
+        # player 0's type d and player 1's type r gain exactly 1 each
+        np.testing.assert_array_equal(res.gains[0], [0.0, 1.0])
+        np.testing.assert_array_equal(res.gains[1], [0.0, 1.0])
+        assert res.worst == (0, "d", "D")
+
 
 class TestWeakenedPenaltyVariant:
     def _variant(self):
