@@ -28,7 +28,7 @@ from .docio import (
 from .experiments import default_majority_family, scan_alpha, welfare_report, welfare_report_2p
 from .fixtures import FIXTURE_NAMES, get_fixture
 from .model import TwoPlayerPerceptionGame, classify_privacy, validate_game
-from .report import dumps, fmt
+from .report import Exact, dumps, fmt
 from .simplex import WEAK_TOL
 from .single import enumerate_pure_equilibria, pooling_check, search_mixed_equilibria, verify_equilibrium
 from .two_player import enumerate_pure_equilibria_2p, verify_equilibrium_2p
@@ -220,7 +220,7 @@ def _cmd_equilibria(args) -> int:
                 "actions": labels if two else labels[0],
                 "payoffs": payoffs,
                 "max_gain": rep.max_gain,
-                "profile": profile_to_document(rep.strategy, rep.perceptions),
+                "profile": Exact(profile_to_document(rep.strategy, rep.perceptions)),
             }
             head = "/".join(map(",".join, labels))
             if not two:
@@ -282,7 +282,7 @@ def _cmd_pooling(args) -> int:
         "witness_verified": rep.witness_verified,
     }
     if rep.witness is not None:
-        payload["witness"] = profile_to_document(*rep.witness)
+        payload["witness"] = Exact(profile_to_document(*rep.witness))
     if rep.exists:
         text = (
             f"full pooling exists ({args.mode}): actions {', '.join(rep.actions)}; "

@@ -2,17 +2,30 @@
 
 Numbers are emitted as shortest-roundtrip-ish strings (12 significant
 digits) so output files diff cleanly across platforms; the parsers on
-the other side get strings they can float() back.
+the other side get strings they can float() back. Documents meant to be
+read back by the library, such as profiles for ``pgame verify``, are
+wrapped in ``Exact`` and keep their numbers as JSON numbers at full
+precision.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-__all__ = ["fmt", "jsonable", "dumps"]
+__all__ = ["Exact", "fmt", "jsonable", "dumps"]
+
+
+@dataclass(frozen=True)
+class Exact:
+    """Plain JSON data (dicts, lists, Python numbers) that ``jsonable``
+    passes through unchanged, so every float is written as ``json``
+    writes it, at full (``repr`` round-trip) precision."""
+
+    data: Any
 
 
 def fmt(x: float) -> str:
@@ -25,6 +38,8 @@ def jsonable(obj: Any) -> Any:
     JSON-ready data."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
+    if isinstance(obj, Exact):
+        return obj.data
     if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         return int(obj)
     if isinstance(obj, (float, np.floating)):

@@ -18,9 +18,15 @@ term of the expected utility, so independent pointwise choice is the
 exact optimum.
 
 One evaluator, ``_action_values``, values a type's actions for
-verification, enumeration and the belief-free base game alike; the
+verification and for the per-pair report ``_pure_pair_report``; the
 single-player ``payoff_and_gain`` turns those values into the type's
-payoff and deviation gain.
+payoff and deviation gain. Pure enumeration is one batched screen:
+``_pure_values`` values every type's actions against every opponent
+profile in the same order and so to the same bits, which gives every
+pair's maximum gain (``_pure_pair_gains``) and, for the belief-free
+base game, every weak and strict best reply at once. Only the pairs
+the screen keeps get a ``_pure_pair_report``, which confirms them, so
+games near the 10^6-pair cap enumerate in seconds.
 
 The penalty catalog's prior-distance kind measures distance to the
 observer's prior belief about the player (the natural reference in a
@@ -32,7 +38,6 @@ single-player solver bitwise, and so do the payoffs except on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .model import (
     TypeSpace,
     ActionSpace,
 )
-from .penalties import PenaltySpec
+from .penalties import PenaltySpec, penalty_batch
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
 from .simplex import WEAK_TOL, consistency_errors, distributions, posterior
@@ -144,13 +149,89 @@ def _action_values(v_t: np.ndarray, beliefs_t: np.ndarray, support, w_t: np.ndar
     return vals
 
 
-def _pure_pairs(game: TwoPlayerPerceptionGame, max_profiles: int):
-    """Every pure profile pair ``(acts0, acts1)``, in lexicographic order."""
+def _pure_profiles(
+    game: TwoPlayerPerceptionGame, max_profiles: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each player's pure profiles as rows of action indices, one per
+    own type, in lexicographic order; raises before anything is
+    evaluated when the pairs exceed ``max_profiles``."""
     p0, p1 = game.players
     total = (p0.actions.m ** p0.types.n) * (p1.actions.m ** p1.types.n)
     if total > max_profiles:
         raise ValueError(f"{total} pure profile pairs exceed max_profiles={max_profiles}")
-    return product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players))
+    return tuple(
+        np.indices((ps.actions.m,) * ps.types.n).reshape(ps.types.n, -1).T for ps in game.players
+    )
+
+
+def _penalty_table(
+    game: TwoPlayerPerceptionGame, i: int, beliefs: tuple[np.ndarray, np.ndarray], own: np.ndarray
+) -> np.ndarray:
+    """``w[t, t_obs, a, k]``: player ``i``'s penalty for type ``t`` in
+    observer ``t_obs``'s view after ``a`` under the own pure profile
+    ``own[k]``, as ``_pure_pair_report`` sets it: at the posterior on
+    path, off path at the range minimum under the type's own action and
+    the maximum for a deviation."""
+    ps = game.players[i]
+    n, m = ps.types.n, ps.actions.m
+    col = (own.T[:, None, :] == np.arange(m)[:, None]).astype(np.float64)  # [s, a, k]
+    w = np.empty((n, game.players[1 - i].types.n, m, own.shape[0]))
+    for t_obs, prior in enumerate(beliefs[1 - i]):
+        # simplex.posterior after every (action, profile): mass summed in type order
+        q = np.zeros(col.shape[1:])
+        for s in range(n):
+            q = q + prior[s] * col[s]
+        on = q > 0.0
+        post = prior[:, None, None] * col / np.where(on, q, 1.0)
+        for t in range(n):
+            val = penalty_batch(game.penalty(i, t, t_obs), post)
+            if not on.all():
+                rng = game.penalty_range_of(i, t, t_obs)
+                val = np.where(on, val, np.where(col[t] > 0.0, rng.min, rng.max))
+            w[t, t_obs] = val
+    return w
+
+
+def _pure_values(ps: PlayerSpec, beliefs_i: np.ndarray, opp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``vals[t, a, k, j]``: ``_action_values`` of type ``t``'s action
+    ``a`` against the opponent's pure profile ``opp[j]``, under the
+    penalty table ``w[..., k]`` (indexed as ``_penalty_table``'s). The
+    sums run in the same order, so the values have the same bits."""
+    acc = np.zeros((ps.types.n, ps.actions.m, w.shape[3], opp.shape[0]))
+    for t_opp in range(opp.shape[1]):
+        # v[t, t_opp, a, opp[j, t_opp]], as the inner sum 0.0 + 1.0 * v
+        inner = 0.0 + ps.v[:, t_opp][:, :, opp[:, t_opp]][:, :, None]
+        acc = acc + beliefs_i[:, t_opp, None, None, None] * (inner - w[:, t_opp, :, :, None])
+    return acc
+
+
+# value-block size in elements: bounds each temporary of the screen to 4 MB
+_BLOCK = 1 << 19
+
+
+def _pure_pair_gains(
+    game: TwoPlayerPerceptionGame,
+    beliefs: tuple[np.ndarray, np.ndarray],
+    profiles: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """``gain[k0, k1]``: the ``max_gain`` of ``_pure_pair_report`` for the
+    pair ``(profiles[0][k0], profiles[1][k1])``, bit for bit, for every
+    pair at once. Each player's gains are computed in blocks of own
+    profiles against every opponent profile."""
+    per_player = []
+    for i, ps in enumerate(game.players):
+        own, opp = profiles[i], profiles[1 - i]
+        types = np.arange(ps.types.n)[:, None]
+        gains = np.empty((own.shape[0], opp.shape[0]))
+        size = max(1, _BLOCK // (opp.shape[0] * ps.types.n * ps.actions.m))
+        for lo in range(0, own.shape[0], size):
+            block = own[lo:lo + size]
+            vals = _pure_values(ps, beliefs[i], opp, _penalty_table(game, i, beliefs, block))
+            chosen = vals[types, block.T, np.arange(block.shape[0])]  # [t, k, j]
+            # a type's gain is its best value less its own action's (payoff_and_gain)
+            gains[lo:lo + size] = (vals.max(axis=1) - chosen).max(axis=0)
+        per_player.append(gains)
+    return np.maximum(per_player[0], per_player[1].T)
 
 
 def is_consistent_2p(
@@ -250,11 +331,14 @@ def enumerate_pure_equilibria_2p(
     On-path perceptions are posteriors per observer type; off-path ones
     are chosen per (own type, observer type, action): the penalty
     minimum under the player's own action, the penalty maximum for
-    deviations.
+    deviations. One batched screen gives every pair's maximum gain;
+    ``_pure_pair_report`` builds and confirms the pairs within ``tol``.
     """
     beliefs = _beliefs(game)
+    profiles = _pure_profiles(game, max_profiles)
     out: list[TwoPlayerEquilibriumReport] = []
-    for actions in _pure_pairs(game, max_profiles):
+    for k0, k1 in zip(*np.nonzero(_pure_pair_gains(game, beliefs, profiles) <= tol)):
+        actions = (tuple(profiles[0][k0].tolist()), tuple(profiles[1][k1].tolist()))
         report = _pure_pair_report(game, actions, beliefs)
         if report.max_gain <= tol:
             out.append(report)
@@ -339,47 +423,41 @@ def enumerate_pure_bne(
     unique maximizer beyond ``tol``.
     """
     beliefs = _beliefs(game)
-    # penalty table per player and type, w[t_obs, a]: zero, or the
-    # penalty at the observer's prior whatever the action
-    pens = []
+    profiles = _pure_profiles(game, max_profiles)
+    vals, weak, strict = [], [], []
     for i, ps in enumerate(game.players):
-        w = np.zeros((ps.types.n, game.players[1 - i].types.n, ps.actions.m))
+        n, m = ps.types.n, ps.actions.m
+        # one penalty table for every profile: zero, or the penalty at
+        # the observer's prior whatever the action
+        w = np.zeros((n, game.players[1 - i].types.n, m, 1))
         if fold_prior_penalty:
-            for t in range(ps.types.n):
+            for t in range(n):
                 for t_obs, prior in enumerate(beliefs[1 - i]):
                     w[t, t_obs] = game.w(i, t, prior, t_obs)
-        pens.append(w)
+        v = _pure_values(ps, beliefs[i], profiles[1 - i], w)[:, :, 0]  # [t, a, j]
+        # each action's best rival: the maximum with that action at -inf
+        rival = np.where(np.eye(m, dtype=bool)[:, :, None], -np.inf, v[:, None]).max(axis=2)
+        # [k, j]: every type's choice under own profile k passes
+        own = (np.arange(n)[:, None], profiles[i].T)
+        weak.append((~(v < v.max(axis=1, keepdims=True) - tol))[own].all(axis=0))
+        strict.append((~(rival >= v - tol))[own].all(axis=0))
+        vals.append(v)
     out: list[PureBNEReport] = []
-    for acts in _pure_pairs(game, max_profiles):
-        payoffs = []
-        strict = True
-        for i, ps in enumerate(game.players):
-            support = [((b, 1.0),) for b in acts[1 - i]]
-            pay = np.empty(ps.types.n)
-            for t, chosen in enumerate(acts[i]):
-                vals = _action_values(ps.v[t], beliefs[i][t], support, pens[i][t])
-                pay[t] = vals[chosen]
-                if pay[t] < float(vals.max()) - tol:
-                    break
-                vals[chosen] = -np.inf  # leaves the best rival reply
-                if float(vals.max()) >= pay[t] - tol:
-                    strict = False
-            else:
-                payoffs.append(pay)
-                continue
-            break  # a type of player i has a better reply
-        else:
-            out.append(
-                PureBNEReport(
-                    actions=acts,
-                    action_labels=tuple(
-                        tuple(game.players[i].actions.labels[a] for a in acts[i])
-                        for i in range(2)
-                    ),
-                    payoffs=(payoffs[0], payoffs[1]),
-                    strict=strict,
-                )
+    for k0, k1 in zip(*np.nonzero(weak[0] & weak[1].T)):
+        k = (k0, k1)
+        acts = tuple(tuple(profiles[i][k[i]].tolist()) for i in range(2))
+        out.append(
+            PureBNEReport(
+                actions=acts,
+                action_labels=tuple(
+                    tuple(game.players[i].actions.labels[a] for a in acts[i]) for i in range(2)
+                ),
+                payoffs=tuple(
+                    vals[i][np.arange(len(acts[i])), profiles[i][k[i]], k[1 - i]] for i in range(2)
+                ),
+                strict=bool(strict[0][k0, k1] and strict[1][k1, k0]),
             )
+        )
     return out
 
 

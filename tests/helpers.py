@@ -5,20 +5,27 @@ they call nothing in the package's penalty or solver modules, so a bug
 there cannot cancel out of both sides of a comparison. Where a test
 needs exact tie agreement (pooling), the closed forms below use the
 same arithmetic expressions the package derives, written out directly.
-The game factories at the end only build inputs: ``tabulate`` copies a
-game's own values onto a lattice, and the ``hypothesis`` strategies
-draw random catalog games.
+The one exception is ``reference_pure_bne``: the two-player solver's
+former per-pair loop, kept to pin its batched replacement bit for bit,
+so it calls the solver's own action-value evaluator. The game
+factories at the end only build inputs: ``tabulate`` copies a game's
+own values onto a lattice, ``random_two_player_game`` draws a seeded
+two-player game, and the ``hypothesis`` strategies draw random catalog
+games.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 from hypothesis import strategies as st
 
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
 from perception_games.penalties import KINDS, PenaltySpec
+from perception_games.testing import _random_penalty, dyadic_prior
+from perception_games.two_player import _action_values, _beliefs
 
 
 # --- penalty evaluation, reimplemented -------------------------------
@@ -167,6 +174,46 @@ def oracle_pure_gains(prior, v, pens, actions, tol=1e-9):
     return gains
 
 
+# --- pure BNE, one profile pair at a time ----------------------------
+
+
+def reference_pure_bne(game, fold_prior_penalty=False, tol=1e-9):
+    """``(actions, strict, payoffs)`` of every pure weak best-reply pair,
+    in lexicographic order: ``enumerate_pure_bne`` as a loop over pairs
+    and types calling ``_action_values``."""
+    beliefs = _beliefs(game)
+    pens = []
+    for i, ps in enumerate(game.players):
+        w = np.zeros((ps.types.n, game.players[1 - i].types.n, ps.actions.m))
+        if fold_prior_penalty:
+            for t in range(ps.types.n):
+                for t_obs, prior in enumerate(beliefs[1 - i]):
+                    w[t, t_obs] = game.w(i, t, prior, t_obs)
+        pens.append(w)
+    out = []
+    for acts in product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players)):
+        payoffs = []
+        strict = True
+        for i, ps in enumerate(game.players):
+            support = [((b, 1.0),) for b in acts[1 - i]]
+            pay = np.empty(ps.types.n)
+            for t, chosen in enumerate(acts[i]):
+                vals = _action_values(ps.v[t], beliefs[i][t], support, pens[i][t])
+                pay[t] = vals[chosen]
+                if pay[t] < float(vals.max()) - tol:
+                    break
+                vals[chosen] = -np.inf  # leaves the best rival reply
+                if float(vals.max()) >= pay[t] - tol:
+                    strict = False
+            else:
+                payoffs.append(pay)
+                continue
+            break  # a type of player i has a better reply
+        else:
+            out.append((acts, strict, (payoffs[0], payoffs[1])))
+    return out
+
+
 # --- game factories --------------------------------------------------
 
 
@@ -195,6 +242,22 @@ def with_player(game, i: int, **changes):
     players = list(game.players)
     players[i] = replace(players[i], **changes)
     return replace(game, players=tuple(players))
+
+
+def random_two_player_game(rng: np.random.Generator, n: int, m: int) -> TwoPlayerPerceptionGame:
+    """``n`` types and ``m`` actions per side, dyadic belief rows, values
+    in [0, 1] and a random catalog penalty per type."""
+    players = []
+    for tp, ap in (("u", "U"), ("l", "L")):
+        labels = tuple(f"{tp}{k}" for k in range(n))
+        players.append(PlayerSpec(
+            types=TypeSpace.plain(labels),
+            actions=ActionSpace.plain(tuple(f"{ap}{k}" for k in range(m))),
+            beliefs=np.array([dyadic_prior(rng, n) for _ in range(n)]),
+            v=rng.uniform(0.0, 1.0, size=(n, n, m, m)),
+            penalties=tuple(_random_penalty(rng, labels) for _ in range(n)),
+        ))
+    return TwoPlayerPerceptionGame(players=tuple(players), allow_discontinuous=True)
 
 
 # --- hypothesis strategies -------------------------------------------

@@ -341,6 +341,36 @@ class TestUsageErrors:
         assert "--grid must be a positive integer" in capsys.readouterr().err
 
 
+class TestProfileRoundTrip:
+    """Profile documents in ``--format json`` output are valid ``verify``
+    input, at full precision."""
+
+    def _verify(self, game_path, doc, tmp_path, capsys) -> dict:
+        prof = tmp_path / "out-profile.json"
+        prof.write_text(json.dumps(doc))
+        assert main(["verify", "--game", game_path, "--profile", str(prof), "--format", "json"]) == 0
+        return _json_out(capsys)
+
+    @pytest.mark.parametrize("name", ["blog", "two_player"])
+    def test_equilibria_profiles_verify(self, name, tmp_path, capsys):
+        game = get_fixture(name)
+        path = str(tmp_path / "game.json")
+        save_game(game, path)
+        assert main(["equilibria", "--game", path, "--format", "json"]) == 0
+        rows = _json_out(capsys)["equilibria"]
+        solve = enumerate_pure_equilibria_2p if name == "two_player" else enumerate_pure_equilibria
+        reports = solve(game)
+        assert len(rows) == len(reports) > 0
+        for row, rep in zip(rows, reports):
+            assert row["profile"] == profile_to_document(rep.strategy, rep.perceptions)
+            assert self._verify(path, row["profile"], tmp_path, capsys)["accepted"] is True
+
+    def test_pooling_witness_verifies(self, blog_path, tmp_path, capsys):
+        assert main(["pooling", "--game", blog_path, "--mode", "upper", "--format", "json"]) == 0
+        witness = _json_out(capsys)["witness"]
+        assert self._verify(blog_path, witness, tmp_path, capsys)["accepted"] is True
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -1,9 +1,12 @@
+import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
+from perception_games import model, penalties, two_player
 from perception_games.fixtures import two_player_game
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
@@ -14,7 +17,9 @@ from perception_games.two_player import (
     TwoPlayerStrategy,
     _action_values,
     _beliefs,
+    _pure_pair_gains,
     _pure_pair_report,
+    _pure_profiles,
     embed_single,
     enumerate_pure_bne,
     enumerate_pure_equilibria_2p,
@@ -22,7 +27,12 @@ from perception_games.two_player import (
     verify_equilibrium_2p,
 )
 
-from helpers import two_player_catalog_games, with_player
+from helpers import (
+    random_two_player_game,
+    reference_pure_bne,
+    two_player_catalog_games,
+    with_player,
+)
 from test_kernels import additive_catalog_games
 
 # frozen: action pair -> (player 0 payoffs, player 1 payoffs)
@@ -247,6 +257,117 @@ class TestWitnessesVerifyBitwise:
             assert res.consistent
             for got, want in zip(res.payoffs + res.gains, rep.payoffs + rep.gains):
                 assert got.tobytes() == want.tobytes(), (actions, got, want)
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestBatchedScreen:
+    """The pure enumerators screen every pair in one batch; the per-pair
+    oracle and the former BNE loop pin the batch bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=two_player_catalog_games())
+    # generic floats and three observer types, where the order of the
+    # sum over observers shows in the bits
+    @example(game=random_two_player_game(np.random.default_rng(0), 3, 2))
+    def test_gains_equal_the_oracle_for_every_pair(self, game):
+        beliefs = _beliefs(game)
+        gains = _pure_pair_gains(game, beliefs, _pure_profiles(game, 1_000_000))
+        pairs = product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players))
+        for got, actions in zip(gains.ravel().tolist(), pairs, strict=True):
+            want = _pure_pair_report(game, actions, beliefs).max_gain
+            assert _same_bits(got, want), (actions, got, want)
+
+    @staticmethod
+    def _assert_bne_matches_reference(game, tol=1e-9):
+        for fold in (False, True):
+            got = enumerate_pure_bne(game, fold_prior_penalty=fold, tol=tol)
+            want = reference_pure_bne(game, fold_prior_penalty=fold, tol=tol)
+            assert [(r.actions, r.strict) for r in got] == [(a, s) for a, s, _ in want]
+            for r, (_, _, payoffs) in zip(got, want):
+                for p, q in zip(r.payoffs, payoffs):
+                    assert p.tobytes() == q.tobytes(), (r.actions, p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=two_player_catalog_games())
+    def test_bne_matches_reference_loop(self, game):
+        self._assert_bne_matches_reference(game)
+        self._assert_bne_matches_reference(game, tol=0.5)
+
+    @pytest.mark.parametrize(
+        "variant", ["fixture", "indifferent-opponent", "zero-penalties"]
+    )
+    def test_bne_matches_reference_loop_on_ties(self, variant):
+        g = two_player_game()
+        if variant == "indifferent-opponent":
+            g = with_player(g, 1, v=np.zeros_like(g.players[1].v))
+        elif variant == "zero-penalties":
+            g = _zero_penalties(g)
+        self._assert_bne_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "enumerate_",
+        [
+            enumerate_pure_equilibria_2p,
+            enumerate_pure_bne,
+            lambda g, **kw: enumerate_pure_bne(g, fold_prior_penalty=True, **kw),
+        ],
+        ids=["equilibria", "bne", "bne-folded"],
+    )
+    def test_cap_raises_before_any_penalty_is_evaluated(self, enumerate_, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("penalty evaluated before the cap check")
+
+        for module, name in [
+            (penalties, "penalty_value"), (penalties, "penalty_batch"),
+            (penalties, "penalty_range"), (model, "penalty_value"), (model, "penalty_range"),
+            (two_player, "penalty_value"), (two_player, "penalty_batch"),
+            (two_player, "penalty_range"),
+        ]:
+            monkeypatch.setattr(module, name, fail)
+        # 2 types x 2 actions per side: 4 x 4 pairs
+        with pytest.raises(ValueError, match=r"^16 pure profile pairs exceed max_profiles=15$"):
+            enumerate_(two_player_game(), max_profiles=15)
+        # the belief rows are checked first
+        nan_game = with_player(
+            two_player_game(), 0, beliefs=np.array([[np.nan, 1.0], [0.5, 0.5]])
+        )
+        with pytest.raises(ValueError, match="player 0 beliefs.*non-finite"):
+            enumerate_(nan_game, max_profiles=15)
+
+    def test_near_cap_game_matches_the_oracle(self):
+        # 6 types x 3 actions per side: 729 x 729 = 531,441 pairs; one
+        # (pair, type, action) value array would take 76 MB per player
+        game = random_two_player_game(np.random.default_rng(1), 6, 3)
+        tol = 0.2
+        beliefs = _beliefs(game)
+        profiles = _pure_profiles(game, 1_000_000)
+        tracemalloc.start()
+        try:
+            gains = _pure_pair_gains(game, beliefs, profiles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gains.shape == (729, 729)
+        assert peak < 48e6, peak
+        start = time.perf_counter()
+        found = enumerate_pure_equilibria_2p(game, tol=tol)
+        assert time.perf_counter() - start < 60.0
+        kept = np.flatnonzero(gains <= tol)
+        assert 0 < kept.size < 100
+        assert [r.strategy.pure_actions() for r in found] == [
+            (tuple(profiles[0][k // 729].tolist()), tuple(profiles[1][k % 729].tolist()))
+            for k in kept
+        ]
+        rng = np.random.default_rng(2)
+        rejected = rng.choice(np.flatnonzero(gains > tol), 300 - kept.size, replace=False)
+        for k in np.concatenate([kept, rejected]).tolist():
+            k0, k1 = divmod(k, 729)
+            actions = (tuple(profiles[0][k0].tolist()), tuple(profiles[1][k1].tolist()))
+            want = _pure_pair_report(game, actions, beliefs).max_gain
+            assert _same_bits(gains[k0, k1], want), (actions, gains[k0, k1], want)
 
 
 class TestZeroPenaltyReduction:
