@@ -38,6 +38,20 @@ times the whole grid. A 3-action grid at step 0.05 has 21**3 columns
 for 231**3 profiles. The table keeps each type's rows as one
 contiguous row of ``m * V**n`` entries, so one ``np.take`` along those
 rows looks up a chunk's utility rows.
+
+Before a whole grid of an additive game is swept, ``screen_profiles``
+decides most of it without the kernel. A cell is one node per type of
+``grid_tree``, the grid's points halved down to single points, so a
+type's strategy lies in a box of action probabilities.
+``cell_lower_bound`` bounds a batch of cells at once: the prior mass
+each type sends to an action lies in a box, so each posterior
+coordinate and event mass lies in an interval (``simplex.share_bounds``),
+each penalty in an interval (``penalties.penalty_bounds``), each
+utility in ``[L, H]``, and the gain above a certified lower bound. The
+screen prunes the cells bounded above the tolerance, splits the others
+level by level and returns the profiles of the small cells it keeps;
+``single.search_mixed_equilibria`` sweeps those through the kernel, and
+the exact ``single.profile_report`` confirms the survivors as before.
 """
 
 from __future__ import annotations
@@ -47,18 +61,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import PerceptionGame
-from .penalties import Penalty, penalty_batch
-from .simplex import lattice_rank
+from .penalties import Penalty, penalty_batch, penalty_bounds
+from .simplex import BOUND_SLACK, lattice_rank
 
 __all__ = [
     "GamePack",
     "pack_game",
     "decode_profiles",
     "sweep_profile_gains",
+    "GridTree",
+    "grid_tree",
+    "cell_lower_bound",
+    "screen_profiles",
 ]
 
 # float64 cells per chunk of the (n, m, profiles) working arrays
 _CHUNK_BUDGET = 32_768
+
+# the cell screen sweeps a kept cell once it holds this many profiles or
+# fewer, and splits a larger one on this many types at most
+_LEAF = 256
+_SPLIT_TYPES = 4
 
 # finite stand-in for "no row yet" in the max folds
 _NEG = -1.7976931348623157e308
@@ -277,3 +300,164 @@ def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -
         stop = min(start + chunk, idx.shape[0])
         out[start:stop] = _gains_numpy(idx[start:stop], grid_pts, pack, table)
     return out
+
+
+@dataclass(frozen=True)
+class GridTree:
+    """The grid's points split in halves down to single points: node
+    ``i`` holds the ``size[i]`` points from index ``start[i]`` on, and
+    its halves are nodes ``child[i]`` and ``child[i] + 1`` (``child`` is
+    0 at a single point). ``low[a, i]`` and ``high[a, i]`` bound the
+    probability of action ``a`` over the node's points. Node 0 is the
+    whole grid, and a grid of ``G`` points has ``2 * G - 1`` nodes."""
+
+    start: np.ndarray  # (N,)
+    size: np.ndarray  # (N,)
+    child: np.ndarray  # (N,)
+    low: np.ndarray  # (m, N)
+    high: np.ndarray  # (m, N)
+
+
+def grid_tree(grid_pts: np.ndarray) -> GridTree:
+    G, m = grid_pts.shape
+    # one level at a time: each node of more than one point splits into
+    # its first half and the rest, and the halves follow the whole level
+    levels = [(np.zeros(1, np.int64), np.full(1, G, np.int64))]
+    while (levels[-1][1] > 1).any():
+        start, size = levels[-1]
+        split = size > 1
+        half = size[split] // 2
+        levels.append((
+            np.stack([start[split], start[split] + half], axis=1).ravel(),
+            np.stack([half, size[split] - half], axis=1).ravel(),
+        ))
+    start = np.concatenate([lv[0] for lv in levels])
+    size = np.concatenate([lv[1] for lv in levels])
+    split = size > 1
+    child = np.zeros(size.size, np.int64)
+    child[split] = 1 + 2 * np.arange(np.count_nonzero(split))
+    low, high = np.empty((m, size.size)), np.empty((m, size.size))
+    point = ~split
+    low[:, point] = high[:, point] = np.take(grid_pts.T, start[point], axis=1)
+    # a node's halves sit on the next level: fill the levels last first
+    bounds = np.cumsum([0] + [lv[0].size for lv in levels])
+    for lv in range(len(levels) - 1, -1, -1):
+        nodes = bounds[lv] + np.flatnonzero(split[bounds[lv] : bounds[lv + 1]])
+        c = child[nodes]
+        low[:, nodes] = np.minimum(low[:, c], low[:, c + 1])
+        high[:, nodes] = np.maximum(high[:, c], high[:, c + 1])
+    return GridTree(start, size, child, low, high)
+
+
+def cell_lower_bound(pack: GamePack, tree: GridTree, cells: np.ndarray) -> np.ndarray:
+    """A lower bound on the kernel's gain at every profile of each cell.
+
+    Cell ``j`` gives type ``t`` the points of tree node ``cells[t, j]``
+    (``cells`` is ``(n, B)``), so each type's strategy lies in a box
+    ``[low, high]`` per action. An additive game's utility of action
+    ``a`` then lies in an interval ``[L, H]``: from ``penalty_bounds``
+    over the box of prior masses when the action is surely on path
+    (some type surely sends mass to it), and widened to ``[u_min,
+    u_max]``, which holds every off-path fill, when it may be off path.
+    Type ``t``'s gain is at least ``U(b) - sum_a sigma_a U(a) = sum_{a
+    != b} sigma_a (U(b) - U(a))`` for every ``b``, which is at least the
+    box minimum of ``sum_{a != b} sigma_a (L_b - H_a)``: ``low`` where
+    the coefficient is nonnegative, ``high`` where it is negative. The
+    bound is the largest of these over types and ``b``, less a margin of
+    ``BOUND_SLACK`` times the game's largest ``|v|``, ``|u_min|`` or
+    ``|u_max|`` for the kernel's rounding.
+    """
+    n, m = pack.u_min.shape
+    lo = np.take(tree.low, cells, axis=1).transpose(1, 0, 2)  # (n, m, B)
+    hi = np.take(tree.high, cells, axis=1).transpose(1, 0, 2)
+    mass_lo = lo * pack.prior[:, None, None]
+    mass_hi = hi * pack.prior[:, None, None]
+    sure = mass_lo.sum(axis=0) > 0.0  # (m, B)
+    never = mass_hi.sum(axis=0) == 0.0
+    u_min, u_max = pack.u_min[:, :, None], pack.u_max[:, :, None]
+    low_u = np.empty(lo.shape)
+    high_u = np.empty(lo.shape)
+    for t in range(n):
+        w_lo, w_hi = penalty_bounds(pack.penalties[t], mass_lo, mass_hi)
+        low_u[t] = pack.v[t, :, None] - w_hi
+        high_u[t] = pack.v[t, :, None] - w_lo
+    low_u = np.where(sure, low_u, np.where(never, u_min, np.minimum(low_u, u_min)))
+    high_u = np.where(sure, high_u, np.where(never, u_max, np.maximum(high_u, u_max)))
+    bound = np.full(cells.shape[1], -np.inf)
+    for b in range(m):
+        coef = low_u[:, b : b + 1] - high_u  # (n, m, B)
+        term = np.minimum(lo * coef, hi * coef)
+        term[:, b] = 0.0
+        bound = np.maximum(bound, term.sum(axis=1).max(axis=0))
+    scale = max(np.abs(pack.v).max(), np.abs(pack.u_min).max(), np.abs(pack.u_max).max())
+    return bound - BOUND_SLACK * scale
+
+
+def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple[np.ndarray, int]:
+    """The codes, ascending, of the profiles of an additive game whose
+    cells ``cell_lower_bound`` cannot put above ``limit``, and the lowest
+    code of the pruned cell with the least bound (-1 when none is pruned).
+
+    The screen runs the tree of cells breadth first, bounding each level
+    in batches of cells: the root gives every type the whole grid, a
+    cell bounded above ``limit`` is pruned, a kept cell of at most
+    ``_LEAF`` profiles is a leaf, and every other kept cell is split in
+    half on each of its ``_SPLIT_TYPES`` types with the most points (the
+    first ones on a tie), so cells shrink about evenly on every type.
+    Every profile whose gain is at most ``limit`` lies in a leaf.
+    """
+    n = pack.u_min.shape[0]
+    G = grid_pts.shape[0]
+    tree = grid_tree(grid_pts)
+    batch = max(1, _CHUNK_BUDGET // pack.u_min.size)
+    cells = np.zeros((n, 1), dtype=np.int64)
+    leaves = []
+    least, seed = np.inf, cells[:, :0]
+    while cells.shape[1]:
+        bound = np.concatenate([
+            cell_lower_bound(pack, tree, cells[:, i : i + batch])
+            for i in range(0, cells.shape[1], batch)
+        ])
+        cut = bound > limit
+        if cut.any():
+            i = int(np.argmin(np.where(cut, bound, np.inf)))
+            if bound[i] < least:
+                least, seed = bound[i], cells[:, i : i + 1]
+            cells = cells[:, ~cut]
+        size = np.take(tree.size, cells)
+        leaf = size.prod(axis=0) <= _LEAF
+        leaves.append(cells[:, leaf])
+        cells, size = cells[:, ~leaf], size[:, ~leaf]
+        rank = np.argsort(np.argsort(-size, axis=0, kind="stable"), axis=0)
+        wide = (rank < _SPLIT_TYPES) & (size > 1)
+        for t in range(n):
+            sel = np.flatnonzero(wide[t])
+            first = np.take(tree.child, cells[t, sel])
+            cells[t, sel] = first
+            second = cells[:, sel]
+            second[t] = first + 1
+            cells = np.concatenate([cells, second], axis=1)
+            wide = np.concatenate([wide, wide[:, sel]], axis=1)
+    codes = np.sort(_codes(tree, np.concatenate(leaves, axis=1), G))
+    if not seed.size:
+        return codes, -1
+    # a cell's lowest code gives each type the first point of its node
+    return codes, sum(int(tree.start[c]) * G ** (n - 1 - t) for t, c in enumerate(seed[:, 0]))
+
+
+def _codes(tree: GridTree, cells: np.ndarray, G: int) -> np.ndarray:
+    """The profile codes of the cells ``(n, L)``, cell by cell."""
+    n = cells.shape[0]
+    start = np.take(tree.start, cells)
+    size = np.take(tree.size, cells)
+    count = size.prod(axis=0)
+    owner = np.repeat(np.arange(cells.shape[1]), count)
+    rest = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    code = np.zeros(owner.size, dtype=np.int64)
+    place = 1
+    for t in range(n - 1, -1, -1):
+        s = np.take(size[t], owner)
+        code += (np.take(start[t], owner) + rest % s) * place
+        rest //= s
+        place *= G
+    return code

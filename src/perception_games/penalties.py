@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simplex import Belief, Range, dirac
+from .simplex import Belief, Range, dirac, share_bounds
 
 KINDS = ("zero", "tv_to_prior", "exposure", "piecewise_linear_marginal", "step_marginal")
 MARGINAL_KINDS = ("piecewise_linear_marginal", "step_marginal")
@@ -50,6 +50,7 @@ __all__ = [
     "step_value",
     "penalty_value",
     "penalty_batch",
+    "penalty_bounds",
     "penalty_range",
     "validate_spec",
 ]
@@ -270,16 +271,7 @@ def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
     for s in pen.event:
         x = x + post[s]
     if spec.kind == "piecewise_linear_marginal":
-        kx, ky = pen.knots
-        dx, dy = pen.steps
-        # the segment of x: the number of interior knots strictly below
-        # it, which is searchsorted(kx, x, "left") - 1 clipped to the
-        # segments, since the knots strictly increase
-        j = np.zeros(x.shape, dtype=np.int64)
-        for k in kx[1:-1].tolist():
-            j += x > k
-        frac = (x - np.take(kx, j)) / np.take(dx, j)
-        return w * (np.take(ky, j) + frac * np.take(dy, j))
+        return w * _polyline_batch(pen, x)
     val = np.zeros(x.shape)
     assigned = np.zeros(x.shape, dtype=bool)
     for lo, hi, pv, il, ih in spec.pieces:
@@ -289,6 +281,81 @@ def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
         val[match] = pv
         assigned |= match
     return w * val
+
+
+def _polyline_batch(pen: Penalty, x: np.ndarray) -> np.ndarray:
+    """The unweighted knot polyline at each event mass in ``x``."""
+    kx, ky = pen.knots
+    dx, dy = pen.steps
+    # the segment of x: the number of interior knots strictly below
+    # it, which is searchsorted(kx, x, "left") - 1 clipped to the
+    # segments, since the knots strictly increase
+    j = np.zeros(x.shape, dtype=np.int64)
+    for k in kx[1:-1].tolist():
+        j += x > k
+    frac = (x - np.take(kx, j)) / np.take(dx, j)
+    return np.take(ky, j) + frac * np.take(dy, j)
+
+
+def penalty_bounds(pen: Penalty, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(low, high)`` enclosing ``penalty_batch`` at every posterior
+    after an action that reaches it, when each type's prior mass at the
+    action lies in ``[lo, hi]``: types on the first axis, as ``post`` is
+    for ``penalty_batch``, and results of shape ``lo.shape[1:]``.
+
+    Each kind reads one interval, a ratio of box-bounded masses from
+    ``share_bounds``: ``exposure`` the type's own posterior coordinate,
+    the marginal kinds the event's mass, and ``tv_to_prior`` every
+    coordinate. Over its interval a kind takes its exact extremes: the
+    polyline at the ends and the knots inside, the step at every piece
+    boundary and open gap the interval meets. ``tv_to_prior`` is bounded
+    coordinate by coordinate: the total variation is both the mass
+    above the anchor and the mass below it. The enclosure holds up to a
+    few float roundings (a polyline's value at a knot, the two sums of
+    the total variation), which the caller's margin must cover.
+    """
+    spec = pen.spec
+    w = spec.weight
+    if spec.kind == "zero":
+        zero = np.zeros(lo.shape[1:])
+        return zero, zero
+    total_lo, total_hi = lo.sum(axis=0), hi.sum(axis=0)
+    if spec.kind in ("tv_to_prior", "exposure"):
+        members = range(pen.n) if spec.kind == "tv_to_prior" else (pen.type_index,)
+        shares = [share_bounds(lo[s], hi[s], total_lo - lo[s], total_hi - hi[s]) for s in members]
+        if spec.kind == "exposure":
+            return w * shares[0][0], w * shares[0][1]
+        zero = np.zeros(lo.shape[1:])
+        above_lo, above_hi, below_lo, below_hi = zero, zero, zero, zero
+        for (x_lo, x_hi), b in zip(shares, pen.anchor.tolist()):
+            above_lo = above_lo + np.maximum(x_lo - b, 0.0)
+            above_hi = above_hi + np.maximum(x_hi - b, 0.0)
+            below_lo = below_lo + np.maximum(b - x_hi, 0.0)
+            below_hi = below_hi + np.maximum(b - x_lo, 0.0)
+        return w * np.maximum(above_lo, below_lo), w * np.minimum(above_hi, below_hi)
+    inside = np.zeros(lo.shape[1:]), np.zeros(lo.shape[1:])
+    for s in pen.event:
+        inside = inside[0] + lo[s], inside[1] + hi[s]
+    x_lo, x_hi = share_bounds(*inside, total_lo - inside[0], total_hi - inside[1])
+    if spec.kind == "piecewise_linear_marginal":
+        ends = _polyline_batch(pen, x_lo), _polyline_batch(pen, x_hi)
+        low, high = np.minimum(*ends), np.maximum(*ends)
+        kx, ky = pen.knots
+        reached = [((x_lo < k) & (k < x_hi), y) for k, y in zip(kx.tolist(), ky.tolist())]
+    else:
+        # the step is constant on each open gap between piece bounds
+        cuts = sorted({p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
+        inner = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+        edges = [-np.inf, *cuts, np.inf]
+        low, high = np.full(x_lo.shape, np.inf), np.full(x_lo.shape, -np.inf)
+        reached = [
+            ((x_lo < b) & (a < x_hi), step_value(spec.pieces, g))
+            for g, a, b in zip([cuts[0] - 1.0, *inner, cuts[-1] + 1.0], edges, edges[1:])
+        ] + [((x_lo <= c) & (c <= x_hi), step_value(spec.pieces, c)) for c in cuts]
+    for meets, y in reached:
+        low = np.where(meets, np.minimum(low, y), low)
+        high = np.where(meets, np.maximum(high, y), high)
+    return w * low, w * high
 
 
 def _belief_with_marginal(x: float, pen: Penalty) -> Belief:

@@ -3,9 +3,10 @@
 Beliefs are points of the probability simplex over a finite label set.
 This module provides the point type, exact rational grids on the simplex
 and the rank of a grid point, total variation distance, the observer's
-Bayes update and the consistency check built on it, and the range
-record of a function over the simplex. Everything downstream
-(penalties, games, solvers) works in terms of these primitives;
+Bayes update, its bounds over a box of masses and the consistency
+check built on it, and the range record of a function over the
+simplex. Everything downstream (penalties, games, solvers) works in
+terms of these primitives;
 ``distributions`` is the one check of priors, beliefs, strategies and
 perception maps, and ``posterior`` the one scalar Bayes update.
 """
@@ -23,16 +24,21 @@ import numpy as np
 SUM_TOL = 1e-12
 # Tolerance for weak inequality comparisons (best replies, ties).
 WEAK_TOL = 1e-9
+# Relative widening of certified bounds, far above the few float64
+# roundings (about 1e-16 each) that a batched evaluation accumulates.
+BOUND_SLACK = 1e-12
 
 __all__ = [
     "SUM_TOL",
     "WEAK_TOL",
+    "BOUND_SLACK",
     "distributions",
     "Belief",
     "dirac",
     "uniform",
     "tv_distance",
     "posterior",
+    "share_bounds",
     "consistency_errors",
     "Range",
     "SimplexGrid",
@@ -148,6 +154,24 @@ def posterior(prior: np.ndarray, column: np.ndarray) -> np.ndarray | None:
     if not q > 0.0:
         return None
     return prior * column / q
+
+
+def share_bounds(
+    part_lo: np.ndarray, part_hi: np.ndarray, rest_lo: np.ndarray, rest_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the posterior mass ``part / (part + rest)`` of a set of
+    types after an action, when the prior mass those types send to it
+    lies in ``[part_lo, part_hi]`` and the other types' in ``[rest_lo,
+    rest_hi]`` (arrays of one shape, all nonnegative). The share rises
+    with ``part`` and falls with ``rest``, so the corners give the
+    bounds; a corner with no mass at all gives 0. Both bounds are
+    widened by ``BOUND_SLACK`` relative, so that they hold the share as
+    the batched update rounds it too."""
+    lo_den = part_lo + rest_hi
+    hi_den = part_hi + rest_lo
+    lo = np.divide(part_lo, lo_den, out=np.zeros(lo_den.shape), where=lo_den > 0.0)
+    hi = np.divide(part_hi, hi_den, out=np.zeros(hi_den.shape), where=hi_den > 0.0)
+    return lo * (1.0 - BOUND_SLACK), hi * (1.0 + BOUND_SLACK)
 
 
 def consistency_errors(

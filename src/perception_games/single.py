@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import decode_profiles, pack_game, sweep_profile_gains
+from .kernels import decode_profiles, pack_game, screen_profiles, sweep_profile_gains
 from .model import PerceptionGame, PrivacyReport, classify_privacy
 from .simplex import WEAK_TOL, Belief, SimplexGrid, consistency_errors, distributions, posterior
 
@@ -334,12 +334,17 @@ def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> np.ndarr
 
 @dataclass(frozen=True)
 class MixedSearchResult:
-    """Grid sweep over mixed profiles; survivors have gain <= tol."""
+    """Grid sweep over mixed profiles; survivors have gain <= tol.
+
+    ``swept`` counts the profiles decided, by the cell bound or by the
+    kernel; ``evaluated`` the profile codes the kernel evaluated, which
+    is ``swept`` unless the cell screen pruned some."""
 
     step: float
     resolution: int
     total: int
     swept: int
+    evaluated: int
     subsampled: bool
     min_max_gain: float
     argmin: Strategy
@@ -363,10 +368,19 @@ def search_mixed_equilibria(
     seed has). The subsample draws codes with replacement, so a profile
     can be swept more than once and ``swept`` counts draws, not
     distinct profiles. A per-type grid with more than ``max_profiles``
-    points is rejected before it is built. ``survivor_count`` counts
-    screened profiles; the reported survivors are rebuilt and confirmed
-    in exact Python semantics, so kernel rounding never decides
-    membership.
+    points is rejected before it is built.
+
+    The whole grid of an additive game is screened first: the kernel
+    evaluates only the profiles in cells whose certified lower bound on
+    the gain (``kernels.screen_profiles``) is at most ``tol``, so
+    ``evaluated`` can be far below ``swept``; a tabulated game's grid
+    and a subsample go to the kernel whole. The screen changes no
+    result: the survivors, their count, ``min_max_gain`` and the
+    argmin (the lowest code with the least gain) are those of the whole
+    sweep. ``survivor_count`` counts screened profiles; the reported
+    survivors are the first ``max_survivors`` of them in code order,
+    rebuilt and confirmed by the exact ``profile_report``, so kernel
+    rounding never decides membership.
     """
     # a NaN, infinite, nonpositive or subnormal step leaves resolution 0
     inverse = 1.0 / step if 0.0 < step < np.inf else 0.0
@@ -382,16 +396,18 @@ def search_mixed_equilibria(
         )
     pts = grid.points()
     total = G ** game.n
-    if total > max_profiles:
+    subsampled = total > max_profiles
+    if subsampled:
         rng = np.random.default_rng(seed)
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
         idx = rng.integers(0, total, size=max_profiles, dtype=np.int64)
-        subsampled = True
-    else:
+        gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+    elif game.utility.kind == "tabulated_grid":
         idx = np.arange(total, dtype=np.int64)
-        subsampled = False
-    gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+        gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+    else:
+        idx, gains, survivors = _screened_sweep(game, pts, tol, max_survivors)
     best = int(np.argmin(gains))
     screened = int(np.count_nonzero(gains <= tol))
     argmin_sigma = decode_profiles(pts, idx[best], game.n)
@@ -399,7 +415,8 @@ def search_mixed_equilibria(
         step=step,
         resolution=resolution,
         total=total,
-        swept=int(idx.size),
+        swept=max_profiles if subsampled else total,
+        evaluated=int(idx.size),
         subsampled=subsampled,
         min_max_gain=float(gains[best]),
         argmin=Strategy(game, argmin_sigma),
@@ -407,6 +424,36 @@ def search_mixed_equilibria(
         survivor_count=screened,
         truncated=screened > max_survivors,
     )
+
+
+def _screened_sweep(
+    game: PerceptionGame, pts: np.ndarray, tol: float, max_survivors: int
+) -> tuple[np.ndarray, np.ndarray, list[EquilibriumReport]]:
+    """``_sweep`` over the whole grid ``pts`` of an additive game, run on
+    the profiles the cell screen keeps: the codes evaluated, ascending,
+    their gains and the survivors.
+
+    A pruned profile's gain is above ``tol``, so the survivors and their
+    count are the whole sweep's, and so are the least gain and its
+    lowest code whenever a profile survives. When none does, the least
+    gain may lie in a pruned cell: a second screen at the least gain
+    found so far (or at the gain of the lowest code of the cell with the
+    least bound, when every cell was pruned) keeps every cell that can
+    hold a profile as good, and the kernel evaluates the profiles it
+    adds."""
+    pack = pack_game(game)
+    idx, seed = screen_profiles(pack, pts, tol)
+    gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+    if seed < 0 or (gains <= tol).any():
+        return idx, gains, survivors
+    if not idx.size:
+        idx = np.array([seed], dtype=np.int64)
+        gains = sweep_profile_gains(pack, pts, idx)
+    more = np.setdiff1d(screen_profiles(pack, pts, gains.min())[0], idx, assume_unique=True)
+    idx = np.concatenate([idx, more])
+    gains = np.concatenate([gains, sweep_profile_gains(pack, pts, more)])
+    order = np.argsort(idx)
+    return idx[order], gains[order], survivors
 
 
 @dataclass(frozen=True)

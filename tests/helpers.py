@@ -5,9 +5,12 @@ they call nothing in the package's penalty or solver modules, so a bug
 there cannot cancel out of both sides of a comparison. Where a test
 needs exact tie agreement (pooling), the closed forms below use the
 same arithmetic expressions the package derives, written out directly.
-The one exception is ``reference_pure_bne``: the two-player solver's
+The exceptions are ``reference_pure_bne``, the two-player solver's
 former per-pair loop, kept to pin its batched replacement bit for bit,
-so it calls the solver's own action-value evaluator. The game
+so it calls the solver's own action-value evaluator, and
+``reference_mixed_search``, the mixed search's former full-grid sweep,
+kept to pin the cell screen's results, so it calls the solver's own
+sweep. The game
 factories at the end only build inputs: ``tabulate`` copies a game's
 own values onto a lattice, ``random_two_player_game`` draws a seeded
 two-player game, and the ``hypothesis`` strategies draw random catalog
@@ -22,8 +25,11 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
+from perception_games.kernels import decode_profiles
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
 from perception_games.penalties import KINDS, PenaltySpec
+from perception_games.simplex import SimplexGrid
+from perception_games.single import MixedSearchResult, Strategy, _sweep
 from perception_games.testing import _random_penalty, dyadic_prior
 from perception_games.two_player import _action_values, _beliefs
 
@@ -212,6 +218,35 @@ def reference_pure_bne(game, fold_prior_penalty=False, tol=1e-9):
         else:
             out.append((acts, strict, (payoffs[0], payoffs[1])))
     return out
+
+
+# --- full-grid mixed search, every profile through the kernel ---------
+
+
+def reference_mixed_search(game, step, tol=1e-9, max_survivors=10_000):
+    """``search_mixed_equilibria`` over a whole grid without the cell
+    screen: ``_sweep`` over every code, and the lowest code with the
+    least gain as the argmin."""
+    resolution = round(1.0 / step)
+    pts = SimplexGrid(game.m, resolution).points()
+    total = pts.shape[0] ** game.n
+    idx = np.arange(total, dtype=np.int64)
+    gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+    best = int(np.argmin(gains))
+    screened = int(np.count_nonzero(gains <= tol))
+    return MixedSearchResult(
+        step=step,
+        resolution=resolution,
+        total=total,
+        swept=total,
+        evaluated=total,
+        subsampled=False,
+        min_max_gain=float(gains[best]),
+        argmin=Strategy(game, decode_profiles(pts, best, game.n)),
+        survivors=tuple(survivors),
+        survivor_count=screened,
+        truncated=screened > max_survivors,
+    )
 
 
 # --- game factories --------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -103,6 +104,28 @@ def polyline_knots_game() -> PerceptionGame:
             PenaltySpec.piecewise_linear(knots, over=("t0",)),
             PenaltySpec.piecewise_linear(knots, over=("t0", "t1")),
             PenaltySpec.piecewise_linear(knots, over=("t1", "t2"), weight=0.5),
+        ],
+    )
+
+
+def full_event_step_game() -> PerceptionGame:
+    """t2 and t3 have no prior mass and a step over the event of every
+    type, whose range is its value at mass 1. With prior [0.4, 0.6], the
+    masses after an action sum to 1.0000000000000002 when t0 and t1 play
+    it with probabilities 0.2 and 1.0, and to 0.9999999999999999 with
+    0.2 and 0.8. The pieces miss the first and the second respectively,
+    so t2's row there lies above its ``u_max`` and t3's below its
+    ``u_min``: a cell in which the action may be off path must still
+    bound those rows by their on-path values."""
+    every = ("t0", "t1", "t2", "t3")
+    return _game(
+        [0.4, 0.6, 0.0, 0.0],
+        [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+        [
+            PenaltySpec.zero(),
+            PenaltySpec.zero(),
+            PenaltySpec.step(((0.5, 1.0, 2.0, True, True),), over=every),
+            PenaltySpec.step(((1.0, 1.0, 0.0, True, True), (0.0, 1.0, 2.0, True, True)), over=every),
         ],
     )
 
@@ -450,3 +473,165 @@ class TestSweepDigests:
         gains = sweep_profile_gains(pack_game(game), pts, idx)
         assert gains.dtype == np.float64 and gains.shape == idx.shape
         assert hashlib.sha256(gains.tobytes()).hexdigest() == digest
+
+
+def _scaled(game, factor: float) -> PerceptionGame:
+    """``game`` with ``v`` and every penalty weight times ``factor``."""
+    um = game.utility
+    penalties = tuple(replace(p, weight=p.weight * factor) for p in um.penalties)
+    return replace(game, utility=replace(um, v=um.v * factor, penalties=penalties))
+
+
+def _cell_minima(game, pts, tree, cells) -> np.ndarray:
+    """The least kernel gain over the profiles of each cell (``(n, B)``
+    tree nodes), swept cell by cell."""
+    codes = kernels._codes(tree, cells, pts.shape[0])
+    gains = sweep_profile_gains(pack_game(game), pts, codes)
+    count = np.take(tree.size, cells).prod(axis=0)
+    return np.minimum.reduceat(gains, np.cumsum(count) - count)
+
+
+def _assert_sound(game, pts, cells):
+    """At every scale, each cell's bound is at most every kernel gain
+    in it."""
+    tree = kernels.grid_tree(pts)
+    for factor in (1.0, 1e6, 1e-6):
+        scaled = _scaled(game, factor)
+        bound = kernels.cell_lower_bound(pack_game(scaled), tree, cells)
+        least = _cell_minima(scaled, pts, tree, cells)
+        bad = np.flatnonzero(~(bound <= least))
+        assert not bad.size, (factor, cells[:, bad[:3]].T, bound[bad[:3]], least[bad[:3]])
+
+
+def _every_cell(tree, n) -> np.ndarray:
+    nodes = np.arange(tree.size.size)
+    return np.array(list(product(nodes, repeat=n)), dtype=np.int64).T
+
+
+@st.composite
+def tree_cells(draw, tree, n, count=4, cap=2_000):
+    """``count`` cells of at most ``cap`` profiles: each type takes a
+    node reached by a random walk down from the root, and the widest
+    type walks on while the cell is too large."""
+    cells = np.empty((n, count), dtype=np.int64)
+    for j in range(count):
+        cell = []
+        for _ in range(n):
+            node = 0
+            while tree.size[node] > 1 and draw(st.booleans()):
+                node = tree.child[node] + draw(st.integers(0, 1))
+            cell.append(node)
+        while np.prod(tree.size[cell]) > cap:
+            t = int(np.argmax(tree.size[cell]))
+            cell[t] = tree.child[cell[t]] + draw(st.integers(0, 1))
+        cells[:, j] = cell
+    return cells
+
+
+class TestGridTree:
+    @pytest.mark.parametrize("m, k", [(1, 3), (2, 1), (2, 20), (3, 5), (4, 3)])
+    def test_nodes_are_halves_with_their_ranges(self, m, k):
+        pts = SimplexGrid(m, k).points()
+        G = pts.shape[0]
+        tree = kernels.grid_tree(pts)
+        assert tree.size.size == 2 * G - 1
+        assert (tree.start[0], tree.size[0]) == (0, G)
+        for i in range(tree.size.size):
+            block = pts[tree.start[i] : tree.start[i] + tree.size[i]]
+            np.testing.assert_array_equal(tree.low[:, i], block.min(axis=0))
+            np.testing.assert_array_equal(tree.high[:, i], block.max(axis=0))
+            if tree.size[i] > 1:
+                c = tree.child[i]
+                assert tree.start[c] == tree.start[i]
+                assert tree.size[c] == tree.size[i] // 2
+                assert tree.start[c + 1] == tree.start[c] + tree.size[c]
+                assert tree.size[c] + tree.size[c + 1] == tree.size[i]
+        points = tree.size == 1
+        assert sorted(tree.start[points].tolist()) == list(range(G))
+
+
+class TestCellLowerBound:
+    """The bound of a cell is at most the kernel's gain at every grid
+    profile in it, also with the game's utilities scaled by 1e6 and
+    1e-6, where the rounding margin scales along."""
+
+    @pytest.mark.parametrize(
+        "build, resolution",
+        [
+            (blog, 10),
+            (zero_prior_game, 2),
+            (polyline_knots_game, 2),
+            (polyline_knots_game, 4),
+            (step_bounds_game, 4),
+            (tied_prior_tv_game, 4),
+            (full_event_step_game, 5),
+        ],
+    )
+    def test_every_cell_of_a_small_grid(self, build, resolution):
+        game = build()
+        pts = SimplexGrid(game.m, resolution).points()
+        _assert_sound(game, pts, _every_cell(kernels.grid_tree(pts), game.n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        build=st.sampled_from([zero_prior_game, eight_type_game, polyline_knots_game, step_bounds_game]),
+        resolution=st.integers(2, 5),
+        data=st.data(),
+    )
+    def test_random_cells_of_named_games(self, build, resolution, data):
+        game = build()
+        pts = SimplexGrid(game.m, resolution).points()
+        _assert_sound(game, pts, data.draw(tree_cells(kernels.grid_tree(pts), game.n)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(game=additive_catalog_games(), resolution=st.integers(2, 5), data=st.data())
+    def test_random_cells_of_catalog_games(self, game, resolution, data):
+        pts = SimplexGrid(game.m, resolution).points()
+        _assert_sound(game, pts, data.draw(tree_cells(kernels.grid_tree(pts), game.n)))
+
+    def test_majority_cells_prune(self):
+        """The bound is tight enough to matter: at alpha 0.5, most of
+        the level below the root already lies above the tolerance."""
+        game = default_majority_family().game_for(0.5)
+        pts = SimplexGrid(2, 20).points()
+        tree = kernels.grid_tree(pts)
+        cells = np.array(list(product([1, 2], repeat=4)), dtype=np.int64).T
+        bound = kernels.cell_lower_bound(pack_game(game), tree, cells)
+        assert np.all(bound <= _cell_minima(game, pts, tree, cells))
+        assert np.count_nonzero(bound > 1e-9) >= 8
+
+    def test_on_path_rows_beyond_the_range(self):
+        """The premise of ``full_event_step_game``."""
+        game = full_event_step_game()
+        pts = SimplexGrid(2, 5).points()
+        for t, (j0, j1), u_end, u in ((2, (1, 5), -2.0, 0.0), (3, (1, 4), 1.0, -1.0)):
+            sigma = decode_profiles(pts, _code(6, [j0, j1, 5, 5]), 4)
+            tau = profile_report(game, sigma).perceptions.tau[t, 0]
+            r = game.u_range(t, 0)
+            assert r.min == r.max == u_end
+            assert tau.sum() != 1.0 and game.u(t, 0, tau) == u
+
+
+class TestScreenProfiles:
+    @pytest.mark.parametrize(
+        "build, resolution",
+        [(blog, 20), (zero_prior_game, 4), (polyline_knots_game, 4), (step_bounds_game, 6)],
+    )
+    @pytest.mark.parametrize("limit", [1e-9, 0.1, 0.5, -1.0])
+    def test_keeps_every_profile_within_the_limit(self, build, resolution, limit):
+        game = build()
+        pack = pack_game(game)
+        pts, idx = _all_profiles(game, resolution)
+        gains = sweep_profile_gains(pack, pts, idx)
+        codes, seed = kernels.screen_profiles(pack, pts, limit)
+        assert np.all(np.diff(codes) > 0)
+        assert set(idx[gains <= limit].tolist()) <= set(codes.tolist())
+        assert (seed == -1) == (codes.size == idx.size)
+        assert -1 <= seed < idx.size
+
+    def test_nothing_pruned(self):
+        game = blog()
+        pts, idx = _all_profiles(game, 20)
+        codes, seed = kernels.screen_profiles(pack_game(game), pts, np.inf)
+        np.testing.assert_array_equal(codes, idx)
+        assert seed == -1

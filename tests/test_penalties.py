@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from perception_games.penalties import (
     PenaltySpec,
     bind,
     penalty_batch,
+    penalty_bounds,
     penalty_range,
     penalty_value,
     piecewise_linear_value,
@@ -281,6 +284,67 @@ class TestPenaltyBatch:
         block = penalty_batch(pen, post.reshape(3, 3, 5))
         assert block.shape == (3, 5)
         assert block.tobytes() == penalty_batch(pen, post).tobytes()
+
+
+class TestPenaltyBounds:
+    """``penalty_bounds`` encloses the penalty at every posterior of a
+    box of prior masses, and is exact where the box pins the belief."""
+
+    @staticmethod
+    def _masses(draw, n):
+        """A box of masses in eighths and every mass vector in it on a
+        grid of eighths, corners included."""
+        ends = [sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2))) for _ in range(n)]
+        lo, hi = (np.array([e[i] for e in ends]) / 8.0 for i in (0, 1))
+        points = np.array(list(product(*(range(a, b + 1) for a, b in ends)))).T / 8.0
+        return lo, hi, points[:, points.sum(axis=0) > 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_encloses_every_posterior_of_the_box(self, data):
+        n = data.draw(st.integers(1, 4))
+        labels = tuple(f"t{i}" for i in range(n))
+        pen = bind(data.draw(catalog_penalties(labels)), labels, data.draw(dyadic_rows(n)),
+                   data.draw(st.integers(0, n - 1)))
+        lo, hi, masses = self._masses(data.draw, n)
+        low, high = penalty_bounds(pen, lo, hi)
+        assert low.shape == high.shape == ()
+        if not masses.size:
+            return
+        values = penalty_batch(pen, masses / masses.sum(axis=0))
+        # the polyline's value at a knot may round an ulp past the knot's y
+        slack = 1e-12 * (1.0 + np.abs(values))
+        assert np.all(low - slack <= values) and np.all(values <= high + slack)
+
+    KNOTS = ((0.0, 0.3), (0.25, 0.9), (0.5, 0.3), (0.75, 1.7), (1.0, 0.1))
+
+    @pytest.mark.parametrize(
+        "spec, want",
+        [
+            (PenaltySpec.piecewise_linear(KNOTS, over=("t0",)), (0.3, 0.9)),
+            (PenaltySpec.step(((0.25, 0.5, 1.5, False, True), (0.0, 1.0, 0.5, True, True)), over=("t0",)), (0.5, 1.5)),
+            (PenaltySpec.exposure(2.0), (0.4, 1.2)),
+        ],
+    )
+    def test_exact_over_an_interval(self, spec, want):
+        """Event mass of t0 from 1 / (1 + 4) = 0.2 to 3 / (3 + 2) = 0.6:
+        the polyline's knots at 0.25 and 0.5, the step's piece (0.25, 0.5]
+        and the rest of its cover, and exposure's ends."""
+        pen = bind(spec, ("t0", "t1"), [0.5, 0.5], 0)
+        low, high = penalty_bounds(pen, np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([[3.0, 3.0], [4.0, 4.0]]))
+        np.testing.assert_allclose([low, high], [[want[0]] * 2, [want[1]] * 2], rtol=1e-11)
+
+    def test_a_pinned_belief_is_exact(self):
+        """One mass vector: every kind's interval closes on its value."""
+        labels = ("t0", "t1", "t2")
+        mass = np.array([1.0, 3.0, 5.0])  # no mass on a piece bound or a knot
+        for spec in (PenaltySpec.tv_to_prior(1.5), PenaltySpec.exposure(0.5),
+                     PenaltySpec.piecewise_linear(self.KNOTS, over=("t0", "t1")),
+                     PenaltySpec.step(((0.25, 0.5, 1.5, True, True),), over=("t1",))):
+            pen = bind(spec, labels, [0.25, 0.5, 0.25], 1)
+            low, high = penalty_bounds(pen, mass, mass)
+            value = penalty_value(pen, mass / mass.sum())
+            assert low == pytest.approx(value, rel=1e-11) and high == pytest.approx(value, rel=1e-11)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from perception_games.simplex import (
     dirac,
     distributions,
     posterior,
+    share_bounds,
     tv_distance,
     uniform,
 )
@@ -192,6 +193,30 @@ class TestPosterior:
     )
     def test_zero_mass_is_off_path(self, prior, column):
         assert posterior(np.array(prior), np.array(column)) is None
+
+
+class TestShareBounds:
+    def test_corners(self):
+        lo, hi = share_bounds(np.array(1.0), np.array(3.0), np.array(2.0), np.array(4.0))
+        assert lo == pytest.approx(1.0 / 5.0, rel=1e-11) and lo < 1.0 / 5.0
+        assert hi == pytest.approx(3.0 / 5.0, rel=1e-11) and hi > 3.0 / 5.0
+
+    def test_no_mass_at_a_corner(self):
+        """No part mass gives 0; part mass alone gives (just over) 1."""
+        lo, hi = share_bounds(np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), np.array([1.0, 0.0]))
+        np.testing.assert_array_equal(lo, [0.0, 0.0])
+        assert hi[0] == 0.0 and 1.0 < hi[1] < 1.0 + 1e-11
+
+    @given(st.lists(st.integers(0, 8), min_size=4, max_size=4), st.integers(0, 8), st.integers(0, 8))
+    def test_holds_the_rounded_share(self, ends, part, rest):
+        """Every share of masses in the box, as the kernel rounds it."""
+        p_lo, p_hi, r_lo, r_hi = (np.array(x / 8.0) for x in (*sorted(ends[:2]), *sorted(ends[2:])))
+        part = min(max(part / 8.0, p_lo), p_hi)
+        rest = min(max(rest / 8.0, r_lo), r_hi)
+        if part + rest > 0.0:
+            x = part / (part + rest)
+            lo, hi = share_bounds(p_lo, p_hi, r_lo, r_hi)
+            assert lo <= x <= hi
 
 
 class TestConsistencyErrors:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perception_games import single
-from perception_games.fixtures import blog
+from perception_games import kernels, single
+from perception_games.experiments import default_majority_family
+from perception_games.fixtures import blog, counterexample_lsc, counterexample_usc
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
 from perception_games.simplex import Belief, SimplexGrid
@@ -19,7 +22,16 @@ from perception_games.single import (
     verify_equilibrium,
 )
 
-from helpers import oracle_pure_gains, spec_to_dict, tabulate
+from helpers import oracle_pure_gains, reference_mixed_search, spec_to_dict, tabulate
+from test_kernels import (
+    additive_catalog_games,
+    eight_type_game,
+    full_event_step_game,
+    polyline_knots_game,
+    step_bounds_game,
+    tied_prior_tv_game,
+    zero_prior_game,
+)
 
 
 def _blog_weight(w):
@@ -319,6 +331,122 @@ class TestMixedSearchMechanics:
         g = blog()
         with pytest.raises(ValueError):
             enumerate_pure_equilibria(g, max_profiles=3)
+
+
+def _outcome(res):
+    """What the cell screen must leave as the full sweep gives it: the
+    survivors' strategies and payoffs, their count, ``truncated``, the
+    least gain and the argmin, all as bits."""
+    assert res.evaluated <= res.swept == res.total
+    return (
+        [(rep.strategy.sigma.tobytes(), rep.payoffs.tobytes()) for rep in res.survivors],
+        res.survivor_count,
+        res.truncated,
+        res.min_max_gain.hex(),
+        res.argmin.sigma.tobytes(),
+    )
+
+
+def _assert_as_full_sweep(game, step, tol=1e-9, caps=(0, 1, 2, 10_000)):
+    for cap in caps:
+        res = search_mixed_equilibria(game, step=step, tol=tol, max_survivors=cap)
+        assert _outcome(res) == _outcome(reference_mixed_search(game, step, tol, cap))
+    return res
+
+
+class TestScreenedSearch:
+    """The cell screen leaves every result of the full-grid sweep as it
+    was (``reference_mixed_search``) while the kernel evaluates fewer
+    profiles."""
+
+    @pytest.mark.parametrize("alpha", [round(k * 0.05, 10) for k in range(21)])
+    def test_majority_alphas(self, alpha):
+        _assert_as_full_sweep(default_majority_family().game_for(alpha), 0.05)
+
+    @pytest.mark.parametrize(
+        "build, step",
+        [
+            (blog, 0.05),
+            (zero_prior_game, 0.25),
+            (eight_type_game, 1.0),
+            (polyline_knots_game, 0.25),
+            (step_bounds_game, 0.25),
+            (step_bounds_game, 0.1),
+            (tied_prior_tv_game, 0.1),
+            (full_event_step_game, 0.2),
+        ],
+    )
+    def test_catalog_games(self, build, step):
+        _assert_as_full_sweep(build(), step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        game=additive_catalog_games(),
+        resolution=st.integers(1, 6),
+        cap=st.sampled_from([0, 1, 10_000]),
+    )
+    def test_random_catalog_games(self, game, resolution, cap):
+        while SimplexGrid(game.m, resolution).size ** game.n > 50_000:
+            resolution -= 1
+        _assert_as_full_sweep(game, 1.0 / resolution, caps=(cap,))
+
+    def test_majority_evaluates_under_two_percent(self):
+        res = search_mixed_equilibria(default_majority_family().game_for(0.5), step=0.05)
+        assert (res.total, res.swept) == (194_481, 194_481)
+        assert res.evaluated < 0.02 * res.total
+
+    @staticmethod
+    def _screens(monkeypatch) -> list:
+        """Records each screen's limit and how many codes it kept."""
+        screens = []
+        screen = single.screen_profiles
+
+        def spy(pack, pts, limit):
+            codes, seed = screen(pack, pts, limit)
+            screens.append((limit, codes.size))
+            return codes, seed
+
+        monkeypatch.setattr(single, "screen_profiles", spy)
+        return screens
+
+    @pytest.mark.parametrize("build, pruned", [(counterexample_lsc, True), (counterexample_usc, False)])
+    def test_no_survivor(self, monkeypatch, build, pruned):
+        """With nothing surviving, a screen that pruned a cell runs again
+        at the least gain found; one that pruned nothing evaluated all."""
+        screens = self._screens(monkeypatch)
+        res = _assert_as_full_sweep(build(), 0.05, caps=(10_000,))
+        assert res.survivor_count == 0
+        assert (res.evaluated < res.total) == pruned
+        assert [limit for limit, _ in screens] == [1e-9, res.min_max_gain][: 1 + pruned]
+
+    def test_tied_least_gain_above_tol_takes_the_lowest_code(self, monkeypatch):
+        """In ``counterexample_lsc`` at step 0.05, codes 21 and 439
+        (mirror images: types and actions swapped) share the least gain,
+        0.05, and nothing survives, so the second screen runs."""
+        game = counterexample_lsc()
+        pts = SimplexGrid(2, 20).points()
+        gains = kernels.sweep_profile_gains(kernels.pack_game(game), pts, np.arange(441))
+        assert np.flatnonzero(gains == gains.min()).tolist() == [21, 439]
+        screens = self._screens(monkeypatch)
+        res = _assert_as_full_sweep(game, 0.05, caps=(10_000,))
+        assert len(screens) == 2
+        np.testing.assert_array_equal(res.argmin.sigma, kernels.decode_profiles(pts, 21, 2))
+
+    @pytest.mark.parametrize("build", [blog, counterexample_lsc])
+    def test_every_cell_pruned(self, monkeypatch, build):
+        """A tolerance below every bound prunes the root, so the first
+        screen keeps nothing; the lowest code seeds the second. In
+        ``blog`` codes 0, 420 and 440 tie at gain 0."""
+        screens = self._screens(monkeypatch)
+        res = _assert_as_full_sweep(build(), 0.05, tol=-10.0, caps=(0, 10_000))
+        assert screens[0][1] == 0 and len(screens) == 4
+        assert res.survivor_count == 0
+
+    def test_subsample_and_tabulated_evaluate_what_they_sweep(self):
+        sub = search_mixed_equilibria(blog(), step=0.01, max_profiles=500, seed=7)
+        assert sub.subsampled and sub.evaluated == sub.swept == 500
+        tab = search_mixed_equilibria(tabulate(blog(), 8), step=0.25)
+        assert not tab.subsampled and tab.evaluated == tab.swept == tab.total == 25
 
 
 class TestTabulatedGames:
