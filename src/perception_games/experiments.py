@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .kernels import decode_profiles
+from .kernels import decode_profiles, pack_game
 from .model import (
     ActionSpace,
     PerceptionGame,
@@ -540,8 +540,7 @@ def counterexample_check(
             "pure and grid sweeps below would not be informative"
         )
     vertices = np.eye(game.m)
-    gains, pure_eq = _sweep(game, vertices, _pure_codes(game), tol)
-    best = int(np.argmin(gains))
+    pure = _sweep(game, pack_game(game), vertices, _pure_codes(game), tol)
     sweep = search_mixed_equilibria(game, step=strategy_step, tol=tol, seed=seed)
     found: dict[float, bool] = {}
     witness: dict[float, Strategy | None] = {}
@@ -552,9 +551,9 @@ def counterexample_check(
         found[float(eps)] = bool(hit)
         witness[float(eps)] = sweep.argmin if hit else None
     return NonexistenceReport(
-        pure_min_gain=float(gains[best]),
-        pure_argmin=Strategy(game, decode_profiles(vertices, best, game.n)),
-        pure_equilibrium_exists=bool(pure_eq),
+        pure_min_gain=pure.least,
+        pure_argmin=Strategy(game, decode_profiles(vertices, pure.code, game.n)),
+        pure_equilibrium_exists=bool(pure.survivors),
         sweep=sweep,
         eps_equilibrium_found=found,
         eps_witness=witness,

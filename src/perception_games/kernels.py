@@ -4,27 +4,44 @@ The hot loop of every single-player sweep evaluates, for each profile
 in a batch, the best deviation gain any type can realize when off-path
 perceptions are chosen as favorably as possible for the profile. The
 kernel decodes profile codes into strategies, forms the posterior after
-each action, takes the utility rows there (``_utility_rows``, the one
-place that reads the utility's kind), fills the off-path rows up to
-their caps, and reduces to the gains. The batch axis is vectorized;
-types and actions are accumulated in ascending order, the same order
-as the scalar evaluator ``single.payoff_and_gain``, which the exact
-``single.profile_report`` calls per type, so the two agree bitwise and
-the test suite asserts exact equality.
+each action, takes the utility rows there (``_utility_rows`` for every
+type at once, ``_penalized`` for one type of an additive game), fills
+the off-path rows up to their caps, and reduces to the gains. The
+batch axis is vectorized; types and actions are accumulated in
+ascending order, the same order as the scalar evaluator
+``single.payoff_and_gain``, which the exact ``single.profile_report``
+calls per type, so the two agree bitwise and the test suite asserts
+exact equality.
 
 The arrays are type-major, with the batch axis last and contiguous: a
 chunk of ``B`` profiles holds its base-``G`` digits as ``(n, B)``, its
 strategies and posteriors as ``(n, m, B)``, whether each action is on
-path as ``(m, B)`` and the utility rows as ``(n, m, B)``. So every
+path as ``(m, B)`` and one type's utility rows as ``(m, B)``. So every
 elementwise operation runs over rows of ``B`` contiguous entries. The
 type and action axes are 1 to a few entries wide, and nothing runs
 along them: every sum and max over types or actions, and the test for
 an off-path action, is a fold over ``range(n)`` or ``range(m)`` of such
 rows, and a penalty reads each type's posterior mass as one row
-(``penalty_batch`` takes types first). A profile whose actions are all
-on path has no off-path rows, so the off-path fill runs only on the
-profiles that have an off-path action, and not at all in a chunk
-without one.
+(``penalty_batch`` takes types first). The off-path fill pins every
+off-path row to the type's ``u_min``, in a chunk that has an off-path
+action at all; only a type without prior mass can play an off-path
+action, so only a game with one raises those free rows
+(``_raise_free_rows``), and only on the profiles with an off-path
+action.
+
+The kernel evaluates the types one at a time, type 0 first: a type's
+utility rows, its off-path fill (a type's cap depends on its own rows
+only) and its fold into the gain. A profile's gain is the max over
+types, so after each type its gain so far bounds its gain from below,
+and a profile whose gain so far is above the caller's ``limit`` leaves
+the batch. The limit contract: an entry at most ``limit`` is the
+profile's gain, bitwise as with ``limit = inf``; any other entry lies
+above ``limit``. ``sweep_profile_gains`` runs unlimited and returns
+every gain. A search needs only the least gain, where it first occurs
+and the profiles within the tolerance, so ``reduce_profile_gains``
+runs chunk by chunk with ``limit = max(tol, least gain so far)`` and
+never holds more than a chunk's gains. On a 2M-profile sample of a
+3-type, 3-action game, almost every profile leaves after type 0.
 
 A type's utility of an action depends only on the posterior, and the
 posterior after action ``a`` only on column ``a`` of the profile. A
@@ -57,6 +74,7 @@ the exact ``single.profile_report`` confirms the survivors as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,13 +87,15 @@ __all__ = [
     "pack_game",
     "decode_profiles",
     "sweep_profile_gains",
+    "reduce_profile_gains",
     "GridTree",
     "grid_tree",
     "cell_lower_bound",
     "screen_profiles",
 ]
 
-# float64 cells per chunk of the (n, m, profiles) working arrays
+# float64 cells per chunk of a sweep's per-type (m, profiles) working
+# arrays, and per batch of the cell screen's (n, m, cells) arrays
 _CHUNK_BUDGET = 32_768
 
 # the cell screen sweeps a kept cell once it holds this many profiles or
@@ -131,30 +151,45 @@ def _digits(idx, G: int, n: int) -> np.ndarray:
     code = np.array(idx, dtype=np.int64)
     digits = np.empty((n,) + code.shape, dtype=np.int64)
     for t in range(n - 1, -1, -1):
-        np.divmod(code, G, out=(code, digits[t, ...]))
+        # a floor division and a multiply-subtract run about twice as
+        # fast as np.divmod on int64
+        quotient = code // G
+        np.subtract(code, quotient * G, out=digits[t, ...])
+        code = quotient
     return digits
 
 
-def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
-    """``(on, rows)`` for columns ``cols`` of shape ``(n, A, B)``, one
+def _posteriors(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
+    """``(on, beliefs)`` for columns ``cols`` of shape ``(n, A, B)``, one
     per action (``A = m``) or one for all (``A = 1``): whether a column
-    carries prior mass, shape ``(A, B)``, and ``rows[t, a, b]``, type
-    ``t``'s utility of action ``a`` at its column's posterior. Both
-    sweep paths call this, so a table entry and a per-profile entry are
-    bitwise the same."""
-    n, m = pack.u_min.shape
+    carries prior mass, shape ``(A, B)``, and the posterior over types
+    there, shape ``(n, A, B)`` (the column itself, scaled by the prior,
+    where it carries none)."""
     pa = np.zeros(cols.shape[1:])
-    for t in range(n):
+    for t in range(pack.prior.shape[0]):
         pa += pack.prior[t] * cols[t]
     on = pa > 0.0
     beliefs = cols * pack.prior[:, None, None]
     beliefs /= np.where(on, pa, 1.0)
+    return on, beliefs
+
+
+def _penalized(pack: GamePack, t: int, beliefs: np.ndarray) -> np.ndarray:
+    """Type ``t``'s utility rows ``(A, B)`` in an additive game at the
+    posteriors ``beliefs`` ``(n, A, B)``."""
+    return pack.v[t, :, None] - penalty_batch(pack.penalties[t], beliefs)
+
+
+def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
+    """``(on, rows)`` for columns ``cols`` as in ``_posteriors``, with
+    ``rows[t, a, b]`` type ``t``'s utility of action ``a`` at its
+    column's posterior. Both sweep paths take their rows from here or
+    from ``_penalized``, which this calls for an additive game, so a
+    table entry and a per-profile entry are bitwise the same."""
+    on, beliefs = _posteriors(cols, pack)
     if pack.values is not None:
         return on, _interpolate(beliefs.T, pack.values, pack.resolution).T
-    rows = np.empty((n, m, cols.shape[2]))
-    for t in range(n):
-        np.subtract(pack.v[t, :, None], penalty_batch(pack.penalties[t], beliefs), out=rows[t])
-    return on, rows
+    return on, np.stack([_penalized(pack, t, beliefs) for t in range(pack.prior.shape[0])])
 
 
 def _interpolate(mu: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -198,40 +233,41 @@ def _column_table(
     ``a * C + c`` of ``on`` (shape ``(C * m,)``) and of each type's row
     ``rows[t]`` (shape ``(n, C * m)``) is column ``c`` at action ``a``,
     and ``place[t, a, g]`` is what type ``t`` playing grid point ``g``
-    adds to that entry's index."""
+    adds to that entry's index. A row at an off-path column holds the
+    type's ``u_min``, as the off-path fill pins it, so only the free
+    rows of zero-prior types are left to fill."""
     n, m = pack.u_min.shape
     vals, rank = np.unique(grid_pts, return_inverse=True)
     V = vals.size
     C = V**n
     cols = np.take(vals, _digits(np.arange(C), V, n))  # (n, C)
     on, rows = _utility_rows(cols[:, None, :], pack)  # (1, C), (n, m, C)
+    rows = np.where(on, rows, pack.u_min[:, :, None])
     rank = rank.reshape(grid_pts.shape).T  # (m, G)
     place = np.stack([rank * V ** (n - 1 - t) for t in range(n)])
     place[0] += np.arange(m)[:, None] * C
     return place, np.tile(on[0], m), rows.reshape(n, -1)
 
 
-def _fill_off_path(
-    rows: np.ndarray, sig: np.ndarray, on: np.ndarray, pack: GamePack
+def _raise_free_rows(
+    rows: np.ndarray, sig: np.ndarray, on: np.ndarray, u_max: np.ndarray
 ) -> np.ndarray:
-    """``rows`` (``(n, m, B)``, as ``sig``; ``on`` is ``(m, B)``) with
-    the off-path entries filled as ``profile_report`` fills them: a
-    type's row at an off-path action it plays is free, raised to the
-    type's cap and clamped at ``u_max``; every other off-path row takes
-    ``u_min``."""
-    m = pack.u_min.shape[1]
-    u_min = pack.u_min[:, :, None]
+    """One type's ``rows`` (``(m, B)``, as ``sig`` and ``on``), whose
+    off-path entries hold the type's ``u_min``, with its free rows
+    filled as ``profile_report`` fills them: a row at an off-path action
+    the type plays is raised to the type's cap, the best of its other
+    rows and of its free rows' ``u_min``, and clamped at its ``u_max``
+    (``(m,)``). Only a type without prior mass can have free rows."""
     free = ~on & (sig > 0.0)
-    pinned = np.where(on, rows, u_min)
-    held = np.where(free, _NEG, pinned)
-    lo = np.where(free, u_min, _NEG)
-    m0 = held[:, 0]
-    free_lo = lo[:, 0]
-    for a in range(1, m):
-        m0 = np.maximum(m0, held[:, a])
-        free_lo = np.maximum(free_lo, lo[:, a])
+    held = np.where(free, _NEG, rows)
+    lo = np.where(free, rows, _NEG)
+    m0 = held[0]
+    free_lo = lo[0]
+    for a in range(1, rows.shape[0]):
+        m0 = np.maximum(m0, held[a])
+        free_lo = np.maximum(free_lo, lo[a])
     cap = np.maximum(m0, free_lo)
-    return np.where(free, np.minimum(pack.u_max[:, :, None], cap[:, None, :]), pinned)
+    return np.where(free, np.minimum(u_max[:, None], cap), rows)
 
 
 def _gains_numpy(
@@ -239,41 +275,87 @@ def _gains_numpy(
     grid_pts: np.ndarray,
     pack: GamePack,
     table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    limit: float = np.inf,
 ) -> np.ndarray:
+    """The gain of each profile ``idx``, evaluated a type at a time: after
+    each type but the last, a profile whose gain over the types so far is
+    above ``limit`` leaves the batch, and its entry is that partial gain.
+    So an entry at most ``limit`` is the profile's gain, bitwise as with
+    ``limit = inf``, and any other entry is above ``limit`` and at most
+    the gain."""
     n, m = pack.u_min.shape
+    # only a type without prior mass can play an off-path action
+    has_free = bool((pack.prior == 0.0).any())
     digits = _digits(idx, grid_pts.shape[0], n)  # (n, B)
     by_action = np.ascontiguousarray(grid_pts.T)  # (m, G)
-    sig = np.empty((n, m, idx.shape[0]))
-    for t in range(n):
-        sig[t] = np.take(by_action, digits[t], axis=1)
+    sig = beliefs = rows = col = None
     if table is None:
+        sig = np.empty((n, m, idx.shape[0]))
+        for t in range(n):
+            sig[t] = np.take(by_action, digits[t], axis=1)
         # sig[:, a] is each profile's column at action a
-        on, rows = _utility_rows(sig, pack)
+        if pack.values is None:
+            on, beliefs = _posteriors(sig, pack)
+        else:
+            on, rows = _utility_rows(sig, pack)
     else:
         place, on_tab, rows_tab = table
         col = np.take(place[0], digits[0], axis=1)  # (m, B): table entries
         for t in range(1, n):
             col = col + np.take(place[t], digits[t], axis=1)
-        on = np.take(on_tab, col)
-        rows = np.take(rows_tab, col, axis=1)
-    off_path = ~on
-    off = off_path[0]
-    for a in range(1, m):
-        off = off | off_path[a]
-    if off.any():
-        sel = np.flatnonzero(off)
-        rows[:, :, sel] = _fill_off_path(rows[:, :, sel], sig[:, :, sel], on[:, sel], pack)
-    played = np.zeros((n, idx.shape[0]))
-    for a in range(m):
-        played += sig[:, a] * rows[:, a]
-    best = rows[:, 0]
-    for a in range(1, m):
-        best = np.maximum(best, rows[:, a])
-    gain = best - played
-    out = gain[0]
-    for t in range(1, n):
-        out = np.maximum(out, gain[t])
+        # the table pins every off-path row to u_min already
+        on = np.take(on_tab, col) if has_free else None
+    off = None if on is None else ~on.all(axis=0)
+    out = np.empty(idx.shape[0])
+    alive = np.arange(idx.shape[0])  # positions still in the batch
+    for t in range(n):
+        if table is not None:
+            s = np.take(by_action, digits[t], axis=1)
+            r = np.take(rows_tab[t], col)
+        else:
+            s = sig[t]
+            r = rows[t] if rows is not None else _penalized(pack, t, beliefs)
+        if off is not None and off.any():
+            if table is None:
+                np.copyto(r, pack.u_min[t, :, None], where=~on)
+            if has_free:
+                sel = np.flatnonzero(off)
+                r[:, sel] = _raise_free_rows(r[:, sel], s[:, sel], on[:, sel], pack.u_max[t])
+        played = np.zeros(alive.shape[0])
+        for a in range(m):
+            played += s[a] * r[a]
+        best = r[0]
+        for a in range(1, m):
+            best = np.maximum(best, r[a])
+        gain = best - played if t == 0 else np.maximum(gain, best - played)
+        if t == n - 1 or limit == np.inf:
+            continue
+        keep = np.flatnonzero(gain <= limit)
+        if keep.size == gain.size:
+            continue
+        # every entry takes its partial gain; the kept ones are overwritten
+        out[alive] = gain
+        alive, gain = alive[keep], gain[keep]
+        on, off, digits, col, sig, beliefs, rows = (
+            None if x is None else np.take(x, keep, axis=-1)
+            for x in (on, off, digits, col, sig, beliefs, rows)
+        )
+    out[alive] = gain
     return out
+
+
+def _plan(pack: GamePack, grid_pts: np.ndarray, size: int):
+    """``(grid_pts, table, chunk)`` for a sweep of ``size`` codes: the
+    grid as contiguous float64, the column table when it has no more
+    cells than there are codes (else None), and the profiles per chunk."""
+    grid_pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
+    n = pack.u_min.shape[0]
+    # distinct grid values (np.unique without return_inverse would
+    # import numpy.ma), raised as a Python int so a large n cannot overflow
+    values = np.count_nonzero(np.diff(np.sort(grid_pts, axis=None))) + 1
+    columns = int(values) ** n
+    table = _column_table(grid_pts, pack) if columns * n <= size else None
+    return grid_pts, table, max(1, _CHUNK_BUDGET // pack.u_min.shape[1])
 
 
 def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -282,24 +364,45 @@ def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -
     be completed into an equilibrium.
 
     Profile codes are decoded by ``decode_profiles``. Work proceeds in
-    chunks of ``_CHUNK_BUDGET // (n * m)`` profiles to bound memory.
+    chunks of ``_CHUNK_BUDGET // m`` profiles to bound memory.
     Penalties come from ``_column_table`` when it has no more cells
     than ``idx`` has codes, else from each profile's posteriors.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    grid_pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
-    n = pack.u_min.shape[0]
-    # distinct grid values (np.unique without return_inverse would
-    # import numpy.ma), raised as a Python int so a large n cannot overflow
-    values = np.count_nonzero(np.diff(np.sort(grid_pts, axis=None))) + 1
-    columns = int(values) ** n
-    table = _column_table(grid_pts, pack) if columns * n <= idx.shape[0] else None
-    chunk = max(1, _CHUNK_BUDGET // pack.u_min.size)
+    grid_pts, table, chunk = _plan(pack, grid_pts, idx.shape[0])
     out = np.empty(idx.shape[0])
     for start in range(0, idx.shape[0], chunk):
         stop = min(start + chunk, idx.shape[0])
         out[start:stop] = _gains_numpy(idx[start:stop], grid_pts, pack, table)
     return out
+
+
+def reduce_profile_gains(
+    pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray, tol: float
+) -> tuple[float, int, np.ndarray]:
+    """What a search needs of ``sweep_profile_gains(pack, grid_pts, idx)``,
+    without building it: the least gain (inf when ``idx`` is empty), its
+    first position in ``idx`` (-1 when empty), and the positions of the
+    gains at most ``tol``, ascending.
+
+    Chunks run in the order of ``idx``, each with ``limit = max(tol,
+    least gain of the chunks before)``. A profile the kernel drops has a
+    gain above that limit, so above ``tol`` and above the final least
+    gain, and every kept gain is exact: the three results are those of
+    the full gains, bit for bit.
+    """
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    grid_pts, table, chunk = _plan(pack, grid_pts, idx.shape[0])
+    least, first, within = np.inf, -1, [np.empty(0, np.int64)]
+    for start in range(0, idx.shape[0], chunk):
+        # max(least, tol), not max(tol, least): a NaN tol keeps nothing
+        # within it and must not limit the kernel
+        gains = _gains_numpy(idx[start : start + chunk], grid_pts, pack, table, max(least, tol))
+        j = int(np.argmin(gains))
+        if gains[j] < least:
+            least, first = float(gains[j]), start + j
+        within.append(np.flatnonzero(gains <= tol) + start)
+    return least, first, np.concatenate(within)
 
 
 @dataclass(frozen=True)
@@ -319,7 +422,16 @@ class GridTree:
 
 
 def grid_tree(grid_pts: np.ndarray) -> GridTree:
-    G, m = grid_pts.shape
+    """The tree of ``grid_pts``, built once per grid (so once per ``(m,
+    resolution)`` for a simplex grid) and kept with read-only arrays."""
+    pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
+    return _grid_tree(pts.shape, pts.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _grid_tree(shape: tuple[int, int], data: bytes) -> GridTree:
+    grid_pts = np.frombuffer(data).reshape(shape)
+    G, m = shape
     # one level at a time: each node of more than one point splits into
     # its first half and the rest, and the halves follow the whole level
     levels = [(np.zeros(1, np.int64), np.full(1, G, np.int64))]
@@ -346,6 +458,8 @@ def grid_tree(grid_pts: np.ndarray) -> GridTree:
         c = child[nodes]
         low[:, nodes] = np.minimum(low[:, c], low[:, c + 1])
         high[:, nodes] = np.maximum(high[:, c], high[:, c + 1])
+    for arr in (start, size, child, low, high):
+        arr.flags.writeable = False
     return GridTree(start, size, child, low, high)
 
 

@@ -15,11 +15,18 @@ model layer, so acceptance decisions carry no grid error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kernels import decode_profiles, pack_game, screen_profiles, sweep_profile_gains
+from .kernels import (
+    GamePack,
+    decode_profiles,
+    pack_game,
+    reduce_profile_gains,
+    screen_profiles,
+    sweep_profile_gains,
+)
 from .model import PerceptionGame, PrivacyReport, classify_privacy
 from .simplex import WEAK_TOL, Belief, SimplexGrid, consistency_errors, distributions, posterior
 
@@ -293,21 +300,34 @@ def profile_report(
     )
 
 
+class _Swept(NamedTuple):
+    """What a search keeps of a sweep: the least gain and the lowest code
+    with it in sweep order (-1 when nothing was swept), how many gains
+    are at most the tolerance, and the confirmed survivors."""
+
+    least: float
+    code: int
+    count: int
+    survivors: list[EquilibriumReport]
+
+
 def _sweep(
     game: PerceptionGame,
+    pack: GamePack,
     pts: np.ndarray,
     idx: np.ndarray,
     tol: float,
     max_survivors: int | None = None,
-) -> tuple[np.ndarray, list[EquilibriumReport]]:
-    """Max deviation gain of each profile ``idx`` over the grid ``pts``
-    (the kernel's screen), and the reports of the first ``max_survivors``
-    profiles whose gain is at most ``tol``, kept when the exact report
-    confirms it."""
-    gains = sweep_profile_gains(pack_game(game), pts, idx)
-    screened = decode_profiles(pts, idx[gains <= tol][:max_survivors], game.n)
+) -> _Swept:
+    """The kernel's screen of the profiles ``idx`` over the grid ``pts``,
+    reduced (``reduce_profile_gains``), with the reports of the first
+    ``max_survivors`` profiles whose gain is at most ``tol``, kept when
+    the exact report confirms it."""
+    least, first, within = reduce_profile_gains(pack, pts, idx, tol)
+    screened = decode_profiles(pts, idx[within[:max_survivors]], game.n)
     rebuilt = (profile_report(game, sigma, tol) for sigma in screened)
-    return gains, [rep for rep in rebuilt if rep.max_gain <= tol]
+    code = int(idx[first]) if first >= 0 else -1
+    return _Swept(least, code, within.size, [rep for rep in rebuilt if rep.max_gain <= tol])
 
 
 def enumerate_pure_equilibria(
@@ -320,7 +340,8 @@ def enumerate_pure_equilibria(
     Profiles are scanned in lexicographic order with type 0 the most
     significant position.
     """
-    return _sweep(game, np.eye(game.m), _pure_codes(game, max_profiles), tol)[1]
+    codes = _pure_codes(game, max_profiles)
+    return _sweep(game, pack_game(game), np.eye(game.m), codes, tol).survivors
 
 
 def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> np.ndarray:
@@ -337,8 +358,10 @@ class MixedSearchResult:
     """Grid sweep over mixed profiles; survivors have gain <= tol.
 
     ``swept`` counts the profiles decided, by the cell bound or by the
-    kernel; ``evaluated`` the profile codes the kernel evaluated, which
-    is ``swept`` unless the cell screen pruned some."""
+    kernel; ``evaluated`` the profile codes that entered the kernel,
+    which is ``swept`` unless the cell screen pruned some. Most of them
+    leave the kernel after its first type or few, once their gain so far
+    exceeds both the tolerance and the least gain found before them."""
 
     step: float
     resolution: int
@@ -378,9 +401,17 @@ def search_mixed_equilibria(
     result: the survivors, their count, ``min_max_gain`` and the
     argmin (the lowest code with the least gain) are those of the whole
     sweep. ``survivor_count`` counts screened profiles; the reported
-    survivors are the first ``max_survivors`` of them in code order,
-    rebuilt and confirmed by the exact ``profile_report``, so kernel
-    rounding never decides membership.
+    survivors are the first ``max_survivors`` of them in code order (in
+    draw order for a subsample), rebuilt and confirmed by the exact
+    ``profile_report``, so kernel rounding never decides membership.
+
+    The kernel reduces as it sweeps (``kernels.reduce_profile_gains``):
+    it keeps the least gain with its first code and the codes within
+    ``tol``, and stops on a profile as soon as its gain over the types
+    evaluated so far is above both ``tol`` and the least gain of the
+    chunks before it. No array of gains as long as the sweep is built,
+    and the results are those of the full gains bit for bit. The game is
+    packed once per call, and a grid's cell tree is built once.
     """
     # a NaN, infinite, nonpositive or subnormal step leaves resolution 0
     inverse = 1.0 / step if 0.0 < step < np.inf else 0.0
@@ -396,42 +427,40 @@ def search_mixed_equilibria(
         )
     pts = grid.points()
     total = G ** game.n
+    pack = pack_game(game)
     subsampled = total > max_profiles
     if subsampled:
         rng = np.random.default_rng(seed)
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
         idx = rng.integers(0, total, size=max_profiles, dtype=np.int64)
-        gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+        swept, evaluated = _sweep(game, pack, pts, idx, tol, max_survivors), max_profiles
     elif game.utility.kind == "tabulated_grid":
         idx = np.arange(total, dtype=np.int64)
-        gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+        swept, evaluated = _sweep(game, pack, pts, idx, tol, max_survivors), total
     else:
-        idx, gains, survivors = _screened_sweep(game, pts, tol, max_survivors)
-    best = int(np.argmin(gains))
-    screened = int(np.count_nonzero(gains <= tol))
-    argmin_sigma = decode_profiles(pts, idx[best], game.n)
+        swept, evaluated = _screened_sweep(game, pack, pts, tol, max_survivors)
     return MixedSearchResult(
         step=step,
         resolution=resolution,
         total=total,
         swept=max_profiles if subsampled else total,
-        evaluated=int(idx.size),
+        evaluated=evaluated,
         subsampled=subsampled,
-        min_max_gain=float(gains[best]),
-        argmin=Strategy(game, argmin_sigma),
-        survivors=tuple(survivors),
-        survivor_count=screened,
-        truncated=screened > max_survivors,
+        min_max_gain=swept.least,
+        argmin=Strategy(game, decode_profiles(pts, swept.code, game.n)),
+        survivors=tuple(swept.survivors),
+        survivor_count=swept.count,
+        truncated=swept.count > max_survivors,
     )
 
 
 def _screened_sweep(
-    game: PerceptionGame, pts: np.ndarray, tol: float, max_survivors: int
-) -> tuple[np.ndarray, np.ndarray, list[EquilibriumReport]]:
+    game: PerceptionGame, pack: GamePack, pts: np.ndarray, tol: float, max_survivors: int
+) -> tuple[_Swept, int]:
     """``_sweep`` over the whole grid ``pts`` of an additive game, run on
-    the profiles the cell screen keeps: the codes evaluated, ascending,
-    their gains and the survivors.
+    the profiles the cell screen keeps, and how many codes the kernel
+    evaluated.
 
     A pruned profile's gain is above ``tol``, so the survivors and their
     count are the whole sweep's, and so are the least gain and its
@@ -440,20 +469,19 @@ def _screened_sweep(
     found so far (or at the gain of the lowest code of the cell with the
     least bound, when every cell was pruned) keeps every cell that can
     hold a profile as good, and the kernel evaluates the profiles it
-    adds."""
-    pack = pack_game(game)
+    adds. The two sweeps combine by gain, then by lowest code."""
     idx, seed = screen_profiles(pack, pts, tol)
-    gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
-    if seed < 0 or (gains <= tol).any():
-        return idx, gains, survivors
+    swept = _sweep(game, pack, pts, idx, tol, max_survivors)
+    if seed < 0 or swept.count:
+        return swept, idx.size
     if not idx.size:
         idx = np.array([seed], dtype=np.int64)
-        gains = sweep_profile_gains(pack, pts, idx)
-    more = np.setdiff1d(screen_profiles(pack, pts, gains.min())[0], idx, assume_unique=True)
-    idx = np.concatenate([idx, more])
-    gains = np.concatenate([gains, sweep_profile_gains(pack, pts, more)])
-    order = np.argsort(idx)
-    return idx[order], gains[order], survivors
+        swept = swept._replace(least=float(sweep_profile_gains(pack, pts, idx)[0]), code=seed)
+    more = np.setdiff1d(screen_profiles(pack, pts, swept.least)[0], idx, assume_unique=True)
+    least, first, _ = reduce_profile_gains(pack, pts, more, tol)
+    if first >= 0 and (least, int(more[first])) < (swept.least, swept.code):
+        swept = swept._replace(least=least, code=int(more[first]))
+    return swept, idx.size + more.size
 
 
 @dataclass(frozen=True)

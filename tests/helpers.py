@@ -8,9 +8,11 @@ same arithmetic expressions the package derives, written out directly.
 The exceptions are ``reference_pure_bne``, the two-player solver's
 former per-pair loop, kept to pin its batched replacement bit for bit,
 so it calls the solver's own action-value evaluator, and
-``reference_mixed_search``, the mixed search's former full-grid sweep,
-kept to pin the cell screen's results, so it calls the solver's own
-sweep. The game
+``reference_mixed_search``, the mixed search's former full sweep,
+kept to pin the results of the cell screen and of
+``reduce_profile_gains``, so it reduces the kernel's full gains
+(``sweep_profile_gains``) itself and confirms with ``profile_report``.
+The game
 factories at the end only build inputs: ``tabulate`` copies a game's
 own values onto a lattice, ``random_two_player_game`` draws a seeded
 two-player game, and the ``hypothesis`` strategies draw random catalog
@@ -25,11 +27,11 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
-from perception_games.kernels import decode_profiles
+from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
 from perception_games.penalties import KINDS, PenaltySpec
 from perception_games.simplex import SimplexGrid
-from perception_games.single import MixedSearchResult, Strategy, _sweep
+from perception_games.single import MixedSearchResult, Strategy, profile_report
 from perception_games.testing import _random_penalty, dyadic_prior
 from perception_games.two_player import _action_values, _beliefs
 
@@ -223,29 +225,41 @@ def reference_pure_bne(game, fold_prior_penalty=False, tol=1e-9):
 # --- full-grid mixed search, every profile through the kernel ---------
 
 
-def reference_mixed_search(game, step, tol=1e-9, max_survivors=10_000):
-    """``search_mixed_equilibria`` over a whole grid without the cell
-    screen: ``_sweep`` over every code, and the lowest code with the
-    least gain as the argmin."""
+def reference_mixed_search(
+    game, step, tol=1e-9, max_survivors=10_000, seed=None, max_profiles=2_000_000
+):
+    """``search_mixed_equilibria`` from the full gains of
+    ``sweep_profile_gains``, without the cell screen or
+    ``reduce_profile_gains``: every code of the grid, or the same seeded draw when the
+    grid has more than ``max_profiles`` profiles; the lowest position
+    with the least gain as the argmin; and the first ``max_survivors``
+    codes with gain at most ``tol``, kept when ``profile_report``
+    confirms them."""
     resolution = round(1.0 / step)
     pts = SimplexGrid(game.m, resolution).points()
     total = pts.shape[0] ** game.n
-    idx = np.arange(total, dtype=np.int64)
-    gains, survivors = _sweep(game, pts, idx, tol, max_survivors)
+    subsampled = total > max_profiles
+    if subsampled:
+        idx = np.random.default_rng(seed).integers(0, total, size=max_profiles, dtype=np.int64)
+    else:
+        idx = np.arange(total, dtype=np.int64)
+    gains = sweep_profile_gains(pack_game(game), pts, idx)
     best = int(np.argmin(gains))
-    screened = int(np.count_nonzero(gains <= tol))
+    within = idx[gains <= tol]
+    screened = decode_profiles(pts, within[:max_survivors], game.n)
+    reports = (profile_report(game, sigma, tol) for sigma in screened)
     return MixedSearchResult(
         step=step,
         resolution=resolution,
         total=total,
-        swept=total,
-        evaluated=total,
-        subsampled=False,
+        swept=idx.size,
+        evaluated=idx.size,
+        subsampled=subsampled,
         min_max_gain=float(gains[best]),
-        argmin=Strategy(game, decode_profiles(pts, best, game.n)),
-        survivors=tuple(survivors),
-        survivor_count=screened,
-        truncated=screened > max_survivors,
+        argmin=Strategy(game, decode_profiles(pts, idx[best], game.n)),
+        survivors=tuple(rep for rep in reports if rep.max_gain <= tol),
+        survivor_count=within.size,
+        truncated=within.size > max_survivors,
     )
 
 

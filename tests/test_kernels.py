@@ -635,3 +635,180 @@ class TestScreenProfiles:
         codes, seed = kernels.screen_profiles(pack_game(game), pts, np.inf)
         np.testing.assert_array_equal(codes, idx)
         assert seed == -1
+
+
+def _limits(full: np.ndarray, first_type: np.ndarray) -> list[float]:
+    """Limits that cut a batch at exact gains (ties at the limit), at
+    partial gains of type 0 below a full gain (a profile whose gain so
+    far equals the limit), between gains, and below or above them all."""
+    partial = first_type[first_type < full]
+    picks = [np.quantile(full, q, method="nearest") for q in (0.0, 0.1, 0.5, 0.9)]
+    picks += [partial.min(), np.median(partial)] if partial.size else []
+    return [float(x) for x in picks] + [0.0, -1.0, float(full.max()) + 1.0]
+
+
+class TestStagedGains:
+    """With a finite ``limit``, ``_gains_numpy`` keeps every gain at most
+    the limit bitwise and leaves each other entry above the limit and at
+    most the profile's gain."""
+
+    @staticmethod
+    def _check(game, pts, idx):
+        pack = pack_game(game)
+        for table in (None, kernels._column_table(pts, pack)):
+            full = kernels._gains_numpy(idx, pts, pack, table)
+            first_type = kernels._gains_numpy(idx, pts, pack, table, -np.inf)
+            for limit in _limits(full, first_type):
+                got = kernels._gains_numpy(idx, pts, pack, table, limit)
+                kept = full <= limit
+                assert got[kept].tobytes() == full[kept].tobytes(), limit
+                assert np.all(got[~kept] > limit) and np.all(got[~kept] <= full[~kept]), limit
+
+    @pytest.mark.parametrize(
+        "build, resolution",
+        [
+            (blog, 10),
+            (zero_prior_game, 4),
+            (eight_type_game, 2),
+            (polyline_knots_game, 4),
+            (step_bounds_game, 4),
+            (tied_prior_tv_game, 4),
+            (full_event_step_game, 5),
+        ],
+    )
+    def test_named_games(self, build, resolution):
+        game = build()
+        pts, idx = _all_profiles(game, resolution)
+        self._check(game, pts, _sample(idx.size, 800, resolution))
+        self._check(game, np.eye(game.m), np.arange(game.m**game.n, dtype=np.int64))
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_tabulated(self, k):
+        game = tabulate(random_mixed_catalog_game(np.random.default_rng(0)), k)
+        pts, idx = _all_profiles(game, 4)
+        self._check(game, pts, idx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=catalog_games(), resolution=st.sampled_from([0, 2, 3]))
+    def test_random_catalog_games(self, game, resolution):
+        pts = np.eye(game.m) if resolution == 0 else SimplexGrid(game.m, resolution).points()
+        total = pts.shape[0] ** game.n
+        self._check(game, pts, _sample(total, 400, resolution))
+
+
+def _full_reduction(gains: np.ndarray, tol: float) -> tuple:
+    """``reduce_profile_gains``' results, from the full gains."""
+    if not gains.size:
+        return np.inf.hex(), -1, []
+    first = int(np.argmin(gains))
+    return float(gains[first]).hex(), first, np.flatnonzero(gains <= tol).tolist()
+
+
+TOLS = (1e-9, 0.0, 0.05, -0.1)
+
+
+class TestReduceProfileGains:
+    """``reduce_profile_gains`` gives the least gain, its first position
+    and the positions within ``tol`` of the full gains, bit for bit, on
+    batches cut into many chunks, so that most chunks run with a finite
+    limit."""
+
+    @staticmethod
+    def _check(monkeypatch, game, pts, idx, chunk=7):
+        pack = pack_game(game)
+        full = sweep_profile_gains(pack, pts, idx)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", chunk * game.m)
+        for tol in TOLS:
+            least, first, within = kernels.reduce_profile_gains(pack, pts, idx, tol)
+            assert (least.hex(), first, within.tolist()) == _full_reduction(full, tol), tol
+        return full
+
+    @pytest.mark.parametrize(
+        "build, resolution",
+        [
+            (blog, 10),
+            (zero_prior_game, 4),
+            (eight_type_game, 2),
+            (polyline_knots_game, 4),
+            (step_bounds_game, 4),
+            (tied_prior_tv_game, 4),
+            (full_event_step_game, 5),
+        ],
+    )
+    def test_named_games(self, monkeypatch, build, resolution):
+        game = build()
+        pts, idx = _all_profiles(game, resolution)
+        self._check(monkeypatch, game, pts, _sample(idx.size, 1500, resolution))
+        self._check(monkeypatch, game, np.eye(game.m), np.arange(game.m**game.n, dtype=np.int64))
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_tabulated(self, monkeypatch, k):
+        """Both kernel paths: per profile on the 4-step grid, and the
+        column table on the pure grid (2**3 columns x 3 types for 27
+        profiles)."""
+        game = tabulate(random_mixed_catalog_game(np.random.default_rng(0)), k)
+        self._check(monkeypatch, game, *_all_profiles(game, 4))
+        self._check(monkeypatch, game, np.eye(3), np.arange(27, dtype=np.int64), chunk=2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(game=catalog_games(), resolution=st.sampled_from([0, 2, 3, 4]), chunk=st.integers(1, 40))
+    def test_random_catalog_games(self, game, resolution, chunk):
+        pts = np.eye(game.m) if resolution == 0 else SimplexGrid(game.m, resolution).points()
+        total = pts.shape[0] ** game.n
+        with pytest.MonkeyPatch.context() as patch:
+            self._check(patch, game, pts, _sample(total, 600, resolution), chunk)
+
+    def test_subsample_with_duplicates_and_ties(self, monkeypatch):
+        """More draws than profiles, so codes repeat and gains tie: the
+        least gain's first draw is the argmin."""
+        game = polyline_knots_game()
+        pts = SimplexGrid(3, 2).points()
+        idx = np.random.default_rng(3).integers(0, 6**3, size=1000)
+        full = self._check(monkeypatch, game, pts, idx)
+        first = int(np.argmin(full))
+        assert np.count_nonzero(full == full[first]) > 1
+        assert np.count_nonzero(idx == idx[first]) > 1
+
+    def test_argmin_drawn_late_and_again(self, monkeypatch):
+        """The argmin code first appears deep into the batch, after many
+        chunks ran at a finite limit, and again later."""
+        game = blog()
+        pts, idx = _all_profiles(game, 10)
+        gains = sweep_profile_gains(pack_game(game), pts, idx)
+        worst = idx[gains > gains.min()]
+        best = int(idx[np.argmin(gains)])
+        draws = np.concatenate([worst, [best], worst[:50], [best]])
+        self._check(monkeypatch, game, pts, draws)
+
+    def test_empty(self):
+        pack = pack_game(blog())
+        least, first, within = kernels.reduce_profile_gains(pack, np.eye(2), np.empty(0, np.int64), 0.0)
+        assert (least, first, within.size) == (np.inf, -1, 0)
+
+    def test_nan_tol_keeps_nothing_and_limits_nothing(self, monkeypatch):
+        game = polyline_knots_game()
+        pts, idx = _all_profiles(game, 4)
+        full = self._check(monkeypatch, game, pts, idx)
+        least, first, within = kernels.reduce_profile_gains(pack_game(game), pts, idx, np.nan)
+        assert (least.hex(), first, within.tolist()) == _full_reduction(full, np.nan)
+
+    def test_limit_is_the_running_least(self, monkeypatch):
+        """The first chunk runs unlimited; each later one with the least
+        gain of the chunks before it, or ``tol`` when that is higher."""
+        game = polyline_knots_game()
+        pts, idx = _all_profiles(game, 4)
+        pack = pack_game(game)
+        limits = []
+        gains_numpy = kernels._gains_numpy
+
+        def spy(chunk, grid_pts, pack, table=None, limit=np.inf):
+            limits.append(limit)
+            return gains_numpy(chunk, grid_pts, pack, table, limit)
+
+        monkeypatch.setattr(kernels, "_gains_numpy", spy)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 50 * game.m)
+        full = sweep_profile_gains(pack, pts, idx)
+        limits.clear()
+        kernels.reduce_profile_gains(pack, pts, idx, 1e-9)
+        running = np.minimum.accumulate(full)[49:-1:50]
+        assert limits == [np.inf] + np.maximum(1e-9, running).tolist()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from perception_games.single import (
     search_mixed_equilibria,
     verify_equilibrium,
 )
+from perception_games.testing import random_mixed_catalog_game
 
 from helpers import oracle_pure_gains, reference_mixed_search, spec_to_dict, tabulate
 from test_kernels import (
@@ -447,6 +450,63 @@ class TestScreenedSearch:
         assert sub.subsampled and sub.evaluated == sub.swept == 500
         tab = search_mixed_equilibria(tabulate(blog(), 8), step=0.25)
         assert not tab.subsampled and tab.evaluated == tab.swept == tab.total == 25
+
+
+def _drawn_outcome(res):
+    """``_outcome`` for a subsampled search, with what it swept."""
+    return (
+        [(rep.strategy.sigma.tobytes(), rep.payoffs.tobytes()) for rep in res.survivors],
+        res.survivor_count,
+        res.truncated,
+        res.min_max_gain.hex(),
+        res.argmin.sigma.tobytes(),
+        (res.total, res.swept, res.evaluated, res.subsampled),
+    )
+
+
+class TestSubsampledSearch:
+    """A subsampled search equals ``reference_mixed_search`` on the same
+    seeded draw: the full gains of every draw, reduced. The kernel runs
+    in chunks of a few profiles, so most of them take a finite limit."""
+
+    @pytest.mark.parametrize(
+        "build, step, max_profiles",
+        [
+            (blog, 0.5, 5),
+            (blog, 0.01, 3000),
+            (lambda: tabulate(blog(), 8), 0.01, 3000),
+            (zero_prior_game, 0.1, 5000),
+            (polyline_knots_game, 0.1, 5000),
+            (eight_type_game, 0.5, 3000),
+        ],
+    )
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 0.05, -0.1])
+    def test_matches_the_reference(self, monkeypatch, build, step, max_profiles, tol):
+        game = build()
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 16 * game.m)
+        for cap in (0, 1, 10_000):
+            res = search_mixed_equilibria(
+                game, step, tol, seed=5, max_profiles=max_profiles, max_survivors=cap
+            )
+            ref = reference_mixed_search(game, step, tol, cap, seed=5, max_profiles=max_profiles)
+            assert res.subsampled
+            assert _drawn_outcome(res) == _drawn_outcome(ref)
+
+    def test_allocates_nothing_draw_long_but_the_draw(self):
+        """A 2M-draw search of a 3x3 game at step 0.05 traces its int64
+        draw (about 15.3 MiB) and 2.4 MiB more at peak (measured with
+        numpy 2.4), where the full gains took another 15.3 MiB. The bound
+        leaves room for less than a draw-long bool array."""
+        game = random_mixed_catalog_game(np.random.default_rng(0))
+        assert (game.n, game.m) == (3, 3)
+        tracemalloc.start()
+        try:
+            res = search_mixed_equilibria(game, 0.05, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.subsampled and res.swept == 2_000_000
+        assert peak < 2_000_000 * 8 + 3 * 2**20
 
 
 class TestTabulatedGames:
