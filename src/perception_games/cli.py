@@ -64,6 +64,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _players(game) -> tuple:
     """The per-player blocks of ``game``, each with ``types`` and
     ``actions``: a two-player game's players, or the game itself."""
@@ -123,7 +134,7 @@ def build_parser() -> _Parser:
     p.add_argument("--step", type=float, default=0.05, help="mixed grid mesh (reciprocal of an integer)")
     p.add_argument("--grid", type=int, default=None, help="mixed grid resolution; overrides --step")
     p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_equilibria)
 
     p = add("pooling", "full-pooling existence by the extremal-set test")
@@ -147,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alphas", default="0:1:0.05", help="start:stop:step or comma list")
     p.add_argument("--step", type=float, default=None, help="also sweep mixed profiles at this mesh")
     p.add_argument("--tol", type=_tolerance, default=WEAK_TOL)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=_cmd_majority_scan)
 
     p = add("verify", "check a (strategy, perceptions) profile against a game")

@@ -54,7 +54,15 @@ distinct values, so the table has at least ``n * G**n`` cells, ``n``
 times the whole grid. A 3-action grid at step 0.05 has 21**3 columns
 for 231**3 profiles. The table keeps each type's rows as one
 contiguous row of ``m * V**n`` entries, so one ``np.take`` along those
-rows looks up a chunk's utility rows.
+rows looks up a chunk's utility rows. A profile's entries in that row
+are sums over types of per-point offsets, each below ``m * V**n``, and
+the table packs the offsets of all ``m`` actions into int64 words of
+fixed-width fields (at step 0.05, 3 actions of 15 bits in one word), so
+a chunk's entries take one 1-D gather per type and word, then a shift
+and a mask per action; 1-D gathers of a word run several times faster
+than ``(m, G)`` gathers along the point axis. The base-``G`` digits
+that index those gathers take ``n - 1`` floor divisions, the last
+quotient being digit 0.
 
 Before a whole grid of an additive game is swept, ``screen_profiles``
 decides most of it without the kernel. A cell is one node per type of
@@ -75,6 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,16 +155,18 @@ def decode_profiles(grid_pts: np.ndarray, idx, n: int) -> np.ndarray:
 
 
 def _digits(idx, G: int, n: int) -> np.ndarray:
-    """Base-``G`` digits of the codes ``idx``, shape ``(n,) + idx.shape``,
-    type 0 most significant."""
-    code = np.array(idx, dtype=np.int64)
+    """Base-``G`` digits of the codes ``idx``, each below ``G**n``, shape
+    ``(n,) + idx.shape``, type 0 most significant."""
+    code = np.asarray(idx, dtype=np.int64)
     digits = np.empty((n,) + code.shape, dtype=np.int64)
-    for t in range(n - 1, -1, -1):
+    for t in range(n - 1, 0, -1):
         # a floor division and a multiply-subtract run about twice as
         # fast as np.divmod on int64
         quotient = code // G
         np.subtract(code, quotient * G, out=digits[t, ...])
         code = quotient
+    # the last quotient is below G: it is digit 0
+    digits[0, ...] = code
     return digits
 
 
@@ -221,21 +232,35 @@ def _interpolate(mu: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     return acc
 
 
-def _column_table(
-    grid_pts: np.ndarray, pack: GamePack
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _ColumnTable(NamedTuple):
+    """What ``_column_table`` builds; see there."""
+
+    words: np.ndarray  # (n, words per type, G) int64
+    width: int  # bits per action field
+    on: np.ndarray  # (m * C,) bool
+    rows: np.ndarray  # (n, m * C)
+
+
+def _column_table(grid_pts: np.ndarray, pack: GamePack) -> _ColumnTable:
     """Every type's utility rows at every column a profile over
-    ``grid_pts`` can have: ``(place, on, rows)``.
+    ``grid_pts`` can have, and where a profile's columns sit in them.
 
     A column lists each type's probability of one action, each drawn
     from the ``V`` distinct grid values, so there are ``C = V**n``
     columns, coded base ``V`` with type 0 most significant. Entry
-    ``a * C + c`` of ``on`` (shape ``(C * m,)``) and of each type's row
-    ``rows[t]`` (shape ``(n, C * m)``) is column ``c`` at action ``a``,
-    and ``place[t, a, g]`` is what type ``t`` playing grid point ``g``
-    adds to that entry's index. A row at an off-path column holds the
-    type's ``u_min``, as the off-path fill pins it, so only the free
-    rows of zero-prior types are left to fill."""
+    ``a * C + c`` of ``on`` and of each type's row ``rows[t]`` is column
+    ``c`` at action ``a``. A row at an off-path column holds the type's
+    ``u_min``, as the off-path fill pins it, so only the free rows of
+    zero-prior types are left to fill.
+
+    A profile's entry at action ``a`` is a sum over types of what type
+    ``t`` playing its grid point adds, and every entry is below ``m *
+    C``, so it fits a field of ``width = (m * C - 1).bit_length()``
+    bits. ``words[t, j, g]`` packs what type ``t`` at point ``g`` adds to
+    the fields of actions ``j * P`` to ``j * P + P - 1``, ``P = 63 //
+    width`` to a word, action ``j * P`` lowest. A sum of such words over
+    the types carries from no field into the next, so one 1-D gather
+    per type and word gives a profile's entries."""
     n, m = pack.u_min.shape
     vals, rank = np.unique(grid_pts, return_inverse=True)
     V = vals.size
@@ -244,9 +269,35 @@ def _column_table(
     on, rows = _utility_rows(cols[:, None, :], pack)  # (1, C), (n, m, C)
     rows = np.where(on, rows, pack.u_min[:, :, None])
     rank = rank.reshape(grid_pts.shape).T  # (m, G)
-    place = np.stack([rank * V ** (n - 1 - t) for t in range(n)])
-    place[0] += np.arange(m)[:, None] * C
-    return place, np.tile(on[0], m), rows.reshape(n, -1)
+    width = max(1, (m * C - 1).bit_length())
+    per = 63 // width
+    words = np.zeros((n, -(-m // per), rank.shape[1]), dtype=np.int64)
+    for t in range(n):
+        for a in range(m):
+            entry = rank[a] * V ** (n - 1 - t) + (a * C if t == 0 else 0)
+            words[t, a // per] += entry << (width * (a % per))
+    return _ColumnTable(words, width, np.tile(on[0], m), rows.reshape(n, -1))
+
+
+def _table_entries(table: _ColumnTable, digits: np.ndarray, m: int) -> np.ndarray:
+    """The table entries ``(m, B)`` of the profiles with base-``G``
+    digits ``digits`` ``(n, B)``: one 1-D gather per type and word, then
+    a shift and a mask per action."""
+    words, width = table.words, table.width
+    per = 63 // width
+    mask = (1 << width) - 1
+    col = np.empty((m, digits.shape[1]), dtype=np.int64)
+    for j in range(words.shape[1]):
+        word = np.take(words[0, j], digits[0])
+        for t in range(1, words.shape[0]):
+            word += np.take(words[t, j], digits[t])
+        actions = range(j * per, min(m, j * per + per))
+        for a in actions:
+            np.right_shift(word, width * (a - j * per), out=col[a])
+            # the word's top field has no field above it to mask off
+            if a != actions[-1]:
+                np.bitwise_and(col[a], mask, out=col[a])
+    return col
 
 
 def _raise_free_rows(
@@ -274,7 +325,7 @@ def _gains_numpy(
     idx: np.ndarray,
     grid_pts: np.ndarray,
     pack: GamePack,
-    table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    table: _ColumnTable | None = None,
     limit: float = np.inf,
 ) -> np.ndarray:
     """The gain of each profile ``idx``, evaluated a type at a time: after
@@ -299,19 +350,16 @@ def _gains_numpy(
         else:
             on, rows = _utility_rows(sig, pack)
     else:
-        place, on_tab, rows_tab = table
-        col = np.take(place[0], digits[0], axis=1)  # (m, B): table entries
-        for t in range(1, n):
-            col = col + np.take(place[t], digits[t], axis=1)
+        col = _table_entries(table, digits, m)  # (m, B)
         # the table pins every off-path row to u_min already
-        on = np.take(on_tab, col) if has_free else None
+        on = np.take(table.on, col) if has_free else None
     off = None if on is None else ~on.all(axis=0)
     out = np.empty(idx.shape[0])
-    alive = np.arange(idx.shape[0])  # positions still in the batch
+    alive = None  # positions still in the batch; None while all are
     for t in range(n):
         if table is not None:
             s = np.take(by_action, digits[t], axis=1)
-            r = np.take(rows_tab[t], col)
+            r = np.take(table.rows[t], col)
         else:
             s = sig[t]
             r = rows[t] if rows is not None else _penalized(pack, t, beliefs)
@@ -321,7 +369,7 @@ def _gains_numpy(
             if has_free:
                 sel = np.flatnonzero(off)
                 r[:, sel] = _raise_free_rows(r[:, sel], s[:, sel], on[:, sel], pack.u_max[t])
-        played = np.zeros(alive.shape[0])
+        played = np.zeros(s.shape[1])
         for a in range(m):
             played += s[a] * r[a]
         best = r[0]
@@ -334,14 +382,21 @@ def _gains_numpy(
         if keep.size == gain.size:
             continue
         # every entry takes its partial gain; the kept ones are overwritten
-        out[alive] = gain
-        alive, gain = alive[keep], gain[keep]
-        on, off, digits, col, sig, beliefs, rows = (
-            None if x is None else np.take(x, keep, axis=-1)
-            for x in (on, off, digits, col, sig, beliefs, rows)
-        )
-    out[alive] = gain
+        out[... if alive is None else alive] = gain
+        alive = keep if alive is None else alive[keep]
+        gain = gain[keep]
+        if table is None:
+            on, off, sig, beliefs, rows = _keep(keep, on, off, sig, beliefs, rows)
+        else:
+            on, off, digits, col = _keep(keep, on, off, digits, col)
+    out[... if alive is None else alive] = gain
     return out
+
+
+def _keep(keep: np.ndarray, *arrays):
+    """Each of ``arrays`` at the batch positions ``keep`` (last axis);
+    None stays None."""
+    return tuple(None if x is None else np.take(x, keep, axis=-1) for x in arrays)
 
 
 def _plan(pack: GamePack, grid_pts: np.ndarray, size: int):

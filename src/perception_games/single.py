@@ -403,7 +403,8 @@ def search_mixed_equilibria(
     sweep. ``survivor_count`` counts screened profiles; the reported
     survivors are the first ``max_survivors`` of them in code order (in
     draw order for a subsample), rebuilt and confirmed by the exact
-    ``profile_report``, so kernel rounding never decides membership.
+    ``profile_report``, so kernel rounding never decides membership. A
+    negative ``max_survivors`` is rejected before any work.
 
     The kernel reduces as it sweeps (``kernels.reduce_profile_gains``):
     it keeps the least gain with its first code and the codes within
@@ -413,6 +414,8 @@ def search_mixed_equilibria(
     and the results are those of the full gains bit for bit. The game is
     packed once per call, and a grid's cell tree is built once.
     """
+    if max_survivors < 0:
+        raise ValueError(f"max_survivors must be nonnegative, got {max_survivors!r}")
     # a NaN, infinite, nonpositive or subnormal step leaves resolution 0
     inverse = 1.0 / step if 0.0 < step < np.inf else 0.0
     resolution = round(inverse) if np.isfinite(inverse) else 0

@@ -334,6 +334,33 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert "must be a finite, nonnegative number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1", "1.5", "abc"])
+    @pytest.mark.parametrize(
+        "argv, solver",
+        [
+            (["equilibria", "--mode", "mixed", "--seed"], "search_mixed_equilibria"),
+            (["majority-scan", "--alphas", "0,1", "--step", "0.5", "--seed"], "scan_alpha"),
+        ],
+    )
+    def test_seed_must_be_a_nonnegative_integer(
+        self, blog_path, monkeypatch, capsys, argv, solver, value
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{solver} was called")
+
+        monkeypatch.setattr(cli, solver, fail)
+        if argv[0] != "majority-scan":
+            argv = argv[:1] + ["--game", blog_path] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 1
+        assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_seed_zero_is_accepted(self, blog_path, capsys):
+        argv = ["equilibria", "--game", blog_path, "--mode", "mixed", "--step", "0.25"]
+        assert main(argv + ["--seed", "0", "--format", "json"]) == 0
+        assert _json_out(capsys)["survivor_count"] == 3
+
     @pytest.mark.parametrize("grid", ["0", "-4"])
     def test_nonpositive_grid(self, blog_path, capsys, grid):
         rc = main(["equilibria", "--game", blog_path, "--mode", "mixed", "--grid", grid])

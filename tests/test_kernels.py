@@ -423,6 +423,79 @@ class TestDecodeProfile:
         assert grid.shape == (G, G * G, 3, 3)
         np.testing.assert_array_equal(grid.reshape(sigmas.shape), sigmas)
 
+    @pytest.mark.parametrize("G, n", [(2, 1), (231, 1), (231, 3), (3, 8), (10_626, 4), (2, 62)])
+    def test_digits_are_unravel_index(self, G, n):
+        total = G**n
+        rng = np.random.default_rng(n)
+        codes = np.concatenate([[0, total - 1], rng.integers(0, total, size=500)]).astype(np.int64)
+        expected = np.stack(np.unravel_index(codes, (G,) * n))
+        np.testing.assert_array_equal(kernels._digits(codes, G, n), expected)
+        assert kernels._digits(total - 1, G, n).tolist() == [G - 1] * n
+
+
+def five_action_game() -> PerceptionGame:
+    """3 types x 5 actions, one penalty kind each: at step 0.05 the grid
+    takes 21 values, so 21**3 columns x 5 actions need 16-bit fields,
+    3 to a word, in 2 words."""
+    rng = np.random.default_rng(55)
+    return _game(
+        [0.25, 0.5, 0.25],
+        rng.uniform(0.0, 2.0, size=(3, 5)),
+        [
+            PenaltySpec.tv_to_prior(1.5),
+            PenaltySpec.piecewise_linear(((0.0, 0.2), (0.25, 1.1), (1.0, 0.4)), over=("t0", "t1")),
+            PenaltySpec.step(((0.25, 0.5, 0.8, True, False),), over=("t1", "t2")),
+        ],
+    )
+
+
+class TestPackedColumnTable:
+    """The column table's packed words give every profile's table
+    entries, and the table path's gains equal the per-profile path's
+    bit for bit, unlimited and at a finite limit."""
+
+    @staticmethod
+    def _check(game, pts, idx, words):
+        pack = pack_game(game)
+        table = kernels._column_table(pts, pack)
+        assert table.words.shape == (game.n, words, pts.shape[0])
+        # entry a * C + c: column c is coded base V, type 0 most significant
+        vals, rank = np.unique(pts, return_inverse=True)
+        rank = rank.reshape(pts.shape)
+        C = vals.size**game.n
+        digits = kernels._digits(idx, pts.shape[0], game.n)
+        column = sum(rank[digits[t]] * vals.size ** (game.n - 1 - t) for t in range(game.n))
+        entries = kernels._table_entries(table, digits, game.m)
+        np.testing.assert_array_equal(entries, (np.arange(game.m) * C + column).T)
+        full = kernels._gains_numpy(idx, pts, pack)
+        assert kernels._gains_numpy(idx, pts, pack, table).tobytes() == full.tobytes()
+        for limit in (float(np.median(full)), float(full.min())):
+            flat = kernels._gains_numpy(idx, pts, pack, None, limit)
+            assert kernels._gains_numpy(idx, pts, pack, table, limit).tobytes() == flat.tobytes()
+        return table
+
+    def test_five_actions_two_words(self):
+        game = five_action_game()
+        pts = SimplexGrid(5, 20).points()
+        idx = np.random.default_rng(5).integers(0, pts.shape[0] ** 3, size=3000)
+        assert self._check(game, pts, idx, words=2).width == 16
+        # some sampled profile leaves an action off path
+        assert _has_off_path_action(game, decode_profiles(pts, idx, 3)).any()
+
+    def test_tabulated(self):
+        game = tabulate(random_mixed_catalog_game(np.random.default_rng(0)), 6)
+        pts, idx = _all_profiles(game, 4)
+        self._check(game, pts, idx, words=1)
+
+    def test_zero_prior_free_rows(self):
+        game = zero_prior_game()
+        pts, idx = _all_profiles(game, 4)
+        idx = _sample(idx.size, 1500, 4)
+        self._check(game, pts, idx, words=1)
+        sig = decode_profiles(pts, idx, game.n)
+        # some sampled profile has t2 alone play an action: a free row
+        assert ((sig[:, 2] > 0.0) & (sig[:, :2].sum(axis=1) == 0.0)).any()
+
 
 def _majority_full_grid():
     game = default_majority_family().game_for(0.5)

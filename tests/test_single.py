@@ -313,6 +313,23 @@ class TestMixedSearchMechanics:
         with pytest.raises(ValueError, match="10000001 points per type"):
             search_mixed_equilibria(blog(), step=1e-7)
 
+    @pytest.mark.parametrize("cap", [-1, -3])
+    def test_negative_max_survivors(self, monkeypatch, cap):
+        """Rejected before any work: ``within[:-1]`` would drop the last
+        survivor and report ``truncated``."""
+
+        def refuse(*args):
+            raise AssertionError("packed the game")
+
+        monkeypatch.setattr(single, "pack_game", refuse)
+        monkeypatch.setattr(SimplexGrid, "points", refuse)
+        with pytest.raises(ValueError, match="max_survivors must be nonnegative"):
+            search_mixed_equilibria(blog(), step=0.25, max_survivors=cap)
+
+    def test_zero_max_survivors_counts_all(self):
+        res = search_mixed_equilibria(blog(), step=0.25, max_survivors=0)
+        assert res.survivors == () and res.survivor_count == 3 and res.truncated
+
     def test_subsample_is_seeded(self):
         g = blog()
         a = search_mixed_equilibria(g, step=0.01, max_profiles=500, seed=7)
