@@ -370,10 +370,21 @@ def scan_alpha(
     mixed_step: float | None = None,
     seed: int | None = None,
 ) -> AlphaScanReport:
+    """One row per alpha of ``alphas``, which must be nonempty and
+    ascending (ties allowed): ``alpha_hat`` and the monotonicity check
+    read the rows in that order. Raises ValueError otherwise, before any
+    game is built."""
+    alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ValueError("alphas must not be empty")
+    for a, b in zip(alphas, alphas[1:]):
+        # NaN fails this comparison too
+        if not a <= b:
+            raise ValueError(f"alphas must be ascending, got {b!r} after {a!r}")
     rows: list[AlphaRow] = []
     bound = None
     for alpha in alphas:
-        spec = family.spec_for(float(alpha))
+        spec = family.spec_for(alpha)
         game = spec.to_game()
         if bound is None:
             bound = separation_uniqueness_bound(spec)
@@ -388,7 +399,7 @@ def scan_alpha(
             mixed_survivors = sweep.survivor_count
         rows.append(
             AlphaRow(
-                alpha=float(alpha),
+                alpha=alpha,
                 n_equilibria=len(found),
                 labels=labels,
                 separating_present=bool(separating),

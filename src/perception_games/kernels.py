@@ -70,25 +70,34 @@ decides most of it without the kernel. A cell is one node per type of
 type's strategy lies in a box of action probabilities.
 ``cell_lower_bound`` bounds a batch of cells at once: the prior mass
 each type sends to an action lies in a box, so each posterior
-coordinate and event mass lies in an interval (``simplex.share_bounds``),
-each penalty in an interval (``penalties.penalty_bounds``), each
+coordinate and event mass lies in an interval (``simplex.share_pair``),
+each penalty in an interval (``penalties.stacked_bounds``), each
 utility in ``[L, H]``, and the gain above a certified lower bound. The
 screen prunes the cells bounded above the tolerance, splits the others
-level by level and returns the profiles of the small cells it keeps;
-``single.search_mixed_equilibria`` sweeps those through the kernel, and
-the exact ``single.profile_report`` confirms the survivors as before.
+level by level (``_split``) and returns the profiles of the small cells
+it keeps; ``single.search_mixed_equilibria`` sweeps those through the
+kernel, and the exact ``single.profile_report`` confirms the survivors
+as before. A level holds few cells (a ``majority-scan`` pass bounds
+2,893 cells in 80 calls), so a level costs numpy calls, not cells, and
+each step does one call where it can: the low and high ends of every
+box travel stacked, the types whose penalties the bound cannot tell
+apart (in the paper's separable families, the types of one privacy
+class) share one bound per batch (``GamePack.bound_plan``), a penalty
+compares all its knots or piece bounds with every interval at once, and
+a level's cells split in one step, in the order of splitting one type
+after the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import PerceptionGame
-from .penalties import Penalty, penalty_batch, penalty_bounds
+from .penalties import Penalty, penalty_batch, stacked_bounds
 from .simplex import BOUND_SLACK, lattice_rank
 
 __all__ = [
@@ -128,6 +137,52 @@ class GamePack:
     penalties: tuple[Penalty, ...] = ()  # bound, one per type
     values: np.ndarray | None = None  # (n, m, lattice size)
     resolution: int = 0
+
+    @cached_property
+    def bound_plan(self) -> "_BoundPlan":
+        """What ``cell_lower_bound`` reads of an additive game, worked
+        out once per pack: the distinct penalties, each with the types
+        that share it and their ``v``, the prior shaped to scale the
+        masses, and the rounding margin."""
+        groups: dict[tuple, list[int]] = {}
+        for t, pen in enumerate(self.penalties):
+            groups.setdefault(_bound_key(pen), []).append(t)
+        types = tuple(np.array(ts) for ts in groups.values())
+        scale = max(np.abs(self.v).max(), np.abs(self.u_min).max(), np.abs(self.u_max).max())
+        return _BoundPlan(
+            tuple(self.penalties[ts[0]] for ts in types),
+            types,
+            tuple(self.v[ts, :, None] for ts in types),
+            self.prior[:, None, None],
+            BOUND_SLACK * scale,
+        )
+
+
+class _BoundPlan(NamedTuple):
+    """See ``GamePack.bound_plan``."""
+
+    penalties: tuple[Penalty, ...]  # one per distinct penalty, by first type
+    types: tuple[np.ndarray, ...]  # the types that share each
+    v: tuple[np.ndarray, ...]  # their ``v``, (types, m, 1)
+    prior: np.ndarray  # (n, 1, 1)
+    margin: float
+
+
+def _bound_key(pen: Penalty) -> tuple:
+    """What ``penalty_bounds`` reads of ``pen``, hashable even when its
+    spec holds lists: types with equal keys have equal bounds. The
+    anchor matters only to ``tv_to_prior``, the type only to
+    ``exposure``."""
+    spec = pen.spec
+    return (
+        spec.kind,
+        float(spec.weight),
+        pen.event,
+        None if pen.knots is None else tuple(k.tobytes() for k in pen.knots),
+        None if pen.breaks is None else tuple(b.tobytes() for b in pen.breaks),
+        pen.anchor.tobytes() if spec.kind == "tv_to_prior" else None,
+        pen.type_index if spec.kind == "exposure" else None,
+    )
 
 
 def pack_game(game: PerceptionGame) -> GamePack:
@@ -475,6 +530,13 @@ class GridTree:
     low: np.ndarray  # (m, N)
     high: np.ndarray  # (m, N)
 
+    @cached_property
+    def box(self) -> np.ndarray:
+        """``low`` and ``high`` stacked, ``(2, m, N)``."""
+        box = np.stack((self.low, self.high))
+        box.flags.writeable = False
+        return box
+
 
 def grid_tree(grid_pts: np.ndarray) -> GridTree:
     """The tree of ``grid_pts``, built once per grid (so once per ``(m,
@@ -524,7 +586,8 @@ def cell_lower_bound(pack: GamePack, tree: GridTree, cells: np.ndarray) -> np.nd
     Cell ``j`` gives type ``t`` the points of tree node ``cells[t, j]``
     (``cells`` is ``(n, B)``), so each type's strategy lies in a box
     ``[low, high]`` per action. An additive game's utility of action
-    ``a`` then lies in an interval ``[L, H]``: from ``penalty_bounds``
+    ``a`` then lies in an interval ``[L, H]``: from the penalty's bounds
+    (``stacked_bounds``, once per distinct penalty of ``bound_plan``)
     over the box of prior masses when the action is surely on path
     (some type surely sends mass to it), and widened to ``[u_min,
     u_max]``, which holds every off-path fill, when it may be off path.
@@ -534,32 +597,32 @@ def cell_lower_bound(pack: GamePack, tree: GridTree, cells: np.ndarray) -> np.nd
     the coefficient is nonnegative, ``high`` where it is negative. The
     bound is the largest of these over types and ``b``, less a margin of
     ``BOUND_SLACK`` times the game's largest ``|v|``, ``|u_min|`` or
-    ``|u_max|`` for the kernel's rounding.
+    ``|u_max|`` for the kernel's rounding (``bound_plan.margin``).
     """
     n, m = pack.u_min.shape
-    lo = np.take(tree.low, cells, axis=1).transpose(1, 0, 2)  # (n, m, B)
-    hi = np.take(tree.high, cells, axis=1).transpose(1, 0, 2)
-    mass_lo = lo * pack.prior[:, None, None]
-    mass_hi = hi * pack.prior[:, None, None]
-    sure = mass_lo.sum(axis=0) > 0.0  # (m, B)
-    never = mass_hi.sum(axis=0) == 0.0
+    plan = pack.bound_plan
+    box = np.take(tree.box, cells, axis=2).transpose(0, 2, 1, 3)  # (2, n, m, B)
+    mass = box * plan.prior
+    total = mass.sum(axis=1)  # (2, m, B)
+    sure = total[0] > 0.0
+    never = total[1] == 0.0
     u_min, u_max = pack.u_min[:, :, None], pack.u_max[:, :, None]
-    low_u = np.empty(lo.shape)
-    high_u = np.empty(lo.shape)
-    for t in range(n):
-        w_lo, w_hi = penalty_bounds(pack.penalties[t], mass_lo, mass_hi)
-        low_u[t] = pack.v[t, :, None] - w_hi
-        high_u[t] = pack.v[t, :, None] - w_lo
+    low_u = np.empty(mass.shape[1:])
+    high_u = np.empty(mass.shape[1:])
+    for pen, types, v in zip(plan.penalties, plan.types, plan.v):
+        w_lo, w_hi = stacked_bounds(pen, mass, total)
+        low_u[types] = v - w_hi
+        high_u[types] = v - w_lo
     low_u = np.where(sure, low_u, np.where(never, u_min, np.minimum(low_u, u_min)))
     high_u = np.where(sure, high_u, np.where(never, u_max, np.maximum(high_u, u_max)))
-    bound = np.full(cells.shape[1], -np.inf)
+    # each type's gain bound for deviating to b, (b, n, B)
+    gains = np.empty((m, n, cells.shape[1]))
     for b in range(m):
-        coef = low_u[:, b : b + 1] - high_u  # (n, m, B)
-        term = np.minimum(lo * coef, hi * coef)
+        term = box * (low_u[:, b : b + 1] - high_u)  # (2, n, m, B)
+        term = np.minimum(term[0], term[1])
         term[:, b] = 0.0
-        bound = np.maximum(bound, term.sum(axis=1).max(axis=0))
-    scale = max(np.abs(pack.v).max(), np.abs(pack.u_min).max(), np.abs(pack.u_max).max())
-    return bound - BOUND_SLACK * scale
+        term.sum(axis=1, out=gains[b])
+    return gains.max(axis=(0, 1)) - plan.margin
 
 
 def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple[np.ndarray, int]:
@@ -592,26 +655,50 @@ def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple
             i = int(np.argmin(np.where(cut, bound, np.inf)))
             if bound[i] < least:
                 least, seed = bound[i], cells[:, i : i + 1]
-            cells = cells[:, ~cut]
         size = np.take(tree.size, cells)
         leaf = size.prod(axis=0) <= _LEAF
-        leaves.append(cells[:, leaf])
-        cells, size = cells[:, ~leaf], size[:, ~leaf]
-        rank = np.argsort(np.argsort(-size, axis=0, kind="stable"), axis=0)
-        wide = (rank < _SPLIT_TYPES) & (size > 1)
-        for t in range(n):
-            sel = np.flatnonzero(wide[t])
-            first = np.take(tree.child, cells[t, sel])
-            cells[t, sel] = first
-            second = cells[:, sel]
-            second[t] = first + 1
-            cells = np.concatenate([cells, second], axis=1)
-            wide = np.concatenate([wide, wide[:, sel]], axis=1)
+        leaves.append(cells[:, leaf & ~cut])
+        grow = ~(leaf | cut)
+        cells = _split(tree, cells[:, grow], size[:, grow])
     codes = np.sort(_codes(tree, np.concatenate(leaves, axis=1), G))
     if not seed.size:
         return codes, -1
     # a cell's lowest code gives each type the first point of its node
     return codes, sum(int(tree.start[c]) * G ** (n - 1 - t) for t, c in enumerate(seed[:, 0]))
+
+
+def _split(tree: GridTree, cells: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The children of the cells ``(n, K)`` with ``size`` points per
+    type: each cell is split in half on each of its ``_SPLIT_TYPES``
+    types with the most points (the first ones on a tie) that have more
+    than one, into every choice of a half on each of those types.
+
+    The children are ordered as if the types were split one after the
+    other, type 0 first, each split keeping the first halves in place
+    and appending the second halves in order: by the types that take
+    their second half, read as a binary number with type ``t`` worth
+    ``2**t``, then by parent. That number is below ``2**n``; a grid
+    whose profile codes fit an int64 and that has a cell to split has
+    ``n <= 62``."""
+    n, K = cells.shape
+    if not K:
+        return cells
+    wide = size > 1
+    count = wide.sum(axis=0)
+    if count.max() > _SPLIT_TYPES:
+        rank = np.argsort(np.argsort(-size, axis=0, kind="stable"), axis=0)
+        wide &= rank < _SPLIT_TYPES
+        count = wide.sum(axis=0)
+    # child r takes the second half on a cell's i-th split type (i from
+    # 1, as ``place`` counts them) when bit i of 2 * r is set
+    place = np.cumsum(wide, axis=0)[:, :, None]
+    choice = np.arange(1 << min(n, _SPLIT_TYPES))
+    second = ((2 * choice) >> place) & wide[:, :, None]  # (n, K, R)
+    kids = np.where(wide, np.take(tree.child, cells), cells)[:, :, None] + second
+    order = (second << np.arange(n)[:, None, None]).sum(axis=0)  # (K, R)
+    made = choice < (1 << count)[:, None]
+    order = order[made]
+    return kids[:, made][:, np.argsort(order, kind="stable")]
 
 
 def _codes(tree: GridTree, cells: np.ndarray, G: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simplex import Belief, Range, dirac, share_bounds
+from .simplex import Belief, Range, dirac, share_pair
 
 KINDS = ("zero", "tv_to_prior", "exposure", "piecewise_linear_marginal", "step_marginal")
 MARGINAL_KINDS = ("piecewise_linear_marginal", "step_marginal")
@@ -51,6 +51,7 @@ __all__ = [
     "penalty_value",
     "penalty_batch",
     "penalty_bounds",
+    "stacked_bounds",
     "penalty_range",
     "validate_spec",
 ]
@@ -188,6 +189,9 @@ class Penalty:
     event: tuple[int, ...] | None  # the event's type indices, ascending (marginal kinds)
     knots: tuple[np.ndarray, np.ndarray] | None  # the polyline's (x, y) knot arrays
     steps: tuple[np.ndarray, np.ndarray] | None  # np.diff of each knot array
+    # the step's sorted piece bounds between -inf and inf, and its values
+    # on the open gaps between those, then at each piece bound
+    breaks: tuple[np.ndarray, np.ndarray] | None
 
 
 def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> Penalty:
@@ -208,9 +212,18 @@ def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> P
     if spec.knots:
         knots = np.array([k[0] for k in spec.knots]), np.array([k[1] for k in spec.knots])
         steps = np.diff(knots[0]), np.diff(knots[1])
-    return Penalty(
-        spec, len(labels), np.asarray(anchor, dtype=np.float64), type_index, event, knots, steps
-    )
+    breaks = None
+    if spec.pieces:
+        cuts = sorted({p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
+        # the step is constant on each open gap; probe it at one point
+        inner = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+        probes = [cuts[0] - 1.0, *inner, cuts[-1] + 1.0, *cuts]
+        breaks = (
+            np.array([-np.inf, *cuts, np.inf]),
+            np.array([step_value(spec.pieces, x) for x in probes]),
+        )
+    anchor = np.asarray(anchor, dtype=np.float64)
+    return Penalty(spec, len(labels), anchor, type_index, event, knots, steps, breaks)
 
 
 def piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -> float:
@@ -304,58 +317,81 @@ def penalty_bounds(pen: Penalty, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     for ``penalty_batch``, and results of shape ``lo.shape[1:]``.
 
     Each kind reads one interval, a ratio of box-bounded masses from
-    ``share_bounds``: ``exposure`` the type's own posterior coordinate,
-    the marginal kinds the event's mass, and ``tv_to_prior`` every
-    coordinate. Over its interval a kind takes its exact extremes: the
-    polyline at the ends and the knots inside, the step at every piece
-    boundary and open gap the interval meets. ``tv_to_prior`` is bounded
-    coordinate by coordinate: the total variation is both the mass
-    above the anchor and the mass below it. The enclosure holds up to a
-    few float roundings (a polyline's value at a knot, the two sums of
-    the total variation), which the caller's margin must cover.
+    ``share_pair`` (``share_bounds`` with the low and high corners
+    stacked): ``exposure`` the type's own posterior coordinate, the
+    marginal kinds the event's mass, and ``tv_to_prior`` all ``n``
+    coordinates in one call. Over its interval a kind takes its exact
+    extremes: the polyline at the two ends (one ``_polyline_batch`` call
+    for both) and at the knots inside, the step at every piece bound and
+    open gap the interval meets. Knots, bounds and gaps are compared
+    with every interval at once, along a new first axis, and the least
+    and greatest value met are kept; the step's bounds and its value on
+    each gap and at each bound come from ``bind``. ``tv_to_prior`` is
+    bounded coordinate by coordinate: the total variation is both the
+    mass above the anchor and the mass below it, each summed over the
+    coordinates in index order. The enclosure holds up to a few float
+    roundings (a polyline's value at a knot, the two sums of the total
+    variation), which the caller's margin must cover.
     """
+    mass = np.stack((lo, hi))
+    return stacked_bounds(pen, mass, mass.sum(axis=1))
+
+
+def stacked_bounds(pen: Penalty, mass: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``penalty_bounds(pen, *mass)`` for the masses stacked as ``mass =
+    [lo, hi]``, ``(2, n, ...)``, with their sums over the types ``total
+    = mass.sum(axis=1)``, which a caller bounding several penalties at
+    the same masses computes once."""
     spec = pen.spec
     w = spec.weight
     if spec.kind == "zero":
-        zero = np.zeros(lo.shape[1:])
+        zero = np.zeros(total.shape[1:])
         return zero, zero
-    total_lo, total_hi = lo.sum(axis=0), hi.sum(axis=0)
-    if spec.kind in ("tv_to_prior", "exposure"):
-        members = range(pen.n) if spec.kind == "tv_to_prior" else (pen.type_index,)
-        shares = [share_bounds(lo[s], hi[s], total_lo - lo[s], total_hi - hi[s]) for s in members]
-        if spec.kind == "exposure":
-            return w * shares[0][0], w * shares[0][1]
-        zero = np.zeros(lo.shape[1:])
-        above_lo, above_hi, below_lo, below_hi = zero, zero, zero, zero
-        for (x_lo, x_hi), b in zip(shares, pen.anchor.tolist()):
-            above_lo = above_lo + np.maximum(x_lo - b, 0.0)
-            above_hi = above_hi + np.maximum(x_hi - b, 0.0)
-            below_lo = below_lo + np.maximum(b - x_hi, 0.0)
-            below_hi = below_hi + np.maximum(b - x_lo, 0.0)
+    if spec.kind == "exposure":
+        part = mass[:, pen.type_index]
+        x_lo, x_hi = share_pair(part, total - part)
+        return w * x_lo, w * x_hi
+    if spec.kind == "tv_to_prior":
+        x = share_pair(mass, total[:, None] - mass)  # (2, n, ...)
+        b = _along_first(pen.anchor, total.ndim - 1)
+        # per coordinate: the least and the most it lies above the
+        # anchor, then the least and the most it lies below it
+        dist = np.empty((4,) + x.shape[1:])
+        np.subtract(x, b, out=dist[:2])
+        np.subtract(b, x[::-1], out=dist[2:])
+        np.maximum(dist, 0.0, out=dist)
+        acc = dist[:, 0]
+        for s in range(1, pen.n):
+            acc = acc + dist[:, s]
+        above_lo, above_hi, below_lo, below_hi = acc
         return w * np.maximum(above_lo, below_lo), w * np.minimum(above_hi, below_hi)
-    inside = np.zeros(lo.shape[1:]), np.zeros(lo.shape[1:])
+    inside = np.zeros(total.shape)
     for s in pen.event:
-        inside = inside[0] + lo[s], inside[1] + hi[s]
-    x_lo, x_hi = share_bounds(*inside, total_lo - inside[0], total_hi - inside[1])
+        inside = inside + mass[:, s]
+    x = share_pair(inside, total - inside)
+    x_lo, x_hi = x
+    ndim = total.ndim - 1
     if spec.kind == "piecewise_linear_marginal":
-        ends = _polyline_batch(pen, x_lo), _polyline_batch(pen, x_hi)
-        low, high = np.minimum(*ends), np.maximum(*ends)
-        kx, ky = pen.knots
-        reached = [((x_lo < k) & (k < x_hi), y) for k, y in zip(kx.tolist(), ky.tolist())]
-    else:
-        # the step is constant on each open gap between piece bounds
-        cuts = sorted({p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
-        inner = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
-        edges = [-np.inf, *cuts, np.inf]
-        low, high = np.full(x_lo.shape, np.inf), np.full(x_lo.shape, -np.inf)
-        reached = [
-            ((x_lo < b) & (a < x_hi), step_value(spec.pieces, g))
-            for g, a, b in zip([cuts[0] - 1.0, *inner, cuts[-1] + 1.0], edges, edges[1:])
-        ] + [((x_lo <= c) & (c <= x_hi), step_value(spec.pieces, c)) for c in cuts]
-    for meets, y in reached:
-        low = np.where(meets, np.minimum(low, y), low)
-        high = np.where(meets, np.maximum(high, y), high)
+        kx, ky = (_along_first(k, ndim) for k in pen.knots)
+        ends = _polyline_batch(pen, x)
+        # the knots inside the interval; an end stands in for the others
+        inner = np.where((x_lo < kx) & (kx < x_hi), ky, ends[0])
+        values = np.concatenate((ends, inner))
+        return w * values.min(axis=0), w * values.max(axis=0)
+    edges, values = (_along_first(b, ndim) for b in pen.breaks)
+    cuts = edges[1:-1]
+    meets = np.concatenate((
+        (x_lo < edges[1:]) & (edges[:-1] < x_hi),  # the open gaps
+        (x_lo <= cuts) & (cuts <= x_hi),
+    ))
+    low = np.where(meets, values, np.inf).min(axis=0)
+    high = np.where(meets, values, -np.inf).max(axis=0)
     return w * low, w * high
+
+
+def _along_first(values: np.ndarray, ndim: int) -> np.ndarray:
+    """``values`` ``(k,)`` as ``(k, 1, ..., 1)``, against ``ndim`` axes."""
+    return values.reshape((-1,) + (1,) * ndim)
 
 
 def _belief_with_marginal(x: float, pen: Penalty) -> Belief:

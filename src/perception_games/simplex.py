@@ -27,6 +27,8 @@ WEAK_TOL = 1e-9
 # Relative widening of certified bounds, far above the few float64
 # roundings (about 1e-16 each) that a batched evaluation accumulates.
 BOUND_SLACK = 1e-12
+# ``share_pair`` widens the low corner of a share down, the high one up
+_WIDEN = np.array([1.0 - BOUND_SLACK, 1.0 + BOUND_SLACK])
 
 __all__ = [
     "SUM_TOL",
@@ -39,6 +41,7 @@ __all__ = [
     "tv_distance",
     "posterior",
     "share_bounds",
+    "share_pair",
     "consistency_errors",
     "Range",
     "SimplexGrid",
@@ -167,11 +170,19 @@ def share_bounds(
     bounds; a corner with no mass at all gives 0. Both bounds are
     widened by ``BOUND_SLACK`` relative, so that they hold the share as
     the batched update rounds it too."""
-    lo_den = part_lo + rest_hi
-    hi_den = part_hi + rest_lo
-    lo = np.divide(part_lo, lo_den, out=np.zeros(lo_den.shape), where=lo_den > 0.0)
-    hi = np.divide(part_hi, hi_den, out=np.zeros(hi_den.shape), where=hi_den > 0.0)
-    return lo * (1.0 - BOUND_SLACK), hi * (1.0 + BOUND_SLACK)
+    lo, hi = share_pair(np.stack((part_lo, part_hi)), np.stack((rest_lo, rest_hi)))
+    return lo, hi
+
+
+def share_pair(part: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """``share_bounds`` on stacked masses, ``part = [part_lo, part_hi]``
+    and ``rest = [rest_lo, rest_hi]``, giving ``[lo, hi]`` stacked the
+    same way: one division for both corners."""
+    den = part + rest[::-1]
+    # a corner with no mass keeps its sum, 0
+    share = np.divide(part, den, out=den, where=den > 0.0)
+    share *= _WIDEN.reshape((2,) + (1,) * (den.ndim - 1))
+    return share
 
 
 def consistency_errors(

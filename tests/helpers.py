@@ -12,7 +12,13 @@ so it calls the solver's own action-value evaluator, and
 kept to pin the results of the cell screen and of
 ``reduce_profile_gains``, so it reduces the kernel's full gains
 (``sweep_profile_gains``) itself and confirms with ``profile_report``.
-The game
+``reference_screen``, ``reference_cell_lower_bound`` and
+``reference_penalty_bounds`` are the cell screen written one step at a
+time, kept to pin the screen's kept cells, seeds and bounds bit for
+bit: they bound every type's penalty on its own, loop over knots, gaps
+and coordinates, and split one type at a time. They call the package's
+``share_bounds``, polyline and step evaluators, grid tree and cell
+codes. The game
 factories at the end only build inputs: ``tabulate`` copies a game's
 own values onto a lattice, ``random_two_player_game`` draws a seeded
 two-player game, and the ``hypothesis`` strategies draw random catalog
@@ -27,10 +33,19 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
-from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
+from perception_games.kernels import (
+    _CHUNK_BUDGET,
+    _LEAF,
+    _SPLIT_TYPES,
+    _codes,
+    decode_profiles,
+    grid_tree,
+    pack_game,
+    sweep_profile_gains,
+)
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
-from perception_games.penalties import KINDS, PenaltySpec
-from perception_games.simplex import SimplexGrid
+from perception_games.penalties import KINDS, PenaltySpec, _polyline_batch, step_value
+from perception_games.simplex import BOUND_SLACK, SimplexGrid, share_bounds
 from perception_games.single import MixedSearchResult, Strategy, profile_report
 from perception_games.testing import _random_penalty, dyadic_prior
 from perception_games.two_player import _action_values, _beliefs
@@ -261,6 +276,127 @@ def reference_mixed_search(
         survivor_count=within.size,
         truncated=within.size > max_survivors,
     )
+
+
+# --- the cell screen, one type, knot, gap and split at a time ---------
+
+
+def reference_penalty_bounds(pen, lo, hi):
+    """``penalty_bounds`` with a ``share_bounds`` call per coordinate of
+    ``tv_to_prior`` and a loop over the polyline's knots and the step's
+    piece bounds and gaps."""
+    spec = pen.spec
+    w = spec.weight
+    if spec.kind == "zero":
+        zero = np.zeros(lo.shape[1:])
+        return zero, zero
+    total_lo, total_hi = lo.sum(axis=0), hi.sum(axis=0)
+    if spec.kind in ("tv_to_prior", "exposure"):
+        members = range(pen.n) if spec.kind == "tv_to_prior" else (pen.type_index,)
+        shares = [share_bounds(lo[s], hi[s], total_lo - lo[s], total_hi - hi[s]) for s in members]
+        if spec.kind == "exposure":
+            return w * shares[0][0], w * shares[0][1]
+        zero = np.zeros(lo.shape[1:])
+        above_lo, above_hi, below_lo, below_hi = zero, zero, zero, zero
+        for (x_lo, x_hi), b in zip(shares, pen.anchor.tolist()):
+            above_lo = above_lo + np.maximum(x_lo - b, 0.0)
+            above_hi = above_hi + np.maximum(x_hi - b, 0.0)
+            below_lo = below_lo + np.maximum(b - x_hi, 0.0)
+            below_hi = below_hi + np.maximum(b - x_lo, 0.0)
+        return w * np.maximum(above_lo, below_lo), w * np.minimum(above_hi, below_hi)
+    inside = np.zeros(lo.shape[1:]), np.zeros(lo.shape[1:])
+    for s in pen.event:
+        inside = inside[0] + lo[s], inside[1] + hi[s]
+    x_lo, x_hi = share_bounds(*inside, total_lo - inside[0], total_hi - inside[1])
+    if spec.kind == "piecewise_linear_marginal":
+        ends = _polyline_batch(pen, x_lo), _polyline_batch(pen, x_hi)
+        low, high = np.minimum(*ends), np.maximum(*ends)
+        kx, ky = pen.knots
+        reached = [((x_lo < k) & (k < x_hi), y) for k, y in zip(kx.tolist(), ky.tolist())]
+    else:
+        cuts = sorted({p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
+        inner = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+        edges = [-np.inf, *cuts, np.inf]
+        low, high = np.full(x_lo.shape, np.inf), np.full(x_lo.shape, -np.inf)
+        reached = [
+            ((x_lo < b) & (a < x_hi), step_value(spec.pieces, g))
+            for g, a, b in zip([cuts[0] - 1.0, *inner, cuts[-1] + 1.0], edges, edges[1:])
+        ] + [((x_lo <= c) & (c <= x_hi), step_value(spec.pieces, c)) for c in cuts]
+    for meets, y in reached:
+        low = np.where(meets, np.minimum(low, y), low)
+        high = np.where(meets, np.maximum(high, y), high)
+    return w * low, w * high
+
+
+def reference_cell_lower_bound(pack, tree, cells):
+    """``cell_lower_bound`` with a ``reference_penalty_bounds`` call for
+    every type."""
+    n, m = pack.u_min.shape
+    lo = np.take(tree.low, cells, axis=1).transpose(1, 0, 2)
+    hi = np.take(tree.high, cells, axis=1).transpose(1, 0, 2)
+    mass_lo = lo * pack.prior[:, None, None]
+    mass_hi = hi * pack.prior[:, None, None]
+    sure = mass_lo.sum(axis=0) > 0.0
+    never = mass_hi.sum(axis=0) == 0.0
+    u_min, u_max = pack.u_min[:, :, None], pack.u_max[:, :, None]
+    low_u = np.empty(lo.shape)
+    high_u = np.empty(lo.shape)
+    for t in range(n):
+        w_lo, w_hi = reference_penalty_bounds(pack.penalties[t], mass_lo, mass_hi)
+        low_u[t] = pack.v[t, :, None] - w_hi
+        high_u[t] = pack.v[t, :, None] - w_lo
+    low_u = np.where(sure, low_u, np.where(never, u_min, np.minimum(low_u, u_min)))
+    high_u = np.where(sure, high_u, np.where(never, u_max, np.maximum(high_u, u_max)))
+    bound = np.full(cells.shape[1], -np.inf)
+    for b in range(m):
+        coef = low_u[:, b : b + 1] - high_u
+        term = np.minimum(lo * coef, hi * coef)
+        term[:, b] = 0.0
+        bound = np.maximum(bound, term.sum(axis=1).max(axis=0))
+    scale = max(np.abs(pack.v).max(), np.abs(pack.u_min).max(), np.abs(pack.u_max).max())
+    return bound - BOUND_SLACK * scale
+
+
+def reference_screen(pack, grid_pts, limit):
+    """``screen_profiles`` with ``reference_cell_lower_bound`` and a split
+    of one type at a time: a cell's second halves on type ``t`` are
+    appended after every cell of the level, in order."""
+    n = pack.u_min.shape[0]
+    G = grid_pts.shape[0]
+    tree = grid_tree(grid_pts)
+    batch = max(1, _CHUNK_BUDGET // pack.u_min.size)
+    cells = np.zeros((n, 1), dtype=np.int64)
+    leaves = []
+    least, seed = np.inf, cells[:, :0]
+    while cells.shape[1]:
+        bound = np.concatenate([
+            reference_cell_lower_bound(pack, tree, cells[:, i : i + batch])
+            for i in range(0, cells.shape[1], batch)
+        ])
+        cut = bound > limit
+        if cut.any():
+            i = int(np.argmin(np.where(cut, bound, np.inf)))
+            if bound[i] < least:
+                least, seed = bound[i], cells[:, i : i + 1]
+            cells = cells[:, ~cut]
+        size = np.take(tree.size, cells)
+        leaf = size.prod(axis=0) <= _LEAF
+        leaves.append(cells[:, leaf])
+        cells, size = cells[:, ~leaf], size[:, ~leaf]
+        rank = np.argsort(np.argsort(-size, axis=0, kind="stable"), axis=0)
+        wide = (rank < _SPLIT_TYPES) & (size > 1)
+        for t in range(n):
+            sel = np.flatnonzero(wide[t])
+            first = np.take(tree.child, cells[t, sel])
+            cells[t, sel] = first
+            second = cells[:, sel]
+            second[t] = first + 1
+            cells = np.concatenate([cells, second], axis=1)
+            wide = np.concatenate([wide, wide[:, sel]], axis=1)
+    codes = np.sort(_codes(tree, np.concatenate(leaves, axis=1), G))
+    if not seed.size:
+        return codes, -1
+    return codes, sum(int(tree.start[c]) * G ** (n - 1 - t) for t, c in enumerate(seed[:, 0]))
 
 
 # --- game factories --------------------------------------------------

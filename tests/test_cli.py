@@ -214,6 +214,10 @@ class TestMajorityScan:
     def test_bad_alpha_spec(self, capsys):
         assert main(["majority-scan", "--alphas", "0:1:0"]) == 1
 
+    def test_descending_alphas(self, capsys):
+        assert main(["majority-scan", "--alphas", "0.9,0.1"]) == 1
+        assert capsys.readouterr().err == "error: alphas must be ascending, got 0.1 after 0.9\n"
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -234,6 +234,28 @@ class TestScanAlpha:
         rep = scan_alpha(default_majority_family(), [0.5])
         assert rep.rows[0].mixed_survivors is None
 
+    @pytest.mark.parametrize(
+        "alphas, message",
+        [
+            ([], "alphas must not be empty"),
+            ([0.9, 0.1], "alphas must be ascending, got 0.1 after 0.9"),
+            ([0.0, 0.5, 0.25, 1.0], "alphas must be ascending, got 0.25 after 0.5"),
+            ([0.25, float("nan")], "alphas must be ascending, got nan after 0.25"),
+        ],
+    )
+    def test_empty_or_descending_alphas_raise(self, monkeypatch, alphas, message):
+        def spec_for(self, alpha):
+            raise AssertionError(f"built the game at {alpha}")
+
+        monkeypatch.setattr(MajorityFamily, "spec_for", spec_for)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scan_alpha(default_majority_family(), alphas)
+
+    def test_tied_alphas_are_ascending(self):
+        rep = scan_alpha(default_majority_family(), [0.75, 0.75])
+        assert [r.alpha for r in rep.rows] == [0.75, 0.75]
+        assert rep.alpha_hat == 0.75
+
 
 class TestWelfare:
     def test_blog_dominance(self):

@@ -11,13 +11,13 @@ from perception_games import kernels
 from perception_games.experiments import default_majority_family
 from perception_games.fixtures import blog
 from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
-from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
+from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel, validate_game
 from perception_games.penalties import PenaltySpec
 from perception_games.simplex import SimplexGrid, lattice_rank
 from perception_games.single import profile_report
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
-from helpers import catalog_penalties, tabulate
+from helpers import catalog_penalties, reference_cell_lower_bound, reference_screen, tabulate
 
 
 def _all_profiles(game, resolution):
@@ -708,6 +708,156 @@ class TestScreenProfiles:
         codes, seed = kernels.screen_profiles(pack_game(game), pts, np.inf)
         np.testing.assert_array_equal(codes, idx)
         assert seed == -1
+
+
+SCREEN_LIMITS = (1e-9, 0.05, 0.3, -1.0)
+
+
+def _assert_screen_is_reference(game, resolution):
+    pack = pack_game(game)
+    pts = SimplexGrid(game.m, resolution).points()
+    for limit in SCREEN_LIMITS:
+        codes, seed = kernels.screen_profiles(pack, pts, limit)
+        want_codes, want_seed = reference_screen(pack, pts, limit)
+        assert seed == want_seed, limit
+        assert codes.tobytes() == want_codes.tobytes(), limit
+
+
+def _max_resolution(game, profiles: int) -> int:
+    """The largest resolution from 1 to 20 whose grid has at most
+    ``profiles`` profiles, or 1."""
+    k = 1
+    while k < 20 and SimplexGrid(game.m, k + 1).size ** game.n <= profiles:
+        k += 1
+    return k
+
+
+class TestScreenMatchesReference:
+    """The screen keeps exactly the codes and finds exactly the seed of
+    the screen that bounded every type's penalty and split a type at a
+    time (``helpers.reference_screen``)."""
+
+    @pytest.mark.parametrize(
+        "build, resolution",
+        [
+            (blog, 20),
+            (eight_type_game, 1),
+            (eight_type_game, 2),
+            (zero_prior_game, 4),
+            (polyline_knots_game, 4),
+            (step_bounds_game, 6),
+            (full_event_step_game, 5),
+            (tied_prior_tv_game, 4),
+            (five_action_game, 3),
+        ],
+    )
+    def test_named_games(self, build, resolution):
+        _assert_screen_is_reference(build(), resolution)
+
+    def test_eight_types_take_the_rank_path(self):
+        """More than ``_SPLIT_TYPES`` types can be split at the root."""
+        pts = SimplexGrid(3, 2).points()
+        size = np.take(kernels.grid_tree(pts).size, np.zeros(8, np.int64))
+        assert np.count_nonzero(size > 1) > kernels._SPLIT_TYPES
+
+    @pytest.mark.parametrize("alpha", [round(0.05 * i, 10) for i in range(21)])
+    def test_majority_alphas(self, alpha):
+        _assert_screen_is_reference(default_majority_family().game_for(alpha), 20)
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=additive_catalog_games(), data=st.data())
+    def test_catalog_games(self, game, data):
+        resolution = data.draw(st.integers(1, _max_resolution(game, 20_000)))
+        _assert_screen_is_reference(game, resolution)
+
+
+def _assert_bound_is_reference(game, pts, cells):
+    tree = kernels.grid_tree(pts)
+    pack = pack_game(game)
+    bound = kernels.cell_lower_bound(pack, tree, cells)
+    assert np.all(bound == reference_cell_lower_bound(pack, tree, cells))
+
+
+def _random_cells(pts, n, count, seed):
+    nodes = kernels.grid_tree(pts).size.size
+    return np.random.default_rng(seed).integers(0, nodes, size=(n, count))
+
+
+class TestSharedBounds:
+    """Types whose penalties ``penalty_bounds`` cannot tell apart share
+    one bound per batch, and the bound equals the one computed for
+    every type on its own (``helpers.reference_cell_lower_bound``)."""
+
+    @staticmethod
+    def _shared(game) -> list[list[int]]:
+        return [ts.tolist() for ts in pack_game(game).bound_plan.types]
+
+    def test_majority(self):
+        game = default_majority_family().game_for(0.5)
+        # o0:concerned and o1:concerned share the polyline, the rest zero
+        assert self._shared(game) == [[0, 2], [1, 3]]
+        pts = SimplexGrid(2, 20).points()
+        _assert_bound_is_reference(game, pts, _random_cells(pts, 4, 4000, 1))
+        # every cell of the tree's top four levels (nodes 0 to 14)
+        top = np.array(list(product(range(15), repeat=4)), dtype=np.int64).T
+        _assert_bound_is_reference(game, pts, top)
+
+    def test_repeated_catalog_specs(self):
+        labels = tuple(f"t{i}" for i in range(9))
+        knots = ((0.0, 0.3), (0.25, 0.9), (1.0, 0.1))
+        pieces = ((0.25, 0.5, 1.5, True, False), (0.5, 1.0, 0.5, True, True))
+        game = _game(
+            [0.125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.0, 0.125, 0.125],
+            np.random.default_rng(7).uniform(0.0, 2.0, size=(9, 3)),
+            [
+                PenaltySpec.tv_to_prior(1.5),
+                PenaltySpec.piecewise_linear(knots, over=labels[:2]),
+                PenaltySpec.step(pieces, over=labels[1:3]),
+                PenaltySpec.tv_to_prior(1.5),
+                PenaltySpec.piecewise_linear(knots, over=labels[:2]),
+                PenaltySpec.step(pieces, over=labels[1:3]),
+                # each of these differs from one above in one field only
+                PenaltySpec.piecewise_linear(knots, over=labels[2:4]),
+                PenaltySpec.step(pieces[:1], over=labels[1:3]),
+                PenaltySpec.piecewise_linear(knots[:2] + ((1.0, 0.2),), over=labels[:2]),
+            ],
+        )
+        assert self._shared(game) == [[0, 3], [1, 4], [2, 5], [6], [7], [8]]
+        pts = SimplexGrid(3, 4).points()
+        _assert_bound_is_reference(game, pts, _random_cells(pts, 9, 3000, 2))
+
+    def test_exposure_never_shares(self):
+        game = _game(
+            [0.25, 0.25, 0.5, 0.0],
+            [[1.0, 0.0], [0.5, 1.0], [0.25, 0.75], [2.0, 0.0]],
+            [PenaltySpec.exposure(1.25)] * 4,
+        )
+        assert self._shared(game) == [[0], [1], [2], [3]]
+        pts = SimplexGrid(2, 6).points()
+        _assert_bound_is_reference(game, pts, _every_cell(kernels.grid_tree(pts), 4))
+
+    def test_specs_with_list_fields(self):
+        """A spec built with lists passes the validator but cannot be
+        hashed; equal ones still share."""
+        polyline = PenaltySpec(
+            kind="piecewise_linear_marginal",
+            knots=[[0.0, 1.0], [0.5, 0.0], [1.0, 2.0]],
+            marginal_over=["t0", "t2"],
+        )
+        step = PenaltySpec(
+            kind="step_marginal", pieces=[[0.25, 0.75, 1.0, True, True]], marginal_over=["t1"]
+        )
+        with pytest.raises(TypeError):
+            hash(polyline)
+        game = _game(
+            [0.25, 0.25, 0.5],
+            [[1.0, 0.0], [0.5, 1.0], [0.25, 0.75]],
+            [polyline, step, replace(polyline, knots=[list(k) for k in polyline.knots])],
+        )
+        assert validate_game(game).ok
+        assert self._shared(game) == [[0, 2], [1]]
+        pts = SimplexGrid(2, 8).points()
+        _assert_bound_is_reference(game, pts, _every_cell(kernels.grid_tree(pts), 3))
 
 
 def _limits(full: np.ndarray, first_type: np.ndarray) -> list[float]:

@@ -17,9 +17,16 @@ from perception_games.penalties import (
     validate_spec,
 )
 
-from perception_games.simplex import SimplexGrid
+from perception_games.simplex import SimplexGrid, share_bounds
 
-from helpers import catalog_penalties, dyadic_rows, pen_bounds, pen_value, spec_to_dict
+from helpers import (
+    catalog_penalties,
+    dyadic_rows,
+    pen_bounds,
+    pen_value,
+    reference_penalty_bounds,
+    spec_to_dict,
+)
 
 
 class TestValidateSpec:
@@ -345,6 +352,114 @@ class TestPenaltyBounds:
             low, high = penalty_bounds(pen, mass, mass)
             value = penalty_value(pen, mass / mass.sum())
             assert low == pytest.approx(value, rel=1e-11) and high == pytest.approx(value, rel=1e-11)
+
+
+def _boxes(rng, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` boxes of prior masses in eighths over ``n`` types, then
+    degenerate ones: a pinned mass vector, no mass at all, and mass on
+    one type only."""
+    ends = np.sort(rng.integers(0, 9, size=(2, n, count)), axis=0) / 8.0
+    pinned = rng.integers(0, 9, size=(n, 4)) / 8.0
+    single = np.eye(n) * 0.5
+    lo = np.concatenate([ends[0], pinned, np.zeros((n, 1)), single], axis=1)
+    hi = np.concatenate([ends[1], pinned, np.zeros((n, 1)), single], axis=1)
+    return lo, hi
+
+
+def _event_ends(lo, hi, event) -> np.ndarray:
+    """The event-mass interval ends the bound reads, as
+    ``reference_penalty_bounds`` computes them."""
+    inside = [np.zeros(lo.shape[1:]), np.zeros(lo.shape[1:])]
+    for s in event:
+        inside = [inside[0] + lo[s], inside[1] + hi[s]]
+    total_lo, total_hi = lo.sum(axis=0), hi.sum(axis=0)
+    return np.concatenate(share_bounds(*inside, total_lo - inside[0], total_hi - inside[1]))
+
+
+def _assert_is_reference(pen, lo, hi):
+    low, high = penalty_bounds(pen, lo, hi)
+    want_low, want_high = reference_penalty_bounds(pen, lo, hi)
+    assert np.shape(low) == np.shape(want_low) == lo.shape[1:]
+    np.testing.assert_array_equal(low, want_low)
+    np.testing.assert_array_equal(high, want_high)
+
+
+class TestBroadcastBounds:
+    """``penalty_bounds`` compares every knot, piece bound and gap with
+    every interval at once, and bounds all ``tv_to_prior`` coordinates
+    in one call. It equals the loop over them
+    (``helpers.reference_penalty_bounds``) bit for bit, also where an
+    interval's end sits exactly on a knot or a piece bound, and on
+    degenerate intervals."""
+
+    LABELS = ("t0", "t1", "t2", "t3")
+
+    @staticmethod
+    def _on_ends(rng, ends, count) -> list[float]:
+        """``count`` distinct interval ends strictly inside (0, 1)."""
+        inner = np.unique(ends[(ends > 0.0) & (ends < 1.0)])
+        return sorted(rng.choice(inner, size=min(count, inner.size), replace=False).tolist())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_knots_on_interval_ends(self, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = _boxes(rng, 4, 60)
+        event = ("t0", "t2")
+        ends = _event_ends(lo, hi, (0, 2))
+        on_ends = self._on_ends(rng, ends, 4)
+        # a trough on each end, with a peak before it: the segment from
+        # the peak reaches the trough an ulp above its y, so a knot at
+        # an interval's end must not count as inside it
+        xs, ys = [0.0], []
+        for i, x in enumerate(on_ends):
+            while True:
+                peak, trough = rng.uniform(1.0, 2.0), rng.uniform(0.0, 0.5)
+                if peak + (trough - peak) > trough:
+                    break
+            if i:
+                xs.append(0.5 * (on_ends[i - 1] + x))
+            xs.append(x)
+            ys += [peak, trough]
+        xs.append(1.0)
+        ys.append(1.0)
+        knots = tuple(zip(xs, ys))
+        pen = bind(PenaltySpec.piecewise_linear(knots, over=event, weight=1.5), self.LABELS, [0.25] * 4, 0)
+        assert np.isin(ends, on_ends).sum() >= 2
+        _assert_is_reference(pen, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_piece_bounds_on_interval_ends(self, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = _boxes(rng, 4, 60)
+        event = ("t1",)
+        ends = _event_ends(lo, hi, (1,))
+        cuts = self._on_ends(rng, ends, 4)
+        pieces = [
+            (a, b, float(rng.uniform(0.0, 2.0)), bool(rng.integers(2)), bool(rng.integers(2)))
+            for a, b in zip([0.0, *cuts], [*cuts, 1.0])
+        ]
+        # a closed point piece on an end, matched before the others
+        pieces.insert(0, (cuts[0], cuts[0], 3.0, True, True))
+        pen = bind(PenaltySpec.step(pieces, over=event), self.LABELS, [0.25] * 4, 0)
+        assert np.isin(ends, cuts).sum() >= 2
+        _assert_is_reference(pen, lo, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_catalog_penalties(self, data):
+        """Any catalog penalty over random and degenerate boxes, with
+        trailing axes or none; 9 types sum past numpy's 8-element
+        pairwise block."""
+        n = data.draw(st.sampled_from([1, 2, 3, 4, 9]))
+        labels = tuple(f"t{i}" for i in range(n))
+        pen = bind(data.draw(catalog_penalties(labels)), labels, data.draw(dyadic_rows(n)),
+                   data.draw(st.integers(0, n - 1)))
+        lo, hi = _boxes(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, 24)
+        _assert_is_reference(pen, lo, hi)
+        even = lo.shape[1] // 2 * 2
+        _assert_is_reference(pen, lo[:, :even].reshape(n, -1, 2), hi[:, :even].reshape(n, -1, 2))
+        for j in (0, lo.shape[1] - 1):
+            _assert_is_reference(pen, lo[:, j], hi[:, j])
 
 
 @settings(max_examples=60, deadline=None)
