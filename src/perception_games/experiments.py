@@ -544,6 +544,10 @@ def counterexample_check(
     tol: float = WEAK_TOL,
     seed: int | None = None,
 ) -> NonexistenceReport:
+    # the rule of ``pgame --eps``; NaN fails the comparison too
+    bad = [eps for eps in epsilons if not 0.0 <= eps < np.inf]
+    if bad:
+        raise ValueError(f"epsilons must be finite and nonnegative, got {bad!r}")
     if game.continuous:
         raise ValueError(
             "nonexistence analysis targets games with discontinuous penalties; "

@@ -4,7 +4,8 @@ The hot loop of every single-player sweep evaluates, for each profile
 in a batch, the best deviation gain any type can realize when off-path
 perceptions are chosen as favorably as possible for the profile. The
 kernel decodes profile codes into strategies, forms the posterior after
-each action, takes the utility rows there (``_utility_rows`` for every
+each action (``simplex._posteriors``, the batched ``posterior``),
+takes the utility rows there (``_utility_rows`` for every
 type at once, ``_penalized`` for one type of an additive game), fills
 the off-path rows up to their caps, and reduces to the gains. The
 batch axis is vectorized; types and actions are accumulated in
@@ -27,7 +28,8 @@ off-path row to the type's ``u_min``, in a chunk that has an off-path
 action at all; only a type without prior mass can play an off-path
 action, so only a game with one raises those free rows
 (``_raise_free_rows``), and only on the profiles with an off-path
-action.
+action. ``single.profile_report`` raises its free rows with the same
+function, so the kernel and the oracle share one fill.
 
 The kernel evaluates the types one at a time, type 0 first: a type's
 utility rows, its off-path fill (a type's cap depends on its own rows
@@ -98,7 +100,7 @@ import numpy as np
 
 from .model import PerceptionGame
 from .penalties import Penalty, penalty_batch, stacked_bounds
-from .simplex import BOUND_SLACK, lattice_rank
+from .simplex import BOUND_SLACK, _posteriors, lattice_rank
 
 __all__ = [
     "GamePack",
@@ -225,21 +227,6 @@ def _digits(idx, G: int, n: int) -> np.ndarray:
     return digits
 
 
-def _posteriors(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
-    """``(on, beliefs)`` for columns ``cols`` of shape ``(n, A, B)``, one
-    per action (``A = m``) or one for all (``A = 1``): whether a column
-    carries prior mass, shape ``(A, B)``, and the posterior over types
-    there, shape ``(n, A, B)`` (the column itself, scaled by the prior,
-    where it carries none)."""
-    pa = np.zeros(cols.shape[1:])
-    for t in range(pack.prior.shape[0]):
-        pa += pack.prior[t] * cols[t]
-    on = pa > 0.0
-    beliefs = cols * pack.prior[:, None, None]
-    beliefs /= np.where(on, pa, 1.0)
-    return on, beliefs
-
-
 def _penalized(pack: GamePack, t: int, beliefs: np.ndarray) -> np.ndarray:
     """Type ``t``'s utility rows ``(A, B)`` in an additive game at the
     posteriors ``beliefs`` ``(n, A, B)``."""
@@ -247,12 +234,12 @@ def _penalized(pack: GamePack, t: int, beliefs: np.ndarray) -> np.ndarray:
 
 
 def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
-    """``(on, rows)`` for columns ``cols`` as in ``_posteriors``, with
+    """``(on, rows)`` for columns ``cols`` as in ``simplex._posteriors``, with
     ``rows[t, a, b]`` type ``t``'s utility of action ``a`` at its
     column's posterior. Both sweep paths take their rows from here or
     from ``_penalized``, which this calls for an additive game, so a
     table entry and a per-profile entry are bitwise the same."""
-    on, beliefs = _posteriors(cols, pack)
+    on, beliefs = _posteriors(pack.prior, cols)
     if pack.values is not None:
         return on, _interpolate(beliefs.T, pack.values, pack.resolution).T
     return on, np.stack([_penalized(pack, t, beliefs) for t in range(pack.prior.shape[0])])
@@ -360,10 +347,11 @@ def _raise_free_rows(
 ) -> np.ndarray:
     """One type's ``rows`` (``(m, B)``, as ``sig`` and ``on``), whose
     off-path entries hold the type's ``u_min``, with its free rows
-    filled as ``profile_report`` fills them: a row at an off-path action
-    the type plays is raised to the type's cap, the best of its other
-    rows and of its free rows' ``u_min``, and clamped at its ``u_max``
-    (``(m,)``). Only a type without prior mass can have free rows."""
+    filled: a row at an off-path action the type plays is raised to the
+    type's cap, the best of its other rows and of its free rows'
+    ``u_min``, and clamped at its ``u_max`` (``(m,)``). Only a type
+    without prior mass can have free rows. The sweep and
+    ``single.profile_report`` both fill through here."""
     free = ~on & (sig > 0.0)
     held = np.where(free, _NEG, rows)
     lo = np.where(free, rows, _NEG)
@@ -401,7 +389,7 @@ def _gains_numpy(
             sig[t] = np.take(by_action, digits[t], axis=1)
         # sig[:, a] is each profile's column at action a
         if pack.values is None:
-            on, beliefs = _posteriors(sig, pack)
+            on, beliefs = _posteriors(pack.prior, sig)
         else:
             on, rows = _utility_rows(sig, pack)
     else:

@@ -20,9 +20,16 @@ marginal kinds sum over the event's type indices. ``bind`` resolves all
 of that once into a ``Penalty``, and the evaluators take only the bound
 penalty and the belief(s):
 
-- ``penalty_value`` evaluates one belief and is the exact evaluator's
-  path; ``penalty_batch`` evaluates a batch of beliefs for the sweep
-  kernel. Both sum over types in index order, so they agree bitwise.
+- each kind has one body (in ``_value``), written with plain operators
+  (``+``, ``abs``, comparisons, indexing), which sums over types in
+  index order. ``penalty_value`` runs it on one belief as a list of
+  floats, for the exact evaluators; ``penalty_batch`` runs it on a
+  batch of beliefs, types first, for the sweep kernel. So the two agree
+  bitwise by construction, and an event's mass is summed in one place.
+  The marginal kinds' polyline and step of the event mass
+  (``_polyline``, ``_step``) also give ``bind`` its step values and
+  ``penalty_range`` its candidates' values, and
+  ``piecewise_linear_value`` and ``step_value`` call them.
 - ``penalty_range`` gives the range over the simplex in closed form for
   every kind, with witness beliefs attaining it. The Lipschitz
   constants are reported by game validation.
@@ -218,96 +225,80 @@ def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> P
         # the step is constant on each open gap; probe it at one point
         inner = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
         probes = [cuts[0] - 1.0, *inner, cuts[-1] + 1.0, *cuts]
-        breaks = (
-            np.array([-np.inf, *cuts, np.inf]),
-            np.array([step_value(spec.pieces, x) for x in probes]),
-        )
+        breaks = np.array([-np.inf, *cuts, np.inf]), _step(spec.pieces, np.array(probes))
     anchor = np.asarray(anchor, dtype=np.float64)
     return Penalty(spec, len(labels), anchor, type_index, event, knots, steps, breaks)
 
 
+def _value(pen: Penalty, post):
+    """The bound penalty at ``post``: one belief as a list of floats, or
+    types-first rows of beliefs. Each kind's body uses plain operators
+    and indexing only, so it runs unchanged on either."""
+    spec = pen.spec
+    if spec.kind == "exposure":
+        return spec.weight * post[pen.type_index]
+    # 0.0 in the shape of one type's entry: x < x is false for every x
+    acc = 0.0 * (post[0] < post[0])
+    if spec.kind == "zero":
+        return acc
+    if spec.kind == "tv_to_prior":
+        for s, anchor_s in enumerate(pen.anchor.tolist()):
+            acc = acc + abs(post[s] - anchor_s)
+        return spec.weight * 0.5 * acc
+    # the marginal kinds: the event's mass
+    for s in pen.event:
+        acc = acc + post[s]
+    if spec.kind == "piecewise_linear_marginal":
+        return spec.weight * _polyline(pen.knots, pen.steps, acc)
+    return spec.weight * _step(spec.pieces, acc)
+
+
+def _polyline(knots: tuple[np.ndarray, np.ndarray], steps: tuple[np.ndarray, np.ndarray], x):
+    """The knot polyline at the event mass ``x``, linear on each
+    segment, with ``steps`` the knot arrays' differences. The segment of
+    ``x`` is the number of interior knots strictly below it, which is
+    ``searchsorted(kx, x, "left") - 1`` clipped to the segments, since
+    the knots strictly increase."""
+    kx, ky = knots
+    dx, dy = steps
+    j = 0
+    for k in kx[1:-1].tolist():
+        j = j + (x > k)
+    return ky[j] + (x - kx[j]) / dx[j] * dy[j]
+
+
+def _step(pieces, x):
+    """The step at the event mass ``x``: the value of the first piece
+    that holds ``x``, 0.0 where none does."""
+    first = len(pieces)  # the trailing 0.0
+    for j in range(len(pieces) - 1, -1, -1):
+        lo, hi, _, il, ih = pieces[j]
+        holds = ((x >= lo) if il else (x > lo)) & ((x <= hi) if ih else (x < hi))
+        first = first + holds * (j - first)
+    return np.array([p[2] for p in pieces] + [0.0])[first]
+
+
 def piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -> float:
     """Evaluate the knot polyline at ``x``, linear on each segment."""
-    j = int(np.searchsorted(knots_x, x, side="left")) - 1
-    j = min(max(j, 0), len(knots_x) - 2)
-    t = (x - knots_x[j]) / (knots_x[j + 1] - knots_x[j])
-    return float(knots_y[j] + t * (knots_y[j + 1] - knots_y[j]))
+    knots = np.asarray(knots_x), np.asarray(knots_y)
+    return float(_polyline(knots, tuple(np.diff(k) for k in knots), x))
 
 
 def step_value(pieces, x: float) -> float:
     """First matching piece wins; unmatched x has value 0."""
-    for lo, hi, v, il, ih in pieces:
-        lo_ok = (x >= lo) if il else (x > lo)
-        hi_ok = (x <= hi) if ih else (x < hi)
-        if lo_ok and hi_ok:
-            return float(v)
-    return 0.0
+    return float(_step(pieces, x))
 
 
 def penalty_value(pen: Penalty, mu) -> float:
     """Evaluate the bound penalty at belief ``mu``."""
-    spec = pen.spec
-    m = np.asarray(mu, dtype=np.float64)
-    if spec.kind == "zero":
-        return 0.0
-    if spec.kind == "tv_to_prior":
-        acc = 0.0
-        for mu_s, prior_s in zip(m.tolist(), pen.anchor.tolist()):
-            acc = acc + abs(mu_s - prior_s)
-        return spec.weight * 0.5 * acc
-    if spec.kind == "exposure":
-        return spec.weight * float(m[pen.type_index])
-    x = 0.0
-    for s in pen.event:
-        x = x + float(m[s])
-    if spec.kind == "piecewise_linear_marginal":
-        return spec.weight * piecewise_linear_value(*pen.knots, x)
-    return spec.weight * step_value(spec.pieces, x)
+    return float(_value(pen, np.asarray(mu, dtype=np.float64).tolist()))
 
 
 def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
     """``penalty_value``, bitwise, at each belief in ``post``: types on
     the first axis, so ``post[s]`` holds every belief's mass on type
     ``s`` and the result has shape ``post.shape[1:]``."""
-    spec = pen.spec
-    w = spec.weight
-    if spec.kind == "zero":
-        return np.zeros(post.shape[1:])
-    if spec.kind == "tv_to_prior":
-        acc = np.zeros(post.shape[1:])
-        for s in range(post.shape[0]):
-            acc = acc + np.abs(post[s] - pen.anchor[s])
-        return w * 0.5 * acc
-    if spec.kind == "exposure":
-        return w * post[pen.type_index]
-    x = np.zeros(post.shape[1:])
-    for s in pen.event:
-        x = x + post[s]
-    if spec.kind == "piecewise_linear_marginal":
-        return w * _polyline_batch(pen, x)
-    val = np.zeros(x.shape)
-    assigned = np.zeros(x.shape, dtype=bool)
-    for lo, hi, pv, il, ih in spec.pieces:
-        lo_ok = (x >= lo) if il else (x > lo)
-        hi_ok = (x <= hi) if ih else (x < hi)
-        match = lo_ok & hi_ok & ~assigned
-        val[match] = pv
-        assigned |= match
-    return w * val
-
-
-def _polyline_batch(pen: Penalty, x: np.ndarray) -> np.ndarray:
-    """The unweighted knot polyline at each event mass in ``x``."""
-    kx, ky = pen.knots
-    dx, dy = pen.steps
-    # the segment of x: the number of interior knots strictly below
-    # it, which is searchsorted(kx, x, "left") - 1 clipped to the
-    # segments, since the knots strictly increase
-    j = np.zeros(x.shape, dtype=np.int64)
-    for k in kx[1:-1].tolist():
-        j += x > k
-    frac = (x - np.take(kx, j)) / np.take(dx, j)
-    return np.take(ky, j) + frac * np.take(dy, j)
+    return _value(pen, post)
 
 
 def penalty_bounds(pen: Penalty, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +312,7 @@ def penalty_bounds(pen: Penalty, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     stacked): ``exposure`` the type's own posterior coordinate, the
     marginal kinds the event's mass, and ``tv_to_prior`` all ``n``
     coordinates in one call. Over its interval a kind takes its exact
-    extremes: the polyline at the two ends (one ``_polyline_batch`` call
+    extremes: the polyline at the two ends (one ``_polyline`` call
     for both) and at the knots inside, the step at every piece bound and
     open gap the interval meets. Knots, bounds and gaps are compared
     with every interval at once, along a new first axis, and the least
@@ -373,7 +364,7 @@ def stacked_bounds(pen: Penalty, mass: np.ndarray, total: np.ndarray) -> tuple[n
     ndim = total.ndim - 1
     if spec.kind == "piecewise_linear_marginal":
         kx, ky = (_along_first(k, ndim) for k in pen.knots)
-        ends = _polyline_batch(pen, x)
+        ends = _polyline(pen.knots, pen.steps, x)
         # the knots inside the interval; an end stands in for the others
         inner = np.where((x_lo < kx) & (kx < x_hi), ky, ends[0])
         values = np.concatenate((ends, inner))
@@ -436,9 +427,8 @@ def penalty_range(pen: Penalty) -> Range:
     # reachable event mass: an empty or a full event pins it
     pinned = 0.0 if not pen.event else 1.0 if len(pen.event) == n else None
     if spec.kind == "piecewise_linear_marginal":
-        kx, ky = pen.knots
-        candidates = [pinned] if pinned is not None else [float(x) for x in kx]
-        vals = [spec.weight * piecewise_linear_value(kx, ky, x) for x in candidates]
+        candidates = [pinned] if pinned is not None else [float(x) for x in pen.knots[0]]
+        vals = spec.weight * _polyline(pen.knots, pen.steps, np.array(candidates))
     else:
         if pinned is not None:
             candidates = [pinned]
@@ -449,7 +439,7 @@ def penalty_range(pen: Penalty) -> Range:
             for b0, b1 in zip(bounds, bounds[1:]):
                 if b1 > b0:
                     candidates.append(0.5 * (b0 + b1))
-        vals = [spec.weight * step_value(spec.pieces, x) for x in candidates]
+        vals = spec.weight * _step(spec.pieces, np.array(candidates))
     i_min = int(np.argmin(vals))
     i_max = int(np.argmax(vals))
     return Range(

@@ -3,12 +3,13 @@
 Beliefs are points of the probability simplex over a finite label set.
 This module provides the point type, exact rational grids on the simplex
 and the rank of a grid point, total variation distance, the observer's
-Bayes update, its bounds over a box of masses and the consistency
-check built on it, and the range record of a function over the
-simplex. Everything downstream (penalties, games, solvers) works in
-terms of these primitives;
-``distributions`` is the one check of priors, beliefs, strategies and
-perception maps, and ``posterior`` the one scalar Bayes update.
+Bayes update (one column or a batch), its bounds over a box of masses
+and the consistency check built on it, and the range record of a
+function over the simplex. Everything downstream (penalties, games,
+solvers) works in terms of these primitives; ``distributions`` is the
+one check of priors, beliefs, strategies and perception maps,
+``posterior`` the one scalar Bayes update and ``_posteriors`` its one
+batched form.
 """
 
 from __future__ import annotations
@@ -157,6 +158,22 @@ def posterior(prior: np.ndarray, column: np.ndarray) -> np.ndarray | None:
     if not q > 0.0:
         return None
     return prior * column / q
+
+
+def _posteriors(prior: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``posterior`` of an observer holding ``prior`` at a batch of
+    columns ``cols`` of shape ``(n, A, B)``: ``(on, beliefs)``, whether
+    a column carries prior mass, shape ``(A, B)``, and the posterior
+    over types there, shape ``(n, A, B)``, bitwise as ``posterior`` gives
+    it (where the column carries none, the column itself scaled by the
+    prior)."""
+    q = np.zeros(cols.shape[1:])
+    for t in range(prior.shape[0]):
+        q += prior[t] * cols[t]
+    on = q > 0.0
+    beliefs = cols * prior[:, None, None]
+    beliefs /= np.where(on, q, 1.0)
+    return on, beliefs
 
 
 def share_bounds(

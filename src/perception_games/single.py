@@ -21,6 +21,7 @@ import numpy as np
 
 from .kernels import (
     GamePack,
+    _raise_free_rows,
     decode_profiles,
     pack_game,
     reduce_profile_gains,
@@ -242,46 +243,33 @@ def profile_report(
 ) -> EquilibriumReport:
     """Evaluate a strategy under the most favorable perception choice.
 
-    On-path rows are pinned to posteriors. Off-path deviation rows take
-    the utility minimum (a deterring belief exists exactly when even
-    that keeps the gain at zero). Off-path rows inside a zero-prior
-    type's support are raised as far as helps, capped at the type's
-    best other row; the cap keeps the accept decision exact.
+    On-path rows are pinned to posteriors. Off-path rows start at the
+    utility minimum (a deterring belief exists exactly when even that
+    keeps the gain at zero); the rows inside a zero-prior type's support
+    are then raised as far as helps, capped at the type's best other
+    row, by the sweep kernel's own fill (``kernels._raise_free_rows``);
+    the cap keeps the accept decision exact.
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     n, m = game.n, game.m
     posts = [posterior(game.prior.p, sigma[:, a]) for a in range(m)]
+    on = np.array([post is not None for post in posts])
+    free = ~on & (sigma > 0.0)  # (n, m)
     rows = np.empty((n, m))
+    top = np.full((n, m), np.inf)  # u_max where a row is off path
     tau = np.empty((n, m, n))
-    free = np.zeros((n, m), dtype=bool)
     for a in range(m):
-        if posts[a] is not None:
-            for t in range(n):
+        for t in range(n):
+            if on[a]:
                 rows[t, a] = game.u(t, a, posts[a])
                 tau[t, a] = posts[a]
-        else:
-            for t in range(n):
-                if sigma[t, a] > 0.0:
-                    free[t, a] = True
-                else:
-                    r = game.u_range(t, a)
-                    rows[t, a] = r.min
-                    tau[t, a] = r.argmin.p
-    clamped = False
-    for t in range(n):
-        frees = np.flatnonzero(free[t])
-        if frees.size:
-            others = np.flatnonzero(~free[t])
-            m0 = rows[t, others].max() if others.size else -np.inf
-            cap = m0
-            for a in frees:
-                cap = max(cap, game.u_range(t, a).min)
-            for a in frees:
+            else:
                 r = game.u_range(t, a)
-                rows[t, a] = min(r.max, cap)
-                tau[t, a] = r.argmax.p
-                if r.max > cap:
-                    clamped = True
+                rows[t, a], top[t, a] = r.min, r.max
+                tau[t, a] = (r.argmax if free[t, a] else r.argmin).p
+    for t in np.flatnonzero(free.any(axis=1)):
+        rows[t] = _raise_free_rows(rows[t, :, None], sigma[t, :, None], on[:, None], top[t])[:, 0]
+    clamped = bool((free & (rows < top)).any())
     gains = np.empty(n)
     payoffs = np.empty(n)
     for t in range(n):

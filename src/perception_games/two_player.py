@@ -21,6 +21,9 @@ One evaluator, ``_action_values``, values a type's actions for
 verification and for the per-pair report ``_pure_pair_report``; the
 single-player ``payoff_and_gain`` turns those values into the type's
 payoff and deviation gain. Pure enumeration is one batched screen:
+``_penalty_table`` takes every observer's posteriors after every own
+profile from ``simplex._posteriors`` (the batched ``posterior`` the
+sweep kernel uses) and their penalties from ``penalty_batch``, and
 ``_pure_values`` values every type's actions against every opponent
 profile in the same order and so to the same bits, which gives every
 pair's maximum gain (``_pure_pair_gains``) and, for the belief-free
@@ -51,7 +54,7 @@ from .model import (
 from .penalties import PenaltySpec, penalty_batch
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
-from .simplex import WEAK_TOL, consistency_errors, distributions, posterior
+from .simplex import WEAK_TOL, _posteriors, consistency_errors, distributions, posterior
 from .single import payoff_and_gain
 
 __all__ = [
@@ -177,12 +180,7 @@ def _penalty_table(
     col = (own.T[:, None, :] == np.arange(m)[:, None]).astype(np.float64)  # [s, a, k]
     w = np.empty((n, game.players[1 - i].types.n, m, own.shape[0]))
     for t_obs, prior in enumerate(beliefs[1 - i]):
-        # simplex.posterior after every (action, profile): mass summed in type order
-        q = np.zeros(col.shape[1:])
-        for s in range(n):
-            q = q + prior[s] * col[s]
-        on = q > 0.0
-        post = prior[:, None, None] * col / np.where(on, q, 1.0)
+        on, post = _posteriors(prior, col)
         for t in range(n):
             val = penalty_batch(game.penalty(i, t, t_obs), post)
             if not on.all():

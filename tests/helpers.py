@@ -17,8 +17,16 @@ kept to pin the results of the cell screen and of
 time, kept to pin the screen's kept cells, seeds and bounds bit for
 bit: they bound every type's penalty on its own, loop over knots, gaps
 and coordinates, and split one type at a time. They call the package's
-``share_bounds``, polyline and step evaluators, grid tree and cell
-codes. The game
+``share_bounds``, grid tree and cell codes, and the former polyline and
+step evaluators below. ``reference_penalty_value`` and
+``reference_penalty_batch`` (with ``reference_piecewise_linear_value``,
+``reference_step_value`` and ``reference_polyline_batch``) are the
+penalty evaluators as they were, a scalar and a batched twin of each
+kind, kept to pin the one body per kind bit for bit.
+``reference_profile_report`` is the exact oracle with its former own
+off-path fill (``reference_free_rows``), kept to pin the fill it now
+shares with the kernel; it calls the game's ``u`` and ``u_range``,
+``posterior`` and ``payoff_and_gain``. The game
 factories at the end only build inputs: ``tabulate`` copies a game's
 own values onto a lattice, ``random_two_player_game`` draws a seeded
 two-player game, and the ``hypothesis`` strategies draw random catalog
@@ -44,9 +52,9 @@ from perception_games.kernels import (
     sweep_profile_gains,
 )
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
-from perception_games.penalties import KINDS, PenaltySpec, _polyline_batch, step_value
-from perception_games.simplex import BOUND_SLACK, SimplexGrid, share_bounds
-from perception_games.single import MixedSearchResult, Strategy, profile_report
+from perception_games.penalties import KINDS, PenaltySpec
+from perception_games.simplex import BOUND_SLACK, SimplexGrid, posterior, share_bounds
+from perception_games.single import MixedSearchResult, Strategy, payoff_and_gain, profile_report
 from perception_games.testing import _random_penalty, dyadic_prior
 from perception_games.two_player import _action_values, _beliefs
 
@@ -122,6 +130,152 @@ def spec_to_dict(spec, labels: tuple[str, ...]) -> dict:
     if spec.marginal_over is not None:
         out["mask"] = np.array([lab in spec.marginal_over for lab in labels])
     return out
+
+
+# --- the penalty evaluators as scalar and batched twins ---------------
+
+
+def reference_piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -> float:
+    """Evaluate the knot polyline at ``x``, linear on each segment."""
+    j = int(np.searchsorted(knots_x, x, side="left")) - 1
+    j = min(max(j, 0), len(knots_x) - 2)
+    t = (x - knots_x[j]) / (knots_x[j + 1] - knots_x[j])
+    return float(knots_y[j] + t * (knots_y[j + 1] - knots_y[j]))
+
+
+def reference_step_value(pieces, x: float) -> float:
+    """First matching piece wins; unmatched x has value 0."""
+    for lo, hi, v, il, ih in pieces:
+        lo_ok = (x >= lo) if il else (x > lo)
+        hi_ok = (x <= hi) if ih else (x < hi)
+        if lo_ok and hi_ok:
+            return float(v)
+    return 0.0
+
+
+def reference_penalty_value(pen, mu) -> float:
+    """Evaluate the bound penalty at belief ``mu``."""
+    spec = pen.spec
+    m = np.asarray(mu, dtype=np.float64)
+    if spec.kind == "zero":
+        return 0.0
+    if spec.kind == "tv_to_prior":
+        acc = 0.0
+        for mu_s, prior_s in zip(m.tolist(), pen.anchor.tolist()):
+            acc = acc + abs(mu_s - prior_s)
+        return spec.weight * 0.5 * acc
+    if spec.kind == "exposure":
+        return spec.weight * float(m[pen.type_index])
+    x = 0.0
+    for s in pen.event:
+        x = x + float(m[s])
+    if spec.kind == "piecewise_linear_marginal":
+        return spec.weight * reference_piecewise_linear_value(*pen.knots, x)
+    return spec.weight * reference_step_value(spec.pieces, x)
+
+
+def reference_penalty_batch(pen, post: np.ndarray) -> np.ndarray:
+    """``penalty_value``, bitwise, at each belief in ``post``: types on
+    the first axis, so ``post[s]`` holds every belief's mass on type
+    ``s`` and the result has shape ``post.shape[1:]``."""
+    spec = pen.spec
+    w = spec.weight
+    if spec.kind == "zero":
+        return np.zeros(post.shape[1:])
+    if spec.kind == "tv_to_prior":
+        acc = np.zeros(post.shape[1:])
+        for s in range(post.shape[0]):
+            acc = acc + np.abs(post[s] - pen.anchor[s])
+        return w * 0.5 * acc
+    if spec.kind == "exposure":
+        return w * post[pen.type_index]
+    x = np.zeros(post.shape[1:])
+    for s in pen.event:
+        x = x + post[s]
+    if spec.kind == "piecewise_linear_marginal":
+        return w * reference_polyline_batch(pen, x)
+    val = np.zeros(x.shape)
+    assigned = np.zeros(x.shape, dtype=bool)
+    for lo, hi, pv, il, ih in spec.pieces:
+        lo_ok = (x >= lo) if il else (x > lo)
+        hi_ok = (x <= hi) if ih else (x < hi)
+        match = lo_ok & hi_ok & ~assigned
+        val[match] = pv
+        assigned |= match
+    return w * val
+
+
+def reference_polyline_batch(pen, x: np.ndarray) -> np.ndarray:
+    """The unweighted knot polyline at each event mass in ``x``."""
+    kx, ky = pen.knots
+    dx, dy = pen.steps
+    # the segment of x: the number of interior knots strictly below
+    # it, which is searchsorted(kx, x, "left") - 1 clipped to the
+    # segments, since the knots strictly increase
+    j = np.zeros(x.shape, dtype=np.int64)
+    for k in kx[1:-1].tolist():
+        j += x > k
+    frac = (x - np.take(kx, j)) / np.take(dx, j)
+    return np.take(ky, j) + frac * np.take(dy, j)
+
+
+# --- the exact oracle with its own off-path fill ------------------------
+
+
+def reference_free_rows(rows, free, low, high):
+    """``(rows, clamped)``: each type's free rows (``free``, off path
+    and played) raised to the type's cap, the best of its other rows
+    and of its free rows' ``low``, and clamped at their ``high``, one
+    type and action at a time."""
+    rows = rows.copy()
+    clamped = False
+    for t in range(rows.shape[0]):
+        frees = np.flatnonzero(free[t])
+        if frees.size:
+            others = np.flatnonzero(~free[t])
+            m0 = rows[t, others].max() if others.size else -np.inf
+            cap = m0
+            for a in frees:
+                cap = max(cap, low[t, a])
+            for a in frees:
+                rows[t, a] = min(high[t, a], cap)
+                if high[t, a] > cap:
+                    clamped = True
+    return rows, clamped
+
+
+def reference_profile_report(game, sigma):
+    """``(rows, tau, clamped, payoffs, gains)`` of ``profile_report``,
+    with the off-path rows filled by ``reference_free_rows``."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    n, m = game.n, game.m
+    posts = [posterior(game.prior.p, sigma[:, a]) for a in range(m)]
+    rows = np.empty((n, m))
+    low = np.empty((n, m))
+    high = np.empty((n, m))
+    tau = np.empty((n, m, n))
+    free = np.zeros((n, m), dtype=bool)
+    for a in range(m):
+        if posts[a] is not None:
+            for t in range(n):
+                rows[t, a] = game.u(t, a, posts[a])
+                tau[t, a] = posts[a]
+        else:
+            for t in range(n):
+                r = game.u_range(t, a)
+                low[t, a], high[t, a] = r.min, r.max
+                if sigma[t, a] > 0.0:
+                    free[t, a] = True
+                    tau[t, a] = r.argmax.p
+                else:
+                    rows[t, a] = r.min
+                    tau[t, a] = r.argmin.p
+    rows, clamped = reference_free_rows(rows, free, low, high)
+    payoffs = np.empty(n)
+    gains = np.empty(n)
+    for t in range(n):
+        payoffs[t], gains[t], _ = payoff_and_gain(sigma[t], rows[t])
+    return rows, tau, clamped, payoffs, gains
 
 
 # --- full pooling, brute force ---------------------------------------
@@ -309,7 +463,7 @@ def reference_penalty_bounds(pen, lo, hi):
         inside = inside[0] + lo[s], inside[1] + hi[s]
     x_lo, x_hi = share_bounds(*inside, total_lo - inside[0], total_hi - inside[1])
     if spec.kind == "piecewise_linear_marginal":
-        ends = _polyline_batch(pen, x_lo), _polyline_batch(pen, x_hi)
+        ends = reference_polyline_batch(pen, x_lo), reference_polyline_batch(pen, x_hi)
         low, high = np.minimum(*ends), np.maximum(*ends)
         kx, ky = pen.knots
         reached = [((x_lo < k) & (k < x_hi), y) for k, y in zip(kx.tolist(), ky.tolist())]
@@ -319,9 +473,9 @@ def reference_penalty_bounds(pen, lo, hi):
         edges = [-np.inf, *cuts, np.inf]
         low, high = np.full(x_lo.shape, np.inf), np.full(x_lo.shape, -np.inf)
         reached = [
-            ((x_lo < b) & (a < x_hi), step_value(spec.pieces, g))
+            ((x_lo < b) & (a < x_hi), reference_step_value(spec.pieces, g))
             for g, a, b in zip([cuts[0] - 1.0, *inner, cuts[-1] + 1.0], edges, edges[1:])
-        ] + [((x_lo <= c) & (c <= x_hi), step_value(spec.pieces, c)) for c in cuts]
+        ] + [((x_lo <= c) & (c <= x_hi), reference_step_value(spec.pieces, c)) for c in cuts]
     for meets, y in reached:
         low = np.where(meets, np.minimum(low, y), low)
         high = np.where(meets, np.maximum(high, y), high)

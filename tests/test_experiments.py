@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from perception_games import experiments
 from perception_games.experiments import (
     MajorityFamily,
     SeparableGameSpec,
@@ -324,6 +325,17 @@ class TestCounterexampleCheck:
         assert not rep.pure_equilibrium_exists
         assert rep.sweep.min_max_gain == pytest.approx(0.05)
         assert rep.eps_equilibrium_found[0.1] is True
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf"), -float("inf")])
+    def test_rejects_meaningless_eps_before_building(self, bad, monkeypatch):
+        # a NaN eps used to read as "no eps-equilibrium on the grid"
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built before the epsilons were checked")
+
+        monkeypatch.setattr(experiments, "pack_game", unreachable)
+        monkeypatch.setattr(experiments, "search_mixed_equilibria", unreachable)
+        with pytest.raises(ValueError, match="epsilons must be finite and nonnegative"):
+            counterexample_check(counterexample_usc(), strategy_step=0.25, epsilons=(bad, 0.1))
 
     def test_tight_eps_not_reached_on_coarse_grid(self):
         rep = counterexample_check(

@@ -17,7 +17,14 @@ from perception_games.simplex import SimplexGrid, lattice_rank
 from perception_games.single import profile_report
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
-from helpers import catalog_penalties, reference_cell_lower_bound, reference_screen, tabulate
+from helpers import (
+    catalog_penalties,
+    reference_cell_lower_bound,
+    reference_free_rows,
+    reference_profile_report,
+    reference_screen,
+    tabulate,
+)
 
 
 def _all_profiles(game, resolution):
@@ -288,6 +295,58 @@ class TestNumpyGainsAgainstEvaluator:
         assert off.any() == (m > 1)
         assert not off.all() or (resolution == 0 and positive.size < m)
         self._assert_equal(game, pts, idx)
+
+
+class TestOneFreeRowFill:
+    """``profile_report`` raises its free rows through the kernel's
+    ``_raise_free_rows`` and gives the reports of its former own cap loop
+    (``helpers.reference_profile_report``) bit for bit."""
+
+    @staticmethod
+    def _assert_is_reference(game, sigma) -> bool:
+        rep = profile_report(game, sigma)
+        _, tau, clamped, payoffs, gains = reference_profile_report(game, sigma)
+        assert rep.gains.tobytes() == gains.tobytes()
+        assert rep.payoffs.tobytes() == payoffs.tobytes()
+        assert rep.perceptions.tau.tobytes() == tau.tobytes()
+        assert rep.clamped is clamped
+        return clamped
+
+    def test_zero_prior_game(self):
+        game = zero_prior_game()
+        pts, idx = _all_profiles(game, 4)
+        clamped = [self._assert_is_reference(game, s) for s in decode_profiles(pts, idx, game.n)]
+        assert set(clamped) == {True, False}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        game=additive_catalog_games().filter(lambda g: bool((g.prior.p == 0.0).any())),
+        data=st.data(),
+    )
+    def test_catalog_games_with_a_zero_prior_type(self, game, data):
+        pts = SimplexGrid(game.m, 2).points()
+        codes = st.integers(0, pts.shape[0] ** game.n - 1)
+        idx = np.array(data.draw(st.lists(codes, min_size=1, max_size=12)), dtype=np.int64)
+        for sigma in decode_profiles(pts, idx, game.n):
+            self._assert_is_reference(game, sigma)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_the_cap_loop(self, data):
+        """One type's rows: on-path rows, off-path rows at ``u_min``, and
+        the played ones among those raised and clamped."""
+        m = data.draw(st.integers(1, 4))
+        values = st.floats(-4.0, 4.0) | st.sampled_from((0.0, 1.0))
+        on = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        sig = np.array(data.draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=m, max_size=m)))
+        low, span = (np.array(data.draw(st.lists(values, min_size=m, max_size=m))) for _ in range(2))
+        high = low + np.abs(span)
+        rows = np.where(on, np.array(data.draw(st.lists(values, min_size=m, max_size=m))), low)
+        free = ~on & (sig > 0.0)
+        got = kernels._raise_free_rows(rows[:, None], sig[:, None], on[:, None], high)[:, 0]
+        want, clamped = reference_free_rows(rows[None], free[None], low[None], high[None])
+        assert got.tobytes() == want[0].tobytes()
+        assert bool((free & (got < high)).any()) is clamped
 
 
 class TestTabulatedGains:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from perception_games.penalties import (
     PenaltySpec,
+    _belief_with_marginal,
     bind,
     penalty_batch,
     penalty_bounds,
@@ -17,14 +18,18 @@ from perception_games.penalties import (
     validate_spec,
 )
 
-from perception_games.simplex import SimplexGrid, share_bounds
+from perception_games.simplex import SimplexGrid, posterior, share_bounds
 
 from helpers import (
     catalog_penalties,
     dyadic_rows,
     pen_bounds,
     pen_value,
+    reference_penalty_batch,
     reference_penalty_bounds,
+    reference_penalty_value,
+    reference_piecewise_linear_value,
+    reference_step_value,
     spec_to_dict,
 )
 
@@ -291,6 +296,136 @@ class TestPenaltyBatch:
         block = penalty_batch(pen, post.reshape(3, 3, 5))
         assert block.shape == (3, 5)
         assert block.tobytes() == penalty_batch(pen, post).tobytes()
+
+
+def _edge_beliefs(pen) -> np.ndarray:
+    """Beliefs, as the columns of an ``(n, k)`` array, whose event mass
+    (the type's own mass for the other kinds) sits on 0, on 1, on every
+    knot and on every piece bound, plus the two posteriors of prior
+    [0.4, 0.6] whose two masses sum to 1 + 1 ulp and 1 - 1 ulp."""
+    n = pen.n
+    event = pen.event or (pen.type_index,)
+    outside = [s for s in range(n) if s not in event]
+    xs = [0.0, 1.0]
+    if pen.knots is not None:
+        xs += pen.knots[0].tolist()
+    for piece in pen.spec.pieces or ():
+        xs += [piece[0], piece[1]]
+    cols = []
+    for x in xs:
+        col = np.zeros(n)
+        col[event[0]] = x
+        col[outside[0] if outside else event[-1]] += 1.0 - x
+        cols.append(col)
+    if n >= 2:
+        pair = list(event[:2]) if len(event) >= 2 else [0, 1]
+        for column in ([0.2, 1.0], [0.2, 0.8]):
+            col = np.zeros(n)
+            col[pair] = posterior(np.array([0.4, 0.6]), np.array(column))
+            cols.append(col)
+    return np.array(cols).T
+
+
+def _reference_range(pen):
+    """``(min, max, argmin, argmax)`` of ``penalty_range`` for a marginal
+    kind, its candidates valued one at a time by the twin evaluators."""
+    spec, n = pen.spec, pen.n
+    pinned = 0.0 if not pen.event else 1.0 if len(pen.event) == n else None
+    if spec.kind == "piecewise_linear_marginal":
+        candidates = [pinned] if pinned is not None else [float(x) for x in pen.knots[0]]
+        vals = [spec.weight * reference_piecewise_linear_value(*pen.knots, x) for x in candidates]
+    else:
+        bounds = sorted({0.0, 1.0} | {p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
+        candidates = list(bounds) + [0.5 * (a + b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        if pinned is not None:
+            candidates = [pinned]
+        vals = [spec.weight * reference_step_value(spec.pieces, x) for x in candidates]
+    i_min, i_max = int(np.argmin(vals)), int(np.argmax(vals))
+    return (
+        vals[i_min],
+        vals[i_max],
+        _belief_with_marginal(candidates[i_min], pen).p,
+        _belief_with_marginal(candidates[i_max], pen).p,
+    )
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _assert_one_body_is_the_twins(pen, post):
+    """``penalty_value`` on each column of ``post`` and ``penalty_batch``
+    on ``post`` and on it reshaped to ``(n, 2, B)`` give the bits of the
+    former scalar and batched evaluators, and ``bind``'s step values and
+    ``penalty_range`` those of the scalar one."""
+    for j in range(post.shape[1]):
+        got = penalty_value(pen, post[:, j])
+        assert type(got) is float
+        assert _bits(got) == _bits(reference_penalty_value(pen, post[:, j]))
+    block = np.stack((post, post[:, ::-1]), axis=1)
+    for rows in (post, block):
+        got = penalty_batch(pen, rows)
+        assert got.shape == rows.shape[1:]
+        assert got.tobytes() == reference_penalty_batch(pen, rows).tobytes()
+    spec = pen.spec
+    if spec.pieces:
+        cuts = sorted({p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
+        inner = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+        probes = [cuts[0] - 1.0, *inner, cuts[-1] + 1.0, *cuts]
+        want = np.array([reference_step_value(spec.pieces, x) for x in probes])
+        assert pen.breaks[1].tobytes() == want.tobytes()
+    if pen.event is not None:
+        r = penalty_range(pen)
+        lo, hi, at_lo, at_hi = _reference_range(pen)
+        assert (_bits(r.min), _bits(r.max)) == (_bits(lo), _bits(hi))
+        assert r.argmin.p.tobytes() == at_lo.tobytes() and r.argmax.p.tobytes() == at_hi.tobytes()
+
+
+class TestOneBody:
+    """One body per kind values one belief and types-first rows, with
+    the bits of the scalar and batched twins it replaced
+    (``helpers.reference_penalty_value`` and ``reference_penalty_batch``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_catalog_kinds(self, data):
+        n = data.draw(st.integers(1, 5))
+        labels = tuple(f"t{i}" for i in range(n))
+        spec = data.draw(catalog_penalties(labels))
+        pen = bind(spec, labels, data.draw(dyadic_rows(n)), data.draw(st.integers(0, n - 1)))
+        post = np.concatenate((data.draw(_belief_columns(n)), _edge_beliefs(pen)), axis=1)
+        _assert_one_body_is_the_twins(pen, post)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # signed zeros and negative values: a selection by arithmetic
+            # would turn a -0.0 piece into 0.0
+            PenaltySpec.step(
+                ((0.25, 0.5, -0.0, True, True), (0.0, 1.0, -1.5, True, False), (1.0, 1.0, 0.0, True, True)),
+                over=("t0", "t1"),
+            ),
+            PenaltySpec.piecewise_linear(((0.0, -0.0), (0.5, -1.0), (1.0, 0.0)), over=("t1",), weight=2.0),
+            PenaltySpec(kind="piecewise_linear_marginal", knots=((0.0, 5.0), (1.0, 1.0)), marginal_over=()),
+            PenaltySpec(kind="zero", weight=3.0),
+        ],
+    )
+    def test_signed_zeros_and_degenerate_events(self, spec):
+        labels = ("t0", "t1", "t2")
+        pen = bind(spec, labels, [0.5, 0.5, 0.0], 0)
+        post = np.concatenate((SimplexGrid(3, 4).points().T, _edge_beliefs(pen)), axis=1)
+        _assert_one_body_is_the_twins(pen, post)
+
+    def test_public_wrappers(self):
+        knots = np.array([0.0, 0.25, 1.0]), np.array([1.0, -0.5, 2.0])
+        pieces = ((0.25, 0.5, -0.0, False, True), (0.0, 1.0, 2.0, True, True))
+        for x in (-0.5, 0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0, 1.0000000000000002, 2.0, float("nan")):
+            got = piecewise_linear_value(*knots, x)
+            assert type(got) is float
+            assert _bits(got) == _bits(reference_piecewise_linear_value(*knots, x))
+            got = step_value(pieces, x)
+            assert type(got) is float
+            assert _bits(got) == _bits(reference_step_value(pieces, x))
 
 
 class TestPenaltyBounds:

@@ -3,12 +3,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perception_games.fixtures import blog, two_player_game
 from perception_games.simplex import (
     Belief,
+    _posteriors,
     SimplexGrid,
     consistency_errors,
     dirac,
@@ -20,6 +21,8 @@ from perception_games.simplex import (
 )
 from perception_games.single import PerceptionMap, Strategy, is_consistent
 from perception_games.two_player import TwoPlayerPerceptions, TwoPlayerStrategy, is_consistent_2p
+
+from helpers import dyadic_rows
 
 
 class TestBelief:
@@ -193,6 +196,44 @@ class TestPosterior:
     )
     def test_zero_mass_is_off_path(self, prior, column):
         assert posterior(np.array(prior), np.array(column)) is None
+
+
+class TestBatchedPosteriors:
+    """``_posteriors`` is ``posterior`` on every column of a batch."""
+
+    @staticmethod
+    def _assert_is_posterior(prior, cols):
+        on, beliefs = _posteriors(prior, cols)
+        assert on.shape == cols.shape[1:] and beliefs.shape == cols.shape
+        for a, b in np.ndindex(*cols.shape[1:]):
+            want = posterior(prior, cols[:, a, b])
+            assert bool(on[a, b]) == (want is not None)
+            if want is not None:
+                assert beliefs[:, a, b].tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_column(self, data):
+        """Dyadic priors with zero entries, or the prior [0.1, 0.2, 0.7]
+        whose sums depend on their order, and columns in tenths with
+        all-zero columns and columns only zero-prior types play."""
+        n = data.draw(st.integers(1, 5))
+        prior = data.draw(st.just(np.array([0.1, 0.2, 0.7])) | dyadic_rows(n))
+        n = prior.size
+        shape = (n, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4)))
+        entries = st.sampled_from((0.0, 0.0, 1.0)) | st.integers(0, 10).map(lambda k: k / 10.0)
+        size = shape[0] * shape[1] * shape[2]
+        cols = np.reshape(data.draw(st.lists(entries, min_size=size, max_size=size)), shape)
+        cols[:, 0, 0] = 0.0
+        cols[:, -1, -1] = np.where(prior == 0.0, 1.0, 0.0)
+        self._assert_is_posterior(prior, cols)
+
+    def test_off_path_columns(self):
+        prior = np.array([0.0, 0.5, 0.5])
+        cols = np.array([[1.0, 0.0, 0.25], [0.0, 0.0, 0.5], [0.0, 0.0, 0.25]])[:, None, :]
+        on, _ = _posteriors(prior, cols)
+        assert on.tolist() == [[False, False, True]]
+        self._assert_is_posterior(prior, cols)
 
 
 class TestShareBounds:
