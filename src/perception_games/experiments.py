@@ -216,6 +216,14 @@ def check_separation_margin(spec: SeparableGameSpec, tol: float = 0.0) -> Margin
         if float(spec.joint_prior[o, p]) > 0.0
     }
     live_outcomes = sorted({o for o, _ in live_cells})
+    # the Dirac penalty of each live class at each live outcome, which
+    # are the pairs the rows read when there are any rows
+    dirac = {}
+    if len(live_outcomes) > 1:
+        for p in {p for _, p in live_cells}:
+            pen = spec.penalty_by_privacy[spec.privacy[p]]
+            for o in live_outcomes:
+                dirac[o, p] = _dirac_marginal_penalty(pen, spec.outcomes[o])
     for o in live_outcomes:
         a_o = spec.outcome_action(o)
         for o2 in live_outcomes:
@@ -226,10 +234,7 @@ def check_separation_margin(spec: SeparableGameSpec, tol: float = 0.0) -> Margin
             for p in range(len(spec.privacy)):
                 if (o, p) not in live_cells:
                     continue
-                pen = spec.penalty_by_privacy[spec.privacy[p]]
-                w_o = _dirac_marginal_penalty(pen, spec.outcomes[o])
-                gap_w = w_o - _dirac_marginal_penalty(pen, spec.outcomes[o2])
-                margin = gap_v - gap_w
+                margin = gap_v - (dirac[o, p] - dirac[o2, p])
                 rows.append((spec.outcomes[o], spec.outcomes[o2], spec.privacy[p], margin))
                 worst = min(worst, margin)
     holds = bool(rows) and bool(worst > tol)
@@ -373,7 +378,12 @@ def scan_alpha(
     """One row per alpha of ``alphas``, which must be nonempty and
     ascending (ties allowed): ``alpha_hat`` and the monotonicity check
     read the rows in that order. Raises ValueError otherwise, before any
-    game is built."""
+    game is built.
+
+    With ``mixed_step``, a row's ``mixed_survivors`` is the mixed
+    search's ``survivor_count``: the profiles the kernel screens within
+    ``tol``, whose gains are the exact oracle's bit for bit. The search
+    runs with ``max_survivors=0``, so no survivor report is built."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("alphas must not be empty")
@@ -393,10 +403,9 @@ def scan_alpha(
         separating = [r for r in found if r.label == "separating"]
         mixed_survivors = None
         if mixed_step is not None:
-            sweep = search_mixed_equilibria(
-                game, step=mixed_step, tol=tol, seed=seed
-            )
-            mixed_survivors = sweep.survivor_count
+            mixed_survivors = search_mixed_equilibria(
+                game, step=mixed_step, tol=tol, seed=seed, max_survivors=0
+            ).survivor_count
         rows.append(
             AlphaRow(
                 alpha=alpha,

@@ -79,15 +79,17 @@ screen prunes the cells bounded above the tolerance, splits the others
 level by level (``_split``) and returns the profiles of the small cells
 it keeps; ``single.search_mixed_equilibria`` sweeps those through the
 kernel, and the exact ``single.profile_report`` confirms the survivors
-as before. A level holds few cells (a ``majority-scan`` pass bounds
-2,893 cells in 80 calls), so a level costs numpy calls, not cells, and
-each step does one call where it can: the low and high ends of every
-box travel stacked, the types whose penalties the bound cannot tell
-apart (in the paper's separable families, the types of one privacy
-class) share one bound per batch (``GamePack.bound_plan``), a penalty
-compares all its knots or piece bounds with every interval at once, and
-a level's cells split in one step, in the order of splitting one type
-after the other.
+as before. At a limit of at least 0 the screen starts at the root's
+children: every action has probability 0 at a vertex of the grid, so
+the root's bound is at most 0 and the root is never pruned. A level
+holds few cells (a ``majority-scan`` pass bounds 2,872 cells in 59
+calls), so a level costs numpy calls, not cells, and each step does one
+call where it can: the low and high ends of every box travel stacked,
+the types whose penalties the bound cannot tell apart (in the paper's
+separable families, the types of one privacy class) share one bound per
+batch (``GamePack.bound_plan``), a penalty compares all its knots or
+piece bounds with every interval at once, and a level's cells split in
+one step, in the order of splitting one type after the other.
 """
 
 from __future__ import annotations
@@ -625,12 +627,25 @@ def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple
     half on each of its ``_SPLIT_TYPES`` types with the most points (the
     first ones on a tie), so cells shrink about evenly on every type.
     Every profile whose gain is at most ``limit`` lies in a leaf.
+
+    The root is not bounded when ``limit >= 0``, the grid has more than
+    ``_LEAF`` profiles and every action has probability 0 at some grid
+    point (a vertex, on a simplex grid): the screen starts at the root's
+    children. At the root every action's ``low`` is then 0, so each term
+    ``min(low * x, high * x)`` of ``cell_lower_bound`` is at most 0 (or
+    NaN), and the root's bound is at most ``-margin <= 0 <= limit`` (or
+    NaN): it would be kept and split, whatever the game, so the kept
+    leaves and the seed are those of bounding it. A negative or NaN
+    ``limit`` bounds the root as any other cell.
     """
     n = pack.u_min.shape[0]
     G = grid_pts.shape[0]
     tree = grid_tree(grid_pts)
     batch = max(1, _CHUNK_BUDGET // pack.u_min.size)
     cells = np.zeros((n, 1), dtype=np.int64)
+    root = np.take(tree.size, cells)
+    if limit >= 0.0 and root.prod() > _LEAF and not tree.low[:, 0].any():
+        cells = _split(tree, cells, root)
     leaves = []
     least, seed = np.inf, cells[:, :0]
     while cells.shape[1]:

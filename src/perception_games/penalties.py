@@ -199,6 +199,8 @@ class Penalty:
     # the step's sorted piece bounds between -inf and inf, and its values
     # on the open gaps between those, then at each piece bound
     breaks: tuple[np.ndarray, np.ndarray] | None
+    # the step's piece values, then 0.0 for an event mass no piece holds
+    piece_values: np.ndarray | None
 
 
 def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> Penalty:
@@ -219,15 +221,16 @@ def bind(spec: PenaltySpec, labels: Sequence[str], anchor, type_index: int) -> P
     if spec.knots:
         knots = np.array([k[0] for k in spec.knots]), np.array([k[1] for k in spec.knots])
         steps = np.diff(knots[0]), np.diff(knots[1])
-    breaks = None
+    breaks = piece_values = None
     if spec.pieces:
+        piece_values = np.array([p[2] for p in spec.pieces] + [0.0])
         cuts = sorted({p[0] for p in spec.pieces} | {p[1] for p in spec.pieces})
         # the step is constant on each open gap; probe it at one point
         inner = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
         probes = [cuts[0] - 1.0, *inner, cuts[-1] + 1.0, *cuts]
-        breaks = np.array([-np.inf, *cuts, np.inf]), _step(spec.pieces, np.array(probes))
+        breaks = np.array([-np.inf, *cuts, np.inf]), _step(spec.pieces, piece_values, np.array(probes))
     anchor = np.asarray(anchor, dtype=np.float64)
-    return Penalty(spec, len(labels), anchor, type_index, event, knots, steps, breaks)
+    return Penalty(spec, len(labels), anchor, type_index, event, knots, steps, breaks, piece_values)
 
 
 def _value(pen: Penalty, post):
@@ -250,7 +253,7 @@ def _value(pen: Penalty, post):
         acc = acc + post[s]
     if spec.kind == "piecewise_linear_marginal":
         return spec.weight * _polyline(pen.knots, pen.steps, acc)
-    return spec.weight * _step(spec.pieces, acc)
+    return spec.weight * _step(spec.pieces, pen.piece_values, acc)
 
 
 def _polyline(knots: tuple[np.ndarray, np.ndarray], steps: tuple[np.ndarray, np.ndarray], x):
@@ -267,15 +270,16 @@ def _polyline(knots: tuple[np.ndarray, np.ndarray], steps: tuple[np.ndarray, np.
     return ky[j] + (x - kx[j]) / dx[j] * dy[j]
 
 
-def _step(pieces, x):
+def _step(pieces, values: np.ndarray, x):
     """The step at the event mass ``x``: the value of the first piece
-    that holds ``x``, 0.0 where none does."""
+    that holds ``x``, 0.0 where none does; ``values`` holds the pieces'
+    values, then 0.0 (``Penalty.piece_values``)."""
     first = len(pieces)  # the trailing 0.0
     for j in range(len(pieces) - 1, -1, -1):
         lo, hi, _, il, ih = pieces[j]
         holds = ((x >= lo) if il else (x > lo)) & ((x <= hi) if ih else (x < hi))
         first = first + holds * (j - first)
-    return np.array([p[2] for p in pieces] + [0.0])[first]
+    return values[first]
 
 
 def piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -> float:
@@ -286,7 +290,7 @@ def piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -
 
 def step_value(pieces, x: float) -> float:
     """First matching piece wins; unmatched x has value 0."""
-    return float(_step(pieces, x))
+    return float(_step(pieces, np.array([p[2] for p in pieces] + [0.0]), x))
 
 
 def penalty_value(pen: Penalty, mu) -> float:
@@ -439,7 +443,7 @@ def penalty_range(pen: Penalty) -> Range:
             for b0, b1 in zip(bounds, bounds[1:]):
                 if b1 > b0:
                     candidates.append(0.5 * (b0 + b1))
-        vals = spec.weight * _step(spec.pieces, np.array(candidates))
+        vals = spec.weight * _step(spec.pieces, pen.piece_values, np.array(candidates))
     i_min = int(np.argmin(vals))
     i_max = int(np.argmax(vals))
     return Range(

@@ -26,7 +26,11 @@ kind, kept to pin the one body per kind bit for bit.
 ``reference_profile_report`` is the exact oracle with its former own
 off-path fill (``reference_free_rows``), kept to pin the fill it now
 shares with the kernel; it calls the game's ``u`` and ``u_range``,
-``posterior`` and ``payoff_and_gain``. The game
+``posterior`` and ``payoff_and_gain``.
+``reference_check_separation_margin`` is the margin check's former
+per-row loop, which bound and evaluated both Dirac penalties of every
+row, kept to pin the shared evaluations bit for bit; it calls the
+package's ``_dirac_marginal_penalty``. The game
 factories at the end only build inputs: ``tabulate`` copies a game's
 own values onto a lattice, ``random_two_player_game`` draws a seeded
 two-player game, and the ``hypothesis`` strategies draw random catalog
@@ -41,6 +45,7 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
+from perception_games.experiments import MarginReport, _dirac_marginal_penalty
 from perception_games.kernels import (
     _CHUNK_BUDGET,
     _LEAF,
@@ -551,6 +556,40 @@ def reference_screen(pack, grid_pts, limit):
     if not seed.size:
         return codes, -1
     return codes, sum(int(tree.start[c]) * G ** (n - 1 - t) for t, c in enumerate(seed[:, 0]))
+
+
+# --- the separation margin, two Dirac penalties per row ---------------
+
+
+def reference_check_separation_margin(spec, tol: float = 0.0):
+    spec.validate_structure()
+    rows: list[tuple[str, str, str, float]] = []
+    worst = np.inf
+    live_cells = {
+        (o, p)
+        for o in range(len(spec.outcomes))
+        for p in range(len(spec.privacy))
+        if float(spec.joint_prior[o, p]) > 0.0
+    }
+    live_outcomes = sorted({o for o, _ in live_cells})
+    for o in live_outcomes:
+        a_o = spec.outcome_action(o)
+        for o2 in live_outcomes:
+            if o2 == o:
+                continue
+            a_o2 = spec.outcome_action(o2)
+            gap_v = float(spec.v_outcome[o, a_o] - spec.v_outcome[o, a_o2])
+            for p in range(len(spec.privacy)):
+                if (o, p) not in live_cells:
+                    continue
+                pen = spec.penalty_by_privacy[spec.privacy[p]]
+                w_o = _dirac_marginal_penalty(pen, spec.outcomes[o])
+                gap_w = w_o - _dirac_marginal_penalty(pen, spec.outcomes[o2])
+                margin = gap_v - gap_w
+                rows.append((spec.outcomes[o], spec.outcomes[o2], spec.privacy[p], margin))
+                worst = min(worst, margin)
+    holds = bool(rows) and bool(worst > tol)
+    return MarginReport(holds=holds, margin=float(worst), rows=tuple(rows))
 
 
 # --- game factories --------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,11 @@ from perception_games.fixtures import (
 )
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
-from perception_games.single import verify_equilibrium
-from perception_games.testing import random_separable_spec
+from perception_games import single
+from perception_games.single import search_mixed_equilibria, verify_equilibrium
+from perception_games.testing import _separable_penalty, random_separable_spec
 
-from helpers import with_player
+from helpers import reference_check_separation_margin, with_player
 
 
 def _toy_spec(**overrides):
@@ -168,6 +171,102 @@ class TestMargin:
         assert len(repmid.rows) == 4
 
 
+def _margin_spec(seed: int) -> SeparableGameSpec:
+    """A seeded spec with 2-3 outcomes and 1-3 privacy classes, some
+    cells without mass, the first class with a step penalty on even
+    seeds and a polyline on odd ones, the others any separable penalty;
+    its margin need not hold."""
+    rng = np.random.default_rng(2000 + seed)
+    n_o, n_p = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    outcomes = tuple(f"o{i}" for i in range(n_o))
+    privacy = tuple(f"p{i}" for i in range(n_p))
+    joint = rng.integers(0, 4, size=(n_o, n_p)) * (rng.random((n_o, n_p)) < 0.7)
+    joint[rng.integers(n_o), rng.integers(n_p)] += 1
+    pens = {p: _separable_penalty(rng, outcomes) for p in privacy}
+    event = outcomes[: int(rng.integers(1, n_o))]
+    pens[privacy[0]] = (
+        PenaltySpec.step([(0.25, 0.75, 1.5, True, False)], over=event, weight=0.75)
+        if seed % 2 == 0
+        else PenaltySpec.piecewise_linear([(0.0, 1.0), (0.4, 0.25), (1.0, 2.0)], over=event)
+    )
+    v = rng.uniform(0.0, 2.0, size=(n_o, n_o))
+    # each outcome's own action is its best, by a margin a penalty may undo
+    v[range(n_o), range(n_o)] = v.max(axis=1) + rng.uniform(0.1, 1.5, size=n_o)
+    return SeparableGameSpec(
+        outcomes=outcomes,
+        privacy=privacy,
+        actions=tuple(f"a{i}" for i in range(n_o)),
+        joint_prior=joint / joint.sum(),
+        v_outcome=v,
+        penalty_by_privacy=pens,
+    )
+
+
+class TestMarginMatchesReference:
+    """Each (privacy class, outcome) Dirac penalty is evaluated once and
+    looked up: the report is the per-row loop's
+    (``helpers.reference_check_separation_margin``), float for float."""
+
+    @pytest.mark.parametrize("alpha", [round(0.05 * i, 10) for i in range(21)])
+    def test_majority_alphas(self, alpha):
+        spec = default_majority_family().spec_for(alpha)
+        assert check_separation_margin(spec) == reference_check_separation_margin(spec)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_specs(self, seed):
+        spec = _margin_spec(seed)
+        for tol in (0.0, 0.5):
+            assert check_separation_margin(spec, tol) == reference_check_separation_margin(spec, tol)
+
+    def test_seeds_cover_dead_cells_and_both_kinds(self):
+        specs = [_margin_spec(seed) for seed in range(40)]
+        assert any((s.joint_prior == 0.0).any() for s in specs)
+        assert any(not check_separation_margin(s).holds for s in specs)
+        kinds = {s.penalty_by_privacy[s.privacy[0]].kind for s in specs}
+        assert kinds == {"step_marginal", "piecewise_linear_marginal"}
+
+    def test_each_pair_once_and_no_dead_class(self, monkeypatch):
+        pens = {
+            "p0": PenaltySpec.piecewise_linear([(0, 0.5), (1, 2)], over=("o0",)),
+            "p1": PenaltySpec.piecewise_linear([(0, 9), (1, 0)], over=("o2",)),
+            "p2": PenaltySpec.step([(0.0, 0.5, 1.0, True, True)], over=("o1", "o2")),
+        }
+        spec = SeparableGameSpec(
+            outcomes=("o0", "o1", "o2"),
+            privacy=("p0", "p1", "p2"),
+            actions=("a0", "a1", "a2"),
+            # class p1 has no live cell; outcome o2 lives only in class p2
+            joint_prior=np.array([[0.25, 0.0, 0.25], [0.125, 0.0, 0.125], [0.0, 0.0, 0.25]]),
+            v_outcome=3.0 * np.eye(3),
+            penalty_by_privacy=pens,
+        )
+        calls = []
+        real = experiments._dirac_marginal_penalty
+
+        def counted(pen, outcome):
+            calls.append((pen, outcome))
+            return real(pen, outcome)
+
+        monkeypatch.setattr(experiments, "_dirac_marginal_penalty", counted)
+        rep = check_separation_margin(spec)
+        assert sorted(calls, key=repr) == sorted(
+            ((pens[p], o) for p in ("p0", "p2") for o in ("o0", "o1", "o2")), key=repr
+        )
+        monkeypatch.undo()
+        assert rep == reference_check_separation_margin(spec)
+        assert {row[2] for row in rep.rows} == {"p0", "p2"}
+
+    def test_one_live_outcome_evaluates_nothing(self, monkeypatch):
+        spec = _toy_spec(joint_prior=np.array([[1.0], [0.0]]))
+
+        def unreachable(pen, outcome):
+            raise AssertionError("evaluated a penalty no row reads")
+
+        monkeypatch.setattr(experiments, "_dirac_marginal_penalty", unreachable)
+        rep = check_separation_margin(spec)
+        assert rep.rows == () and not rep.holds
+
+
 class TestBuildSeparatingEquilibrium:
     def test_toy_profile_verifies(self):
         game, strategy, perceptions = build_separating_equilibrium(_toy_spec())
@@ -256,6 +355,54 @@ class TestScanAlpha:
         rep = scan_alpha(default_majority_family(), [0.75, 0.75])
         assert [r.alpha for r in rep.rows] == [0.75, 0.75]
         assert rep.alpha_hat == 0.75
+
+
+MAJORITY_ALPHAS = [round(0.05 * i, 10) for i in range(21)]
+
+
+def _skewed_family() -> MajorityFamily:
+    return MajorityFamily(
+        outcome_prior=(0.625, 0.375),
+        v_outcome=np.array([[1.0, 0.25], [0.0, 1.5]]),
+        concerned_penalty=PenaltySpec.piecewise_linear(
+            [(0.0, 1.0), (0.375, 0.0), (1.0, 2.0)], over=("o1",)
+        ),
+        name="skewed",
+    )
+
+
+class TestCountOnlyScan:
+    """``scan_alpha`` counts the mixed survivors without building their
+    reports: the only exact reports of a scan are its pure equilibria's,
+    and every row is the one the full mixed search gives."""
+
+    @pytest.mark.parametrize(
+        "family, step",
+        [
+            (default_majority_family(), 0.05),
+            (default_majority_family(), 0.1),
+            (_skewed_family(), 0.1),
+        ],
+    )
+    def test_reports_only_the_pure_equilibria(self, monkeypatch, family, step):
+        calls = []
+        real = single.profile_report
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(single, "profile_report", counted)
+        rep = scan_alpha(family, MAJORITY_ALPHAS, mixed_step=step)
+        monkeypatch.undo()
+        assert len(calls) == sum(r.n_equilibria for r in rep.rows)
+        pure = scan_alpha(family, MAJORITY_ALPHAS)
+        for alpha, row, bare in zip(MAJORITY_ALPHAS, rep.rows, pure.rows):
+            full = search_mixed_equilibria(family.game_for(alpha), step)
+            # every screened profile is confirmed by the exact report
+            assert len(full.survivors) == full.survivor_count
+            assert row == replace(bare, mixed_survivors=full.survivor_count)
+        assert any(r.mixed_survivors for r in rep.rows)
 
 
 class TestWelfare:

@@ -146,12 +146,13 @@ def tied_prior_tv_game() -> PerceptionGame:
 
 
 @st.composite
-def additive_catalog_games(draw) -> PerceptionGame:
-    """1-5 types, 1-3 actions, any catalog penalties; some types may
-    have no prior mass. Sometimes those types get the largest ``v``, so
-    that a capped free row of theirs decides a profile's gain."""
+def additive_catalog_games(draw, max_actions: int = 3) -> PerceptionGame:
+    """1-5 types, 1 to ``max_actions`` actions, any catalog penalties;
+    some types may have no prior mass. Sometimes those types get the
+    largest ``v``, so that a capped free row of theirs decides a
+    profile's gain."""
     n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, max_actions))
     labels = tuple(f"t{i}" for i in range(n))
     counts = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any)))
     v = np.reshape(draw(st.lists(st.floats(0.0, 5.0), min_size=n * m, max_size=n * m)), (n, m))
@@ -771,11 +772,23 @@ class TestScreenProfiles:
 
 SCREEN_LIMITS = (1e-9, 0.05, 0.3, -1.0)
 
+SCREEN_GAMES = [
+    (blog, 20),
+    (eight_type_game, 1),
+    (eight_type_game, 2),
+    (zero_prior_game, 4),
+    (polyline_knots_game, 4),
+    (step_bounds_game, 6),
+    (full_event_step_game, 5),
+    (tied_prior_tv_game, 4),
+    (five_action_game, 3),
+]
 
-def _assert_screen_is_reference(game, resolution):
+
+def _assert_screen_is_reference(game, resolution, limits=SCREEN_LIMITS):
     pack = pack_game(game)
     pts = SimplexGrid(game.m, resolution).points()
-    for limit in SCREEN_LIMITS:
+    for limit in limits:
         codes, seed = kernels.screen_profiles(pack, pts, limit)
         want_codes, want_seed = reference_screen(pack, pts, limit)
         assert seed == want_seed, limit
@@ -796,20 +809,7 @@ class TestScreenMatchesReference:
     the screen that bounded every type's penalty and split a type at a
     time (``helpers.reference_screen``)."""
 
-    @pytest.mark.parametrize(
-        "build, resolution",
-        [
-            (blog, 20),
-            (eight_type_game, 1),
-            (eight_type_game, 2),
-            (zero_prior_game, 4),
-            (polyline_knots_game, 4),
-            (step_bounds_game, 6),
-            (full_event_step_game, 5),
-            (tied_prior_tv_game, 4),
-            (five_action_game, 3),
-        ],
-    )
+    @pytest.mark.parametrize("build, resolution", SCREEN_GAMES)
     def test_named_games(self, build, resolution):
         _assert_screen_is_reference(build(), resolution)
 
@@ -828,6 +828,91 @@ class TestScreenMatchesReference:
     def test_catalog_games(self, game, data):
         resolution = data.draw(st.integers(1, _max_resolution(game, 20_000)))
         _assert_screen_is_reference(game, resolution)
+
+
+ROOT_LIMITS = (0.0, np.nan)
+
+
+def _bounds_root(monkeypatch, pack, pts, limit) -> bool:
+    """Does ``screen_profiles(pack, pts, limit)`` bound the root cell?"""
+    bounded = []
+    real = kernels.cell_lower_bound
+
+    def spy(pack, tree, cells):
+        bounded.append(bool((cells == 0).all(axis=0).any()))
+        return real(pack, tree, cells)
+
+    monkeypatch.setattr(kernels, "cell_lower_bound", spy)
+    kernels.screen_profiles(pack, pts, limit)
+    monkeypatch.undo()
+    return any(bounded)
+
+
+class TestRootSkip:
+    """At a limit of at least 0 the screen starts at the root's
+    children: the root's bound is at most ``-margin`` whenever every
+    action has probability 0 at some grid point, so bounding it prunes
+    nothing, and the kept codes and the seed are those of the screen
+    that bounds it (``helpers.reference_screen``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=additive_catalog_games(max_actions=4), resolution=st.integers(1, 20))
+    def test_root_bound_is_at_most_minus_margin(self, game, resolution):
+        pack = pack_game(game)
+        tree = kernels.grid_tree(SimplexGrid(game.m, resolution).points())
+        bound = kernels.cell_lower_bound(pack, tree, np.zeros((game.n, 1), np.int64))
+        assert bound[0] <= -pack.bound_plan.margin <= 0.0
+
+    @pytest.mark.parametrize("build, resolution", SCREEN_GAMES + [(zero_prior_game, 1)])
+    def test_named_games(self, build, resolution):
+        _assert_screen_is_reference(build(), resolution, ROOT_LIMITS)
+
+    @pytest.mark.parametrize("alpha", [round(0.05 * i, 10) for i in range(21)])
+    def test_majority_alphas(self, alpha):
+        _assert_screen_is_reference(default_majority_family().game_for(alpha), 20, ROOT_LIMITS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(game=additive_catalog_games(), data=st.data())
+    def test_catalog_games(self, game, data):
+        resolution = data.draw(st.integers(1, _max_resolution(game, 20_000)))
+        _assert_screen_is_reference(game, resolution, ROOT_LIMITS)
+
+    @pytest.mark.parametrize(
+        "limit, bounded",
+        [
+            (0.0, False),
+            (1e-9, False),
+            (np.inf, False),
+            (-1e-300, True),
+            (-1.0, True),
+            (np.nan, True),
+        ],
+    )
+    def test_root_bounded_only_below_zero_or_at_nan(self, monkeypatch, limit, bounded):
+        game = blog()
+        pts = SimplexGrid(game.m, 20).points()
+        assert _bounds_root(monkeypatch, pack_game(game), pts, limit) == bounded
+
+    def test_a_grid_of_one_leaf_bounds_its_root(self, monkeypatch):
+        game = zero_prior_game()
+        pts = SimplexGrid(game.m, 1).points()
+        assert pts.shape[0] ** game.n <= kernels._LEAF
+        assert _bounds_root(monkeypatch, pack_game(game), pts, 0.0)
+
+    def test_a_grid_without_a_vertex_bounds_its_root(self, monkeypatch):
+        """Without the vertex (0, 1), action 0 has probability at least
+        0.05 everywhere: the root's bound may be above 0, so it is
+        bounded, and the screen is still the reference's."""
+        game = blog()
+        pts = SimplexGrid(game.m, 20).points()
+        pts = pts[pts[:, 0] > 0.0]
+        pack = pack_game(game)
+        assert _bounds_root(monkeypatch, pack, pts, 0.0)
+        for limit in SCREEN_LIMITS + ROOT_LIMITS:
+            codes, seed = kernels.screen_profiles(pack, pts, limit)
+            want_codes, want_seed = reference_screen(pack, pts, limit)
+            assert seed == want_seed, limit
+            assert codes.tobytes() == want_codes.tobytes(), limit
 
 
 def _assert_bound_is_reference(game, pts, cells):
