@@ -45,6 +45,25 @@ runs chunk by chunk with ``limit = max(tol, least gain so far)`` and
 never holds more than a chunk's gains. On a 2M-profile sample of a
 3-type, 3-action game, almost every profile leaves after type 0.
 
+``reduce_profile_gains`` reads its codes from a chunk source, so no
+array as long as the sweep is built, codes included: a pure
+enumeration or a whole flat grid is a ``CodeRange``, whose one buffer
+advances in place; a subsample is ``CodeDraws``, drawn from the
+generator a chunk at a time (the same codes as one draw); the cell
+screen's kept leaves are ``CellCodes``, each a product of per-type
+index ranges, made a few cells at a time; and an int64 array is a
+source too. The leaves' codes interleave, so for them ties go by the
+lowest code and only the survivors' codes are sorted. Every chunk of a
+sweep fills one ``_Workspace``, allocated once per sweep: the first
+type's full-width arrays (digits, table entries, strategies, utility
+rows, payoff, best row and gain) are written with ``out=``, gathers
+with ``np.take(..., out=..., mode="clip")``, since ``mode="raise"``
+gathers into a copy. Arrays made afresh for each chunk are mapped and
+faulted in anew whenever the allocator has handed its free memory back
+to the system: a streamed 2M-profile sweep over the column table took
+about 200 minor page faults per chunk that way, and takes none with
+the workspace (numpy 2.4, glibc malloc, 2 vCPUs).
+
 A type's utility of an action depends only on the posterior, and the
 posterior after action ``a`` only on column ``a`` of the profile. A
 grid whose points take ``V`` distinct values has ``V**n`` columns, so a
@@ -96,7 +115,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from math import prod
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -110,6 +130,9 @@ __all__ = [
     "decode_profiles",
     "sweep_profile_gains",
     "reduce_profile_gains",
+    "CodeRange",
+    "CodeDraws",
+    "CellCodes",
     "GridTree",
     "grid_tree",
     "cell_lower_bound",
@@ -213,19 +236,23 @@ def decode_profiles(grid_pts: np.ndarray, idx, n: int) -> np.ndarray:
     return np.take(grid_pts, digits, axis=0)
 
 
-def _digits(idx, G: int, n: int) -> np.ndarray:
+def _digits(idx, G: int, n: int, out=None, scratch=None) -> np.ndarray:
     """Base-``G`` digits of the codes ``idx``, each below ``G**n``, shape
-    ``(n,) + idx.shape``, type 0 most significant."""
+    ``(n,) + idx.shape``, type 0 most significant; written into ``out``
+    when given, with ``scratch`` (``idx``'s shape) for the products."""
     code = np.asarray(idx, dtype=np.int64)
-    digits = np.empty((n,) + code.shape, dtype=np.int64)
+    digits = np.empty((n,) + code.shape, dtype=np.int64) if out is None else out
+    product = np.empty_like(code) if scratch is None else scratch
     for t in range(n - 1, 0, -1):
         # a floor division and a multiply-subtract run about twice as
-        # fast as np.divmod on int64
-        quotient = code // G
-        np.subtract(code, quotient * G, out=digits[t, ...])
-        code = quotient
+        # fast as np.divmod on int64; the quotient is the next code
+        np.floor_divide(code, G, out=digits[t - 1, ...])
+        np.multiply(digits[t - 1, ...], G, out=product)
+        np.subtract(code, product, out=digits[t, ...])
+        code = digits[t - 1, ...]
     # the last quotient is below G: it is digit 0
-    digits[0, ...] = code
+    if n == 1:
+        digits[0, ...] = code
     return digits
 
 
@@ -323,18 +350,24 @@ def _column_table(grid_pts: np.ndarray, pack: GamePack) -> _ColumnTable:
     return _ColumnTable(words, width, np.tile(on[0], m), rows.reshape(n, -1))
 
 
-def _table_entries(table: _ColumnTable, digits: np.ndarray, m: int) -> np.ndarray:
-    """The table entries ``(m, B)`` of the profiles with base-``G``
-    digits ``digits`` ``(n, B)``: one 1-D gather per type and word, then
-    a shift and a mask per action."""
+def _table_entries(
+    table: _ColumnTable, digits: np.ndarray, m: int, work: "_Workspace | None" = None
+) -> np.ndarray:
+    """The table entries ``(m, B)`` of the profiles with base-``G`` digits
+    ``digits`` ``(n, B)``: one 1-D gather per type and word, then a shift
+    and a mask per action; into ``work``'s buffers when given."""
     words, width = table.words, table.width
     per = 63 // width
     mask = (1 << width) - 1
-    col = np.empty((m, digits.shape[1]), dtype=np.int64)
+    B = digits.shape[1]
+    if work is None:
+        col, word, part = np.empty((m, B), np.int64), np.empty(B, np.int64), np.empty(B, np.int64)
+    else:
+        col, word, part = _view(work.col, m, B), work.word[:B], work.part[:B]
     for j in range(words.shape[1]):
-        word = np.take(words[0, j], digits[0])
+        np.take(words[0, j], digits[0], out=word, mode="clip")
         for t in range(1, words.shape[0]):
-            word += np.take(words[t, j], digits[t])
+            word += np.take(words[t, j], digits[t], out=part, mode="clip")
         actions = range(j * per, min(m, j * per + per))
         for a in actions:
             np.right_shift(word, width * (a - j * per), out=col[a])
@@ -366,45 +399,80 @@ def _raise_free_rows(
     return np.where(free, np.minimum(u_max[:, None], cap), rows)
 
 
+class _Workspace:
+    """The buffers one sweep's kernel calls fill in place (``out=``),
+    allocated once for chunks of up to ``width`` profiles, so their pages
+    are faulted in once per sweep, and what every chunk reads of the game
+    and the grid. A chunk views a buffer at its own size as a
+    C-contiguous array (``_view``): ``np.take`` into any other ``out``
+    gathers into a copy and copies back."""
+
+    def __init__(self, pack: GamePack, grid_pts: np.ndarray, table: _ColumnTable | None, width: int):
+        n, m = pack.u_min.shape
+        self.width = width
+        # only a type without prior mass can play an off-path action
+        self.has_free = bool((pack.prior == 0.0).any())
+        self.by_action = np.ascontiguousarray(grid_pts.T)  # (m, G)
+        self.digits = np.empty(n * width, np.int64)
+        self.part = np.empty(width, np.int64)
+        # the per-profile path holds every type's strategies, (n, m, B)
+        self.strategies = np.empty((m if table is not None else n * m) * width)
+        if table is not None:
+            self.word = np.empty(width, np.int64)
+            self.col = np.empty(m * width, np.int64)
+            self.rows = np.empty(m * width)
+        self.played, self.term, self.gain = np.empty((3, width))
+        self.mask = np.empty(width, bool)
+
+
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first entries of the flat ``buffer`` as an array of ``shape``."""
+    return buffer[: prod(shape)].reshape(shape)
+
+
 def _gains_numpy(
     idx: np.ndarray,
     grid_pts: np.ndarray,
     pack: GamePack,
     table: _ColumnTable | None = None,
     limit: float = np.inf,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """The gain of each profile ``idx``, evaluated a type at a time: after
     each type but the last, a profile whose gain over the types so far is
     above ``limit`` leaves the batch, and its entry is that partial gain.
     So an entry at most ``limit`` is the profile's gain, bitwise as with
     ``limit = inf``, and any other entry is above ``limit`` and at most
-    the gain."""
+    the gain. The batch's working arrays are ``work``'s buffers (one is
+    made for the batch when None), and so is the result, which the next
+    call with ``work`` overwrites."""
     n, m = pack.u_min.shape
-    # only a type without prior mass can play an off-path action
-    has_free = bool((pack.prior == 0.0).any())
-    digits = _digits(idx, grid_pts.shape[0], n)  # (n, B)
-    by_action = np.ascontiguousarray(grid_pts.T)  # (m, G)
+    B = idx.shape[0]
+    if work is None:
+        work = _Workspace(pack, grid_pts, table, B)
+    has_free, by_action = work.has_free, work.by_action
+    digits = _digits(idx, grid_pts.shape[0], n, _view(work.digits, n, B), work.part[:B])
     sig = beliefs = rows = col = None
     if table is None:
-        sig = np.empty((n, m, idx.shape[0]))
+        sig = _view(work.strategies, n, m, B)
         for t in range(n):
-            sig[t] = np.take(by_action, digits[t], axis=1)
+            np.take(by_action, digits[t], axis=1, out=sig[t], mode="clip")
         # sig[:, a] is each profile's column at action a
         if pack.values is None:
             on, beliefs = _posteriors(pack.prior, sig)
         else:
             on, rows = _utility_rows(sig, pack)
     else:
-        col = _table_entries(table, digits, m)  # (m, B)
+        col = _table_entries(table, digits, m, work)  # (m, B)
         # the table pins every off-path row to u_min already
         on = np.take(table.on, col) if has_free else None
     off = None if on is None else ~on.all(axis=0)
-    out = np.empty(idx.shape[0])
     alive = None  # positions still in the batch; None while all are
     for t in range(n):
+        k = B if alive is None else alive.size
         if table is not None:
-            s = np.take(by_action, digits[t], axis=1)
-            r = np.take(table.rows[t], col)
+            s = np.take(by_action, digits[t], axis=1, out=_view(work.strategies, m, k), mode="clip")
+            r = np.take(table.rows[t], col, out=_view(work.rows, m, k), mode="clip")
         else:
             s = sig[t]
             r = rows[t] if rows is not None else _penalized(pack, t, beliefs)
@@ -414,27 +482,35 @@ def _gains_numpy(
             if has_free:
                 sel = np.flatnonzero(off)
                 r[:, sel] = _raise_free_rows(r[:, sel], s[:, sel], on[:, sel], pack.u_max[t])
-        played = np.zeros(s.shape[1])
+        played, term = work.played[:k], work.term[:k]
+        played[...] = 0.0
         for a in range(m):
-            played += s[a] * r[a]
-        best = r[0]
-        for a in range(1, m):
-            best = np.maximum(best, r[a])
-        gain = best - played if t == 0 else np.maximum(gain, best - played)
+            played += np.multiply(s[a], r[a], out=term)
+        # the best row takes the products' place
+        best = r[0] if m == 1 else np.maximum(r[0], r[1], out=term)
+        for a in range(2, m):
+            np.maximum(best, r[a], out=best)
+        if t == 0:
+            gain = out = np.subtract(best, played, out=work.gain[:B])
+        else:
+            np.maximum(gain, np.subtract(best, played, out=term), out=gain)
         if t == n - 1 or limit == np.inf:
             continue
-        keep = np.flatnonzero(gain <= limit)
-        if keep.size == gain.size:
+        keep = np.flatnonzero(np.less_equal(gain, limit, out=work.mask[:k]))
+        if keep.size == k:
             continue
-        # every entry takes its partial gain; the kept ones are overwritten
-        out[... if alive is None else alive] = gain
+        # every entry keeps its partial gain in ``out``; the kept ones are
+        # overwritten
+        if alive is not None:
+            out[alive] = gain
         alive = keep if alive is None else alive[keep]
         gain = gain[keep]
         if table is None:
             on, off, sig, beliefs, rows = _keep(keep, on, off, sig, beliefs, rows)
         else:
             on, off, digits, col = _keep(keep, on, off, digits, col)
-    out[... if alive is None else alive] = gain
+    if alive is not None:
+        out[alive] = gain
     return out
 
 
@@ -445,17 +521,51 @@ def _keep(keep: np.ndarray, *arrays):
 
 
 def _plan(pack: GamePack, grid_pts: np.ndarray, size: int):
-    """``(grid_pts, table, chunk)`` for a sweep of ``size`` codes: the
-    grid as contiguous float64, the column table when it has no more
-    cells than there are codes (else None), and the profiles per chunk."""
+    """``(grid_pts, table, work)`` for a sweep of ``size`` codes: the grid
+    as contiguous float64, the column table when it has no more cells
+    than there are codes (else None), and the sweep's workspace, whose
+    ``width`` is the profiles per chunk."""
     grid_pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
-    n = pack.u_min.shape[0]
+    n, m = pack.u_min.shape
     # distinct grid values (np.unique without return_inverse would
     # import numpy.ma), raised as a Python int so a large n cannot overflow
     values = np.count_nonzero(np.diff(np.sort(grid_pts, axis=None))) + 1
     columns = int(values) ** n
     table = _column_table(grid_pts, pack) if columns * n <= size else None
-    return grid_pts, table, max(1, _CHUNK_BUDGET // pack.u_min.shape[1])
+    width = max(1, min(size, _CHUNK_BUDGET // m))
+    return grid_pts, table, _Workspace(pack, grid_pts, table, width)
+
+
+class CodeRange:
+    """The codes from ``start`` to ``stop - 1`` in ascending order: a pure
+    enumeration, or a whole grid swept without the cell screen. Every
+    chunk is one buffer advanced in place, valid until the next."""
+
+    def __init__(self, start: int, stop: int):
+        self.start, self.stop = start, stop
+        self.size = max(0, stop - start)
+
+    def chunks(self, width: int) -> Iterator[np.ndarray]:
+        codes = np.arange(self.start, self.start + min(width, self.size), dtype=np.int64)
+        for start in range(self.start, self.stop, width):
+            yield codes[: self.stop - start]
+            codes += width
+
+
+class CodeDraws:
+    """``size`` codes drawn uniformly, with replacement, from
+    ``range(total)`` by the generator ``rng``, a chunk at a time, in draw
+    order. ``rng.integers`` draws the same codes in chunks as in one call
+    (the tests pin this), so the sweep is that of the one draw. The
+    generator moves on: a source is swept once."""
+
+    def __init__(self, rng: np.random.Generator, total: int, size: int):
+        self.rng, self.total, self.size = rng, total, size
+
+    def chunks(self, width: int) -> Iterator[np.ndarray]:
+        for start in range(0, self.size, width):
+            count = min(width, self.size - start)
+            yield self.rng.integers(0, self.total, size=count, dtype=np.int64)
 
 
 def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -464,45 +574,64 @@ def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -
     be completed into an equilibrium.
 
     Profile codes are decoded by ``decode_profiles``. Work proceeds in
-    chunks of ``_CHUNK_BUDGET // m`` profiles to bound memory.
+    chunks of ``_CHUNK_BUDGET // m`` profiles through one workspace, to
+    bound memory; the result is the one array as long as ``idx``.
     Penalties come from ``_column_table`` when it has no more cells
     than ``idx`` has codes, else from each profile's posteriors.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    grid_pts, table, chunk = _plan(pack, grid_pts, idx.shape[0])
+    grid_pts, table, work = _plan(pack, grid_pts, idx.shape[0])
     out = np.empty(idx.shape[0])
-    for start in range(0, idx.shape[0], chunk):
-        stop = min(start + chunk, idx.shape[0])
-        out[start:stop] = _gains_numpy(idx[start:stop], grid_pts, pack, table)
+    for start in range(0, idx.shape[0], work.width):
+        stop = min(start + work.width, idx.shape[0])
+        out[start:stop] = _gains_numpy(idx[start:stop], grid_pts, pack, table, np.inf, work)
     return out
 
 
 def reduce_profile_gains(
-    pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray, tol: float
+    pack: GamePack, grid_pts: np.ndarray, codes, tol: float
 ) -> tuple[float, int, np.ndarray]:
-    """What a search needs of ``sweep_profile_gains(pack, grid_pts, idx)``,
-    without building it: the least gain (inf when ``idx`` is empty), its
-    first position in ``idx`` (-1 when empty), and the positions of the
-    gains at most ``tol``, ascending.
+    """What a search needs of the gains of the profile ``codes``, without
+    building them: the least gain (inf when there are no codes), the
+    code that has it (-1 when none), and the codes whose gain is at most
+    ``tol``.
 
-    Chunks run in the order of ``idx``, each with ``limit = max(tol,
-    least gain of the chunks before)``. A profile the kernel drops has a
-    gain above that limit, so above ``tol`` and above the final least
-    gain, and every kept gain is exact: the three results are those of
-    the full gains, bit for bit.
+    ``codes`` is a code source (``CodeRange``, ``CodeDraws``,
+    ``CellCodes``) or an int64 array, read a chunk at a time: no array as
+    long as the sweep is built. Chunks run in the source's order, each
+    with ``limit = max(tol, least gain of the chunks before)``. A profile
+    the kernel drops has a gain above that limit, so above ``tol`` and
+    above the final least gain, and every kept gain is exact. An array,
+    a range or draws give the first code in their order with the least
+    gain, and the codes within ``tol`` in that order; cells, whose codes
+    interleave, give the lowest code with the least gain, and the codes
+    within ``tol`` ascending. Either way the results are those of the
+    full gains, bit for bit, whatever the chunk width.
     """
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    grid_pts, table, chunk = _plan(pack, grid_pts, idx.shape[0])
-    least, first, within = np.inf, -1, [np.empty(0, np.int64)]
-    for start in range(0, idx.shape[0], chunk):
+    grid_pts, table, work = _plan(pack, grid_pts, codes.size)
+    if isinstance(codes, np.ndarray):
+        codes = np.ascontiguousarray(codes, dtype=np.int64)
+        chunks = (codes[i : i + work.width] for i in range(0, codes.size, work.width))
+    else:
+        chunks = codes.chunks(work.width)
+    by_code = isinstance(codes, CellCodes)
+    least, code, within = np.inf, -1, [np.empty(0, np.int64)]
+    for chunk in chunks:
         # max(least, tol), not max(tol, least): a NaN tol keeps nothing
         # within it and must not limit the kernel
-        gains = _gains_numpy(idx[start : start + chunk], grid_pts, pack, table, max(least, tol))
+        gains = _gains_numpy(chunk, grid_pts, pack, table, max(least, tol), work)
         j = int(np.argmin(gains))
-        if gains[j] < least:
-            least, first = float(gains[j]), start + j
-        within.append(np.flatnonzero(gains <= tol) + start)
-    return least, first, np.concatenate(within)
+        if by_code and gains[j] <= least:
+            # the chunk's lowest code with its least gain
+            ties = np.flatnonzero(gains == gains[j])
+            j = int(ties[np.argmin(chunk[ties])])
+            if gains[j] < least or chunk[j] < code:
+                least, code = float(gains[j]), int(chunk[j])
+        elif gains[j] < least:
+            least, code = float(gains[j]), int(chunk[j])
+        within.append(chunk[gains <= tol])
+    within = np.concatenate(within)
+    return least, code, np.sort(within) if by_code else within
 
 
 @dataclass(frozen=True)
@@ -615,10 +744,53 @@ def cell_lower_bound(pack: GamePack, tree: GridTree, cells: np.ndarray) -> np.nd
     return gains.max(axis=(0, 1)) - plan.margin
 
 
-def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple[np.ndarray, int]:
-    """The codes, ascending, of the profiles of an additive game whose
-    cells ``cell_lower_bound`` cannot put above ``limit``, and the lowest
-    code of the pruned cell with the least bound (-1 when none is pruned).
+class CellCodes:
+    """The codes of the profiles in the cells ``cells`` ``(n, L)`` of the
+    grid's ``tree``, cell by cell: a cell gives type ``t`` the points of
+    node ``cells[t, j]``, so its codes are a product of per-type index
+    ranges, made a chunk of cells at a time (``_codes``). The cells do
+    not overlap, but their codes interleave. ``np.asarray``, ``tolist``
+    and ``tobytes`` give every code, ascending, for a caller that wants
+    them whole."""
+
+    def __init__(self, tree: GridTree, cells: np.ndarray, G: int):
+        self.tree, self.cells, self.G = tree, cells, G
+        self.count = np.take(tree.size, cells).prod(axis=0)  # per cell
+        self.size = int(self.count.sum())
+
+    def chunks(self, width: int) -> Iterator[np.ndarray]:
+        ends = np.cumsum(self.count)
+        i, done = 0, 0
+        while i < self.cells.shape[1]:
+            # the next cells with at most width codes, or the next cell
+            j = max(i + 1, int(np.searchsorted(ends, done + width, side="right")))
+            codes = _codes(self.tree, self.cells[:, i:j], self.G)
+            for start in range(0, codes.size, width):
+                yield codes[start : start + width]
+            i, done = j, int(ends[j - 1])
+
+    def without(self, other: "CellCodes") -> "CellCodes":
+        """These cells but those that are cells of ``other``."""
+        drop = set(map(tuple, other.cells.T.tolist()))
+        keep = [cell not in drop for cell in map(tuple, self.cells.T.tolist())]
+        return CellCodes(self.tree, self.cells[:, np.array(keep, dtype=bool)], self.G)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        codes = np.sort(_codes(self.tree, self.cells, self.G))
+        return codes if dtype is None else codes.astype(dtype)
+
+    def tolist(self) -> list[int]:
+        return np.asarray(self).tolist()
+
+    def tobytes(self) -> bytes:
+        return np.asarray(self).tobytes()
+
+
+def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple[CellCodes, int]:
+    """The profiles of an additive game whose cells ``cell_lower_bound``
+    cannot put above ``limit``, as the kept leaves (``CellCodes``, a code
+    source), and the lowest code of the pruned cell with the least bound
+    (-1 when none is pruned).
 
     The screen runs the tree of cells breadth first, bounding each level
     in batches of cells: the root gives every type the whole grid, a
@@ -663,11 +835,11 @@ def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple
         leaves.append(cells[:, leaf & ~cut])
         grow = ~(leaf | cut)
         cells = _split(tree, cells[:, grow], size[:, grow])
-    codes = np.sort(_codes(tree, np.concatenate(leaves, axis=1), G))
+    kept = CellCodes(tree, np.concatenate(leaves, axis=1), G)
     if not seed.size:
-        return codes, -1
+        return kept, -1
     # a cell's lowest code gives each type the first point of its node
-    return codes, sum(int(tree.start[c]) * G ** (n - 1 - t) for t, c in enumerate(seed[:, 0]))
+    return kept, sum(int(tree.start[c]) * G ** (n - 1 - t) for t, c in enumerate(seed[:, 0]))
 
 
 def _split(tree: GridTree, cells: np.ndarray, size: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kernels import (
+    CodeDraws,
+    CodeRange,
     GamePack,
     _raise_free_rows,
     decode_profiles,
@@ -303,18 +305,17 @@ def _sweep(
     game: PerceptionGame,
     pack: GamePack,
     pts: np.ndarray,
-    idx: np.ndarray,
+    codes,
     tol: float,
     max_survivors: int | None = None,
 ) -> _Swept:
-    """The kernel's screen of the profiles ``idx`` over the grid ``pts``,
-    reduced (``reduce_profile_gains``), with the reports of the first
-    ``max_survivors`` profiles whose gain is at most ``tol``, kept when
-    the exact report confirms it."""
-    least, first, within = reduce_profile_gains(pack, pts, idx, tol)
-    screened = decode_profiles(pts, idx[within[:max_survivors]], game.n)
+    """The kernel's screen of the profile ``codes`` (a code source) over
+    the grid ``pts``, reduced (``reduce_profile_gains``), with the
+    reports of the first ``max_survivors`` profiles whose gain is at most
+    ``tol``, kept when the exact report confirms it."""
+    least, code, within = reduce_profile_gains(pack, pts, codes, tol)
+    screened = decode_profiles(pts, within[:max_survivors], game.n)
     rebuilt = (profile_report(game, sigma, tol) for sigma in screened)
-    code = int(idx[first]) if first >= 0 else -1
     return _Swept(least, code, within.size, [rep for rep in rebuilt if rep.max_gain <= tol])
 
 
@@ -332,13 +333,14 @@ def enumerate_pure_equilibria(
     return _sweep(game, pack_game(game), np.eye(game.m), codes, tol).survivors
 
 
-def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> np.ndarray:
-    """Codes of all ``m**n`` pure profiles, checked against ``max_profiles``
-    before anything is allocated."""
+def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> CodeRange:
+    """The codes of all ``m**n`` pure profiles, as a range the kernel reads
+    a chunk at a time (no array as long as the sweep), checked against
+    ``max_profiles`` before any work."""
     total = game.m ** game.n
     if total > max_profiles:
         raise ValueError(f"{total} pure profiles exceed max_profiles={max_profiles}")
-    return np.arange(total, dtype=np.int64)
+    return CodeRange(0, total)
 
 
 @dataclass(frozen=True)
@@ -398,9 +400,12 @@ def search_mixed_equilibria(
     it keeps the least gain with its first code and the codes within
     ``tol``, and stops on a profile as soon as its gain over the types
     evaluated so far is above both ``tol`` and the least gain of the
-    chunks before it. No array of gains as long as the sweep is built,
-    and the results are those of the full gains bit for bit. The game is
-    packed once per call, and a grid's cell tree is built once.
+    chunks before it. The kernel reads its codes a chunk at a time, from
+    a range for a whole flat grid, from the generator for a subsample
+    (the same codes as one draw of them all) and from the kept cells for
+    the screen, so no array as long as the sweep is built, and the
+    results are those of the full gains bit for bit. The game is packed
+    once per call, and a grid's cell tree is built once.
     """
     if max_survivors < 0:
         raise ValueError(f"max_survivors must be nonnegative, got {max_survivors!r}")
@@ -424,11 +429,11 @@ def search_mixed_equilibria(
         rng = np.random.default_rng(seed)
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
-        idx = rng.integers(0, total, size=max_profiles, dtype=np.int64)
-        swept, evaluated = _sweep(game, pack, pts, idx, tol, max_survivors), max_profiles
+        codes = CodeDraws(rng, total, max_profiles)
+        swept, evaluated = _sweep(game, pack, pts, codes, tol, max_survivors), max_profiles
     elif game.utility.kind == "tabulated_grid":
-        idx = np.arange(total, dtype=np.int64)
-        swept, evaluated = _sweep(game, pack, pts, idx, tol, max_survivors), total
+        codes = CodeRange(0, total)
+        swept, evaluated = _sweep(game, pack, pts, codes, tol, max_survivors), total
     else:
         swept, evaluated = _screened_sweep(game, pack, pts, tol, max_survivors)
     return MixedSearchResult(
@@ -459,20 +464,28 @@ def _screened_sweep(
     gain may lie in a pruned cell: a second screen at the least gain
     found so far (or at the gain of the lowest code of the cell with the
     least bound, when every cell was pruned) keeps every cell that can
-    hold a profile as good, and the kernel evaluates the profiles it
-    adds. The two sweeps combine by gain, then by lowest code."""
-    idx, seed = screen_profiles(pack, pts, tol)
-    swept = _sweep(game, pack, pts, idx, tol, max_survivors)
+    hold a profile as good, and the kernel evaluates the profiles of the
+    cells it adds. The two sweeps combine by gain, then by lowest code.
+
+    Both screens' kept cells stream through the kernel (``CellCodes``).
+    The second keeps every leaf of the first, since a higher limit
+    prunes no cell the first kept and cells split the same way at any
+    limit, so its added profiles are those of its other leaves. When the
+    first kept nothing, the seed lies in a leaf of the second (a cell's
+    bound is at most the seed's gain): it is evaluated there again and
+    counted once."""
+    kept, seed = screen_profiles(pack, pts, tol)
+    swept = _sweep(game, pack, pts, kept, tol, max_survivors)
     if seed < 0 or swept.count:
-        return swept, idx.size
-    if not idx.size:
-        idx = np.array([seed], dtype=np.int64)
-        swept = swept._replace(least=float(sweep_profile_gains(pack, pts, idx)[0]), code=seed)
-    more = np.setdiff1d(screen_profiles(pack, pts, swept.least)[0], idx, assume_unique=True)
-    least, first, _ = reduce_profile_gains(pack, pts, more, tol)
-    if first >= 0 and (least, int(more[first])) < (swept.least, swept.code):
-        swept = swept._replace(least=least, code=int(more[first]))
-    return swept, idx.size + more.size
+        return swept, kept.size
+    if not kept.size:
+        gain = sweep_profile_gains(pack, pts, np.array([seed], dtype=np.int64))[0]
+        swept = swept._replace(least=float(gain), code=seed)
+    more = screen_profiles(pack, pts, swept.least)[0].without(kept)
+    least, code, _ = reduce_profile_gains(pack, pts, more, tol)
+    if code >= 0 and (least, code) < (swept.least, swept.code):
+        swept = swept._replace(least=least, code=code)
+    return swept, kept.size + more.size
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from perception_games import kernels
 from perception_games.experiments import default_majority_family
-from perception_games.fixtures import blog
+from perception_games.fixtures import blog, counterexample_lsc
 from perception_games.kernels import decode_profiles, pack_game, sweep_profile_gains
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel, validate_game
 from perception_games.penalties import PenaltySpec
@@ -461,6 +461,83 @@ class TestChunking:
         whole = sweep_profile_gains(pack, pts, idx)
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 5 * game.n * game.m)
         np.testing.assert_array_equal(sweep_profile_gains(pack, pts, idx), whole)
+
+
+class TestCodeSources:
+    """Each code source yields its codes a chunk of at most the width at
+    a time, and the reduction of cells does not depend on the width."""
+
+    @pytest.mark.parametrize("total", [231**3, 2**40 + 3])
+    @pytest.mark.parametrize("width", [1, 7, kernels._CHUNK_BUDGET // 3])
+    def test_draws_in_chunks_are_one_draw(self, total, width):
+        """The numpy property a subsample's answer rests on: ``integers``
+        draws the same codes in chunks as in one call, below 2**32 (where
+        PCG64 keeps the unused half of a 64-bit word in the generator)
+        and above it. ``_CHUNK_BUDGET // 3`` is the kernel's chunk on a
+        3-action grid."""
+        size = max(3 * width, 1000) + 5
+        one = np.random.default_rng(11).integers(0, total, size=size, dtype=np.int64)
+        rng = np.random.default_rng(11)
+        parts = [
+            rng.integers(0, total, size=min(width, size - start), dtype=np.int64)
+            for start in range(0, size, width)
+        ]
+        np.testing.assert_array_equal(np.concatenate(parts), one)
+        drawn = list(kernels.CodeDraws(np.random.default_rng(11), total, size).chunks(width))
+        assert max(chunk.size for chunk in drawn) <= width
+        np.testing.assert_array_equal(np.concatenate(drawn), one)
+
+    @pytest.mark.parametrize("start, stop, width", [(0, 0, 4), (0, 10, 3), (5, 17, 4), (0, 6, 10)])
+    def test_range(self, start, stop, width):
+        # a chunk is the source's buffer until the next is drawn
+        chunks = [chunk.copy() for chunk in kernels.CodeRange(start, stop).chunks(width)]
+        assert all(0 < chunk.size <= width for chunk in chunks)
+        codes = np.concatenate([np.empty(0, np.int64)] + chunks)
+        np.testing.assert_array_equal(codes, np.arange(start, stop))
+
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    def test_cells_in_cell_order(self, width):
+        pts = SimplexGrid(2, 20).points()
+        kept, _ = kernels.screen_profiles(pack_game(blog()), pts, 0.05)
+        chunks = list(kept.chunks(width))
+        assert all(0 < chunk.size <= width for chunk in chunks)
+        codes = np.concatenate(chunks)
+        np.testing.assert_array_equal(codes, kernels._codes(kept.tree, kept.cells, pts.shape[0]))
+        assert codes.size == kept.size and np.any(np.diff(codes) < 0)
+        np.testing.assert_array_equal(np.sort(codes), np.asarray(kept))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 300])
+    def test_cells_reduce_as_their_sorted_codes(self, monkeypatch, chunk):
+        """Every cell of ``blog`` at step 0.05, where codes 0, 420 and
+        440 tie at gain 0, in the screen's order and reversed, where 440
+        comes first: the lowest code with the least gain, and the codes
+        within ``tol`` ascending, whatever the chunks."""
+        game = blog()
+        pack = pack_game(game)
+        pts = SimplexGrid(2, 20).points()
+        kept, _ = kernels.screen_profiles(pack, pts, np.inf)
+        codes = np.asarray(kept)
+        full = sweep_profile_gains(pack, pts, codes)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", chunk * game.m)
+        reversed_cells = kernels.CellCodes(kept.tree, kept.cells[:, ::-1], pts.shape[0])
+        order = np.concatenate(list(reversed_cells.chunks(1))).tolist()
+        assert order.index(440) < order.index(420) < order.index(0)
+        for cells in (kept, reversed_cells):
+            for tol in TOLS:
+                least, code, within = kernels.reduce_profile_gains(pack, pts, cells, tol)
+                assert (least.hex(), code, within.tolist()) == _full_reduction(codes, full, tol), tol
+
+    def test_cells_without_the_cells_of_a_lower_screen(self):
+        """A screen at a higher limit keeps every cell of a lower one, so
+        ``without`` leaves the codes only the higher one keeps."""
+        pack = pack_game(counterexample_lsc())
+        pts = SimplexGrid(2, 100).points()
+        low, _ = kernels.screen_profiles(pack, pts, 1e-9)
+        high, _ = kernels.screen_profiles(pack, pts, 0.6)
+        more = high.without(low)
+        assert 0 < low.size < high.size < pts.shape[0] ** 2
+        assert more.size == high.size - low.size
+        np.testing.assert_array_equal(np.asarray(more), np.setdiff1d(np.asarray(high), np.asarray(low)))
 
 
 class TestDecodeProfile:
@@ -1063,20 +1140,21 @@ class TestStagedGains:
         self._check(game, pts, _sample(total, 400, resolution))
 
 
-def _full_reduction(gains: np.ndarray, tol: float) -> tuple:
-    """``reduce_profile_gains``' results, from the full gains."""
+def _full_reduction(idx: np.ndarray, gains: np.ndarray, tol: float) -> tuple:
+    """``reduce_profile_gains``' results on the codes ``idx``, from their
+    full gains."""
     if not gains.size:
         return np.inf.hex(), -1, []
     first = int(np.argmin(gains))
-    return float(gains[first]).hex(), first, np.flatnonzero(gains <= tol).tolist()
+    return float(gains[first]).hex(), int(idx[first]), idx[gains <= tol].tolist()
 
 
 TOLS = (1e-9, 0.0, 0.05, -0.1)
 
 
 class TestReduceProfileGains:
-    """``reduce_profile_gains`` gives the least gain, its first position
-    and the positions within ``tol`` of the full gains, bit for bit, on
+    """``reduce_profile_gains`` gives the least gain, its first code and
+    the codes within ``tol`` of the full gains, bit for bit, on
     batches cut into many chunks, so that most chunks run with a finite
     limit."""
 
@@ -1086,8 +1164,8 @@ class TestReduceProfileGains:
         full = sweep_profile_gains(pack, pts, idx)
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", chunk * game.m)
         for tol in TOLS:
-            least, first, within = kernels.reduce_profile_gains(pack, pts, idx, tol)
-            assert (least.hex(), first, within.tolist()) == _full_reduction(full, tol), tol
+            least, code, within = kernels.reduce_profile_gains(pack, pts, idx, tol)
+            assert (least.hex(), code, within.tolist()) == _full_reduction(idx, full, tol), tol
         return full
 
     @pytest.mark.parametrize(
@@ -1149,15 +1227,15 @@ class TestReduceProfileGains:
 
     def test_empty(self):
         pack = pack_game(blog())
-        least, first, within = kernels.reduce_profile_gains(pack, np.eye(2), np.empty(0, np.int64), 0.0)
-        assert (least, first, within.size) == (np.inf, -1, 0)
+        least, code, within = kernels.reduce_profile_gains(pack, np.eye(2), np.empty(0, np.int64), 0.0)
+        assert (least, code, within.size) == (np.inf, -1, 0)
 
     def test_nan_tol_keeps_nothing_and_limits_nothing(self, monkeypatch):
         game = polyline_knots_game()
         pts, idx = _all_profiles(game, 4)
         full = self._check(monkeypatch, game, pts, idx)
-        least, first, within = kernels.reduce_profile_gains(pack_game(game), pts, idx, np.nan)
-        assert (least.hex(), first, within.tolist()) == _full_reduction(full, np.nan)
+        least, code, within = kernels.reduce_profile_gains(pack_game(game), pts, idx, np.nan)
+        assert (least.hex(), code, within.tolist()) == _full_reduction(idx, full, np.nan)
 
     def test_limit_is_the_running_least(self, monkeypatch):
         """The first chunk runs unlimited; each later one with the least
@@ -1168,9 +1246,9 @@ class TestReduceProfileGains:
         limits = []
         gains_numpy = kernels._gains_numpy
 
-        def spy(chunk, grid_pts, pack, table=None, limit=np.inf):
+        def spy(chunk, grid_pts, pack, table=None, limit=np.inf, work=None):
             limits.append(limit)
-            return gains_numpy(chunk, grid_pts, pack, table, limit)
+            return gains_numpy(chunk, grid_pts, pack, table, limit, work)
 
         monkeypatch.setattr(kernels, "_gains_numpy", spy)
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 50 * game.m)

@@ -23,7 +23,7 @@ from perception_games.single import (
     search_mixed_equilibria,
     verify_equilibrium,
 )
-from perception_games.testing import random_mixed_catalog_game
+from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
 from helpers import oracle_pure_gains, reference_mixed_search, spec_to_dict, tabulate
 from test_kernels import (
@@ -509,21 +509,71 @@ class TestSubsampledSearch:
             assert res.subsampled
             assert _drawn_outcome(res) == _drawn_outcome(ref)
 
-    def test_allocates_nothing_draw_long_but_the_draw(self):
-        """A 2M-draw search of a 3x3 game at step 0.05 traces its int64
-        draw (about 15.3 MiB) and 2.4 MiB more at peak (measured with
-        numpy 2.4), where the full gains took another 15.3 MiB. The bound
-        leaves room for less than a draw-long bool array."""
+    def test_allocates_nothing_draw_long(self):
+        """A 2M-draw search of a 3x3 game at step 0.05 draws its codes a
+        chunk at a time: it traces 2.3 MiB at peak (measured with numpy
+        2.4), where the one draw alone took 15.3 MiB. The bound leaves no
+        room for a draw-long int64 array, nor for a bool one (1.9 MiB)."""
         game = random_mixed_catalog_game(np.random.default_rng(0))
         assert (game.n, game.m) == (3, 3)
-        tracemalloc.start()
-        try:
-            res = search_mixed_equilibria(game, 0.05, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, peak = _traced_peak(lambda: search_mixed_equilibria(game, 0.05, seed=1))
         assert res.subsampled and res.swept == 2_000_000
-        assert peak < 2_000_000 * 8 + 3 * 2**20
+        assert peak < 3 * 2**20
+
+
+def _traced_peak(run):
+    """``run()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def thirteen_type_game() -> PerceptionGame:
+    """13 types x 3 actions, exposure and tv_to_prior penalties by turns:
+    3**13 = 1,594,323 pure profiles."""
+    rng = np.random.default_rng(13)
+    n = 13
+    return PerceptionGame(
+        types=TypeSpace.plain(tuple(f"t{i}" for i in range(n))),
+        actions=ActionSpace.plain(("a0", "a1", "a2")),
+        prior=dyadic_prior(rng, n),
+        utility=UtilityModel(
+            kind="additive_separable",
+            v=rng.uniform(0.0, 1.0, size=(n, 3)),
+            penalties=tuple(
+                PenaltySpec.tv_to_prior(float(rng.uniform(0.5, 2.0)))
+                if t % 2
+                else PenaltySpec.exposure(float(rng.uniform(0.5, 2.0)))
+                for t in range(n)
+            ),
+        ),
+    )
+
+
+class TestSweepMemory:
+    """Sweeps read their codes a chunk at a time, so no array as long as
+    the sweep is built: each traced peak (measured with numpy 2.4) sits
+    below one code-long int64 array."""
+
+    def test_pure_enumeration(self):
+        """1,594,323 pure profiles trace 7.1 MiB at peak, most of it the
+        column table (2**13 columns); their codes alone took 12.2 MiB."""
+        game = thirteen_type_game()
+        reports, peak = _traced_peak(lambda: enumerate_pure_equilibria(game, max_profiles=2_000_000))
+        assert reports
+        assert peak < 8 * 2**20 < game.m**game.n * 8
+
+    def test_whole_tabulated_grid(self):
+        """A tabulated 3x3 game's whole grid at step 1/12, 753,571
+        profiles swept flat, traces 2.7 MiB at peak; its codes alone took
+        5.7 MiB."""
+        game = tabulate(random_mixed_catalog_game(np.random.default_rng(0)), 6)
+        res, peak = _traced_peak(lambda: search_mixed_equilibria(game, 1 / 12))
+        assert not res.subsampled and res.evaluated == res.total == 753_571
+        assert peak < 3.5 * 2**20 < res.total * 8
 
 
 class TestTabulatedGames:
