@@ -242,8 +242,11 @@ def _cmd_equilibria(args) -> int:
             lines.append(f"- {head}  payoffs: {pay}")
         _emit(args, {"mode": "pure", "count": len(found), "equilibria": rows}, "\n".join(lines))
         return 0
-    if args.grid is not None and args.grid < 1:
-        raise ValueError(f"--grid must be a positive integer, got {args.grid}")
+    # past the largest float, 1.0 / args.grid overflows
+    if args.grid is not None and not 1 <= args.grid <= sys.float_info.max:
+        raise ValueError(
+            f"--grid must be a positive integer, at most the largest float, got {args.grid}"
+        )
     step = 1.0 / args.grid if args.grid is not None else args.step
     res = search_mixed_equilibria(game, step=step, tol=args.tol, seed=args.seed)
     rows = [

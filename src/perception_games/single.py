@@ -415,7 +415,7 @@ def search_mixed_equilibria(
     if abs(step * resolution - 1.0) > 1e-9 or resolution < 1:
         raise ValueError(f"step must be the reciprocal of a positive integer, got {step!r}")
     grid = SimplexGrid(game.m, resolution)
-    G = len(grid)
+    G = grid.size
     if G > max_profiles:
         raise ValueError(
             f"the step-{step!r} grid has {G} points per type, more than "

@@ -17,19 +17,19 @@ adversely for deviations. Each such triple enters exactly one additive
 term of the expected utility, so independent pointwise choice is the
 exact optimum.
 
-One evaluator, ``_action_values``, values a type's actions for
-verification and for the per-pair report ``_pure_pair_report``; the
-single-player ``payoff_and_gain`` turns those values into the type's
-payoff and deviation gain. Pure enumeration is one batched screen:
-``_penalty_table`` takes every observer's posteriors after every own
-profile from ``simplex._posteriors`` (the batched ``posterior`` the
-sweep kernel uses) and their penalties from ``penalty_batch``, and
-``_pure_values`` values every type's actions against every opponent
-profile in the same order and so to the same bits, which gives every
-pair's maximum gain (``_pure_pair_gains``) and, for the belief-free
-base game, every weak and strict best reply at once. Only the pairs
-the screen keeps get a ``_pure_pair_report``, which confirms them, so
-games near the 10^6-pair cap enumerate in seconds.
+One fold, ``_fold``, values actions everywhere: the screen and the BNE
+enumeration fold every own against every opponent pure profile, the
+kept-pair reports one opponent profile per pair, and
+``verify_equilibrium_2p`` each opponent type's mixed action; the
+single-player ``payoff_and_gain`` turns the values into a type's payoff
+and deviation gain. One penalty table, ``_penalty_table``, gives every
+observer's posterior after a batch of own pure profiles
+(``simplex._posteriors``, the batched ``posterior`` of the sweep kernel)
+and the penalties there (``penalty_batch``). Pure enumeration screens
+every pair through the table and the fold in blocks of own profiles
+(``_pure_pair_gains``); one more table and fold per player then build and
+confirm every pair the screen keeps (``_pure_pair_reports``), so games
+near the 10^6-pair cap enumerate in seconds.
 
 The penalty catalog's prior-distance kind measures distance to the
 observer's prior belief about the player (the natural reference in a
@@ -54,7 +54,7 @@ from .model import (
 from .penalties import PenaltySpec, penalty_batch
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
-from .simplex import WEAK_TOL, _posteriors, consistency_errors, distributions, posterior
+from .simplex import WEAK_TOL, _posteriors, consistency_errors, distributions
 from .single import payoff_and_gain
 
 __all__ = [
@@ -71,12 +71,19 @@ __all__ = [
 ]
 
 
+def _per_player(entries, what: str) -> None:
+    """Raise unless ``entries`` holds exactly one entry per player."""
+    if len(entries) != 2:
+        raise ValueError(f"{what} needs 2 per-player entries, got {len(entries)}")
+
+
 class TwoPlayerStrategy:
     """Pair of row-stochastic arrays, one row per own type."""
 
     __slots__ = ("sigmas",)
 
     def __init__(self, game: TwoPlayerPerceptionGame, sigmas) -> None:
+        _per_player(sigmas, "a two-player strategy")
         self.sigmas = tuple(
             distributions(sigmas[i], (ps.types.n, ps.actions.m), f"player {i} strategy")
             for i, ps in enumerate(game.players)
@@ -84,6 +91,7 @@ class TwoPlayerStrategy:
 
     @classmethod
     def pure(cls, game: TwoPlayerPerceptionGame, actions) -> "TwoPlayerStrategy":
+        _per_player(actions, "a pure two-player profile")
         sigmas = []
         for i, ps in enumerate(game.players):
             if len(actions[i]) != ps.types.n:
@@ -112,6 +120,7 @@ class TwoPlayerPerceptions:
     __slots__ = ("taus",)
 
     def __init__(self, game: TwoPlayerPerceptionGame, taus) -> None:
+        _per_player(taus, "two-player perceptions")
         self.taus = tuple(
             distributions(
                 taus[i],
@@ -130,26 +139,26 @@ def _beliefs(game: TwoPlayerPerceptionGame) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _action_values(v_t: np.ndarray, beliefs_t: np.ndarray, support, w_t: np.ndarray) -> np.ndarray:
-    """Expected value of each own action for one type.
+def _fold(beliefs_i: np.ndarray, inner: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``vals[t, a, ...]``: the expected value of each own action of
+    every type, ``Σ_{t_opp} beliefs_i[t, t_opp] * (inner - w)[t, t_opp,
+    a, ...]``, summed in ascending ``t_opp`` from 0.0. ``inner[t, t_opp,
+    a, ...]`` is the action's value against that opponent type's play
+    and ``w[t, t_opp, a, ...]`` the penalty in observer ``t_opp``'s view
+    after it; the two broadcast against each other. Every caller values
+    actions here, so the same inputs give the same bits everywhere."""
+    acc = 0.0
+    for t_opp in range(beliefs_i.shape[1]):
+        diff = inner[:, t_opp] - w[:, t_opp]
+        acc = acc + beliefs_i[:, t_opp].reshape((-1,) + (1,) * (diff.ndim - 1)) * diff
+    return acc
 
-    ``v_t[t_opp, a, b]`` and ``beliefs_t`` are the type's slices of the
-    player's values and belief rows; ``support[t_opp]`` lists that
-    opponent type's ``(action, probability)`` pairs of positive
-    probability; ``w_t[t_opp, a]`` is the penalty in observer ``t_opp``'s
-    view after ``a``. Sums run in ascending index order, so every caller
-    gets the same bits from the same inputs.
-    """
-    vals = np.empty(v_t.shape[1])
-    for a in range(vals.size):
-        acc = 0.0
-        for t_opp, plays in enumerate(support):
-            inner = 0.0
-            for b, p in plays:
-                inner = inner + p * v_t[t_opp, a, b]
-            acc = acc + beliefs_t[t_opp] * (inner - w_t[t_opp, a])
-        vals[a] = acc
-    return vals
+
+def _pure_inner(ps: PlayerSpec, opp: np.ndarray) -> np.ndarray:
+    """``inner[t, t_opp, a, j] = 0.0 + v[t, t_opp, a, opp[j, t_opp]]``:
+    ``_fold``'s inner sum against the opponent's pure profile ``opp[j]``,
+    one action of probability 1 summed from 0.0."""
+    return 0.0 + np.take_along_axis(ps.v, opp.T[None, :, None, :], axis=3)
 
 
 def _pure_profiles(
@@ -169,38 +178,29 @@ def _pure_profiles(
 
 def _penalty_table(
     game: TwoPlayerPerceptionGame, i: int, beliefs: tuple[np.ndarray, np.ndarray], own: np.ndarray
-) -> np.ndarray:
-    """``w[t, t_obs, a, k]``: player ``i``'s penalty for type ``t`` in
-    observer ``t_obs``'s view after ``a`` under the own pure profile
-    ``own[k]``, as ``_pure_pair_report`` sets it: at the posterior on
-    path, off path at the range minimum under the type's own action and
-    the maximum for a deviation."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(w, on, post)`` for player ``i`` under each own pure profile
+    ``own[k]``. ``on[t_obs, a, k]`` says whether ``a`` is on path in
+    observer ``t_obs``'s view, and ``post[t_obs, :, a, k]`` is that
+    observer's posterior there, from one Bayes update per observer.
+    ``w[t, t_obs, a, k]`` is type ``t``'s penalty in that view: at the
+    posterior on path, off path at the range minimum under the type's
+    own action and the maximum for a deviation."""
     ps = game.players[i]
-    n, m = ps.types.n, ps.actions.m
+    n, m, n_obs = ps.types.n, ps.actions.m, game.players[1 - i].types.n
     col = (own.T[:, None, :] == np.arange(m)[:, None]).astype(np.float64)  # [s, a, k]
-    w = np.empty((n, game.players[1 - i].types.n, m, own.shape[0]))
+    w = np.empty((n, n_obs, m, own.shape[0]))
+    on = np.empty((n_obs, m, own.shape[0]), dtype=bool)
+    post = np.empty((n_obs, n, m, own.shape[0]))
     for t_obs, prior in enumerate(beliefs[1 - i]):
-        on, post = _posteriors(prior, col)
+        on[t_obs], post[t_obs] = _posteriors(prior, col)
         for t in range(n):
-            val = penalty_batch(game.penalty(i, t, t_obs), post)
-            if not on.all():
+            val = penalty_batch(game.penalty(i, t, t_obs), post[t_obs])
+            if not on[t_obs].all():
                 rng = game.penalty_range_of(i, t, t_obs)
-                val = np.where(on, val, np.where(col[t] > 0.0, rng.min, rng.max))
+                val = np.where(on[t_obs], val, np.where(col[t] > 0.0, rng.min, rng.max))
             w[t, t_obs] = val
-    return w
-
-
-def _pure_values(ps: PlayerSpec, beliefs_i: np.ndarray, opp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``vals[t, a, k, j]``: ``_action_values`` of type ``t``'s action
-    ``a`` against the opponent's pure profile ``opp[j]``, under the
-    penalty table ``w[..., k]`` (indexed as ``_penalty_table``'s). The
-    sums run in the same order, so the values have the same bits."""
-    acc = np.zeros((ps.types.n, ps.actions.m, w.shape[3], opp.shape[0]))
-    for t_opp in range(opp.shape[1]):
-        # v[t, t_opp, a, opp[j, t_opp]], as the inner sum 0.0 + 1.0 * v
-        inner = 0.0 + ps.v[:, t_opp][:, :, opp[:, t_opp]][:, :, None]
-        acc = acc + beliefs_i[:, t_opp, None, None, None] * (inner - w[:, t_opp, :, :, None])
-    return acc
+    return w, on, post
 
 
 # value-block size in elements: bounds each temporary of the screen to 4 MB
@@ -212,19 +212,21 @@ def _pure_pair_gains(
     beliefs: tuple[np.ndarray, np.ndarray],
     profiles: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """``gain[k0, k1]``: the ``max_gain`` of ``_pure_pair_report`` for the
-    pair ``(profiles[0][k0], profiles[1][k1])``, bit for bit, for every
-    pair at once. Each player's gains are computed in blocks of own
-    profiles against every opponent profile."""
+    """``gain[k0, k1]``: the ``max_gain`` of the pair ``(profiles[0][k0],
+    profiles[1][k1])``'s report (``_pure_pair_reports``), bit for bit,
+    for every pair at once. Each player's gains are computed in blocks of
+    own profiles against every opponent profile."""
     per_player = []
     for i, ps in enumerate(game.players):
         own, opp = profiles[i], profiles[1 - i]
         types = np.arange(ps.types.n)[:, None]
+        inner = _pure_inner(ps, opp)[:, :, :, None]  # [t, t_opp, a, 1, j]
         gains = np.empty((own.shape[0], opp.shape[0]))
         size = max(1, _BLOCK // (opp.shape[0] * ps.types.n * ps.actions.m))
         for lo in range(0, own.shape[0], size):
             block = own[lo:lo + size]
-            vals = _pure_values(ps, beliefs[i], opp, _penalty_table(game, i, beliefs, block))
+            w = _penalty_table(game, i, beliefs, block)[0]
+            vals = _fold(beliefs[i], inner, w[..., None])  # [t, a, k, j]
             chosen = vals[types, block.T, np.arange(block.shape[0])]  # [t, k, j]
             # a type's gain is its best value less its own action's (payoff_and_gain)
             gains[lo:lo + size] = (vals.max(axis=1) - chosen).max(axis=0)
@@ -283,15 +285,21 @@ def verify_equilibrium_2p(
     gains = []
     moves = []  # (player, type, best action), in the order of the joined gains
     for i, ps in enumerate(game.players):
-        support = [[(b, p) for b, p in enumerate(row) if p > 0.0] for row in strategy.sigmas[1 - i]]
+        # each opponent type's mixed action in ascending order from 0.0; an
+        # action it never plays adds 0 * v, a zero, which leaves the bits
+        # of a sum from 0.0 (never -0.0) as they are
+        inner = 0.0
+        for b, p in enumerate(strategy.sigmas[1 - i].T):
+            inner = inner + p[:, None] * ps.v[..., b]
+        # penalty per (type, observer type, action) at the given perceptions
+        w = np.array([[[game.w(i, t, tau, t_obs) for tau in taus_obs]
+                       for t_obs, taus_obs in enumerate(taus_t)]
+                      for t, taus_t in enumerate(perceptions.taus[i])])
+        vals = _fold(beliefs[i], inner, w)
         pay = np.empty(ps.types.n)
         gn = np.empty(ps.types.n)
         for t in range(ps.types.n):
-            # penalty per (observer type, action) at the given perceptions
-            w_t = np.array([[game.w(i, t, tau, t_obs) for tau in taus_obs]
-                            for t_obs, taus_obs in enumerate(perceptions.taus[i][t])])
-            vals = _action_values(ps.v[t], beliefs[i][t], support, w_t)
-            pay[t], gn[t], best = payoff_and_gain(strategy.sigmas[i][t], vals)
+            pay[t], gn[t], best = payoff_and_gain(strategy.sigmas[i][t], vals[t])
             moves.append((i, ps.types.labels[t], ps.actions.labels[best]))
         payoffs.append(pay)
         gains.append(gn)
@@ -330,68 +338,53 @@ def enumerate_pure_equilibria_2p(
     are chosen per (own type, observer type, action): the penalty
     minimum under the player's own action, the penalty maximum for
     deviations. One batched screen gives every pair's maximum gain;
-    ``_pure_pair_report`` builds and confirms the pairs within ``tol``.
+    ``_pure_pair_reports`` builds the pairs within ``tol`` in one batch,
+    and each is kept when its report confirms it.
     """
     beliefs = _beliefs(game)
     profiles = _pure_profiles(game, max_profiles)
-    out: list[TwoPlayerEquilibriumReport] = []
-    for k0, k1 in zip(*np.nonzero(_pure_pair_gains(game, beliefs, profiles) <= tol)):
-        actions = (tuple(profiles[0][k0].tolist()), tuple(profiles[1][k1].tolist()))
-        report = _pure_pair_report(game, actions, beliefs)
-        if report.max_gain <= tol:
-            out.append(report)
-    return out
+    kept = np.nonzero(_pure_pair_gains(game, beliefs, profiles) <= tol)
+    pairs = (profiles[0][kept[0]], profiles[1][kept[1]])
+    return [rep for rep in _pure_pair_reports(game, pairs, beliefs) if rep.max_gain <= tol]
 
 
-def _pure_pair_report(
+def _pure_pair_reports(
     game: TwoPlayerPerceptionGame,
-    actions: tuple[tuple[int, ...], tuple[int, ...]],
+    pairs: tuple[np.ndarray, np.ndarray],
     beliefs: tuple[np.ndarray, np.ndarray],
-) -> TwoPlayerEquilibriumReport:
-    """The pure pair ``actions`` under its best perceptions, given the
-    belief rows ``_beliefs(game)`` checked once per enumeration."""
-    strategy = TwoPlayerStrategy.pure(game, actions)
-    taus = []
-    payoffs = []
-    gains = []
+) -> list[TwoPlayerEquilibriumReport]:
+    """The report of each pure pair ``(pairs[0][k], pairs[1][k])`` under
+    its best perceptions, given the belief rows ``_beliefs(game)``: one
+    penalty table and one fold per player for the whole batch. The
+    perceptions are the table's posteriors on path and, off path, the
+    witnesses of the range ends the table chose."""
+    taus, payoffs, gains = [], [], []
     for i, ps in enumerate(game.players):
-        other = game.players[1 - i]
-        tau = np.empty((ps.types.n, other.types.n, ps.actions.m, ps.types.n))
-        # penalty per (type, observer, action): posterior value on path,
-        # range endpoints off path (favorable under own action, adverse
-        # for deviations); witnesses fill the reported perceptions
-        wvals = np.empty((ps.types.n, other.types.n, ps.actions.m))
-        for t_obs in range(other.types.n):
-            for a in range(ps.actions.m):
-                post = posterior(beliefs[1 - i][t_obs], strategy.sigmas[i][:, a])
-                for t in range(ps.types.n):
-                    if post is not None:
-                        tau[t, t_obs, a] = post
-                        wvals[t, t_obs, a] = game.w(i, t, post, t_obs)
-                    else:
-                        rng = game.penalty_range_of(i, t, t_obs)
-                        if actions[i][t] == a:
-                            tau[t, t_obs, a] = rng.argmin.p
-                            wvals[t, t_obs, a] = rng.min
-                        else:
-                            tau[t, t_obs, a] = rng.argmax.p
-                            wvals[t, t_obs, a] = rng.max
-        taus.append(tau)
-        support = [((b, 1.0),) for b in actions[1 - i]]
-        pay = np.empty(ps.types.n)
-        gn = np.empty(ps.types.n)
-        for t in range(ps.types.n):
-            vals = _action_values(ps.v[t], beliefs[i][t], support, wvals[t])
-            pay[t], gn[t], _ = payoff_and_gain(strategy.sigmas[i][t], vals)
-        payoffs.append(pay)
-        gains.append(gn)
-    return TwoPlayerEquilibriumReport(
-        strategy=strategy,
-        perceptions=TwoPlayerPerceptions(game, taus),
-        payoffs=(payoffs[0], payoffs[1]),
-        gains=(gains[0], gains[1]),
-        max_gain=float(max(gains[0].max(), gains[1].max())),
-    )
+        own, n, m = pairs[i], ps.types.n, ps.actions.m
+        w, on, post = _penalty_table(game, i, beliefs, own)
+        vals = _fold(beliefs[i], _pure_inner(ps, pairs[1 - i]), w)  # [t, a, k]
+        chosen = np.take_along_axis(vals, own.T[:, None], axis=1)[:, 0]  # [t, k]
+        # a type's payoff is its action's value, its gain the best value
+        # less that (payoff_and_gain)
+        payoffs.append(chosen.T.copy())
+        gains.append((vals.max(axis=1) - chosen).T.copy())
+        rng = [[game.penalty_range_of(i, t, t_obs) for t_obs in range(on.shape[0])] for t in range(n)]
+        lo = np.array([[r.argmin.p for r in row] for row in rng])[:, :, None]  # [t, t_obs, 1, s]
+        hi = np.array([[r.argmax.p for r in row] for row in rng])[:, :, None]
+        mine = (own[:, :, None] == np.arange(m))[:, :, None, :, None]  # [k, t, 1, a, 1]
+        on_k = on.transpose(2, 0, 1)[:, None, :, :, None]  # [k, 1, t_obs, a, 1]
+        taus.append(np.where(on_k, post.transpose(3, 0, 2, 1)[:, None], np.where(mine, lo, hi)))
+    max_gain = np.maximum(gains[0].max(axis=1), gains[1].max(axis=1))
+    return [
+        TwoPlayerEquilibriumReport(
+            strategy=TwoPlayerStrategy.pure(game, (pairs[0][k], pairs[1][k])),
+            perceptions=TwoPlayerPerceptions(game, (taus[0][k], taus[1][k])),
+            payoffs=(payoffs[0][k], payoffs[1][k]),
+            gains=(gains[0][k], gains[1][k]),
+            max_gain=float(max_gain[k]),
+        )
+        for k in range(len(max_gain))
+    ]
 
 
 @dataclass(frozen=True)
@@ -432,7 +425,7 @@ def enumerate_pure_bne(
             for t in range(n):
                 for t_obs, prior in enumerate(beliefs[1 - i]):
                     w[t, t_obs] = game.w(i, t, prior, t_obs)
-        v = _pure_values(ps, beliefs[i], profiles[1 - i], w)[:, :, 0]  # [t, a, j]
+        v = _fold(beliefs[i], _pure_inner(ps, profiles[1 - i]), w)  # [t, a, j]
         # each action's best rival: the maximum with that action at -inf
         rival = np.where(np.eye(m, dtype=bool)[:, :, None], -np.inf, v[:, None]).max(axis=2)
         # [k, j]: every type's choice under own profile k passes

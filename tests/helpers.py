@@ -5,9 +5,15 @@ they call nothing in the package's penalty or solver modules, so a bug
 there cannot cancel out of both sides of a comparison. Where a test
 needs exact tie agreement (pooling), the closed forms below use the
 same arithmetic expressions the package derives, written out directly.
-The exceptions are ``reference_pure_bne``, the two-player solver's
-former per-pair loop, kept to pin its batched replacement bit for bit,
-so it calls the solver's own action-value evaluator, and
+The exceptions are the two-player solver's former per-pair bodies,
+``reference_action_values`` (the scalar action-value loop),
+``reference_pure_pair_report`` (the per-pair report with its scalar
+penalty loop), ``reference_verify_values_2p`` (the verifier's loop over
+types) and ``reference_pure_bne`` (the BNE loop over pairs),
+kept to pin the one fold, the batched reports and the batched BNE
+screen bit for bit; they call the package's ``posterior``,
+``payoff_and_gain``, the game's ``w`` and ``penalty_range_of`` and the
+two-player strategy and perception types. Another is
 ``reference_mixed_search``, the mixed search's former full sweep,
 kept to pin the results of the cell screen and of
 ``reduce_profile_gains``, so it reduces the kernel's full gains
@@ -61,7 +67,12 @@ from perception_games.penalties import KINDS, PenaltySpec
 from perception_games.simplex import BOUND_SLACK, SimplexGrid, posterior, share_bounds
 from perception_games.single import MixedSearchResult, Strategy, payoff_and_gain, profile_report
 from perception_games.testing import _random_penalty, dyadic_prior
-from perception_games.two_player import _action_values, _beliefs
+from perception_games.two_player import (
+    TwoPlayerEquilibriumReport,
+    TwoPlayerPerceptions,
+    TwoPlayerStrategy,
+    _beliefs,
+)
 
 
 # --- penalty evaluation, reimplemented -------------------------------
@@ -356,13 +367,113 @@ def oracle_pure_gains(prior, v, pens, actions, tol=1e-9):
     return gains
 
 
-# --- pure BNE, one profile pair at a time ----------------------------
+# --- two-player values and reports, one profile pair at a time ---------
+
+
+def reference_action_values(
+    v_t: np.ndarray, beliefs_t: np.ndarray, support, w_t: np.ndarray
+) -> np.ndarray:
+    """Expected value of each own action for one type.
+
+    ``v_t[t_opp, a, b]`` and ``beliefs_t`` are the type's slices of the
+    player's values and belief rows; ``support[t_opp]`` lists that
+    opponent type's ``(action, probability)`` pairs of positive
+    probability; ``w_t[t_opp, a]`` is the penalty in observer ``t_opp``'s
+    view after ``a``. Sums run in ascending index order, so every caller
+    gets the same bits from the same inputs.
+    """
+    vals = np.empty(v_t.shape[1])
+    for a in range(vals.size):
+        acc = 0.0
+        for t_opp, plays in enumerate(support):
+            inner = 0.0
+            for b, p in plays:
+                inner = inner + p * v_t[t_opp, a, b]
+            acc = acc + beliefs_t[t_opp] * (inner - w_t[t_opp, a])
+        vals[a] = acc
+    return vals
+
+
+def reference_pure_pair_report(
+    game: TwoPlayerPerceptionGame,
+    actions: tuple[tuple[int, ...], tuple[int, ...]],
+    beliefs: tuple[np.ndarray, np.ndarray],
+) -> TwoPlayerEquilibriumReport:
+    """The pure pair ``actions`` under its best perceptions, given the
+    belief rows ``_beliefs(game)`` checked once per enumeration."""
+    strategy = TwoPlayerStrategy.pure(game, actions)
+    taus = []
+    payoffs = []
+    gains = []
+    for i, ps in enumerate(game.players):
+        other = game.players[1 - i]
+        tau = np.empty((ps.types.n, other.types.n, ps.actions.m, ps.types.n))
+        # penalty per (type, observer, action): posterior value on path,
+        # range endpoints off path (favorable under own action, adverse
+        # for deviations); witnesses fill the reported perceptions
+        wvals = np.empty((ps.types.n, other.types.n, ps.actions.m))
+        for t_obs in range(other.types.n):
+            for a in range(ps.actions.m):
+                post = posterior(beliefs[1 - i][t_obs], strategy.sigmas[i][:, a])
+                for t in range(ps.types.n):
+                    if post is not None:
+                        tau[t, t_obs, a] = post
+                        wvals[t, t_obs, a] = game.w(i, t, post, t_obs)
+                    else:
+                        rng = game.penalty_range_of(i, t, t_obs)
+                        if actions[i][t] == a:
+                            tau[t, t_obs, a] = rng.argmin.p
+                            wvals[t, t_obs, a] = rng.min
+                        else:
+                            tau[t, t_obs, a] = rng.argmax.p
+                            wvals[t, t_obs, a] = rng.max
+        taus.append(tau)
+        support = [((b, 1.0),) for b in actions[1 - i]]
+        pay = np.empty(ps.types.n)
+        gn = np.empty(ps.types.n)
+        for t in range(ps.types.n):
+            vals = reference_action_values(ps.v[t], beliefs[i][t], support, wvals[t])
+            pay[t], gn[t], _ = payoff_and_gain(strategy.sigmas[i][t], vals)
+        payoffs.append(pay)
+        gains.append(gn)
+    return TwoPlayerEquilibriumReport(
+        strategy=strategy,
+        perceptions=TwoPlayerPerceptions(game, taus),
+        payoffs=(payoffs[0], payoffs[1]),
+        gains=(gains[0], gains[1]),
+        max_gain=float(max(gains[0].max(), gains[1].max())),
+    )
+
+
+def reference_verify_values_2p(game, strategy, perceptions):
+    """``(payoffs, gains, moves)`` of ``verify_equilibrium_2p``, as its
+    former loop over players and types computed them: each opponent
+    type's support of positive probability, each type's penalties at
+    the given perceptions, and ``reference_action_values``."""
+    beliefs = _beliefs(game)
+    payoffs = []
+    gains = []
+    moves = []  # (player, type, best action), in the order of the joined gains
+    for i, ps in enumerate(game.players):
+        support = [[(b, p) for b, p in enumerate(row) if p > 0.0] for row in strategy.sigmas[1 - i]]
+        pay = np.empty(ps.types.n)
+        gn = np.empty(ps.types.n)
+        for t in range(ps.types.n):
+            # penalty per (observer type, action) at the given perceptions
+            w_t = np.array([[game.w(i, t, tau, t_obs) for tau in taus_obs]
+                            for t_obs, taus_obs in enumerate(perceptions.taus[i][t])])
+            vals = reference_action_values(ps.v[t], beliefs[i][t], support, w_t)
+            pay[t], gn[t], best = payoff_and_gain(strategy.sigmas[i][t], vals)
+            moves.append((i, ps.types.labels[t], ps.actions.labels[best]))
+        payoffs.append(pay)
+        gains.append(gn)
+    return payoffs, gains, moves
 
 
 def reference_pure_bne(game, fold_prior_penalty=False, tol=1e-9):
     """``(actions, strict, payoffs)`` of every pure weak best-reply pair,
     in lexicographic order: ``enumerate_pure_bne`` as a loop over pairs
-    and types calling ``_action_values``."""
+    and types calling ``reference_action_values``."""
     beliefs = _beliefs(game)
     pens = []
     for i, ps in enumerate(game.players):
@@ -380,7 +491,7 @@ def reference_pure_bne(game, fold_prior_penalty=False, tol=1e-9):
             support = [((b, 1.0),) for b in acts[1 - i]]
             pay = np.empty(ps.types.n)
             for t, chosen in enumerate(acts[i]):
-                vals = _action_values(ps.v[t], beliefs[i][t], support, pens[i][t])
+                vals = reference_action_values(ps.v[t], beliefs[i][t], support, pens[i][t])
                 pay[t] = vals[chosen]
                 if pay[t] < float(vals.max()) - tol:
                     break

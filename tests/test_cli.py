@@ -371,6 +371,22 @@ class TestUsageErrors:
         assert rc == 1
         assert "--grid must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # the grid is built lazily, so only its point count is checked
+            ("1" + "0" * 20, "grid has 100000000000000000001 points per type"),
+            # 1.0 / grid overflows converting the integer to a float
+            ("1" + "0" * 400, "--grid must be a positive integer, at most the largest float, got 1000"),
+        ],
+        ids=["1e20", "1e400"],
+    )
+    def test_oversized_grid_is_a_usage_error(self, blog_path, capsys, grid, message):
+        rc = main(["equilibria", "--game", blog_path, "--mode", "mixed", "--grid", grid])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and message in err
+
 
 class TestProfileRoundTrip:
     """Profile documents in ``--format json`` output are valid ``verify``

@@ -313,6 +313,11 @@ class TestMixedSearchMechanics:
         with pytest.raises(ValueError, match="10000001 points per type"):
             search_mixed_equilibria(blog(), step=1e-7)
 
+    def test_grid_past_an_index_sized_integer(self):
+        # 10^20 + 1 points per type: ``len`` of the grid would overflow
+        with pytest.raises(ValueError, match="100000000000000000001 points per type"):
+            search_mixed_equilibria(blog(), step=1e-20)
+
     @pytest.mark.parametrize("cap", [-1, -3])
     def test_negative_max_survivors(self, monkeypatch, cap):
         """Rejected before any work: ``within[:-1]`` would drop the last

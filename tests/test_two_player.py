@@ -5,20 +5,21 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from perception_games import model, penalties, two_player
 from perception_games.fixtures import two_player_game
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
+from perception_games.simplex import WEAK_TOL
 from perception_games.single import Strategy, enumerate_pure_equilibria, profile_report
 from perception_games.testing import random_mixed_catalog_game
 from perception_games.two_player import (
     TwoPlayerPerceptions,
     TwoPlayerStrategy,
-    _action_values,
     _beliefs,
     _pure_pair_gains,
-    _pure_pair_report,
+    _pure_pair_reports,
     _pure_profiles,
     embed_single,
     enumerate_pure_bne,
@@ -29,7 +30,10 @@ from perception_games.two_player import (
 
 from helpers import (
     random_two_player_game,
+    reference_action_values,
     reference_pure_bne,
+    reference_pure_pair_report,
+    reference_verify_values_2p,
     two_player_catalog_games,
     with_player,
 )
@@ -43,6 +47,19 @@ SURVIVOR_TABLE = {
     ((0, 1), (0, 1)): ([1.4, 1.4], [1.4, 1.4]),
     ((1, 1), (1, 1)): ([0.0, 1.0], [0.0, 1.0]),
 }
+
+
+def _batch(game, pairs):
+    """``pairs``, a list of pure pairs, as ``_pure_pair_reports``' pair
+    of per-player action arrays."""
+    return tuple(
+        np.array([p[i] for p in pairs], dtype=np.intp).reshape(len(pairs), ps.types.n)
+        for i, ps in enumerate(game.players)
+    )
+
+
+def _report(game, actions):
+    return _pure_pair_reports(game, _batch(game, [actions]), _beliefs(game))[0]
 
 
 def _zero_penalties(game):
@@ -79,7 +96,7 @@ class TestEnumeration:
         tau = rep.perceptions.taus[0][1]
         w = np.array([[g.w(0, 1, tau[t_obs, a], t_obs) for a in range(2)] for t_obs in range(2)])
         support = [((0, 1.0),), ((0, 1.0),)]  # player 1 pools on L
-        vals = _action_values(g.players[0].v[1], _beliefs(g)[0][1], support, w)
+        vals = reference_action_values(g.players[0].v[1], _beliefs(g)[0][1], support, w)
         assert vals[0] == pytest.approx(3.0)
         assert vals[1] == pytest.approx(2.9)
 
@@ -122,7 +139,7 @@ class TestVerification:
 
     def test_rejects_profitable_deviation(self):
         g = _zero_penalties(two_player_game())
-        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
+        rep = _report(g, ((0, 0), (0, 0)))
         res = verify_equilibrium_2p(g, rep.strategy, rep.perceptions)
         assert not res.accepted
         # with no perception cost the flexible type grabs the base 4
@@ -131,7 +148,7 @@ class TestVerification:
 
     def test_worst_is_first_player_and_type_among_ties(self):
         g = _zero_penalties(two_player_game())
-        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
+        rep = _report(g, ((0, 0), (0, 0)))
         res = verify_equilibrium_2p(g, rep.strategy, rep.perceptions)
         # player 0's type d and player 1's type r gain exactly 1 each
         np.testing.assert_array_equal(res.gains[0], [0.0, 1.0])
@@ -151,7 +168,7 @@ class TestWeakenedPenaltyVariant:
 
     def test_joint_pooling_no_longer_survives(self):
         g = self._variant()
-        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
+        rep = _report(g, ((0, 0), (0, 0)))
         # deterrence now caps the deviation penalty at 0.5: 4 - 0.5
         # beats the played 3 by 0.5
         assert rep.max_gain == pytest.approx(0.5)
@@ -160,7 +177,7 @@ class TestWeakenedPenaltyVariant:
 
     def test_verify_rejects_at_small_eps_accepts_at_half(self):
         g = self._variant()
-        rep = _pure_pair_report(g, ((0, 0), (0, 0)), _beliefs(g))
+        rep = _report(g, ((0, 0), (0, 0)))
         assert not verify_equilibrium_2p(g, rep.strategy, rep.perceptions, eps=0.1).accepted
         assert verify_equilibrium_2p(g, rep.strategy, rep.perceptions, eps=0.5).accepted
 
@@ -244,6 +261,21 @@ class TestPureStrategyInput:
         with pytest.raises(ValueError, match="player 0 needs one action per type"):
             TwoPlayerStrategy.pure(two_player_game(), actions)
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_pure_needs_one_profile_per_player(self, count):
+        actions = ((0, 0), (0, 1), (1, 1))[:count]
+        with pytest.raises(ValueError, match=f"needs 2 per-player entries, got {count}$"):
+            TwoPlayerStrategy.pure(two_player_game(), actions)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_pair_types_need_one_entry_per_player(self, count):
+        # a third entry was dropped without a word, a missing one raised IndexError
+        g = two_player_game()
+        with pytest.raises(ValueError, match=f"strategy needs 2 per-player entries, got {count}$"):
+            TwoPlayerStrategy(g, [np.eye(2)] * count)
+        with pytest.raises(ValueError, match=f"perceptions needs 2 per-player entries, got {count}$"):
+            TwoPlayerPerceptions(g, [np.full((2, 2, 2, 2), 0.5)] * count)
+
 
 class TestWitnessesVerifyBitwise:
     @settings(max_examples=60, deadline=None)
@@ -252,7 +284,7 @@ class TestWitnessesVerifyBitwise:
         beliefs = _beliefs(game)
         pairs = product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players))
         for actions in pairs:
-            rep = _pure_pair_report(game, actions, beliefs)
+            rep = reference_pure_pair_report(game, actions, beliefs)
             res = verify_equilibrium_2p(game, rep.strategy, rep.perceptions)
             assert res.consistent
             for got, want in zip(res.payoffs + res.gains, rep.payoffs + rep.gains):
@@ -261,6 +293,81 @@ class TestWitnessesVerifyBitwise:
 
 def _same_bits(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _all_pairs(game) -> list:
+    return list(product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players)))
+
+
+class TestPairReportsBatch:
+    """``_pure_pair_reports`` builds a batch of pairs from one penalty
+    table and one fold per player; the former per-pair report, kept as
+    ``reference_pure_pair_report``, pins every report bit for bit."""
+
+    @staticmethod
+    def _assert_reports_match_the_twin(game, pairs):
+        beliefs = _beliefs(game)
+        got = _pure_pair_reports(game, _batch(game, pairs), beliefs)
+        assert len(got) == len(pairs)
+        for rep, actions in zip(got, pairs):
+            want = reference_pure_pair_report(game, actions, beliefs)
+            assert rep.strategy.pure_actions() == actions
+            arrays = zip(
+                rep.payoffs + rep.gains + rep.perceptions.taus + rep.strategy.sigmas,
+                want.payoffs + want.gains + want.perceptions.taus + want.strategy.sigmas,
+            )
+            for a, b in arrays:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (actions, a, b)
+            assert _same_bits(rep.max_gain, want.max_gain), (actions, rep.max_gain, want.max_gain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=two_player_catalog_games(), picks=st.lists(st.integers(0, 1 << 16), max_size=8))
+    # generic floats and three observer types
+    @example(game=random_two_player_game(np.random.default_rng(0), 3, 2), picks=[0, 9, 27, 63, 9])
+    def test_random_batches_equal_the_twin(self, game, picks):
+        every = _all_pairs(game)
+        # each drawn pair twice, out of order: a batch with repeats, or empty
+        drawn = [every[k % len(every)] for k in picks]
+        self._assert_reports_match_the_twin(game, drawn + drawn[::-1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(game=additive_catalog_games())
+    def test_embedded_zero_prior_games_equal_the_twin(self, game):
+        assume((game.prior.p == 0.0).any())
+        embedded = embed_single(game)
+        every = _all_pairs(embedded)
+        self._assert_reports_match_the_twin(embedded, every + every[:1])
+
+
+class TestVerifyMixedBitwise:
+    """``verify_equilibrium_2p`` folds mixed supports with zero entries;
+    its former loop over positive-probability actions pins it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=two_player_catalog_games(), seed=st.integers(0, 2**32 - 1))
+    @example(game=random_two_player_game(np.random.default_rng(0), 3, 3), seed=0)
+    def test_random_mixed_profiles_equal_the_former_loop(self, game, seed):
+        rng = np.random.default_rng(seed)
+
+        def rows(shape):
+            # generic floats with about a third of the entries zero, so
+            # that supports have gaps; a row left empty plays its last entry
+            x = rng.uniform(size=shape) * (rng.uniform(size=shape) < 0.65)
+            x[..., -1] += x.sum(axis=-1) == 0.0
+            return x / x.sum(axis=-1, keepdims=True)
+
+        strategy = TwoPlayerStrategy(game, [rows((ps.types.n, ps.actions.m)) for ps in game.players])
+        perceptions = TwoPlayerPerceptions(game, [
+            rows((ps.types.n, game.players[1 - i].types.n, ps.actions.m, ps.types.n))
+            for i, ps in enumerate(game.players)
+        ])
+        res = verify_equilibrium_2p(game, strategy, perceptions)
+        payoffs, gains, moves = reference_verify_values_2p(game, strategy, perceptions)
+        for got, want in zip(res.payoffs + res.gains, payoffs + gains):
+            assert got.tobytes() == want.tobytes(), (got, want)
+        flat = np.concatenate(gains)
+        k = int(np.argmax(flat))
+        assert _same_bits(res.max_gain, flat[k]) and res.worst == moves[k]
 
 
 class TestBatchedScreen:
@@ -277,7 +384,7 @@ class TestBatchedScreen:
         gains = _pure_pair_gains(game, beliefs, _pure_profiles(game, 1_000_000))
         pairs = product(*(product(range(ps.actions.m), repeat=ps.types.n) for ps in game.players))
         for got, actions in zip(gains.ravel().tolist(), pairs, strict=True):
-            want = _pure_pair_report(game, actions, beliefs).max_gain
+            want = reference_pure_pair_report(game, actions, beliefs).max_gain
             assert _same_bits(got, want), (actions, got, want)
 
     @staticmethod
@@ -337,6 +444,40 @@ class TestBatchedScreen:
         with pytest.raises(ValueError, match="player 0 beliefs.*non-finite"):
             enumerate_(nan_game, max_profiles=15)
 
+    @pytest.mark.parametrize("block", [None, 8], ids=["one-block", "four-blocks"])
+    @pytest.mark.parametrize(
+        "variant, kept", [("fixture", 5), ("every-pair", 16), ("no-pair", 0)]
+    )
+    def test_kept_pairs_share_one_table_per_player(self, monkeypatch, variant, kept, block):
+        """Per-pair reports cost far more than the screen; the kept pairs
+        take one penalty table per player however many they are."""
+        g, tol = two_player_game(), WEAK_TOL
+        if variant == "every-pair":
+            for i in range(2):
+                g = with_player(g, i, v=np.zeros_like(g.players[i].v))
+            g = _zero_penalties(g)
+        elif variant == "no-pair":
+            tol = -1.0
+        if block is not None:
+            # 4 x (2 types x 2 actions) values a profile: one own profile a block
+            monkeypatch.setattr(two_player, "_BLOCK", block)
+        calls = []
+        table = two_player._penalty_table
+
+        def spy(game, i, beliefs, own):
+            calls.append((i, own.shape[0]))
+            return table(game, i, beliefs, own)
+
+        monkeypatch.setattr(two_player, "_penalty_table", spy)
+        gains = _pure_pair_gains(g, _beliefs(g), _pure_profiles(g, 1_000_000))
+        screen = len(calls)
+        assert screen == (2 if block is None else 8)
+        assert int((gains <= tol).sum()) == kept
+        calls.clear()
+        assert len(enumerate_pure_equilibria_2p(g, tol=tol)) == kept
+        assert len(calls) == screen + 2
+        assert calls[screen:] == [(0, kept), (1, kept)]
+
     def test_near_cap_game_matches_the_oracle(self):
         # 6 types x 3 actions per side: 729 x 729 = 531,441 pairs; one
         # (pair, type, action) value array would take 76 MB per player
@@ -366,7 +507,7 @@ class TestBatchedScreen:
         for k in np.concatenate([kept, rejected]).tolist():
             k0, k1 = divmod(k, 729)
             actions = (tuple(profiles[0][k0].tolist()), tuple(profiles[1][k1].tolist()))
-            want = _pure_pair_report(game, actions, beliefs).max_gain
+            want = reference_pure_pair_report(game, actions, beliefs).max_gain
             assert _same_bits(gains[k0, k1], want), (actions, gains[k0, k1], want)
 
 
@@ -410,7 +551,7 @@ class TestEmbedding:
         )
         single = profile_report(game, Strategy.pure(game, (1, 1, 0)).sigma)
         embedded = embed_single(game)
-        double = _pure_pair_report(embedded, ((1, 1, 0), (0,)), _beliefs(embedded))
+        double = reference_pure_pair_report(embedded, ((1, 1, 0), (0,)), _beliefs(embedded))
         assert single.clamped
         assert single.payoffs[2] == 0.2 and double.payoffs[0][2] == 0.3
         np.testing.assert_array_equal(single.gains, double.gains[0])
@@ -423,7 +564,7 @@ class TestEmbedding:
         beliefs = _beliefs(embedded)
         for acts in product(range(game.m), repeat=game.n):
             single = profile_report(game, Strategy.pure(game, acts).sigma)
-            double = _pure_pair_report(embedded, (acts, (0,)), beliefs)
+            double = reference_pure_pair_report(embedded, (acts, (0,)), beliefs)
             np.testing.assert_array_equal(single.gains, double.gains[0])
             if not single.clamped:
                 np.testing.assert_array_equal(single.payoffs, double.payoffs[0])
