@@ -134,7 +134,6 @@ class SeparableGameSpec:
         prior: list[float] = []
         pens: list[PenaltySpec] = []
         v_rows: list[np.ndarray] = []
-        kept_outcomes: set[str] = set()
         for o, ol in enumerate(self.outcomes):
             for p, pl in enumerate(self.privacy):
                 mass = float(self.joint_prior[o, p])
@@ -143,7 +142,6 @@ class SeparableGameSpec:
                 labels.append(f"{ol}:{pl}")
                 prior.append(mass)
                 v_rows.append(self.v_outcome[o])
-                kept_outcomes.add(ol)
                 pens.append(self.penalty_by_privacy[pl])
         types = TypeSpace(
             labels=tuple(labels),

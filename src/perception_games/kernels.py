@@ -88,9 +88,10 @@ quotient being digit 0.
 Before a whole grid of an additive game is swept, ``screen_profiles``
 decides most of it without the kernel. A cell is one node per type of
 ``grid_tree``, the grid's points halved down to single points, so a
-type's strategy lies in a box of action probabilities.
-``cell_lower_bound`` bounds a batch of cells at once: the prior mass
-each type sends to an action lies in a box, so each posterior
+type's strategy lies in a box of action probabilities (``GridTree.box``
+stacks every node's low ends on its high ends). ``cell_lower_bound``
+bounds a batch of boxes at once, tree cells or any others: the prior
+mass each type sends to an action lies in a box, so each posterior
 coordinate and event mass lies in an interval (``simplex.share_pair``),
 each penalty in an interval (``penalties.stacked_bounds``), each
 utility in ``[L, H]``, and the gain above a certified lower bound. The
@@ -196,7 +197,7 @@ class _BoundPlan(NamedTuple):
 
 
 def _bound_key(pen: Penalty) -> tuple:
-    """What ``penalty_bounds`` reads of ``pen``, hashable even when its
+    """What ``stacked_bounds`` reads of ``pen``, hashable even when its
     spec holds lists: types with equal keys have equal bounds. The
     anchor matters only to ``tv_to_prior``, the type only to
     ``exposure``."""
@@ -271,7 +272,10 @@ def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndar
     on, beliefs = _posteriors(pack.prior, cols)
     if pack.values is not None:
         return on, _interpolate(beliefs.T, pack.values, pack.resolution).T
-    return on, np.stack([_penalized(pack, t, beliefs) for t in range(pack.prior.shape[0])])
+    rows = np.empty(pack.u_min.shape + cols.shape[2:])
+    for t in range(rows.shape[0]):
+        rows[t] = _penalized(pack, t, beliefs)
+    return on, rows
 
 
 def _interpolate(mu: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -338,7 +342,7 @@ def _column_table(grid_pts: np.ndarray, pack: GamePack) -> _ColumnTable:
     C = V**n
     cols = np.take(vals, _digits(np.arange(C), V, n))  # (n, C)
     on, rows = _utility_rows(cols[:, None, :], pack)  # (1, C), (n, m, C)
-    rows = np.where(on, rows, pack.u_min[:, :, None])
+    np.copyto(rows, pack.u_min[:, :, None], where=~on)
     rank = rank.reshape(grid_pts.shape).T  # (m, G)
     width = max(1, (m * C - 1).bit_length())
     per = 63 // width
@@ -639,22 +643,14 @@ class GridTree:
     """The grid's points split in halves down to single points: node
     ``i`` holds the ``size[i]`` points from index ``start[i]`` on, and
     its halves are nodes ``child[i]`` and ``child[i] + 1`` (``child`` is
-    0 at a single point). ``low[a, i]`` and ``high[a, i]`` bound the
-    probability of action ``a`` over the node's points. Node 0 is the
-    whole grid, and a grid of ``G`` points has ``2 * G - 1`` nodes."""
+    0 at a single point). ``box[0, a, i]`` and ``box[1, a, i]`` bound
+    the probability of action ``a`` over the node's points. Node 0 is
+    the whole grid, and a grid of ``G`` points has ``2 * G - 1`` nodes."""
 
     start: np.ndarray  # (N,)
     size: np.ndarray  # (N,)
     child: np.ndarray  # (N,)
-    low: np.ndarray  # (m, N)
-    high: np.ndarray  # (m, N)
-
-    @cached_property
-    def box(self) -> np.ndarray:
-        """``low`` and ``high`` stacked, ``(2, m, N)``."""
-        box = np.stack((self.low, self.high))
-        box.flags.writeable = False
-        return box
+    box: np.ndarray  # (2, m, N)
 
 
 def grid_tree(grid_pts: np.ndarray) -> GridTree:
@@ -684,9 +680,10 @@ def _grid_tree(shape: tuple[int, int], data: bytes) -> GridTree:
     split = size > 1
     child = np.zeros(size.size, np.int64)
     child[split] = 1 + 2 * np.arange(np.count_nonzero(split))
-    low, high = np.empty((m, size.size)), np.empty((m, size.size))
+    box = np.empty((2, m, size.size))
     point = ~split
-    low[:, point] = high[:, point] = np.take(grid_pts.T, start[point], axis=1)
+    box[:, :, point] = np.take(grid_pts.T, start[point], axis=1)
+    low, high = box
     # a node's halves sit on the next level: fill the levels last first
     bounds = np.cumsum([0] + [lv[0].size for lv in levels])
     for lv in range(len(levels) - 1, -1, -1):
@@ -694,33 +691,34 @@ def _grid_tree(shape: tuple[int, int], data: bytes) -> GridTree:
         c = child[nodes]
         low[:, nodes] = np.minimum(low[:, c], low[:, c + 1])
         high[:, nodes] = np.maximum(high[:, c], high[:, c + 1])
-    for arr in (start, size, child, low, high):
+    for arr in (start, size, child, box):
         arr.flags.writeable = False
-    return GridTree(start, size, child, low, high)
+    return GridTree(start, size, child, box)
 
 
-def cell_lower_bound(pack: GamePack, tree: GridTree, cells: np.ndarray) -> np.ndarray:
+def cell_lower_bound(pack: GamePack, box: np.ndarray) -> np.ndarray:
     """A lower bound on the kernel's gain at every profile of each cell.
 
-    Cell ``j`` gives type ``t`` the points of tree node ``cells[t, j]``
-    (``cells`` is ``(n, B)``), so each type's strategy lies in a box
-    ``[low, high]`` per action. An additive game's utility of action
-    ``a`` then lies in an interval ``[L, H]``: from the penalty's bounds
-    (``stacked_bounds``, once per distinct penalty of ``bound_plan``)
-    over the box of prior masses when the action is surely on path
-    (some type surely sends mass to it), and widened to ``[u_min,
-    u_max]``, which holds every off-path fill, when it may be off path.
-    Type ``t``'s gain is at least ``U(b) - sum_a sigma_a U(a) = sum_{a
-    != b} sigma_a (U(b) - U(a))`` for every ``b``, which is at least the
-    box minimum of ``sum_{a != b} sigma_a (L_b - H_a)``: ``low`` where
-    the coefficient is nonnegative, ``high`` where it is negative. The
-    bound is the largest of these over types and ``b``, less a margin of
+    Cell ``j`` puts type ``t``'s probability of action ``a`` in
+    ``[box[0, t, a, j], box[1, t, a, j]]`` (``box`` is ``(2, n, m, B)``,
+    a grid cell's gathered from ``GridTree.box`` or any other box), and
+    the bound holds at every strategy profile in those boxes. An
+    additive game's utility of action ``a`` then lies in an interval
+    ``[L, H]``: from the penalty's bounds (``stacked_bounds``, once per
+    distinct penalty of ``bound_plan``) over the box of prior masses
+    when the action is surely on path (some type surely sends mass to
+    it), and widened to ``[u_min, u_max]``, which holds every off-path
+    fill, when it may be off path. Type ``t``'s gain is at least ``U(b)
+    - sum_a sigma_a U(a) = sum_{a != b} sigma_a (U(b) - U(a))`` for
+    every ``b``, which is at least the box minimum of ``sum_{a != b}
+    sigma_a (L_b - H_a)``: the low end where the coefficient is
+    nonnegative, the high end where it is negative. The bound is the
+    largest of these over types and ``b``, less a margin of
     ``BOUND_SLACK`` times the game's largest ``|v|``, ``|u_min|`` or
     ``|u_max|`` for the kernel's rounding (``bound_plan.margin``).
     """
     n, m = pack.u_min.shape
     plan = pack.bound_plan
-    box = np.take(tree.box, cells, axis=2).transpose(0, 2, 1, 3)  # (2, n, m, B)
     mass = box * plan.prior
     total = mass.sum(axis=1)  # (2, m, B)
     sure = total[0] > 0.0
@@ -735,7 +733,7 @@ def cell_lower_bound(pack: GamePack, tree: GridTree, cells: np.ndarray) -> np.nd
     low_u = np.where(sure, low_u, np.where(never, u_min, np.minimum(low_u, u_min)))
     high_u = np.where(sure, high_u, np.where(never, u_max, np.maximum(high_u, u_max)))
     # each type's gain bound for deviating to b, (b, n, B)
-    gains = np.empty((m, n, cells.shape[1]))
+    gains = np.empty((m, n, box.shape[3]))
     for b in range(m):
         term = box * (low_u[:, b : b + 1] - high_u)  # (2, n, m, B)
         term = np.minimum(term[0], term[1])
@@ -803,12 +801,13 @@ def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple
     The root is not bounded when ``limit >= 0``, the grid has more than
     ``_LEAF`` profiles and every action has probability 0 at some grid
     point (a vertex, on a simplex grid): the screen starts at the root's
-    children. At the root every action's ``low`` is then 0, so each term
-    ``min(low * x, high * x)`` of ``cell_lower_bound`` is at most 0 (or
-    NaN), and the root's bound is at most ``-margin <= 0 <= limit`` (or
-    NaN): it would be kept and split, whatever the game, so the kept
-    leaves and the seed are those of bounding it. A negative or NaN
-    ``limit`` bounds the root as any other cell.
+    children. At the root every action's low end (``tree.box[0, :, 0]``)
+    is then 0, so each term ``min(low * x, high * x)`` of
+    ``cell_lower_bound`` is at most 0 (or NaN), and the root's bound is
+    at most ``-margin <= 0 <= limit`` (or NaN): it would be kept and
+    split, whatever the game, so the kept leaves and the seed are those
+    of bounding it. A negative or NaN ``limit`` bounds the root as any
+    other cell.
     """
     n = pack.u_min.shape[0]
     G = grid_pts.shape[0]
@@ -816,14 +815,15 @@ def screen_profiles(pack: GamePack, grid_pts: np.ndarray, limit: float) -> tuple
     batch = max(1, _CHUNK_BUDGET // pack.u_min.size)
     cells = np.zeros((n, 1), dtype=np.int64)
     root = np.take(tree.size, cells)
-    if limit >= 0.0 and root.prod() > _LEAF and not tree.low[:, 0].any():
+    if limit >= 0.0 and root.prod() > _LEAF and not tree.box[0, :, 0].any():
         cells = _split(tree, cells, root)
     leaves = []
     least, seed = np.inf, cells[:, :0]
     while cells.shape[1]:
+        parts = (cells[:, i : i + batch] for i in range(0, cells.shape[1], batch))
         bound = np.concatenate([
-            cell_lower_bound(pack, tree, cells[:, i : i + batch])
-            for i in range(0, cells.shape[1], batch)
+            cell_lower_bound(pack, np.take(tree.box, part, axis=2).transpose(0, 2, 1, 3))
+            for part in parts
         ])
         cut = bound > limit
         if cut.any():

@@ -33,6 +33,9 @@ penalty and the belief(s):
 - ``penalty_range`` gives the range over the simplex in closed form for
   every kind, with witness beliefs attaining it. The Lipschitz
   constants are reported by game validation.
+- ``stacked_bounds`` encloses the penalty at every posterior of a box of
+  prior masses, given as one array of low ends stacked on high ends,
+  for the certified cell bound ``kernels.cell_lower_bound``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ __all__ = [
     "step_value",
     "penalty_value",
     "penalty_batch",
-    "penalty_bounds",
     "stacked_bounds",
     "penalty_range",
     "validate_spec",
@@ -305,19 +307,21 @@ def penalty_batch(pen: Penalty, post: np.ndarray) -> np.ndarray:
     return _value(pen, post)
 
 
-def penalty_bounds(pen: Penalty, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stacked_bounds(pen: Penalty, mass: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(low, high)`` enclosing ``penalty_batch`` at every posterior
     after an action that reaches it, when each type's prior mass at the
-    action lies in ``[lo, hi]``: types on the first axis, as ``post`` is
-    for ``penalty_batch``, and results of shape ``lo.shape[1:]``.
+    action lies in ``[mass[0], mass[1]]``: ``mass`` is ``(2, n, ...)``,
+    the low ends stacked on the high ends with types on the next axis,
+    as ``post`` is for ``penalty_batch``; ``total = mass.sum(axis=1)``
+    is passed in, since a caller bounding several penalties at the same
+    masses sums them once. The results have shape ``mass.shape[2:]``.
 
     Each kind reads one interval, a ratio of box-bounded masses from
-    ``share_pair`` (``share_bounds`` with the low and high corners
-    stacked): ``exposure`` the type's own posterior coordinate, the
-    marginal kinds the event's mass, and ``tv_to_prior`` all ``n``
+    ``share_pair``: ``exposure`` the type's own posterior coordinate,
+    the marginal kinds the event's mass, and ``tv_to_prior`` all ``n``
     coordinates in one call. Over its interval a kind takes its exact
-    extremes: the polyline at the two ends (one ``_polyline`` call
-    for both) and at the knots inside, the step at every piece bound and
+    extremes: the polyline at the two ends (one ``_polyline`` call for
+    both) and at the knots inside, the step at every piece bound and
     open gap the interval meets. Knots, bounds and gaps are compared
     with every interval at once, along a new first axis, and the least
     and greatest value met are kept; the step's bounds and its value on
@@ -328,15 +332,6 @@ def penalty_bounds(pen: Penalty, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     roundings (a polyline's value at a knot, the two sums of the total
     variation), which the caller's margin must cover.
     """
-    mass = np.stack((lo, hi))
-    return stacked_bounds(pen, mass, mass.sum(axis=1))
-
-
-def stacked_bounds(pen: Penalty, mass: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``penalty_bounds(pen, *mass)`` for the masses stacked as ``mass =
-    [lo, hi]``, ``(2, n, ...)``, with their sums over the types ``total
-    = mass.sum(axis=1)``, which a caller bounding several penalties at
-    the same masses computes once."""
     spec = pen.spec
     w = spec.weight
     if spec.kind == "zero":

@@ -4,12 +4,12 @@ Beliefs are points of the probability simplex over a finite label set.
 This module provides the point type, exact rational grids on the simplex
 and the rank of a grid point, total variation distance, the observer's
 Bayes update (one column or a batch), its bounds over a box of masses
-and the consistency check built on it, and the range record of a
-function over the simplex. Everything downstream (penalties, games,
-solvers) works in terms of these primitives; ``distributions`` is the
-one check of priors, beliefs, strategies and perception maps,
-``posterior`` the one scalar Bayes update and ``_posteriors`` its one
-batched form.
+(``share_pair``, on low and high ends stacked in one array) and the
+consistency check built on it, and the range record of a function over
+the simplex. Everything downstream (penalties, games, solvers) works in
+terms of these primitives; ``distributions`` is the one check of
+priors, beliefs, strategies and perception maps, ``posterior`` the one
+scalar Bayes update and ``_posteriors`` its one batched form.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "uniform",
     "tv_distance",
     "posterior",
-    "share_bounds",
     "share_pair",
     "consistency_errors",
     "Range",
@@ -176,25 +175,16 @@ def _posteriors(prior: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     return on, beliefs
 
 
-def share_bounds(
-    part_lo: np.ndarray, part_hi: np.ndarray, rest_lo: np.ndarray, rest_hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def share_pair(part: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """Bounds on the posterior mass ``part / (part + rest)`` of a set of
     types after an action, when the prior mass those types send to it
-    lies in ``[part_lo, part_hi]`` and the other types' in ``[rest_lo,
-    rest_hi]`` (arrays of one shape, all nonnegative). The share rises
-    with ``part`` and falls with ``rest``, so the corners give the
-    bounds; a corner with no mass at all gives 0. Both bounds are
-    widened by ``BOUND_SLACK`` relative, so that they hold the share as
-    the batched update rounds it too."""
-    lo, hi = share_pair(np.stack((part_lo, part_hi)), np.stack((rest_lo, rest_hi)))
-    return lo, hi
-
-
-def share_pair(part: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """``share_bounds`` on stacked masses, ``part = [part_lo, part_hi]``
-    and ``rest = [rest_lo, rest_hi]``, giving ``[lo, hi]`` stacked the
-    same way: one division for both corners."""
+    lies in ``[part[0], part[1]]`` and the other types' in ``[rest[0],
+    rest[1]]`` (the low ends stacked on the high ends, all nonnegative):
+    ``[lo, hi]``, stacked the same way, from one division for both
+    corners. The share rises with ``part`` and falls with ``rest``, so
+    the corners give the bounds; a corner with no mass at all gives 0.
+    Both bounds are widened by ``BOUND_SLACK`` relative, so that they
+    hold the share as the batched update rounds it too."""
     den = part + rest[::-1]
     # a corner with no mass keeps its sum, 0
     share = np.divide(part, den, out=den, where=den > 0.0)

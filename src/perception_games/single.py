@@ -338,9 +338,17 @@ def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> CodeRang
     a chunk at a time (no array as long as the sweep), checked against
     ``max_profiles`` before any work."""
     total = game.m ** game.n
-    if total > max_profiles:
+    if total > _cap(max_profiles, "max_profiles"):
         raise ValueError(f"{total} pure profiles exceed max_profiles={max_profiles}")
     return CodeRange(0, total)
+
+
+def _cap(value, name: str) -> int:
+    """The cap ``value`` as an int; a ``ValueError`` naming ``name``
+    unless it is an integer (a float, NaN included, or a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -394,7 +402,8 @@ def search_mixed_equilibria(
     survivors are the first ``max_survivors`` of them in code order (in
     draw order for a subsample), rebuilt and confirmed by the exact
     ``profile_report``, so kernel rounding never decides membership. A
-    negative ``max_survivors`` is rejected before any work.
+    negative ``max_survivors``, and a cap that is not an integer, is
+    rejected before any work.
 
     The kernel reduces as it sweeps (``kernels.reduce_profile_gains``):
     it keeps the least gain with its first code and the codes within
@@ -407,6 +416,8 @@ def search_mixed_equilibria(
     results are those of the full gains bit for bit. The game is packed
     once per call, and a grid's cell tree is built once.
     """
+    max_profiles = _cap(max_profiles, "max_profiles")
+    max_survivors = _cap(max_survivors, "max_survivors")
     if max_survivors < 0:
         raise ValueError(f"max_survivors must be nonnegative, got {max_survivors!r}")
     # a NaN, infinite, nonpositive or subnormal step leaves resolution 0

@@ -55,7 +55,7 @@ from .penalties import PenaltySpec, penalty_batch
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
 from .simplex import WEAK_TOL, _posteriors, consistency_errors, distributions
-from .single import payoff_and_gain
+from .single import _cap, payoff_and_gain
 
 __all__ = [
     "TwoPlayerStrategy",
@@ -169,7 +169,7 @@ def _pure_profiles(
     evaluated when the pairs exceed ``max_profiles``."""
     p0, p1 = game.players
     total = (p0.actions.m ** p0.types.n) * (p1.actions.m ** p1.types.n)
-    if total > max_profiles:
+    if total > _cap(max_profiles, "max_profiles"):
         raise ValueError(f"{total} pure profile pairs exceed max_profiles={max_profiles}")
     return tuple(
         np.indices((ps.actions.m,) * ps.types.n).reshape(ps.types.n, -1).T for ps in game.players
@@ -357,8 +357,10 @@ def _pure_pair_reports(
     its best perceptions, given the belief rows ``_beliefs(game)``: one
     penalty table and one fold per player for the whole batch. The
     perceptions are the table's posteriors on path and, off path, the
-    witnesses of the range ends the table chose."""
-    taus, payoffs, gains = [], [], []
+    witnesses of the range ends the table chose, built report by report
+    from the table's ``on`` and ``post``, so no batch of every pair's
+    perceptions is held next to the reports' own copies."""
+    views, payoffs, gains = [], [], []
     for i, ps in enumerate(game.players):
         own, n, m = pairs[i], ps.types.n, ps.actions.m
         w, on, post = _penalty_table(game, i, beliefs, own)
@@ -372,13 +374,15 @@ def _pure_pair_reports(
         lo = np.array([[r.argmin.p for r in row] for row in rng])[:, :, None]  # [t, t_obs, 1, s]
         hi = np.array([[r.argmax.p for r in row] for row in rng])[:, :, None]
         mine = (own[:, :, None] == np.arange(m))[:, :, None, :, None]  # [k, t, 1, a, 1]
-        on_k = on.transpose(2, 0, 1)[:, None, :, :, None]  # [k, 1, t_obs, a, 1]
-        taus.append(np.where(on_k, post.transpose(3, 0, 2, 1)[:, None], np.where(mine, lo, hi)))
+        # the table's on and post as [k, t_obs, a, 1] and [k, t_obs, a, s] views
+        views.append((on.transpose(2, 0, 1)[..., None], post.transpose(3, 0, 2, 1), mine, lo, hi))
     max_gain = np.maximum(gains[0].max(axis=1), gains[1].max(axis=1))
     return [
         TwoPlayerEquilibriumReport(
             strategy=TwoPlayerStrategy.pure(game, (pairs[0][k], pairs[1][k])),
-            perceptions=TwoPlayerPerceptions(game, (taus[0][k], taus[1][k])),
+            perceptions=TwoPlayerPerceptions(game, tuple(
+                np.where(on[k], post[k], np.where(mine[k], lo, hi)) for on, post, mine, lo, hi in views
+            )),
             payoffs=(payoffs[0][k], payoffs[1][k]),
             gains=(gains[0][k], gains[1][k]),
             max_gain=float(max_gain[k]),

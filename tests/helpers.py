@@ -22,9 +22,9 @@ kept to pin the results of the cell screen and of
 ``reference_penalty_bounds`` are the cell screen written one step at a
 time, kept to pin the screen's kept cells, seeds and bounds bit for
 bit: they bound every type's penalty on its own, loop over knots, gaps
-and coordinates, and split one type at a time. They call the package's
-``share_bounds``, grid tree and cell codes, and the former polyline and
-step evaluators below. ``reference_penalty_value`` and
+and coordinates, and split one type at a time. They take boxes as the
+package does and call its ``share_pair`` (on stacked corners), grid
+tree and cell codes, and the former polyline and step evaluators below. ``reference_penalty_value`` and
 ``reference_penalty_batch`` (with ``reference_piecewise_linear_value``,
 ``reference_step_value`` and ``reference_polyline_batch``) are the
 penalty evaluators as they were, a scalar and a batched twin of each
@@ -64,7 +64,7 @@ from perception_games.kernels import (
 )
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
 from perception_games.penalties import KINDS, PenaltySpec
-from perception_games.simplex import BOUND_SLACK, SimplexGrid, posterior, share_bounds
+from perception_games.simplex import BOUND_SLACK, SimplexGrid, posterior, share_pair
 from perception_games.single import MixedSearchResult, Strategy, payoff_and_gain, profile_report
 from perception_games.testing import _random_penalty, dyadic_prior
 from perception_games.two_player import (
@@ -551,10 +551,23 @@ def reference_mixed_search(
 # --- the cell screen, one type, knot, gap and split at a time ---------
 
 
-def reference_penalty_bounds(pen, lo, hi):
-    """``penalty_bounds`` with a ``share_bounds`` call per coordinate of
-    ``tv_to_prior`` and a loop over the polyline's knots and the step's
-    piece bounds and gaps."""
+def tree_boxes(tree, cells):
+    """The boxes ``(2, n, m, B)`` of the cells ``(n, B)`` of ``tree``, as
+    ``screen_profiles`` gathers them for ``cell_lower_bound``."""
+    return np.take(tree.box, cells, axis=2).transpose(0, 2, 1, 3)
+
+
+def _share(part_lo, part_hi, rest_lo, rest_hi):
+    """``share_pair`` on the stacked corners, as ``(lo, hi)``."""
+    lo, hi = share_pair(np.stack((part_lo, part_hi)), np.stack((rest_lo, rest_hi)))
+    return lo, hi
+
+
+def reference_penalty_bounds(pen, mass):
+    """``stacked_bounds`` on the masses ``mass`` ``(2, n, ...)``, with a
+    ``share_pair`` call per coordinate of ``tv_to_prior`` and a loop over
+    the polyline's knots and the step's piece bounds and gaps."""
+    lo, hi = mass
     spec = pen.spec
     w = spec.weight
     if spec.kind == "zero":
@@ -563,7 +576,7 @@ def reference_penalty_bounds(pen, lo, hi):
     total_lo, total_hi = lo.sum(axis=0), hi.sum(axis=0)
     if spec.kind in ("tv_to_prior", "exposure"):
         members = range(pen.n) if spec.kind == "tv_to_prior" else (pen.type_index,)
-        shares = [share_bounds(lo[s], hi[s], total_lo - lo[s], total_hi - hi[s]) for s in members]
+        shares = [_share(lo[s], hi[s], total_lo - lo[s], total_hi - hi[s]) for s in members]
         if spec.kind == "exposure":
             return w * shares[0][0], w * shares[0][1]
         zero = np.zeros(lo.shape[1:])
@@ -577,7 +590,7 @@ def reference_penalty_bounds(pen, lo, hi):
     inside = np.zeros(lo.shape[1:]), np.zeros(lo.shape[1:])
     for s in pen.event:
         inside = inside[0] + lo[s], inside[1] + hi[s]
-    x_lo, x_hi = share_bounds(*inside, total_lo - inside[0], total_hi - inside[1])
+    x_lo, x_hi = _share(*inside, total_lo - inside[0], total_hi - inside[1])
     if spec.kind == "piecewise_linear_marginal":
         ends = reference_polyline_batch(pen, x_lo), reference_polyline_batch(pen, x_hi)
         low, high = np.minimum(*ends), np.maximum(*ends)
@@ -598,12 +611,11 @@ def reference_penalty_bounds(pen, lo, hi):
     return w * low, w * high
 
 
-def reference_cell_lower_bound(pack, tree, cells):
+def reference_cell_lower_bound(pack, box):
     """``cell_lower_bound`` with a ``reference_penalty_bounds`` call for
     every type."""
     n, m = pack.u_min.shape
-    lo = np.take(tree.low, cells, axis=1).transpose(1, 0, 2)
-    hi = np.take(tree.high, cells, axis=1).transpose(1, 0, 2)
+    lo, hi = box
     mass_lo = lo * pack.prior[:, None, None]
     mass_hi = hi * pack.prior[:, None, None]
     sure = mass_lo.sum(axis=0) > 0.0
@@ -612,12 +624,12 @@ def reference_cell_lower_bound(pack, tree, cells):
     low_u = np.empty(lo.shape)
     high_u = np.empty(lo.shape)
     for t in range(n):
-        w_lo, w_hi = reference_penalty_bounds(pack.penalties[t], mass_lo, mass_hi)
+        w_lo, w_hi = reference_penalty_bounds(pack.penalties[t], np.stack((mass_lo, mass_hi)))
         low_u[t] = pack.v[t, :, None] - w_hi
         high_u[t] = pack.v[t, :, None] - w_lo
     low_u = np.where(sure, low_u, np.where(never, u_min, np.minimum(low_u, u_min)))
     high_u = np.where(sure, high_u, np.where(never, u_max, np.maximum(high_u, u_max)))
-    bound = np.full(cells.shape[1], -np.inf)
+    bound = np.full(box.shape[3], -np.inf)
     for b in range(m):
         coef = low_u[:, b : b + 1] - high_u
         term = np.minimum(lo * coef, hi * coef)
@@ -640,7 +652,7 @@ def reference_screen(pack, grid_pts, limit):
     least, seed = np.inf, cells[:, :0]
     while cells.shape[1]:
         bound = np.concatenate([
-            reference_cell_lower_bound(pack, tree, cells[:, i : i + batch])
+            reference_cell_lower_bound(pack, tree_boxes(tree, cells[:, i : i + batch]))
             for i in range(0, cells.shape[1], batch)
         ])
         cut = bound > limit

@@ -24,6 +24,7 @@ from helpers import (
     reference_profile_report,
     reference_screen,
     tabulate,
+    tree_boxes,
 )
 
 
@@ -707,7 +708,7 @@ def _assert_sound(game, pts, cells):
     tree = kernels.grid_tree(pts)
     for factor in (1.0, 1e6, 1e-6):
         scaled = _scaled(game, factor)
-        bound = kernels.cell_lower_bound(pack_game(scaled), tree, cells)
+        bound = kernels.cell_lower_bound(pack_game(scaled), tree_boxes(tree, cells))
         least = _cell_minima(scaled, pts, tree, cells)
         bad = np.flatnonzero(~(bound <= least))
         assert not bad.size, (factor, cells[:, bad[:3]].T, bound[bad[:3]], least[bad[:3]])
@@ -745,11 +746,12 @@ class TestGridTree:
         G = pts.shape[0]
         tree = kernels.grid_tree(pts)
         assert tree.size.size == 2 * G - 1
+        assert tree.box.shape == (2, m, 2 * G - 1) and not tree.box.flags.writeable
         assert (tree.start[0], tree.size[0]) == (0, G)
         for i in range(tree.size.size):
             block = pts[tree.start[i] : tree.start[i] + tree.size[i]]
-            np.testing.assert_array_equal(tree.low[:, i], block.min(axis=0))
-            np.testing.assert_array_equal(tree.high[:, i], block.max(axis=0))
+            np.testing.assert_array_equal(tree.box[0, :, i], block.min(axis=0))
+            np.testing.assert_array_equal(tree.box[1, :, i], block.max(axis=0))
             if tree.size[i] > 1:
                 c = tree.child[i]
                 assert tree.start[c] == tree.start[i]
@@ -799,6 +801,38 @@ class TestCellLowerBound:
         pts = SimplexGrid(game.m, resolution).points()
         _assert_sound(game, pts, data.draw(tree_cells(kernels.grid_tree(pts), game.n)))
 
+    @settings(max_examples=100, deadline=None)
+    @given(game=additive_catalog_games(), data=st.data())
+    def test_boxes_off_the_tree(self, game, data):
+        """Boxes that are no tree cell: each type's box is a random grid
+        point widened by a random amount below and above each action's
+        probability (often by none), clipped to [0, 1]; the last box is
+        that point alone (``low == high``). A box's bound is at most the
+        kernel gain of every grid profile whose points all lie in it."""
+        resolution = data.draw(st.integers(1, _max_resolution(game, 20_000)))
+        pts, idx = _all_profiles(game, resolution)
+        G, n, count = pts.shape[0], game.n, 4
+        centre = data.draw(st.lists(st.integers(0, G - 1), min_size=n * count, max_size=n * count))
+        centre = np.take(pts, np.reshape(centre, (n, count)), axis=0).transpose(0, 2, 1)  # (n, m, count)
+        size = 2 * centre.size
+        widths = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=size, max_size=size)
+        widen = np.reshape(data.draw(widths), (2,) + centre.shape)
+        widen[..., -1] = 0.0
+        box = np.stack((np.maximum(centre - widen[0], 0.0), np.minimum(centre + widen[1], 1.0)))
+        # inside[t, g, j]: type t's box j holds grid point g
+        at = pts[None, :, :, None]
+        inside = ((box[0][:, None] <= at) & (at <= box[1][:, None])).all(axis=2)
+        digits = kernels._digits(idx, G, n)
+        member = np.take_along_axis(inside, digits[:, :, None], axis=1).all(axis=0).T  # (count, P)
+        assert member.any(axis=1).all() and (box[0, ..., -1] == box[1, ..., -1]).all()
+        for factor in (1.0, 1e6, 1e-6):
+            pack = pack_game(_scaled(game, factor))
+            bound = kernels.cell_lower_bound(pack, box)
+            gains = sweep_profile_gains(pack, pts, idx)
+            least = np.where(member, gains, np.inf).min(axis=1)
+            bad = np.flatnonzero(~(bound <= least))
+            assert not bad.size, (factor, bound[bad], least[bad])
+
     def test_majority_cells_prune(self):
         """The bound is tight enough to matter: at alpha 0.5, most of
         the level below the root already lies above the tolerance."""
@@ -806,7 +840,7 @@ class TestCellLowerBound:
         pts = SimplexGrid(2, 20).points()
         tree = kernels.grid_tree(pts)
         cells = np.array(list(product([1, 2], repeat=4)), dtype=np.int64).T
-        bound = kernels.cell_lower_bound(pack_game(game), tree, cells)
+        bound = kernels.cell_lower_bound(pack_game(game), tree_boxes(tree, cells))
         assert np.all(bound <= _cell_minima(game, pts, tree, cells))
         assert np.count_nonzero(bound > 1e-9) >= 8
 
@@ -914,10 +948,11 @@ def _bounds_root(monkeypatch, pack, pts, limit) -> bool:
     """Does ``screen_profiles(pack, pts, limit)`` bound the root cell?"""
     bounded = []
     real = kernels.cell_lower_bound
+    root = kernels.grid_tree(pts).box[:, None, :, 0, None]  # (2, 1, m, 1)
 
-    def spy(pack, tree, cells):
-        bounded.append(bool((cells == 0).all(axis=0).any()))
-        return real(pack, tree, cells)
+    def spy(pack, box):
+        bounded.append(bool((box == root).all(axis=(0, 1, 2)).any()))
+        return real(pack, box)
 
     monkeypatch.setattr(kernels, "cell_lower_bound", spy)
     kernels.screen_profiles(pack, pts, limit)
@@ -937,7 +972,7 @@ class TestRootSkip:
     def test_root_bound_is_at_most_minus_margin(self, game, resolution):
         pack = pack_game(game)
         tree = kernels.grid_tree(SimplexGrid(game.m, resolution).points())
-        bound = kernels.cell_lower_bound(pack, tree, np.zeros((game.n, 1), np.int64))
+        bound = kernels.cell_lower_bound(pack, tree_boxes(tree, np.zeros((game.n, 1), np.int64)))
         assert bound[0] <= -pack.bound_plan.margin <= 0.0
 
     @pytest.mark.parametrize("build, resolution", SCREEN_GAMES + [(zero_prior_game, 1)])
@@ -995,8 +1030,8 @@ class TestRootSkip:
 def _assert_bound_is_reference(game, pts, cells):
     tree = kernels.grid_tree(pts)
     pack = pack_game(game)
-    bound = kernels.cell_lower_bound(pack, tree, cells)
-    assert np.all(bound == reference_cell_lower_bound(pack, tree, cells))
+    box = tree_boxes(tree, cells)
+    assert np.all(kernels.cell_lower_bound(pack, box) == reference_cell_lower_bound(pack, box))
 
 
 def _random_cells(pts, n, count, seed):
@@ -1005,7 +1040,7 @@ def _random_cells(pts, n, count, seed):
 
 
 class TestSharedBounds:
-    """Types whose penalties ``penalty_bounds`` cannot tell apart share
+    """Types whose penalties ``stacked_bounds`` cannot tell apart share
     one bound per batch, and the bound equals the one computed for
     every type on its own (``helpers.reference_cell_lower_bound``)."""
 

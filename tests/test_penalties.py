@@ -10,15 +10,15 @@ from perception_games.penalties import (
     _belief_with_marginal,
     bind,
     penalty_batch,
-    penalty_bounds,
     penalty_range,
     penalty_value,
     piecewise_linear_value,
+    stacked_bounds,
     step_value,
     validate_spec,
 )
 
-from perception_games.simplex import SimplexGrid, posterior, share_bounds
+from perception_games.simplex import SimplexGrid, posterior, share_pair
 
 from helpers import (
     catalog_penalties,
@@ -428,18 +428,23 @@ class TestOneBody:
             assert _bits(got) == _bits(reference_step_value(pieces, x))
 
 
+def _bounds(pen, mass):
+    """``stacked_bounds`` at the stacked masses ``mass`` ``(2, n, ...)``."""
+    return stacked_bounds(pen, mass, mass.sum(axis=1))
+
+
 class TestPenaltyBounds:
-    """``penalty_bounds`` encloses the penalty at every posterior of a
+    """``stacked_bounds`` encloses the penalty at every posterior of a
     box of prior masses, and is exact where the box pins the belief."""
 
     @staticmethod
     def _masses(draw, n):
-        """A box of masses in eighths and every mass vector in it on a
-        grid of eighths, corners included."""
+        """A box of masses in eighths, stacked ``(2, n)``, and every mass
+        vector in it on a grid of eighths, corners included."""
         ends = [sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2))) for _ in range(n)]
-        lo, hi = (np.array([e[i] for e in ends]) / 8.0 for i in (0, 1))
+        mass = np.array(ends).T / 8.0
         points = np.array(list(product(*(range(a, b + 1) for a, b in ends)))).T / 8.0
-        return lo, hi, points[:, points.sum(axis=0) > 0.0]
+        return mass, points[:, points.sum(axis=0) > 0.0]
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -448,8 +453,8 @@ class TestPenaltyBounds:
         labels = tuple(f"t{i}" for i in range(n))
         pen = bind(data.draw(catalog_penalties(labels)), labels, data.draw(dyadic_rows(n)),
                    data.draw(st.integers(0, n - 1)))
-        lo, hi, masses = self._masses(data.draw, n)
-        low, high = penalty_bounds(pen, lo, hi)
+        mass, masses = self._masses(data.draw, n)
+        low, high = _bounds(pen, mass)
         assert low.shape == high.shape == ()
         if not masses.size:
             return
@@ -473,7 +478,8 @@ class TestPenaltyBounds:
         the polyline's knots at 0.25 and 0.5, the step's piece (0.25, 0.5]
         and the rest of its cover, and exposure's ends."""
         pen = bind(spec, ("t0", "t1"), [0.5, 0.5], 0)
-        low, high = penalty_bounds(pen, np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([[3.0, 3.0], [4.0, 4.0]]))
+        mass = np.array([[[1.0, 1.0], [2.0, 2.0]], [[3.0, 3.0], [4.0, 4.0]]])
+        low, high = _bounds(pen, mass)
         np.testing.assert_allclose([low, high], [[want[0]] * 2, [want[1]] * 2], rtol=1e-11)
 
     def test_a_pinned_belief_is_exact(self):
@@ -484,43 +490,45 @@ class TestPenaltyBounds:
                      PenaltySpec.piecewise_linear(self.KNOTS, over=("t0", "t1")),
                      PenaltySpec.step(((0.25, 0.5, 1.5, True, True),), over=("t1",))):
             pen = bind(spec, labels, [0.25, 0.5, 0.25], 1)
-            low, high = penalty_bounds(pen, mass, mass)
+            low, high = _bounds(pen, np.stack((mass, mass)))
             value = penalty_value(pen, mass / mass.sum())
             assert low == pytest.approx(value, rel=1e-11) and high == pytest.approx(value, rel=1e-11)
 
 
-def _boxes(rng, n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _boxes(rng, n: int, count: int) -> np.ndarray:
     """``count`` boxes of prior masses in eighths over ``n`` types, then
     degenerate ones: a pinned mass vector, no mass at all, and mass on
-    one type only."""
+    one type only; stacked, ``(2, n, count + n + 5)``."""
     ends = np.sort(rng.integers(0, 9, size=(2, n, count)), axis=0) / 8.0
     pinned = rng.integers(0, 9, size=(n, 4)) / 8.0
     single = np.eye(n) * 0.5
     lo = np.concatenate([ends[0], pinned, np.zeros((n, 1)), single], axis=1)
     hi = np.concatenate([ends[1], pinned, np.zeros((n, 1)), single], axis=1)
-    return lo, hi
+    return np.stack((lo, hi))
 
 
-def _event_ends(lo, hi, event) -> np.ndarray:
+def _event_ends(mass, event) -> np.ndarray:
     """The event-mass interval ends the bound reads, as
     ``reference_penalty_bounds`` computes them."""
+    lo, hi = mass
     inside = [np.zeros(lo.shape[1:]), np.zeros(lo.shape[1:])]
     for s in event:
         inside = [inside[0] + lo[s], inside[1] + hi[s]]
     total_lo, total_hi = lo.sum(axis=0), hi.sum(axis=0)
-    return np.concatenate(share_bounds(*inside, total_lo - inside[0], total_hi - inside[1]))
+    rest = np.stack((total_lo - inside[0], total_hi - inside[1]))
+    return share_pair(np.stack(inside), rest).ravel()
 
 
-def _assert_is_reference(pen, lo, hi):
-    low, high = penalty_bounds(pen, lo, hi)
-    want_low, want_high = reference_penalty_bounds(pen, lo, hi)
-    assert np.shape(low) == np.shape(want_low) == lo.shape[1:]
+def _assert_is_reference(pen, mass):
+    low, high = _bounds(pen, mass)
+    want_low, want_high = reference_penalty_bounds(pen, mass)
+    assert np.shape(low) == np.shape(want_low) == mass.shape[2:]
     np.testing.assert_array_equal(low, want_low)
     np.testing.assert_array_equal(high, want_high)
 
 
 class TestBroadcastBounds:
-    """``penalty_bounds`` compares every knot, piece bound and gap with
+    """``stacked_bounds`` compares every knot, piece bound and gap with
     every interval at once, and bounds all ``tv_to_prior`` coordinates
     in one call. It equals the loop over them
     (``helpers.reference_penalty_bounds``) bit for bit, also where an
@@ -538,9 +546,9 @@ class TestBroadcastBounds:
     @pytest.mark.parametrize("seed", range(6))
     def test_knots_on_interval_ends(self, seed):
         rng = np.random.default_rng(seed)
-        lo, hi = _boxes(rng, 4, 60)
+        mass = _boxes(rng, 4, 60)
         event = ("t0", "t2")
-        ends = _event_ends(lo, hi, (0, 2))
+        ends = _event_ends(mass, (0, 2))
         on_ends = self._on_ends(rng, ends, 4)
         # a trough on each end, with a peak before it: the segment from
         # the peak reaches the trough an ulp above its y, so a knot at
@@ -560,14 +568,14 @@ class TestBroadcastBounds:
         knots = tuple(zip(xs, ys))
         pen = bind(PenaltySpec.piecewise_linear(knots, over=event, weight=1.5), self.LABELS, [0.25] * 4, 0)
         assert np.isin(ends, on_ends).sum() >= 2
-        _assert_is_reference(pen, lo, hi)
+        _assert_is_reference(pen, mass)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_piece_bounds_on_interval_ends(self, seed):
         rng = np.random.default_rng(seed)
-        lo, hi = _boxes(rng, 4, 60)
+        mass = _boxes(rng, 4, 60)
         event = ("t1",)
-        ends = _event_ends(lo, hi, (1,))
+        ends = _event_ends(mass, (1,))
         cuts = self._on_ends(rng, ends, 4)
         pieces = [
             (a, b, float(rng.uniform(0.0, 2.0)), bool(rng.integers(2)), bool(rng.integers(2)))
@@ -577,7 +585,7 @@ class TestBroadcastBounds:
         pieces.insert(0, (cuts[0], cuts[0], 3.0, True, True))
         pen = bind(PenaltySpec.step(pieces, over=event), self.LABELS, [0.25] * 4, 0)
         assert np.isin(ends, cuts).sum() >= 2
-        _assert_is_reference(pen, lo, hi)
+        _assert_is_reference(pen, mass)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -589,12 +597,12 @@ class TestBroadcastBounds:
         labels = tuple(f"t{i}" for i in range(n))
         pen = bind(data.draw(catalog_penalties(labels)), labels, data.draw(dyadic_rows(n)),
                    data.draw(st.integers(0, n - 1)))
-        lo, hi = _boxes(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, 24)
-        _assert_is_reference(pen, lo, hi)
-        even = lo.shape[1] // 2 * 2
-        _assert_is_reference(pen, lo[:, :even].reshape(n, -1, 2), hi[:, :even].reshape(n, -1, 2))
-        for j in (0, lo.shape[1] - 1):
-            _assert_is_reference(pen, lo[:, j], hi[:, j])
+        mass = _boxes(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, 24)
+        _assert_is_reference(pen, mass)
+        even = mass.shape[2] // 2 * 2
+        _assert_is_reference(pen, mass[:, :, :even].reshape(2, n, -1, 2))
+        for j in (0, mass.shape[2] - 1):
+            _assert_is_reference(pen, mass[:, :, j])
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,7 @@ from perception_games.simplex import (
     dirac,
     distributions,
     posterior,
-    share_bounds,
+    share_pair,
     tv_distance,
     uniform,
 )
@@ -237,14 +237,16 @@ class TestBatchedPosteriors:
 
 
 class TestShareBounds:
+    """``share_pair`` on the low and high ends stacked."""
+
     def test_corners(self):
-        lo, hi = share_bounds(np.array(1.0), np.array(3.0), np.array(2.0), np.array(4.0))
+        lo, hi = share_pair(np.array([1.0, 3.0]), np.array([2.0, 4.0]))
         assert lo == pytest.approx(1.0 / 5.0, rel=1e-11) and lo < 1.0 / 5.0
         assert hi == pytest.approx(3.0 / 5.0, rel=1e-11) and hi > 3.0 / 5.0
 
     def test_no_mass_at_a_corner(self):
         """No part mass gives 0; part mass alone gives (just over) 1."""
-        lo, hi = share_bounds(np.zeros(2), np.array([0.0, 1.0]), np.zeros(2), np.array([1.0, 0.0]))
+        lo, hi = share_pair(np.array([[0.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
         np.testing.assert_array_equal(lo, [0.0, 0.0])
         assert hi[0] == 0.0 and 1.0 < hi[1] < 1.0 + 1e-11
 
@@ -256,7 +258,7 @@ class TestShareBounds:
         rest = min(max(rest / 8.0, r_lo), r_hi)
         if part + rest > 0.0:
             x = part / (part + rest)
-            lo, hi = share_bounds(p_lo, p_hi, r_lo, r_hi)
+            lo, hi = share_pair(np.stack((p_lo, p_hi)), np.stack((r_lo, r_hi)))
             assert lo <= x <= hi
 
 

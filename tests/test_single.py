@@ -331,6 +331,47 @@ class TestMixedSearchMechanics:
         with pytest.raises(ValueError, match="max_survivors must be nonnegative"):
             search_mixed_equilibria(blog(), step=0.25, max_survivors=cap)
 
+    @pytest.mark.parametrize(
+        "search, cap, value",
+        [
+            ("mixed", "max_profiles", float("nan")),
+            ("mixed", "max_profiles", 1000.0),
+            ("mixed", "max_profiles", True),
+            ("mixed", "max_survivors", float("nan")),
+            ("mixed", "max_survivors", 2.5),
+            ("mixed", "max_survivors", 10.0),
+            ("pure", "max_profiles", float("nan")),
+            ("pure", "max_profiles", 100.0),
+            ("pure", "max_profiles", "100"),
+        ],
+    )
+    def test_caps_must_be_integers(self, monkeypatch, search, cap, value):
+        """Rejected before any work: a NaN cap compares False with every
+        count and turned the cap off, a float ``max_profiles`` failed in
+        numpy after the game was packed, and a float ``max_survivors`` in
+        a slice after the whole sweep."""
+
+        def refuse(*args):
+            raise AssertionError("packed the game")
+
+        monkeypatch.setattr(single, "pack_game", refuse)
+        monkeypatch.setattr(SimplexGrid, "points", refuse)
+        with pytest.raises(ValueError, match=f"^{cap} must be an integer, got {value!r}$"):
+            if search == "mixed":
+                search_mixed_equilibria(blog(), step=0.01, **{cap: value})
+            else:
+                enumerate_pure_equilibria(blog(), **{cap: value})
+
+    def test_numpy_integer_caps(self):
+        want = search_mixed_equilibria(blog(), step=0.01, max_profiles=500, max_survivors=1, seed=3)
+        got = search_mixed_equilibria(
+            blog(), step=0.01, max_profiles=np.int64(500), max_survivors=np.int32(1), seed=3
+        )
+        assert (got.swept, got.survivor_count, got.min_max_gain) == (500, want.survivor_count, want.min_max_gain)
+        np.testing.assert_array_equal(got.argmin.sigma, want.argmin.sigma)
+        pure = enumerate_pure_equilibria(blog(), max_profiles=np.uint8(4))
+        assert [r.label for r in pure] == [r.label for r in enumerate_pure_equilibria(blog())]
+
     def test_zero_max_survivors_counts_all(self):
         res = search_mixed_equilibria(blog(), step=0.25, max_survivors=0)
         assert res.survivors == () and res.survivor_count == 3 and res.truncated
@@ -536,11 +577,11 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def thirteen_type_game() -> PerceptionGame:
-    """13 types x 3 actions, exposure and tv_to_prior penalties by turns:
-    3**13 = 1,594,323 pure profiles."""
-    rng = np.random.default_rng(13)
-    n = 13
+def alternating_game(n: int) -> PerceptionGame:
+    """``n`` types x 3 actions, exposure and tv_to_prior penalties by
+    turns, drawn from seed ``n``: 3**13 = 1,594,323 pure profiles at 13
+    types."""
+    rng = np.random.default_rng(n)
     return PerceptionGame(
         types=TypeSpace.plain(tuple(f"t{i}" for i in range(n))),
         actions=ActionSpace.plain(("a0", "a1", "a2")),
@@ -564,12 +605,23 @@ class TestSweepMemory:
     below one code-long int64 array."""
 
     def test_pure_enumeration(self):
-        """1,594,323 pure profiles trace 7.1 MiB at peak, most of it the
-        column table (2**13 columns); their codes alone took 12.2 MiB."""
-        game = thirteen_type_game()
+        """1,594,323 pure profiles trace 6.4 MiB at peak, with the column
+        table (2**13 columns); their codes alone took 12.2 MiB."""
+        game = alternating_game(13)
         reports, peak = _traced_peak(lambda: enumerate_pure_equilibria(game, max_profiles=2_000_000))
         assert reports
         assert peak < 8 * 2**20 < game.m**game.n * 8
+
+    def test_column_table_is_built_in_place(self):
+        """A 15x3 pure grid's column table (2**15 columns, 11.2 MiB of
+        rows) traces 19.8 MiB at peak: each type's rows are written into
+        the table, and its off-path entries are pinned in place. Stacking
+        a list of per-type rows and copying the table to pin them traced
+        30.0 MiB."""
+        pack = kernels.pack_game(alternating_game(15))
+        table, peak = _traced_peak(lambda: kernels._column_table(np.eye(3), pack))
+        assert table.rows.shape == (15, 3 * 2**15)
+        assert peak < 22 * 2**20
 
     def test_whole_tabulated_grid(self):
         """A tabulated 3x3 game's whole grid at step 1/12, 753,571

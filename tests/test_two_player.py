@@ -444,6 +444,30 @@ class TestBatchedScreen:
         with pytest.raises(ValueError, match="player 0 beliefs.*non-finite"):
             enumerate_(nan_game, max_profiles=15)
 
+    @pytest.mark.parametrize(
+        "enumerate_",
+        [
+            enumerate_pure_equilibria_2p,
+            enumerate_pure_bne,
+            lambda g, **kw: enumerate_pure_bne(g, fold_prior_penalty=True, **kw),
+        ],
+        ids=["equilibria", "bne", "bne-folded"],
+    )
+    @pytest.mark.parametrize("cap", [float("nan"), 16.0, 2.5, None])
+    def test_cap_must_be_an_integer(self, enumerate_, cap, monkeypatch):
+        """A NaN cap compares False with every count and turned the cap
+        off; a float one passed as a number. Both are rejected before any
+        penalty or value is computed."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work done before the cap check")
+
+        for name in ("_penalty_table", "_fold", "_pure_inner", "penalty_batch"):
+            monkeypatch.setattr(two_player, name, fail)
+        monkeypatch.setattr(model, "penalty_value", fail)
+        with pytest.raises(ValueError, match=f"^max_profiles must be an integer, got {cap!r}$"):
+            enumerate_(two_player_game(), max_profiles=cap)
+
     @pytest.mark.parametrize("block", [None, 8], ids=["one-block", "four-blocks"])
     @pytest.mark.parametrize(
         "variant, kept", [("fixture", 5), ("every-pair", 16), ("no-pair", 0)]
@@ -509,6 +533,25 @@ class TestBatchedScreen:
             actions = (tuple(profiles[0][k0].tolist()), tuple(profiles[1][k1].tolist()))
             want = reference_pure_pair_report(game, actions, beliefs).max_gain
             assert _same_bits(gains[k0, k1], want), (actions, gains[k0, k1], want)
+
+    def test_every_pair_kept_holds_its_perceptions_once(self):
+        """4 x 3 per side with zero values and zero penalties: all 6,561
+        pairs are kept, and their reports hold 30.3 MiB. Each report's
+        perceptions are built in its own turn from the tables, so the
+        traced peak is 39.2 MiB; a batch of every pair's perceptions held
+        next to the reports' copies peaked at 55.9 MiB."""
+        g = random_two_player_game(np.random.default_rng(4), 4, 3)
+        for i in range(2):
+            g = with_player(g, i, v=np.zeros_like(g.players[i].v))
+        g = _zero_penalties(g)
+        tracemalloc.start()
+        try:
+            found = enumerate_pure_equilibria_2p(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 6561
+        assert peak < 44 * 2**20, peak
 
 
 class TestZeroPenaltyReduction:
