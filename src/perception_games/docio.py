@@ -200,14 +200,11 @@ def _parse_utility(value: Any, path: str, errs: _Errors) -> UtilityModel | None:
         return UtilityModel(kind=kind, v=v, penalties=penalties)
     if kind == "tabulated_grid":
         _check_keys(value, {"kind", "resolution", "values"}, path, errs)
-        res = value.get("resolution")
-        if not isinstance(res, int) or isinstance(res, bool) or res < 1:
-            errs.add(f"{path}/resolution", "must be a positive integer")
-            return None
+        # the validator reports a bad resolution (SimplexGrid's rule)
         vals = _floats(value.get("values"), 3, f"{path}/values", errs)
         if vals is None:
             return None
-        return UtilityModel(kind=kind, resolution=res, values=vals)
+        return UtilityModel(kind=kind, resolution=value.get("resolution"), values=vals)
     errs.add(f"{path}/kind", "must be 'additive_separable' or 'tabulated_grid'")
     return None
 
@@ -417,8 +414,6 @@ def parse_profile(doc: Any, game: PerceptionGame | TwoPlayerPerceptionGame):
             sigmas.append(_floats(raw[i].get("sigma"), 2, f"/players/{i}/sigma", errs))
             taus.append(_floats(raw[i].get("tau"), 4, f"/players/{i}/tau", errs))
         errs.raise_if_any()
-        if any(x is None for x in sigmas + taus):
-            raise GameFormatError([("/players", "missing sigma or tau")])
         try:
             return TwoPlayerStrategy(game, sigmas), TwoPlayerPerceptions(game, taus)
         except ValueError as exc:

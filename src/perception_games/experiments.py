@@ -37,6 +37,7 @@ from .single import (
     PerceptionMap,
     Strategy,
     _pure_codes,
+    _step_resolution,
     _sweep,
     enumerate_pure_equilibria,
     legislation_welfare,
@@ -375,13 +376,15 @@ def scan_alpha(
 ) -> AlphaScanReport:
     """One row per alpha of ``alphas``, which must be nonempty and
     ascending (ties allowed): ``alpha_hat`` and the monotonicity check
-    read the rows in that order. Raises ValueError otherwise, before any
-    game is built.
+    read the rows in that order. Raises ValueError otherwise, or for a
+    ``mixed_step`` the mixed search rejects, before any game is built.
 
     With ``mixed_step``, a row's ``mixed_survivors`` is the mixed
     search's ``survivor_count``: the profiles the kernel screens within
     ``tol``, whose gains are the exact oracle's bit for bit. The search
     runs with ``max_survivors=0``, so no survivor report is built."""
+    if mixed_step is not None:
+        _step_resolution(mixed_step)
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("alphas must not be empty")
@@ -551,6 +554,7 @@ def counterexample_check(
     tol: float = WEAK_TOL,
     seed: int | None = None,
 ) -> NonexistenceReport:
+    _step_resolution(strategy_step)
     # the rule of ``pgame --eps``; NaN fails the comparison too
     bad = [eps for eps in epsilons if not 0.0 <= eps < np.inf]
     if bad:

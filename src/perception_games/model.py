@@ -32,7 +32,7 @@ from .penalties import (
     penalty_value,
     validate_spec,
 )
-from .simplex import WEAK_TOL, Belief, Range, SimplexGrid, dirac, distributions, lattice_rank
+from .simplex import WEAK_TOL, Belief, Range, SimplexGrid, _check_tol, dirac, distributions, lattice_rank
 
 __all__ = [
     "TypeSpace",
@@ -47,6 +47,13 @@ __all__ = [
     "PrivacyReport",
     "classify_privacy",
 ]
+
+
+def _label_index(labels: tuple[str, ...], label: str, what: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError(f"unknown {what} label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -79,10 +86,7 @@ class TypeSpace:
         return self.outcome_labels is not None
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown type label {label!r}") from None
+        return _label_index(self.labels, label, "type")
 
     def outcome_of(self, label: str) -> str:
         if not self.factored:
@@ -110,10 +114,7 @@ class ActionSpace:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown action label {label!r}") from None
+        return _label_index(self.labels, label, "action")
 
 
 def _read_only(a):
@@ -397,16 +398,29 @@ class ValidationReport:
         return not self.errors
 
 
-def _validate_penalties(
-    types: TypeSpace,
-    penalties: tuple[PenaltySpec, ...],
-    allow_discontinuous: bool,
-    report: ValidationReport,
-    base_path: str,
-    allowed_kinds: tuple[str, ...] | None = None,
+def _check_labels(types: TypeSpace, actions: ActionSpace, report: ValidationReport, base: str) -> None:
+    if len(set(types.labels)) != types.n or types.n == 0:
+        report.errors.append((f"{base}/types", "type labels must be unique and nonempty"))
+    if len(set(actions.labels)) != actions.m or actions.m == 0:
+        report.errors.append((f"{base}/actions", "action labels must be unique and nonempty"))
+
+
+def _check_values(
+    types: TypeSpace, v, shape: tuple[int, ...], penalties, allow_discontinuous: bool,
+    report: ValidationReport, base: str, allowed_kinds: tuple[str, ...] | None = None,
 ) -> None:
+    """One player's ``v`` (``shape``, finite) and penalties (one valid
+    spec per type); a discontinuous one clears ``report.continuous``."""
+    if v is None or v.shape != shape:
+        got = None if v is None else v.shape
+        report.errors.append((f"{base}/v", f"expected shape {shape}, got {got}"))
+    elif not np.isfinite(v).all():
+        report.errors.append((f"{base}/v", "entries must be finite"))
+    if penalties is None or len(penalties) != types.n:
+        report.errors.append((f"{base}/penalties", f"expected one penalty per type ({types.n})"))
+        return
     for t, spec in enumerate(penalties):
-        path = f"{base_path}/{t}"
+        path = f"{base}/penalties/{t}"
         for msg in validate_spec(spec):
             report.errors.append((path, msg))
         if allowed_kinds is not None and spec.kind not in allowed_kinds:
@@ -432,20 +446,28 @@ def _validate_penalties(
 
 
 def validate_game(game) -> ValidationReport:
-    """Deep structural validation of a constructed game object."""
+    """Deep structural validation of a constructed game object.
+
+    Each rule is written once. Both game kinds check each player's labels
+    (``_check_labels``: unique and nonempty) and values and penalties
+    (``_check_values``: ``v`` of the right shape and finite, one valid
+    penalty per type), under ``/types``, ``/actions`` and ``/utility`` of
+    a single game and ``/players/i`` of a two-player one. Single games
+    also check factored labels, the prior's length and a tabulated
+    utility's resolution (``SimplexGrid``'s rule) and values; two-player
+    games check each belief row (``simplex.distributions``). The errors
+    come out in that order, player by player.
+    """
     report = ValidationReport()
     if isinstance(game, TwoPlayerPerceptionGame):
         for i, ps in enumerate(game.players):
             other = game.players[1 - i]
             base = f"/players/{i}"
-            if len(set(ps.types.labels)) != ps.types.n or ps.types.n == 0:
-                report.errors.append((f"{base}/types", "type labels must be unique and nonempty"))
-            if len(set(ps.actions.labels)) != ps.actions.m or ps.actions.m == 0:
-                report.errors.append((f"{base}/actions", "action labels must be unique and nonempty"))
-            if ps.beliefs.shape != (ps.types.n, other.types.n):
-                report.errors.append(
-                    (f"{base}/beliefs", f"expected shape {(ps.types.n, other.types.n)}, got {ps.beliefs.shape}")
-                )
+            _check_labels(ps.types, ps.actions, report, base)
+            shape = (ps.types.n, other.types.n)
+            got = None if ps.beliefs is None else ps.beliefs.shape
+            if got != shape:
+                report.errors.append((f"{base}/beliefs", f"expected shape {shape}, got {got}"))
             else:
                 for t in range(ps.types.n):
                     try:
@@ -454,38 +476,17 @@ def validate_game(game) -> ValidationReport:
                         report.errors.append(
                             (f"{base}/beliefs/{t}", "row is not a probability distribution")
                         )
-            expected = (ps.types.n, other.types.n, ps.actions.m, other.actions.m)
-            if ps.v.shape != expected:
-                report.errors.append(
-                    (f"{base}/v", f"expected shape {expected}, got {ps.v.shape}")
-                )
-            elif not np.isfinite(ps.v).all():
-                report.errors.append((f"{base}/v", "entries must be finite"))
-            if len(ps.penalties) != ps.types.n:
-                report.errors.append(
-                    (f"{base}/penalties", f"expected one penalty per type ({ps.types.n})")
-                )
-            else:
-                # the prior-anchored kind reads the observer's belief here
-                _validate_penalties(
-                    ps.types,
-                    ps.penalties,
-                    game.allow_discontinuous,
-                    report,
-                    f"{base}/penalties",
-                    allowed_kinds=("zero", "tv_to_prior", "exposure") + MARGINAL_KINDS,
-                )
-        lips: list[float | None] = []
-        for ps in game.players:
-            lips.extend(p.lipschitz_l1() for p in ps.penalties)
-        report.lipschitz_l1 = None if any(c is None for c in lips) else (max(lips) if lips else 0.0)
+            # the prior-anchored kind reads the observer's belief here
+            _check_values(
+                ps.types, ps.v, shape + (ps.actions.m, other.actions.m), ps.penalties,
+                game.allow_discontinuous, report, base, ("zero", "tv_to_prior", "exposure") + MARGINAL_KINDS,
+            )
+        lips = [p.lipschitz_l1() for ps in game.players for p in ps.penalties]
+        report.lipschitz_l1 = None if None in lips else max(lips, default=0.0)
         return report
 
     types, actions = game.types, game.actions
-    if len(set(types.labels)) != types.n or types.n == 0:
-        report.errors.append(("/types", "type labels must be unique and nonempty"))
-    if len(set(actions.labels)) != actions.m or actions.m == 0:
-        report.errors.append(("/actions", "action labels must be unique and nonempty"))
+    _check_labels(types, actions, report, "")
     if types.factored:
         # zero-mass cells may be dropped, so any subset of the product is fine
         for label in types.labels:
@@ -498,22 +499,18 @@ def validate_game(game) -> ValidationReport:
         report.errors.append(("/prior", f"expected {types.n} entries, got {game.prior.n}"))
     um = game.utility
     if um.kind == "additive_separable":
-        if um.v is None or um.v.shape != (types.n, actions.m):
-            got = None if um.v is None else um.v.shape
-            report.errors.append(("/utility/v", f"expected shape {(types.n, actions.m)}, got {got}"))
-        elif not np.isfinite(um.v).all():
-            report.errors.append(("/utility/v", "entries must be finite"))
-        if um.penalties is None or len(um.penalties) != types.n:
-            report.errors.append(("/utility/penalties", f"expected one penalty per type ({types.n})"))
-        else:
-            _validate_penalties(
-                types, um.penalties, game.allow_discontinuous, report, "/utility/penalties"
-            )
+        _check_values(
+            types, um.v, (types.n, actions.m), um.penalties, game.allow_discontinuous, report, "/utility"
+        )
     elif um.kind == "tabulated_grid":
-        if um.resolution is None or um.resolution < 1:
-            report.errors.append(("/utility/resolution", "resolution must be a positive integer"))
-        elif types.n:
-            expected = (types.n, actions.m, SimplexGrid(types.n, um.resolution).size)
+        try:
+            # an empty type space is reported at /types
+            size = SimplexGrid(max(types.n, 1), um.resolution).size
+        except ValueError as exc:
+            report.errors.append(("/utility/resolution", str(exc)))
+            size = None
+        if size is not None and types.n:
+            expected = (types.n, actions.m, size)
             if um.values is None or um.values.shape != expected:
                 got = None if um.values is None else um.values.shape
                 report.errors.append(("/utility/values", f"expected shape {expected}, got {got}"))
@@ -555,48 +552,35 @@ class PrivacyReport:
 def classify_privacy(game: PerceptionGame, mode: str, tol: float = WEAK_TOL) -> PrivacyReport:
     if mode not in ("upper", "lower"):
         raise ValueError(f"mode must be 'upper' or 'lower', got {mode!r}")
+    _check_tol(tol)
     rows: list[TypePrivacy] = []
     for t in range(game.n):
         if game.utility.kind == "additive_separable":
             pr = game.penalty_range_of(t)
             if mode == "upper":
-                gap = game.w(t, game.prior.p) - pr.min
-                better = pr.argmin
+                gap, better = game.w(t, game.prior.p) - pr.min, pr.argmin
             else:
-                gap = pr.max - game.w(t, game.chi(t).p)
-                better = pr.argmax
-            holds = bool(gap <= tol)
-            rows.append(
-                TypePrivacy(
-                    label=game.types.labels[t],
-                    holds=holds,
-                    gap=float(gap),
-                    witness_action=None,
-                    witness_belief=None if holds else better,
-                )
-            )
+                gap, better = pr.max - game.w(t, game.chi(t).p), pr.argmax
+            action = None
         else:
-            worst_gap = -np.inf
-            worst_a = 0
-            worst_belief = None
+            # the action with the largest gap, the first on ties
+            gap, action, better = -np.inf, None, None
             for a in range(game.m):
                 r = game.u_range(t, a)
                 if mode == "upper":
-                    gap = r.max - game.u(t, a, game.prior.p)
-                    better = r.argmax
+                    gap_a, better_a = r.max - game.u(t, a, game.prior.p), r.argmax
                 else:
-                    gap = game.u(t, a, game.chi(t).p) - r.min
-                    better = r.argmin
-                if gap > worst_gap:
-                    worst_gap, worst_a, worst_belief = gap, a, better
-            holds = bool(worst_gap <= tol)
-            rows.append(
-                TypePrivacy(
-                    label=game.types.labels[t],
-                    holds=holds,
-                    gap=float(worst_gap),
-                    witness_action=game.actions.labels[worst_a] if not holds else None,
-                    witness_belief=None if holds else worst_belief,
-                )
+                    gap_a, better_a = game.u(t, a, game.chi(t).p) - r.min, r.argmin
+                if gap_a > gap:
+                    gap, action, better = gap_a, game.actions.labels[a], better_a
+        holds = bool(gap <= tol)
+        rows.append(
+            TypePrivacy(
+                label=game.types.labels[t],
+                holds=holds,
+                gap=float(gap),
+                witness_action=None if holds else action,
+                witness_belief=None if holds else better,
             )
+        )
     return PrivacyReport(mode=mode, holds=all(r.holds for r in rows), per_type=tuple(rows))

@@ -31,6 +31,14 @@ BOUND_SLACK = 1e-12
 # ``share_pair`` widens the low corner of a share down, the high one up
 _WIDEN = np.array([1.0 - BOUND_SLACK, 1.0 + BOUND_SLACK])
 
+
+def _check_tol(tol: float, nonnegative: bool = False) -> None:
+    """Raise ``ValueError`` naming ``tol`` when it is NaN (it fails every
+    comparison, this one too), or negative where ``nonnegative``."""
+    if not tol >= (0.0 if nonnegative else -np.inf):
+        raise ValueError(f"tol must be {'a nonnegative number' if nonnegative else 'a number'}, got {tol!r}")
+
+
 __all__ = [
     "SUM_TOL",
     "WEAK_TOL",
@@ -227,16 +235,18 @@ class SimplexGrid:
 
     Points are generated in lexicographic order of the integer
     compositions (first coordinate ascending), so "first point" is a
-    deterministic tie-break everywhere grids are scanned.
+    deterministic tie-break everywhere grids are scanned. ``resolution``
+    is a Python or numpy integer of at least 1, not a bool (2.5, 2.0 and
+    True raise ``ValueError``): the library's one resolution rule.
     """
 
     def __init__(self, n: int, resolution: int):
         if n < 1:
             raise ValueError("need at least one label")
+        if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
+            raise ValueError("resolution must be a positive integer")
         self.n = n
         self.resolution = int(resolution)
-        if self.resolution < 1:
-            raise ValueError("resolution must be a positive integer")
         self._points: np.ndarray | None = None
 
     @property

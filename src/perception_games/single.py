@@ -30,8 +30,8 @@ from .kernels import (
     screen_profiles,
     sweep_profile_gains,
 )
-from .model import PerceptionGame, PrivacyReport, classify_privacy
-from .simplex import WEAK_TOL, Belief, SimplexGrid, consistency_errors, distributions, posterior
+from .model import ActionSpace, PerceptionGame, PrivacyReport, classify_privacy
+from .simplex import WEAK_TOL, Belief, SimplexGrid, _check_tol, consistency_errors, distributions, posterior
 
 __all__ = [
     "Strategy",
@@ -54,6 +54,27 @@ __all__ = [
 ]
 
 
+def _pure_rows(space: ActionSpace, actions, n: int, who: str = "") -> np.ndarray:
+    """``np.eye(m)[rows]``: the pure profile of both game kinds that plays
+    ``actions[t]`` (a label or an index) at type ``t``. Errors start with
+    ``who``, a player's name and a space, when one is given."""
+    if len(actions) != n:
+        raise ValueError(f"{who}needs one action per type ({n})" if who else f"need one action per type ({n})")
+    rows = [space.index(a) if isinstance(a, str) else int(a) for a in actions]
+    for a, row in zip(actions, rows):
+        if not 0 <= row < space.m:
+            raise ValueError(f"{who}action {a!r} is not in range({space.m})")
+    return np.eye(space.m)[rows]
+
+
+def _pure_actions(sigma: np.ndarray) -> tuple[int, ...] | None:
+    """Each type's action under the strategy rows ``sigma``, or None
+    unless every entry is 0 or 1 (a mixed profile)."""
+    if not ((sigma == 0.0) | (sigma == 1.0)).all():
+        return None
+    return tuple(np.argmax(sigma, axis=1).tolist())
+
+
 class Strategy:
     """Per-type mixed action, stored as an (n, m) row-stochastic array."""
 
@@ -66,27 +87,17 @@ class Strategy:
 
     @classmethod
     def pure(cls, game: PerceptionGame, actions: Sequence[int | str]) -> "Strategy":
-        if len(actions) != game.n:
-            raise ValueError(f"need one action per type ({game.n})")
-        arr = np.zeros((game.n, game.m))
-        for t, a in enumerate(actions):
-            ai = game.actions.index(a) if isinstance(a, str) else int(a)
-            if not 0 <= ai < game.m:
-                raise ValueError(f"action {a!r} is not in range({game.m})")
-            arr[t, ai] = 1.0
-        return cls(game, arr)
+        return cls(game, _pure_rows(game.actions, actions, game.n))
 
     @property
     def is_pure(self) -> bool:
-        return bool(((self.sigma == 0.0) | (self.sigma == 1.0)).all())
+        return self.pure_actions() is not None
 
     def support(self, t: int) -> list[int]:
         return [a for a in range(self.sigma.shape[1]) if self.sigma[t, a] > 0.0]
 
     def pure_actions(self) -> tuple[int, ...] | None:
-        if not self.is_pure:
-            return None
-        return tuple(int(np.argmax(self.sigma[t])) for t in range(self.sigma.shape[0]))
+        return _pure_actions(self.sigma)
 
     def describe(self) -> dict[str, dict[str, float]]:
         out: dict[str, dict[str, float]] = {}
@@ -343,6 +354,17 @@ def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> CodeRang
     return CodeRange(0, total)
 
 
+def _step_resolution(step: float) -> int:
+    """The grid resolution ``1 / step``, checked before any work: a
+    ``ValueError`` unless ``step`` is the reciprocal of a positive integer."""
+    # a NaN, infinite, nonpositive or subnormal step leaves resolution 0
+    inverse = 1.0 / step if 0.0 < step < np.inf else 0.0
+    resolution = round(inverse) if np.isfinite(inverse) else 0
+    if abs(step * resolution - 1.0) > 1e-9 or resolution < 1:
+        raise ValueError(f"step must be the reciprocal of a positive integer, got {step!r}")
+    return resolution
+
+
 def _cap(value, name: str) -> int:
     """The cap ``value`` as an int; a ``ValueError`` naming ``name``
     unless it is an integer (a float, NaN included, or a bool is not)."""
@@ -420,11 +442,7 @@ def search_mixed_equilibria(
     max_survivors = _cap(max_survivors, "max_survivors")
     if max_survivors < 0:
         raise ValueError(f"max_survivors must be nonnegative, got {max_survivors!r}")
-    # a NaN, infinite, nonpositive or subnormal step leaves resolution 0
-    inverse = 1.0 / step if 0.0 < step < np.inf else 0.0
-    resolution = round(inverse) if np.isfinite(inverse) else 0
-    if abs(step * resolution - 1.0) > 1e-9 or resolution < 1:
-        raise ValueError(f"step must be the reciprocal of a positive integer, got {step!r}")
+    resolution = _step_resolution(step)
     grid = SimplexGrid(game.m, resolution)
     G = grid.size
     if G > max_profiles:
@@ -593,6 +611,9 @@ class LegislationReport:
 
 
 def legislation_welfare(game: PerceptionGame, tol: float = WEAK_TOL) -> LegislationReport:
+    """Each type's best actions at the prior, those within ``tol`` of the
+    best; a NaN or negative ``tol`` keeps none, and raises ``ValueError``."""
+    _check_tol(tol, nonnegative=True)
     payoffs = np.empty(game.n)
     best_actions: list[tuple[str, ...]] = []
     chosen: list[str] = []

@@ -54,8 +54,8 @@ from .model import (
 from .penalties import PenaltySpec, penalty_batch
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
-from .simplex import WEAK_TOL, _posteriors, consistency_errors, distributions
-from .single import _cap, payoff_and_gain
+from .simplex import WEAK_TOL, _check_tol, _posteriors, consistency_errors, distributions
+from .single import _cap, _pure_actions, _pure_rows, payoff_and_gain
 
 __all__ = [
     "TwoPlayerStrategy",
@@ -77,6 +77,12 @@ def _per_player(entries, what: str) -> None:
         raise ValueError(f"{what} needs 2 per-player entries, got {len(entries)}")
 
 
+def _distributions(values, shapes, what: str) -> tuple:
+    """Each player's rows ``values[i]`` as ``simplex.distributions`` checks
+    them, with shape ``shapes[i]``; errors name "player i what"."""
+    return tuple(distributions(values[i], shape, f"player {i} {what}") for i, shape in enumerate(shapes))
+
+
 class TwoPlayerStrategy:
     """Pair of row-stochastic arrays, one row per own type."""
 
@@ -84,34 +90,18 @@ class TwoPlayerStrategy:
 
     def __init__(self, game: TwoPlayerPerceptionGame, sigmas) -> None:
         _per_player(sigmas, "a two-player strategy")
-        self.sigmas = tuple(
-            distributions(sigmas[i], (ps.types.n, ps.actions.m), f"player {i} strategy")
-            for i, ps in enumerate(game.players)
-        )
+        self.sigmas = _distributions(sigmas, [(ps.types.n, ps.actions.m) for ps in game.players], "strategy")
 
     @classmethod
     def pure(cls, game: TwoPlayerPerceptionGame, actions) -> "TwoPlayerStrategy":
         _per_player(actions, "a pure two-player profile")
-        sigmas = []
-        for i, ps in enumerate(game.players):
-            if len(actions[i]) != ps.types.n:
-                raise ValueError(f"player {i} needs one action per type ({ps.types.n})")
-            arr = np.zeros((ps.types.n, ps.actions.m))
-            for t, a in enumerate(actions[i]):
-                ai = ps.actions.index(a) if isinstance(a, str) else int(a)
-                if not 0 <= ai < ps.actions.m:
-                    raise ValueError(f"player {i} action {a!r} is not in range({ps.actions.m})")
-                arr[t, ai] = 1.0
-            sigmas.append(arr)
-        return cls(game, sigmas)
+        return cls(game, [
+            _pure_rows(ps.actions, actions[i], ps.types.n, f"player {i} ") for i, ps in enumerate(game.players)
+        ])
 
     def pure_actions(self) -> tuple[tuple[int, ...], ...] | None:
-        out = []
-        for arr in self.sigmas:
-            if not (((arr == 0.0) | (arr == 1.0)).all()):
-                return None
-            out.append(tuple(int(np.argmax(arr[t])) for t in range(arr.shape[0])))
-        return tuple(out)
+        out = tuple(_pure_actions(sigma) for sigma in self.sigmas)
+        return None if None in out else out
 
 
 class TwoPlayerPerceptions:
@@ -121,22 +111,15 @@ class TwoPlayerPerceptions:
 
     def __init__(self, game: TwoPlayerPerceptionGame, taus) -> None:
         _per_player(taus, "two-player perceptions")
-        self.taus = tuple(
-            distributions(
-                taus[i],
-                (ps.types.n, game.players[1 - i].types.n, ps.actions.m, ps.types.n),
-                f"player {i} perceptions",
-            )
-            for i, ps in enumerate(game.players)
-        )
+        pairs = zip(game.players, game.players[::-1])
+        shapes = [(ps.types.n, opp.types.n, ps.actions.m, ps.types.n) for ps, opp in pairs]
+        self.taus = _distributions(taus, shapes, "perceptions")
 
 
 def _beliefs(game: TwoPlayerPerceptionGame) -> tuple[np.ndarray, np.ndarray]:
     """Both players' belief rows, checked as probability distributions."""
-    return tuple(
-        distributions(ps.beliefs, (ps.types.n, game.players[1 - i].types.n), f"player {i} beliefs")
-        for i, ps in enumerate(game.players)
-    )
+    shapes = [(ps.types.n, opp.types.n) for ps, opp in zip(game.players, game.players[::-1])]
+    return _distributions([ps.beliefs for ps in game.players], shapes, "beliefs")
 
 
 def _fold(beliefs_i: np.ndarray, inner: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -415,8 +398,10 @@ def enumerate_pure_bne(
     is folded into payoffs instead: the counterfactual where actions
     go unobserved and perceptions stay put. Ties are kept (weak best
     replies); ``strict`` marks profiles where every type's reply is the
-    unique maximizer beyond ``tol``.
+    unique maximizer beyond ``tol``. A NaN ``tol`` would keep every
+    profile, and raises ``ValueError`` first.
     """
+    _check_tol(tol)
     beliefs = _beliefs(game)
     profiles = _pure_profiles(game, max_profiles)
     vals, weak, strict = [], [], []

@@ -1,4 +1,6 @@
+import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,10 @@ from perception_games.docio import (
     save_game,
     to_document,
 )
+from perception_games.experiments import scan_alpha
 from perception_games.fixtures import blog, get_fixture
+from perception_games.model import UtilityModel
+from perception_games.penalties import PenaltySpec
 from perception_games.single import (
     PerceptionMap,
     Strategy,
@@ -139,6 +144,20 @@ class TestEquilibria:
         assert doc["survivor_count"] == 3
         assert sorted(e["label"] for e in doc["survivors"]) == ["pool:L", "pool:R", "separating"]
 
+    def test_mixed_text_lists_twenty_survivors(self, tmp_path, capsys):
+        # with no values and no penalties every one of the 3**4 profiles
+        # is an equilibrium
+        game = replace(
+            get_fixture("majority_default"),
+            utility=UtilityModel(kind="additive_separable", v=np.zeros((4, 2)), penalties=(PenaltySpec.zero(),) * 4),
+        )
+        path = tmp_path / "flat.json"
+        save_game(game, path)
+        assert main(["equilibria", "--game", str(path), "--mode", "mixed", "--step", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "min max-gain 0; 81 survivors"
+        assert len(lines) == 2 + 20 + 1 and lines[-1] == "... and 61 more"
+
     def test_grid_flag_overrides_step(self, blog_path, capsys):
         assert main(
             ["equilibria", "--game", blog_path, "--mode", "mixed", "--grid", "4", "--format", "json"]
@@ -180,6 +199,14 @@ class TestPoolingPrivacy:
         assert main(["pooling", "--game", two_player_path, "--mode", "upper"]) == 1
         assert main(["privacy", "--game", two_player_path, "--mode", "lower"]) == 1
 
+    def test_no_pooling_text(self, tmp_path, capsys):
+        path = tmp_path / "lsc.json"
+        save_game(get_fixture("counterexample_lsc"), path)
+        assert main(["pooling", "--game", str(path), "--mode", "lower"]) == 0
+        assert capsys.readouterr().out == (
+            "no full-pooling equilibrium (lower); per-type sets: l: {L}; r: {R}\n"
+        )
+
 
 class TestWelfare:
     def test_single_json(self, blog_path, capsys):
@@ -210,6 +237,15 @@ class TestMajorityScan:
         with pytest.raises(SystemExit) as exc:
             main(["majority-scan", "--game", blog_path])
         assert exc.value.code == 1
+
+    def test_bound_violations_text(self, monkeypatch, capsys):
+        # the majority family has none, so the scan's report is edited
+        def scan(*args, **kwargs):
+            return replace(scan_alpha(*args, **kwargs), bound_violations=(0.75,))
+
+        monkeypatch.setattr(cli, "scan_alpha", scan)
+        assert main(["majority-scan", "--alphas", "0.75"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "bound violations at: 0.75"
 
     def test_bad_alpha_spec(self, capsys):
         assert main(["majority-scan", "--alphas", "0:1:0"]) == 1
@@ -286,6 +322,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["equilibria", "--frobnicate"])
         assert exc.value.code == 1
+
+    def test_unexpected_exception_is_an_internal_error(self, blog_path, monkeypatch, capsys):
+        def boom(path):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "load_game", boom)
+        assert main(["validate", "--game", blog_path]) == 2
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -467,6 +511,13 @@ def _readme_session() -> list[tuple[list[str], list[str]]]:
         elif steps:
             steps[-1][1].append(line)
     return steps
+
+
+def test_readme_synopsis_names_every_subcommand():
+    text = README.read_text().split("## Command line", 1)[1].split("```")[1]
+    named = {line.split()[1] for line in text.splitlines() if line.startswith("pgame ")}
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert named == set(sub.choices)
 
 
 def test_readme_session_replays(tmp_path, monkeypatch, capsys):

@@ -218,6 +218,17 @@ class TestOutOfRangeNumbers:
             parse_game(doc)
         assert [p for p, _ in exc.value.errors] == ["/utility/values"]
 
+    @pytest.mark.parametrize("resolution", [2.5, 2.0, True, 0, "2", None])
+    def test_bad_resolution_reported_by_the_validator(self, resolution):
+        doc = to_document(tabulate(get_fixture("blog"), 2))
+        if resolution is None:
+            del doc["utility"]["resolution"]
+        else:
+            doc["utility"]["resolution"] = resolution
+        with pytest.raises(GameFormatError) as exc:
+            parse_game(doc)
+        assert exc.value.errors == (("/utility/resolution", "resolution must be a positive integer"),)
+
     def test_booleans_and_strings_are_not_numbers(self):
         doc = to_document(get_fixture("blog"))
         doc["utility"]["v"][0][0] = True

@@ -351,6 +351,17 @@ class TestScanAlpha:
         with pytest.raises(ValueError, match=f"^{message}$"):
             scan_alpha(default_majority_family(), alphas)
 
+    @pytest.mark.parametrize("step", [0.3, 0.0, float("nan"), -0.5])
+    def test_bad_mixed_step_rejected_before_any_work(self, monkeypatch, step):
+        # alpha 0.1's pure enumeration ran before the search saw the step
+        def fail(*args, **kwargs):
+            raise AssertionError("built or solved a game")
+
+        monkeypatch.setattr(MajorityFamily, "spec_for", fail)
+        monkeypatch.setattr(experiments, "enumerate_pure_equilibria", fail)
+        with pytest.raises(ValueError, match="^step must be the reciprocal of a positive integer, got"):
+            scan_alpha(default_majority_family(), [0.1, 0.2], mixed_step=step)
+
     def test_tied_alphas_are_ascending(self):
         rep = scan_alpha(default_majority_family(), [0.75, 0.75])
         assert [r.alpha for r in rep.rows] == [0.75, 0.75]
@@ -428,6 +439,15 @@ class TestWelfare:
         best = rep.equilibria_payoffs[rep.all_types_strictly_better.index(True)]
         assert best == ((5.0, 3.0), (5.0, 3.0))
 
+    @pytest.mark.parametrize("tol", [float("nan"), -0.1])
+    def test_welfare_rejects_a_bad_tol(self, monkeypatch, tol):
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(experiments, "enumerate_pure_equilibria", fail)
+        with pytest.raises(ValueError, match="^tol must be a nonnegative number"):
+            welfare_report(blog(), tol=tol)
+
     def test_no_strict_baseline_disables_comparison(self):
         g = two_player_game()
         g = with_player(g, 1, v=np.zeros_like(g.players[1].v))
@@ -483,6 +503,16 @@ class TestCounterexampleCheck:
         monkeypatch.setattr(experiments, "search_mixed_equilibria", unreachable)
         with pytest.raises(ValueError, match="epsilons must be finite and nonnegative"):
             counterexample_check(counterexample_usc(), strategy_step=0.25, epsilons=(bad, 0.1))
+
+    def test_bad_step_rejected_before_any_work(self, monkeypatch):
+        # the whole pure sweep ran before the search saw the step
+        def fail(*args, **kwargs):
+            raise AssertionError("swept")
+
+        for name in ("pack_game", "_sweep", "search_mixed_equilibria"):
+            monkeypatch.setattr(experiments, name, fail)
+        with pytest.raises(ValueError, match=r"^step must be the reciprocal of a positive integer, got 0\.3$"):
+            counterexample_check(counterexample_lsc(), strategy_step=0.3)
 
     def test_tight_eps_not_reached_on_coarse_grid(self):
         rep = counterexample_check(

@@ -205,6 +205,188 @@ class TestValidateGame:
         assert rep.ok, rep.errors
 
 
+_STEP_U = PenaltySpec.step([(0.4, 0.6, 1.0, True, True)], over=("u",))
+_GHOST = PenaltySpec.piecewise_linear(((0, 0), (1, 1)), over=("ghost",))
+_TABULATED = UtilityModel(kind="tabulated_grid", resolution=4, values=np.zeros((2, 2, 5)))
+
+
+class TestValidationErrorLists:
+    """Every error of a faulty game, in order: the per-player checks of a
+    two-player game run in the single game's order under /players/i."""
+
+    @pytest.mark.parametrize(
+        "make, errors",
+        [
+            (
+                lambda: with_player(
+                    two_player_game(), 0, types=TypeSpace.plain(("u", "u")), actions=ActionSpace.plain(("U", "U"))
+                ),
+                [
+                    ("/players/0/types", "type labels must be unique and nonempty"),
+                    ("/players/0/actions", "action labels must be unique and nonempty"),
+                ],
+            ),
+            (
+                lambda: with_player(two_player_game(), 1, v=np.full((2, 2, 2, 2), np.nan)),
+                [("/players/1/v", "entries must be finite")],
+            ),
+            (
+                lambda: with_player(two_player_game(), 1, actions=ActionSpace.plain(())),
+                [
+                    ("/players/0/v", "expected shape (2, 2, 2, 0), got (2, 2, 2, 2)"),
+                    ("/players/1/actions", "action labels must be unique and nonempty"),
+                    ("/players/1/v", "expected shape (2, 2, 0, 2), got (2, 2, 2, 2)"),
+                ],
+            ),
+            (
+                lambda: with_player(two_player_game(), 1, penalties=(PenaltySpec.zero(),)),
+                [("/players/1/penalties", "expected one penalty per type (2)")],
+            ),
+            # missing arrays raised AttributeError
+            (
+                lambda: with_player(two_player_game(), 0, beliefs=None, v=None),
+                [
+                    ("/players/0/beliefs", "expected shape (2, 2), got None"),
+                    ("/players/0/v", "expected shape (2, 2, 2, 2), got None"),
+                ],
+            ),
+            (
+                lambda: with_player(two_player_game(), 0, penalties=(_STEP_U, _STEP_U)),
+                [
+                    (f"/players/0/penalties/{t}", "discontinuous penalty requires the game's allow_discontinuous flag")
+                    for t in range(2)
+                ],
+            ),
+            (
+                lambda: with_player(two_player_game(), 0, penalties=(PenaltySpec(kind="bogus"), PenaltySpec.zero())),
+                [
+                    (
+                        "/players/0/penalties/0",
+                        "unknown penalty kind 'bogus', expected one of ('zero', 'tv_to_prior', "
+                        "'exposure', 'piecewise_linear_marginal', 'step_marginal')",
+                    ),
+                    ("/players/0/penalties/0", "penalty kind 'bogus' is not supported here"),
+                ],
+            ),
+            (
+                lambda: with_player(
+                    with_player(
+                        two_player_game(),
+                        0,
+                        types=TypeSpace.plain(("u", "u")),
+                        v=np.full((2, 2, 2, 2), np.inf),
+                        penalties=(_GHOST, _STEP_U),
+                    ),
+                    1,
+                    actions=ActionSpace.plain(("L", "L")),
+                    beliefs=np.array([[np.nan, 1.0], [0.5, 0.6]]),
+                    penalties=(),
+                ),
+                [
+                    ("/players/0/types", "type labels must be unique and nonempty"),
+                    ("/players/0/v", "entries must be finite"),
+                    ("/players/0/penalties/0", "marginal_over label 'ghost' is not a type label"),
+                    ("/players/0/penalties/1", "discontinuous penalty requires the game's allow_discontinuous flag"),
+                    ("/players/1/actions", "action labels must be unique and nonempty"),
+                    ("/players/1/beliefs/0", "row is not a probability distribution"),
+                    ("/players/1/beliefs/1", "row is not a probability distribution"),
+                    ("/players/1/penalties", "expected one penalty per type (2)"),
+                ],
+            ),
+            (
+                lambda: PerceptionGame(
+                    types=TypeSpace.plain(("a", "a")),
+                    actions=ActionSpace.plain(()),
+                    prior=[1.0],
+                    utility=UtilityModel(kind="additive_separable", v=np.zeros((3, 3)), penalties=(PenaltySpec.zero(),)),
+                ),
+                [
+                    ("/types", "type labels must be unique and nonempty"),
+                    ("/actions", "action labels must be unique and nonempty"),
+                    ("/prior", "expected 2 entries, got 1"),
+                    ("/utility/v", "expected shape (2, 0), got (3, 3)"),
+                    ("/utility/penalties", "expected one penalty per type (2)"),
+                ],
+            ),
+            (
+                lambda: replace(blog(), utility=UtilityModel(kind="additive_separable", penalties=(PenaltySpec.zero(),) * 2)),
+                [("/utility/v", "expected shape (2, 2), got None")],
+            ),
+            (
+                lambda: replace(blog(), utility=UtilityModel(kind="additive_separable", v=np.eye(2))),
+                [("/utility/penalties", "expected one penalty per type (2)")],
+            ),
+            (
+                lambda: replace(
+                    blog(),
+                    utility=UtilityModel(
+                        kind="additive_separable", v=np.array([[np.nan, 0.0], [0.0, 0.0]]), penalties=(_STEP_U, _GHOST)
+                    ),
+                ),
+                [
+                    ("/utility/v", "entries must be finite"),
+                    ("/utility/penalties/0", "marginal_over label 'u' is not a type label"),
+                    ("/utility/penalties/0", "discontinuous penalty requires the game's allow_discontinuous flag"),
+                    ("/utility/penalties/1", "marginal_over label 'ghost' is not a type label"),
+                ],
+            ),
+            (
+                lambda: replace(blog(), utility=replace(_TABULATED, values=np.full((2, 2, 5), np.nan))),
+                [("/utility/values", "entries must be finite")],
+            ),
+            (
+                lambda: replace(blog(), utility=replace(_TABULATED, resolution=3)),
+                [("/utility/values", "expected shape (2, 2, 4), got (2, 2, 5)")],
+            ),
+            (
+                lambda: replace(blog(), utility=replace(_TABULATED, resolution=0)),
+                [("/utility/resolution", "resolution must be a positive integer")],
+            ),
+            (
+                lambda: replace(blog(), utility=replace(_TABULATED, resolution=None)),
+                [("/utility/resolution", "resolution must be a positive integer")],
+            ),
+            # accepted before, and the solvers then raised TypeError
+            (
+                lambda: replace(blog(), utility=replace(_TABULATED, resolution=2.5)),
+                [("/utility/resolution", "resolution must be a positive integer")],
+            ),
+            (
+                lambda: replace(blog(), utility=replace(_TABULATED, resolution=2.0)),
+                [("/utility/resolution", "resolution must be a positive integer")],
+            ),
+            # read as resolution 1, and reported as a values shape error
+            (
+                lambda: replace(blog(), utility=replace(_TABULATED, resolution=True)),
+                [("/utility/resolution", "resolution must be a positive integer")],
+            ),
+            (
+                lambda: PerceptionGame(
+                    types=TypeSpace.plain(()),
+                    actions=ActionSpace.plain(("a",)),
+                    prior=[1.0],
+                    utility=UtilityModel(kind="tabulated_grid", resolution=0, values=np.zeros((0, 1, 0))),
+                ),
+                [
+                    ("/types", "type labels must be unique and nonempty"),
+                    ("/prior", "expected 0 entries, got 1"),
+                    ("/utility/resolution", "resolution must be a positive integer"),
+                ],
+            ),
+            (
+                lambda: replace(blog(), utility=UtilityModel(kind="bogus")),
+                [("/utility/kind", "unknown utility kind 'bogus'")],
+            ),
+        ],
+    )
+    def test_errors(self, make, errors):
+        assert validate_game(make()).errors == errors
+
+    def test_numpy_integer_resolution_accepted(self):
+        g = replace(blog(), utility=replace(_TABULATED, resolution=np.int64(4)))
+        assert validate_game(g).ok
+
+
 class TestTwoPlayerModel:
     def test_w_uses_observer_prior(self):
         # player 0's penalty is judged against what the observing
@@ -332,6 +514,18 @@ class TestPrivacy:
         with pytest.raises(ValueError):
             classify_privacy(blog(), "sideways")
 
+    def test_nan_tol_rejected(self, monkeypatch):
+        # a NaN tol made every type fail: no gap is at most NaN
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated a penalty")
+
+        monkeypatch.setattr(PerceptionGame, "penalty_range_of", fail)
+        with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+            classify_privacy(blog(), "upper", tol=float("nan"))
+
+    def test_negative_tol_accepted(self):
+        assert classify_privacy(blog(), "upper", tol=-1.0).holds is False
+
 
 class TestTabulated:
     def test_lattice_vertices_exact(self):
@@ -407,3 +601,14 @@ class TestTabulated:
         tg = tabulate(g, 200)  # prior (1/2, 1/2) is a lattice point
         rep = classify_privacy(tg, "upper")
         assert rep.holds
+
+    def test_lower_privacy_on_tabulated(self):
+        # from the prior (1/4, 3/4) the farthest belief is type 0's own
+        # vertex, but not type 1's: being found out is not worst for it
+        g = _additive(np.eye(2), [PenaltySpec.tv_to_prior(1.0)] * 2, [0.25, 0.75])
+        rep = classify_privacy(tabulate(g, 4), "lower")
+        assert [r.holds for r in rep.per_type] == [True, False] and not rep.holds
+        assert [r.gap for r in rep.per_type] == [0.0, 0.5]
+        assert rep.per_type[1].witness_action == "a0"
+        assert rep.per_type[1].witness_belief == Belief([1.0, 0.0])
+        assert classify_privacy(g, "lower").holds is False

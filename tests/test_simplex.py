@@ -320,3 +320,13 @@ class TestSimplexGrid:
             SimplexGrid(2, 0)
         with pytest.raises(ValueError):
             SimplexGrid(0, 5)
+
+    @pytest.mark.parametrize("resolution", [2.5, 2.0, True, None, "2", np.float64(3.0), -1])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # 2.5 was truncated to 2 and True read as 1
+        with pytest.raises(ValueError, match="^resolution must be a positive integer$"):
+            SimplexGrid(2, resolution)
+
+    def test_numpy_integer_resolution(self):
+        grid = SimplexGrid(2, np.int64(3))
+        assert type(grid.resolution) is int and grid.size == 4

@@ -527,6 +527,53 @@ def _drawn_outcome(res):
     )
 
 
+class TestToleranceArguments:
+    """A NaN tolerance fails every comparison, and a negative one keeps no
+    tied action: each is rejected before any utility is evaluated."""
+
+    @pytest.fixture
+    def no_utility(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated a utility")
+
+        monkeypatch.setattr(PerceptionGame, "u", fail)
+        monkeypatch.setattr(PerceptionGame, "w", fail)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -0.1, -float("inf")])
+    def test_legislation_needs_a_nonnegative_tol(self, no_utility, tol):
+        # the empty tie list raised IndexError
+        with pytest.raises(ValueError, match=r"^tol must be a nonnegative number, got"):
+            legislation_welfare(blog(), tol=tol)
+
+    def test_pooling_rejects_nan_tol(self, no_utility):
+        # a NaN tol found full pooling where the default finds none
+        with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+            pooling_check(default_majority_family().game_for(0.5), "lower", tol=float("nan"))
+
+    def test_negative_tol_keeps_pooling_valid(self):
+        assert pooling_check(blog(), "upper", tol=-1.0).exists is False
+        assert legislation_welfare(blog(), tol=float("inf")).best_actions == (("L", "R"), ("L", "R"))
+
+
+class TestSearchArguments:
+    def test_grid_beyond_int64_codes_rejected(self, monkeypatch):
+        # 1001**7 profiles: more codes than an int64 holds, though the
+        # per-type grid fits max_profiles
+        game = PerceptionGame(
+            types=TypeSpace.plain(tuple(f"t{i}" for i in range(7))),
+            actions=ActionSpace.plain(("a", "b")),
+            prior=[1 / 7] * 7,
+            utility=UtilityModel(kind="additive_separable", v=np.zeros((7, 2)), penalties=(PenaltySpec.zero(),) * 7),
+        )
+
+        def fail(*args, **kwargs):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(single, "reduce_profile_gains", fail)
+        with pytest.raises(ValueError, match=f"profile grid of size {1001 ** 7} cannot be indexed"):
+            search_mixed_equilibria(game, step=0.001)
+
+
 class TestSubsampledSearch:
     """A subsampled search equals ``reference_mixed_search`` on the same
     seeded draw: the full gains of every draw, reduced. The kernel runs

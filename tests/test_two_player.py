@@ -183,6 +183,18 @@ class TestWeakenedPenaltyVariant:
 
 
 class TestPureBNE:
+    def test_nan_tol_rejected(self, monkeypatch):
+        # a NaN tol kept all 16 pure pairs, each marked strict
+        def fail(*args, **kwargs):
+            raise AssertionError("read the beliefs")
+
+        monkeypatch.setattr(two_player, "_beliefs", fail)
+        with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+            enumerate_pure_bne(two_player_game(), tol=float("nan"))
+
+    def test_negative_tol_keeps_nothing(self):
+        assert enumerate_pure_bne(two_player_game(), tol=-1.0) == []
+
     def test_two_profiles_with_strictness_split(self):
         reports = enumerate_pure_bne(two_player_game())
         by_acts = {r.actions: r for r in reports}
@@ -260,6 +272,12 @@ class TestPureStrategyInput:
     def test_wrong_profile_length_raises(self, actions):
         with pytest.raises(ValueError, match="player 0 needs one action per type"):
             TwoPlayerStrategy.pure(two_player_game(), actions)
+
+    def test_pure_actions_of_a_mixed_profile_is_none(self):
+        g = two_player_game()
+        assert TwoPlayerStrategy.pure(g, (("U", "D"), (1, 0))).pure_actions() == ((0, 1), (1, 0))
+        # player 0 pure, player 1 mixed
+        assert TwoPlayerStrategy(g, [np.eye(2), np.full((2, 2), 0.5)]).pure_actions() is None
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_pure_needs_one_profile_per_player(self, count):
