@@ -29,13 +29,14 @@ from .model import (
     UtilityModel,
 )
 from .penalties import PenaltySpec, bind, penalty_value
-from .simplex import WEAK_TOL, Belief, posterior
+from .simplex import WEAK_TOL, Belief, _check_tol, posterior
 from .single import (
     EquilibriumReport,
     LegislationReport,
     MixedSearchResult,
     PerceptionMap,
     Strategy,
+    _mixed_searches,
     _pure_codes,
     _step_resolution,
     _sweep,
@@ -377,12 +378,18 @@ def scan_alpha(
     """One row per alpha of ``alphas``, which must be nonempty and
     ascending (ties allowed): ``alpha_hat`` and the monotonicity check
     read the rows in that order. Raises ValueError otherwise, or for a
-    ``mixed_step`` the mixed search rejects, before any game is built.
+    NaN ``tol`` or a ``mixed_step`` the mixed search rejects, before any
+    game is built.
 
     With ``mixed_step``, a row's ``mixed_survivors`` is the mixed
     search's ``survivor_count``: the profiles the kernel screens within
-    ``tol``, whose gains are the exact oracle's bit for bit. The search
-    runs with ``max_survivors=0``, so no survivor report is built."""
+    ``tol``, whose gains are the exact oracle's bit for bit. The games
+    are built first, and their searches run in one ``_mixed_searches``
+    call with ``max_survivors=0``, so no survivor report is built: the
+    games of the scan differ in their prior only (but for the endpoints,
+    whose zero-mass types are dropped), so one cell screen serves them
+    all, each keeping the cells of its own search."""
+    _check_tol(tol)
     if mixed_step is not None:
         _step_resolution(mixed_step)
     alphas = [float(a) for a in alphas]
@@ -392,30 +399,25 @@ def scan_alpha(
         # NaN fails this comparison too
         if not a <= b:
             raise ValueError(f"alphas must be ascending, got {b!r} after {a!r}")
+    specs = [family.spec_for(alpha) for alpha in alphas]
+    games = [spec.to_game() for spec in specs]
+    searches = [None] * len(games)
+    if mixed_step is not None:
+        searches = _mixed_searches(games, mixed_step, tol, seed, max_survivors=0)
+    bound = separation_uniqueness_bound(specs[0])
     rows: list[AlphaRow] = []
-    bound = None
-    for alpha in alphas:
-        spec = family.spec_for(alpha)
-        game = spec.to_game()
-        if bound is None:
-            bound = separation_uniqueness_bound(spec)
+    for alpha, spec, game, search in zip(alphas, specs, games, searches):
         found = enumerate_pure_equilibria(game, tol)
-        labels = tuple(r.label for r in found)
         separating = [r for r in found if r.label == "separating"]
-        mixed_survivors = None
-        if mixed_step is not None:
-            mixed_survivors = search_mixed_equilibria(
-                game, step=mixed_step, tol=tol, seed=seed, max_survivors=0
-            ).survivor_count
         rows.append(
             AlphaRow(
                 alpha=alpha,
                 n_equilibria=len(found),
-                labels=labels,
+                labels=tuple(r.label for r in found),
                 separating_present=bool(separating),
                 separation_unique=len(found) == 1 and bool(separating),
                 margin_ok=check_separation_margin(spec).holds,
-                mixed_survivors=mixed_survivors,
+                mixed_survivors=None if search is None else search.survivor_count,
                 payoffs=tuple(tuple(float(x) for x in r.payoffs) for r in found),
             )
         )
@@ -554,6 +556,7 @@ def counterexample_check(
     tol: float = WEAK_TOL,
     seed: int | None = None,
 ) -> NonexistenceReport:
+    _check_tol(tol)
     _step_resolution(strategy_step)
     # the rule of ``pgame --eps``; NaN fails the comparison too
     bad = [eps for eps in epsilons if not 0.0 <= eps < np.inf]

@@ -407,10 +407,10 @@ def _check_labels(types: TypeSpace, actions: ActionSpace, report: ValidationRepo
 
 def _check_values(
     types: TypeSpace, v, shape: tuple[int, ...], penalties, allow_discontinuous: bool,
-    report: ValidationReport, base: str, allowed_kinds: tuple[str, ...] | None = None,
+    report: ValidationReport, base: str,
 ) -> None:
     """One player's ``v`` (``shape``, finite) and penalties (one valid
-    spec per type); a discontinuous one clears ``report.continuous``."""
+    spec per type)."""
     if v is None or v.shape != shape:
         got = None if v is None else v.shape
         report.errors.append((f"{base}/v", f"expected shape {shape}, got {got}"))
@@ -423,26 +423,16 @@ def _check_values(
         path = f"{base}/penalties/{t}"
         for msg in validate_spec(spec):
             report.errors.append((path, msg))
-        if allowed_kinds is not None and spec.kind not in allowed_kinds:
-            report.errors.append(
-                (path, f"penalty kind {spec.kind!r} is not supported here")
-            )
         if spec.kind in MARGINAL_KINDS and spec.marginal_over:
             for label in spec.marginal_over:
                 if label not in types.labels:
                     report.errors.append(
                         (path, f"marginal_over label {label!r} is not a type label")
                     )
-        if not spec.is_continuous:
-            report.continuous = False
-            if not allow_discontinuous:
-                report.errors.append(
-                    (
-                        path,
-                        "discontinuous penalty requires the game's "
-                        "allow_discontinuous flag",
-                    )
-                )
+        if not spec.is_continuous and not allow_discontinuous:
+            report.errors.append(
+                (path, "discontinuous penalty requires the game's allow_discontinuous flag")
+            )
 
 
 def validate_game(game) -> ValidationReport:
@@ -456,7 +446,9 @@ def validate_game(game) -> ValidationReport:
     also check factored labels, the prior's length and a tabulated
     utility's resolution (``SimplexGrid``'s rule) and values; two-player
     games check each belief row (``simplex.distributions``). The errors
-    come out in that order, player by player.
+    come out in that order, player by player, each fault once. Only a
+    report without errors fills ``continuous`` and ``lipschitz_l1``;
+    one with errors keeps their defaults, for both game kinds.
     """
     report = ValidationReport()
     if isinstance(game, TwoPlayerPerceptionGame):
@@ -479,10 +471,13 @@ def validate_game(game) -> ValidationReport:
             # the prior-anchored kind reads the observer's belief here
             _check_values(
                 ps.types, ps.v, shape + (ps.actions.m, other.actions.m), ps.penalties,
-                game.allow_discontinuous, report, base, ("zero", "tv_to_prior", "exposure") + MARGINAL_KINDS,
+                game.allow_discontinuous, report, base,
             )
-        lips = [p.lipschitz_l1() for ps in game.players for p in ps.penalties]
-        report.lipschitz_l1 = None if None in lips else max(lips, default=0.0)
+        if report.ok:
+            specs = [p for ps in game.players for p in ps.penalties]
+            lips = [p.lipschitz_l1() for p in specs]
+            report.continuous = all(p.is_continuous for p in specs)
+            report.lipschitz_l1 = None if None in lips else max(lips, default=0.0)
         return report
 
     types, actions = game.types, game.actions

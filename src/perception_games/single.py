@@ -20,10 +20,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kernels import (
+    CellCodes,
     CodeDraws,
     CodeRange,
     GamePack,
     _raise_free_rows,
+    _screen_key,
     decode_profiles,
     pack_game,
     reduce_profile_gains,
@@ -338,8 +340,9 @@ def enumerate_pure_equilibria(
     """All pure type-contingent profiles completable into an equilibrium.
 
     Profiles are scanned in lexicographic order with type 0 the most
-    significant position.
+    significant position. A NaN ``tol`` is rejected before any work.
     """
+    _check_tol(tol)
     codes = _pure_codes(game, max_profiles)
     return _sweep(game, pack_game(game), np.eye(game.m), codes, tol).survivors
 
@@ -424,8 +427,8 @@ def search_mixed_equilibria(
     survivors are the first ``max_survivors`` of them in code order (in
     draw order for a subsample), rebuilt and confirmed by the exact
     ``profile_report``, so kernel rounding never decides membership. A
-    negative ``max_survivors``, and a cap that is not an integer, is
-    rejected before any work.
+    NaN ``tol``, a negative ``max_survivors``, and a cap that is not an
+    integer, is rejected before any work.
 
     The kernel reduces as it sweeps (``kernels.reduce_profile_gains``):
     it keeps the least gain with its first code and the codes within
@@ -437,55 +440,101 @@ def search_mixed_equilibria(
     the screen, so no array as long as the sweep is built, and the
     results are those of the full gains bit for bit. The game is packed
     once per call, and a grid's cell tree is built once.
+
+    This is the one-game case of ``_mixed_searches``, which runs several
+    games' searches with one cell screen for the games that differ in
+    their prior only, each with this call's results.
     """
+    return _mixed_searches([game], step, tol, seed, max_profiles, max_survivors)[0]
+
+
+def _mixed_searches(
+    games: Sequence[PerceptionGame],
+    step: float = 0.05,
+    tol: float = WEAK_TOL,
+    seed: int | None = None,
+    max_profiles: int = 2_000_000,
+    max_survivors: int = 10_000,
+) -> list[MixedSearchResult]:
+    """``search_mixed_equilibria`` of each of ``games``, field by field,
+    with every argument checked before any work.
+
+    The additive games whose grids are swept whole are grouped by what
+    the cell bound reads of them but the prior (``kernels._screen_key``),
+    and each group is screened once (``screen_profiles`` on its packs):
+    a batch of cells of several games costs one ``cell_lower_bound``
+    call, and each game keeps the leaves and the seed of its own screen.
+    Each game's kernel sweep, and a second screen when it keeps no
+    survivor, run on their own (``_screened_sweep``), as do a subsample
+    (each from its own generator seeded with ``seed``) and a tabulated
+    game's grid."""
+    _check_tol(tol)
     max_profiles = _cap(max_profiles, "max_profiles")
     max_survivors = _cap(max_survivors, "max_survivors")
     if max_survivors < 0:
         raise ValueError(f"max_survivors must be nonnegative, got {max_survivors!r}")
     resolution = _step_resolution(step)
-    grid = SimplexGrid(game.m, resolution)
-    G = grid.size
-    if G > max_profiles:
-        raise ValueError(
-            f"the step-{step!r} grid has {G} points per type, more than "
-            f"max_profiles={max_profiles}"
-        )
-    pts = grid.points()
-    total = G ** game.n
-    pack = pack_game(game)
-    subsampled = total > max_profiles
-    if subsampled:
-        rng = np.random.default_rng(seed)
-        if total > np.iinfo(np.int64).max:
+    grids: dict[int, np.ndarray] = {}
+    for game in games:
+        if game.m not in grids:
+            grid = SimplexGrid(game.m, resolution)
+            if grid.size > max_profiles:
+                raise ValueError(
+                    f"the step-{step!r} grid has {grid.size} points per type, more than "
+                    f"max_profiles={max_profiles}"
+                )
+            grids[game.m] = grid.points()
+    totals = [len(grids[game.m]) ** game.n for game in games]
+    for total in totals:
+        if total > max_profiles and total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
-        codes = CodeDraws(rng, total, max_profiles)
-        swept, evaluated = _sweep(game, pack, pts, codes, tol, max_survivors), max_profiles
-    elif game.utility.kind == "tabulated_grid":
-        codes = CodeRange(0, total)
-        swept, evaluated = _sweep(game, pack, pts, codes, tol, max_survivors), total
-    else:
-        swept, evaluated = _screened_sweep(game, pack, pts, tol, max_survivors)
-    return MixedSearchResult(
-        step=step,
-        resolution=resolution,
-        total=total,
-        swept=max_profiles if subsampled else total,
-        evaluated=evaluated,
-        subsampled=subsampled,
-        min_max_gain=swept.least,
-        argmin=Strategy(game, decode_profiles(pts, swept.code, game.n)),
-        survivors=tuple(swept.survivors),
-        survivor_count=swept.count,
-        truncated=swept.count > max_survivors,
-    )
+    packs = [pack_game(game) for game in games]
+    swept = [None] * len(games)  # (_Swept, codes evaluated) per game
+    groups: dict[tuple, list[int]] = {}
+    for i, (game, pack, total) in enumerate(zip(games, packs, totals)):
+        pts = grids[game.m]
+        if total > max_profiles:
+            codes = CodeDraws(np.random.default_rng(seed), total, max_profiles)
+            swept[i] = _sweep(game, pack, pts, codes, tol, max_survivors), max_profiles
+        elif game.utility.kind == "tabulated_grid":
+            swept[i] = _sweep(game, pack, pts, CodeRange(0, total), tol, max_survivors), total
+        else:
+            groups.setdefault(_screen_key(pack), []).append(i)
+    for members in groups.values():
+        pts = grids[games[members[0]].m]
+        screens = screen_profiles([packs[i] for i in members], pts, tol)
+        for i, screen in zip(members, screens):
+            swept[i] = _screened_sweep(games[i], packs[i], pts, tol, max_survivors, screen)
+    return [
+        MixedSearchResult(
+            step=step,
+            resolution=resolution,
+            total=total,
+            swept=min(total, max_profiles),
+            evaluated=evaluated,
+            subsampled=total > max_profiles,
+            min_max_gain=found.least,
+            argmin=Strategy(game, decode_profiles(grids[game.m], found.code, game.n)),
+            survivors=tuple(found.survivors),
+            survivor_count=found.count,
+            truncated=found.count > max_survivors,
+        )
+        for game, total, (found, evaluated) in zip(games, totals, swept)
+    ]
 
 
 def _screened_sweep(
-    game: PerceptionGame, pack: GamePack, pts: np.ndarray, tol: float, max_survivors: int
+    game: PerceptionGame,
+    pack: GamePack,
+    pts: np.ndarray,
+    tol: float,
+    max_survivors: int,
+    screen: tuple[CellCodes, int],
 ) -> tuple[_Swept, int]:
     """``_sweep`` over the whole grid ``pts`` of an additive game, run on
-    the profiles the cell screen keeps, and how many codes the kernel
-    evaluated.
+    the profiles its cell screen at ``tol`` kept (``screen``, the kept
+    leaves and the seed of ``screen_profiles``), and how many codes the
+    kernel evaluated.
 
     A pruned profile's gain is above ``tol``, so the survivors and their
     count are the whole sweep's, and so are the least gain and its
@@ -503,7 +552,7 @@ def _screened_sweep(
     first kept nothing, the seed lies in a leaf of the second (a cell's
     bound is at most the seed's gain): it is evaluated there again and
     counted once."""
-    kept, seed = screen_profiles(pack, pts, tol)
+    kept, seed = screen
     swept = _sweep(game, pack, pts, kept, tol, max_survivors)
     if seed < 0 or swept.count:
         return swept, kept.size

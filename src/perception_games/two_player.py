@@ -322,8 +322,10 @@ def enumerate_pure_equilibria_2p(
     minimum under the player's own action, the penalty maximum for
     deviations. One batched screen gives every pair's maximum gain;
     ``_pure_pair_reports`` builds the pairs within ``tol`` in one batch,
-    and each is kept when its report confirms it.
+    and each is kept when its report confirms it. A NaN ``tol`` is
+    rejected before any work.
     """
+    _check_tol(tol)
     beliefs = _beliefs(game)
     profiles = _pure_profiles(game, max_profiles)
     kept = np.nonzero(_pure_pair_gains(game, beliefs, profiles) <= tol)

@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from perception_games import experiments
+from perception_games import experiments, kernels
 from perception_games.experiments import (
     MajorityFamily,
     SeparableGameSpec,
@@ -367,6 +368,22 @@ class TestScanAlpha:
         assert [r.alpha for r in rep.rows] == [0.75, 0.75]
         assert rep.alpha_hat == 0.75
 
+    def test_nan_tol_rejected_before_any_game(self, monkeypatch):
+        # a NaN tol kept nothing: every row read 0 equilibria and 0
+        # survivors, and alpha_hat None
+        def fail(*args, **kwargs):
+            raise AssertionError("built or solved a game")
+
+        monkeypatch.setattr(MajorityFamily, "spec_for", fail)
+        for name in ("enumerate_pure_equilibria", "_mixed_searches"):
+            monkeypatch.setattr(experiments, name, fail)
+        with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+            scan_alpha(default_majority_family(), (0.2, 0.6), tol=float("nan"), mixed_step=0.25)
+
+    def test_negative_tol_is_valid(self):
+        rep = scan_alpha(default_majority_family(), (0.2, 0.6), tol=-1.0, mixed_step=0.25)
+        assert [(r.n_equilibria, r.mixed_survivors) for r in rep.rows] == [(0, 0), (0, 0)]
+
 
 MAJORITY_ALPHAS = [round(0.05 * i, 10) for i in range(21)]
 
@@ -414,6 +431,37 @@ class TestCountOnlyScan:
             assert len(full.survivors) == full.survivor_count
             assert row == replace(bare, mixed_survivors=full.survivor_count)
         assert any(r.mixed_survivors for r in rep.rows)
+
+
+class TestBatchedScan:
+    """The scan's mixed searches share their cell screens: the 19 inner
+    alphas, which differ in the prior only, are bounded together, and
+    each endpoint on its own."""
+
+    def test_cell_bound_calls(self, monkeypatch):
+        cells = []
+        real = kernels.cell_lower_bound
+
+        def spy(pack, box):
+            cells.append(box.shape[3])
+            return real(pack, box)
+
+        monkeypatch.setattr(kernels, "cell_lower_bound", spy)
+        rep = scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
+        assert [r.mixed_survivors for r in rep.rows] == [5] + [3] * 10 + [1] * 10
+        # one call per game and level bounded 2,872 cells in 59 calls
+        assert len(cells) <= 9 and sum(cells) == 2_872
+
+    def test_traced_peak(self):
+        """The batched screen's arrays stay within the per-call cap of
+        cells: the scan's traced peak measured 1.44 MiB."""
+        tracemalloc.start()
+        try:
+            scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestWelfare:
@@ -513,6 +561,16 @@ class TestCounterexampleCheck:
             monkeypatch.setattr(experiments, name, fail)
         with pytest.raises(ValueError, match=r"^step must be the reciprocal of a positive integer, got 0\.3$"):
             counterexample_check(counterexample_lsc(), strategy_step=0.3)
+
+    def test_nan_tol_rejected_before_any_work(self, monkeypatch):
+        # the pure sweep ran on a NaN tol before the search was reached
+        def fail(*args, **kwargs):
+            raise AssertionError("swept")
+
+        for name in ("pack_game", "_sweep", "search_mixed_equilibria"):
+            monkeypatch.setattr(experiments, name, fail)
+        with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+            counterexample_check(counterexample_lsc(), strategy_step=0.25, tol=float("nan"))
 
     def test_tight_eps_not_reached_on_coarse_grid(self):
         rep = counterexample_check(

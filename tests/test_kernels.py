@@ -1027,6 +1027,119 @@ class TestRootSkip:
             assert codes.tobytes() == want_codes.tobytes(), limit
 
 
+def _with_priors(game, priors) -> list[PerceptionGame]:
+    """``game`` at each of ``priors``: a family that differs in the prior only."""
+    um = game.utility
+    return [_game(np.asarray(p, dtype=np.float64), um.v, um.penalties) for p in priors]
+
+
+def _screen_groups(packs) -> list[list[int]]:
+    """The packs' indices grouped by ``_screen_key``, by first member."""
+    groups: dict[tuple, list[int]] = {}
+    for i, pack in enumerate(packs):
+        groups.setdefault(kernels._screen_key(pack), []).append(i)
+    return list(groups.values())
+
+
+def _assert_batched_screen(games, resolution, limits=SCREEN_LIMITS + ROOT_LIMITS) -> list[list[int]]:
+    """Each group of ``games`` screened in one call keeps, per game, the
+    cells in the order and the seed of ``screen_profiles`` on that game
+    alone, and the codes and the seed of ``helpers.reference_screen``;
+    the groups are returned."""
+    pts = SimplexGrid(games[0].m, resolution).points()
+    packs = [pack_game(g) for g in games]
+    groups = _screen_groups(packs)
+    for limit in limits:
+        for members in groups:
+            batched = kernels.screen_profiles([packs[i] for i in members], pts, limit)
+            assert len(batched) == len(members)
+            for i, (kept, seed) in zip(members, batched):
+                alone, alone_seed = kernels.screen_profiles(packs[i], pts, limit)
+                want, want_seed = reference_screen(packs[i], pts, limit)
+                assert seed == alone_seed == want_seed, (limit, i)
+                np.testing.assert_array_equal(kept.cells, alone.cells)
+                assert [c.tolist() for c in kept.chunks(97)] == [c.tolist() for c in alone.chunks(97)]
+                assert np.asarray(kept).tobytes() == want.tobytes(), (limit, i)
+    return groups
+
+
+def _exposure_eight_type_game() -> PerceptionGame:
+    """``eight_type_game`` with exposure in place of ``tv_to_prior``, so
+    that its priors share one screen."""
+    game = eight_type_game()
+    pens = [
+        PenaltySpec.exposure(p.weight) if p.kind == "tv_to_prior" else p for p in game.utility.penalties
+    ]
+    return _game(game.prior.p, game.utility.v, pens)
+
+
+class TestBatchedScreen:
+    """A list of packs that differ in the prior only is screened in one
+    pass, each game keeping what its own screen keeps, in the same order
+    and with the same seed."""
+
+    def test_majority_alphas(self):
+        """The 19 inner alphas share one screen; the endpoints, whose
+        zero-mass types are dropped, have two types and a screen each."""
+        family = default_majority_family()
+        games = [family.game_for(round(0.05 * i, 10)) for i in range(21)]
+        groups = _assert_batched_screen(games, 20, (1e-9, 0.0, -1.0))
+        assert groups == [[0], list(range(1, 20)), [20]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        game=additive_catalog_games(),
+        counts=st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=2, max_size=4),
+        data=st.data(),
+    )
+    def test_catalog_families(self, game, counts, data):
+        """Priors drawn with zero-mass types; a family without a
+        ``tv_to_prior`` penalty is one group, one with it a group per
+        distinct prior."""
+        priors = [np.array(c[: game.n], dtype=np.float64) for c in counts if any(c[: game.n])]
+        if len(priors) < 2:
+            priors = [np.ones(game.n), np.eye(game.n)[0]]
+        priors = [p / p.sum() for p in priors]
+        games = _with_priors(game, priors)
+        resolution = data.draw(st.integers(1, _max_resolution(game, 3_000)))
+        groups = _assert_batched_screen(games, resolution)
+        if all(pen.kind != "tv_to_prior" for pen in game.utility.penalties):
+            assert groups == [list(range(len(games)))]
+        else:
+            distinct = {p.tobytes(): None for p in priors}
+            assert len(groups) == len(distinct)
+
+    def test_zero_prior_family(self):
+        game = _game([0.5, 0.5, 0.0], zero_prior_game().utility.v, [
+            PenaltySpec.exposure(1.0),
+            PenaltySpec.exposure(0.75),
+            PenaltySpec.piecewise_linear(((0.0, 0.0), (0.5, 1.5), (1.0, 0.5)), over=("t2",)),
+        ])
+        priors = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]
+        assert _assert_batched_screen(_with_priors(game, priors), 4) == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize(
+        "resolution, limits", [(1, SCREEN_LIMITS + ROOT_LIMITS), (2, (0.05,))]
+    )
+    def test_eight_types(self, resolution, limits):
+        """Eight summands per type sum, where numpy's pairwise summation
+        would part from index order."""
+        game = _exposure_eight_type_game()
+        priors = [game.prior.p, dyadic_prior(np.random.default_rng(3), 8)]
+        assert _assert_batched_screen(_with_priors(game, priors), resolution, limits) == [[0, 1]]
+
+    def test_tv_to_prior_family_does_not_share_a_screen(self):
+        """A ``tv_to_prior`` penalty is anchored at the prior, so games of
+        different priors are screened apart, and a list of them is
+        rejected; the same prior twice shares one screen."""
+        game = tied_prior_tv_game()
+        games = _with_priors(game, [game.prior.p, [0.25] * 4, game.prior.p])
+        assert _assert_batched_screen(games, 4) == [[0, 2], [1]]
+        pts = SimplexGrid(2, 4).points()
+        with pytest.raises(ValueError, match="differ in their prior only"):
+            kernels.screen_profiles([pack_game(g) for g in games], pts, 0.05)
+
+
 def _assert_bound_is_reference(game, pts, cells):
     tree = kernels.grid_tree(pts)
     pack = pack_game(game)

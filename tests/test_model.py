@@ -265,7 +265,6 @@ class TestValidationErrorLists:
                         "unknown penalty kind 'bogus', expected one of ('zero', 'tv_to_prior', "
                         "'exposure', 'piecewise_linear_marginal', 'step_marginal')",
                     ),
-                    ("/players/0/penalties/0", "penalty kind 'bogus' is not supported here"),
                 ],
             ),
             (
@@ -385,6 +384,34 @@ class TestValidationErrorLists:
     def test_numpy_integer_resolution_accepted(self):
         g = replace(blog(), utility=replace(_TABULATED, resolution=np.int64(4)))
         assert validate_game(g).ok
+
+
+class TestValidationFields:
+    """Both game kinds fill ``continuous`` and ``lipschitz_l1`` only in a
+    report without errors."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # lipschitz_l1 read 2.2 next to the error
+            lambda: with_player(two_player_game(), 1, v=np.full((2, 2, 2, 2), np.nan)),
+            lambda: with_player(two_player_game(), 0, penalties=(_STEP_U, _STEP_U)),
+            lambda: _additive(np.eye(2), [_STEP_U, _STEP_U], [0.5, 0.5], labels=("u", "d")),
+        ],
+    )
+    def test_a_report_with_errors_keeps_the_defaults(self, make):
+        rep = validate_game(make())
+        assert rep.errors
+        assert (rep.continuous, rep.lipschitz_l1) == (True, None)
+
+    def test_a_clean_report_fills_both_fields(self):
+        rep = validate_game(two_player_game())
+        assert (rep.continuous, rep.lipschitz_l1) == (True, 2.2)
+        stepped = replace(with_player(two_player_game(), 0, penalties=(_STEP_U, _STEP_U)), allow_discontinuous=True)
+        rep = validate_game(stepped)
+        assert rep.ok and (rep.continuous, rep.lipschitz_l1) == (False, None)
+        rep = validate_game(counterexample_lsc())
+        assert rep.ok and (rep.continuous, rep.lipschitz_l1) == (False, None)
 
 
 class TestTwoPlayerModel:

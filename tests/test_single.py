@@ -463,14 +463,16 @@ class TestScreenedSearch:
 
     @staticmethod
     def _screens(monkeypatch) -> list:
-        """Records each screen's limit and how many codes it kept."""
+        """Records each game's screen: its limit and how many codes it
+        kept. A screen of a list of packs records one entry per pack."""
         screens = []
         screen = single.screen_profiles
 
-        def spy(pack, pts, limit):
-            codes, seed = screen(pack, pts, limit)
-            screens.append((limit, codes.size))
-            return codes, seed
+        def spy(packs, pts, limit):
+            out = screen(packs, pts, limit)
+            for codes, _ in [out] if isinstance(out, tuple) else out:
+                screens.append((limit, codes.size))
+            return out
 
         monkeypatch.setattr(single, "screen_profiles", spy)
         return screens
@@ -515,6 +517,68 @@ class TestScreenedSearch:
         assert not tab.subsampled and tab.evaluated == tab.swept == tab.total == 25
 
 
+def _fields(res):
+    """Every field of a search result as bits, survivors' reports whole."""
+    return (
+        (res.step, res.resolution, res.total, res.swept, res.evaluated, res.subsampled),
+        res.min_max_gain.hex(),
+        res.argmin.sigma.tobytes(),
+        [
+            (
+                rep.strategy.sigma.tobytes(),
+                rep.perceptions.tau.tobytes(),
+                rep.payoffs.tobytes(),
+                rep.gains.tobytes(),
+                rep.max_gain.hex(),
+                rep.label,
+                rep.clamped,
+            )
+            for rep in res.survivors
+        ],
+        res.survivor_count,
+        res.truncated,
+    )
+
+
+class TestMixedSearches:
+    """``_mixed_searches`` gives each game what its own
+    ``search_mixed_equilibria`` gives, field by field, with one screen
+    for the games that differ in the prior only."""
+
+    @pytest.mark.parametrize("cap", [0, 2, 10_000])
+    def test_each_game_as_searched_alone(self, monkeypatch, cap):
+        family = default_majority_family()
+        games = [
+            family.game_for(0.3),
+            zero_prior_game(),  # 231**3 profiles: subsampled
+            family.game_for(0.0),
+            tabulate(blog(), 8),
+            counterexample_lsc(),  # no survivor: a second screen
+            blog(),
+            family.game_for(0.7),
+            family.game_for(1.0),
+        ]
+        args = dict(step=0.05, tol=1e-9, seed=7, max_profiles=200_000, max_survivors=cap)
+        alone = [search_mixed_equilibria(g, **args) for g in games]
+        screened = []
+        screen = single.screen_profiles
+
+        def spy(packs, pts, limit):
+            screened.append(1 if isinstance(packs, kernels.GamePack) else len(packs))
+            return screen(packs, pts, limit)
+
+        monkeypatch.setattr(single, "screen_profiles", spy)
+        together = single._mixed_searches(games, **args)
+        assert [_fields(r) for r in together] == [_fields(r) for r in alone]
+        assert [r.subsampled for r in together] == [False, True] + [False] * 6
+        assert together[4].survivor_count == 0 and together[4].evaluated < together[4].total
+        # the inner alphas share a screen; counterexample_lsc screens twice
+        assert sorted(screened) == [1, 1, 1, 1, 1, 2]
+
+    def test_no_games(self):
+        assert single._mixed_searches([]) == []
+
+
 def _drawn_outcome(res):
     """``_outcome`` for a subsampled search, with what it swept."""
     return (
@@ -549,6 +613,28 @@ class TestToleranceArguments:
         # a NaN tol found full pooling where the default finds none
         with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
             pooling_check(default_majority_family().game_for(0.5), "lower", tol=float("nan"))
+
+    def test_searches_reject_nan_tol(self, monkeypatch):
+        # a NaN tol kept no profile, so every search reported none
+        def fail(*args, **kwargs):
+            raise AssertionError("packed a game or built its codes")
+
+        monkeypatch.setattr(single, "pack_game", fail)
+        monkeypatch.setattr(single, "_pure_codes", fail)
+        nan = float("nan")
+        for run in (
+            lambda: search_mixed_equilibria(blog(), 0.25, tol=nan),
+            lambda: single._mixed_searches([blog(), counterexample_lsc()], 0.25, tol=nan),
+            lambda: enumerate_pure_equilibria(blog(), nan),
+        ):
+            with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+                run()
+
+    def test_negative_tol_keeps_searches_valid(self):
+        assert enumerate_pure_equilibria(blog(), -1.0) == []
+        res = search_mixed_equilibria(blog(), 0.25, tol=-1.0)
+        assert res.survivor_count == 0
+        assert res.min_max_gain == search_mixed_equilibria(blog(), 0.25).min_max_gain
 
     def test_negative_tol_keeps_pooling_valid(self):
         assert pooling_check(blog(), "upper", tol=-1.0).exists is False

@@ -233,6 +233,20 @@ class TestPureBNE:
         assert all(not r.strict for r in reports)
 
 
+class TestPureEquilibriaTol:
+    def test_nan_tol_rejected(self, monkeypatch):
+        # a NaN tol kept no pair, so the game read as having none
+        def fail(*args, **kwargs):
+            raise AssertionError("read the beliefs")
+
+        monkeypatch.setattr(two_player, "_beliefs", fail)
+        with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+            enumerate_pure_equilibria_2p(two_player_game(), tol=float("nan"))
+
+    def test_negative_tol_keeps_nothing(self):
+        assert enumerate_pure_equilibria_2p(two_player_game(), tol=-1.0) == []
+
+
 class TestNonFiniteBeliefs:
     """Every entry point checks both players' belief rows first."""
 
