@@ -1043,9 +1043,10 @@ def _screen_groups(packs) -> list[list[int]]:
 
 def _assert_batched_screen(games, resolution, limits=SCREEN_LIMITS + ROOT_LIMITS) -> list[list[int]]:
     """Each group of ``games`` screened in one call keeps, per game, the
-    cells in the order and the seed of ``screen_profiles`` on that game
-    alone, and the codes and the seed of ``helpers.reference_screen``;
-    the groups are returned."""
+    cells (in their order, which is the ``CellCodes`` chunk order) and
+    the seed of ``screen_profiles`` on that game alone, and the codes
+    and the seed of ``helpers.reference_screen``; the groups are
+    returned."""
     pts = SimplexGrid(games[0].m, resolution).points()
     packs = [pack_game(g) for g in games]
     groups = _screen_groups(packs)
@@ -1058,7 +1059,6 @@ def _assert_batched_screen(games, resolution, limits=SCREEN_LIMITS + ROOT_LIMITS
                 want, want_seed = reference_screen(packs[i], pts, limit)
                 assert seed == alone_seed == want_seed, (limit, i)
                 np.testing.assert_array_equal(kept.cells, alone.cells)
-                assert [c.tolist() for c in kept.chunks(97)] == [c.tolist() for c in alone.chunks(97)]
                 assert np.asarray(kept).tobytes() == want.tobytes(), (limit, i)
     return groups
 
