@@ -261,7 +261,7 @@ def build_separating_equilibrium(
         post = posterior(game.prior.p, sigma[:, a])
         for t in range(n):
             tau[t, a] = game.chi(t).p if post is None else post
-    return game, Strategy(game, sigma), PerceptionMap(game, tau)
+    return game, Strategy._built(game, sigma), PerceptionMap._built(game, tau)
 
 
 def separation_uniqueness_bound(spec: SeparableGameSpec) -> float:
@@ -422,21 +422,15 @@ def scan_alpha(
             )
         )
     alpha_hat = None
-    for i in range(len(rows) - 1, -1, -1):
-        if rows[i].separation_unique:
-            alpha_hat = rows[i].alpha
-        else:
+    for r in reversed(rows):
+        if not r.separation_unique:
             break
+        alpha_hat = r.alpha
     bound_violations = tuple(
         r.alpha for r in rows if r.alpha > bound + 1e-12 and not r.separation_unique
     )
-    mono: list[float] = []
-    seen_unique = False
-    for r in rows:
-        if r.separation_unique:
-            seen_unique = True
-        elif seen_unique:
-            mono.append(r.alpha)
+    first = next((k for k, r in enumerate(rows) if r.separation_unique), len(rows))
+    mono = [r.alpha for r in rows[first:] if not r.separation_unique]
     return AlphaScanReport(
         rows=tuple(rows),
         alpha_hat=alpha_hat,
@@ -497,30 +491,17 @@ def welfare_report_2p(
 ) -> TwoPlayerWelfareReport:
     eqs = enumerate_pure_equilibria_2p(game, tol)
     bne = enumerate_pure_bne(game, fold_prior_penalty=True, tol=tol)
-    eq_pay = tuple(
-        (tuple(float(x) for x in r.payoffs[0]), tuple(float(x) for x in r.payoffs[1]))
-        for r in eqs
-    )
-    base_pay = tuple(
-        (tuple(float(x) for x in r.payoffs[0]), tuple(float(x) for x in r.payoffs[1]))
-        for r in bne
+    eq_pay, base_pay = (
+        tuple(tuple(tuple(map(float, pay)) for pay in r.payoffs) for r in reps) for reps in (eqs, bne)
     )
     strict_flags = tuple(r.strict for r in bne)
-    strict_idx = None
-    if sum(strict_flags) == 1:
-        strict_idx = strict_flags.index(True)
+    strict_idx = strict_flags.index(True) if sum(strict_flags) == 1 else None
     better = None
     if strict_idx is not None:
         ref = base_pay[strict_idx]
-        flags = []
-        for pay in eq_pay:
-            ok = all(
-                pay[i][t] > ref[i][t] + tol
-                for i in range(2)
-                for t in range(len(ref[i]))
-            )
-            flags.append(ok)
-        better = tuple(flags)
+        better = tuple(
+            all(pay[i][t] > ref[i][t] + tol for i in range(2) for t in range(len(ref[i]))) for pay in eq_pay
+        )
     return TwoPlayerWelfareReport(
         equilibria_payoffs=eq_pay,
         baseline_payoffs=base_pay,
@@ -581,7 +562,7 @@ def counterexample_check(
         witness[float(eps)] = sweep.argmin if hit else None
     return NonexistenceReport(
         pure_min_gain=pure.least,
-        pure_argmin=Strategy(game, decode_profiles(vertices, pure.code, game.n)),
+        pure_argmin=Strategy._built(game, decode_profiles(vertices, pure.code, game.n)),
         pure_equilibrium_exists=bool(pure.survivors),
         sweep=sweep,
         eps_equilibrium_found=found,

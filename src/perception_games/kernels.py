@@ -125,9 +125,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import PerceptionGame
+from .model import PerceptionGame, _interpolate
 from .penalties import Penalty, penalty_batch, stacked_bounds
-from .simplex import BOUND_SLACK, _posteriors, lattice_rank
+from .simplex import BOUND_SLACK, _posteriors
 
 __all__ = [
     "GamePack",
@@ -280,35 +280,6 @@ def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndar
     for t in range(rows.shape[0]):
         rows[t] = _penalized(pack, t, beliefs)
     return on, rows
-
-
-def _interpolate(mu: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
-    """``PerceptionGame.u`` of a tabulated game, bitwise, at the beliefs
-    ``mu``, in the steps of ``model._interp_vertices``. ``mu`` is batch
-    first, ``(B, A, n)``, and so is the result, ``(B, m, n)``:
-    ``_utility_rows`` passes and takes back transposed views. A
-    zero-weight vertex may leave the lattice: its rank is clipped into
-    range, and it adds ``0 * value``, which leaves the sum as skipping
-    it does."""
-    n, m, size = values.shape
-    d = n - 1
-    z = np.clip(k * np.cumsum(mu[..., ::-1], axis=-1)[..., :d][..., ::-1], 0.0, float(k))
-    base = np.floor(z)
-    frac = z - base
-    order = np.argsort(-frac, axis=-1, kind="stable")
-    sfrac = np.take_along_axis(frac, order, axis=-1)
-    vertex = base.astype(np.int64)
-    # values.flat[offset[a, t] + i] is values[t, a, i]
-    offset = (np.arange(n) * m + np.arange(m)[:, None]) * size
-    weight = 1.0 - sfrac[..., 0] if d else np.ones(mu.shape[:-1])
-    acc = np.zeros(mu.shape[:-2] + (m, n))
-    for i in range(d + 1):
-        rank = np.clip(lattice_rank(vertex, k), 0, size - 1)
-        acc = acc + weight[..., None] * np.take(values, offset + rank[..., None])
-        if i < d:
-            vertex = vertex + (order[..., i : i + 1] == np.arange(d))
-            weight = sfrac[..., i] - (sfrac[..., i + 1] if i + 1 < d else 0.0)
-    return acc
 
 
 class _ColumnTable(NamedTuple):

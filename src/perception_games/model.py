@@ -149,40 +149,33 @@ class UtilityModel:
             object.__setattr__(self, "penalties", tuple(self.penalties))
 
 
-def _interp_vertices(mu: np.ndarray, resolution: int) -> list[tuple[int, float]]:
-    """Lattice indices and barycentric weights for the point ``mu``.
-
-    Works in suffix-sum coordinates ``z_j = k * sum(mu[j:])`` where the
-    simplex becomes the cone ``k >= z_1 >= ... >= z_{n-1} >= 0``; the
-    standard triangulation of the unit cube then never picks a vertex
-    outside the cone with positive weight (stable tie-breaks keep the
-    earlier coordinate first, matching the cone's ordering).
-    """
-    n = mu.size
-    k = resolution
-    if n == 1:
-        return [(0, 1.0)]
-    z = np.clip(k * np.cumsum(mu[::-1])[::-1][1:], 0.0, float(k))
+def _interpolate(mu: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """``values`` (types, actions, lattice points) at the beliefs ``mu``
+    ``(..., A, n)``, one per action, as ``(..., A, types)``: the one body
+    of ``PerceptionGame.u`` and the kernel's tabulated rows. In suffix sums
+    ``z_j = k * sum(mu[j:])`` the simplex is the cone ``k >= z_1 >= ... >=
+    0``, and the unit cube's standard triangulation (stable tie-breaks)
+    weights no vertex outside it. Terms are summed from 0.0; a zero-weight
+    vertex's rank is clipped into range and adds ``0 * value``."""
+    types, m, size = values.shape
+    d = mu.shape[-1] - 1
+    z = np.clip(k * np.cumsum(mu[..., ::-1], axis=-1)[..., :d][..., ::-1], 0.0, float(k))
     base = np.floor(z)
     frac = z - base
-    order = np.argsort(-frac, kind="stable")
-    d = n - 1
-    out: list[tuple[int, float]] = []
-
-    def push(vertex: np.ndarray, weight: float) -> None:
-        if weight <= 0.0:
-            return
-        out.append((int(lattice_rank(vertex.astype(np.int64), k)), weight))
-
-    sorted_frac = frac[order]
-    vertex = base.copy()
-    push(vertex, 1.0 - float(sorted_frac[0]) if d > 0 else 1.0)
-    for i in range(d):
-        vertex = vertex.copy()
-        vertex[order[i]] += 1.0
-        nxt = float(sorted_frac[i + 1]) if i + 1 < d else 0.0
-        push(vertex, float(sorted_frac[i]) - nxt)
-    return out
+    order = np.argsort(-frac, axis=-1, kind="stable")
+    sfrac = np.take_along_axis(frac, order, axis=-1)
+    vertex = base.astype(np.int64)
+    # values.flat[offset[a, t] + i] is values[t, a, i]
+    offset = (np.arange(types) * m + np.arange(m)[:, None]) * size
+    weight = 1.0 - sfrac[..., 0] if d else np.ones(mu.shape[:-1])
+    acc = np.zeros(mu.shape[:-2] + (m, types))
+    for i in range(d + 1):
+        rank = np.clip(lattice_rank(vertex, k), 0, size - 1)
+        acc = acc + weight[..., None] * np.take(values, offset + rank[..., None])
+        if i < d:
+            vertex = vertex + (order[..., i : i + 1] == np.arange(d))
+            weight = sfrac[..., i] - (sfrac[..., i + 1] if i + 1 < d else 0.0)
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,11 +229,8 @@ class PerceptionGame:
     def u(self, t: int, a: int, mu) -> float:
         if self.utility.kind == "additive_separable":
             return float(self.utility.v[t, a]) - self.w(t, mu)
-        mu_arr = np.asarray(mu, dtype=np.float64)
-        acc = 0.0
-        for idx, weight in _interp_vertices(mu_arr, self.utility.resolution):
-            acc += weight * float(self.utility.values[t, a, idx])
-        return acc
+        values = self.utility.values[t : t + 1, a : a + 1]
+        return float(_interpolate(np.asarray(mu, dtype=np.float64)[None], values, self.utility.resolution)[0, 0])
 
     def penalty_range_of(self, t: int) -> Range:
         if t not in self._pranges:

@@ -8,7 +8,8 @@ Bayes update (one column or a batch), its bounds over a box of masses
 consistency check built on it, and the range record of a function over
 the simplex. Everything downstream (penalties, games, solvers) works in
 terms of these primitives; ``distributions`` is the one check of
-priors, beliefs, strategies and perception maps, ``posterior`` the one
+priors, beliefs, strategies and perception maps (``_stored`` keeps the
+rows the solvers build from checked inputs), ``posterior`` the one
 scalar Bayes update and ``_posteriors`` its one batched form.
 """
 
@@ -32,11 +33,11 @@ BOUND_SLACK = 1e-12
 _WIDEN = np.array([1.0 - BOUND_SLACK, 1.0 + BOUND_SLACK])
 
 
-def _check_tol(tol: float, nonnegative: bool = False) -> None:
-    """Raise ``ValueError`` naming ``tol`` when it is NaN (it fails every
-    comparison, this one too), or negative where ``nonnegative``."""
+def _check_tol(tol: float, nonnegative: bool = False, name: str = "tol") -> None:
+    """Raise ``ValueError`` naming ``name`` when ``tol`` is NaN (it fails
+    every comparison, this one too), or negative where ``nonnegative``."""
     if not tol >= (0.0 if nonnegative else -np.inf):
-        raise ValueError(f"tol must be {'a nonnegative number' if nonnegative else 'a number'}, got {tol!r}")
+        raise ValueError(f"{name} must be {'a nonnegative number' if nonnegative else 'a number'}, got {tol!r}")
 
 
 __all__ = [
@@ -57,15 +58,22 @@ __all__ = [
 ]
 
 
-def distributions(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A read-only float64 copy of ``values`` whose rows on the last axis
-    are probability distributions: ``shape`` as given, every entry finite
-    and at least ``-SUM_TOL`` (stored as 0.0 when below 0), and each
-    row's mass within ``WEAK_TOL`` of 1. A failure raises ``ValueError``
-    naming ``what``."""
-    arr = np.array(values, dtype=np.float64, copy=True)
+def _stored(arr: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``arr`` itself, read-only, with its shape checked and nothing else:
+    how ``distributions`` and every result object keep their rows."""
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def distributions(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values`` whose rows on the last axis
+    are probability distributions: ``shape`` as given (``_stored``), every
+    entry finite and at least ``-SUM_TOL`` (stored as 0.0 when below 0),
+    and each row's mass within ``WEAK_TOL`` of 1. A failure raises
+    ``ValueError`` naming ``what``."""
+    arr = _stored(np.array(values, dtype=np.float64), shape, what)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} has a non-finite entry")
     if (arr < -SUM_TOL).any():
@@ -75,9 +83,7 @@ def distributions(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     if (off > WEAK_TOL).any():
         total = float(totals.flat[np.argmax(off)])
         raise ValueError(f"{what} mass sums to {total!r}, expected 1")
-    arr[arr < 0.0] = 0.0
-    arr.setflags(write=False)
-    return arr
+    return _stored(np.where(arr < 0.0, 0.0, arr), shape, what)
 
 
 class Belief:

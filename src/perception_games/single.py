@@ -10,6 +10,11 @@ are pinned to Bayes posteriors, off-path beliefs are chosen freely per
 type and action, favorably for actions the type plays and adversely
 for deviations. Off-path rows use the exact utility ranges from the
 model layer, so acceptance decisions carry no grid error.
+
+Inputs are checked once, where they enter: a strategy or perception map
+by its public constructor, ``profile_report``'s ``sigma`` so too. What
+the solvers build from checked inputs (report perceptions, argmins,
+witnesses) goes through the private builder ``_Built._built`` unchecked.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .kernels import (
     sweep_profile_gains,
 )
 from .model import ActionSpace, PerceptionGame, PrivacyReport, classify_privacy
-from .simplex import WEAK_TOL, Belief, SimplexGrid, _check_tol, consistency_errors, distributions, posterior
+from .simplex import WEAK_TOL, Belief, SimplexGrid, _check_tol, _stored, consistency_errors, distributions, posterior
 
 __all__ = [
     "Strategy",
@@ -58,11 +63,11 @@ __all__ = [
 
 def _pure_rows(space: ActionSpace, actions, n: int, who: str = "") -> np.ndarray:
     """``np.eye(m)[rows]``: the pure profile of both game kinds that plays
-    ``actions[t]`` (a label or an index) at type ``t``. Errors start with
-    ``who``, a player's name and a space, when one is given."""
+    ``actions[t]`` (a label or an integer index, not a bool) at type ``t``.
+    Errors start with ``who``, a player's name and a space, when given."""
     if len(actions) != n:
         raise ValueError(f"{who}needs one action per type ({n})" if who else f"need one action per type ({n})")
-    rows = [space.index(a) if isinstance(a, str) else int(a) for a in actions]
+    rows = [space.index(a) if isinstance(a, str) else _cap(a, f"{who}action") for a in actions]
     for a, row in zip(actions, rows):
         if not 0 <= row < space.m:
             raise ValueError(f"{who}action {a!r} is not in range({space.m})")
@@ -77,19 +82,37 @@ def _pure_actions(sigma: np.ndarray) -> tuple[int, ...] | None:
     return tuple(np.argmax(sigma, axis=1).tolist())
 
 
-class Strategy:
+class _Built:
+    """Base of the result classes. A public constructor is
+    ``simplex.distributions`` (a checked copy) and then ``_fill``, which
+    checks the shape only and keeps the rows read-only; ``_built`` is
+    ``_fill`` alone, for rows built from checked inputs."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _built(cls, game, rows):
+        out = object.__new__(cls)
+        out._fill(game, rows)
+        return out
+
+
+class Strategy(_Built):
     """Per-type mixed action, stored as an (n, m) row-stochastic array."""
 
     __slots__ = ("sigma", "action_labels", "type_labels")
 
     def __init__(self, game: PerceptionGame, sigma: np.ndarray):
-        self.sigma = distributions(sigma, (game.n, game.m), "strategy")
+        self._fill(game, distributions(sigma, (game.n, game.m), "strategy"))
+
+    def _fill(self, game: PerceptionGame, sigma: np.ndarray) -> None:
+        self.sigma = _stored(sigma, (game.n, game.m), "strategy")
         self.action_labels = game.actions.labels
         self.type_labels = game.types.labels
 
     @classmethod
     def pure(cls, game: PerceptionGame, actions: Sequence[int | str]) -> "Strategy":
-        return cls(game, _pure_rows(game.actions, actions, game.n))
+        return cls._built(game, _pure_rows(game.actions, actions, game.n))
 
     @property
     def is_pure(self) -> bool:
@@ -115,13 +138,16 @@ class Strategy:
         return f"Strategy({self.describe()!r})"
 
 
-class PerceptionMap:
+class PerceptionMap(_Built):
     """Belief over types expected after each (type, action) pair."""
 
     __slots__ = ("tau", "type_labels", "action_labels")
 
     def __init__(self, game: PerceptionGame, tau: np.ndarray):
-        self.tau = distributions(tau, (game.n, game.m, game.n), "perception map")
+        self._fill(game, distributions(tau, (game.n, game.m, game.n), "perception map"))
+
+    def _fill(self, game: PerceptionGame, tau: np.ndarray) -> None:
+        self.tau = _stored(tau, (game.n, game.m, game.n), "perception map")
         self.type_labels = game.types.labels
         self.action_labels = game.actions.labels
 
@@ -149,7 +175,9 @@ def is_consistent(
     perceptions: PerceptionMap,
     tol: float = WEAK_TOL,
 ) -> ConsistencyResult:
-    """On-path perceptions must equal the Bayes posterior for every type."""
+    """On-path perceptions must equal the Bayes posterior for every type.
+    A NaN ``tol`` is rejected before any work."""
+    _check_tol(tol)
     violations = tuple(
         (game.types.labels[t], game.actions.labels[a], err)
         for t, a, err in consistency_errors(game.prior.p, strategy.sigma, perceptions.tau, tol)
@@ -199,7 +227,9 @@ def verify_equilibrium(
     eps: float = 0.0,
 ) -> VerificationResult:
     """Accept when the pair is consistent and every type's best pure
-    deviation gains at most ``eps`` (plus ``tol`` float slack)."""
+    deviation gains at most ``eps`` (plus ``tol`` float slack). A NaN
+    ``tol`` or ``eps`` is rejected before any work."""
+    _check_tol(eps, name="eps")
     cons = is_consistent(game, strategy, perceptions, tol)
     payoffs = np.empty(game.n)
     gains = np.empty(game.n)
@@ -264,8 +294,12 @@ def profile_report(
     are then raised as far as helps, capped at the type's best other
     row, by the sweep kernel's own fill (``kernels._raise_free_rows``);
     the cap keeps the accept decision exact.
+
+    ``sigma`` is checked first, and the checked rows (entries in
+    ``[-SUM_TOL, 0)`` as 0.0) are the ones evaluated and reported.
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
+    strategy = Strategy(game, sigma)
+    sigma = strategy.sigma
     n, m = game.n, game.m
     posts = [posterior(game.prior.p, sigma[:, a]) for a in range(m)]
     on = np.array([post is not None for post in posts])
@@ -289,12 +323,11 @@ def profile_report(
     payoffs = np.empty(n)
     for t in range(n):
         payoffs[t], gains[t], _ = payoff_and_gain(sigma[t], rows[t])
-    strategy = Strategy(game, sigma)
     pure = strategy.pure_actions()
     label = classify_pure_profile(game, pure) if pure is not None else "mixed"
     return EquilibriumReport(
         strategy=strategy,
-        perceptions=PerceptionMap(game, tau),
+        perceptions=PerceptionMap._built(game, tau),
         payoffs=payoffs,
         gains=gains,
         max_gain=float(gains.max()),
@@ -369,8 +402,8 @@ def _step_resolution(step: float) -> int:
 
 
 def _cap(value, name: str) -> int:
-    """The cap ``value`` as an int; a ``ValueError`` naming ``name``
-    unless it is an integer (a float, NaN included, or a bool is not)."""
+    """The cap or action index ``value`` as an int; a ``ValueError`` naming
+    ``name`` unless it is an integer (a float, NaN included, or a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -514,7 +547,7 @@ def _mixed_searches(
             evaluated=evaluated,
             subsampled=total > max_profiles,
             min_max_gain=found.least,
-            argmin=Strategy(game, decode_profiles(grids[game.m], found.code, game.n)),
+            argmin=Strategy._built(game, decode_profiles(grids[game.m], found.code, game.n)),
             survivors=tuple(found.survivors),
             survivor_count=found.count,
             truncated=found.count > max_survivors,
@@ -594,48 +627,36 @@ def pooling_check(
         raise ValueError(f"mode must be 'upper' or 'lower', got {mode!r}")
     privacy = classify_privacy(game, mode, tol)
     sets: dict[str, tuple[str, ...]] = {}
-    common: set[int] | None = None
+    shared = set(range(game.m))
     for t in range(game.n):
-        members: list[int] = []
-        for a in range(game.m):
-            ok = True
-            for a2 in range(game.m):
-                if mode == "upper":
-                    lhs = game.u_range(t, a).max
-                    rhs = game.u_range(t, a2).min
-                else:
-                    lhs = game.u(t, a, game.prior.p)
-                    rhs = game.u(t, a2, game.chi(t).p)
-                if lhs < rhs - tol:
-                    ok = False
-                    break
-            if ok:
-                members.append(a)
+        if mode == "upper":
+            own = [game.u_range(t, a).max for a in range(game.m)]
+            rival = max(game.u_range(t, a).min for a in range(game.m))
+        else:
+            own = [game.u(t, a, game.prior.p) for a in range(game.m)]
+            rival = max(game.u(t, a, game.chi(t).p) for a in range(game.m))
+        # a member's own case is below no rival's by more than tol
+        members = [a for a in range(game.m) if not own[a] < rival - tol]
         sets[game.types.labels[t]] = tuple(game.actions.labels[a] for a in members)
-        common = set(members) if common is None else (common & set(members))
-    shared = sorted(common) if common else []
+        shared &= set(members)
+    shared = sorted(shared)
     exists = bool(shared)
-    witness = None
-    witness_action = None
-    verified = None
+    witness = witness_action = verified = None
     if exists:
         a_star = shared[0]
         witness_action = game.actions.labels[a_star]
         sigma = np.zeros((game.n, game.m))
         sigma[:, a_star] = 1.0
         tau = np.empty((game.n, game.m, game.n))
-        for t in range(game.n):
-            for a in range(game.m):
-                if a == a_star:
-                    tau[t, a] = game.prior.p
-                elif mode == "upper":
-                    tau[t, a] = game.u_range(t, a).argmin.p
-                else:
-                    tau[t, a] = game.chi(t).p
-        strategy = Strategy(game, sigma)
-        perceptions = PerceptionMap(game, tau)
-        witness = (strategy, perceptions)
-        verified = verify_equilibrium(game, strategy, perceptions, tol).accepted
+        for t, a in np.ndindex(game.n, game.m):
+            if a == a_star:
+                tau[t, a] = game.prior.p
+            elif mode == "upper":
+                tau[t, a] = game.u_range(t, a).argmin.p
+            else:
+                tau[t, a] = game.chi(t).p
+        witness = (Strategy._built(game, sigma), PerceptionMap._built(game, tau))
+        verified = verify_equilibrium(game, *witness, tol).accepted
     return PoolingReport(
         mode=mode,
         exists=exists,
@@ -665,7 +686,6 @@ def legislation_welfare(game: PerceptionGame, tol: float = WEAK_TOL) -> Legislat
     _check_tol(tol, nonnegative=True)
     payoffs = np.empty(game.n)
     best_actions: list[tuple[str, ...]] = []
-    chosen: list[str] = []
     for t in range(game.n):
         vals = np.array([game.u(t, a, game.prior.p) for a in range(game.m)])
         best = float(vals.max())
@@ -674,11 +694,10 @@ def legislation_welfare(game: PerceptionGame, tol: float = WEAK_TOL) -> Legislat
             game.actions.labels[a] for a in range(game.m) if vals[a] >= best - tol
         )
         best_actions.append(ties)
-        chosen.append(ties[0])
     total = float((game.prior.p * payoffs).sum())
     return LegislationReport(
         payoffs=payoffs,
         best_actions=tuple(best_actions),
-        chosen=tuple(chosen),
+        chosen=tuple(ties[0] for ties in best_actions),
         total=total,
     )

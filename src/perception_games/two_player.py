@@ -31,6 +31,11 @@ every pair through the table and the fold in blocks of own profiles
 confirm every pair the screen keeps (``_pure_pair_reports``), so games
 near the 10^6-pair cap enumerate in seconds.
 
+Inputs are checked once, where they enter: the belief rows once per
+call (``_beliefs``), a strategy or perceptions by their public
+constructors. The reports' strategies and perceptions go through the
+private builder ``_built`` (``single._Built``) unchecked.
+
 The penalty catalog's prior-distance kind measures distance to the
 observer's prior belief about the player (the natural reference in a
 subjective model). On singleton-opponent embeddings the gains match the
@@ -54,8 +59,8 @@ from .model import (
 from .penalties import PenaltySpec, penalty_batch
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
-from .simplex import WEAK_TOL, _check_tol, _posteriors, consistency_errors, distributions
-from .single import _cap, _pure_actions, _pure_rows, payoff_and_gain
+from .simplex import WEAK_TOL, _check_tol, _posteriors, _stored, consistency_errors, distributions
+from .single import _Built, _cap, _pure_actions, _pure_rows, payoff_and_gain
 
 __all__ = [
     "TwoPlayerStrategy",
@@ -77,49 +82,66 @@ def _per_player(entries, what: str) -> None:
         raise ValueError(f"{what} needs 2 per-player entries, got {len(entries)}")
 
 
-def _distributions(values, shapes, what: str) -> tuple:
+def _shapes(game: TwoPlayerPerceptionGame, what: str) -> list[tuple[int, ...]]:
+    """Each player's shape of ``what``: "strategy", "perceptions" or "beliefs"."""
+    return [{
+        "strategy": (ps.types.n, ps.actions.m),
+        "perceptions": (ps.types.n, opp.types.n, ps.actions.m, ps.types.n),
+        "beliefs": (ps.types.n, opp.types.n),
+    }[what] for ps, opp in zip(game.players, game.players[::-1])]
+
+
+def _distributions(values, game: TwoPlayerPerceptionGame, what: str) -> tuple:
     """Each player's rows ``values[i]`` as ``simplex.distributions`` checks
-    them, with shape ``shapes[i]``; errors name "player i what"."""
-    return tuple(distributions(values[i], shape, f"player {i} {what}") for i, shape in enumerate(shapes))
+    them, with the shape ``_shapes`` gives; errors name "player i what"."""
+    return tuple(distributions(values[i], s, f"player {i} {what}") for i, s in enumerate(_shapes(game, what)))
 
 
-class TwoPlayerStrategy:
+def _stored_pair(rows, game: TwoPlayerPerceptionGame, what: str) -> tuple:
+    """``_distributions`` of rows built from checked inputs, by ``simplex._stored``."""
+    return tuple(_stored(rows[i], s, f"player {i} {what}") for i, s in enumerate(_shapes(game, what)))
+
+
+class TwoPlayerStrategy(_Built):
     """Pair of row-stochastic arrays, one row per own type."""
 
     __slots__ = ("sigmas",)
 
     def __init__(self, game: TwoPlayerPerceptionGame, sigmas) -> None:
         _per_player(sigmas, "a two-player strategy")
-        self.sigmas = _distributions(sigmas, [(ps.types.n, ps.actions.m) for ps in game.players], "strategy")
+        self._fill(game, _distributions(sigmas, game, "strategy"))
+
+    def _fill(self, game: TwoPlayerPerceptionGame, sigmas) -> None:
+        self.sigmas = _stored_pair(sigmas, game, "strategy")
 
     @classmethod
     def pure(cls, game: TwoPlayerPerceptionGame, actions) -> "TwoPlayerStrategy":
         _per_player(actions, "a pure two-player profile")
-        return cls(game, [
+        return cls._built(game, tuple(
             _pure_rows(ps.actions, actions[i], ps.types.n, f"player {i} ") for i, ps in enumerate(game.players)
-        ])
+        ))
 
     def pure_actions(self) -> tuple[tuple[int, ...], ...] | None:
         out = tuple(_pure_actions(sigma) for sigma in self.sigmas)
         return None if None in out else out
 
 
-class TwoPlayerPerceptions:
+class TwoPlayerPerceptions(_Built):
     """Pair of arrays tau_i[own type, observer type, own action, own type']."""
 
     __slots__ = ("taus",)
 
     def __init__(self, game: TwoPlayerPerceptionGame, taus) -> None:
         _per_player(taus, "two-player perceptions")
-        pairs = zip(game.players, game.players[::-1])
-        shapes = [(ps.types.n, opp.types.n, ps.actions.m, ps.types.n) for ps, opp in pairs]
-        self.taus = _distributions(taus, shapes, "perceptions")
+        self._fill(game, _distributions(taus, game, "perceptions"))
+
+    def _fill(self, game: TwoPlayerPerceptionGame, taus) -> None:
+        self.taus = _stored_pair(taus, game, "perceptions")
 
 
 def _beliefs(game: TwoPlayerPerceptionGame) -> tuple[np.ndarray, np.ndarray]:
     """Both players' belief rows, checked as probability distributions."""
-    shapes = [(ps.types.n, opp.types.n) for ps, opp in zip(game.players, game.players[::-1])]
-    return _distributions([ps.beliefs for ps in game.players], shapes, "beliefs")
+    return _distributions([ps.beliefs for ps in game.players], game, "beliefs")
 
 
 def _fold(beliefs_i: np.ndarray, inner: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -223,8 +245,14 @@ def is_consistent_2p(
     perceptions: TwoPlayerPerceptions,
     tol: float = WEAK_TOL,
 ) -> tuple[bool, tuple[tuple[int, str, str, str, float], ...]]:
-    """Violations are (player, own type, observer type, action, tv error)."""
-    beliefs = _beliefs(game)
+    """Violations are (player, own type, observer type, action, tv error).
+    A NaN ``tol`` is rejected before any work."""
+    _check_tol(tol)
+    return _consistency_2p(game, _beliefs(game), strategy, perceptions, tol)
+
+
+def _consistency_2p(game: TwoPlayerPerceptionGame, beliefs, strategy, perceptions, tol: float) -> tuple:
+    """``is_consistent_2p`` given the checked belief rows ``_beliefs(game)``."""
     violations: list[tuple[int, str, str, str, float]] = []
     for i, ps in enumerate(game.players):
         other = game.players[1 - i]
@@ -261,9 +289,12 @@ def verify_equilibrium_2p(
 ) -> TwoPlayerVerification:
     """Accept when perceptions are consistent for every observer type
     and no type of either player gains more than ``eps`` by a pure
-    deviation (with ``tol`` float slack)."""
+    deviation (with ``tol`` float slack). A NaN ``tol`` or ``eps`` is
+    rejected before any work, and the belief rows are checked once."""
+    _check_tol(tol)
+    _check_tol(eps, name="eps")
     beliefs = _beliefs(game)
-    consistent, violations = is_consistent_2p(game, strategy, perceptions, tol)
+    consistent, violations = _consistency_2p(game, beliefs, strategy, perceptions, tol)
     payoffs = []
     gains = []
     moves = []  # (player, type, best action), in the order of the joined gains
@@ -344,8 +375,10 @@ def _pure_pair_reports(
     perceptions are the table's posteriors on path and, off path, the
     witnesses of the range ends the table chose, built report by report
     from the table's ``on`` and ``post``, so no batch of every pair's
-    perceptions is held next to the reports' own copies."""
+    perceptions is held next to the reports. Each report's one-hot
+    strategy rows are taken from one ``np.eye(m)`` per player."""
     views, payoffs, gains = [], [], []
+    eyes = [np.eye(ps.actions.m) for ps in game.players]
     for i, ps in enumerate(game.players):
         own, n, m = pairs[i], ps.types.n, ps.actions.m
         w, on, post = _penalty_table(game, i, beliefs, own)
@@ -364,8 +397,8 @@ def _pure_pair_reports(
     max_gain = np.maximum(gains[0].max(axis=1), gains[1].max(axis=1))
     return [
         TwoPlayerEquilibriumReport(
-            strategy=TwoPlayerStrategy.pure(game, (pairs[0][k], pairs[1][k])),
-            perceptions=TwoPlayerPerceptions(game, tuple(
+            strategy=TwoPlayerStrategy._built(game, (eyes[0][pairs[0][k]], eyes[1][pairs[1][k]])),
+            perceptions=TwoPlayerPerceptions._built(game, tuple(
                 np.where(on[k], post[k], np.where(mine[k], lo, hi)) for on, post, mine, lo, hi in views
             )),
             payoffs=(payoffs[0][k], payoffs[1][k]),

@@ -13,6 +13,7 @@ from perception_games.model import (
     TwoPlayerPerceptionGame,
     TypeSpace,
     UtilityModel,
+    _interpolate,
     classify_privacy,
     validate_game,
 )
@@ -574,26 +575,35 @@ class TestTabulated:
 
         grid = SimplexGrid(n, 6)
         values = np.array([[[f(p) for p in grid.points()]]])
-        rng = np.random.default_rng(11)
-        from perception_games.model import _interp_vertices
-
-        for _ in range(300):
-            mu = rng.dirichlet(np.ones(n))
-            approx = sum(wt * values[0, 0, i] for i, wt in _interp_vertices(mu, 6))
-            assert approx == pytest.approx(f(mu), abs=1e-12)
+        mus = np.random.default_rng(11).dirichlet(np.ones(n), size=(300, 1))
+        approx = _interpolate(mus, values, 6)[:, 0, 0]
+        np.testing.assert_allclose(approx, mus[:, 0] @ coeffs, rtol=0, atol=1e-12)
 
     def test_interp_weights_form_partition(self):
-        from perception_games.model import _interp_vertices
-
+        # with constant values the interpolant is the constant; with the
+        # indicator of lattice point j as action j's values it is point
+        # j's weight, so the weights are nonnegative, sum to 1, are
+        # positive at most n vertices, and put the vertices' mean at mu
         rng = np.random.default_rng(5)
         for n in (2, 3, 4):
-            for _ in range(100):
-                mu = rng.dirichlet(np.ones(n))
-                pieces = _interp_vertices(mu, 7)
-                total = sum(w for _, w in pieces)
-                assert total == pytest.approx(1.0, abs=1e-12)
-                assert all(w > 0 for _, w in pieces)
-                assert len({i for i, _ in pieces}) == len(pieces)
+            pts = SimplexGrid(n, 7).points()
+            size = len(pts)
+            mu = rng.dirichlet(np.ones(n), size=100)
+            const = _interpolate(mu[:, None], np.full((1, 1, size), 2.5), 7)[:, 0, 0]
+            np.testing.assert_allclose(const, 2.5, rtol=0, atol=1e-12)
+            indicator = np.eye(size)[None]
+            weights = _interpolate(np.repeat(mu[:, None], size, axis=1), indicator, 7)[..., 0]
+            assert (weights >= 0.0).all()
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert ((weights > 0.0).sum(axis=1) <= n).all()
+            np.testing.assert_allclose(weights @ pts, mu, rtol=0, atol=1e-12)
+
+    def test_u_is_the_batched_interpolant(self):
+        tg = tabulate(counterexample_lsc(), 5)
+        mus = np.random.default_rng(3).dirichlet(np.ones(tg.n), size=(50, tg.m))
+        batch = _interpolate(mus, tg.utility.values, 5)
+        for b, t, a in np.ndindex(50, tg.n, tg.m):
+            assert tg.u(t, a, mus[b, a]) == batch[b, a, t]
 
     def test_u_range_over_lattice(self):
         g = blog()

@@ -64,6 +64,20 @@ class TestStrategy:
         with pytest.raises(ValueError, match="not in range"):
             Strategy.pure(blog(), actions)
 
+    @pytest.mark.parametrize(
+        "actions", [(0.7, 0.7), (True, True), (0, 1.0), (np.bool_(True), 0), (None, 0)],
+        ids=["float", "bool", "whole-float", "numpy-bool", "none"],
+    )
+    def test_pure_action_must_be_a_label_or_an_integer(self, actions):
+        # int() read 0.7 as action 0 and True as action 1, without a word
+        with pytest.raises(ValueError, match=r"^action must be an integer, got "):
+            Strategy.pure(blog(), actions)
+
+    def test_pure_takes_numpy_integers_and_labels(self):
+        g = blog()
+        np.testing.assert_array_equal(Strategy.pure(g, np.array([0, 1])).sigma, np.eye(2))
+        np.testing.assert_array_equal(Strategy.pure(g, (np.int8(1), "L")).sigma, [[0.0, 1.0], [1.0, 0.0]])
+
     def test_row_mass_checked(self):
         g = blog()
         with pytest.raises(ValueError):
@@ -630,6 +644,28 @@ class TestToleranceArguments:
             with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
                 run()
 
+    def test_consistency_and_verification_reject_nan_tol_and_eps(self, no_utility, monkeypatch):
+        # every perception a point mass on type 0 is inconsistent with the
+        # separating profile, but a NaN tol failed every comparison and
+        # certified the pair as consistent
+        g = blog()
+        strategy = Strategy.pure(g, (0, 1))
+        perceptions = PerceptionMap.constant(g, Belief([1.0, 0.0]))
+        assert not is_consistent(g, strategy, perceptions, tol=1e-9).consistent
+
+        def fail(*args, **kwargs):
+            raise AssertionError("checked consistency")
+
+        monkeypatch.setattr(single, "consistency_errors", fail)
+        nan = float("nan")
+        for run, name in (
+            (lambda: is_consistent(g, strategy, perceptions, tol=nan), "tol"),
+            (lambda: verify_equilibrium(g, strategy, perceptions, tol=nan), "tol"),
+            (lambda: verify_equilibrium(g, strategy, perceptions, eps=nan), "eps"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be a number, got nan$"):
+                run()
+
     def test_negative_tol_keeps_searches_valid(self):
         assert enumerate_pure_equilibria(blog(), -1.0) == []
         res = search_mixed_equilibria(blog(), 0.25, tol=-1.0)
@@ -805,6 +841,32 @@ class TestTabulatedGames:
         assert (capped.survivor_count, capped.truncated) == (3, True)
         for r, p in zip(capped.survivors, mixed.survivors[:2], strict=True):
             np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)
+
+
+class TestProfileReportInput:
+    """``profile_report`` checks ``sigma`` before any work and evaluates
+    the checked rows, so the report describes the strategy it holds."""
+
+    def test_tiny_negative_entries_are_evaluated_as_stored(self):
+        g = blog()
+        rep = profile_report(g, np.array([[1.0 + 1e-13, -1e-13], [0.0, 1.0]]))
+        assert rep.strategy.sigma[0, 1] == 0.0
+        # the raw row paid 1e-13 and gained -1e-13; the stored one pays 0
+        again = profile_report(g, rep.strategy.sigma)
+        for got, want in zip(
+            (rep.payoffs, rep.gains, rep.perceptions.tau), (again.payoffs, again.gains, again.perceptions.tau)
+        ):
+            assert got.tobytes() == want.tobytes()
+        assert rep.payoffs.tolist() == [0.0, 0.0] and rep.gains.tolist() == [0.0, 0.0]
+
+    def test_bad_sigma_rejected_before_any_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated a utility")
+
+        monkeypatch.setattr(PerceptionGame, "u", fail)
+        monkeypatch.setattr(PerceptionGame, "u_range", fail)
+        with pytest.raises(ValueError, match="strategy has a non-finite entry"):
+            profile_report(blog(), np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
 
 class TestProfileReportAgainstOracle:

@@ -156,6 +156,51 @@ class TestVerification:
         assert res.worst == (0, "d", "D")
 
 
+class TestVerificationArguments:
+    def _pair(self):
+        g = two_player_game()
+        strategy = TwoPlayerStrategy.pure(g, ((0, 1), (0, 1)))  # separating both sides
+        # every perception a point mass on own type 0
+        point = np.zeros((2, 2, 2, 2))
+        point[..., 0] = 1.0
+        return g, strategy, TwoPlayerPerceptions(g, [point, point])
+
+    def test_nan_tol_and_eps_rejected_before_any_work(self, monkeypatch):
+        # the pair is inconsistent, but a NaN tol failed every comparison
+        # and certified it as consistent
+        g, strategy, perceptions = self._pair()
+        assert not is_consistent_2p(g, strategy, perceptions, tol=1e-9)[0]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("checked beliefs or consistency")
+
+        monkeypatch.setattr(two_player, "_beliefs", fail)
+        monkeypatch.setattr(two_player, "consistency_errors", fail)
+        nan = float("nan")
+        for run, name in (
+            (lambda: is_consistent_2p(g, strategy, perceptions, tol=nan), "tol"),
+            (lambda: verify_equilibrium_2p(g, strategy, perceptions, tol=nan), "tol"),
+            (lambda: verify_equilibrium_2p(g, strategy, perceptions, eps=nan), "eps"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be a number, got nan$"):
+                run()
+
+    @pytest.mark.parametrize("check", [verify_equilibrium_2p, is_consistent_2p])
+    def test_belief_rows_checked_once_per_call(self, check, monkeypatch):
+        # verify_equilibrium_2p checked them itself and again inside is_consistent_2p
+        g, strategy, perceptions = self._pair()
+        checked = []
+        real = two_player.distributions
+
+        def spy(values, shape, what):
+            checked.append(what)
+            return real(values, shape, what)
+
+        monkeypatch.setattr(two_player, "distributions", spy)
+        check(g, strategy, perceptions)
+        assert checked == ["player 0 beliefs", "player 1 beliefs"]
+
+
 class TestWeakenedPenaltyVariant:
     def _variant(self):
         g = two_player_game()
@@ -292,6 +337,21 @@ class TestPureStrategyInput:
         assert TwoPlayerStrategy.pure(g, (("U", "D"), (1, 0))).pure_actions() == ((0, 1), (1, 0))
         # player 0 pure, player 1 mixed
         assert TwoPlayerStrategy(g, [np.eye(2), np.full((2, 2), 0.5)]).pure_actions() is None
+
+    @pytest.mark.parametrize(
+        "actions, player, entry",
+        [(((0.0, 1), (0, 1)), 0, "0.0"), (((0, 1), (True, 0)), 1, "True"), (((0, 1), (0, 0.5)), 1, "0.5")],
+        ids=["float", "bool", "fraction"],
+    )
+    def test_action_must_be_a_label_or_an_integer(self, actions, player, entry):
+        # int() read 0.5 as action 0 and True as action 1, without a word
+        with pytest.raises(ValueError, match=rf"^player {player} action must be an integer, got {entry}$"):
+            TwoPlayerStrategy.pure(two_player_game(), actions)
+
+    def test_pure_takes_numpy_integers(self):
+        g = two_player_game()
+        got = TwoPlayerStrategy.pure(g, (np.array([0, 1], dtype=np.int8), (np.int64(1), "L")))
+        assert got.pure_actions() == ((0, 1), (1, 0))
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_pure_needs_one_profile_per_player(self, count):
