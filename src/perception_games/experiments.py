@@ -38,11 +38,12 @@ from .single import (
     Strategy,
     _mixed_searches,
     _pure_codes,
+    _pure_enumerations,
     _step_resolution,
     _sweep,
     enumerate_pure_equilibria,
     legislation_welfare,
-    search_mixed_equilibria,
+    search_mixed_equilibria,  # unused here; perfbench/spans.py wraps this name
 )
 from .two_player import enumerate_pure_bne, enumerate_pure_equilibria_2p
 
@@ -384,11 +385,15 @@ def scan_alpha(
     With ``mixed_step``, a row's ``mixed_survivors`` is the mixed
     search's ``survivor_count``: the profiles the kernel screens within
     ``tol``, whose gains are the exact oracle's bit for bit. The games
-    are built first, and their searches run in one ``_mixed_searches``
-    call with ``max_survivors=0``, so no survivor report is built: the
-    games of the scan differ in their prior only (but for the endpoints,
-    whose zero-mass types are dropped), so one cell screen serves them
-    all, each keeping the cells of its own search."""
+    are built and packed first, once each, and their pure enumerations
+    and mixed searches run in one ``_pure_enumerations`` and one
+    ``_mixed_searches`` call on those packs, the searches with
+    ``max_survivors=0``, so no survivor report is built. The games of
+    the scan differ in their prior only (but for the endpoints, whose
+    zero-mass types are dropped), so one cell screen serves them all,
+    each keeping the cells of its own search, and the kernel sweeps them
+    together, a few calls for all the pure profiles and a few for all
+    the kept cells, each game keeping its own results."""
     _check_tol(tol)
     if mixed_step is not None:
         _step_resolution(mixed_step)
@@ -401,13 +406,14 @@ def scan_alpha(
             raise ValueError(f"alphas must be ascending, got {b!r} after {a!r}")
     specs = [family.spec_for(alpha) for alpha in alphas]
     games = [spec.to_game() for spec in specs]
+    packs = [pack_game(game) for game in games]
     searches = [None] * len(games)
     if mixed_step is not None:
-        searches = _mixed_searches(games, mixed_step, tol, seed, max_survivors=0)
+        searches = _mixed_searches(games, mixed_step, tol, seed, max_survivors=0, packs=packs)
+    pures = _pure_enumerations(games, tol, packs=packs)
     bound = separation_uniqueness_bound(specs[0])
     rows: list[AlphaRow] = []
-    for alpha, spec, game, search in zip(alphas, specs, games, searches):
-        found = enumerate_pure_equilibria(game, tol)
+    for alpha, spec, found, search in zip(alphas, specs, pures, searches):
         separating = [r for r in found if r.label == "separating"]
         rows.append(
             AlphaRow(
@@ -550,8 +556,9 @@ def counterexample_check(
             "pure and grid sweeps below would not be informative"
         )
     vertices = np.eye(game.m)
-    pure = _sweep(game, pack_game(game), vertices, _pure_codes(game), tol)
-    sweep = search_mixed_equilibria(game, step=strategy_step, tol=tol, seed=seed)
+    pack = pack_game(game)
+    pure = _sweep(game, pack, vertices, _pure_codes(game), tol)
+    sweep = _mixed_searches([game], strategy_step, tol, seed, packs=[pack])[0]
     found: dict[float, bool] = {}
     witness: dict[float, Strategy | None] = {}
     for eps in epsilons:

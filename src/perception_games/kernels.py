@@ -113,12 +113,27 @@ Games that differ in their prior only are screened together, each cell
 carrying its game and bounded at its game's prior, so one call serves
 them all: a ``majority-scan`` pass bounds its 2,872 cells in 5 calls,
 where a screen per game took 59.
+
+Such games are swept together too. A kernel call on a single code
+takes about 200 us (numpy 2.4, 2 vCPUs), and an alpha scan's games
+each sweep a few hundred kept profiles and 16 pure ones, so
+``reduce_profile_gains`` also takes a list of packs that differ in
+their prior only, with a code source each. Their codes stream in game
+order through one workspace (``_stream``), in chunks shared across
+games: a chunk that spans games is one call, with a prior per profile
+``(n, 1, B)`` and each profile's game's limit ``(B,)``, which every
+step reads elementwise, and its gains are then reduced game by game. A
+chunk of one game is that game's own call, scalar prior and limit, and
+a list of one pack is the one-pack call. The column table depends on
+the prior, so a game whose own sweep would take it is swept alone. A
+``majority-scan`` pass makes 6 kernel calls, where one sweep per game
+and kind made 42, with the same results bit for bit.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
@@ -169,6 +184,23 @@ class GamePack:
     penalties: tuple[Penalty, ...] = ()  # bound, one per type
     values: np.ndarray | None = None  # (n, m, lattice size)
     resolution: int = 0
+
+    @cached_property
+    def screen_key(self) -> tuple:
+        """What ``cell_lower_bound`` and the kernel read of an additive
+        game's pack, but the prior: the shapes, ``v``, ``u_min``,
+        ``u_max`` (and so the margin) and each type's ``_bound_key`` (and
+        so the shared bounds and the penalty rows), worked out once per
+        pack. Packs with equal keys are screened and swept together. A
+        ``tv_to_prior`` key holds its anchor, the prior, so such packs
+        match only at equal priors."""
+        return (
+            self.u_min.shape,
+            self.v.tobytes(),
+            self.u_min.tobytes(),
+            self.u_max.tobytes(),
+            tuple(_bound_key(p) for p in self.penalties),
+        )
 
     @cached_property
     def bound_plan(self) -> "_BoundPlan":
@@ -381,16 +413,14 @@ def _raise_free_rows(
 class _Workspace:
     """The buffers one sweep's kernel calls fill in place (``out=``),
     allocated once for chunks of up to ``width`` profiles, so their pages
-    are faulted in once per sweep, and what every chunk reads of the game
-    and the grid. A chunk views a buffer at its own size as a
-    C-contiguous array (``_view``): ``np.take`` into any other ``out``
-    gathers into a copy and copies back."""
+    are faulted in once per sweep, and what every chunk reads of the
+    grid. A chunk views a buffer at its own size as a C-contiguous array
+    (``_view``): ``np.take`` into any other ``out`` gathers into a copy
+    and copies back."""
 
     def __init__(self, pack: GamePack, grid_pts: np.ndarray, table: _ColumnTable | None, width: int):
         n, m = pack.u_min.shape
         self.width = width
-        # only a type without prior mass can play an off-path action
-        self.has_free = bool((pack.prior == 0.0).any())
         self.by_action = np.ascontiguousarray(grid_pts.T)  # (m, G)
         self.digits = np.empty(n * width, np.int64)
         self.part = np.empty(width, np.int64)
@@ -414,7 +444,7 @@ def _gains_numpy(
     grid_pts: np.ndarray,
     pack: GamePack,
     table: _ColumnTable | None = None,
-    limit: float = np.inf,
+    limit: float | np.ndarray = np.inf,
     work: _Workspace | None = None,
 ) -> np.ndarray:
     """The gain of each profile ``idx``, evaluated a type at a time: after
@@ -424,12 +454,21 @@ def _gains_numpy(
     ``limit = inf``, and any other entry is above ``limit`` and at most
     the gain. The batch's working arrays are ``work``'s buffers (one is
     made for the batch when None), and so is the result, which the next
-    call with ``work`` overwrites."""
+    call with ``work`` overwrites.
+
+    ``pack.prior`` is one prior ``(n,)``, or one per profile ``(n, 1,
+    B)`` for a batch of games that differ in their prior only, and
+    ``limit`` one limit or one per profile ``(B,)``: every step is
+    elementwise along the batch, so each entry is the one its own
+    game's call with its own limit gives, bit for bit."""
     n, m = pack.u_min.shape
     B = idx.shape[0]
     if work is None:
         work = _Workspace(pack, grid_pts, table, B)
-    has_free, by_action = work.has_free, work.by_action
+    by_action = work.by_action
+    # only a type without prior mass can play an off-path action
+    has_free = bool((pack.prior == 0.0).any())
+    unlimited = bool(np.all(limit == np.inf))
     digits = _digits(idx, grid_pts.shape[0], n, _view(work.digits, n, B), work.part[:B])
     sig = beliefs = rows = col = None
     if table is None:
@@ -473,7 +512,7 @@ def _gains_numpy(
             gain = out = np.subtract(best, played, out=work.gain[:B])
         else:
             np.maximum(gain, np.subtract(best, played, out=term), out=gain)
-        if t == n - 1 or limit == np.inf:
+        if t == n - 1 or unlimited:
             continue
         keep = np.flatnonzero(np.less_equal(gain, limit, out=work.mask[:k]))
         if keep.size == k:
@@ -484,6 +523,8 @@ def _gains_numpy(
             out[alive] = gain
         alive = keep if alive is None else alive[keep]
         gain = gain[keep]
+        if np.ndim(limit):
+            limit = limit[keep]
         if table is None:
             on, off, sig, beliefs, rows = _keep(keep, on, off, sig, beliefs, rows)
         else:
@@ -499,20 +540,27 @@ def _keep(keep: np.ndarray, *arrays):
     return tuple(None if x is None else np.take(x, keep, axis=-1) for x in arrays)
 
 
-def _plan(pack: GamePack, grid_pts: np.ndarray, size: int):
+def _plan(pack: GamePack, grid_pts: np.ndarray, size: int, alone: bool = True):
     """``(grid_pts, table, work)`` for a sweep of ``size`` codes: the grid
-    as contiguous float64, the column table when it has no more cells
-    than there are codes (else None), and the sweep's workspace, whose
+    as contiguous float64, the column table when the sweep is one game's
+    (``alone``) and the table has no more cells than there are codes
+    (``_table_cells``; else None), and the sweep's workspace, whose
     ``width`` is the profiles per chunk."""
     grid_pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
     n, m = pack.u_min.shape
+    table = _column_table(grid_pts, pack) if alone and _table_cells(grid_pts, n) <= size else None
+    width = max(1, min(size, _CHUNK_BUDGET // m))
+    return grid_pts, table, _Workspace(pack, grid_pts, table, width)
+
+
+def _table_cells(grid_pts: np.ndarray, n: int) -> int:
+    """The ``n * V**n`` cells of the column table of ``grid_pts`` for
+    ``n`` types, which a game's sweep takes when they are no more than
+    its codes."""
     # distinct grid values (np.unique without return_inverse would
     # import numpy.ma), raised as a Python int so a large n cannot overflow
     values = np.count_nonzero(np.diff(np.sort(grid_pts, axis=None))) + 1
-    columns = int(values) ** n
-    table = _column_table(grid_pts, pack) if columns * n <= size else None
-    width = max(1, min(size, _CHUNK_BUDGET // m))
-    return grid_pts, table, _Workspace(pack, grid_pts, table, width)
+    return int(values) ** n * n
 
 
 class CodeRange:
@@ -568,8 +616,8 @@ def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -
 
 
 def reduce_profile_gains(
-    pack: GamePack, grid_pts: np.ndarray, codes, tol: float
-) -> tuple[float, int, np.ndarray]:
+    pack: GamePack | Sequence[GamePack], grid_pts: np.ndarray, codes, tol: float
+) -> tuple[float, int, np.ndarray] | list[tuple[float, int, np.ndarray]]:
     """What a search needs of the gains of the profile ``codes``, without
     building them: the least gain (inf when there are no codes), the
     code that has it (-1 when none), and the codes whose gain is at most
@@ -586,31 +634,127 @@ def reduce_profile_gains(
     interleave, give the lowest code with the least gain, and the codes
     within ``tol`` ascending. Either way the results are those of the
     full gains, bit for bit, whatever the chunk width.
+
+    ``pack`` is one game's pack, or a list of packs of additive games
+    that differ in their prior only (equal ``GamePack.screen_key``, else
+    ``ValueError``) with ``codes`` a list of one source per pack, for
+    which the result is a list of those triples, one per pack, each bit
+    for bit that of the pack's own call. The games' codes stream through
+    one workspace in game order, in shared chunks (``_stream``): a chunk
+    that spans games is one kernel call, with each profile's own prior
+    and its own game's limit, and is then reduced game by game. A game
+    whose own sweep would take the column table, which depends on the
+    prior, is swept on its own.
     """
-    grid_pts, table, work = _plan(pack, grid_pts, codes.size)
-    if isinstance(codes, np.ndarray):
-        codes = np.ascontiguousarray(codes, dtype=np.int64)
-        chunks = (codes[i : i + work.width] for i in range(0, codes.size, work.width))
-    else:
-        chunks = codes.chunks(work.width)
-    by_code = isinstance(codes, CellCodes)
-    least, code, within = np.inf, -1, [np.empty(0, np.int64)]
-    for chunk in chunks:
+    if isinstance(pack, GamePack):
+        return _reduce([pack], grid_pts, [codes], tol)[0]
+    packs, sources = list(pack), list(codes)
+    if len(sources) != len(packs):
+        raise ValueError(f"need one code source per pack, got {len(sources)} for {len(packs)}")
+    if len(packs) > 1 and len({p.screen_key for p in packs}) > 1:
+        raise ValueError("a sweep's packs must differ in their prior only")
+    out: list = [None] * len(packs)
+    shared = []
+    cells = _table_cells(grid_pts, packs[0].u_min.shape[0]) if packs else 0
+    for k, (p, source) in enumerate(zip(packs, sources)):
+        if cells <= source.size:
+            out[k] = _reduce([p], grid_pts, [source], tol)[0]
+        else:
+            shared.append(k)
+    if shared:
+        found = _reduce([packs[k] for k in shared], grid_pts, [sources[k] for k in shared], tol)
+        for k, triple in zip(shared, found):
+            out[k] = triple
+    return out
+
+
+def _reduce(
+    packs: list[GamePack], grid_pts: np.ndarray, sources: list, tol: float
+) -> list[tuple[float, int, np.ndarray]]:
+    """``reduce_profile_gains`` of each pack over its source: the column
+    table only for one pack, one chunk stream for all. A chunk of one
+    game is that game's kernel call; a chunk that spans games carries
+    each profile's prior ``(n, 1, B)`` and limit ``(B,)``."""
+    K = len(packs)
+    sizes = [source.size for source in sources]
+    grid_pts, table, work = _plan(packs[0], grid_pts, sum(sizes), alone=K == 1)
+    ends = np.cumsum(sizes).tolist()
+    by_code = [isinstance(source, CellCodes) for source in sources]
+    least, code = [np.inf] * K, [-1] * K
+    within: list[list[np.ndarray]] = [[np.empty(0, np.int64)] for _ in range(K)]
+    k, done = 0, 0
+    for chunk in _stream(sources, work.width):
+        # the chunk's pieces, one per game, as (game, start, stop)
+        pieces, lo = [], 0
+        while lo < chunk.size:
+            while ends[k] <= done + lo:
+                k += 1
+            hi = min(chunk.size, ends[k] - done)
+            pieces.append((k, lo, hi))
+            lo = hi
+        done += chunk.size
         # max(least, tol), not max(tol, least): a NaN tol keeps nothing
         # within it and must not limit the kernel
-        gains = _gains_numpy(chunk, grid_pts, pack, table, max(least, tol), work)
-        j = int(np.argmin(gains))
-        if by_code and gains[j] <= least:
-            # the chunk's lowest code with its least gain
-            ties = np.flatnonzero(gains == gains[j])
-            j = int(ties[np.argmin(chunk[ties])])
-            if gains[j] < least or chunk[j] < code:
-                least, code = float(gains[j]), int(chunk[j])
-        elif gains[j] < least:
-            least, code = float(gains[j]), int(chunk[j])
-        within.append(chunk[gains <= tol])
-    within = np.concatenate(within)
-    return least, code, np.sort(within) if by_code else within
+        if len(pieces) == 1:
+            batch, limit = packs[k], max(least[k], tol)
+        else:
+            games = [j for j, _, _ in pieces]
+            counts = [hi - lo for _, lo, hi in pieces]
+            priors = np.stack([packs[j].prior for j in games], axis=1)
+            batch = replace(packs[0], prior=np.repeat(priors, counts, axis=1)[:, None])
+            limit = np.repeat([max(least[j], tol) for j in games], counts)
+        gains = _gains_numpy(chunk, grid_pts, batch, table, limit, work)
+        for j, lo, hi in pieces:
+            part, g = chunk[lo:hi], gains[lo:hi]
+            i = int(np.argmin(g))
+            if by_code[j] and g[i] <= least[j]:
+                # the piece's lowest code with its least gain
+                ties = np.flatnonzero(g == g[i])
+                i = int(ties[np.argmin(part[ties])])
+                if g[i] < least[j] or part[i] < code[j]:
+                    least[j], code[j] = float(g[i]), int(part[i])
+            elif g[i] < least[j]:
+                least[j], code[j] = float(g[i]), int(part[i])
+            within[j].append(part[g <= tol])
+    out = []
+    for j in range(K):
+        kept = np.concatenate(within[j])
+        out.append((least[j], code[j], np.sort(kept) if by_code[j] else kept))
+    return out
+
+
+def _stream(sources: list, width: int) -> Iterator[np.ndarray]:
+    """The codes of ``sources``, one source after the other, in chunks of
+    at most ``width``: one source's own chunks; the cells of sources of
+    one tree as one ``CellCodes``, so that a chunk of cells is one
+    ``_codes`` call whatever games they are of; other sources' chunks
+    copied into one buffer, which each chunk views until the next."""
+    if len(sources) == 1:
+        source = sources[0]
+        if isinstance(source, np.ndarray):
+            source = np.ascontiguousarray(source, dtype=np.int64)
+            yield from (source[i : i + width] for i in range(0, source.size, width))
+        else:
+            yield from source.chunks(width)
+        return
+    first = sources[0]
+    if all(isinstance(s, CellCodes) and s.tree is first.tree and s.G == first.G for s in sources):
+        cells = np.concatenate([s.cells for s in sources], axis=1)
+        yield from CellCodes(first.tree, cells, first.G).chunks(width)
+        return
+    buffer, fill = np.empty(width, np.int64), 0
+    for source in sources:
+        for chunk in _stream([source], width):
+            at = 0
+            while at < chunk.size:
+                take = min(width - fill, chunk.size - at)
+                buffer[fill : fill + take] = chunk[at : at + take]
+                fill, at = fill + take, at + take
+                if fill == width:
+                    yield buffer
+                    fill = 0
+    if fill:
+        yield buffer[:fill]
 
 
 @dataclass(frozen=True)
@@ -775,8 +919,8 @@ def screen_profiles(
     (-1 when none is pruned).
 
     ``pack`` is one game's pack, or a list of packs that differ in their
-    prior only (equal ``_screen_key``), for which the result is a list
-    of those pairs, one per pack. A list is screened in one pass: every
+    prior only (equal ``GamePack.screen_key``), for which the result is a
+    list of those pairs, one per pack. A list is screened in one pass: every
     cell carries the index of its game, the cells of all the games make
     up each level, and one ``cell_lower_bound`` call bounds a batch of
     them at once, each cell with its own game's prior. A cell's bound,
@@ -807,7 +951,7 @@ def screen_profiles(
     """
     packs = [pack] if isinstance(pack, GamePack) else list(pack)
     first = packs[0]
-    if len({_screen_key(p) for p in packs}) > 1:
+    if len({p.screen_key for p in packs}) > 1:
         raise ValueError("a screen's packs must differ in their prior only")
     n, K = first.u_min.shape[0], len(packs)
     G = grid_pts.shape[0]
@@ -859,21 +1003,6 @@ def screen_profiles(
         for lo, hi, start, bound_g in zip([0] + ends, ends, starts, least.tolist())
     ]
     return out[0] if isinstance(pack, GamePack) else out
-
-
-def _screen_key(pack: GamePack) -> tuple:
-    """What ``cell_lower_bound`` reads of an additive game's pack, but the
-    prior: the shapes, ``v``, ``u_min``, ``u_max`` (and so the margin)
-    and each type's ``_bound_key`` (and so the shared bounds). Packs with
-    equal keys are screened together. A ``tv_to_prior`` key holds its
-    anchor, the prior, so such packs match only at equal priors."""
-    return (
-        pack.u_min.shape,
-        pack.v.tobytes(),
-        pack.u_min.tobytes(),
-        pack.u_max.tobytes(),
-        tuple(_bound_key(p) for p in pack.penalties),
-    )
 
 
 def _with_prior(pack: GamePack, priors: np.ndarray, game: np.ndarray) -> GamePack:

@@ -195,6 +195,7 @@ class PerceptionGame:
     _penalties: dict[int, Penalty] = field(default_factory=dict, init=False, repr=False)
     _pranges: dict[int, Range] = field(default_factory=dict, init=False, repr=False)
     _uranges: dict[tuple[int, int], Range] = field(default_factory=dict, init=False, repr=False)
+    _chis: dict[int, Belief] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.prior, Belief):
@@ -209,8 +210,11 @@ class PerceptionGame:
         return self.actions.m
 
     def chi(self, t: int) -> Belief:
-        """Full self-exposure: the point mass on the type itself."""
-        return dirac(t, self.n)
+        """Full self-exposure: the point mass on the type itself, built
+        once per type."""
+        if t not in self._chis:
+            self._chis[t] = dirac(t, self.n)
+        return self._chis[t]
 
     def penalty(self, t: int) -> Penalty:
         """Type ``t``'s penalty, bound to the prior and the type labels."""

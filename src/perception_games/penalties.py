@@ -391,13 +391,12 @@ def _belief_with_marginal(x: float, pen: Penalty) -> Belief:
     x = min(max(x, 0.0), 1.0)
     if not pen.event:
         p[outside[0]] = 1.0
-        return Belief(p)
-    if not outside:
+    elif not outside:
         p[pen.event[0]] = 1.0
-        return Belief(p)
-    p[pen.event[0]] = x
-    p[outside[0]] = 1.0 - x
-    return Belief(p)
+    else:
+        p[pen.event[0]] = x
+        p[outside[0]] = 1.0 - x
+    return Belief._built(p)
 
 
 def penalty_range(pen: Penalty) -> Range:
@@ -416,7 +415,8 @@ def penalty_range(pen: Penalty) -> Range:
         b = pen.anchor
         lo_idx = int(np.argmin(b))  # ties: lowest index
         hi = spec.weight * (1.0 - float(b[lo_idx]))
-        return Range(0.0, hi, Belief(b), dirac(lo_idx, n))
+        # the anchor, a game's prior, was checked when the game took it
+        return Range(0.0, hi, Belief._built(np.array(b)), dirac(lo_idx, n))
     if spec.kind == "exposure":
         if n == 1:
             w = dirac(0, 1)

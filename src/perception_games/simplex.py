@@ -9,8 +9,9 @@ consistency check built on it, and the range record of a function over
 the simplex. Everything downstream (penalties, games, solvers) works in
 terms of these primitives; ``distributions`` is the one check of
 priors, beliefs, strategies and perception maps (``_stored`` keeps the
-rows the solvers build from checked inputs), ``posterior`` the one
-scalar Bayes update and ``_posteriors`` its one batched form.
+rows the solvers build from checked inputs, through ``Belief._built``
+and ``dirac`` for beliefs), ``posterior`` the one scalar Bayes update
+and ``_posteriors`` its one batched form.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ class Belief:
             raise ValueError("belief must be a nonempty 1-d probability vector")
         object.__setattr__(self, "p", distributions(arr, arr.shape, "belief"))
 
+    @classmethod
+    def _built(cls, p: np.ndarray) -> "Belief":
+        """The belief of the float64 row ``p``, built from checked inputs:
+        kept read-only by ``_stored`` and not checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p", _stored(p, p.shape, "belief"))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("Belief is immutable")
 
@@ -143,7 +152,7 @@ def dirac(i: int, n: int) -> Belief:
         raise ValueError(f"label index {i} out of range for n={n}")
     p = np.zeros(n)
     p[i] = 1.0
-    return Belief(p)
+    return Belief._built(p)
 
 
 def uniform(n: int) -> Belief:
@@ -179,12 +188,14 @@ def _posteriors(prior: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     a column carries prior mass, shape ``(A, B)``, and the posterior
     over types there, shape ``(n, A, B)``, bitwise as ``posterior`` gives
     it (where the column carries none, the column itself scaled by the
-    prior)."""
+    prior). ``prior`` is one prior ``(n,)``, or one per column ``(n, 1,
+    B)``; every step is elementwise, so a column's posterior is the one
+    its own prior gives, bit for bit."""
     q = np.zeros(cols.shape[1:])
     for t in range(prior.shape[0]):
         q += prior[t] * cols[t]
     on = q > 0.0
-    beliefs = cols * prior[:, None, None]
+    beliefs = cols * prior.reshape(prior.shape + (1,) * (cols.ndim - prior.ndim))
     beliefs /= np.where(on, q, 1.0)
     return on, beliefs
 

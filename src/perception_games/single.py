@@ -30,14 +30,13 @@ from .kernels import (
     CodeRange,
     GamePack,
     _raise_free_rows,
-    _screen_key,
     decode_profiles,
     pack_game,
     reduce_profile_gains,
     screen_profiles,
     sweep_profile_gains,
 )
-from .model import ActionSpace, PerceptionGame, PrivacyReport, classify_privacy
+from .model import ActionSpace, PerceptionGame, PrivacyReport, _interpolate, classify_privacy
 from .simplex import WEAK_TOL, Belief, SimplexGrid, _check_tol, _stored, consistency_errors, distributions, posterior
 
 __all__ = [
@@ -307,10 +306,16 @@ def profile_report(
     rows = np.empty((n, m))
     top = np.full((n, m), np.inf)  # u_max where a row is off path
     tau = np.empty((n, m, n))
+    values = None
+    if game.utility.kind == "tabulated_grid":
+        # every type's value of each action at its posterior in one call,
+        # entry by entry ``game.u``'s; an off-path action's is not read
+        at = np.array([game.prior.p if post is None else post for post in posts])
+        values = _interpolate(at, game.utility.values, game.utility.resolution).T
     for a in range(m):
         for t in range(n):
             if on[a]:
-                rows[t, a] = game.u(t, a, posts[a])
+                rows[t, a] = game.u(t, a, posts[a]) if values is None else values[t, a]
                 tau[t, a] = posts[a]
             else:
                 r = game.u_range(t, a)
@@ -358,8 +363,21 @@ def _sweep(
     """The kernel's screen of the profile ``codes`` (a code source) over
     the grid ``pts``, reduced (``reduce_profile_gains``), with the
     reports of the first ``max_survivors`` profiles whose gain is at most
-    ``tol``, kept when the exact report confirms it."""
-    least, code, within = reduce_profile_gains(pack, pts, codes, tol)
+    ``tol``, kept when the exact report confirms it (``_rebuilt``)."""
+    return _rebuilt(game, pts, reduce_profile_gains(pack, pts, codes, tol), tol, max_survivors)
+
+
+def _rebuilt(
+    game: PerceptionGame,
+    pts: np.ndarray,
+    found: tuple[float, int, np.ndarray],
+    tol: float,
+    max_survivors: int | None = None,
+) -> _Swept:
+    """What a search keeps of the reduced sweep ``found`` over the grid
+    ``pts``: the exact reports of the first ``max_survivors`` codes within
+    ``tol``, kept when they confirm it."""
+    least, code, within = found
     screened = decode_profiles(pts, within[:max_survivors], game.n)
     rebuilt = (profile_report(game, sigma, tol) for sigma in screened)
     return _Swept(least, code, within.size, [rep for rep in rebuilt if rep.max_gain <= tol])
@@ -374,10 +392,44 @@ def enumerate_pure_equilibria(
 
     Profiles are scanned in lexicographic order with type 0 the most
     significant position. A NaN ``tol`` is rejected before any work.
+    This is the one-game case of ``_pure_enumerations``.
     """
+    return _pure_enumerations([game], tol, max_profiles)[0]
+
+
+def _pure_enumerations(
+    games: Sequence[PerceptionGame],
+    tol: float = WEAK_TOL,
+    max_profiles: int = 1_000_000,
+    packs: Sequence[GamePack] | None = None,
+) -> list[list[EquilibriumReport]]:
+    """``enumerate_pure_equilibria`` of each of ``games``, with every
+    argument checked before any work, from the games' ``packs`` when
+    given. The additive games that differ in their prior only
+    (``_prior_groups``) are swept in one ``reduce_profile_gains`` call
+    per group, each game with its own results."""
     _check_tol(tol)
-    codes = _pure_codes(game, max_profiles)
-    return _sweep(game, pack_game(game), np.eye(game.m), codes, tol).survivors
+    sources = [_pure_codes(game, max_profiles) for game in games]
+    packs = [pack_game(game) for game in games] if packs is None else packs
+    found: list = [None] * len(games)
+    for members in _prior_groups(games, packs, range(len(games))):
+        pts = np.eye(games[members[0]].m)
+        swept = reduce_profile_gains([packs[i] for i in members], pts, [sources[i] for i in members], tol)
+        for i, triple in zip(members, swept):
+            found[i] = _rebuilt(games[i], pts, triple, tol).survivors
+    return found
+
+
+def _prior_groups(games: Sequence[PerceptionGame], packs: Sequence[GamePack], members) -> list[list[int]]:
+    """The indices ``members`` grouped by what the kernel and the cell
+    bound read of their additive games but the prior
+    (``GamePack.screen_key``), by first member; a tabulated game is a
+    group of its own."""
+    groups: dict = {}
+    for i in members:
+        tabulated = games[i].utility.kind == "tabulated_grid"
+        groups.setdefault(i if tabulated else packs[i].screen_key, []).append(i)
+    return list(groups.values())
 
 
 def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> CodeRange:
@@ -475,8 +527,9 @@ def search_mixed_equilibria(
     once per call, and a grid's cell tree is built once.
 
     This is the one-game case of ``_mixed_searches``, which runs several
-    games' searches with one cell screen for the games that differ in
-    their prior only, each with this call's results.
+    games' searches with one cell screen and one kernel sweep of the kept
+    cells for the games that differ in their prior only, each with this
+    call's results.
     """
     return _mixed_searches([game], step, tol, seed, max_profiles, max_survivors)[0]
 
@@ -488,17 +541,22 @@ def _mixed_searches(
     seed: int | None = None,
     max_profiles: int = 2_000_000,
     max_survivors: int = 10_000,
+    packs: Sequence[GamePack] | None = None,
 ) -> list[MixedSearchResult]:
     """``search_mixed_equilibria`` of each of ``games``, field by field,
-    with every argument checked before any work.
+    with every argument checked before any work, from the games'
+    ``packs`` when given.
 
     The additive games whose grids are swept whole are grouped by what
-    the cell bound reads of them but the prior (``kernels._screen_key``),
-    and each group is screened once (``screen_profiles`` on its packs):
-    a batch of cells of several games costs one ``cell_lower_bound``
-    call, and each game keeps the leaves and the seed of its own screen.
-    Each game's kernel sweep, and a second screen when it keeps no
-    survivor, run on their own (``_screened_sweep``), as do a subsample
+    the cell bound and the kernel read of them but the prior
+    (``_prior_groups``). Each group is screened once (``screen_profiles``
+    on its packs): a batch of cells of several games costs one
+    ``cell_lower_bound`` call, and each game keeps the leaves and the
+    seed of its own screen. The kept leaves of all the group's games
+    are then swept in one ``reduce_profile_gains`` call, whose chunks
+    span games, and each game keeps its own least gain, argmin and
+    codes within ``tol``. A second screen, for a game that keeps no
+    survivor, runs on its own (``_screened_sweep``), as do a subsample
     (each from its own generator seeded with ``seed``) and a tabulated
     game's grid."""
     _check_tol(tol)
@@ -521,9 +579,9 @@ def _mixed_searches(
     for total in totals:
         if total > max_profiles and total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
-    packs = [pack_game(game) for game in games]
+    packs = [pack_game(game) for game in games] if packs is None else packs
     swept = [None] * len(games)  # (_Swept, codes evaluated) per game
-    groups: dict[tuple, list[int]] = {}
+    whole = []
     for i, (game, pack, total) in enumerate(zip(games, packs, totals)):
         pts = grids[game.m]
         if total > max_profiles:
@@ -532,12 +590,14 @@ def _mixed_searches(
         elif game.utility.kind == "tabulated_grid":
             swept[i] = _sweep(game, pack, pts, CodeRange(0, total), tol, max_survivors), total
         else:
-            groups.setdefault(_screen_key(pack), []).append(i)
-    for members in groups.values():
+            whole.append(i)
+    for members in _prior_groups(games, packs, whole):
         pts = grids[games[members[0]].m]
-        screens = screen_profiles([packs[i] for i in members], pts, tol)
-        for i, screen in zip(members, screens):
-            swept[i] = _screened_sweep(games[i], packs[i], pts, tol, max_survivors, screen)
+        group = [packs[i] for i in members]
+        screens = screen_profiles(group, pts, tol)
+        firsts = reduce_profile_gains(group, pts, [kept for kept, _ in screens], tol)
+        for i, screen, first in zip(members, screens, firsts):
+            swept[i] = _screened_sweep(games[i], packs[i], pts, tol, max_survivors, screen, first)
     return [
         MixedSearchResult(
             step=step,
@@ -563,11 +623,12 @@ def _screened_sweep(
     tol: float,
     max_survivors: int,
     screen: tuple[CellCodes, int],
+    first: tuple[float, int, np.ndarray],
 ) -> tuple[_Swept, int]:
     """``_sweep`` over the whole grid ``pts`` of an additive game, run on
     the profiles its cell screen at ``tol`` kept (``screen``, the kept
-    leaves and the seed of ``screen_profiles``), and how many codes the
-    kernel evaluated.
+    leaves and the seed of ``screen_profiles``, whose kernel sweep
+    reduced to ``first``), and how many codes the kernel evaluated.
 
     A pruned profile's gain is above ``tol``, so the survivors and their
     count are the whole sweep's, and so are the least gain and its
@@ -586,7 +647,7 @@ def _screened_sweep(
     bound is at most the seed's gain): it is evaluated there again and
     counted once."""
     kept, seed = screen
-    swept = _sweep(game, pack, pts, kept, tol, max_survivors)
+    swept = _rebuilt(game, pts, first, tol, max_survivors)
     if seed < 0 or swept.count:
         return swept, kept.size
     if not kept.size:

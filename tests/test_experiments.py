@@ -433,6 +433,21 @@ class TestCountOnlyScan:
         assert any(r.mixed_survivors for r in rep.rows)
 
 
+def _count_packs(monkeypatch) -> list:
+    """The games ``pack_game`` packs, under every name the library calls
+    it by."""
+    packed = []
+    real = kernels.pack_game
+
+    def spy(game):
+        packed.append(game)
+        return real(game)
+
+    for module in (experiments, single):
+        monkeypatch.setattr(module, "pack_game", spy)
+    return packed
+
+
 class TestBatchedScan:
     """The scan's mixed searches share their cell screens: the 19 inner
     alphas, which differ in the prior only, are bounded together, and
@@ -451,6 +466,30 @@ class TestBatchedScan:
         assert [r.mixed_survivors for r in rep.rows] == [5] + [3] * 10 + [1] * 10
         # one call per game and level bounded 2,872 cells in 59 calls
         assert len(cells) <= 9 and sum(cells) == 2_872
+
+    def test_kernel_calls(self, monkeypatch):
+        """The kernel sweeps the games of each screen group together: the
+        42 per-game sweeps of a scan, a pure one and a mixed one per alpha,
+        run as one call per group for the pure profiles and one for the
+        kept cells."""
+        calls = []
+        real = kernels._gains_numpy
+
+        def spy(chunk, *args):
+            calls.append(chunk.size)
+            return real(chunk, *args)
+
+        monkeypatch.setattr(kernels, "_gains_numpy", spy)
+        rep = scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
+        assert [r.mixed_survivors for r in rep.rows] == [5] + [3] * 10 + [1] * 10
+        assert len(calls) <= 6
+
+    def test_packs_each_game_once(self, monkeypatch):
+        """The pure enumerations and the mixed searches read the same
+        packs: 21 ``pack_game`` calls for 21 games, where there were 42."""
+        packed = _count_packs(monkeypatch)
+        scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
+        assert len(packed) == len({id(g) for g in packed}) == 21
 
     def test_traced_peak(self):
         """The batched screen's arrays stay within the per-call cap of
@@ -571,6 +610,12 @@ class TestCounterexampleCheck:
             monkeypatch.setattr(experiments, name, fail)
         with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
             counterexample_check(counterexample_lsc(), strategy_step=0.25, tol=float("nan"))
+
+    def test_packs_the_game_once(self, monkeypatch):
+        """The pure sweep and the mixed search read one pack."""
+        packed = _count_packs(monkeypatch)
+        rep = counterexample_check(counterexample_lsc(), strategy_step=0.25)
+        assert len(packed) == 1 and rep.sweep.total == 25
 
     def test_tight_eps_not_reached_on_coarse_grid(self):
         rep = counterexample_check(

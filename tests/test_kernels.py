@@ -1034,10 +1034,10 @@ def _with_priors(game, priors) -> list[PerceptionGame]:
 
 
 def _screen_groups(packs) -> list[list[int]]:
-    """The packs' indices grouped by ``_screen_key``, by first member."""
+    """The packs' indices grouped by ``GamePack.screen_key``, by first member."""
     groups: dict[tuple, list[int]] = {}
     for i, pack in enumerate(packs):
-        groups.setdefault(kernels._screen_key(pack), []).append(i)
+        groups.setdefault(pack.screen_key, []).append(i)
     return list(groups.values())
 
 
@@ -1405,3 +1405,189 @@ class TestReduceProfileGains:
         kernels.reduce_profile_gains(pack, pts, idx, 1e-9)
         running = np.minimum.accumulate(full)[49:-1:50]
         assert limits == [np.inf] + np.maximum(1e-9, running).tolist()
+
+
+def _bits(found) -> tuple:
+    """A ``reduce_profile_gains`` triple as bits."""
+    least, code, within = found
+    return float(least).hex(), code, within.dtype, within.tobytes()
+
+
+class TestBatchedSweep:
+    """A list of packs that differ in the prior only is swept in one
+    stream of chunks shared across games, and each game gets the triple
+    of its own call, bit for bit."""
+
+    @staticmethod
+    def _assert_batched(games, pts, sources, tols=TOLS) -> list[list[int]]:
+        """Each ``GamePack.screen_key`` group of ``games`` swept in one call, over
+        ``sources(i)`` (a fresh source of game ``i``'s codes), gives each
+        game the triple of ``reduce_profile_gains`` on its own; the groups
+        are returned."""
+        packs = [pack_game(g) for g in games]
+        groups = _screen_groups(packs)
+        for tol in tols:
+            for members in groups:
+                batched = kernels.reduce_profile_gains(
+                    [packs[i] for i in members], pts, [sources(i) for i in members], tol
+                )
+                assert len(batched) == len(members)
+                for i, found in zip(members, batched):
+                    alone = kernels.reduce_profile_gains(packs[i], pts, sources(i), tol)
+                    assert _bits(found) == _bits(alone), (tol, i)
+        return groups
+
+    @staticmethod
+    def _spanning_calls(monkeypatch) -> list[int]:
+        """Count the kernel calls whose chunk spans games: those that carry
+        a prior per profile."""
+        spans = []
+        real = kernels._gains_numpy
+
+        def spy(chunk, grid_pts, pack, table=None, limit=np.inf, work=None):
+            if pack.prior.ndim > 1:
+                assert pack.prior.shape == (pack.u_min.shape[0], 1, chunk.size)
+                assert table is None and np.shape(limit) == chunk.shape
+                spans.append(chunk.size)
+            return real(chunk, grid_pts, pack, table, limit, work)
+
+        monkeypatch.setattr(kernels, "_gains_numpy", spy)
+        return spans
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        game=additive_catalog_games(),
+        counts=st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=2, max_size=4),
+        kind=st.sampled_from(["cells", "ranges", "pure", "mixed"]),
+        chunk=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_catalog_families(self, game, counts, kind, chunk, data):
+        """Priors drawn with zero-mass types; each game's codes are its
+        screen's kept cells, a range of up to 80 codes of its grid, all
+        its pure profiles, or cells and ranges in turn (so that chunks
+        are copied across sources); chunks of 1 to 40 profiles, so that
+        many span games."""
+        priors = [np.array(c[: game.n], dtype=np.float64) for c in counts if any(c[: game.n])]
+        if len(priors) < 2:
+            priors = [np.ones(game.n), np.eye(game.n)[0]]
+        games = _with_priors(game, [p / p.sum() for p in priors])
+        if kind == "pure":
+            pts = np.eye(game.m)
+        else:
+            pts = SimplexGrid(game.m, data.draw(st.integers(1, _max_resolution(game, 1_500)))).points()
+        total = pts.shape[0] ** game.n
+        limit = data.draw(st.sampled_from(SCREEN_LIMITS))
+        cells = [kernels.screen_profiles(pack_game(g), pts, limit)[0] for g in games]
+        starts = [data.draw(st.integers(0, total)) for _ in games]
+        ranges = [(a, min(total, a + data.draw(st.integers(0, 80)))) for a in starts]
+
+        def sources(i):
+            if kind == "pure":
+                return kernels.CodeRange(0, total)
+            if kind == "cells" or (kind == "mixed" and i % 2 == 0):
+                return cells[i]
+            return kernels.CodeRange(*ranges[i])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_CHUNK_BUDGET", chunk * game.m)
+            self._assert_batched(games, pts, sources)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        game=additive_catalog_games(),
+        counts=st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=2, max_size=4),
+        resolution=st.sampled_from([0, 2, 3]),
+        data=st.data(),
+    )
+    def test_gains_with_a_prior_and_a_limit_per_profile(self, game, counts, resolution, data):
+        """``_gains_numpy`` on profiles of several games, interleaved, each
+        with its game's prior and a limit of its own, gives every entry of
+        each game's own call with that limit, bit for bit (partial gains
+        too: a profile leaves after the same type either way). The games
+        are those of the first ``GamePack.screen_key`` group."""
+        priors = [np.array(c[: game.n], dtype=np.float64) for c in counts if any(c[: game.n])]
+        packs = [pack_game(g) for g in _with_priors(game, [p / p.sum() for p in priors or [np.ones(game.n)]])]
+        packs = [packs[i] for i in _screen_groups(packs)[0]]
+        pts = np.eye(game.m) if resolution == 0 else SimplexGrid(game.m, resolution).points()
+        idx = _sample(pts.shape[0] ** game.n, 200, resolution)
+        owner = np.array(data.draw(st.lists(st.integers(0, len(packs) - 1), min_size=idx.size, max_size=idx.size)))
+        full = np.empty(idx.size)
+        for k, pack in enumerate(packs):
+            full[owner == k] = kernels._gains_numpy(idx[owner == k], pts, pack)
+        limits = [np.inf, -np.inf, *np.quantile(full, [0.0, 0.3, 0.7], method="nearest").tolist()]
+        limit = np.array([data.draw(st.sampled_from(limits)) for _ in packs])[owner]
+        batch = replace(packs[0], prior=np.stack([p.prior for p in packs], axis=1)[:, None, owner])
+        got = kernels._gains_numpy(idx, pts, batch, None, limit)
+        for k, pack in enumerate(packs):
+            mine = owner == k
+            if mine.any():
+                want = kernels._gains_numpy(idx[mine], pts, pack, None, limit[mine][0])
+                assert got[mine].tobytes() == want.tobytes(), k
+
+    def test_majority_alphas(self, monkeypatch):
+        """The 19 inner alphas' kept cells, in chunks of 300 profiles, and
+        their 16 pure profiles each, in chunks of 50: many chunks span
+        games."""
+        family = default_majority_family()
+        games = [family.game_for(round(0.05 * i, 10)) for i in range(21)]
+        pts = SimplexGrid(2, 20).points()
+        cells = [kernels.screen_profiles(pack_game(g), pts, 1e-9)[0] for g in games]
+        spans = self._spanning_calls(monkeypatch)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 300 * 2)
+        groups = self._assert_batched(games, pts, cells.__getitem__)
+        assert groups == [[0], list(range(1, 20)), [20]]
+        assert len(spans) >= 10 * len(TOLS)
+        spans.clear()
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 50 * 2)
+        self._assert_batched(games, np.eye(2), lambda i: kernels.CodeRange(0, 2 ** games[i].n))
+        assert len(spans) >= 6 * len(TOLS)
+
+    def test_zero_prior_family(self, monkeypatch):
+        """Games with and without zero-mass types share chunks: a chunk
+        raises free rows when any of its games has such a type."""
+        game = _game([0.5, 0.5, 0.0], zero_prior_game().utility.v, [
+            PenaltySpec.exposure(1.0),
+            PenaltySpec.exposure(0.75),
+            PenaltySpec.piecewise_linear(((0.0, 0.0), (0.5, 1.5), (1.0, 0.5)), over=("t2",)),
+        ])
+        priors = [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]]
+        games = _with_priors(game, priors)
+        pts, idx = _all_profiles(game, 4)
+        # fewer codes than the 3 * 5**3 cells of the column table
+        samples = [_sample(idx.size, 300, i) for i in range(4)]
+        spans = self._spanning_calls(monkeypatch)
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 7 * 3)
+        groups = self._assert_batched(games, pts, samples.__getitem__)
+        assert groups == [[0, 1, 2, 3]] and spans
+
+    def test_table_games_are_swept_alone(self, monkeypatch):
+        """The column table depends on the prior: the pure profiles of
+        eight types and three actions take it (8 * 2**8 cells for 3**8
+        codes), so each game is swept on its own, with its own table."""
+        game = _exposure_eight_type_game()
+        games = _with_priors(game, [game.prior.p, dyadic_prior(np.random.default_rng(3), 8)])
+        tables = []
+        real = kernels._column_table
+
+        def spy(grid_pts, pack):
+            tables.append(pack.prior)
+            return real(grid_pts, pack)
+
+        monkeypatch.setattr(kernels, "_column_table", spy)
+        spans = self._spanning_calls(monkeypatch)
+        pts = np.eye(3)
+        assert self._assert_batched(games, pts, lambda i: kernels.CodeRange(0, 3**8), (1e-9,)) == [[0, 1]]
+        # one table per game for the batched call, and one per game alone
+        assert [p.tobytes() for p in tables] == [g.prior.p.tobytes() for g in games] * 2
+        assert not spans
+
+    def test_rejects_packs_of_other_games_and_unpaired_sources(self):
+        games = [blog(), counterexample_lsc()]
+        packs = [pack_game(g) for g in games]
+        pts = np.eye(2)
+        with pytest.raises(ValueError, match="differ in their prior only"):
+            kernels.reduce_profile_gains(packs, pts, [kernels.CodeRange(0, 4)] * 2, 0.0)
+        with pytest.raises(ValueError, match="one code source per pack"):
+            kernels.reduce_profile_gains(packs[:1], pts, [], 0.0)
+        assert kernels.reduce_profile_gains([], pts, [], 0.0) == []

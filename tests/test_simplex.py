@@ -228,6 +228,22 @@ class TestBatchedPosteriors:
         cols[:, -1, -1] = np.where(prior == 0.0, 1.0, 0.0)
         self._assert_is_posterior(prior, cols)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_prior_per_column(self, data):
+        """With one prior per column ``(n, 1, B)``, as the kernel sweeps
+        several games' profiles at once, each column's posterior is the
+        one its own prior gives."""
+        n, A, B = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        priors = np.stack([data.draw(dyadic_rows(n)) for _ in range(B)], axis=1)[:, None]  # (n, 1, B)
+        entries = st.integers(0, 10).map(lambda k: k / 10.0)
+        cols = np.reshape(data.draw(st.lists(entries, min_size=n * A * B, max_size=n * A * B)), (n, A, B))
+        on, beliefs = _posteriors(priors, cols)
+        for b in range(B):
+            want_on, want = _posteriors(priors[:, 0, b], cols[:, :, b : b + 1])
+            assert on[:, b : b + 1].tobytes() == want_on.tobytes()
+            assert beliefs[:, :, b : b + 1].tobytes() == want.tobytes()
+
     def test_off_path_columns(self):
         prior = np.array([0.0, 0.5, 0.5])
         cols = np.array([[1.0, 0.0, 0.25], [0.0, 0.0, 0.5], [0.0, 0.0, 0.25]])[:, None, :]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perception_games import kernels, single
+from perception_games import kernels, model, single
 from perception_games.experiments import default_majority_family
 from perception_games.fixtures import blog, counterexample_lsc, counterexample_usc
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
@@ -25,7 +25,7 @@ from perception_games.single import (
 )
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
-from helpers import oracle_pure_gains, reference_mixed_search, spec_to_dict, tabulate
+from helpers import oracle_pure_gains, reference_mixed_search, reference_profile_report, spec_to_dict, tabulate
 from test_kernels import (
     additive_catalog_games,
     eight_type_game,
@@ -841,6 +841,32 @@ class TestTabulatedGames:
         assert (capped.survivor_count, capped.truncated) == (3, True)
         for r, p in zip(capped.survivors, mixed.survivors[:2], strict=True):
             np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)
+
+
+class TestTabulatedReport:
+    """``profile_report`` values every type's on-path actions of a
+    tabulated game in one ``_interpolate`` call, each entry bit for bit
+    ``game.u``'s, as ``helpers.reference_profile_report`` takes them one
+    by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=additive_catalog_games(), resolution=st.integers(1, 6), data=st.data())
+    def test_one_interpolation_per_report(self, game, resolution, data):
+        game = tabulate(game, resolution)
+        pts = SimplexGrid(game.m, 2).points()
+        sigma = kernels.decode_profiles(pts, data.draw(st.integers(0, pts.shape[0] ** game.n - 1)), game.n)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (single, model):
+                real = module._interpolate
+                patch.setattr(module, "_interpolate", lambda *args, real=real: calls.append(1) or real(*args))
+            rep = profile_report(game, sigma)
+        assert len(calls) == 1
+        _, tau, clamped, payoffs, gains = reference_profile_report(game, sigma)
+        assert rep.gains.tobytes() == gains.tobytes()
+        assert rep.payoffs.tobytes() == payoffs.tobytes()
+        assert rep.perceptions.tau.tobytes() == tau.tobytes()
+        assert rep.clamped is clamped
 
 
 class TestProfileReportInput:

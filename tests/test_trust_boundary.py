@@ -5,14 +5,22 @@ that every object built so is, bit for bit, what the public
 constructor builds of the same rows, and that no solver checks its own
 rows again."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from perception_games import model, simplex, single, two_player
-from perception_games.experiments import build_separating_equilibrium, counterexample_check
+from perception_games.experiments import (
+    build_separating_equilibrium,
+    counterexample_check,
+    default_majority_family,
+    scan_alpha,
+)
 from perception_games.fixtures import blog
-from perception_games.penalties import PenaltySpec
+from perception_games.penalties import PenaltySpec, bind, penalty_range
+from perception_games.simplex import Belief, dirac
 from perception_games.single import (
     PerceptionMap,
     Strategy,
@@ -121,3 +129,48 @@ def test_search_argmin_is_not_checked_again(checked):
     checked.clear()
     assert search_mixed_equilibria(game, step=0.25, max_survivors=0).argmin.sigma.shape == (2, 2)
     assert checked == []
+
+
+def _assert_beliefs_as_checked(beliefs) -> None:
+    """Each belief's row equals, bit for bit and in its flags, the row the
+    public ``Belief`` constructor builds of it."""
+    for belief in beliefs:
+        got, want = belief.p, Belief(belief.p).p
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (got.flags.writeable, got.flags.c_contiguous) == (want.flags.writeable, want.flags.c_contiguous)
+
+
+@settings(max_examples=60, deadline=None)
+@given(game=catalog_games())
+def test_range_witnesses_and_exposures_equal_the_checked_beliefs(game):
+    """``dirac``, the witnesses of ``penalty_range`` (marginal beliefs,
+    the bound prior of ``tv_to_prior``, point masses) and ``chi`` are built
+    from checked inputs and not checked again."""
+    beliefs = [dirac(t, game.n) for t in range(game.n)] + [game.chi(t) for t in range(game.n)]
+    for t, a in np.ndindex(game.n, game.m):
+        r = game.u_range(t, a)
+        beliefs += [r.argmin, r.argmax]
+    _assert_beliefs_as_checked(beliefs)
+    assert all(game.chi(t) is game.chi(t) for t in range(game.n))
+
+
+def test_a_public_anchor_stays_writeable():
+    """The ``tv_to_prior`` witness is a copy of the bound anchor: a
+    penalty bound through the public ``bind`` keeps its caller's array."""
+    anchor = np.array([0.25, 0.75])
+    r = penalty_range(bind(PenaltySpec.tv_to_prior(1.0), ("a", "b"), anchor, 0))
+    assert anchor.flags.writeable and r.argmin.p.tobytes() == anchor.tobytes()
+    _assert_beliefs_as_checked([r.argmin, r.argmax])
+
+
+def test_warm_scan_checks_only_its_priors_and_sigmas(checked):
+    """A warm ``majority-scan`` pass checked 184 arrays: 120 range
+    witnesses the library built itself, besides the 21 games' priors and
+    the 43 pure equilibria's ``profile_report`` sigmas, which remain."""
+    family = default_majority_family()
+    alphas = [round(0.05 * i, 10) for i in range(21)]
+    scan_alpha(family, alphas, mixed_step=0.05)
+    checked.clear()
+    rep = scan_alpha(family, alphas, mixed_step=0.05)
+    assert Counter(checked) == {"belief": 21, "strategy": sum(r.n_equilibria for r in rep.rows)}
+    assert len(checked) <= 64
