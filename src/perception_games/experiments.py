@@ -37,10 +37,8 @@ from .single import (
     PerceptionMap,
     Strategy,
     _mixed_searches,
-    _pure_codes,
     _pure_enumerations,
     _step_resolution,
-    _sweep,
     enumerate_pure_equilibria,
     legislation_welfare,
     search_mixed_equilibria,  # unused here; perfbench/spans.py wraps this name
@@ -207,6 +205,10 @@ class MarginReport:
 
 
 def check_separation_margin(spec: SeparableGameSpec, tol: float = 0.0) -> MarginReport:
+    """The margin rows of ``spec``; ``holds`` when there are rows and
+    every margin is above ``tol``. A NaN ``tol`` is rejected before any
+    work."""
+    _check_tol(tol)
     spec.validate_structure()
     rows: list[tuple[str, str, str, float]] = []
     worst = np.inf
@@ -410,7 +412,7 @@ def scan_alpha(
     searches = [None] * len(games)
     if mixed_step is not None:
         searches = _mixed_searches(games, mixed_step, tol, seed, max_survivors=0, packs=packs)
-    pures = _pure_enumerations(games, tol, packs=packs)
+    pures = [swept.survivors for swept in _pure_enumerations(games, tol, packs=packs)]
     bound = separation_uniqueness_bound(specs[0])
     rows: list[AlphaRow] = []
     for alpha, spec, found, search in zip(alphas, specs, pures, searches):
@@ -555,9 +557,8 @@ def counterexample_check(
             "continuous games always admit equilibria in principle and the "
             "pure and grid sweeps below would not be informative"
         )
-    vertices = np.eye(game.m)
     pack = pack_game(game)
-    pure = _sweep(game, pack, vertices, _pure_codes(game), tol)
+    pure = _pure_enumerations([game], tol, packs=[pack])[0]
     sweep = _mixed_searches([game], strategy_step, tol, seed, packs=[pack])[0]
     found: dict[float, bool] = {}
     witness: dict[float, Strategy | None] = {}
@@ -569,7 +570,7 @@ def counterexample_check(
         witness[float(eps)] = sweep.argmin if hit else None
     return NonexistenceReport(
         pure_min_gain=pure.least,
-        pure_argmin=Strategy._built(game, decode_profiles(vertices, pure.code, game.n)),
+        pure_argmin=Strategy._built(game, decode_profiles(np.eye(game.m), pure.code, game.n)),
         pure_equilibrium_exists=bool(pure.survivors),
         sweep=sweep,
         eps_equilibrium_found=found,

@@ -109,25 +109,25 @@ paper's separable families, the types of one privacy class) share one
 bound per batch (``GamePack.bound_plan``), a penalty compares all its
 knots or piece bounds with every interval at once, and a level's cells
 split in one step, in the order of splitting one type after the other.
-Games that differ in their prior only are screened together, each cell
-carrying its game and bounded at its game's prior, so one call serves
-them all: a ``majority-scan`` pass bounds its 2,872 cells in 5 calls,
-where a screen per game took 59.
+Callers hand ``screen_profiles`` and ``reduce_profile_gains`` a list of
+packs of any games, and the kernel groups them itself (``_groups``, on
+``GamePack.screen_key``), the one place that rule lives. The games of a
+group differ in their prior only and are screened together, each cell
+carrying its game and bounded at its game's prior: a ``majority-scan``
+pass bounds its 2,872 cells in 5 calls, where a screen per game took 59.
 
-Such games are swept together too. A kernel call on a single code
-takes about 200 us (numpy 2.4, 2 vCPUs), and an alpha scan's games
-each sweep a few hundred kept profiles and 16 pure ones, so
-``reduce_profile_gains`` also takes a list of packs that differ in
-their prior only, with a code source each. Their codes stream in game
-order through one workspace (``_stream``), in chunks shared across
-games: a chunk that spans games is one call, with a prior per profile
-``(n, 1, B)`` and each profile's game's limit ``(B,)``, which every
-step reads elementwise, and its gains are then reduced game by game. A
-chunk of one game is that game's own call, scalar prior and limit, and
-a list of one pack is the one-pack call. The column table depends on
-the prior, so a game whose own sweep would take it is swept alone. A
-``majority-scan`` pass makes 6 kernel calls, where one sweep per game
-and kind made 42, with the same results bit for bit.
+They are swept together too, with a code source each. A kernel call on
+a single code takes about 200 us (numpy 2.4, 2 vCPUs), and an alpha
+scan's games each sweep a few hundred kept profiles and 16 pure ones.
+A group's codes stream in pack order through one workspace
+(``_stream``), in chunks shared across games: a chunk that spans games
+is one call, with a prior per profile ``(n, 1, B)`` and each profile's
+game's limit ``(B,)``, which every step reads elementwise, and its gains
+are then reduced game by game; a chunk of one game is that game's own
+call. The column table depends on the prior, so a game whose own sweep
+takes it is swept alone, as is a tabulated game. A ``majority-scan``
+pass makes 6 kernel calls, where one sweep per game and kind made 42,
+with the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -540,16 +540,14 @@ def _keep(keep: np.ndarray, *arrays):
     return tuple(None if x is None else np.take(x, keep, axis=-1) for x in arrays)
 
 
-def _plan(pack: GamePack, grid_pts: np.ndarray, size: int, alone: bool = True):
+def _plan(pack: GamePack, grid_pts: np.ndarray, size: int, with_table: bool):
     """``(grid_pts, table, work)`` for a sweep of ``size`` codes: the grid
-    as contiguous float64, the column table when the sweep is one game's
-    (``alone``) and the table has no more cells than there are codes
-    (``_table_cells``; else None), and the sweep's workspace, whose
-    ``width`` is the profiles per chunk."""
+    as contiguous float64, the column table when ``with_table`` (else
+    None), and the sweep's workspace, whose ``width`` is the profiles per
+    chunk."""
     grid_pts = np.ascontiguousarray(grid_pts, dtype=np.float64)
-    n, m = pack.u_min.shape
-    table = _column_table(grid_pts, pack) if alone and _table_cells(grid_pts, n) <= size else None
-    width = max(1, min(size, _CHUNK_BUDGET // m))
+    table = _column_table(grid_pts, pack) if with_table else None
+    width = max(1, min(size, _CHUNK_BUDGET // pack.u_min.shape[1]))
     return grid_pts, table, _Workspace(pack, grid_pts, table, width)
 
 
@@ -607,7 +605,8 @@ def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -
     than ``idx`` has codes, else from each profile's posteriors.
     """
     idx = np.ascontiguousarray(idx, dtype=np.int64)
-    grid_pts, table, work = _plan(pack, grid_pts, idx.shape[0])
+    with_table = _table_cells(grid_pts, pack.u_min.shape[0]) <= idx.shape[0]
+    grid_pts, table, work = _plan(pack, grid_pts, idx.shape[0], with_table)
     out = np.empty(idx.shape[0])
     for start in range(0, idx.shape[0], work.width):
         stop = min(start + work.width, idx.shape[0])
@@ -635,49 +634,54 @@ def reduce_profile_gains(
     within ``tol`` ascending. Either way the results are those of the
     full gains, bit for bit, whatever the chunk width.
 
-    ``pack`` is one game's pack, or a list of packs of additive games
-    that differ in their prior only (equal ``GamePack.screen_key``, else
-    ``ValueError``) with ``codes`` a list of one source per pack, for
-    which the result is a list of those triples, one per pack, each bit
-    for bit that of the pack's own call. The games' codes stream through
-    one workspace in game order, in shared chunks (``_stream``): a chunk
-    that spans games is one kernel call, with each profile's own prior
-    and its own game's limit, and is then reduced game by game. A game
-    whose own sweep would take the column table, which depends on the
-    prior, is swept on its own.
+    ``pack`` is one game's pack, or a list of packs of any games with
+    ``codes`` a list of one source per pack, for which the result is a
+    list of those triples, one per pack, each bit for bit that of the
+    pack's own call. The kernel groups the packs itself (``_groups``):
+    the games of a group, which differ in their prior only, stream
+    through one workspace in shared chunks (``_stream``), a chunk that
+    spans games being one kernel call with each profile's own prior and
+    limit. A tabulated game, and a game whose own sweep takes the column
+    table, which depends on the prior, is swept on its own.
     """
-    if isinstance(pack, GamePack):
-        return _reduce([pack], grid_pts, [codes], tol)[0]
-    packs, sources = list(pack), list(codes)
+    packs, sources = ([pack], [codes]) if isinstance(pack, GamePack) else (list(pack), list(codes))
     if len(sources) != len(packs):
         raise ValueError(f"need one code source per pack, got {len(sources)} for {len(packs)}")
-    if len(packs) > 1 and len({p.screen_key for p in packs}) > 1:
-        raise ValueError("a sweep's packs must differ in their prior only")
+    # one sort of the grid per type count, not per pack
+    cells = {n: _table_cells(grid_pts, n) for n in {p.u_min.shape[0] for p in packs}}
+    table = [cells[p.u_min.shape[0]] <= source.size for p, source in zip(packs, sources)]
     out: list = [None] * len(packs)
-    shared = []
-    cells = _table_cells(grid_pts, packs[0].u_min.shape[0]) if packs else 0
-    for k, (p, source) in enumerate(zip(packs, sources)):
-        if cells <= source.size:
-            out[k] = _reduce([p], grid_pts, [source], tol)[0]
-        else:
-            shared.append(k)
-    if shared:
-        found = _reduce([packs[k] for k in shared], grid_pts, [sources[k] for k in shared], tol)
-        for k, triple in zip(shared, found):
+    for group in _groups(packs, alone=table):
+        found = _reduce(
+            [packs[k] for k in group], grid_pts, [sources[k] for k in group], tol, table[group[0]]
+        )
+        for k, triple in zip(group, found):
             out[k] = triple
-    return out
+    return out[0] if isinstance(pack, GamePack) else out
+
+
+def _groups(packs: list[GamePack], alone: Sequence[bool] | None = None) -> list[list[int]]:
+    """The indices of ``packs`` that the screen and the kernel treat
+    together, by first member: additive games with equal
+    ``GamePack.screen_key``; a tabulated pack, and pack ``k`` with
+    ``alone[k]``, is a group of its own."""
+    groups: dict = {}
+    for k, p in enumerate(packs):
+        solo = p.values is not None or (alone is not None and alone[k])
+        groups.setdefault(k if solo else p.screen_key, []).append(k)
+    return list(groups.values())
 
 
 def _reduce(
-    packs: list[GamePack], grid_pts: np.ndarray, sources: list, tol: float
+    packs: list[GamePack], grid_pts: np.ndarray, sources: list, tol: float, with_table: bool
 ) -> list[tuple[float, int, np.ndarray]]:
-    """``reduce_profile_gains`` of each pack over its source: the column
-    table only for one pack, one chunk stream for all. A chunk of one
-    game is that game's kernel call; a chunk that spans games carries
-    each profile's prior ``(n, 1, B)`` and limit ``(B,)``."""
+    """``reduce_profile_gains`` of each pack of one group over its source:
+    the column table when ``with_table`` (one pack), one chunk stream for all.
+    A chunk of one game is that game's kernel call; a chunk that spans
+    games carries each profile's prior ``(n, 1, B)`` and limit ``(B,)``."""
     K = len(packs)
     sizes = [source.size for source in sources]
-    grid_pts, table, work = _plan(packs[0], grid_pts, sum(sizes), alone=K == 1)
+    grid_pts, table, work = _plan(packs[0], grid_pts, sum(sizes), with_table)
     ends = np.cumsum(sizes).tolist()
     by_code = [isinstance(source, CellCodes) for source in sources]
     least, code = [np.inf] * K, [-1] * K
@@ -918,12 +922,13 @@ def screen_profiles(
     source), and the lowest code of the pruned cell with the least bound
     (-1 when none is pruned).
 
-    ``pack`` is one game's pack, or a list of packs that differ in their
-    prior only (equal ``GamePack.screen_key``), for which the result is a
-    list of those pairs, one per pack. A list is screened in one pass: every
-    cell carries the index of its game, the cells of all the games make
-    up each level, and one ``cell_lower_bound`` call bounds a batch of
-    them at once, each cell with its own game's prior. A cell's bound,
+    ``pack`` is one game's pack, or a list of packs of any additive games,
+    for which the result is a list of those pairs, one per pack. The
+    screen groups the packs itself (``_groups``) and screens each group,
+    the games that differ in their prior only, in one pass (``_screen``):
+    every cell carries the index of its game, the cells of all the games
+    make up each level, and one ``cell_lower_bound`` call bounds a batch
+    of them at once, each cell with its own game's prior. A cell's bound,
     and so whether it is pruned, kept or split, does not depend on the
     cells it is batched with, so each game's kept leaves and seed are
     those of screening it alone, bit for bit and in the same order.
@@ -950,9 +955,16 @@ def screen_profiles(
     other cell.
     """
     packs = [pack] if isinstance(pack, GamePack) else list(pack)
+    out: list = [None] * len(packs)
+    for group in _groups(packs):
+        for k, pair in zip(group, _screen([packs[k] for k in group], grid_pts, limit)):
+            out[k] = pair
+    return out[0] if isinstance(pack, GamePack) else out
+
+
+def _screen(packs: list[GamePack], grid_pts: np.ndarray, limit: float) -> list[tuple[CellCodes, int]]:
+    """``screen_profiles`` of the packs of one group, in one pass."""
     first = packs[0]
-    if len({p.screen_key for p in packs}) > 1:
-        raise ValueError("a screen's packs must differ in their prior only")
     n, K = first.u_min.shape[0], len(packs)
     G = grid_pts.shape[0]
     tree = grid_tree(grid_pts)
@@ -995,14 +1007,13 @@ def screen_profiles(
     ends = np.cumsum(np.bincount(owner, minlength=K)).tolist()
     # a cell's lowest code gives each type the first point of its node
     starts = np.take(tree.start, seed).T.tolist()
-    out = [
+    return [
         (
             CellCodes(tree, kept[:, lo:hi], G),
             sum(s * G ** (n - 1 - t) for t, s in enumerate(start)) if bound_g < np.inf else -1,
         )
         for lo, hi, start, bound_g in zip([0] + ends, ends, starts, least.tolist())
     ]
-    return out[0] if isinstance(pack, GamePack) else out
 
 
 def _with_prior(pack: GamePack, priors: np.ndarray, game: np.ndarray) -> GamePack:

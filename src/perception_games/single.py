@@ -352,21 +352,6 @@ class _Swept(NamedTuple):
     survivors: list[EquilibriumReport]
 
 
-def _sweep(
-    game: PerceptionGame,
-    pack: GamePack,
-    pts: np.ndarray,
-    codes,
-    tol: float,
-    max_survivors: int | None = None,
-) -> _Swept:
-    """The kernel's screen of the profile ``codes`` (a code source) over
-    the grid ``pts``, reduced (``reduce_profile_gains``), with the
-    reports of the first ``max_survivors`` profiles whose gain is at most
-    ``tol``, kept when the exact report confirms it (``_rebuilt``)."""
-    return _rebuilt(game, pts, reduce_profile_gains(pack, pts, codes, tol), tol, max_survivors)
-
-
 def _rebuilt(
     game: PerceptionGame,
     pts: np.ndarray,
@@ -394,7 +379,7 @@ def enumerate_pure_equilibria(
     significant position. A NaN ``tol`` is rejected before any work.
     This is the one-game case of ``_pure_enumerations``.
     """
-    return _pure_enumerations([game], tol, max_profiles)[0]
+    return _pure_enumerations([game], tol, max_profiles)[0].survivors
 
 
 def _pure_enumerations(
@@ -402,34 +387,32 @@ def _pure_enumerations(
     tol: float = WEAK_TOL,
     max_profiles: int = 1_000_000,
     packs: Sequence[GamePack] | None = None,
-) -> list[list[EquilibriumReport]]:
-    """``enumerate_pure_equilibria`` of each of ``games``, with every
-    argument checked before any work, from the games' ``packs`` when
-    given. The additive games that differ in their prior only
-    (``_prior_groups``) are swept in one ``reduce_profile_gains`` call
-    per group, each game with its own results."""
+) -> list[_Swept]:
+    """The pure sweep of each of ``games``, whose survivors are its
+    ``enumerate_pure_equilibria``, with every argument checked before any
+    work, from the games' ``packs`` when given: one ``reduce_profile_gains``
+    call per action count on every game's pure profiles, which sweeps the
+    games that differ in their prior only together, each game with its
+    own results."""
     _check_tol(tol)
     sources = [_pure_codes(game, max_profiles) for game in games]
     packs = [pack_game(game) for game in games] if packs is None else packs
     found: list = [None] * len(games)
-    for members in _prior_groups(games, packs, range(len(games))):
-        pts = np.eye(games[members[0]].m)
+    for m, members in _by_actions(games).items():
+        pts = np.eye(m)
         swept = reduce_profile_gains([packs[i] for i in members], pts, [sources[i] for i in members], tol)
         for i, triple in zip(members, swept):
-            found[i] = _rebuilt(games[i], pts, triple, tol).survivors
+            found[i] = _rebuilt(games[i], pts, triple, tol)
     return found
 
 
-def _prior_groups(games: Sequence[PerceptionGame], packs: Sequence[GamePack], members) -> list[list[int]]:
-    """The indices ``members`` grouped by what the kernel and the cell
-    bound read of their additive games but the prior
-    (``GamePack.screen_key``), by first member; a tabulated game is a
-    group of its own."""
-    groups: dict = {}
-    for i in members:
-        tabulated = games[i].utility.kind == "tabulated_grid"
-        groups.setdefault(i if tabulated else packs[i].screen_key, []).append(i)
-    return list(groups.values())
+def _by_actions(games: Sequence[PerceptionGame]) -> dict[int, list[int]]:
+    """The indices of ``games`` by action count, so by grid, in order of
+    first game."""
+    members: dict[int, list[int]] = {}
+    for i, game in enumerate(games):
+        members.setdefault(game.m, []).append(i)
+    return members
 
 
 def _pure_codes(game: PerceptionGame, max_profiles: int = 1_000_000) -> CodeRange:
@@ -499,7 +482,8 @@ def search_mixed_equilibria(
     seed has). The subsample draws codes with replacement, so a profile
     can be swept more than once and ``swept`` counts draws, not
     distinct profiles. A per-type grid with more than ``max_profiles``
-    points is rejected before it is built.
+    points is rejected before it is built, and a grid of more profiles
+    than an int64 code can index before any game is packed.
 
     The whole grid of an additive game is screened first: the kernel
     evaluates only the profiles in cells whose certified lower bound on
@@ -526,10 +510,10 @@ def search_mixed_equilibria(
     results are those of the full gains bit for bit. The game is packed
     once per call, and a grid's cell tree is built once.
 
-    This is the one-game case of ``_mixed_searches``, which runs several
-    games' searches with one cell screen and one kernel sweep of the kept
-    cells for the games that differ in their prior only, each with this
-    call's results.
+    This is the one-game case of ``_mixed_searches``, which hands every
+    game's pack and code source to one screen and one kernel call; the
+    kernel shares them among the games that differ in their prior only,
+    each with this call's results.
     """
     return _mixed_searches([game], step, tol, seed, max_profiles, max_survivors)[0]
 
@@ -547,88 +531,82 @@ def _mixed_searches(
     with every argument checked before any work, from the games'
     ``packs`` when given.
 
-    The additive games whose grids are swept whole are grouped by what
-    the cell bound and the kernel read of them but the prior
-    (``_prior_groups``). Each group is screened once (``screen_profiles``
-    on its packs): a batch of cells of several games costs one
-    ``cell_lower_bound`` call, and each game keeps the leaves and the
-    seed of its own screen. The kept leaves of all the group's games
-    are then swept in one ``reduce_profile_gains`` call, whose chunks
-    span games, and each game keeps its own least gain, argmin and
-    codes within ``tol``. A second screen, for a game that keeps no
-    survivor, runs on its own (``_screened_sweep``), as do a subsample
-    (each from its own generator seeded with ``seed``) and a tabulated
-    game's grid."""
+    A grid of more than int64 max profiles is rejected, whole or
+    subsampled: its codes cannot be indexed. Per action count (so per
+    grid), each game gets one code source: a subsample's draws (each from
+    its own generator seeded with ``seed``), a tabulated game's whole
+    grid, or the kept leaves of an additive game's cell screen. One
+    ``screen_profiles`` call screens the additive grids and one
+    ``reduce_profile_gains`` call sweeps every source; the kernel shares
+    both among the games that differ in their prior only, each keeping
+    its own results. The survivors are rebuilt (``_rebuilt``), and a
+    screened game that keeps none gets a second screen of its own
+    (``_screened_sweep``)."""
     _check_tol(tol)
     max_profiles = _cap(max_profiles, "max_profiles")
     max_survivors = _cap(max_survivors, "max_survivors")
     if max_survivors < 0:
         raise ValueError(f"max_survivors must be nonnegative, got {max_survivors!r}")
     resolution = _step_resolution(step)
+    by_actions = _by_actions(games)
     grids: dict[int, np.ndarray] = {}
-    for game in games:
-        if game.m not in grids:
-            grid = SimplexGrid(game.m, resolution)
-            if grid.size > max_profiles:
-                raise ValueError(
-                    f"the step-{step!r} grid has {grid.size} points per type, more than "
-                    f"max_profiles={max_profiles}"
-                )
-            grids[game.m] = grid.points()
+    for m in by_actions:
+        grid = SimplexGrid(m, resolution)
+        if grid.size > max_profiles:
+            raise ValueError(
+                f"the step-{step!r} grid has {grid.size} points per type, more than "
+                f"max_profiles={max_profiles}"
+            )
+        grids[m] = grid.points()
     totals = [len(grids[game.m]) ** game.n for game in games]
     for total in totals:
-        if total > max_profiles and total > np.iinfo(np.int64).max:
+        if total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
     packs = [pack_game(game) for game in games] if packs is None else packs
-    swept = [None] * len(games)  # (_Swept, codes evaluated) per game
-    whole = []
-    for i, (game, pack, total) in enumerate(zip(games, packs, totals)):
-        pts = grids[game.m]
-        if total > max_profiles:
-            codes = CodeDraws(np.random.default_rng(seed), total, max_profiles)
-            swept[i] = _sweep(game, pack, pts, codes, tol, max_survivors), max_profiles
-        elif game.utility.kind == "tabulated_grid":
-            swept[i] = _sweep(game, pack, pts, CodeRange(0, total), tol, max_survivors), total
-        else:
-            whole.append(i)
-    for members in _prior_groups(games, packs, whole):
-        pts = grids[games[members[0]].m]
-        group = [packs[i] for i in members]
-        screens = screen_profiles(group, pts, tol)
-        firsts = reduce_profile_gains(group, pts, [kept for kept, _ in screens], tol)
-        for i, screen, first in zip(members, screens, firsts):
-            swept[i] = _screened_sweep(games[i], packs[i], pts, tol, max_survivors, screen, first)
-    return [
-        MixedSearchResult(
-            step=step,
-            resolution=resolution,
-            total=total,
-            swept=min(total, max_profiles),
-            evaluated=evaluated,
-            subsampled=total > max_profiles,
-            min_max_gain=found.least,
-            argmin=Strategy._built(game, decode_profiles(grids[game.m], found.code, game.n)),
-            survivors=tuple(found.survivors),
-            survivor_count=found.count,
-            truncated=found.count > max_survivors,
-        )
-        for game, total, (found, evaluated) in zip(games, totals, swept)
-    ]
+    results: list = [None] * len(games)
+    for m, members in by_actions.items():
+        pts = grids[m]
+        whole = [i for i in members if totals[i] <= max_profiles and packs[i].values is None]
+        screens = dict(zip(whole, screen_profiles([packs[i] for i in whole], pts, tol)))
+        sources = [
+            CodeDraws(np.random.default_rng(seed), totals[i], max_profiles) if totals[i] > max_profiles
+            else screens[i][0] if i in screens
+            else CodeRange(0, totals[i])
+            for i in members
+        ]
+        found = reduce_profile_gains([packs[i] for i in members], pts, sources, tol)
+        for i, source, triple in zip(members, sources, found):
+            game, total = games[i], totals[i]
+            swept, evaluated = _rebuilt(game, pts, triple, tol, max_survivors), source.size
+            if i in screens:
+                swept, evaluated = _screened_sweep(packs[i], pts, tol, screens[i], swept)
+            results[i] = MixedSearchResult(
+                step=step,
+                resolution=resolution,
+                total=total,
+                swept=min(total, max_profiles),
+                evaluated=evaluated,
+                subsampled=total > max_profiles,
+                min_max_gain=swept.least,
+                argmin=Strategy._built(game, decode_profiles(pts, swept.code, game.n)),
+                survivors=tuple(swept.survivors),
+                survivor_count=swept.count,
+                truncated=swept.count > max_survivors,
+            )
+    return results
 
 
 def _screened_sweep(
-    game: PerceptionGame,
     pack: GamePack,
     pts: np.ndarray,
     tol: float,
-    max_survivors: int,
     screen: tuple[CellCodes, int],
-    first: tuple[float, int, np.ndarray],
+    swept: _Swept,
 ) -> tuple[_Swept, int]:
-    """``_sweep`` over the whole grid ``pts`` of an additive game, run on
-    the profiles its cell screen at ``tol`` kept (``screen``, the kept
-    leaves and the seed of ``screen_profiles``, whose kernel sweep
-    reduced to ``first``), and how many codes the kernel evaluated.
+    """The whole sweep of the grid ``pts`` of an additive game from the
+    sweep ``swept`` (rebuilt by ``_rebuilt``) of the profiles its cell
+    screen at ``tol`` kept (``screen``, the kept leaves and the seed of
+    ``screen_profiles``), and how many codes the kernel evaluated.
 
     A pruned profile's gain is above ``tol``, so the survivors and their
     count are the whole sweep's, and so are the least gain and its
@@ -647,7 +625,6 @@ def _screened_sweep(
     bound is at most the seed's gain): it is evaluated there again and
     counted once."""
     kept, seed = screen
-    swept = _rebuilt(game, pts, first, tol, max_survivors)
     if seed < 0 or swept.count:
         return swept, kept.size
     if not kept.size:

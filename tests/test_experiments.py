@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from perception_games.fixtures import (
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
 from perception_games import single
-from perception_games.single import search_mixed_equilibria, verify_equilibrium
+from perception_games.single import profile_report, search_mixed_equilibria, verify_equilibrium
 from perception_games.testing import _separable_penalty, random_separable_spec
 
 from helpers import reference_check_separation_margin, with_player
+from test_kernels import full_event_step_game, step_bounds_game
 
 
 def _toy_spec(**overrides):
@@ -218,6 +220,18 @@ class TestMarginMatchesReference:
         spec = _margin_spec(seed)
         for tol in (0.0, 0.5):
             assert check_separation_margin(spec, tol) == reference_check_separation_margin(spec, tol)
+
+    def test_nan_tol_rejected_before_any_work(self, monkeypatch):
+        # a NaN tol failed the margin comparison and reported holds=False
+        spec = default_majority_family().spec_for(0.8)
+        assert check_separation_margin(spec, 0.0).holds
+
+        def fail(*args, **kwargs):
+            raise AssertionError("checked the spec")
+
+        monkeypatch.setattr(SeparableGameSpec, "validate_structure", fail)
+        with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
+            check_separation_margin(spec, float("nan"))
 
     def test_seeds_cover_dead_cells_and_both_kinds(self):
         specs = [_margin_spec(seed) for seed in range(40)]
@@ -564,6 +578,24 @@ class TestCounterexampleCheck:
         with pytest.raises(ValueError, match="2097152 pure profiles exceed max_profiles=1000000"):
             counterexample_check(game)
 
+    @pytest.mark.parametrize(
+        "build", [counterexample_lsc, counterexample_usc, step_bounds_game, full_event_step_game]
+    )
+    @pytest.mark.parametrize("tol", [1e-9, 0.25, 1.0])
+    def test_pure_fields_are_the_brute_force_minimum(self, build, tol):
+        """The pure fields against every pure profile's exact report, bit
+        for bit: the least ``max_gain``, the lowest code with it (profiles
+        in lexicographic order, type 0 first) and whether some gain is at
+        most ``tol``."""
+        game = build()
+        rep = counterexample_check(game, strategy_step=0.5, tol=tol)
+        rows = [np.eye(game.m)[list(actions)] for actions in product(range(game.m), repeat=game.n)]
+        gains = [profile_report(game, sigma, tol).max_gain for sigma in rows]
+        least = min(gains)
+        assert rep.pure_min_gain.hex() == least.hex()
+        assert rep.pure_argmin.sigma.tobytes() == rows[gains.index(least)].tobytes()
+        assert rep.pure_equilibrium_exists is any(g <= tol for g in gains)
+
     def test_lower_semicontinuous_fixture(self):
         rep = counterexample_check(counterexample_lsc(), strategy_step=0.05, epsilons=(0.1,))
         assert rep.pure_min_gain == pytest.approx(1.0)
@@ -596,7 +628,7 @@ class TestCounterexampleCheck:
         def fail(*args, **kwargs):
             raise AssertionError("swept")
 
-        for name in ("pack_game", "_sweep", "search_mixed_equilibria"):
+        for name in ("pack_game", "_pure_enumerations", "_mixed_searches"):
             monkeypatch.setattr(experiments, name, fail)
         with pytest.raises(ValueError, match=r"^step must be the reciprocal of a positive integer, got 0\.3$"):
             counterexample_check(counterexample_lsc(), strategy_step=0.3)
@@ -606,7 +638,7 @@ class TestCounterexampleCheck:
         def fail(*args, **kwargs):
             raise AssertionError("swept")
 
-        for name in ("pack_game", "_sweep", "search_mixed_equilibria"):
+        for name in ("pack_game", "_pure_enumerations", "_mixed_searches"):
             monkeypatch.setattr(experiments, name, fail)
         with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
             counterexample_check(counterexample_lsc(), strategy_step=0.25, tol=float("nan"))

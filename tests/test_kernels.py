@@ -1063,6 +1063,51 @@ def _assert_batched_screen(games, resolution, limits=SCREEN_LIMITS + ROOT_LIMITS
     return groups
 
 
+def _mixed_two_action_games() -> tuple[list[PerceptionGame], list[str]]:
+    """Two-action games of several ``GamePack.screen_key`` groups, in a
+    shuffled order, each with its group's name: a ``tv_to_prior`` game
+    twice at one prior ("tv") and once at another ("tv flat"), the
+    majority family at three alphas ("majority") and at one more
+    ("table"), ``blog``, ``counterexample_lsc`` and a tabulated game."""
+    tv = tied_prior_tv_game()
+    family = default_majority_family()
+    named = {
+        "tv": _with_priors(tv, [tv.prior.p, tv.prior.p]),
+        "tv flat": _with_priors(tv, [[0.25] * 4]),
+        "majority": [family.game_for(a) for a in (0.3, 0.5, 0.7)],
+        "table": [family.game_for(0.4)],
+        "blog": [blog()],
+        "lsc": [counterexample_lsc()],
+        "tabulated": [tabulate(blog(), 8)],
+    }
+    pairs = [(g, key) for key, gs in named.items() for g in gs]
+    order = np.random.default_rng(0).permutation(len(pairs))
+    return [pairs[i][0] for i in order], [pairs[i][1] for i in order]
+
+
+def _key_groups(keys) -> list[list[int]]:
+    """The indices of ``keys`` grouped by equal key, sorted."""
+    groups: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.values())
+
+
+def _spy_groups(monkeypatch, name: str, packs) -> list[list[int]]:
+    """Record the group of ``packs`` (their indices, in order) that each
+    call of ``kernels.<name>`` gets as its first argument."""
+    index = {id(p): i for i, p in enumerate(packs)}
+    groups = []
+    real = getattr(kernels, name)
+
+    def spy(group, *args):
+        groups.append([index[id(p)] for p in group])
+        return real(group, *args)
+
+    monkeypatch.setattr(kernels, name, spy)
+    return groups
+
+
 def _exposure_eight_type_game() -> PerceptionGame:
     """``eight_type_game`` with exposure in place of ``tv_to_prior``, so
     that its priors share one screen."""
@@ -1128,16 +1173,31 @@ class TestBatchedScreen:
         priors = [game.prior.p, dyadic_prior(np.random.default_rng(3), 8)]
         assert _assert_batched_screen(_with_priors(game, priors), resolution, limits) == [[0, 1]]
 
-    def test_tv_to_prior_family_does_not_share_a_screen(self):
+    def test_tv_to_prior_family_does_not_share_a_screen(self, monkeypatch):
         """A ``tv_to_prior`` penalty is anchored at the prior, so games of
-        different priors are screened apart, and a list of them is
-        rejected; the same prior twice shares one screen."""
+        different priors are screened apart; the same prior twice shares
+        one screen. A list that mixes such games with games of other
+        ``GamePack.screen_key`` groups, in shuffled order, is grouped by
+        the screen itself: one pass per group, and each entry is that
+        game's own screen, bit for bit."""
         game = tied_prior_tv_game()
         games = _with_priors(game, [game.prior.p, [0.25] * 4, game.prior.p])
         assert _assert_batched_screen(games, 4) == [[0, 2], [1]]
+        games, keys = _mixed_two_action_games()
+        games, keys = zip(*[(g, k) for g, k in zip(games, keys) if k != "tabulated"])
+        keys = ["majority" if k == "table" else k for k in keys]
         pts = SimplexGrid(2, 4).points()
-        with pytest.raises(ValueError, match="differ in their prior only"):
-            kernels.screen_profiles([pack_game(g) for g in games], pts, 0.05)
+        packs = [pack_game(g) for g in games]
+        passes = _spy_groups(monkeypatch, "_screen", packs)
+        for limit in SCREEN_LIMITS + ROOT_LIMITS:
+            passes.clear()
+            batched = kernels.screen_profiles(packs, pts, limit)
+            assert sorted(passes) == _key_groups(keys)
+            for pack, (kept, seed) in zip(packs, batched):
+                alone, alone_seed = kernels.screen_profiles(pack, pts, limit)
+                assert seed == alone_seed, limit
+                assert kept.cells.tobytes() == alone.cells.tobytes(), limit
+        assert kernels.screen_profiles([], pts, 0.05) == []
 
 
 def _assert_bound_is_reference(game, pts, cells):
@@ -1582,12 +1642,42 @@ class TestBatchedSweep:
         assert [p.tobytes() for p in tables] == [g.prior.p.tobytes() for g in games] * 2
         assert not spans
 
-    def test_rejects_packs_of_other_games_and_unpaired_sources(self):
-        games = [blog(), counterexample_lsc()]
+    def test_groups_any_packs_and_rejects_unpaired_sources(self, monkeypatch):
+        """A list that mixes ``GamePack.screen_key`` groups, a tabulated
+        game, a game whose own sweep takes the column table (2,600 draws
+        against its 4 * 5**4 table cells) and ``tv_to_prior`` games at
+        two priors, in shuffled order, is grouped by the kernel itself:
+        each group is one stream, the tabulated and the table game each
+        stream alone, and each entry is that game's own call, bit for
+        bit. The ``tv_to_prior`` games sweep ranges, which their stream
+        copies into one buffer; the others their screens' kept cells."""
+        games, keys = _mixed_two_action_games()
+        pts = SimplexGrid(2, 4).points()
         packs = [pack_game(g) for g in games]
-        pts = np.eye(2)
-        with pytest.raises(ValueError, match="differ in their prior only"):
-            kernels.reduce_profile_gains(packs, pts, [kernels.CodeRange(0, 4)] * 2, 0.0)
+        kept = [
+            None if key == "tabulated" else kernels.screen_profiles(pack, pts, 0.05)[0]
+            for pack, key in zip(packs, keys)
+        ]
+
+        def sources(i):
+            total = pts.shape[0] ** games[i].n
+            if keys[i] == "table":
+                return kernels.CodeDraws(np.random.default_rng(i), total, 2_600)
+            if keys[i] in ("tabulated", "tv", "tv flat"):
+                return kernels.CodeRange(0, total)
+            return kept[i]
+
+        monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 40 * 2)
+        streams = _spy_groups(monkeypatch, "_reduce", packs)
+        spans = self._spanning_calls(monkeypatch)
+        for tol in TOLS:
+            streams.clear()
+            batched = kernels.reduce_profile_gains(packs, pts, [sources(i) for i in range(len(packs))], tol)
+            assert sorted(streams) == _key_groups(keys)
+            for i, found in enumerate(batched):
+                alone = kernels.reduce_profile_gains(packs[i], pts, sources(i), tol)
+                assert _bits(found) == _bits(alone), (tol, keys[i])
+        assert spans
         with pytest.raises(ValueError, match="one code source per pack"):
             kernels.reduce_profile_gains(packs[:1], pts, [], 0.0)
         assert kernels.reduce_profile_gains([], pts, [], 0.0) == []

@@ -575,18 +575,19 @@ class TestMixedSearches:
         args = dict(step=0.05, tol=1e-9, seed=7, max_profiles=200_000, max_survivors=cap)
         alone = [search_mixed_equilibria(g, **args) for g in games]
         screened = []
-        screen = single.screen_profiles
+        screen = kernels._screen
 
         def spy(packs, pts, limit):
-            screened.append(1 if isinstance(packs, kernels.GamePack) else len(packs))
+            screened.append(len(packs))
             return screen(packs, pts, limit)
 
-        monkeypatch.setattr(single, "screen_profiles", spy)
+        monkeypatch.setattr(kernels, "_screen", spy)
         together = single._mixed_searches(games, **args)
         assert [_fields(r) for r in together] == [_fields(r) for r in alone]
         assert [r.subsampled for r in together] == [False, True] + [False] * 6
         assert together[4].survivor_count == 0 and together[4].evaluated < together[4].total
-        # the inner alphas share a screen; counterexample_lsc screens twice
+        # one screen pass per group: the inner alphas share one, and
+        # counterexample_lsc screens twice
         assert sorted(screened) == [1, 1, 1, 1, 1, 2]
 
     def test_no_games(self):
@@ -694,6 +695,30 @@ class TestSearchArguments:
         monkeypatch.setattr(single, "reduce_profile_gains", fail)
         with pytest.raises(ValueError, match=f"profile grid of size {1001 ** 7} cannot be indexed"):
             search_mixed_equilibria(game, step=0.001)
+
+    def test_whole_grid_beyond_int64_codes_rejected(self, monkeypatch):
+        # 21**15 profiles, under max_profiles so swept whole: the codes of
+        # the profiles where type 0 plays a overflowed, the first sweep
+        # kept no survivor, and the second screen grew until _split asked
+        # for gibibytes
+        v = np.array([[1.0, 0.0] if t % 2 == 0 else [0.0, 1.0] for t in range(15)])
+        game = PerceptionGame(
+            types=TypeSpace.plain(tuple(f"t{i}" for i in range(15))),
+            actions=ActionSpace.plain(("a", "b")),
+            prior=[1 / 15] * 15,
+            utility=UtilityModel(kind="additive_separable", v=v, penalties=(PenaltySpec.zero(),) * 15),
+        )
+
+        def fail(*args, **kwargs):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(single, "pack_game", fail)
+        for run in (
+            lambda: search_mixed_equilibria(game, step=0.05, max_profiles=10**30),
+            lambda: single._mixed_searches([blog(), game], step=0.05, max_profiles=10**30),
+        ):
+            with pytest.raises(ValueError, match=f"^profile grid of size {21 ** 15} cannot be indexed$"):
+                run()
 
 
 class TestSubsampledSearch:
