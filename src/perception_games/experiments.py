@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .kernels import decode_profiles, pack_game
+from .kernels import decode_profiles
 from .model import (
     ActionSpace,
     PerceptionGame,
@@ -28,7 +28,7 @@ from .model import (
     TypeSpace,
     UtilityModel,
 )
-from .penalties import PenaltySpec, bind, penalty_value
+from .penalties import PenaltySpec, bind, penalty_value, validate_spec
 from .simplex import WEAK_TOL, Belief, _check_tol, posterior
 from .single import (
     EquilibriumReport,
@@ -89,6 +89,10 @@ class SeparableGameSpec:
         return int(np.argmax(self.v_outcome[o]))
 
     def validate_structure(self) -> None:
+        for kind, labels in (("outcome", self.outcomes), ("privacy", self.privacy), ("action", self.actions)):
+            for label in labels:
+                if not label or labels.count(label) > 1:
+                    raise ValueError(f"{kind} label {label!r} must be nonempty and unique")
         n_o, n_p, m = len(self.outcomes), len(self.privacy), len(self.actions)
         if self.joint_prior.shape != (n_o, n_p):
             raise ValueError(f"joint_prior must have shape {(n_o, n_p)}")
@@ -121,6 +125,9 @@ class SeparableGameSpec:
                     "separable specs need outcome-measurable penalties "
                     f"(zero or marginal kinds), got {spec.kind!r} for {p!r}"
                 )
+            errs = validate_spec(spec)
+            if errs:
+                raise ValueError(f"penalty for privacy label {p!r}: {'; '.join(errs)}")
             if spec.marginal_over is not None:
                 for label in spec.marginal_over:
                     if label not in self.outcomes:
@@ -387,15 +394,14 @@ def scan_alpha(
     With ``mixed_step``, a row's ``mixed_survivors`` is the mixed
     search's ``survivor_count``: the profiles the kernel screens within
     ``tol``, whose gains are the exact oracle's bit for bit. The games
-    are built and packed first, once each, and their pure enumerations
-    and mixed searches run in one ``_pure_enumerations`` and one
-    ``_mixed_searches`` call on those packs, the searches with
-    ``max_survivors=0``, so no survivor report is built. The games of
-    the scan differ in their prior only (but for the endpoints, whose
-    zero-mass types are dropped), so one cell screen serves them all,
-    each keeping the cells of its own search, and the kernel sweeps them
-    together, a few calls for all the pure profiles and a few for all
-    the kept cells, each game keeping its own results."""
+    are built first, and their pure enumerations and mixed searches run
+    in one ``_pure_enumerations`` and one ``_mixed_searches`` call, the
+    searches with ``max_survivors=0``, so no survivor report is built.
+    The scan's games differ in their prior only (but for the endpoints,
+    whose zero-mass types are dropped), so one cell screen serves them
+    all, each keeping the cells of its own search, and the kernel sweeps
+    them together, a few calls for all the pure profiles and a few for
+    all the kept cells, each game keeping its own results."""
     _check_tol(tol)
     if mixed_step is not None:
         _step_resolution(mixed_step)
@@ -408,11 +414,10 @@ def scan_alpha(
             raise ValueError(f"alphas must be ascending, got {b!r} after {a!r}")
     specs = [family.spec_for(alpha) for alpha in alphas]
     games = [spec.to_game() for spec in specs]
-    packs = [pack_game(game) for game in games]
     searches = [None] * len(games)
     if mixed_step is not None:
-        searches = _mixed_searches(games, mixed_step, tol, seed, max_survivors=0, packs=packs)
-    pures = [swept.survivors for swept in _pure_enumerations(games, tol, packs=packs)]
+        searches = _mixed_searches(games, mixed_step, tol, seed, max_survivors=0)
+    pures = [swept.survivors for swept in _pure_enumerations(games, tol)]
     bound = separation_uniqueness_bound(specs[0])
     rows: list[AlphaRow] = []
     for alpha, spec, found, search in zip(alphas, specs, pures, searches):
@@ -557,9 +562,8 @@ def counterexample_check(
             "continuous games always admit equilibria in principle and the "
             "pure and grid sweeps below would not be informative"
         )
-    pack = pack_game(game)
-    pure = _pure_enumerations([game], tol, packs=[pack])[0]
-    sweep = _mixed_searches([game], strategy_step, tol, seed, packs=[pack])[0]
+    pure = _pure_enumerations([game], tol)[0]
+    sweep = _mixed_searches([game], strategy_step, tol, seed)[0]
     found: dict[float, bool] = {}
     witness: dict[float, Strategy | None] = {}
     for eps in epsilons:

@@ -25,8 +25,9 @@ an off-path action, is a fold over ``range(n)`` or ``range(m)`` of such
 rows, and a penalty reads each type's posterior mass as one row
 (``penalty_batch`` takes types first). The off-path fill pins every
 off-path row to the type's ``u_min``, in a chunk that has an off-path
-action at all; only a type without prior mass can play an off-path
-action, so only a game with one raises those free rows
+action at all. A type plays an off-path action only where its prior
+mass there rounds to 0, so only a game with a type whose prior times
+the grid's least positive probability is 0 raises those free rows
 (``_raise_free_rows``), and only on the profiles with an off-path
 action. ``single.profile_report`` raises its free rows with the same
 function, so the kernel and the oracle share one fill.
@@ -58,11 +59,9 @@ sweep fills one ``_Workspace``, allocated once per sweep: the first
 type's full-width arrays (digits, table entries, strategies, utility
 rows, payoff, best row and gain) are written with ``out=``, gathers
 with ``np.take(..., out=..., mode="clip")``, since ``mode="raise"``
-gathers into a copy. Arrays made afresh for each chunk are mapped and
-faulted in anew whenever the allocator has handed its free memory back
-to the system: a streamed 2M-profile sweep over the column table took
-about 200 minor page faults per chunk that way, and takes none with
-the workspace (numpy 2.4, glibc malloc, 2 vCPUs).
+gathers into a copy. Arrays made afresh for each chunk would be mapped
+and faulted in anew whenever the allocator has handed its free memory
+back to the system.
 
 A type's utility of an action depends only on the posterior, and the
 posterior after action ``a`` only on column ``a`` of the profile. A
@@ -109,32 +108,33 @@ paper's separable families, the types of one privacy class) share one
 bound per batch (``GamePack.bound_plan``), a penalty compares all its
 knots or piece bounds with every interval at once, and a level's cells
 split in one step, in the order of splitting one type after the other.
-Callers hand ``screen_profiles`` and ``reduce_profile_gains`` a list of
-packs of any games, and the kernel groups them itself (``_groups``, on
-``GamePack.screen_key``), the one place that rule lives. The games of a
-group differ in their prior only and are screened together, each cell
-carrying its game and bounded at its game's prior: a ``majority-scan``
-pass bounds its 2,872 cells in 5 calls, where a screen per game took 59.
+
+``pack_game`` packs each game once, into a frozen ``GamePack``. A batch
+of games that differ in their prior only is ``replace(pack, prior=...)``
+with a prior per cell or profile ``(n, 1, B)``, read elementwise, so
+each entry is its own game's, bit for bit. Callers hand the screen and
+the sweep packs of any games, and the kernel groups them itself
+(``_groups``, on ``GamePack.screen_key``), the one place that rule
+lives. A group is screened together, each cell bounded at its game's
+prior: a ``majority-scan`` pass bounds its 2,872 cells in 5 calls.
 
 They are swept together too, with a code source each. A kernel call on
 a single code takes about 200 us (numpy 2.4, 2 vCPUs), and an alpha
 scan's games each sweep a few hundred kept profiles and 16 pure ones.
 A group's codes stream in pack order through one workspace
 (``_stream``), in chunks shared across games: a chunk that spans games
-is one call, with a prior per profile ``(n, 1, B)`` and each profile's
-game's limit ``(B,)``, which every step reads elementwise, and its gains
-are then reduced game by game; a chunk of one game is that game's own
-call. The column table depends on the prior, so a game whose own sweep
-takes it is swept alone, as is a tabulated game. A ``majority-scan``
-pass makes 6 kernel calls, where one sweep per game and kind made 42,
-with the same results bit for bit.
+is one call, with each profile's game's prior and limit ``(B,)``, and
+its gains are then reduced game by game; a chunk of one game is that
+game's own call. The column table depends on the prior, so a game
+whose own sweep takes it is swept alone, as is a tabulated game. A
+``majority-scan`` pass makes 6 kernel calls.
 """
 
 from __future__ import annotations
 
-from copy import copy
+import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
@@ -172,63 +172,36 @@ _SPLIT_TYPES = 4
 _NEG = -1.7976931348623157e308
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GamePack:
-    """What the kernel reads of a game: additive games fill ``v`` and
-    ``penalties``, tabulated ones ``values`` and ``resolution``."""
+    """What the kernel reads of a game, built once per game by
+    ``pack_game``: additive games fill ``v``, ``penalties``,
+    ``screen_key`` and ``bound_plan``, tabulated ones ``values`` and
+    ``resolution``. A batch of games that differ in their prior only is
+    ``replace(pack, prior=...)`` with one prior per profile or cell."""
 
-    prior: np.ndarray  # (n,)
+    prior: np.ndarray  # (n,), or (n, 1, B) for a batch of games
     u_min: np.ndarray  # (n, m)
     u_max: np.ndarray  # (n, m)
     v: np.ndarray | None = None  # (n, m)
     penalties: tuple[Penalty, ...] = ()  # bound, one per type
     values: np.ndarray | None = None  # (n, m, lattice size)
     resolution: int = 0
-
-    @cached_property
-    def screen_key(self) -> tuple:
-        """What ``cell_lower_bound`` and the kernel read of an additive
-        game's pack, but the prior: the shapes, ``v``, ``u_min``,
-        ``u_max`` (and so the margin) and each type's ``_bound_key`` (and
-        so the shared bounds and the penalty rows), worked out once per
-        pack. Packs with equal keys are screened and swept together. A
-        ``tv_to_prior`` key holds its anchor, the prior, so such packs
-        match only at equal priors."""
-        return (
-            self.u_min.shape,
-            self.v.tobytes(),
-            self.u_min.tobytes(),
-            self.u_max.tobytes(),
-            tuple(_bound_key(p) for p in self.penalties),
-        )
-
-    @cached_property
-    def bound_plan(self) -> "_BoundPlan":
-        """What ``cell_lower_bound`` reads of an additive game, worked
-        out once per pack: the distinct penalties, each with the types
-        that share it and their ``v``, the prior shaped to scale the
-        masses, and the rounding margin."""
-        groups: dict[tuple, list[int]] = {}
-        for t, pen in enumerate(self.penalties):
-            groups.setdefault(_bound_key(pen), []).append(t)
-        types = tuple(np.array(ts) for ts in groups.values())
-        scale = max(np.abs(self.v).max(), np.abs(self.u_min).max(), np.abs(self.u_max).max())
-        return _BoundPlan(
-            tuple(self.penalties[ts[0]] for ts in types),
-            types,
-            tuple(self.v[ts, :, None] for ts in types),
-            self.prior[:, None, None],
-            BOUND_SLACK * scale,
-        )
+    # what the kernel reads of an additive game but the prior; packs with
+    # equal keys are screened and swept together (a ``tv_to_prior`` key
+    # holds its anchor, the prior)
+    screen_key: tuple = ()
+    bound_plan: "_BoundPlan | None" = None
 
 
 class _BoundPlan(NamedTuple):
-    """See ``GamePack.bound_plan``."""
+    """What ``cell_lower_bound`` reads of an additive game but the prior:
+    the distinct penalties, each with the types that share it and their
+    ``v``, and the rounding margin."""
 
     penalties: tuple[Penalty, ...]  # one per distinct penalty, by first type
     types: tuple[np.ndarray, ...]  # the types that share each
     v: tuple[np.ndarray, ...]  # their ``v``, (types, m, 1)
-    prior: np.ndarray  # (n, 1, 1), or (n, 1, B) per cell in a batch of games
     margin: float
 
 
@@ -249,16 +222,35 @@ def _bound_key(pen: Penalty) -> tuple:
     )
 
 
+# a game is immutable and hashes by identity, so its kept pack cannot go stale
+_packs: weakref.WeakKeyDictionary[PerceptionGame, GamePack] = weakref.WeakKeyDictionary()
+
+
 def pack_game(game: PerceptionGame) -> GamePack:
-    shared = (np.ascontiguousarray(game.prior.p, dtype=np.float64), *game.utility_bounds())
+    """The game's one pack, built on the first call and kept while the
+    game lives."""
+    pack = _packs.get(game)
+    if pack is None:
+        pack = _packs[game] = _pack(game)
+    return pack
+
+
+def _pack(game: PerceptionGame) -> GamePack:
+    prior = np.ascontiguousarray(game.prior.p, dtype=np.float64)
+    u_min, u_max = game.utility_bounds()
     um = game.utility
     if um.kind == "tabulated_grid":
-        return GamePack(*shared, values=np.asarray(um.values, np.float64), resolution=um.resolution)
-    return GamePack(
-        *shared,
-        v=np.ascontiguousarray(um.v, dtype=np.float64),
-        penalties=tuple(game.penalty(t) for t in range(game.n)),
-    )
+        return GamePack(prior, u_min, u_max, values=np.asarray(um.values, np.float64), resolution=um.resolution)
+    v = np.ascontiguousarray(um.v, dtype=np.float64)
+    penalties = tuple(game.penalty(t) for t in range(game.n))
+    keys = tuple(_bound_key(pen) for pen in penalties)
+    # the types that share each distinct key, by first type
+    types = tuple(np.array([t for t, k in enumerate(keys) if k == key]) for key in dict.fromkeys(keys))
+    margin = BOUND_SLACK * np.abs((v, u_min, u_max)).max()
+    firsts = tuple(penalties[ts[0]] for ts in types)
+    plan = _BoundPlan(firsts, types, tuple(v[ts, :, None] for ts in types), margin)
+    key = (u_min.shape, v.tobytes(), u_min.tobytes(), u_max.tobytes(), keys)
+    return GamePack(prior, u_min, u_max, v, penalties, screen_key=key, bound_plan=plan)
 
 
 def decode_profiles(grid_pts: np.ndarray, idx, n: int) -> np.ndarray:
@@ -332,8 +324,8 @@ def _column_table(grid_pts: np.ndarray, pack: GamePack) -> _ColumnTable:
     columns, coded base ``V`` with type 0 most significant. Entry
     ``a * C + c`` of ``on`` and of each type's row ``rows[t]`` is column
     ``c`` at action ``a``. A row at an off-path column holds the type's
-    ``u_min``, as the off-path fill pins it, so only the free rows of
-    zero-prior types are left to fill.
+    ``u_min``, as the off-path fill pins it, so only the free rows are
+    left to fill.
 
     A profile's entry at action ``a`` is a sum over types of what type
     ``t`` playing its grid point adds, and every entry is below ``m *
@@ -396,8 +388,9 @@ def _raise_free_rows(
     filled: a row at an off-path action the type plays is raised to the
     type's cap, the best of its other rows and of its free rows'
     ``u_min``, and clamped at its ``u_max`` (``(m,)``). Only a type
-    without prior mass can have free rows. The sweep and
-    ``single.profile_report`` both fill through here."""
+    whose prior mass at an action it plays rounds to 0 can have free
+    rows. The sweep and ``single.profile_report`` both fill through
+    here."""
     free = ~on & (sig > 0.0)
     held = np.where(free, _NEG, rows)
     lo = np.where(free, rows, _NEG)
@@ -422,6 +415,8 @@ class _Workspace:
         n, m = pack.u_min.shape
         self.width = width
         self.by_action = np.ascontiguousarray(grid_pts.T)  # (m, G)
+        # the grid's least positive probability
+        self.least = float(grid_pts.min(initial=1.0, where=grid_pts > 0.0))
         self.digits = np.empty(n * width, np.int64)
         self.part = np.empty(width, np.int64)
         # the per-profile path holds every type's strategies, (n, m, B)
@@ -456,18 +451,17 @@ def _gains_numpy(
     made for the batch when None), and so is the result, which the next
     call with ``work`` overwrites.
 
-    ``pack.prior`` is one prior ``(n,)``, or one per profile ``(n, 1,
-    B)`` for a batch of games that differ in their prior only, and
-    ``limit`` one limit or one per profile ``(B,)``: every step is
-    elementwise along the batch, so each entry is the one its own
-    game's call with its own limit gives, bit for bit."""
+    ``pack`` may be a batch of games (one prior per profile) and
+    ``limit`` one limit per profile ``(B,)``: each entry is then its own
+    game's call's with its own limit, bit for bit."""
     n, m = pack.u_min.shape
     B = idx.shape[0]
     if work is None:
         work = _Workspace(pack, grid_pts, table, B)
     by_action = work.by_action
-    # only a type without prior mass can play an off-path action
-    has_free = bool((pack.prior == 0.0).any())
+    # a type plays an off-path action only where its prior mass there
+    # rounds to 0, and the products are monotone: the least one decides
+    has_free = bool((pack.prior * work.least == 0.0).any())
     unlimited = bool(np.all(limit == np.inf))
     digits = _digits(idx, grid_pts.shape[0], n, _view(work.digits, n, B), work.part[:B])
     sig = beliefs = rows = col = None
@@ -686,6 +680,7 @@ def _reduce(
     by_code = [isinstance(source, CellCodes) for source in sources]
     least, code = [np.inf] * K, [-1] * K
     within: list[list[np.ndarray]] = [[np.empty(0, np.int64)] for _ in range(K)]
+    priors = np.stack([p.prior for p in packs], axis=1)[:, None]  # (n, 1, K)
     k, done = 0, 0
     for chunk in _stream(sources, work.width):
         # the chunk's pieces, one per game, as (game, start, stop)
@@ -702,11 +697,9 @@ def _reduce(
         if len(pieces) == 1:
             batch, limit = packs[k], max(least[k], tol)
         else:
-            games = [j for j, _, _ in pieces]
-            counts = [hi - lo for _, lo, hi in pieces]
-            priors = np.stack([packs[j].prior for j in games], axis=1)
-            batch = replace(packs[0], prior=np.repeat(priors, counts, axis=1)[:, None])
-            limit = np.repeat([max(least[j], tol) for j in games], counts)
+            owner = np.repeat([j for j, _, _ in pieces], [hi - lo for _, lo, hi in pieces])
+            batch = replace(packs[0], prior=np.take(priors, owner, axis=2))
+            limit = np.take([max(least[j], tol) for j in range(K)], owner)
         gains = _gains_numpy(chunk, grid_pts, batch, table, limit, work)
         for j, lo, hi in pieces:
             part, g = chunk[lo:hi], gains[lo:hi]
@@ -840,16 +833,14 @@ def cell_lower_bound(pack: GamePack, box: np.ndarray) -> np.ndarray:
     ``BOUND_SLACK`` times the game's largest ``|v|``, ``|u_min|`` or
     ``|u_max|`` for the kernel's rounding (``bound_plan.margin``).
 
-    The prior masses are the boxes times ``bound_plan.prior``, which
-    broadcasts over the boxes' last axis: ``(n, 1, 1)`` for one game,
-    ``(n, 1, B)`` when ``screen_profiles`` bounds the cells of games that
-    differ in their prior only, each cell at its own game's prior. Every
-    step is elementwise along that axis, so a cell's bound is the one
-    its own game's pack gives, bit for bit.
+    ``pack`` may be a batch of games (one prior per cell): each cell's
+    bound is then its own game's, bit for bit.
     """
     n, m = pack.u_min.shape
     plan = pack.bound_plan
-    mass = box * plan.prior
+    if plan is None:
+        raise ValueError("cell bounds need an additive game's pack")
+    mass = box * pack.prior.reshape(n, 1, -1)
     total = mass.sum(axis=1)  # (2, m, B)
     sure = total[0] > 0.0
     never = total[1] == 0.0
@@ -979,7 +970,7 @@ def _screen(packs: list[GamePack], grid_pts: np.ndarray, limit: float) -> list[t
     while cells.shape[1]:
         bound = np.concatenate([
             cell_lower_bound(
-                _with_prior(first, priors, game[i : i + batch]),
+                replace(first, prior=np.take(priors, game[i : i + batch], axis=2)),
                 np.take(tree.box, cells[:, i : i + batch], axis=2).transpose(0, 2, 1, 3),
             )
             for i in range(0, cells.shape[1], batch)
@@ -1014,17 +1005,6 @@ def _screen(packs: list[GamePack], grid_pts: np.ndarray, limit: float) -> list[t
         )
         for lo, hi, start, bound_g in zip([0] + ends, ends, starts, least.tolist())
     ]
-
-
-def _with_prior(pack: GamePack, priors: np.ndarray, game: np.ndarray) -> GamePack:
-    """``pack`` whose ``bound_plan`` reads the prior of each cell's game
-    (``priors[..., game]``, ``(n, 1, B)``): ``pack`` itself when
-    ``priors`` holds one game, whose prior broadcasts as ``(n, 1, 1)``."""
-    if priors.shape[2] == 1:
-        return pack
-    batch = copy(pack)
-    batch.bound_plan = pack.bound_plan._replace(prior=np.take(priors, game, axis=2))
-    return batch
 
 
 def _split(tree: GridTree, cells: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -262,7 +262,7 @@ class EquilibriumReport:
     gains: np.ndarray
     max_gain: float
     label: str
-    clamped: bool  # a zero-prior type's off-path support row hit its cap
+    clamped: bool  # a type's free off-path support row hit its cap
 
 
 def classify_pure_profile(game: PerceptionGame, actions: tuple[int, ...]) -> str:
@@ -289,10 +289,10 @@ def profile_report(
 
     On-path rows are pinned to posteriors. Off-path rows start at the
     utility minimum (a deterring belief exists exactly when even that
-    keeps the gain at zero); the rows inside a zero-prior type's support
-    are then raised as far as helps, capped at the type's best other
-    row, by the sweep kernel's own fill (``kernels._raise_free_rows``);
-    the cap keeps the accept decision exact.
+    keeps the gain at zero); those a type plays, where its prior mass
+    rounds to 0, are then raised as far as helps, capped at the type's
+    best other row, by the sweep kernel's own fill
+    (``kernels._raise_free_rows``); the cap keeps the accept decision exact.
 
     ``sigma`` is checked first, and the checked rows (entries in
     ``[-SUM_TOL, 0)`` as 0.0) are the ones evaluated and reported.
@@ -386,17 +386,15 @@ def _pure_enumerations(
     games: Sequence[PerceptionGame],
     tol: float = WEAK_TOL,
     max_profiles: int = 1_000_000,
-    packs: Sequence[GamePack] | None = None,
 ) -> list[_Swept]:
     """The pure sweep of each of ``games``, whose survivors are its
     ``enumerate_pure_equilibria``, with every argument checked before any
-    work, from the games' ``packs`` when given: one ``reduce_profile_gains``
-    call per action count on every game's pure profiles, which sweeps the
-    games that differ in their prior only together, each game with its
-    own results."""
+    work: one ``reduce_profile_gains`` call per action count on every
+    game's pure profiles, which sweeps the games that differ in their
+    prior only together, each game with its own results."""
     _check_tol(tol)
     sources = [_pure_codes(game, max_profiles) for game in games]
-    packs = [pack_game(game) for game in games] if packs is None else packs
+    packs = [pack_game(game) for game in games]
     found: list = [None] * len(games)
     for m, members in _by_actions(games).items():
         pts = np.eye(m)
@@ -508,7 +506,7 @@ def search_mixed_equilibria(
     (the same codes as one draw of them all) and from the kept cells for
     the screen, so no array as long as the sweep is built, and the
     results are those of the full gains bit for bit. The game is packed
-    once per call, and a grid's cell tree is built once.
+    once, and a grid's cell tree is built once.
 
     This is the one-game case of ``_mixed_searches``, which hands every
     game's pack and code source to one screen and one kernel call; the
@@ -525,11 +523,9 @@ def _mixed_searches(
     seed: int | None = None,
     max_profiles: int = 2_000_000,
     max_survivors: int = 10_000,
-    packs: Sequence[GamePack] | None = None,
 ) -> list[MixedSearchResult]:
     """``search_mixed_equilibria`` of each of ``games``, field by field,
-    with every argument checked before any work, from the games'
-    ``packs`` when given.
+    with every argument checked before any work.
 
     A grid of more than int64 max profiles is rejected, whole or
     subsampled: its codes cannot be indexed. Per action count (so per
@@ -562,7 +558,7 @@ def _mixed_searches(
     for total in totals:
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
-    packs = [pack_game(game) for game in games] if packs is None else packs
+    packs = [pack_game(game) for game in games]
     results: list = [None] * len(games)
     for m, members in by_actions.items():
         pts = grids[m]

@@ -105,6 +105,55 @@ class TestSeparableSpecValidation:
         with pytest.raises(ValueError):
             _toy_spec(penalty_by_privacy={}).validate_structure()
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(outcomes=("o0", "o0")), "outcome label 'o0'"),
+            (dict(outcomes=("", "o1")), "outcome label ''"),
+            (dict(privacy=("p", "p"), joint_prior=np.full((2, 2), 0.25)), "privacy label 'p'"),
+            (dict(actions=("a0", "")), "action label ''"),
+        ],
+    )
+    def test_labels_must_be_nonempty_and_unique(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            _toy_spec(**overrides).validate_structure()
+
+    @pytest.mark.parametrize(
+        "family, match",
+        [
+            # validate_game rejects the games of both penalties
+            (
+                MajorityFamily(
+                    concerned_penalty=PenaltySpec.piecewise_linear(((0.2, 1.0), (1.0, 0.0)), over=("o0",))
+                ),
+                "'concerned': knots must cover",
+            ),
+            (
+                MajorityFamily(
+                    concerned_penalty=PenaltySpec.piecewise_linear(
+                        ((0.0, 1.0), (1.0, 0.0)), over=("o0",), weight=-1
+                    )
+                ),
+                "'concerned': weight must be nonnegative",
+            ),
+            # its games would have two types labelled 'o:concerned'
+            (MajorityFamily(outcomes=("o", "o")), "outcome label 'o'"),
+        ],
+    )
+    def test_rejected_before_any_game(self, monkeypatch, family, match):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a game was built")
+
+        monkeypatch.setattr(experiments, "PerceptionGame", unreachable)
+        spec = family.spec_for(0.3)
+        for call in (
+            lambda: scan_alpha(family, [0.3]),
+            lambda: check_separation_margin(spec),
+            lambda: separation_uniqueness_bound(spec),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
+
 
 class TestToGame:
     def test_zero_mass_cells_dropped(self):
@@ -448,17 +497,15 @@ class TestCountOnlyScan:
 
 
 def _count_packs(monkeypatch) -> list:
-    """The games ``pack_game`` packs, under every name the library calls
-    it by."""
+    """The games whose pack is built, one entry per build."""
     packed = []
-    real = kernels.pack_game
+    real = kernels._pack
 
     def spy(game):
         packed.append(game)
         return real(game)
 
-    for module in (experiments, single):
-        monkeypatch.setattr(module, "pack_game", spy)
+    monkeypatch.setattr(kernels, "_pack", spy)
     return packed
 
 
@@ -500,7 +547,7 @@ class TestBatchedScan:
 
     def test_packs_each_game_once(self, monkeypatch):
         """The pure enumerations and the mixed searches read the same
-        packs: 21 ``pack_game`` calls for 21 games, where there were 42."""
+        packs: 21 packs built for 21 games."""
         packed = _count_packs(monkeypatch)
         scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
         assert len(packed) == len({id(g) for g in packed}) == 21
@@ -618,8 +665,9 @@ class TestCounterexampleCheck:
         def unreachable(*args, **kwargs):
             raise AssertionError("built before the epsilons were checked")
 
-        monkeypatch.setattr(experiments, "pack_game", unreachable)
-        monkeypatch.setattr(experiments, "search_mixed_equilibria", unreachable)
+        monkeypatch.setattr(single, "pack_game", unreachable)
+        for name in ("_pure_enumerations", "_mixed_searches"):
+            monkeypatch.setattr(experiments, name, unreachable)
         with pytest.raises(ValueError, match="epsilons must be finite and nonnegative"):
             counterexample_check(counterexample_usc(), strategy_step=0.25, epsilons=(bad, 0.1))
 
@@ -628,7 +676,8 @@ class TestCounterexampleCheck:
         def fail(*args, **kwargs):
             raise AssertionError("swept")
 
-        for name in ("pack_game", "_pure_enumerations", "_mixed_searches"):
+        monkeypatch.setattr(single, "pack_game", fail)
+        for name in ("_pure_enumerations", "_mixed_searches"):
             monkeypatch.setattr(experiments, name, fail)
         with pytest.raises(ValueError, match=r"^step must be the reciprocal of a positive integer, got 0\.3$"):
             counterexample_check(counterexample_lsc(), strategy_step=0.3)
@@ -638,7 +687,8 @@ class TestCounterexampleCheck:
         def fail(*args, **kwargs):
             raise AssertionError("swept")
 
-        for name in ("pack_game", "_pure_enumerations", "_mixed_searches"):
+        monkeypatch.setattr(single, "pack_game", fail)
+        for name in ("_pure_enumerations", "_mixed_searches"):
             monkeypatch.setattr(experiments, name, fail)
         with pytest.raises(ValueError, match=r"^tol must be a number, got nan$"):
             counterexample_check(counterexample_lsc(), strategy_step=0.25, tol=float("nan"))

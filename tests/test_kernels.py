@@ -1,5 +1,7 @@
+import gc
 import hashlib
-from dataclasses import replace
+import weakref
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import numpy as np
@@ -14,7 +16,7 @@ from perception_games.kernels import decode_profiles, pack_game, sweep_profile_g
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel, validate_game
 from perception_games.penalties import PenaltySpec
 from perception_games.simplex import SimplexGrid, lattice_rank
-from perception_games.single import profile_report
+from perception_games.single import profile_report, search_mixed_equilibria
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
 from helpers import (
@@ -205,6 +207,22 @@ class TestPackGame:
         assert pack.u_min.shape == pack.u_max.shape == (2, 2)
         np.testing.assert_allclose(pack.prior, [0.5, 0.5])
 
+    @pytest.mark.parametrize("build", [blog, lambda: tabulate(blog(), 4)])
+    def test_one_frozen_pack_per_game(self, build):
+        game = build()
+        pack = pack_game(game)
+        assert pack_game(game) is pack
+        assert pack_game(build()) is not pack
+        with pytest.raises(FrozenInstanceError):
+            pack.prior = np.array([0.25, 0.75])
+
+    def test_pack_dropped_with_its_game(self):
+        game = blog()
+        pack = weakref.ref(pack_game(game))
+        del game
+        gc.collect()
+        assert pack() is None
+
 
 class TestNumpyGainsAgainstEvaluator:
     """Kernel gains equal the exact evaluator's bit for bit."""
@@ -349,6 +367,29 @@ class TestOneFreeRowFill:
         want, clamped = reference_free_rows(rows[None], free[None], low[None], high[None])
         assert got.tobytes() == want[0].tobytes()
         assert bool((free & (got < high)).any()) is clamped
+
+
+class TestUnderflowingPrior:
+    """t1's prior times 1/2 rounds to 0, so at a profile where t1 plays
+    a1 with probability 1/2 and t0 never does, a1 is off path and t1's
+    row there is free, though no prior is 0."""
+
+    @staticmethod
+    def _game() -> PerceptionGame:
+        return _game([1.0, 5e-324], np.eye(2), [PenaltySpec.zero(), PenaltySpec.exposure(2.0)])
+
+    def test_kernel_raises_the_free_row(self):
+        game = self._game()
+        pts = SimplexGrid(2, 2).points()
+        code = _code(3, [2, 1])  # t0 plays (1, 0), t1 (1/2, 1/2)
+        rep = profile_report(game, decode_profiles(pts, code, 2))
+        gain = sweep_profile_gains(pack_game(game), pts, np.array([code]))
+        assert rep.clamped and rep.max_gain == 0.0
+        assert gain.tobytes() == np.array([rep.max_gain]).tobytes()
+
+    def test_search_keeps_the_profile(self):
+        survivors = search_mixed_equilibria(self._game(), step=0.5).survivors
+        assert any(r.strategy.sigma.tolist() == [[1.0, 0.0], [0.5, 0.5]] for r in survivors)
 
 
 class TestTabulatedGains:
@@ -879,6 +920,15 @@ class TestScreenProfiles:
         codes, seed = kernels.screen_profiles(pack_game(game), pts, np.inf)
         np.testing.assert_array_equal(codes, idx)
         assert seed == -1
+
+    def test_tabulated_pack_rejected(self):
+        pack = pack_game(tabulate(blog(), 4))
+        pts = SimplexGrid(2, 4).points()
+        box = tree_boxes(kernels.grid_tree(pts), np.zeros((2, 1), np.int64))
+        with pytest.raises(ValueError, match="^cell bounds need an additive game's pack$"):
+            kernels.cell_lower_bound(pack, box)
+        with pytest.raises(ValueError, match="^cell bounds need an additive game's pack$"):
+            kernels.screen_profiles(pack, pts, 0.1)
 
 
 SCREEN_LIMITS = (1e-9, 0.05, 0.3, -1.0)
