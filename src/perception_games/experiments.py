@@ -88,11 +88,20 @@ class SeparableGameSpec:
     def outcome_action(self, o: int) -> int:
         return int(np.argmax(self.v_outcome[o]))
 
+    def _cells(self) -> list[tuple[int, int]]:
+        """The (outcome, privacy) index pairs of the cells with mass, in
+        type order: the one place that decides which types the spec has."""
+        rows = self.joint_prior.tolist()
+        return [(o, p) for o, row in enumerate(rows) for p, mass in enumerate(row) if mass > 0.0]
+
     def validate_structure(self) -> None:
         for kind, labels in (("outcome", self.outcomes), ("privacy", self.privacy), ("action", self.actions)):
             for label in labels:
                 if not label or labels.count(label) > 1:
                     raise ValueError(f"{kind} label {label!r} must be nonempty and unique")
+                # a type label is "outcome:privacy", read up to its first colon
+                if kind == "outcome" and ":" in label:
+                    raise ValueError(f"outcome label {label!r} must not hold ':'")
         n_o, n_p, m = len(self.outcomes), len(self.privacy), len(self.actions)
         if self.joint_prior.shape != (n_o, n_p):
             raise ValueError(f"joint_prior must have shape {(n_o, n_p)}")
@@ -112,8 +121,7 @@ class SeparableGameSpec:
                     f"outcome {self.outcomes[o]!r} needs a strictly best action"
                 )
             assigned.append(top)
-        live = [o for o in range(n_o) if float(self.joint_prior[o].sum()) > 0.0]
-        chosen = [assigned[o] for o in live]
+        chosen = [assigned[o] for o in sorted({o for o, _ in self._cells()})]
         if len(set(chosen)) != len(chosen):
             raise ValueError("outcomes with mass must map to distinct best actions")
         for p in self.privacy:
@@ -136,33 +144,18 @@ class SeparableGameSpec:
                         )
 
     def to_game(self) -> PerceptionGame:
-        """Materialize the product game, dropping zero-mass types."""
+        """Materialize the product game, one type per cell with mass."""
         self.validate_structure()
-        labels: list[str] = []
-        prior: list[float] = []
-        pens: list[PenaltySpec] = []
-        v_rows: list[np.ndarray] = []
-        for o, ol in enumerate(self.outcomes):
-            for p, pl in enumerate(self.privacy):
-                mass = float(self.joint_prior[o, p])
-                if mass == 0.0:
-                    continue
-                labels.append(f"{ol}:{pl}")
-                prior.append(mass)
-                v_rows.append(self.v_outcome[o])
-                pens.append(self.penalty_by_privacy[pl])
-        types = TypeSpace(
-            labels=tuple(labels),
-            outcome_labels=self.outcomes,
-            privacy_labels=self.privacy,
-        )
+        cells = self._cells()
+        labels = tuple(f"{self.outcomes[o]}:{self.privacy[p]}" for o, p in cells)
         expanded: list[PenaltySpec] = []
-        for label, spec in zip(labels, pens):
+        for o, p in cells:
+            spec = self.penalty_by_privacy[self.privacy[p]]
             if spec.marginal_over is None:
                 expanded.append(spec)
                 continue
             event = tuple(
-                lab for lab in labels if lab.split(":", 1)[0] in spec.marginal_over
+                label for label, (o2, _) in zip(labels, cells) if self.outcomes[o2] in spec.marginal_over
             )
             if not event:
                 raise ValueError(
@@ -172,13 +165,13 @@ class SeparableGameSpec:
             expanded.append(replace(spec, marginal_over=event))
         utility = UtilityModel(
             kind="additive_separable",
-            v=np.array(v_rows, dtype=np.float64),
+            v=np.array([self.v_outcome[o] for o, _ in cells], dtype=np.float64),
             penalties=tuple(expanded),
         )
         return PerceptionGame(
-            types=types,
+            types=TypeSpace(labels=labels, outcome_labels=self.outcomes, privacy_labels=self.privacy),
             actions=ActionSpace.plain(self.actions),
-            prior=Belief(np.array(prior)),
+            prior=Belief(np.array([float(self.joint_prior[cell]) for cell in cells])),
             utility=utility,
             allow_discontinuous=any(not s.is_continuous for s in expanded),
             name=self.name,
@@ -219,18 +212,13 @@ def check_separation_margin(spec: SeparableGameSpec, tol: float = 0.0) -> Margin
     spec.validate_structure()
     rows: list[tuple[str, str, str, float]] = []
     worst = np.inf
-    live_cells = {
-        (o, p)
-        for o in range(len(spec.outcomes))
-        for p in range(len(spec.privacy))
-        if float(spec.joint_prior[o, p]) > 0.0
-    }
-    live_outcomes = sorted({o for o, _ in live_cells})
+    cells = spec._cells()
+    live_outcomes = sorted({o for o, _ in cells})
     # the Dirac penalty of each live class at each live outcome, which
     # are the pairs the rows read when there are any rows
     dirac = {}
     if len(live_outcomes) > 1:
-        for p in {p for _, p in live_cells}:
+        for p in {p for _, p in cells}:
             pen = spec.penalty_by_privacy[spec.privacy[p]]
             for o in live_outcomes:
                 dirac[o, p] = _dirac_marginal_penalty(pen, spec.outcomes[o])
@@ -241,9 +229,7 @@ def check_separation_margin(spec: SeparableGameSpec, tol: float = 0.0) -> Margin
                 continue
             a_o2 = spec.outcome_action(o2)
             gap_v = float(spec.v_outcome[o, a_o] - spec.v_outcome[o, a_o2])
-            for p in range(len(spec.privacy)):
-                if (o, p) not in live_cells:
-                    continue
+            for p in (p for o3, p in cells if o3 == o):
                 margin = gap_v - (dirac[o, p] - dirac[o2, p])
                 rows.append((spec.outcomes[o], spec.outcomes[o2], spec.privacy[p], margin))
                 worst = min(worst, margin)
@@ -262,10 +248,7 @@ def build_separating_equilibrium(
     """
     game = spec.to_game()
     n, m = game.n, game.m
-    sigma = np.zeros((n, m))
-    for t, label in enumerate(game.types.labels):
-        o = spec.outcomes.index(game.types.outcome_of(label))
-        sigma[t, spec.outcome_action(o)] = 1.0
+    sigma = np.eye(m)[[spec.outcome_action(o) for o, _ in spec._cells()]]
     tau = np.empty((n, m, n))
     for a in range(m):
         post = posterior(game.prior.p, sigma[:, a])
@@ -282,13 +265,9 @@ def separation_uniqueness_bound(spec: SeparableGameSpec) -> float:
     necessary).
     """
     spec.validate_structure()
-    masses: dict[int, float] = {}
-    for o in range(len(spec.outcomes)):
-        mass = float(spec.joint_prior[o].sum())
-        if mass > 0.0:
-            a = spec.outcome_action(o)
-            masses[a] = masses.get(a, 0.0) + mass
-    return max(1.0 - m for m in masses.values())
+    # the outcomes with mass have distinct best actions, so each used
+    # action's group is one outcome's types
+    return max(1.0 - float(spec.joint_prior[o].sum()) for o in {o for o, _ in spec._cells()})
 
 
 class MajorityFamily:

@@ -9,10 +9,10 @@ takes the utility rows there (``_utility_rows`` for every
 type at once, ``_penalized`` for one type of an additive game), fills
 the off-path rows up to their caps, and reduces to the gains. The
 batch axis is vectorized; types and actions are accumulated in
-ascending order, the same order as the scalar evaluator
-``single.payoff_and_gain``, which the exact ``single.profile_report``
-calls per type, so the two agree bitwise and the test suite asserts
-exact equality.
+ascending order, the same order as the one fold of the exact
+evaluators, ``single.payoff_and_gain``, which ``single.profile_report``
+calls once for all its types, so the two agree bitwise and the test
+suite asserts exact equality.
 
 The arrays are type-major, with the batch axis last and contiguous: a
 chunk of ``B`` profiles holds its base-``G`` digits as ``(n, B)``, its

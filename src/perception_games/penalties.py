@@ -28,8 +28,7 @@ penalty and the belief(s):
   bitwise by construction, and an event's mass is summed in one place.
   The marginal kinds' polyline and step of the event mass
   (``_polyline``, ``_step``) also give ``bind`` its step values and
-  ``penalty_range`` its candidates' values, and
-  ``piecewise_linear_value`` and ``step_value`` call them.
+  ``penalty_range`` its candidates' values.
 - ``penalty_range`` gives the range over the simplex in closed form for
   every kind, with witness beliefs attaining it. The Lipschitz
   constants are reported by game validation.
@@ -56,8 +55,6 @@ __all__ = [
     "PenaltySpec",
     "Penalty",
     "bind",
-    "piecewise_linear_value",
-    "step_value",
     "penalty_value",
     "penalty_batch",
     "stacked_bounds",
@@ -282,17 +279,6 @@ def _step(pieces, values: np.ndarray, x):
         holds = ((x >= lo) if il else (x > lo)) & ((x <= hi) if ih else (x < hi))
         first = first + holds * (j - first)
     return values[first]
-
-
-def piecewise_linear_value(knots_x: np.ndarray, knots_y: np.ndarray, x: float) -> float:
-    """Evaluate the knot polyline at ``x``, linear on each segment."""
-    knots = np.asarray(knots_x), np.asarray(knots_y)
-    return float(_polyline(knots, tuple(np.diff(k) for k in knots), x))
-
-
-def step_value(pieces, x: float) -> float:
-    """First matching piece wins; unmatched x has value 0."""
-    return float(_step(pieces, np.array([p[2] for p in pieces] + [0.0]), x))
 
 
 def penalty_value(pen: Penalty, mu) -> float:

@@ -184,22 +184,26 @@ def is_consistent(
     return ConsistencyResult(consistent=not violations, violations=violations)
 
 
-def payoff_and_gain(sigma_row: Sequence[float], values: Sequence[float]) -> tuple[float, float, int]:
-    """A type's payoff under its mixed action ``sigma_row``, its best pure
-    deviation gain and its first best action, given each action's value.
+def payoff_and_gain(sigma, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's payoff under its mixed action, its best pure deviation
+    gain and its first best action, given each action's value: actions on
+    the last axis of ``sigma`` and ``values``, whose leading axes (types,
+    profiles, ...) broadcast and index the results. One row gives NumPy
+    scalars.
 
-    The payoff sums ``sigma_row[a] * values[a]`` over every action in
+    The payoff sums ``sigma[..., a] * values[..., a]`` over every action in
     ascending order from 0.0, the order the sweep kernel folds in, so a
     pure row's payoff is its action's value bit for bit (a sum from 0.0
-    is never -0.0). Both solvers and both verifiers call this once per type.
+    is never -0.0), and the gain is the first best value less the payoff.
+    This is the one fold of every exact evaluator of both game kinds, each
+    calling it once per result.
     """
-    # Python floats do the same float64 arithmetic as numpy scalars, faster
-    sig, vals = np.asarray(sigma_row).tolist(), np.asarray(values).tolist()
+    sigma, values = np.asarray(sigma, dtype=np.float64), np.asarray(values, dtype=np.float64)
     payoff = 0.0
-    for p, x in zip(sig, vals):
-        payoff += p * x
-    best = vals.index(max(vals))
-    return payoff, vals[best] - payoff, best
+    for a in range(values.shape[-1]):
+        payoff = payoff + sigma[..., a] * values[..., a]
+    best = np.argmax(values, axis=-1)
+    return payoff, np.take_along_axis(values, best[..., None], axis=-1)[..., 0] - payoff, best
 
 
 @dataclass(frozen=True)
@@ -230,12 +234,8 @@ def verify_equilibrium(
     ``tol`` or ``eps`` is rejected before any work."""
     _check_tol(eps, name="eps")
     cons = is_consistent(game, strategy, perceptions, tol)
-    payoffs = np.empty(game.n)
-    gains = np.empty(game.n)
-    best = np.empty(game.n, dtype=np.int64)
-    for t in range(game.n):
-        values = [game.u(t, a, perceptions.tau[t, a]) for a in range(game.m)]
-        payoffs[t], gains[t], best[t] = payoff_and_gain(strategy.sigma[t], values)
+    values = [[game.u(t, a, perceptions.tau[t, a]) for a in range(game.m)] for t in range(game.n)]
+    payoffs, gains, best = payoff_and_gain(strategy.sigma, values)
     worst = int(np.argmax(gains))
     max_gain = float(gains[worst])
     return VerificationResult(
@@ -282,9 +282,7 @@ def classify_pure_profile(game: PerceptionGame, actions: tuple[int, ...]) -> str
     return "other"
 
 
-def profile_report(
-    game: PerceptionGame, sigma: np.ndarray, tol: float = WEAK_TOL
-) -> EquilibriumReport:
+def profile_report(game: PerceptionGame, sigma: np.ndarray) -> EquilibriumReport:
     """Evaluate a strategy under the most favorable perception choice.
 
     On-path rows are pinned to posteriors. Off-path rows start at the
@@ -324,10 +322,7 @@ def profile_report(
     for t in np.flatnonzero(free.any(axis=1)):
         rows[t] = _raise_free_rows(rows[t, :, None], sigma[t, :, None], on[:, None], top[t])[:, 0]
     clamped = bool((free & (rows < top)).any())
-    gains = np.empty(n)
-    payoffs = np.empty(n)
-    for t in range(n):
-        payoffs[t], gains[t], _ = payoff_and_gain(sigma[t], rows[t])
+    payoffs, gains, _ = payoff_and_gain(sigma, rows)
     pure = strategy.pure_actions()
     label = classify_pure_profile(game, pure) if pure is not None else "mixed"
     return EquilibriumReport(
@@ -364,7 +359,7 @@ def _rebuilt(
     ``tol``, kept when they confirm it."""
     least, code, within = found
     screened = decode_profiles(pts, within[:max_survivors], game.n)
-    rebuilt = (profile_report(game, sigma, tol) for sigma in screened)
+    rebuilt = (profile_report(game, sigma) for sigma in screened)
     return _Swept(least, code, within.size, [rep for rep in rebuilt if rep.max_gain <= tol])
 
 

@@ -20,16 +20,19 @@ exact optimum.
 One fold, ``_fold``, values actions everywhere: the screen and the BNE
 enumeration fold every own against every opponent pure profile, the
 kept-pair reports one opponent profile per pair, and
-``verify_equilibrium_2p`` each opponent type's mixed action; the
-single-player ``payoff_and_gain`` turns the values into a type's payoff
-and deviation gain. One penalty table, ``_penalty_table``, gives every
-observer's posterior after a batch of own pure profiles
-(``simplex._posteriors``, the batched ``posterior`` of the sweep kernel)
-and the penalties there (``penalty_batch``). Pure enumeration screens
-every pair through the table and the fold in blocks of own profiles
-(``_pure_pair_gains``); one more table and fold per player then build and
-confirm every pair the screen keeps (``_pure_pair_reports``), so games
-near the 10^6-pair cap enumerate in seconds.
+``verify_equilibrium_2p`` each opponent type's mixed action. The
+single-player ``payoff_and_gain`` turns the values into payoffs and
+deviation gains, once per player for a whole batch of reports or for a
+verification, and also sums the verifier's opponent mixes; only the
+screen writes its gains out in place. One penalty table,
+``_penalty_table``, gives every observer's posterior after a batch of
+own pure profiles (``simplex._posteriors``, the batched ``posterior`` of
+the sweep kernel) and the penalties there (``penalty_batch``). Pure
+enumeration screens every pair through the table and the fold in blocks
+of own profiles (``_pure_pair_gains``); one more table and fold per
+player then build and confirm every pair the screen keeps
+(``_pure_pair_reports``), so games near the 10^6-pair cap enumerate in
+seconds.
 
 Inputs are checked once, where they enter: the belief rows once per
 call (``_beliefs``), a strategy or perceptions by their public
@@ -233,7 +236,9 @@ def _pure_pair_gains(
             w = _penalty_table(game, i, beliefs, block)[0]
             vals = _fold(beliefs[i], inner, w[..., None])  # [t, a, k, j]
             chosen = vals[types, block.T, np.arange(block.shape[0])]  # [t, k, j]
-            # a type's gain is its best value less its own action's (payoff_and_gain)
+            # payoff_and_gain's gain of a one-hot row, written out in place:
+            # the best value less the own action's (a fold from 0.0 is never
+            # -0.0, so the max and the first max agree in every bit)
             gains[lo:lo + size] = (vals.max(axis=1) - chosen).max(axis=0)
         per_player.append(gains)
     return np.maximum(per_player[0], per_player[1].T)
@@ -299,22 +304,15 @@ def verify_equilibrium_2p(
     gains = []
     moves = []  # (player, type, best action), in the order of the joined gains
     for i, ps in enumerate(game.players):
-        # each opponent type's mixed action in ascending order from 0.0; an
-        # action it never plays adds 0 * v, a zero, which leaves the bits
-        # of a sum from 0.0 (never -0.0) as they are
-        inner = 0.0
-        for b, p in enumerate(strategy.sigmas[1 - i].T):
-            inner = inner + p[:, None] * ps.v[..., b]
+        # inner[t, t_opp, a]: own action a's value against opponent type
+        # t_opp's mixed action, a payoff over the last axis of v
+        inner = payoff_and_gain(strategy.sigmas[1 - i][:, None], ps.v)[0]
         # penalty per (type, observer type, action) at the given perceptions
         w = np.array([[[game.w(i, t, tau, t_obs) for tau in taus_obs]
                        for t_obs, taus_obs in enumerate(taus_t)]
                       for t, taus_t in enumerate(perceptions.taus[i])])
-        vals = _fold(beliefs[i], inner, w)
-        pay = np.empty(ps.types.n)
-        gn = np.empty(ps.types.n)
-        for t in range(ps.types.n):
-            pay[t], gn[t], best = payoff_and_gain(strategy.sigmas[i][t], vals[t])
-            moves.append((i, ps.types.labels[t], ps.actions.labels[best]))
+        pay, gn, best = payoff_and_gain(strategy.sigmas[i], _fold(beliefs[i], inner, w))
+        moves.extend((i, ps.types.labels[t], ps.actions.labels[b]) for t, b in enumerate(best.tolist()))
         payoffs.append(pay)
         gains.append(gn)
     flat = np.concatenate(gains)
@@ -375,19 +373,18 @@ def _pure_pair_reports(
     perceptions are the table's posteriors on path and, off path, the
     witnesses of the range ends the table chose, built report by report
     from the table's ``on`` and ``post``, so no batch of every pair's
-    perceptions is held next to the reports. Each report's one-hot
-    strategy rows are taken from one ``np.eye(m)`` per player."""
-    views, payoffs, gains = [], [], []
-    eyes = [np.eye(ps.actions.m) for ps in game.players]
+    perceptions is held next to the reports. Each player's one-hot rows
+    of the whole batch are folded by ``payoff_and_gain`` once, and each
+    report's strategy rows are its rows of them."""
+    views, sigmas, payoffs, gains = [], [], [], []
     for i, ps in enumerate(game.players):
         own, n, m = pairs[i], ps.types.n, ps.actions.m
         w, on, post = _penalty_table(game, i, beliefs, own)
         vals = _fold(beliefs[i], _pure_inner(ps, pairs[1 - i]), w)  # [t, a, k]
-        chosen = np.take_along_axis(vals, own.T[:, None], axis=1)[:, 0]  # [t, k]
-        # a type's payoff is its action's value, its gain the best value
-        # less that (payoff_and_gain)
-        payoffs.append(chosen.T.copy())
-        gains.append((vals.max(axis=1) - chosen).T.copy())
+        sigmas.append(np.eye(m)[own])  # [k, t, a]
+        pay, gain, _ = payoff_and_gain(sigmas[i], vals.transpose(2, 0, 1))
+        payoffs.append(pay)
+        gains.append(gain)
         rng = [[game.penalty_range_of(i, t, t_obs) for t_obs in range(on.shape[0])] for t in range(n)]
         lo = np.array([[r.argmin.p for r in row] for row in rng])[:, :, None]  # [t, t_obs, 1, s]
         hi = np.array([[r.argmax.p for r in row] for row in rng])[:, :, None]
@@ -397,7 +394,7 @@ def _pure_pair_reports(
     max_gain = np.maximum(gains[0].max(axis=1), gains[1].max(axis=1))
     return [
         TwoPlayerEquilibriumReport(
-            strategy=TwoPlayerStrategy._built(game, (eyes[0][pairs[0][k]], eyes[1][pairs[1][k]])),
+            strategy=TwoPlayerStrategy._built(game, (sigmas[0][k], sigmas[1][k])),
             perceptions=TwoPlayerPerceptions._built(game, tuple(
                 np.where(on[k], post[k], np.where(mine[k], lo, hi)) for on, post, mine, lo, hi in views
             )),

@@ -532,7 +532,7 @@ def reference_mixed_search(
     best = int(np.argmin(gains))
     within = idx[gains <= tol]
     screened = decode_profiles(pts, within[:max_survivors], game.n)
-    reports = (profile_report(game, sigma, tol) for sigma in screened)
+    reports = (profile_report(game, sigma) for sigma in screened)
     return MixedSearchResult(
         step=step,
         resolution=resolution,

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perception_games import experiments, kernels
 from perception_games.experiments import (
@@ -24,10 +26,15 @@ from perception_games.fixtures import (
     counterexample_usc,
     two_player_game,
 )
-from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
+from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel, validate_game
 from perception_games.penalties import PenaltySpec
 from perception_games import single
-from perception_games.single import profile_report, search_mixed_equilibria, verify_equilibrium
+from perception_games.single import (
+    enumerate_pure_equilibria,
+    profile_report,
+    search_mixed_equilibria,
+    verify_equilibrium,
+)
 from perception_games.testing import _separable_penalty, random_separable_spec
 
 from helpers import reference_check_separation_margin, with_player
@@ -138,6 +145,9 @@ class TestSeparableSpecValidation:
             ),
             # its games would have two types labelled 'o:concerned'
             (MajorityFamily(outcomes=("o", "o")), "outcome label 'o'"),
+            # a type label's outcome ends at its first colon, so the types
+            # of outcome 'a:x' would read as outcome 'a' and pay its penalty
+            (MajorityFamily(outcomes=("a", "a:x")), "outcome label 'a:x' must not hold ':'"),
         ],
     )
     def test_rejected_before_any_game(self, monkeypatch, family, match):
@@ -155,7 +165,75 @@ class TestSeparableSpecValidation:
                 call()
 
 
+def _punched_spec(seed):
+    """A seeded ``random_separable_spec`` with about half its cells
+    punched to zero mass, their mass moved onto one kept cell."""
+    rng = np.random.default_rng(4000 + seed)
+    spec = random_separable_spec(rng)
+    flat = spec.joint_prior.reshape(-1).copy()
+    keep = int(rng.integers(flat.size))
+    punched = rng.random(flat.size) < 0.5
+    punched[keep] = False
+    # masses are in 64ths, so moving them onto one cell is exact
+    flat[keep] += flat[punched].sum()
+    flat[punched] = 0.0
+    return replace(spec, joint_prior=flat.reshape(spec.joint_prior.shape))
+
+
 class TestToGame:
+    def test_privacy_labels_may_hold_colons(self):
+        """A type label's outcome ends at its first colon, so a privacy
+        label may hold more: the game builds, validates and separates."""
+        pen = _toy_spec().penalty_by_privacy["p"]
+        spec = _toy_spec(
+            privacy=("p", "p:x"),
+            joint_prior=np.full((2, 2), 0.25),
+            penalty_by_privacy={"p": pen, "p:x": PenaltySpec.zero()},
+        )
+        game = spec.to_game()
+        assert game.types.labels == ("o0:p", "o0:p:x", "o1:p", "o1:p:x")
+        assert validate_game(game).ok
+        assert game.penalty(0).event == game.penalty(2).event == (0, 1)
+        game, strategy, perceptions = build_separating_equilibrium(spec)
+        assert strategy.pure_actions() == (0, 0, 1, 1)
+        assert verify_equilibrium(game, strategy, perceptions).accepted
+        found = {r.strategy.pure_actions(): r.label for r in enumerate_pure_equilibria(game)}
+        assert found[(0, 0, 1, 1)] == "separating"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cells_are_the_types(self, seed):
+        """``_cells`` gives the built game's labels, prior and ``v`` rows,
+        type by type, on random specs with zero-mass cells punched in."""
+        spec = _punched_spec(seed)
+        cells = spec._cells()
+        assert cells == [(o, p) for o, p in np.ndindex(spec.joint_prior.shape) if spec.joint_prior[o, p] > 0.0]
+        live = {spec.outcomes[o] for o, _ in cells}
+        pens = [spec.penalty_by_privacy[spec.privacy[p]] for _, p in cells]
+        if any(pen.marginal_over is not None and live.isdisjoint(pen.marginal_over) for pen in pens):
+            with pytest.raises(ValueError, match="only covers zero-mass outcomes"):
+                spec.to_game()
+            return
+        game = spec.to_game()
+        assert game.types.labels == tuple(f"{spec.outcomes[o]}:{spec.privacy[p]}" for o, p in cells)
+        assert game.prior.p.tolist() == [spec.joint_prior[o, p] for o, p in cells]
+        assert game.utility.v.tobytes() == spec.v_outcome[[o for o, _ in cells]].tobytes()
+
+    def test_punched_cells_cover_both_branches(self):
+        """The seeds of ``test_cells_are_the_types`` drop whole outcomes
+        and cells of live outcomes, and reach both branches."""
+        dropped_outcome = dropped_cell = raised = built = 0
+        for seed in range(40):
+            spec = _punched_spec(seed)
+            jp = spec.joint_prior
+            dropped_outcome += bool((jp.sum(axis=1) == 0.0).any())
+            dropped_cell += bool(((jp == 0.0) & (jp.sum(axis=1, keepdims=True) > 0.0)).any())
+            try:
+                spec.to_game()
+                built += 1
+            except ValueError:
+                raised += 1
+        assert dropped_outcome and dropped_cell and raised and built
+
     def test_zero_mass_cells_dropped(self):
         fam = default_majority_family()
         g0 = fam.game_for(0.0)
@@ -357,6 +435,49 @@ class TestBuildSeparatingEquilibrium:
         for t in range(game.n):
             for a in unused:
                 np.testing.assert_array_equal(perceptions.tau[t, a], game.chi(t).p)
+
+
+class TestLabelRelation:
+    """Renaming a spec's outcome, privacy and action labels by bijections
+    keeps every answer but its labels: the cells, the types and actions
+    and their order stay, and a label is only ever matched, never parsed,
+    but for a type label's outcome, which ends at its first colon. So the
+    outcome labels stay colon-free, and the privacy and action labels may
+    hold ':'."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_renaming_keeps_the_answers(self, seed, data):
+        spec = random_separable_spec(np.random.default_rng(seed))
+
+        def names(old, pool):
+            new = st.lists(st.sampled_from(pool), min_size=len(old), max_size=len(old), unique=True)
+            return dict(zip(old, data.draw(new)))
+
+        outcomes = names(spec.outcomes, ("o1", "o0", "x", "p", "o2", "oo"))
+        privacy = names(spec.privacy, ("p1", "p0", ":", "p:", ":x", "o0:p", "x"))
+        actions = names(spec.actions, ("a1", "a0", "a:", ":", "b", "x:y"))
+        renamed = replace(
+            spec,
+            outcomes=tuple(outcomes.values()),
+            privacy=tuple(privacy.values()),
+            actions=tuple(actions.values()),
+            penalty_by_privacy={
+                privacy[p]: pen if pen.marginal_over is None
+                else replace(pen, marginal_over=tuple(outcomes[o] for o in pen.marginal_over))
+                for p, pen in spec.penalty_by_privacy.items()
+            },
+        )
+        margin, again = check_separation_margin(spec), check_separation_margin(renamed)
+        assert (again.holds, again.margin) == (margin.holds, margin.margin)
+        assert again.rows == tuple((outcomes[o], outcomes[o2], privacy[p], x) for o, o2, p, x in margin.rows)
+        before, after = (
+            [(r.strategy.pure_actions(), r.label, r.payoffs.tobytes()) for r in enumerate_pure_equilibria(s.to_game())]
+            for s in (spec, renamed)
+        )
+        assert after == before
+        sigma = build_separating_equilibrium(spec)[1].sigma
+        assert build_separating_equilibrium(renamed)[1].sigma.tobytes() == sigma.tobytes()
 
 
 class TestUniquenessBound:
@@ -637,7 +758,7 @@ class TestCounterexampleCheck:
         game = build()
         rep = counterexample_check(game, strategy_step=0.5, tol=tol)
         rows = [np.eye(game.m)[list(actions)] for actions in product(range(game.m), repeat=game.n)]
-        gains = [profile_report(game, sigma, tol).max_gain for sigma in rows]
+        gains = [profile_report(game, sigma).max_gain for sigma in rows]
         least = min(gains)
         assert rep.pure_min_gain.hex() == least.hex()
         assert rep.pure_argmin.sigma.tobytes() == rows[gains.index(least)].tobytes()

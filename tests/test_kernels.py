@@ -233,7 +233,7 @@ class TestNumpyGainsAgainstEvaluator:
         profile's posteriors, and from the column table of ``pts``
         whether or not ``sweep_profile_gains`` would build it."""
         pack = pack_game(game)
-        reports = [profile_report(game, s, 1e-9) for s in decode_profiles(pts, idx, game.n)]
+        reports = [profile_report(game, s) for s in decode_profiles(pts, idx, game.n)]
         for table in (None, kernels._column_table(pts, pack)):
             gains = kernels._gains_numpy(idx, pts, pack, table)
             assert gains.shape == idx.shape
@@ -488,7 +488,7 @@ class TestChunking:
         sig = decode_profiles(pts, idx, game.n)
         off = _has_off_path_action(game, sig)
         assert off.any() and not off.all()
-        assert gains.tolist() == [profile_report(game, s, 1e-9).max_gain for s in sig]
+        assert gains.tolist() == [profile_report(game, s).max_gain for s in sig]
 
 
     @pytest.mark.parametrize("build", [polyline_knots_game, eight_type_game])

@@ -12,9 +12,7 @@ from perception_games.penalties import (
     penalty_batch,
     penalty_range,
     penalty_value,
-    piecewise_linear_value,
     stacked_bounds,
-    step_value,
     validate_spec,
 )
 
@@ -77,22 +75,37 @@ class TestValidateSpec:
         assert any("bounds" in msg for msg in validate_spec(spec))
 
 
+def _at_mass(spec, x):
+    """The marginal penalty ``spec`` (weight 1, event ``("t0",)``) bound to
+    two types and valued by ``penalty_value`` at ``[x, 1 - x]``, whose
+    event mass is ``x``: its polyline or step at ``x``."""
+    return penalty_value(bind(spec, ("t0", "t1"), [0.5, 0.5], 0), [x, 1.0 - x])
+
+
+def _polyline_at(knots_x, knots_y, x):
+    return _at_mass(PenaltySpec.piecewise_linear(zip(knots_x, knots_y), over=("t0",)), x)
+
+
+def _step_at(pieces, x):
+    return _at_mass(PenaltySpec.step(pieces, over=("t0",)), x)
+
+
 class TestPiecewiseLinearValue:
     KX = np.array([0.0, 0.5, 1.0])
     KY = np.array([1.1, 0.0, 1.1])
 
     def test_at_knots(self):
-        assert piecewise_linear_value(self.KX, self.KY, 0.0) == 1.1
-        assert piecewise_linear_value(self.KX, self.KY, 0.5) == 0.0
-        assert piecewise_linear_value(self.KX, self.KY, 1.0) == 1.1
+        assert _polyline_at(self.KX, self.KY, 0.0) == 1.1
+        assert _polyline_at(self.KX, self.KY, 0.5) == 0.0
+        assert _polyline_at(self.KX, self.KY, 1.0) == 1.1
 
     def test_between_knots(self):
-        assert piecewise_linear_value(self.KX, self.KY, 0.25) == pytest.approx(0.55)
-        assert piecewise_linear_value(self.KX, self.KY, 0.75) == pytest.approx(0.55)
+        assert _polyline_at(self.KX, self.KY, 0.25) == pytest.approx(0.55)
+        assert _polyline_at(self.KX, self.KY, 0.75) == pytest.approx(0.55)
 
     @given(st.floats(0.0, 1.0))
     def test_matches_interp(self, x):
-        ours = piecewise_linear_value(self.KX, self.KY, x)
+        ours = _polyline_at(self.KX, self.KY, x)
         ref = float(np.interp(x, self.KX, self.KY))
         assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -100,27 +113,27 @@ class TestPiecewiseLinearValue:
 class TestStepValue:
     def test_first_match_wins(self):
         pieces = ((0.0, 0.6, 1.0, True, True), (0.4, 1.0, 2.0, True, True))
-        assert step_value(pieces, 0.5) == 1.0
-        assert step_value(pieces, 0.7) == 2.0
+        assert _step_at(pieces, 0.5) == 1.0
+        assert _step_at(pieces, 0.7) == 2.0
 
     def test_unmatched_is_zero(self):
         pieces = ((0.4, 0.6, 5.0, True, True),)
-        assert step_value(pieces, 0.1) == 0.0
-        assert step_value(pieces, 0.9) == 0.0
+        assert _step_at(pieces, 0.1) == 0.0
+        assert _step_at(pieces, 0.9) == 0.0
 
     def test_open_closed_bounds(self):
         open_piece = ((0.2, 0.8, 1.0, False, False),)
-        assert step_value(open_piece, 0.2) == 0.0
-        assert step_value(open_piece, 0.8) == 0.0
-        assert step_value(open_piece, 0.5) == 1.0
+        assert _step_at(open_piece, 0.2) == 0.0
+        assert _step_at(open_piece, 0.8) == 0.0
+        assert _step_at(open_piece, 0.5) == 1.0
         closed = ((0.2, 0.8, 1.0, True, True),)
-        assert step_value(closed, 0.2) == 1.0
-        assert step_value(closed, 0.8) == 1.0
+        assert _step_at(closed, 0.2) == 1.0
+        assert _step_at(closed, 0.8) == 1.0
 
     def test_closed_singleton(self):
         pieces = ((0.5, 0.5, 3.0, True, True),)
-        assert step_value(pieces, 0.5) == 3.0
-        assert step_value(pieces, 0.5 + 1e-12) == 0.0
+        assert _step_at(pieces, 0.5) == 3.0
+        assert _step_at(pieces, 0.5 + 1e-12) == 0.0
 
 
 class TestPenaltyValue:
@@ -417,13 +430,16 @@ class TestOneBody:
         _assert_one_body_is_the_twins(pen, post)
 
     def test_public_wrappers(self):
+        """The polyline and the step of the event mass, reached through
+        ``penalty_value``, are floats with the bits of the former
+        evaluators, at and beyond the ends of [0, 1] and at NaN."""
         knots = np.array([0.0, 0.25, 1.0]), np.array([1.0, -0.5, 2.0])
         pieces = ((0.25, 0.5, -0.0, False, True), (0.0, 1.0, 2.0, True, True))
         for x in (-0.5, 0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0, 1.0000000000000002, 2.0, float("nan")):
-            got = piecewise_linear_value(*knots, x)
+            got = _polyline_at(*knots, x)
             assert type(got) is float
             assert _bits(got) == _bits(reference_piecewise_linear_value(*knots, x))
-            got = step_value(pieces, x)
+            got = _step_at(pieces, x)
             assert type(got) is float
             assert _bits(got) == _bits(reference_step_value(pieces, x))
 

@@ -18,6 +18,7 @@ from perception_games.single import (
     enumerate_pure_equilibria,
     is_consistent,
     legislation_welfare,
+    payoff_and_gain,
     pooling_check,
     profile_report,
     search_mixed_equilibria,
@@ -146,6 +147,65 @@ class TestConsistency:
         tau[0, 1] = [1.0, 0.0]
         tau[1, 1] = [0.0, 1.0]  # types may expect different off-path beliefs
         assert is_consistent(g, s, PerceptionMap(g, tau)).consistent
+
+
+def _python_fold(sigma_row, values):
+    """One row's payoff, gain and first best action as a Python fold:
+    the payoff summed from 0.0 in action order, the first max."""
+    sig, vals = [float(p) for p in sigma_row], [float(x) for x in values]
+    payoff = 0.0
+    for p, x in zip(sig, vals):
+        payoff += p * x
+    best = vals.index(max(vals))
+    return payoff, vals[best] - payoff, best
+
+
+@st.composite
+def _fold_inputs(draw):
+    """Rows of one-hot or dyadic mixed actions and values (signed zeros,
+    negatives and ties among them), with leading shape ``()``, ``(n,)``
+    or ``(B, n)``."""
+    m = draw(st.integers(1, 4))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rows = int(np.prod(lead, dtype=np.int64))
+
+    def row(_):
+        if draw(st.booleans()):
+            return np.eye(m)[draw(st.integers(0, m - 1))]
+        counts = draw(st.lists(st.integers(0, 8), min_size=m, max_size=m).filter(any))
+        return np.array(counts) / sum(counts)
+
+    sigma = np.array([row(k) for k in range(rows)]).reshape(lead + (m,))
+    value = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1.0, -2.5]), st.floats(-8.0, 8.0))
+    values = np.array(draw(st.lists(value, min_size=rows * m, max_size=rows * m))).reshape(lead + (m,))
+    return sigma, values
+
+
+class TestPayoffAndGain:
+    """The batched fold is the Python fold of each row, bit for bit, on
+    any leading shape, and one row gives NumPy scalars."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fold_inputs())
+    def test_rows_are_the_python_fold(self, inputs):
+        sigma, values = inputs
+        payoff, gain, best = payoff_and_gain(sigma, values)
+        lead, m = sigma.shape[:-1], sigma.shape[-1]
+        want = [_python_fold(s, v) for s, v in zip(sigma.reshape(-1, m), values.reshape(-1, m))]
+        assert np.shape(payoff) == np.shape(gain) == np.shape(best) == lead
+        assert np.reshape(payoff, -1).tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert np.reshape(gain, -1).tobytes() == np.array([w[1] for w in want]).tobytes()
+        assert np.reshape(best, -1).tolist() == [w[2] for w in want]
+        if not lead:
+            assert type(payoff) is np.float64 and type(gain) is np.float64
+            assert isinstance(best, np.integer)
+
+    def test_first_max_and_no_negative_zero_payoff(self):
+        payoff, gain, best = payoff_and_gain([[0.0, 1.0], [1.0, 0.0]], [[-0.0, 0.0], [-0.0, -0.0]])
+        assert best.tolist() == [0, 0]
+        # the first max is -0.0, and a sum from 0.0 is never -0.0
+        assert payoff.tobytes() == np.array([0.0, 0.0]).tobytes()
+        assert gain.tobytes() == np.array([-0.0, -0.0]).tobytes()
 
 
 class TestVerifyEquilibrium:
