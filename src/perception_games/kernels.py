@@ -9,10 +9,10 @@ takes the utility rows there (``_utility_rows`` for every
 type at once, ``_penalized`` for one type of an additive game), fills
 the off-path rows up to their caps, and reduces to the gains. The
 batch axis is vectorized; types and actions are accumulated in
-ascending order, the same order as the one fold of the exact
-evaluators, ``single.payoff_and_gain``, which ``single.profile_report``
-calls once for all its types, so the two agree bitwise and the test
-suite asserts exact equality.
+ascending order, the order of the one fold of the exact evaluators,
+``single.payoff_and_gain``. The exact oracle ``single._profile_reports``
+reads its rows from ``_utility_rows`` too and folds a whole stack of
+profiles in one call, so the two agree bitwise, as the tests assert.
 
 The arrays are type-major, with the batch axis last and contiguous: a
 chunk of ``B`` profiles holds its base-``G`` digits as ``(n, B)``, its
@@ -29,8 +29,8 @@ action at all. A type plays an off-path action only where its prior
 mass there rounds to 0, so only a game with a type whose prior times
 the grid's least positive probability is 0 raises those free rows
 (``_raise_free_rows``), and only on the profiles with an off-path
-action. ``single.profile_report`` raises its free rows with the same
-function, so the kernel and the oracle share one fill.
+action. The oracle raises its free rows with the same function, once
+per type for a whole stack: the kernel and the oracle share one fill.
 
 The kernel evaluates the types one at a time, type 0 first: a type's
 utility rows, its off-path fill (a type's cap depends on its own rows
@@ -97,8 +97,8 @@ utility in ``[L, H]``, and the gain above a certified lower bound. The
 screen prunes the cells bounded above the tolerance, splits the others
 level by level (``_split``) and returns the profiles of the small cells
 it keeps; ``single.search_mixed_equilibria`` sweeps those through the
-kernel, and the exact ``single.profile_report`` confirms the survivors
-as before. At a limit of at least 0 the screen starts at the root's
+kernel, and the exact oracle confirms the survivors in one stack per
+sweep. At a limit of at least 0 the screen starts at the root's
 children: every action has probability 0 at a vertex of the grid, so
 the root's bound is at most 0 and the root is never pruned. A level
 holds few cells, so a level costs numpy calls, not cells, and each step
@@ -291,19 +291,19 @@ def _penalized(pack: GamePack, t: int, beliefs: np.ndarray) -> np.ndarray:
     return pack.v[t, :, None] - penalty_batch(pack.penalties[t], beliefs)
 
 
-def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray]:
-    """``(on, rows)`` for columns ``cols`` as in ``simplex._posteriors``, with
-    ``rows[t, a, b]`` type ``t``'s utility of action ``a`` at its
-    column's posterior. Both sweep paths take their rows from here or
-    from ``_penalized``, which this calls for an additive game, so a
-    table entry and a per-profile entry are bitwise the same."""
+def _utility_rows(cols: np.ndarray, pack: GamePack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``simplex._posteriors`` of the columns ``cols``, ``(on, beliefs)``,
+    and ``rows[t, a, b]``, type ``t``'s utility of action ``a`` at
+    ``beliefs[:, a, b]``. Both sweep paths and the exact oracle take
+    their rows from here, the one place that tells utility kinds apart,
+    or from ``_penalized``, so all their entries are bitwise equal."""
     on, beliefs = _posteriors(pack.prior, cols)
     if pack.values is not None:
-        return on, _interpolate(beliefs.T, pack.values, pack.resolution).T
+        return on, beliefs, _interpolate(beliefs.T, pack.values, pack.resolution).T
     rows = np.empty(pack.u_min.shape + cols.shape[2:])
     for t in range(rows.shape[0]):
         rows[t] = _penalized(pack, t, beliefs)
-    return on, rows
+    return on, beliefs, rows
 
 
 class _ColumnTable(NamedTuple):
@@ -340,7 +340,7 @@ def _column_table(grid_pts: np.ndarray, pack: GamePack) -> _ColumnTable:
     V = vals.size
     C = V**n
     cols = np.take(vals, _digits(np.arange(C), V, n))  # (n, C)
-    on, rows = _utility_rows(cols[:, None, :], pack)  # (1, C), (n, m, C)
+    on, _, rows = _utility_rows(cols[:, None, :], pack)  # (1, C), (n, m, C)
     np.copyto(rows, pack.u_min[:, :, None], where=~on)
     rank = rank.reshape(grid_pts.shape).T  # (m, G)
     width = max(1, (m * C - 1).bit_length())
@@ -389,8 +389,8 @@ def _raise_free_rows(
     type's cap, the best of its other rows and of its free rows'
     ``u_min``, and clamped at its ``u_max`` (``(m,)``). Only a type
     whose prior mass at an action it plays rounds to 0 can have free
-    rows. The sweep and ``single.profile_report`` both fill through
-    here."""
+    rows. The sweep and the oracle ``single._profile_reports`` both fill
+    through here, the oracle once per type over its whole stack."""
     free = ~on & (sig > 0.0)
     held = np.where(free, _NEG, rows)
     lo = np.where(free, rows, _NEG)
@@ -473,7 +473,7 @@ def _gains_numpy(
         if pack.values is None:
             on, beliefs = _posteriors(pack.prior, sig)
         else:
-            on, rows = _utility_rows(sig, pack)
+            on, _, rows = _utility_rows(sig, pack)
     else:
         col = _table_entries(table, digits, m, work)  # (m, B)
         # the table pins every off-path row to u_min already

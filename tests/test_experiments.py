@@ -597,17 +597,17 @@ class TestCountOnlyScan:
         ],
     )
     def test_reports_only_the_pure_equilibria(self, monkeypatch, family, step):
-        calls = []
-        real = single.profile_report
+        rows = []
+        real = single._profile_reports
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(game, sigmas):
+            rows.append(len(sigmas))
+            return real(game, sigmas)
 
-        monkeypatch.setattr(single, "profile_report", counted)
+        monkeypatch.setattr(single, "_profile_reports", counted)
         rep = scan_alpha(family, MAJORITY_ALPHAS, mixed_step=step)
         monkeypatch.undo()
-        assert len(calls) == sum(r.n_equilibria for r in rep.rows)
+        assert sum(rows) == sum(r.n_equilibria for r in rep.rows)
         pure = scan_alpha(family, MAJORITY_ALPHAS)
         for alpha, row, bare in zip(MAJORITY_ALPHAS, rep.rows, pure.rows):
             full = search_mixed_equilibria(family.game_for(alpha), step)

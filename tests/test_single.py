@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perception_games import kernels, model, single
-from perception_games.experiments import default_majority_family
+from perception_games.experiments import default_majority_family, scan_alpha
 from perception_games.fixtures import blog, counterexample_lsc, counterexample_usc
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
@@ -28,7 +29,9 @@ from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
 from helpers import oracle_pure_gains, reference_mixed_search, reference_profile_report, spec_to_dict, tabulate
 from test_kernels import (
+    _all_profiles,
     additive_catalog_games,
+    catalog_games,
     eight_type_game,
     full_event_step_game,
     polyline_knots_game,
@@ -887,6 +890,19 @@ class TestSweepMemory:
         assert peak < 3.5 * 2**20 < res.total * 8
 
 
+def _count_rows(monkeypatch) -> list:
+    """The size of every stack handed to ``single._profile_reports``."""
+    rows = []
+    real = single._profile_reports
+
+    def counted(game, sigmas):
+        rows.append(len(sigmas))
+        return real(game, sigmas)
+
+    monkeypatch.setattr(single, "_profile_reports", counted)
+    return rows
+
+
 class TestTabulatedGames:
     """Tabulated games are screened by the kernel like additive ones,
     and the exact evaluator confirms only the survivors."""
@@ -908,31 +924,26 @@ class TestTabulatedGames:
         game = tabulate(blog(), 10)
         pure = enumerate_pure_equilibria(game)
         mixed = search_mixed_equilibria(game, step=0.25)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return profile_report(*args, **kwargs)
-
-        monkeypatch.setattr(single, "profile_report", counted)
+        # one stack per sweep, of the survivors only
+        calls = _count_rows(monkeypatch)
         reports = enumerate_pure_equilibria(game)
-        assert len(calls) == 3
+        assert calls == [3]
         assert [r.label for r in reports] == [r.label for r in pure]
         for r, p in zip(reports, pure):
             np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)
         calls.clear()
         capped = search_mixed_equilibria(game, step=0.25, max_survivors=2)
-        assert len(calls) == 2
+        assert calls == [2]
         assert (capped.survivor_count, capped.truncated) == (3, True)
         for r, p in zip(capped.survivors, mixed.survivors[:2], strict=True):
             np.testing.assert_array_equal(r.strategy.sigma, p.strategy.sigma)
 
 
 class TestTabulatedReport:
-    """``profile_report`` values every type's on-path actions of a
-    tabulated game in one ``_interpolate`` call, each entry bit for bit
-    ``game.u``'s, as ``helpers.reference_profile_report`` takes them one
-    by one."""
+    """``profile_report`` values every type's actions of a tabulated game
+    in one ``_interpolate`` call, the kernel's (``kernels._utility_rows``),
+    each on-path entry bit for bit ``game.u``'s, as
+    ``helpers.reference_profile_report`` takes them one by one."""
 
     @settings(max_examples=60, deadline=None)
     @given(game=additive_catalog_games(), resolution=st.integers(1, 6), data=st.data())
@@ -942,7 +953,7 @@ class TestTabulatedReport:
         sigma = kernels.decode_profiles(pts, data.draw(st.integers(0, pts.shape[0] ** game.n - 1)), game.n)
         calls = []
         with pytest.MonkeyPatch.context() as patch:
-            for module in (single, model):
+            for module in (kernels, model):
                 real = module._interpolate
                 patch.setattr(module, "_interpolate", lambda *args, real=real: calls.append(1) or real(*args))
             rep = profile_report(game, sigma)
@@ -952,6 +963,162 @@ class TestTabulatedReport:
         assert rep.payoffs.tobytes() == payoffs.tobytes()
         assert rep.perceptions.tau.tobytes() == tau.tobytes()
         assert rep.clamped is clamped
+
+
+def _zero_game(n: int) -> PerceptionGame:
+    """``n`` types x 3 actions with zero values and zero penalties: every
+    pure profile is an equilibrium."""
+    return PerceptionGame(
+        types=TypeSpace.plain(tuple(f"t{i}" for i in range(n))),
+        actions=ActionSpace.plain(("a0", "a1", "a2")),
+        prior=np.full(n, 1.0 / n),
+        utility=UtilityModel(kind="additive_separable", v=np.zeros((n, 3)), penalties=(PenaltySpec.zero(),) * n),
+    )
+
+
+class TestBatchedReports:
+    """Each row of ``_profile_reports`` is its profile's exact report,
+    ``helpers.reference_profile_report`` bit for bit (gains, payoffs,
+    perceptions, ``clamped``) with its label, whatever rows stand around
+    it: a shuffled stack gives each row the same report."""
+
+    @staticmethod
+    def _assert_rows(game, sigmas) -> list:
+        reports = single._profile_reports(game, sigmas)
+        assert len(reports) == len(sigmas)
+        for rep, sigma in zip(reports, sigmas):
+            _, tau, clamped, payoffs, gains = reference_profile_report(game, sigma)
+            assert rep.strategy.sigma.tobytes() == sigma.tobytes()
+            assert rep.gains.tobytes() == gains.tobytes()
+            assert rep.payoffs.tobytes() == payoffs.tobytes()
+            assert rep.perceptions.tau.tobytes() == tau.tobytes()
+            assert rep.clamped is clamped
+            assert rep.max_gain == float(gains.max())
+            pure = ((sigma == 0.0) | (sigma == 1.0)).all()
+            actions = tuple(np.argmax(sigma, axis=1).tolist())
+            assert rep.label == (classify_pure_profile(game, actions) if pure else "mixed")
+        return reports
+
+    def _assert_stack_and_shuffle(self, game, sigmas, data) -> list:
+        order = data.draw(st.permutations(range(len(sigmas))))
+        self._assert_rows(game, sigmas[list(order)])
+        return self._assert_rows(game, sigmas)
+
+    @staticmethod
+    def _stack(game, data, resolution: int = 2) -> np.ndarray:
+        pts = SimplexGrid(game.m, resolution).points()
+        codes = st.integers(0, pts.shape[0] ** game.n - 1)
+        return kernels.decode_profiles(pts, np.array(data.draw(st.lists(codes, max_size=12)), dtype=np.int64), game.n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=catalog_games(), data=st.data())
+    def test_catalog_and_tabulated_games(self, game, data):
+        self._assert_stack_and_shuffle(game, self._stack(game, data), data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        game=additive_catalog_games().filter(lambda g: bool((g.prior.p == 0.0).any())),
+        tabulated=st.booleans(),
+        data=st.data(),
+    )
+    def test_games_with_a_zero_prior_type(self, game, tabulated, data):
+        if tabulated:
+            game = tabulate(game, data.draw(st.integers(1, 6)))
+        self._assert_stack_and_shuffle(game, self._stack(game, data), data)
+
+    @pytest.mark.parametrize("resolution", [None, 4])
+    def test_every_profile_in_one_stack(self, resolution):
+        """All 3,375 profiles of the zero-prior game at step 1/4 in one
+        stack, additive and tabulated: rows clamped and not, and rows that
+        play on-path and off-path actions side by side."""
+        game = zero_prior_game() if resolution is None else tabulate(zero_prior_game(), resolution)
+        pts, idx = _all_profiles(game, 4)
+        sigmas = kernels.decode_profiles(pts, idx, game.n)
+        reports = self._assert_rows(game, sigmas)
+        assert {rep.clamped for rep in reports} == {True, False}
+        on = np.einsum("t,btm->bm", game.prior.p, sigmas) > 0.0
+        assert (on.any(axis=1) & ~on.all(axis=1)).any()
+        assert single._profile_reports(game, sigmas[:1])[0].gains.tobytes() == reports[0].gains.tobytes()
+
+    def test_empty_stack_touches_nothing(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("touched the game")
+
+        game = blog()
+        for name in ("penalty", "u", "u_range", "utility_bounds"):
+            monkeypatch.setattr(PerceptionGame, name, fail)
+        assert single._profile_reports(game, np.empty((0, game.n, game.m))) == []
+
+
+class TestOracleTraffic:
+    """``_rebuilt`` hands each sweep's kept profiles to the oracle in one
+    stack, and makes no call when it keeps none."""
+
+    def test_warm_majority_pass(self, monkeypatch):
+        family = default_majority_family()
+        alphas = [round(0.05 * i, 10) for i in range(21)]
+        scan_alpha(family, alphas, mixed_step=0.05)
+        rows = _count_rows(monkeypatch)
+        rep = scan_alpha(family, alphas, mixed_step=0.05)
+        # one stack per pure enumeration; the count-only mixed searches make none
+        assert len(rows) == 21 and 0 not in rows
+        assert sum(rows) == sum(r.n_equilibria for r in rep.rows) == 43
+
+    def test_count_only_search(self, monkeypatch):
+        rows = _count_rows(monkeypatch)
+        res = search_mixed_equilibria(blog(), step=0.25, max_survivors=0)
+        assert res.survivor_count == 3 and res.survivors == ()
+        assert rows == []
+
+    def test_kept_reports_build_their_perceptions_one_at_a_time(self):
+        """8 types x 3 actions, every one of the 6,561 pure profiles kept:
+        the enumeration traced a 17.7 MiB peak with the former
+        per-profile oracle and 19.5 MiB with the batched one, which builds
+        each report's perceptions in its own turn; one batch ``(B, n, m,
+        n)`` of every report's perceptions traced 24.4 MiB."""
+        game = _zero_game(8)
+        reports, peak = _traced_peak(lambda: enumerate_pure_equilibria(game))
+        assert len(reports) == 6561
+        assert peak < 22 * 2**20
+
+
+class TestScalingRelation:
+    """Doubling ``v`` and every penalty weight doubles every utility
+    exactly: each penalty is its weight times a value of the belief, and a
+    product or difference of doubled floats is the double of the rounded
+    one. The posteriors and the range witnesses do not move. So at twice
+    the tolerance the same pure equilibria and step-1/4 survivors are
+    kept, with every gain, payoff and the least gain doubled bit for
+    bit."""
+
+    @staticmethod
+    def _doubled(game: PerceptionGame) -> PerceptionGame:
+        um = game.utility
+        penalties = tuple(replace(p, weight=2.0 * p.weight) for p in um.penalties)
+        return replace(game, utility=replace(um, v=2.0 * um.v, penalties=penalties))
+
+    @staticmethod
+    def _assert_doubled(reports, doubled) -> None:
+        assert len(reports) == len(doubled)
+        for rep, two in zip(reports, doubled):
+            assert rep.strategy.sigma.tobytes() == two.strategy.sigma.tobytes()
+            assert rep.perceptions.tau.tobytes() == two.perceptions.tau.tobytes()
+            assert (2.0 * rep.gains).tobytes() == two.gains.tobytes()
+            assert (2.0 * rep.payoffs).tobytes() == two.payoffs.tobytes()
+            assert (rep.label, rep.clamped) == (two.label, two.clamped)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from((1e-9, 0.125, 0.5)))
+    def test_doubling_doubles_every_gain(self, seed, tol):
+        game = random_mixed_catalog_game(np.random.default_rng(seed))
+        doubled = self._doubled(game)
+        self._assert_doubled(enumerate_pure_equilibria(game, tol), enumerate_pure_equilibria(doubled, 2.0 * tol))
+        base = search_mixed_equilibria(game, 0.25, tol)
+        two = search_mixed_equilibria(doubled, 0.25, 2.0 * tol)
+        assert two.survivor_count == base.survivor_count
+        assert np.float64(2.0 * base.min_max_gain).tobytes() == np.float64(two.min_max_gain).tobytes()
+        assert base.argmin.sigma.tobytes() == two.argmin.sigma.tobytes()
+        self._assert_doubled(base.survivors, two.survivors)
 
 
 class TestProfileReportInput:
