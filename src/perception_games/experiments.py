@@ -146,6 +146,10 @@ class SeparableGameSpec:
     def to_game(self) -> PerceptionGame:
         """Materialize the product game, one type per cell with mass."""
         self.validate_structure()
+        return self._game()
+
+    def _game(self) -> PerceptionGame:
+        """``to_game`` of a spec that passed ``validate_structure``."""
         cells = self._cells()
         labels = tuple(f"{self.outcomes[o]}:{self.privacy[p]}" for o, p in cells)
         expanded: list[PenaltySpec] = []
@@ -171,11 +175,16 @@ class SeparableGameSpec:
         return PerceptionGame(
             types=TypeSpace(labels=labels, outcome_labels=self.outcomes, privacy_labels=self.privacy),
             actions=ActionSpace.plain(self.actions),
-            prior=Belief(np.array([float(self.joint_prior[cell]) for cell in cells])),
+            prior=self._prior(cells),
             utility=utility,
             allow_discontinuous=any(not s.is_continuous for s in expanded),
             name=self.name,
         )
+
+    def _prior(self, cells: Sequence[tuple[int, int]]) -> Belief:
+        """The prior of the game over ``cells`` (``_cells()``), each type's
+        mass as ``joint_prior`` holds it."""
+        return Belief(np.array([float(self.joint_prior[cell]) for cell in cells]))
 
 
 def _dirac_marginal_penalty(spec: PenaltySpec, outcome: str) -> float:
@@ -210,6 +219,13 @@ def check_separation_margin(spec: SeparableGameSpec, tol: float = 0.0) -> Margin
     work."""
     _check_tol(tol)
     spec.validate_structure()
+    return _margin_report(spec, tol)
+
+
+def _margin_report(spec: SeparableGameSpec, tol: float) -> MarginReport:
+    """``check_separation_margin`` of a spec that passed
+    ``validate_structure``. The rows read the joint prior only through
+    which cells have mass."""
     rows: list[tuple[str, str, str, float]] = []
     worst = np.inf
     cells = spec._cells()
@@ -372,15 +388,21 @@ def scan_alpha(
 
     With ``mixed_step``, a row's ``mixed_survivors`` is the mixed
     search's ``survivor_count``: the profiles the kernel screens within
-    ``tol``, whose gains are the exact oracle's bit for bit. The games
-    are built first, and their pure enumerations and mixed searches run
-    in one ``_pure_enumerations`` and one ``_mixed_searches`` call, the
-    searches with ``max_survivors=0``, so no survivor report is built.
-    The scan's games differ in their prior only (but for the endpoints,
-    whose zero-mass types are dropped), so one cell screen serves them
-    all, each keeping the cells of its own search, and the kernel sweeps
-    them together, a few calls for all the pure profiles and a few for
-    all the kept cells, each game keeping its own results."""
+    ``tol``, whose gains are the exact oracle's bit for bit.
+
+    Every spec is checked once (``validate_structure``) before any game
+    is built. The specs differ in their joint prior alone, so those with
+    mass in the same cells (the inner alphas; each endpoint, whose
+    zero-mass types are dropped) share one margin check, whose rows read
+    the prior only through those cells, and one template: the first one's
+    game, of which each other one's game is ``_with_prior``, sharing its
+    bound penalties, ranges and pack. The pure enumerations and mixed
+    searches run in one ``_pure_enumerations`` and one ``_mixed_searches``
+    call, the searches with ``max_survivors=0``, so no survivor report is
+    built. Games that differ in their prior only share one cell screen,
+    each keeping the cells of its own search, and the kernel sweeps them
+    together, a few calls for all the pure profiles and a few for all the
+    kept cells, each game keeping its own results."""
     _check_tol(tol)
     if mixed_step is not None:
         _step_resolution(mixed_step)
@@ -392,14 +414,28 @@ def scan_alpha(
         if not a <= b:
             raise ValueError(f"alphas must be ascending, got {b!r} after {a!r}")
     specs = [family.spec_for(alpha) for alpha in alphas]
-    games = [spec.to_game() for spec in specs]
+    for spec in specs:
+        spec.validate_structure()
+    # the specs differ in their joint prior alone: those with mass in the
+    # same cells share one margin check, and the first one's game is the
+    # template of the others
+    templates: dict[tuple, tuple[PerceptionGame, bool]] = {}
+    games, margins = [], []
+    for spec in specs:
+        cells = tuple(spec._cells())
+        if cells in templates:
+            games.append(templates[cells][0]._with_prior(spec._prior(cells), spec.name))
+        else:
+            games.append(spec._game())
+            templates[cells] = games[-1], _margin_report(spec, 0.0).holds
+        margins.append(templates[cells][1])
     searches = [None] * len(games)
     if mixed_step is not None:
         searches = _mixed_searches(games, mixed_step, tol, seed, max_survivors=0)
     pures = [swept.survivors for swept in _pure_enumerations(games, tol)]
     bound = separation_uniqueness_bound(specs[0])
     rows: list[AlphaRow] = []
-    for alpha, spec, found, search in zip(alphas, specs, pures, searches):
+    for alpha, holds, found, search in zip(alphas, margins, pures, searches):
         separating = [r for r in found if r.label == "separating"]
         rows.append(
             AlphaRow(
@@ -408,7 +444,7 @@ def scan_alpha(
                 labels=tuple(r.label for r in found),
                 separating_present=bool(separating),
                 separation_unique=len(found) == 1 and bool(separating),
-                margin_ok=check_separation_margin(spec).holds,
+                margin_ok=holds,
                 mixed_survivors=None if search is None else search.survivor_count,
                 payoffs=tuple(tuple(float(x) for x in r.payoffs) for r in found),
             )

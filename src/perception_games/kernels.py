@@ -109,14 +109,18 @@ bound per batch (``GamePack.bound_plan``), a penalty compares all its
 knots or piece bounds with every interval at once, and a level's cells
 split in one step, in the order of splitting one type after the other.
 
-``pack_game`` packs each game once, into a frozen ``GamePack``. A batch
-of games that differ in their prior only is ``replace(pack, prior=...)``
-with a prior per cell or profile ``(n, 1, B)``, read elementwise, so
-each entry is its own game's, bit for bit. Callers hand the screen and
-the sweep packs of any games, and the kernel groups them itself
-(``_groups``, on ``GamePack.screen_key``), the one place that rule
-lives. A group is screened together, each cell bounded at its game's
-prior: a ``majority-scan`` pass bounds its 2,872 cells in 5 calls.
+``pack_game`` keeps one frozen ``GamePack`` per game and builds one per
+type structure: a game derived from a template by its prior alone
+(``PerceptionGame._with_prior``, how ``scan_alpha`` builds a family)
+gets the template's pack at its own prior. That is the one way a batch
+of games that differ in their prior only is packed too:
+``replace(pack, prior=...)``, there with a prior per cell or profile
+``(n, 1, B)``, read elementwise, so each entry is its own game's, bit
+for bit. Callers hand the screen and the sweep packs of any games, and
+the kernel groups them itself (``_groups``, on ``GamePack.screen_key``),
+the one place that rule lives. A group is screened together, each cell
+bounded at its game's prior: a ``majority-scan`` pass bounds its 2,872
+cells in 5 calls.
 
 They are swept together too, with a code source each. A kernel call on
 a single code takes about 200 us (numpy 2.4, 2 vCPUs), and an alpha
@@ -174,7 +178,7 @@ _NEG = -1.7976931348623157e308
 
 @dataclass(frozen=True, eq=False)
 class GamePack:
-    """What the kernel reads of a game, built once per game by
+    """What the kernel reads of a game, made once per game by
     ``pack_game``: additive games fill ``v``, ``penalties``,
     ``screen_key`` and ``bound_plan``, tabulated ones ``values`` and
     ``resolution``. A batch of games that differ in their prior only is
@@ -227,11 +231,17 @@ _packs: weakref.WeakKeyDictionary[PerceptionGame, GamePack] = weakref.WeakKeyDic
 
 
 def pack_game(game: PerceptionGame) -> GamePack:
-    """The game's one pack, built on the first call and kept while the
-    game lives."""
+    """The game's one pack, made on the first call and kept while the
+    game lives: built by ``_pack``, or for a game derived from a template
+    by its prior alone (``PerceptionGame._with_prior``) the template's
+    pack at the game's prior, the batch convention."""
     pack = _packs.get(game)
     if pack is None:
-        pack = _packs[game] = _pack(game)
+        if game._base is None:
+            pack = _pack(game)
+        else:
+            pack = replace(pack_game(game._base), prior=np.ascontiguousarray(game.prior.p, dtype=np.float64))
+        _packs[game] = pack
     return pack
 
 

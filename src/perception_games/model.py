@@ -18,7 +18,7 @@ belief observers form about their own type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -183,7 +183,9 @@ class PerceptionGame:
     """Single-player game: types, actions, prior, belief-dependent utility.
 
     Immutable: a changed game is a new one (``dataclasses.replace``), so
-    the bound penalties and ranges it caches always describe its fields.
+    the bound penalties, ranges and ``chi``s it caches describe its
+    fields. A game derived by ``_with_prior`` shares them with its root
+    template ``_base``, which it differs from in a field none of them reads.
     """
 
     types: TypeSpace
@@ -196,10 +198,28 @@ class PerceptionGame:
     _pranges: dict[int, Range] = field(default_factory=dict, init=False, repr=False)
     _uranges: dict[tuple[int, int], Range] = field(default_factory=dict, init=False, repr=False)
     _chis: dict[int, Belief] = field(default_factory=dict, init=False, repr=False)
+    _base: "PerceptionGame | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.prior, Belief):
             object.__setattr__(self, "prior", Belief(self.prior))
+
+    def _with_prior(self, prior, name: str) -> "PerceptionGame":
+        """This game at ``prior`` (checked as any game's), named ``name``:
+        the one place that decides when a game shares its prior-free work.
+        A bound penalty reads the prior only as its anchor, and only
+        ``tv_to_prior`` reads the anchor, so unless a penalty is of that
+        kind the new game keeps the root template as ``_base`` and shares
+        its bound penalties, ranges and ``chi``s, and ``kernels.pack_game``
+        packs it as the template's pack at its own prior."""
+        game = replace(self, prior=prior, name=name)
+        if any(spec.kind == "tv_to_prior" for spec in self.utility.penalties or ()):
+            return game
+        base = self._base or self
+        object.__setattr__(game, "_base", base)
+        for cache in ("_penalties", "_pranges", "_uranges", "_chis"):
+            object.__setattr__(game, cache, getattr(base, cache))
+        return game
 
     @property
     def n(self) -> int:

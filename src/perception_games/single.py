@@ -303,8 +303,9 @@ def profile_report(game: PerceptionGame, sigma: np.ndarray) -> EquilibriumReport
 def _profile_reports(game: PerceptionGame, sigmas: np.ndarray) -> list[EquilibriumReport]:
     """``profile_report`` of each checked strategy of the stack ``sigmas``
     ``(B, n, m)``, from one batched body: the pack's rows, one fill per
-    type with free rows and one fold, with each report's perceptions built
-    in its own turn. An empty stack returns ``[]`` before any work."""
+    type with free rows and one fold, the off-path witnesses read only at
+    the actions some row leaves off path, and each report's perceptions
+    built in its own turn. An empty stack returns ``[]`` before any work."""
     if not len(sigmas):
         return []
     pack = pack_game(game)
@@ -316,15 +317,23 @@ def _profile_reports(game: PerceptionGame, sigmas: np.ndarray) -> list[Equilibri
         rows[t] = _raise_free_rows(rows[t], sig[t], on, pack.u_max[t])
     clamped = (free & (rows < pack.u_max[:, :, None])).any(axis=(0, 1))
     payoffs, gains, _ = payoff_and_gain(sigmas, rows.transpose(2, 0, 1))
-    ranges = [[game.u_range(t, a) for a in range(game.m)] for t in range(game.n)]
-    low = np.array([[r.argmin.p for r in row] for row in ranges])  # (n, m, n)
-    high = np.array([[r.argmax.p for r in row] for row in ranges])
+    off = np.flatnonzero(~on.all(axis=1)).tolist()  # the actions some row leaves off path
+    if off:
+        # the off-path witnesses (n, m, n), read at those actions only
+        ranges = [[game.u_range(t, a) for a in off] for t in range(game.n)]
+        low, high = np.zeros((2, game.n, game.m, game.n))
+        low[:, off] = [[r.argmin.p for r in row] for row in ranges]
+        high[:, off] = [[r.argmax.p for r in row] for row in ranges]
     # each report's on, posteriors and free rows as (1, m, 1), (1, m, n) and (n, m, 1)
     on, posts, free = on.T[:, None, :, None], posts.transpose(2, 1, 0)[:, None], free.transpose(2, 0, 1)[..., None]
     return [
         EquilibriumReport(
             strategy=Strategy._built(game, sigma),
-            perceptions=PerceptionMap._built(game, np.where(on[k], posts[k], np.where(free[k], high, low))),
+            perceptions=PerceptionMap._built(
+                game,
+                np.where(on[k], posts[k], np.where(free[k], high, low)) if off
+                else np.repeat(posts[k], game.n, axis=0),
+            ),
             payoffs=payoffs[k],
             gains=gains[k],
             max_gain=float(gains[k].max()),

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perception_games import experiments, kernels
+from perception_games import experiments, kernels, model
 from perception_games.experiments import (
     MajorityFamily,
     SeparableGameSpec,
@@ -668,10 +669,54 @@ class TestBatchedScan:
 
     def test_packs_each_game_once(self, monkeypatch):
         """The pure enumerations and the mixed searches read the same
-        packs: 21 packs built for 21 games."""
+        packs, and the 21 games are packed from 3 templates, one per
+        support pattern (the inner alphas and each endpoint): 3 packs
+        built per scan."""
         packed = _count_packs(monkeypatch)
         scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
-        assert len(packed) == len({id(g) for g in packed}) == 21
+        assert len(packed) == len({id(g) for g in packed}) == 3
+
+    def test_binds_each_type_structure_once(self, monkeypatch):
+        """The derived games share their template's bound penalties and
+        ranges: 8 of each per scan (4 + 2 + 2 types), where 21 games
+        built afresh bind 80."""
+        calls = {"bind": 0, "penalty_range": 0}
+        for name in calls:
+            real = getattr(model, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
+        assert calls == {"bind": 8, "penalty_range": 8}
+
+    def test_checks_every_spec(self, monkeypatch):
+        """Every spec passes ``validate_structure`` once before any game is
+        built, and the first once more for the uniqueness bound: 22
+        checks, where building and margin-checking each spec made 43."""
+        checked = []
+        real = SeparableGameSpec.validate_structure
+
+        def counted(spec):
+            checked.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(SeparableGameSpec, "validate_structure", counted)
+        family = default_majority_family()
+        scan_alpha(family, MAJORITY_ALPHAS, mixed_step=0.05)
+        names = [family.spec_for(alpha).name for alpha in MAJORITY_ALPHAS]
+        assert sorted(checked) == sorted(names + names[:1])
+
+    def test_templates_die_with_their_games(self):
+        """The ``_base`` link keeps a template alive only while a game
+        derived from it lives: after the scan every kept pack is gone."""
+        gc.collect()
+        before = len(kernels._packs)
+        scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
+        gc.collect()
+        assert len(kernels._packs) == before
 
     def test_traced_peak(self):
         """The batched screen's arrays stay within the per-call cap of

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from perception_games import kernels, model, single
 from perception_games.experiments import default_majority_family, scan_alpha
 from perception_games.fixtures import blog, counterexample_lsc, counterexample_usc
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
-from perception_games.penalties import PenaltySpec
+from perception_games.penalties import Penalty, PenaltySpec
 from perception_games.simplex import Belief, SimplexGrid
 from perception_games.single import (
     PerceptionMap,
@@ -1119,6 +1119,145 @@ class TestScalingRelation:
         assert np.float64(2.0 * base.min_max_gain).tobytes() == np.float64(two.min_max_gain).tobytes()
         assert base.argmin.sigma.tobytes() == two.argmin.sigma.tobytes()
         self._assert_doubled(base.survivors, two.survivors)
+
+
+def _bits(x):
+    """``x`` as comparable bits: arrays and floats by their bytes, result,
+    pack and penalty objects field by field. A bound penalty's anchor
+    counts for ``tv_to_prior`` only, the one kind that reads it."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    if isinstance(x, Penalty):
+        return tuple(_bits(getattr(x, f.name)) for f in fields(x) if f.name != "anchor" or x.spec.kind == "tv_to_prior")
+    if isinstance(x, (Strategy, PerceptionMap)):
+        return tuple(_bits(getattr(x, name)) for name in type(x).__slots__)
+    if is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(y) for y in x)
+    return x
+
+
+@st.composite
+def _priors(draw, n: int) -> np.ndarray:
+    """A prior over ``n`` types: every type with mass, some types without,
+    or one type's whole mass beside 5e-324 on another, whose product with
+    a grid probability underflows to 0."""
+    kind = draw(st.sampled_from(("positive", "zeros", "underflow")))
+    if kind == "underflow" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        p = np.zeros(n)
+        p[i], p[j] = 1.0, 5e-324
+        return p
+    counts = np.array(draw(st.lists(st.integers(int(kind == "positive"), 3), min_size=n, max_size=n).filter(any)))
+    return counts / counts.sum()
+
+
+class TestDerivedGame:
+    """A game derived from a template by its prior alone
+    (``PerceptionGame._with_prior``) is the game built afresh at that
+    prior, ``replace(game, prior=p)``, bit for bit: its pure enumeration,
+    step-1/4 mixed search, profile reports and every ``GamePack`` field,
+    whether the template was packed before or not, with the derived game
+    swept beside its template. A derived game's bound penalties are the
+    template's, anchored at the template's prior, which ``tv_to_prior``
+    alone reads: a game with such a penalty shares nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        resolution=st.sampled_from((None, 1, 3)),
+        warm=st.booleans(),
+        data=st.data(),
+    )
+    def test_derived_is_the_fresh_game(self, seed, resolution, warm, data):
+        game = random_mixed_catalog_game(np.random.default_rng(seed))
+        if resolution is not None:
+            game = tabulate(game, resolution)
+        if warm:
+            kernels.pack_game(game)
+        p = data.draw(_priors(game.n))
+        derived, fresh = game._with_prior(p, game.name), replace(game, prior=p)
+        assert _bits(kernels.pack_game(derived)) == _bits(kernels.pack_game(fresh))
+        pures = single._pure_enumerations([game, derived])
+        assert _bits(pures[1]) == _bits(single._pure_enumerations([fresh])[0])
+        searches = single._mixed_searches([game, derived], 0.25)
+        assert _bits(searches[1]) == _bits(single._mixed_searches([fresh], 0.25)[0])
+        pts = SimplexGrid(game.m, 4).points()
+        codes = st.lists(st.integers(0, len(pts) ** game.n - 1), min_size=1, max_size=6)
+        for sigma in kernels.decode_profiles(pts, np.array(data.draw(codes)), game.n):
+            assert _bits(profile_report(derived, sigma)) == _bits(profile_report(fresh, sigma))
+
+    def test_shares_with_the_root_template(self, monkeypatch):
+        family = default_majority_family()
+        game = family.game_for(0.5)
+        packed = []
+        real = kernels._pack
+        monkeypatch.setattr(kernels, "_pack", lambda g: packed.append(g) or real(g))
+        derived = game._with_prior(family.game_for(0.25).prior, "d")
+        again = derived._with_prior(family.game_for(0.75).prior, "e")
+        assert derived._base is game and again._base is game
+        for cache in ("_penalties", "_pranges", "_uranges", "_chis"):
+            assert getattr(again, cache) is getattr(game, cache)
+        assert kernels.pack_game(again).screen_key is kernels.pack_game(game).screen_key
+        assert packed == [game]
+
+    def test_tv_to_prior_game_shares_nothing(self, monkeypatch):
+        game = blog()
+        kernels.pack_game(game)
+        packed = []
+        real = kernels._pack
+        monkeypatch.setattr(kernels, "_pack", lambda g: packed.append(g) or real(g))
+        derived = game._with_prior([0.25, 0.75], game.name)
+        assert derived._base is None
+        for cache in ("_penalties", "_pranges", "_uranges", "_chis"):
+            assert getattr(derived, cache) is not getattr(game, cache)
+        assert kernels.pack_game(derived).penalties[0].anchor.tolist() == [0.25, 0.75]
+        assert packed == [derived]
+
+
+class TestPermutationRelation:
+    """Relabeling is no change of game: permuting the types (labels,
+    prior, ``v`` rows and penalties together) and the actions (labels and
+    ``v`` columns) permutes the pure equilibria and the step-1/4
+    survivors, and moves the least gain by rounding alone, since the
+    posteriors and event masses are summed in another type order: by at
+    most 64 ulps of 8, the scale of these games' gains (``v`` in [0, 5],
+    penalties in [0, 4]). On 400 seeded games it moved by none. A
+    penalty's event names its types by label, so it travels with them."""
+
+    @staticmethod
+    def _permuted(game: PerceptionGame, types, actions) -> PerceptionGame:
+        um = game.utility
+        return replace(
+            game,
+            types=TypeSpace.plain([game.types.labels[t] for t in types]),
+            actions=ActionSpace.plain([game.actions.labels[a] for a in actions]),
+            prior=game.prior.p[types],
+            utility=replace(um, v=um.v[np.ix_(types, actions)], penalties=tuple(um.penalties[t] for t in types)),
+        )
+
+    @staticmethod
+    def _profiles(reports, types, actions) -> set:
+        """Each report's strategy in the original type and action order."""
+        return {rep.strategy.sigma[np.argsort(types)][:, np.argsort(actions)].tobytes() for rep in reports}
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permuting_types_and_actions(self, seed, data):
+        game = random_mixed_catalog_game(np.random.default_rng(seed))
+        types = np.array(data.draw(st.permutations(range(game.n))))
+        actions = np.array(data.draw(st.permutations(range(game.m))))
+        perm = self._permuted(game, types, actions)
+        ident = (np.arange(game.n), np.arange(game.m))
+        pure, pure_perm = enumerate_pure_equilibria(game), enumerate_pure_equilibria(perm)
+        assert self._profiles(pure, *ident) == self._profiles(pure_perm, types, actions)
+        base, moved = search_mixed_equilibria(game, 0.25), search_mixed_equilibria(perm, 0.25)
+        assert base.survivor_count == moved.survivor_count
+        assert self._profiles(base.survivors, *ident) == self._profiles(moved.survivors, types, actions)
+        assert abs(base.min_max_gain - moved.min_max_gain) <= 64 * np.spacing(8.0)
 
 
 class TestProfileReportInput:
