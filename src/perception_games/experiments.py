@@ -36,6 +36,7 @@ from .single import (
     MixedSearchResult,
     PerceptionMap,
     Strategy,
+    _check_seed,
     _mixed_searches,
     _pure_enumerations,
     _step_resolution,
@@ -383,8 +384,9 @@ def scan_alpha(
     """One row per alpha of ``alphas``, which must be nonempty and
     ascending (ties allowed): ``alpha_hat`` and the monotonicity check
     read the rows in that order. Raises ValueError otherwise, or for a
-    NaN ``tol`` or a ``mixed_step`` the mixed search rejects, before any
-    game is built.
+    NaN ``tol``, a ``seed`` the search rejects or a ``mixed_step`` that is
+    no reciprocal of a positive integer, before any game is built (for a
+    step whose grid exceeds the search's cap, once they are built).
 
     With ``mixed_step``, a row's ``mixed_survivors`` is the mixed
     search's ``survivor_count``: the profiles the kernel screens within
@@ -396,14 +398,15 @@ def scan_alpha(
     zero-mass types are dropped) share one margin check, whose rows read
     the prior only through those cells, and one template: the first one's
     game, of which each other one's game is ``_with_prior``, sharing its
-    bound penalties, ranges and pack. The pure enumerations and mixed
-    searches run in one ``_pure_enumerations`` and one ``_mixed_searches``
-    call, the searches with ``max_survivors=0``, so no survivor report is
-    built. Games that differ in their prior only share one cell screen,
+    pack. The pure enumerations and mixed searches run in one
+    ``_pure_enumerations`` and one ``_mixed_searches`` call, the searches
+    with ``max_survivors=0``, so no survivor report is built. Games that
+    differ in their prior only share one cell screen,
     each keeping the cells of its own search, and the kernel sweeps them
     together, a few calls for all the pure profiles and a few for all the
     kept cells, each game keeping its own results."""
     _check_tol(tol)
+    _check_seed(seed)
     if mixed_step is not None:
         _step_resolution(mixed_step)
     alphas = [float(a) for a in alphas]
@@ -566,6 +569,7 @@ def counterexample_check(
     seed: int | None = None,
 ) -> NonexistenceReport:
     _check_tol(tol)
+    _check_seed(seed)
     _step_resolution(strategy_step)
     # the rule of ``pgame --eps``; NaN fails the comparison too
     bad = [eps for eps in epsilons if not 0.0 <= eps < np.inf]

@@ -13,6 +13,9 @@ ascending order, the order of the one fold of the exact evaluators,
 ``single.payoff_and_gain``. The exact oracle ``single._profile_reports``
 reads its rows from ``_utility_rows`` too and folds a whole stack of
 profiles in one call, so the two agree bitwise, as the tests assert.
+So are its off-path witnesses: ``_pack`` reads each (type, action)'s
+``u_range`` once, its ends and the beliefs at them (``GamePack.argmin``,
+``argmax``), for the oracle and ``single.pooling_check`` alike.
 
 The arrays are type-major, with the batch axis last and contiguous: a
 chunk of ``B`` profiles holds its base-``G`` digits as ``(n, B)``, its
@@ -112,8 +115,9 @@ split in one step, in the order of splitting one type after the other.
 ``pack_game`` keeps one frozen ``GamePack`` per game and builds one per
 type structure: a game derived from a template by its prior alone
 (``PerceptionGame._with_prior``, how ``scan_alpha`` builds a family)
-gets the template's pack at its own prior. That is the one way a batch
-of games that differ in their prior only is packed too:
+gets the template's pack, witnesses included, at its own prior. That
+is the one way a batch of games that differ in their prior only is
+packed too:
 ``replace(pack, prior=...)``, there with a prior per cell or profile
 ``(n, 1, B)``, read elementwise, so each entry is its own game's, bit
 for bit. Callers hand the screen and the sweep packs of any games, and
@@ -127,10 +131,11 @@ a single code takes about 200 us (numpy 2.4, 2 vCPUs), and an alpha
 scan's games each sweep a few hundred kept profiles and 16 pure ones.
 A group's codes stream in pack order through one workspace
 (``_stream``), in chunks shared across games: a chunk that spans games
-is one call, with each profile's game's prior and limit ``(B,)``, and
-its gains are then reduced game by game; a chunk of one game is that
-game's own call. The column table depends on the prior, so a game
-whose own sweep takes it is swept alone, as is a tabulated game. A
+is one call, with each profile's game's prior and the largest of its
+games' limits, and its gains are then reduced game by game; a chunk of
+one game is that game's own call. The column table depends on the
+prior, so a game whose own sweep takes it is swept alone, as is a
+tabulated game. A
 ``majority-scan`` pass makes 6 kernel calls.
 """
 
@@ -178,8 +183,9 @@ _NEG = -1.7976931348623157e308
 
 @dataclass(frozen=True, eq=False)
 class GamePack:
-    """What the kernel reads of a game, made once per game by
-    ``pack_game``: additive games fill ``v``, ``penalties``,
+    """What the kernel and the exact oracle read of a game, made once per
+    game by ``pack_game``: every game's utility ranges with the beliefs
+    at their ends; additive games fill ``v``, ``penalties``,
     ``screen_key`` and ``bound_plan``, tabulated ones ``values`` and
     ``resolution``. A batch of games that differ in their prior only is
     ``replace(pack, prior=...)`` with one prior per profile or cell."""
@@ -187,6 +193,8 @@ class GamePack:
     prior: np.ndarray  # (n,), or (n, 1, B) for a batch of games
     u_min: np.ndarray  # (n, m)
     u_max: np.ndarray  # (n, m)
+    argmin: np.ndarray  # (n, m, n): the belief at each u_min
+    argmax: np.ndarray  # (n, m, n): the belief at each u_max
     v: np.ndarray | None = None  # (n, m)
     penalties: tuple[Penalty, ...] = ()  # bound, one per type
     values: np.ndarray | None = None  # (n, m, lattice size)
@@ -247,10 +255,16 @@ def pack_game(game: PerceptionGame) -> GamePack:
 
 def _pack(game: PerceptionGame) -> GamePack:
     prior = np.ascontiguousarray(game.prior.p, dtype=np.float64)
-    u_min, u_max = game.utility_bounds()
+    n, m = game.n, game.m
+    u_min, u_max = np.empty((2, n, m))
+    argmin, argmax = np.empty((2, n, m, n))
+    for t, a in np.ndindex(n, m):
+        r = game.u_range(t, a)
+        u_min[t, a], u_max[t, a], argmin[t, a], argmax[t, a] = r.min, r.max, r.argmin.p, r.argmax.p
+    ranges = (u_min, u_max, argmin, argmax)
     um = game.utility
     if um.kind == "tabulated_grid":
-        return GamePack(prior, u_min, u_max, values=np.asarray(um.values, np.float64), resolution=um.resolution)
+        return GamePack(prior, *ranges, values=np.asarray(um.values, np.float64), resolution=um.resolution)
     v = np.ascontiguousarray(um.v, dtype=np.float64)
     penalties = tuple(game.penalty(t) for t in range(game.n))
     keys = tuple(_bound_key(pen) for pen in penalties)
@@ -260,7 +274,7 @@ def _pack(game: PerceptionGame) -> GamePack:
     firsts = tuple(penalties[ts[0]] for ts in types)
     plan = _BoundPlan(firsts, types, tuple(v[ts, :, None] for ts in types), margin)
     key = (u_min.shape, v.tobytes(), u_min.tobytes(), u_max.tobytes(), keys)
-    return GamePack(prior, u_min, u_max, v, penalties, screen_key=key, bound_plan=plan)
+    return GamePack(prior, *ranges, v, penalties, screen_key=key, bound_plan=plan)
 
 
 def decode_profiles(grid_pts: np.ndarray, idx, n: int) -> np.ndarray:
@@ -449,7 +463,7 @@ def _gains_numpy(
     grid_pts: np.ndarray,
     pack: GamePack,
     table: _ColumnTable | None = None,
-    limit: float | np.ndarray = np.inf,
+    limit: float = np.inf,
     work: _Workspace | None = None,
 ) -> np.ndarray:
     """The gain of each profile ``idx``, evaluated a type at a time: after
@@ -461,9 +475,8 @@ def _gains_numpy(
     made for the batch when None), and so is the result, which the next
     call with ``work`` overwrites.
 
-    ``pack`` may be a batch of games (one prior per profile) and
-    ``limit`` one limit per profile ``(B,)``: each entry is then its own
-    game's call's with its own limit, bit for bit."""
+    ``pack`` may be a batch of games (one prior per profile): each entry
+    is then its own game's call's with ``limit``, bit for bit."""
     n, m = pack.u_min.shape
     B = idx.shape[0]
     if work is None:
@@ -472,7 +485,6 @@ def _gains_numpy(
     # a type plays an off-path action only where its prior mass there
     # rounds to 0, and the products are monotone: the least one decides
     has_free = bool((pack.prior * work.least == 0.0).any())
-    unlimited = bool(np.all(limit == np.inf))
     digits = _digits(idx, grid_pts.shape[0], n, _view(work.digits, n, B), work.part[:B])
     sig = beliefs = rows = col = None
     if table is None:
@@ -516,7 +528,7 @@ def _gains_numpy(
             gain = out = np.subtract(best, played, out=work.gain[:B])
         else:
             np.maximum(gain, np.subtract(best, played, out=term), out=gain)
-        if t == n - 1 or unlimited:
+        if t == n - 1 or limit == np.inf:
             continue
         keep = np.flatnonzero(np.less_equal(gain, limit, out=work.mask[:k]))
         if keep.size == k:
@@ -527,8 +539,6 @@ def _gains_numpy(
             out[alive] = gain
         alive = keep if alive is None else alive[keep]
         gain = gain[keep]
-        if np.ndim(limit):
-            limit = limit[keep]
         if table is None:
             on, off, sig, beliefs, rows = _keep(keep, on, off, sig, beliefs, rows)
         else:
@@ -645,8 +655,9 @@ def reduce_profile_gains(
     the games of a group, which differ in their prior only, stream
     through one workspace in shared chunks (``_stream``), a chunk that
     spans games being one kernel call with each profile's own prior and
-    limit. A tabulated game, and a game whose own sweep takes the column
-    table, which depends on the prior, is swept on its own.
+    the largest of its games' limits. A tabulated game, and a game whose
+    own sweep takes the column table, which depends on the prior, is
+    swept on its own.
     """
     packs, sources = ([pack], [codes]) if isinstance(pack, GamePack) else (list(pack), list(codes))
     if len(sources) != len(packs):
@@ -682,7 +693,8 @@ def _reduce(
     """``reduce_profile_gains`` of each pack of one group over its source:
     the column table when ``with_table`` (one pack), one chunk stream for all.
     A chunk of one game is that game's kernel call; a chunk that spans
-    games carries each profile's prior ``(n, 1, B)`` and limit ``(B,)``."""
+    games carries each profile's prior ``(n, 1, B)`` and the largest of its
+    games' limits, so a profile it drops is above its own game's too."""
     K = len(packs)
     sizes = [source.size for source in sources]
     grid_pts, table, work = _plan(packs[0], grid_pts, sum(sizes), with_table)
@@ -704,12 +716,11 @@ def _reduce(
         done += chunk.size
         # max(least, tol), not max(tol, least): a NaN tol keeps nothing
         # within it and must not limit the kernel
-        if len(pieces) == 1:
-            batch, limit = packs[k], max(least[k], tol)
-        else:
+        limit = max(max(least[j] for j, _, _ in pieces), tol)
+        batch = packs[k]
+        if len(pieces) > 1:
             owner = np.repeat([j for j, _, _ in pieces], [hi - lo for _, lo, hi in pieces])
             batch = replace(packs[0], prior=np.take(priors, owner, axis=2))
-            limit = np.take([max(least[j], tol) for j in range(K)], owner)
         gains = _gains_numpy(chunk, grid_pts, batch, table, limit, work)
         for j, lo, hi in pieces:
             part, g = chunk[lo:hi], gains[lo:hi]

@@ -184,8 +184,9 @@ class PerceptionGame:
 
     Immutable: a changed game is a new one (``dataclasses.replace``), so
     the bound penalties, ranges and ``chi``s it caches describe its
-    fields. A game derived by ``_with_prior`` shares them with its root
-    template ``_base``, which it differs from in a field none of them reads.
+    fields. A game derived by ``_with_prior`` keeps its root template as
+    ``_base``, which it differs from in a field no range reads, and caches
+    its own.
     """
 
     types: TypeSpace
@@ -209,16 +210,12 @@ class PerceptionGame:
         the one place that decides when a game shares its prior-free work.
         A bound penalty reads the prior only as its anchor, and only
         ``tv_to_prior`` reads the anchor, so unless a penalty is of that
-        kind the new game keeps the root template as ``_base`` and shares
-        its bound penalties, ranges and ``chi``s, and ``kernels.pack_game``
-        packs it as the template's pack at its own prior."""
+        kind the new game keeps the root template as ``_base``, and
+        ``kernels.pack_game`` packs it as the template's pack at its own
+        prior: all it shares, witnesses included."""
         game = replace(self, prior=prior, name=name)
-        if any(spec.kind == "tv_to_prior" for spec in self.utility.penalties or ()):
-            return game
-        base = self._base or self
-        object.__setattr__(game, "_base", base)
-        for cache in ("_penalties", "_pranges", "_uranges", "_chis"):
-            object.__setattr__(game, cache, getattr(base, cache))
+        if not any(spec.kind == "tv_to_prior" for spec in self.utility.penalties or ()):
+            object.__setattr__(game, "_base", self._base or self)
         return game
 
     @property
@@ -287,17 +284,6 @@ class PerceptionGame:
                     argmax=Belief(pts[i_max]),
                 )
         return self._uranges[t, a]
-
-    def utility_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n, m) arrays of min and max utility per type and action."""
-        u_min = np.empty((self.n, self.m))
-        u_max = np.empty((self.n, self.m))
-        for t in range(self.n):
-            for a in range(self.m):
-                r = self.u_range(t, a)
-                u_min[t, a] = r.min
-                u_max[t, a] = r.max
-        return u_min, u_max
 
     @property
     def continuous(self) -> bool:

@@ -303,9 +303,9 @@ def profile_report(game: PerceptionGame, sigma: np.ndarray) -> EquilibriumReport
 def _profile_reports(game: PerceptionGame, sigmas: np.ndarray) -> list[EquilibriumReport]:
     """``profile_report`` of each checked strategy of the stack ``sigmas``
     ``(B, n, m)``, from one batched body: the pack's rows, one fill per
-    type with free rows and one fold, the off-path witnesses read only at
-    the actions some row leaves off path, and each report's perceptions
-    built in its own turn. An empty stack returns ``[]`` before any work."""
+    type with free rows and one fold, and each report's perceptions built
+    in its own turn, off path the pack's ``argmax`` at a free row, else its
+    ``argmin``. An empty stack returns ``[]`` before any work."""
     if not len(sigmas):
         return []
     pack = pack_game(game)
@@ -317,22 +317,13 @@ def _profile_reports(game: PerceptionGame, sigmas: np.ndarray) -> list[Equilibri
         rows[t] = _raise_free_rows(rows[t], sig[t], on, pack.u_max[t])
     clamped = (free & (rows < pack.u_max[:, :, None])).any(axis=(0, 1))
     payoffs, gains, _ = payoff_and_gain(sigmas, rows.transpose(2, 0, 1))
-    off = np.flatnonzero(~on.all(axis=1)).tolist()  # the actions some row leaves off path
-    if off:
-        # the off-path witnesses (n, m, n), read at those actions only
-        ranges = [[game.u_range(t, a) for a in off] for t in range(game.n)]
-        low, high = np.zeros((2, game.n, game.m, game.n))
-        low[:, off] = [[r.argmin.p for r in row] for row in ranges]
-        high[:, off] = [[r.argmax.p for r in row] for row in ranges]
     # each report's on, posteriors and free rows as (1, m, 1), (1, m, n) and (n, m, 1)
     on, posts, free = on.T[:, None, :, None], posts.transpose(2, 1, 0)[:, None], free.transpose(2, 0, 1)[..., None]
     return [
         EquilibriumReport(
             strategy=Strategy._built(game, sigma),
             perceptions=PerceptionMap._built(
-                game,
-                np.where(on[k], posts[k], np.where(free[k], high, low)) if off
-                else np.repeat(posts[k], game.n, axis=0),
+                game, np.where(on[k], posts[k], np.where(free[k], pack.argmax, pack.argmin))
             ),
             payoffs=payoffs[k],
             gains=gains[k],
@@ -445,6 +436,12 @@ def _cap(value, name: str) -> int:
     return int(value)
 
 
+def _check_seed(seed) -> None:
+    """A ``ValueError`` unless ``seed`` is None or a nonnegative integer."""
+    if seed is not None and _cap(seed, "seed") < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class MixedSearchResult:
     """Grid sweep over mixed profiles; survivors have gain <= tol.
@@ -498,8 +495,8 @@ def search_mixed_equilibria(
     draw order for a subsample), rebuilt in one stack by the exact
     oracle, whose reports are ``profile_report``'s, so kernel rounding
     never decides membership; at ``max_survivors=0`` none is rebuilt. A
-    NaN ``tol``, a negative ``max_survivors``, and a cap that is not an
-    integer, is rejected before any work.
+    NaN ``tol``, a negative ``max_survivors`` or ``seed``, and a cap or
+    ``seed`` that is not an integer, is rejected before any work.
 
     The kernel reduces as it sweeps (``kernels.reduce_profile_gains``):
     it keeps the least gain with its first code and the codes within
@@ -546,6 +543,7 @@ def _mixed_searches(
     max_survivors = _cap(max_survivors, "max_survivors")
     if max_survivors < 0:
         raise ValueError(f"max_survivors must be nonnegative, got {max_survivors!r}")
+    _check_seed(seed)
     resolution = _step_resolution(step)
     by_actions = _by_actions(games)
     grids: dict[int, np.ndarray] = {}
@@ -660,15 +658,19 @@ class PoolingReport:
 def pooling_check(
     game: PerceptionGame, mode: str, tol: float = WEAK_TOL
 ) -> PoolingReport:
+    """The ``PoolingReport`` of ``game`` in ``mode``. Upper mode reads each
+    range once, from the game's pack. The witness pools on the first
+    shared action, perceived at the prior on path and off path at a
+    deterring belief: the pack's ``argmin``, or in lower mode ``chi``."""
     if mode not in ("upper", "lower"):
         raise ValueError(f"mode must be 'upper' or 'lower', got {mode!r}")
     privacy = classify_privacy(game, mode, tol)
+    pack = pack_game(game)
     sets: dict[str, tuple[str, ...]] = {}
     shared = set(range(game.m))
     for t in range(game.n):
         if mode == "upper":
-            own = [game.u_range(t, a).max for a in range(game.m)]
-            rival = max(game.u_range(t, a).min for a in range(game.m))
+            own, rival = pack.u_max[t], pack.u_min[t].max()
         else:
             own = [game.u(t, a, game.prior.p) for a in range(game.m)]
             rival = max(game.u(t, a, game.chi(t).p) for a in range(game.m))
@@ -684,14 +686,8 @@ def pooling_check(
         witness_action = game.actions.labels[a_star]
         sigma = np.zeros((game.n, game.m))
         sigma[:, a_star] = 1.0
-        tau = np.empty((game.n, game.m, game.n))
-        for t, a in np.ndindex(game.n, game.m):
-            if a == a_star:
-                tau[t, a] = game.prior.p
-            elif mode == "upper":
-                tau[t, a] = game.u_range(t, a).argmin.p
-            else:
-                tau[t, a] = game.chi(t).p
+        deter = pack.argmin if mode == "upper" else np.eye(game.n)[:, None]
+        tau = np.where((np.arange(game.m) == a_star)[:, None], game.prior.p, deter)
         witness = (Strategy._built(game, sigma), PerceptionMap._built(game, tau))
         verified = verify_equilibrium(game, *witness, tol).accepted
     return PoolingReport(

@@ -32,7 +32,10 @@ kind, kept to pin the one body per kind bit for bit.
 ``reference_profile_report`` is the exact oracle with its former own
 off-path fill (``reference_free_rows``), kept to pin the fill it now
 shares with the kernel; it calls the game's ``u`` and ``u_range``,
-``posterior`` and ``payoff_and_gain``.
+``posterior`` and ``payoff_and_gain``. ``reference_pooling_check`` is
+``pooling_check``'s former range reads and witness loop, kept to pin
+the pack-based sets and witness perceptions bit for bit; it calls the
+game's ``u``, ``u_range`` and ``chi`` and ``verify_equilibrium``.
 ``reference_check_separation_margin`` is the margin check's former
 per-row loop, which bound and evaluated both Dirac penalties of every
 row, kept to pin the shared evaluations bit for bit; it calls the
@@ -65,7 +68,14 @@ from perception_games.kernels import (
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
 from perception_games.penalties import KINDS, PenaltySpec
 from perception_games.simplex import BOUND_SLACK, SimplexGrid, posterior, share_pair
-from perception_games.single import MixedSearchResult, Strategy, payoff_and_gain, profile_report
+from perception_games.single import (
+    MixedSearchResult,
+    PerceptionMap,
+    Strategy,
+    payoff_and_gain,
+    profile_report,
+    verify_equilibrium,
+)
 from perception_games.testing import _random_penalty, dyadic_prior
 from perception_games.two_player import (
     TwoPlayerEquilibriumReport,
@@ -292,6 +302,42 @@ def reference_profile_report(game, sigma):
     for t in range(n):
         payoffs[t], gains[t], _ = payoff_and_gain(sigma[t], rows[t])
     return rows, tau, clamped, payoffs, gains
+
+
+def reference_pooling_check(game, mode, tol=1e-9):
+    """``(sets, shared, witness)`` of ``pooling_check``, the witness a
+    ``(sigma, tau, verified)`` triple or None, from its former loops: each
+    (type, action)'s range read from the game's ``u_range`` and the
+    witness perceptions filled one (type, action) at a time."""
+    sets = {}
+    shared = set(range(game.m))
+    for t in range(game.n):
+        if mode == "upper":
+            own = [game.u_range(t, a).max for a in range(game.m)]
+            rival = max(game.u_range(t, a).min for a in range(game.m))
+        else:
+            own = [game.u(t, a, game.prior.p) for a in range(game.m)]
+            rival = max(game.u(t, a, game.chi(t).p) for a in range(game.m))
+        # a member's own case is below no rival's by more than tol
+        members = [a for a in range(game.m) if not own[a] < rival - tol]
+        sets[game.types.labels[t]] = tuple(game.actions.labels[a] for a in members)
+        shared &= set(members)
+    shared = sorted(shared)
+    if not shared:
+        return sets, shared, None
+    a_star = shared[0]
+    sigma = np.zeros((game.n, game.m))
+    sigma[:, a_star] = 1.0
+    tau = np.empty((game.n, game.m, game.n))
+    for t, a in np.ndindex(game.n, game.m):
+        if a == a_star:
+            tau[t, a] = game.prior.p
+        elif mode == "upper":
+            tau[t, a] = game.u_range(t, a).argmin.p
+        else:
+            tau[t, a] = game.chi(t).p
+    verified = verify_equilibrium(game, Strategy._built(game, sigma), PerceptionMap._built(game, tau), tol).accepted
+    return sets, shared, (sigma, tau, verified)
 
 
 # --- full pooling, brute force ---------------------------------------

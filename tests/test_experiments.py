@@ -676,21 +676,39 @@ class TestBatchedScan:
         scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
         assert len(packed) == len({id(g) for g in packed}) == 3
 
-    def test_binds_each_type_structure_once(self, monkeypatch):
-        """The derived games share their template's bound penalties and
-        ranges: 8 of each per scan (4 + 2 + 2 types), where 21 games
-        built afresh bind 80."""
-        calls = {"bind": 0, "penalty_range": 0}
+    @staticmethod
+    def _count_calls(monkeypatch, names) -> dict:
+        """Count the calls of ``model``'s functions ``names`` and of
+        ``PerceptionGame.u_range`` (``"u_range"``)."""
+        calls = dict.fromkeys(names, 0)
         for name in calls:
-            real = getattr(model, name)
+            owner = PerceptionGame if name == "u_range" else model
+            real = getattr(owner, name)
 
             def counted(*args, _name=name, _real=real):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(model, name, counted)
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_binds_each_type_structure_once(self, monkeypatch):
+        """The derived games share their template's pack, which holds its
+        bound penalties and ranges: 8 of each per scan (4 + 2 + 2 types),
+        where 21 games built afresh bind 80."""
+        calls = self._count_calls(monkeypatch, ("bind", "penalty_range"))
         scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
         assert calls == {"bind": 8, "penalty_range": 8}
+
+    def test_reads_each_range_once(self, monkeypatch):
+        """A warm pass reads each template's ranges once, when it is
+        packed: 16 ``u_range`` calls (4 + 2 + 2 types, 2 actions). The
+        oracle takes its witnesses from the packs and reads none."""
+        family = default_majority_family()
+        scan_alpha(family, MAJORITY_ALPHAS, mixed_step=0.05)
+        calls = self._count_calls(monkeypatch, ("u_range", "bind", "penalty_range"))
+        scan_alpha(family, MAJORITY_ALPHAS, mixed_step=0.05)
+        assert calls == {"u_range": 16, "bind": 8, "penalty_range": 8}
 
     def test_checks_every_spec(self, monkeypatch):
         """Every spec passes ``validate_structure`` once before any game is

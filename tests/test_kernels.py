@@ -197,9 +197,23 @@ class TestPackGame:
         pack = pack_game(game)
         assert pack.v is None and pack.resolution == 8
         np.testing.assert_array_equal(pack.values, game.utility.values)
-        u_min, u_max = game.utility_bounds()
-        np.testing.assert_array_equal(pack.u_min, u_min)
-        np.testing.assert_array_equal(pack.u_max, u_max)
+        for t, a in np.ndindex(game.n, game.m):
+            r = game.u_range(t, a)
+            assert (pack.u_min[t, a], pack.u_max[t, a]) == (r.min, r.max)
+            assert pack.argmin[t, a].tobytes() == r.argmin.p.tobytes()
+            assert pack.argmax[t, a].tobytes() == r.argmax.p.tobytes()
+
+    @pytest.mark.parametrize("build", [blog, lambda: tabulate(blog(), 8)])
+    def test_reads_each_range_once(self, build, monkeypatch):
+        """``_pack`` reads every (type, action)'s ``u_range`` once: its
+        ends and the beliefs at them."""
+        game = build()
+        calls = []
+        real = PerceptionGame.u_range
+        monkeypatch.setattr(PerceptionGame, "u_range", lambda g, t, a: calls.append((t, a)) or real(g, t, a))
+        pack = pack_game(game)
+        assert sorted(calls) == list(np.ndindex(game.n, game.m))
+        assert pack.argmin.shape == pack.argmax.shape == (game.n, game.m, game.n)
 
     def test_blog_pack_shapes(self):
         pack = pack_game(blog())
@@ -1557,7 +1571,7 @@ class TestBatchedSweep:
         def spy(chunk, grid_pts, pack, table=None, limit=np.inf, work=None):
             if pack.prior.ndim > 1:
                 assert pack.prior.shape == (pack.u_min.shape[0], 1, chunk.size)
-                assert table is None and np.shape(limit) == chunk.shape
+                assert table is None and np.shape(limit) == ()
                 spans.append(chunk.size)
             return real(chunk, grid_pts, pack, table, limit, work)
 
@@ -1610,12 +1624,12 @@ class TestBatchedSweep:
         resolution=st.sampled_from([0, 2, 3]),
         data=st.data(),
     )
-    def test_gains_with_a_prior_and_a_limit_per_profile(self, game, counts, resolution, data):
+    def test_gains_with_a_prior_per_profile(self, game, counts, resolution, data):
         """``_gains_numpy`` on profiles of several games, interleaved, each
-        with its game's prior and a limit of its own, gives every entry of
-        each game's own call with that limit, bit for bit (partial gains
-        too: a profile leaves after the same type either way). The games
-        are those of the first ``GamePack.screen_key`` group."""
+        with its game's prior, under one limit, gives every entry of each
+        game's own call with that limit, bit for bit (partial gains too: a
+        profile leaves after the same type either way). The games are
+        those of the first ``GamePack.screen_key`` group."""
         priors = [np.array(c[: game.n], dtype=np.float64) for c in counts if any(c[: game.n])]
         packs = [pack_game(g) for g in _with_priors(game, [p / p.sum() for p in priors or [np.ones(game.n)]])]
         packs = [packs[i] for i in _screen_groups(packs)[0]]
@@ -1626,13 +1640,13 @@ class TestBatchedSweep:
         for k, pack in enumerate(packs):
             full[owner == k] = kernels._gains_numpy(idx[owner == k], pts, pack)
         limits = [np.inf, -np.inf, *np.quantile(full, [0.0, 0.3, 0.7], method="nearest").tolist()]
-        limit = np.array([data.draw(st.sampled_from(limits)) for _ in packs])[owner]
+        limit = data.draw(st.sampled_from(limits))
         batch = replace(packs[0], prior=np.stack([p.prior for p in packs], axis=1)[:, None, owner])
         got = kernels._gains_numpy(idx, pts, batch, None, limit)
         for k, pack in enumerate(packs):
             mine = owner == k
             if mine.any():
-                want = kernels._gains_numpy(idx[mine], pts, pack, None, limit[mine][0])
+                want = kernels._gains_numpy(idx[mine], pts, pack, None, limit)
                 assert got[mine].tobytes() == want.tobytes(), k
 
     def test_majority_alphas(self, monkeypatch):

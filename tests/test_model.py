@@ -89,15 +89,15 @@ class TestPerceptionGameBasics:
         # max tv distance to (1/2, 1/2) is 1/2, so min = 1 - 2 * (1/2)
         assert r.min == pytest.approx(0.0)
 
-    def test_utility_bounds_cover_samples(self):
+    def test_u_range_covers_samples(self):
         g = blog()
-        lo, hi = g.utility_bounds()
         rng = np.random.default_rng(3)
         for _ in range(200):
             mu = rng.dirichlet(np.ones(g.n))
             for t in range(g.n):
                 for a in range(g.m):
-                    assert lo[t, a] - 1e-12 <= g.u(t, a, mu) <= hi[t, a] + 1e-12
+                    r = g.u_range(t, a)
+                    assert r.min - 1e-12 <= g.u(t, a, mu) <= r.max + 1e-12
 
     def test_continuity_flags(self):
         assert blog().continuous
@@ -613,7 +613,7 @@ class TestTabulated:
         assert r.max == pytest.approx(max(vals))
         assert r.min == pytest.approx(min(vals))
 
-    def test_utility_bounds_build_one_lattice(self, monkeypatch):
+    def test_u_range_builds_one_lattice(self, monkeypatch):
         tg = tabulate(counterexample_lsc(), 4)
         built = []
         points = SimplexGrid.points
@@ -623,15 +623,11 @@ class TestTabulated:
             return points(grid)
 
         monkeypatch.setattr(SimplexGrid, "points", counted)
-        u_min, u_max = tg.utility_bounds()
-        tg.utility_bounds()
+        for _ in range(2):
+            ranges = {(t, a): tg.u_range(t, a) for t, a in np.ndindex(tg.n, tg.m)}
         assert built == [4]
-        for t in range(tg.n):
-            for a in range(tg.m):
-                assert (u_min[t, a], u_max[t, a]) == (
-                    tg.utility.values[t, a].min(),
-                    tg.utility.values[t, a].max(),
-                )
+        for (t, a), r in ranges.items():
+            assert (r.min, r.max) == (tg.utility.values[t, a].min(), tg.utility.values[t, a].max())
 
     def test_privacy_on_tabulated(self):
         g = blog()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perception_games import kernels, model, single
-from perception_games.experiments import default_majority_family, scan_alpha
+from perception_games.experiments import SeparableGameSpec, counterexample_check, default_majority_family, scan_alpha
 from perception_games.fixtures import blog, counterexample_lsc, counterexample_usc
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import Penalty, PenaltySpec
@@ -27,7 +27,14 @@ from perception_games.single import (
 )
 from perception_games.testing import dyadic_prior, random_mixed_catalog_game
 
-from helpers import oracle_pure_gains, reference_mixed_search, reference_profile_report, spec_to_dict, tabulate
+from helpers import (
+    oracle_pure_gains,
+    reference_mixed_search,
+    reference_pooling_check,
+    reference_profile_report,
+    spec_to_dict,
+    tabulate,
+)
 from test_kernels import (
     _all_profiles,
     additive_catalog_games,
@@ -783,6 +790,34 @@ class TestSearchArguments:
             with pytest.raises(ValueError, match=f"^profile grid of size {21 ** 15} cannot be indexed$"):
                 run()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+    def test_bad_seed_rejected_before_any_work(self, seed, monkeypatch):
+        """A seed is None or a nonnegative integer. Any other is rejected
+        before any game is built or packed: on a whole grid, which leaves
+        the seed unused, as on a subsampled one, where numpy rejected it
+        only after the grid was packed and ``True`` ran as seed 1."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("did work")
+
+        monkeypatch.setattr(kernels, "_pack", fail)
+        monkeypatch.setattr(SeparableGameSpec, "_game", fail)
+        for run in (
+            lambda: search_mixed_equilibria(blog(), step=0.05, seed=seed),
+            lambda: search_mixed_equilibria(blog(), step=0.01, max_profiles=5000, seed=seed),
+            lambda: single._mixed_searches([blog(), counterexample_lsc()], step=0.01, seed=seed),
+            lambda: scan_alpha(default_majority_family(), [0.5], mixed_step=0.01, seed=seed),
+            lambda: scan_alpha(default_majority_family(), [0.5], mixed_step=0.05, seed=seed),
+            lambda: counterexample_check(counterexample_lsc(), 0.01, seed=seed),
+        ):
+            with pytest.raises(ValueError, match="^seed must be"):
+                run()
+
+    def test_numpy_integer_seed(self):
+        want = search_mixed_equilibria(blog(), step=0.01, max_profiles=500, seed=3)
+        got = search_mixed_equilibria(blog(), step=0.01, max_profiles=500, seed=np.int64(3))
+        assert (got.min_max_gain, got.survivor_count) == (want.min_max_gain, want.survivor_count)
+
 
 class TestSubsampledSearch:
     """A subsampled search equals ``reference_mixed_search`` on the same
@@ -1045,8 +1080,9 @@ class TestBatchedReports:
             raise AssertionError("touched the game")
 
         game = blog()
-        for name in ("penalty", "u", "u_range", "utility_bounds"):
+        for name in ("penalty", "u", "u_range"):
             monkeypatch.setattr(PerceptionGame, name, fail)
+        monkeypatch.setattr(single, "pack_game", fail)
         assert single._profile_reports(game, np.empty((0, game.n, game.m))) == []
 
 
@@ -1063,6 +1099,20 @@ class TestOracleTraffic:
         # one stack per pure enumeration; the count-only mixed searches make none
         assert len(rows) == 21 and 0 not in rows
         assert sum(rows) == sum(r.n_equilibria for r in rep.rows) == 43
+
+    @pytest.mark.parametrize("build", [blog, zero_prior_game, lambda: tabulate(zero_prior_game(), 4)])
+    def test_packed_game_reads_no_range(self, build, monkeypatch):
+        """The off-path witnesses come from the pack: a stack of every
+        step-1/4 profile, off-path and free rows included, asks the
+        packed game for no range."""
+        game = build()
+        kernels.pack_game(game)
+        pts, idx = _all_profiles(game, 4)
+        calls = []
+        real = PerceptionGame.u_range
+        monkeypatch.setattr(PerceptionGame, "u_range", lambda g, t, a: calls.append((t, a)) or real(g, t, a))
+        reports = single._profile_reports(game, kernels.decode_profiles(pts, idx, game.n))
+        assert len(reports) == idx.size and calls == []
 
     def test_count_only_search(self, monkeypatch):
         rows = _count_rows(monkeypatch)
@@ -1161,9 +1211,10 @@ class TestDerivedGame:
     prior, ``replace(game, prior=p)``, bit for bit: its pure enumeration,
     step-1/4 mixed search, profile reports and every ``GamePack`` field,
     whether the template was packed before or not, with the derived game
-    swept beside its template. A derived game's bound penalties are the
-    template's, anchored at the template's prior, which ``tv_to_prior``
-    alone reads: a game with such a penalty shares nothing."""
+    swept beside its template. A derived game's pack is the template's at
+    its own prior, so its bound penalties are anchored at the template's
+    prior, which ``tv_to_prior`` alone reads: a game with such a penalty
+    shares nothing."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1199,9 +1250,12 @@ class TestDerivedGame:
         derived = game._with_prior(family.game_for(0.25).prior, "d")
         again = derived._with_prior(family.game_for(0.75).prior, "e")
         assert derived._base is game and again._base is game
+        # the template's pack is all a derived game shares
         for cache in ("_penalties", "_pranges", "_uranges", "_chis"):
-            assert getattr(again, cache) is getattr(game, cache)
-        assert kernels.pack_game(again).screen_key is kernels.pack_game(game).screen_key
+            assert getattr(again, cache) is not getattr(game, cache)
+        pack, mine = kernels.pack_game(game), kernels.pack_game(again)
+        for name in ("u_min", "u_max", "argmin", "argmax", "screen_key"):
+            assert getattr(mine, name) is getattr(pack, name)
         assert packed == [game]
 
     def test_tv_to_prior_game_shares_nothing(self, monkeypatch):
@@ -1258,6 +1312,132 @@ class TestPermutationRelation:
         assert base.survivor_count == moved.survivor_count
         assert self._profiles(base.survivors, *ident) == self._profiles(moved.survivors, types, actions)
         assert abs(base.min_max_gain - moved.min_max_gain) <= 64 * np.spacing(8.0)
+
+
+def _derived_majority_game() -> PerceptionGame:
+    family = default_majority_family()
+    return family.game_for(0.5)._with_prior(family.game_for(0.25).prior, "derived")
+
+
+POOLING_GAMES = [
+    blog,
+    lambda: tabulate(blog(), 8),
+    zero_prior_game,
+    lambda: tabulate(zero_prior_game(), 4),
+    tied_prior_tv_game,
+    step_bounds_game,
+    eight_type_game,
+    counterexample_lsc,
+    lambda: default_majority_family().game_for(0.5),
+    _derived_majority_game,
+]
+
+
+class TestPoolingCheck:
+    """``pooling_check`` reads its upper-mode sets and deterring beliefs
+    from the game's pack, and equals ``helpers.reference_pooling_check``,
+    its former per-(type, action) loops, bit for bit: sets, shared
+    actions, witness strategy and perceptions, and the verdict. The games
+    include ``tv_to_prior``, zero-prior, tabulated and derived games, and
+    pool or not."""
+
+    @staticmethod
+    def _assert_reference(game, mode):
+        rep = pooling_check(game, mode)
+        sets, shared, witness = reference_pooling_check(game, mode)
+        assert rep.sets == sets
+        assert rep.actions == tuple(game.actions.labels[a] for a in shared)
+        assert rep.exists is (witness is not None)
+        if witness is not None:
+            sigma, tau, verified = witness
+            assert rep.witness[0].sigma.tobytes() == sigma.tobytes()
+            assert rep.witness[1].tau.tobytes() == tau.tobytes()
+            assert rep.witness_verified is verified
+        return rep
+
+    @pytest.mark.parametrize("mode", ["upper", "lower"])
+    def test_fixed_games(self, mode):
+        found = {self._assert_reference(build(), mode).exists for build in POOLING_GAMES}
+        assert found == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=catalog_games(), mode=st.sampled_from(["upper", "lower"]))
+    def test_catalog_games(self, game, mode):
+        self._assert_reference(game, mode)
+
+    def test_reads_each_range_once(self, monkeypatch):
+        """On a fresh game the upper check reads each (type, action)'s
+        range once, packing the game: 4 calls for the 2 x 2 blog game."""
+        calls = []
+        real = PerceptionGame.u_range
+        monkeypatch.setattr(PerceptionGame, "u_range", lambda g, t, a: calls.append((t, a)) or real(g, t, a))
+        assert pooling_check(blog(), "upper").witness_verified
+        assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+class TestAdditiveConstantRelation:
+    """Adding a constant ``c`` to one type's utility of every action (its
+    row of ``v``, or its tabulated values) moves none of its incentives.
+    Every posterior is unchanged, and each of the type's utilities, on
+    path, at ``u_min`` and ``u_max`` and so at a free row's cap, shifts
+    by ``c`` up to one rounding: the type's payoff, a sum of its
+    probabilities times its rows, shifts by ``c`` times a sum of
+    probabilities, which is 1 up to rounding, and its best row by ``c``;
+    the other types do not move at all. So every gain moves by rounding
+    alone: by at most 64 ulps of 16, the scale of the shifted utilities
+    (``v`` in [0, 5], penalties in [0, 4], ``|c|`` at most 3), and the
+    pure equilibria and the step-1/4 survivors are the same but for a
+    profile whose gain lies within that bound of ``tol``. ``c`` is dyadic,
+    so each shifted entry is the one rounding of the exact sum. On 3,600
+    seeded cases (400 games, each additive and tabulated at resolutions 1
+    and 3, each ``c``) a gain moved by at most a quarter ulp of 16, and no
+    profile was gained or lost."""
+
+    BOUND = 64 * np.spacing(16.0)
+
+    @staticmethod
+    def _shifted(game: PerceptionGame, t: int, c: float) -> PerceptionGame:
+        um = game.utility
+        if um.kind == "tabulated_grid":
+            values = um.values.copy()
+            values[t] += c
+            return replace(game, utility=replace(um, values=values))
+        v = um.v.copy()
+        v[t] += c
+        return replace(game, utility=replace(um, v=v))
+
+    def _assert_same_profiles(self, game, shifted, base, moved, tol):
+        """``base`` and ``moved``, reports of ``game`` and ``shifted``,
+        hold the same profiles but for those within ``BOUND`` of ``tol``."""
+        kept = {rep.strategy.sigma.tobytes(): rep for rep in base}
+        again = {rep.strategy.sigma.tobytes(): rep for rep in moved}
+        for key in kept.keys() & again.keys():
+            gains, other = kept[key].gains, again[key].gains
+            assert np.abs(gains - other).max() <= self.BOUND
+        for key in kept.keys() ^ again.keys():
+            sigma = np.frombuffer(key).reshape(game.n, game.m)
+            for g in (game, shifted):
+                assert abs(profile_report(g, sigma).max_gain - tol) <= self.BOUND
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        resolution=st.sampled_from((None, 1, 3)),
+        c=st.sampled_from((-2.0, 0.5, 3.0)),
+        data=st.data(),
+    )
+    def test_adding_a_constant_to_one_type(self, seed, resolution, c, data):
+        game = random_mixed_catalog_game(np.random.default_rng(seed))
+        if resolution is not None:
+            game = tabulate(game, resolution)
+        shifted = self._shifted(game, data.draw(st.integers(0, game.n - 1)), c)
+        tol = 1e-9
+        self._assert_same_profiles(
+            game, shifted, enumerate_pure_equilibria(game, tol), enumerate_pure_equilibria(shifted, tol), tol
+        )
+        base, moved = search_mixed_equilibria(game, 0.25, tol), search_mixed_equilibria(shifted, 0.25, tol)
+        assert abs(base.min_max_gain - moved.min_max_gain) <= self.BOUND
+        self._assert_same_profiles(game, shifted, base.survivors, moved.survivors, tol)
 
 
 class TestProfileReportInput:
