@@ -16,7 +16,7 @@ equilibrium and compares against the analytic sufficiency bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -400,11 +400,11 @@ def scan_alpha(
     game, of which each other one's game is ``_with_prior``, sharing its
     pack. The pure enumerations and mixed searches run in one
     ``_pure_enumerations`` and one ``_mixed_searches`` call, the searches
-    with ``max_survivors=0``, so no survivor report is built. Games that
-    differ in their prior only share one cell screen,
-    each keeping the cells of its own search, and the kernel sweeps them
-    together, a few calls for all the pure profiles and a few for all the
-    kept cells, each game keeping its own results."""
+    with ``max_survivors=0``, so no survivor report is built. A template
+    and its derived games share one cell screen, each keeping the cells
+    of its own search, and the kernel sweeps them together, a few calls
+    for all the pure profiles and a few for all the kept cells, each game
+    keeping its own results."""
     _check_tol(tol)
     _check_seed(seed)
     if mixed_step is not None:
@@ -564,13 +564,15 @@ class NonexistenceReport:
 def counterexample_check(
     game: PerceptionGame,
     strategy_step: float = 0.05,
-    epsilons: Sequence[float] = (0.1,),
+    epsilons: Iterable[float] = (0.1,),
     tol: float = WEAK_TOL,
     seed: int | None = None,
 ) -> NonexistenceReport:
     _check_tol(tol)
     _check_seed(seed)
     _step_resolution(strategy_step)
+    # read once: a generator is used up by its first read
+    epsilons = list(epsilons)
     # the rule of ``pgame --eps``; NaN fails the comparison too
     bad = [eps for eps in epsilons if not 0.0 <= eps < np.inf]
     if bad:

@@ -113,18 +113,18 @@ knots or piece bounds with every interval at once, and a level's cells
 split in one step, in the order of splitting one type after the other.
 
 ``pack_game`` keeps one frozen ``GamePack`` per game and builds one per
-type structure: a game derived from a template by its prior alone
+template: a game derived from a template by its prior alone
 (``PerceptionGame._with_prior``, how ``scan_alpha`` builds a family)
 gets the template's pack, witnesses included, at its own prior. That
-is the one way a batch of games that differ in their prior only is
-packed too:
-``replace(pack, prior=...)``, there with a prior per cell or profile
-``(n, 1, B)``, read elementwise, so each entry is its own game's, bit
-for bit. Callers hand the screen and the sweep packs of any games, and
-the kernel groups them itself (``_groups``, on ``GamePack.screen_key``),
-the one place that rule lives. A group is screened together, each cell
-bounded at its game's prior: a ``majority-scan`` pass bounds its 2,872
-cells in 5 calls.
+is the one way a batch of games is packed too: ``replace(pack,
+prior=...)``, there with a prior per cell or profile ``(n, 1, B)``,
+read elementwise, so each entry is its own game's, bit for bit.
+Callers hand the screen and the sweep lists of packs of any games, and
+the kernel groups them itself (``_groups``): a template and the games
+derived from it, whose packs are one pack up to the prior. So
+``_with_prior`` alone decides which games share a screen and a sweep.
+A group is screened together, each cell bounded at its game's prior: a
+``majority-scan`` pass bounds its 2,872 cells in 5 calls.
 
 They are swept together too, with a code source each. A kernel call on
 a single code takes about 200 us (numpy 2.4, 2 vCPUs), and an alpha
@@ -185,10 +185,11 @@ _NEG = -1.7976931348623157e308
 class GamePack:
     """What the kernel and the exact oracle read of a game, made once per
     game by ``pack_game``: every game's utility ranges with the beliefs
-    at their ends; additive games fill ``v``, ``penalties``,
-    ``screen_key`` and ``bound_plan``, tabulated ones ``values`` and
-    ``resolution``. A batch of games that differ in their prior only is
-    ``replace(pack, prior=...)`` with one prior per profile or cell."""
+    at their ends; additive games fill ``v``, ``penalties`` and
+    ``bound_plan``, tabulated ones ``values`` and ``resolution``. The
+    games derived from one template share its pack but the prior, and a
+    batch of them is ``replace(pack, prior=...)`` with one prior per
+    profile or cell."""
 
     prior: np.ndarray  # (n,), or (n, 1, B) for a batch of games
     u_min: np.ndarray  # (n, m)
@@ -199,10 +200,6 @@ class GamePack:
     penalties: tuple[Penalty, ...] = ()  # bound, one per type
     values: np.ndarray | None = None  # (n, m, lattice size)
     resolution: int = 0
-    # what the kernel reads of an additive game but the prior; packs with
-    # equal keys are screened and swept together (a ``tv_to_prior`` key
-    # holds its anchor, the prior)
-    screen_key: tuple = ()
     bound_plan: "_BoundPlan | None" = None
 
 
@@ -219,9 +216,10 @@ class _BoundPlan(NamedTuple):
 
 def _bound_key(pen: Penalty) -> tuple:
     """What ``stacked_bounds`` reads of ``pen``, hashable even when its
-    spec holds lists: types with equal keys have equal bounds. The
-    anchor matters only to ``tv_to_prior``, the type only to
-    ``exposure``."""
+    spec holds lists: types with equal keys have equal bounds. The type
+    matters only to ``exposure``. A ``tv_to_prior`` bound reads its
+    anchor too, but every penalty of a game is anchored at the game's
+    prior, so the anchor tells no two of its types apart."""
     spec = pen.spec
     return (
         spec.kind,
@@ -229,7 +227,6 @@ def _bound_key(pen: Penalty) -> tuple:
         pen.event,
         None if pen.knots is None else tuple(k.tobytes() for k in pen.knots),
         None if pen.breaks is None else tuple(b.tobytes() for b in pen.breaks),
-        pen.anchor.tobytes() if spec.kind == "tv_to_prior" else None,
         pen.type_index if spec.kind == "exposure" else None,
     )
 
@@ -242,7 +239,8 @@ def pack_game(game: PerceptionGame) -> GamePack:
     """The game's one pack, made on the first call and kept while the
     game lives: built by ``_pack``, or for a game derived from a template
     by its prior alone (``PerceptionGame._with_prior``) the template's
-    pack at the game's prior, the batch convention."""
+    pack at the game's prior, the batch convention: one pack up to the
+    prior, which ``_groups`` screens and sweeps with the template's."""
     pack = _packs.get(game)
     if pack is None:
         if game._base is None:
@@ -273,8 +271,7 @@ def _pack(game: PerceptionGame) -> GamePack:
     margin = BOUND_SLACK * np.abs((v, u_min, u_max)).max()
     firsts = tuple(penalties[ts[0]] for ts in types)
     plan = _BoundPlan(firsts, types, tuple(v[ts, :, None] for ts in types), margin)
-    key = (u_min.shape, v.tobytes(), u_min.tobytes(), u_max.tobytes(), keys)
-    return GamePack(prior, *ranges, v, penalties, screen_key=key, bound_plan=plan)
+    return GamePack(prior, *ranges, v, penalties, bound_plan=plan)
 
 
 def decode_profiles(grid_pts: np.ndarray, idx, n: int) -> np.ndarray:
@@ -629,37 +626,32 @@ def sweep_profile_gains(pack: GamePack, grid_pts: np.ndarray, idx: np.ndarray) -
 
 
 def reduce_profile_gains(
-    pack: GamePack | Sequence[GamePack], grid_pts: np.ndarray, codes, tol: float
-) -> tuple[float, int, np.ndarray] | list[tuple[float, int, np.ndarray]]:
-    """What a search needs of the gains of the profile ``codes``, without
-    building them: the least gain (inf when there are no codes), the
-    code that has it (-1 when none), and the codes whose gain is at most
-    ``tol``.
+    packs: Sequence[GamePack], grid_pts: np.ndarray, sources: Sequence, tol: float
+) -> list[tuple[float, int, np.ndarray]]:
+    """What a search needs of the gains of each pack's profile codes, one
+    code source per pack, without building them: per pack, the least gain
+    (inf when there are no codes), the code that has it (-1 when none),
+    and the codes whose gain is at most ``tol``.
 
-    ``codes`` is a code source (``CodeRange``, ``CodeDraws``,
-    ``CellCodes``) or an int64 array, read a chunk at a time: no array as
-    long as the sweep is built. Chunks run in the source's order, each
-    with ``limit = max(tol, least gain of the chunks before)``. A profile
-    the kernel drops has a gain above that limit, so above ``tol`` and
-    above the final least gain, and every kept gain is exact. An array,
-    a range or draws give the first code in their order with the least
-    gain, and the codes within ``tol`` in that order; cells, whose codes
-    interleave, give the lowest code with the least gain, and the codes
-    within ``tol`` ascending. Either way the results are those of the
-    full gains, bit for bit, whatever the chunk width.
+    A source is a ``CodeRange``, ``CodeDraws`` or ``CellCodes``, or an
+    int64 array, read a chunk at a time: no array as long as the sweep is
+    built. Chunks run in the source's order, each with ``limit = max(tol,
+    least gain of the chunks before)``. A profile the kernel drops has a
+    gain above that limit, so above ``tol`` and above the final least
+    gain, and every kept gain is exact. An array, a range or draws give
+    the first code in their order with the least gain, and the codes
+    within ``tol`` in that order; cells, whose codes interleave, give the
+    lowest code with the least gain, and the codes within ``tol``
+    ascending. Either way the results are those of the full gains, bit
+    for bit, whatever the chunk width and whatever packs share the call.
 
-    ``pack`` is one game's pack, or a list of packs of any games with
-    ``codes`` a list of one source per pack, for which the result is a
-    list of those triples, one per pack, each bit for bit that of the
-    pack's own call. The kernel groups the packs itself (``_groups``):
-    the games of a group, which differ in their prior only, stream
-    through one workspace in shared chunks (``_stream``), a chunk that
-    spans games being one kernel call with each profile's own prior and
-    the largest of its games' limits. A tabulated game, and a game whose
-    own sweep takes the column table, which depends on the prior, is
-    swept on its own.
+    The kernel groups the packs itself (``_groups``): a template and the
+    games derived from it stream through one workspace in shared chunks
+    (``_stream``), a chunk that spans games being one kernel call with
+    each profile's own prior and the largest of its games' limits. A
+    tabulated game, and a game whose own sweep takes the column table,
+    which depends on the prior, is swept on its own.
     """
-    packs, sources = ([pack], [codes]) if isinstance(pack, GamePack) else (list(pack), list(codes))
     if len(sources) != len(packs):
         raise ValueError(f"need one code source per pack, got {len(sources)} for {len(packs)}")
     # one sort of the grid per type count, not per pack
@@ -672,18 +664,21 @@ def reduce_profile_gains(
         )
         for k, triple in zip(group, found):
             out[k] = triple
-    return out[0] if isinstance(pack, GamePack) else out
+    return out
 
 
-def _groups(packs: list[GamePack], alone: Sequence[bool] | None = None) -> list[list[int]]:
+def _groups(packs: Sequence[GamePack], alone: Sequence[bool] | None = None) -> list[list[int]]:
     """The indices of ``packs`` that the screen and the kernel treat
-    together, by first member: additive games with equal
-    ``GamePack.screen_key``; a tabulated pack, and pack ``k`` with
-    ``alone[k]``, is a group of its own."""
+    together, by first member: the packs of a template and of the games
+    derived from it (``PerceptionGame._with_prior``), which ``pack_game``
+    makes one pack up to the prior, so they share ``bound_plan``; a
+    tabulated pack, and pack ``k`` with ``alone[k]``, is a group of its
+    own."""
     groups: dict = {}
     for k, p in enumerate(packs):
         solo = p.values is not None or (alone is not None and alone[k])
-        groups.setdefault(k if solo else p.screen_key, []).append(k)
+        # a tuple key never equals an id
+        groups.setdefault((k,) if solo else id(p.bound_plan), []).append(k)
     return list(groups.values())
 
 
@@ -927,23 +922,22 @@ class CellCodes:
 
 
 def screen_profiles(
-    pack: GamePack | Sequence[GamePack], grid_pts: np.ndarray, limit: float
-) -> tuple[CellCodes, int] | list[tuple[CellCodes, int]]:
-    """The profiles of an additive game whose cells ``cell_lower_bound``
-    cannot put above ``limit``, as the kept leaves (``CellCodes``, a code
-    source), and the lowest code of the pruned cell with the least bound
-    (-1 when none is pruned).
+    packs: Sequence[GamePack], grid_pts: np.ndarray, limit: float
+) -> list[tuple[CellCodes, int]]:
+    """For each of ``packs``, additive games' packs, the profiles whose
+    cells ``cell_lower_bound`` cannot put above ``limit``, as the kept
+    leaves (``CellCodes``, a code source), and the lowest code of the
+    pruned cell with the least bound (-1 when none is pruned).
 
-    ``pack`` is one game's pack, or a list of packs of any additive games,
-    for which the result is a list of those pairs, one per pack. The
-    screen groups the packs itself (``_groups``) and screens each group,
-    the games that differ in their prior only, in one pass (``_screen``):
-    every cell carries the index of its game, the cells of all the games
-    make up each level, and one ``cell_lower_bound`` call bounds a batch
-    of them at once, each cell with its own game's prior. A cell's bound,
-    and so whether it is pruned, kept or split, does not depend on the
-    cells it is batched with, so each game's kept leaves and seed are
-    those of screening it alone, bit for bit and in the same order.
+    The screen groups the packs itself (``_groups``) and screens each
+    group, a template and the games derived from it, in one pass
+    (``_screen``): every cell carries the index of its game, the cells of
+    all the games make up each level, and one ``cell_lower_bound`` call
+    bounds a batch of them at once, each cell with its own game's prior.
+    A cell's bound, and so whether it is pruned, kept or split, does not
+    depend on the cells it is batched with, so each game's kept leaves
+    and seed are those of screening it alone, bit for bit and in the same
+    order.
 
     The screen runs the tree of cells breadth first, bounding each level
     in batches of cells: the root gives every type the whole grid, a
@@ -966,12 +960,11 @@ def screen_profiles(
     of bounding it. A negative or NaN ``limit`` bounds the root as any
     other cell.
     """
-    packs = [pack] if isinstance(pack, GamePack) else list(pack)
     out: list = [None] * len(packs)
     for group in _groups(packs):
         for k, pair in zip(group, _screen([packs[k] for k in group], grid_pts, limit)):
             out[k] = pair
-    return out[0] if isinstance(pack, GamePack) else out
+    return out
 
 
 def _screen(packs: list[GamePack], grid_pts: np.ndarray, limit: float) -> list[tuple[CellCodes, int]]:

@@ -207,12 +207,14 @@ class PerceptionGame:
 
     def _with_prior(self, prior, name: str) -> "PerceptionGame":
         """This game at ``prior`` (checked as any game's), named ``name``:
-        the one place that decides when a game shares its prior-free work.
-        A bound penalty reads the prior only as its anchor, and only
+        the one place that decides when a game shares its prior-free work,
+        and so which games the kernel screens and sweeps together. A bound
+        penalty reads the prior only as its anchor, and only
         ``tv_to_prior`` reads the anchor, so unless a penalty is of that
         kind the new game keeps the root template as ``_base``, and
         ``kernels.pack_game`` packs it as the template's pack at its own
-        prior: all it shares, witnesses included."""
+        prior: all it shares, witnesses included. A game built apart
+        shares nothing, even with equal fields."""
         game = replace(self, prior=prior, name=name)
         if not any(spec.kind == "tv_to_prior" for spec in self.utility.penalties or ()):
             object.__setattr__(game, "_base", self._base or self)

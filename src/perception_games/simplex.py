@@ -171,26 +171,24 @@ def tv_distance(p, q) -> float:
 def posterior(prior: np.ndarray, column: np.ndarray) -> np.ndarray | None:
     """Bayes update of an observer holding ``prior`` after an action that
     type ``t`` plays with probability ``column[t]``, or None when no mass
-    reaches the action (0/0: the action is off path). The mass is summed
-    in type order from 0.0, the order of the sweep kernel's batched
-    update, so the two give the same bits."""
-    q = 0.0
-    for t in range(prior.shape[0]):
-        q = q + prior[t] * column[t]
-    if not q > 0.0:
-        return None
-    return prior * column / q
+    reaches the action (0/0: the action is off path): the one-column case
+    of ``_posteriors``, the sweep kernel's batched update."""
+    on, beliefs = _posteriors(prior, np.asarray(column)[:, None, None])
+    return beliefs[:, 0, 0] if on[0, 0] else None
 
 
 def _posteriors(prior: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``posterior`` of an observer holding ``prior`` at a batch of
-    columns ``cols`` of shape ``(n, A, B)``: ``(on, beliefs)``, whether
-    a column carries prior mass, shape ``(A, B)``, and the posterior
-    over types there, shape ``(n, A, B)``, bitwise as ``posterior`` gives
-    it (where the column carries none, the column itself scaled by the
-    prior). ``prior`` is one prior ``(n,)``, or one per column ``(n, 1,
+    """The Bayes update of an observer holding ``prior`` at a batch of
+    columns ``cols`` of shape ``(n, A, B)``, each column type ``t``'s
+    probabilities of one action: ``(on, beliefs)``, whether a column
+    carries prior mass, shape ``(A, B)``, and the posterior over types
+    there, shape ``(n, A, B)`` (where the column carries none, the column
+    itself scaled by the prior). The mass is summed in type order from
+    0.0. ``prior`` is one prior ``(n,)``, or one per column ``(n, 1,
     B)``; every step is elementwise, so a column's posterior is the one
-    its own prior gives, bit for bit."""
+    its own prior gives, bit for bit. The one Bayes body: ``posterior``
+    and ``consistency_errors`` are its cases, and the sweep kernel and
+    the exact oracle update through it."""
     q = np.zeros(cols.shape[1:])
     for t in range(prior.shape[0]):
         q += prior[t] * cols[t]
@@ -224,13 +222,11 @@ def consistency_errors(
     perception ``tau[t, a]`` lies more than ``tol`` in total variation
     from the posterior of ``prior`` under the strategy ``sigma`` (types
     by actions), in action-major order."""
+    on, beliefs = _posteriors(prior, sigma[:, :, None])
     out: list[tuple[int, int, float]] = []
-    for a in range(sigma.shape[1]):
-        post = posterior(prior, sigma[:, a])
-        if post is None:
-            continue
+    for a in np.flatnonzero(on[:, 0]).tolist():
         for t in range(tau.shape[0]):
-            err = tv_distance(tau[t, a], post)
+            err = tv_distance(tau[t, a], beliefs[:, a, 0])
             if err > tol:
                 out.append((t, a, float(err)))
     return out

@@ -384,8 +384,8 @@ def _pure_enumerations(
     """The pure sweep of each of ``games``, whose survivors are its
     ``enumerate_pure_equilibria``, with every argument checked before any
     work: one ``reduce_profile_gains`` call per action count on every
-    game's pure profiles, which sweeps the games that differ in their
-    prior only together, each game with its own results."""
+    game's pure profiles, which sweeps a template and the games derived
+    from it together, each game with its own results."""
     _check_tol(tol)
     sources = [_pure_codes(game, max_profiles) for game in games]
     packs = [pack_game(game) for game in games]
@@ -511,7 +511,7 @@ def search_mixed_equilibria(
 
     This is the one-game case of ``_mixed_searches``, which hands every
     game's pack and code source to one screen and one kernel call; the
-    kernel shares them among the games that differ in their prior only,
+    kernel shares them among a template and the games derived from it,
     each with this call's results."""
     return _mixed_searches([game], step, tol, seed, max_profiles, max_survivors)[0]
 
@@ -534,10 +534,10 @@ def _mixed_searches(
     grid, or the kept leaves of an additive game's cell screen. One
     ``screen_profiles`` call screens the additive grids and one
     ``reduce_profile_gains`` call sweeps every source; the kernel shares
-    both among the games that differ in their prior only, each keeping
-    its own results. The survivors are rebuilt (``_rebuilt``), and a
-    screened game that keeps none gets a second screen of its own
-    (``_screened_sweep``)."""
+    both among a template and the games derived from it
+    (``PerceptionGame._with_prior``), each keeping its own results. The
+    survivors are rebuilt (``_rebuilt``), and a screened game that keeps
+    none gets a second screen of its own (``_screened_sweep``)."""
     _check_tol(tol)
     max_profiles = _cap(max_profiles, "max_profiles")
     max_survivors = _cap(max_survivors, "max_survivors")
@@ -627,8 +627,8 @@ def _screened_sweep(
     if not kept.size:
         gain = sweep_profile_gains(pack, pts, np.array([seed], dtype=np.int64))[0]
         swept = swept._replace(least=float(gain), code=seed)
-    more = screen_profiles(pack, pts, swept.least)[0].without(kept)
-    least, code, _ = reduce_profile_gains(pack, pts, more, tol)
+    more = screen_profiles([pack], pts, swept.least)[0][0].without(kept)
+    least, code, _ = reduce_profile_gains([pack], pts, [more], tol)[0]
     if code >= 0 and (least, code) < (swept.least, swept.code):
         swept = swept._replace(least=least, code=code)
     return swept, kept.size + more.size

@@ -36,12 +36,15 @@ shares with the kernel; it calls the game's ``u`` and ``u_range``,
 ``pooling_check``'s former range reads and witness loop, kept to pin
 the pack-based sets and witness perceptions bit for bit; it calls the
 game's ``u``, ``u_range`` and ``chi`` and ``verify_equilibrium``.
-``reference_check_separation_margin`` is the margin check's former
+``reference_posterior`` is ``simplex.posterior``'s former own loop,
+kept to pin the Bayes body it now shares with ``_posteriors`` bit for
+bit. ``reference_check_separation_margin`` is the margin check's former
 per-row loop, which bound and evaluated both Dirac penalties of every
 row, kept to pin the shared evaluations bit for bit; it calls the
 package's ``_dirac_marginal_penalty``. The game
 factories at the end only build inputs: ``tabulate`` copies a game's
-own values onto a lattice, ``random_two_player_game`` draws a seeded
+own values onto a lattice, ``majority_games`` derives the majority
+family as ``scan_alpha`` does, ``random_two_player_game`` draws a seeded
 two-player game, and the ``hypothesis`` strategies draw random catalog
 games.
 """
@@ -54,7 +57,7 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
-from perception_games.experiments import MarginReport, _dirac_marginal_penalty
+from perception_games.experiments import MarginReport, _dirac_marginal_penalty, default_majority_family
 from perception_games.kernels import (
     _CHUNK_BUDGET,
     _LEAF,
@@ -730,6 +733,17 @@ def reference_screen(pack, grid_pts, limit):
 # --- the separation margin, two Dirac penalties per row ---------------
 
 
+def reference_posterior(prior, column):
+    """``posterior`` as its own loop: the mass summed in type order from
+    0.0, then ``prior * column / q``, or None when ``q`` is not above 0."""
+    q = 0.0
+    for t in range(prior.shape[0]):
+        q = q + prior[t] * column[t]
+    if not q > 0.0:
+        return None
+    return prior * column / q
+
+
 def reference_check_separation_margin(spec, tol: float = 0.0):
     spec.validate_structure()
     rows: list[tuple[str, str, str, float]] = []
@@ -781,6 +795,21 @@ def tabulate(game, resolution: int):
         utility=UtilityModel(kind="tabulated_grid", resolution=resolution, values=values),
         name=game.name + "-tab",
     )
+
+
+def majority_games(alphas):
+    """``default_majority_family`` at ``alphas`` as ``scan_alpha`` builds
+    it: the first game of each type structure (the inner alphas; each
+    endpoint, whose zero-mass types are dropped) is built afresh and is
+    the template of the others, each its ``_with_prior``."""
+    family = default_majority_family()
+    templates: dict = {}
+    games = []
+    for alpha in alphas:
+        game = family.game_for(alpha)
+        template = templates.setdefault(game.types.labels, game)
+        games.append(game if template is game else template._with_prior(game.prior, game.name))
+    return games
 
 
 def with_player(game, i: int, **changes):

@@ -633,8 +633,8 @@ def _count_packs(monkeypatch) -> list:
 
 class TestBatchedScan:
     """The scan's mixed searches share their cell screens: the 19 inner
-    alphas, which differ in the prior only, are bounded together, and
-    each endpoint on its own."""
+    alphas, derived from one template by their prior alone, are bounded
+    together, and each endpoint on its own."""
 
     def test_cell_bound_calls(self, monkeypatch):
         cells = []
@@ -666,6 +666,24 @@ class TestBatchedScan:
         rep = scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
         assert [r.mixed_survivors for r in rep.rows] == [5] + [3] * 10 + [1] * 10
         assert len(calls) <= 6
+
+    def test_groups_by_template(self, monkeypatch):
+        """The kernel groups the games by template, as ``scan_alpha``
+        derives them: one screen pass for the 19 inner alphas and one for
+        each endpoint, then as many sweep streams for the kept cells and
+        as many for the pure profiles."""
+        sizes = {"_screen": [], "_reduce": []}
+        for name, seen in sizes.items():
+            real = getattr(kernels, name)
+
+            def spy(packs, *args, _real=real, _seen=seen):
+                _seen.append(len(packs))
+                return _real(packs, *args)
+
+            monkeypatch.setattr(kernels, name, spy)
+        rep = scan_alpha(default_majority_family(), MAJORITY_ALPHAS, mixed_step=0.05)
+        assert [r.mixed_survivors for r in rep.rows] == [5] + [3] * 10 + [1] * 10
+        assert sizes == {"_screen": [1, 19, 1], "_reduce": [1, 19, 1, 1, 19, 1]}
 
     def test_packs_each_game_once(self, monkeypatch):
         """The pure enumerations and the mixed searches read the same
@@ -882,6 +900,20 @@ class TestCounterexampleCheck:
         packed = _count_packs(monkeypatch)
         rep = counterexample_check(counterexample_lsc(), strategy_step=0.25)
         assert len(packed) == 1 and rep.sweep.total == 25
+
+    def test_epsilons_read_once(self):
+        """A generator of epsilons, which its first read uses up, gives the
+        report that a tuple and an array give (it gave empty ones)."""
+
+        def report(epsilons):
+            rep = counterexample_check(counterexample_lsc(), strategy_step=0.25, epsilons=epsilons)
+            witness = {eps: None if w is None else w.sigma.tobytes() for eps, w in rep.eps_witness.items()}
+            return rep.eps_equilibrium_found, witness
+
+        want = report((0.3, 0.01))
+        assert want[0] == {0.3: True, 0.01: False} and want[1][0.3] is not None
+        assert report(eps for eps in (0.3, 0.01)) == want
+        assert report(np.array([0.3, 0.01])) == want
 
     def test_tight_eps_not_reached_on_coarse_grid(self):
         rep = counterexample_check(

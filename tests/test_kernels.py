@@ -24,6 +24,7 @@ from helpers import (
     reference_cell_lower_bound,
     reference_free_rows,
     reference_profile_report,
+    majority_games,
     reference_screen,
     tabulate,
     tree_boxes,
@@ -554,7 +555,7 @@ class TestCodeSources:
     @pytest.mark.parametrize("width", [1, 7, 300])
     def test_cells_in_cell_order(self, width):
         pts = SimplexGrid(2, 20).points()
-        kept, _ = kernels.screen_profiles(pack_game(blog()), pts, 0.05)
+        kept, _ = kernels.screen_profiles([pack_game(blog())], pts, 0.05)[0]
         chunks = list(kept.chunks(width))
         assert all(0 < chunk.size <= width for chunk in chunks)
         codes = np.concatenate(chunks)
@@ -571,7 +572,7 @@ class TestCodeSources:
         game = blog()
         pack = pack_game(game)
         pts = SimplexGrid(2, 20).points()
-        kept, _ = kernels.screen_profiles(pack, pts, np.inf)
+        kept, _ = kernels.screen_profiles([pack], pts, np.inf)[0]
         codes = np.asarray(kept)
         full = sweep_profile_gains(pack, pts, codes)
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", chunk * game.m)
@@ -580,7 +581,7 @@ class TestCodeSources:
         assert order.index(440) < order.index(420) < order.index(0)
         for cells in (kept, reversed_cells):
             for tol in TOLS:
-                least, code, within = kernels.reduce_profile_gains(pack, pts, cells, tol)
+                least, code, within = kernels.reduce_profile_gains([pack], pts, [cells], tol)[0]
                 assert (least.hex(), code, within.tolist()) == _full_reduction(codes, full, tol), tol
 
     def test_cells_without_the_cells_of_a_lower_screen(self):
@@ -588,8 +589,8 @@ class TestCodeSources:
         ``without`` leaves the codes only the higher one keeps."""
         pack = pack_game(counterexample_lsc())
         pts = SimplexGrid(2, 100).points()
-        low, _ = kernels.screen_profiles(pack, pts, 1e-9)
-        high, _ = kernels.screen_profiles(pack, pts, 0.6)
+        low, _ = kernels.screen_profiles([pack], pts, 1e-9)[0]
+        high, _ = kernels.screen_profiles([pack], pts, 0.6)[0]
         more = high.without(low)
         assert 0 < low.size < high.size < pts.shape[0] ** 2
         assert more.size == high.size - low.size
@@ -922,7 +923,7 @@ class TestScreenProfiles:
         pack = pack_game(game)
         pts, idx = _all_profiles(game, resolution)
         gains = sweep_profile_gains(pack, pts, idx)
-        codes, seed = kernels.screen_profiles(pack, pts, limit)
+        codes, seed = kernels.screen_profiles([pack], pts, limit)[0]
         assert np.all(np.diff(codes) > 0)
         assert set(idx[gains <= limit].tolist()) <= set(codes.tolist())
         assert (seed == -1) == (codes.size == idx.size)
@@ -931,7 +932,7 @@ class TestScreenProfiles:
     def test_nothing_pruned(self):
         game = blog()
         pts, idx = _all_profiles(game, 20)
-        codes, seed = kernels.screen_profiles(pack_game(game), pts, np.inf)
+        codes, seed = kernels.screen_profiles([pack_game(game)], pts, np.inf)[0]
         np.testing.assert_array_equal(codes, idx)
         assert seed == -1
 
@@ -942,7 +943,7 @@ class TestScreenProfiles:
         with pytest.raises(ValueError, match="^cell bounds need an additive game's pack$"):
             kernels.cell_lower_bound(pack, box)
         with pytest.raises(ValueError, match="^cell bounds need an additive game's pack$"):
-            kernels.screen_profiles(pack, pts, 0.1)
+            kernels.screen_profiles([pack], pts, 0.1)
 
 
 SCREEN_LIMITS = (1e-9, 0.05, 0.3, -1.0)
@@ -964,7 +965,7 @@ def _assert_screen_is_reference(game, resolution, limits=SCREEN_LIMITS):
     pack = pack_game(game)
     pts = SimplexGrid(game.m, resolution).points()
     for limit in limits:
-        codes, seed = kernels.screen_profiles(pack, pts, limit)
+        codes, seed = kernels.screen_profiles([pack], pts, limit)[0]
         want_codes, want_seed = reference_screen(pack, pts, limit)
         assert seed == want_seed, limit
         assert codes.tobytes() == want_codes.tobytes(), limit
@@ -1009,7 +1010,7 @@ ROOT_LIMITS = (0.0, np.nan)
 
 
 def _bounds_root(monkeypatch, pack, pts, limit) -> bool:
-    """Does ``screen_profiles(pack, pts, limit)`` bound the root cell?"""
+    """Does ``screen_profiles([pack], pts, limit)`` bound the root cell?"""
     bounded = []
     real = kernels.cell_lower_bound
     root = kernels.grid_tree(pts).box[:, None, :, 0, None]  # (2, 1, m, 1)
@@ -1019,7 +1020,7 @@ def _bounds_root(monkeypatch, pack, pts, limit) -> bool:
         return real(pack, box)
 
     monkeypatch.setattr(kernels, "cell_lower_bound", spy)
-    kernels.screen_profiles(pack, pts, limit)
+    kernels.screen_profiles([pack], pts, limit)
     monkeypatch.undo()
     return any(bounded)
 
@@ -1085,41 +1086,44 @@ class TestRootSkip:
         pack = pack_game(game)
         assert _bounds_root(monkeypatch, pack, pts, 0.0)
         for limit in SCREEN_LIMITS + ROOT_LIMITS:
-            codes, seed = kernels.screen_profiles(pack, pts, limit)
+            codes, seed = kernels.screen_profiles([pack], pts, limit)[0]
             want_codes, want_seed = reference_screen(pack, pts, limit)
             assert seed == want_seed, limit
             assert codes.tobytes() == want_codes.tobytes(), limit
 
 
 def _with_priors(game, priors) -> list[PerceptionGame]:
-    """``game`` at each of ``priors``: a family that differs in the prior only."""
-    um = game.utility
-    return [_game(np.asarray(p, dtype=np.float64), um.v, um.penalties) for p in priors]
+    """``game`` at each of ``priors``, each its ``_with_prior``: one
+    template's family."""
+    return [game._with_prior(np.asarray(p, dtype=np.float64), game.name) for p in priors]
 
 
-def _screen_groups(packs) -> list[list[int]]:
-    """The packs' indices grouped by ``GamePack.screen_key``, by first member."""
-    groups: dict[tuple, list[int]] = {}
-    for i, pack in enumerate(packs):
-        groups.setdefault(pack.screen_key, []).append(i)
+def _template_groups(games) -> list[list[int]]:
+    """The games' indices by template, by first member: a game derived
+    through ``_with_prior`` goes with its ``_base``, and every other game
+    (a template, a ``tv_to_prior`` game) is a template of its own."""
+    groups: dict[int, list[int]] = {}
+    for i, game in enumerate(games):
+        groups.setdefault(id(game._base or game), []).append(i)
     return list(groups.values())
 
 
 def _assert_batched_screen(games, resolution, limits=SCREEN_LIMITS + ROOT_LIMITS) -> list[list[int]]:
-    """Each group of ``games`` screened in one call keeps, per game, the
-    cells (in their order, which is the ``CellCodes`` chunk order) and
-    the seed of ``screen_profiles`` on that game alone, and the codes
-    and the seed of ``helpers.reference_screen``; the groups are
-    returned."""
+    """Each template group of ``games``, which are the kernel's own
+    groups, screened in one call keeps, per game, the cells (in their
+    order, which is the ``CellCodes`` chunk order) and the seed of
+    ``screen_profiles`` on that game alone, and the codes and the seed
+    of ``helpers.reference_screen``; the groups are returned."""
     pts = SimplexGrid(games[0].m, resolution).points()
     packs = [pack_game(g) for g in games]
-    groups = _screen_groups(packs)
+    groups = _template_groups(games)
+    assert kernels._groups(packs) == groups
     for limit in limits:
         for members in groups:
             batched = kernels.screen_profiles([packs[i] for i in members], pts, limit)
             assert len(batched) == len(members)
             for i, (kept, seed) in zip(members, batched):
-                alone, alone_seed = kernels.screen_profiles(packs[i], pts, limit)
+                alone, alone_seed = kernels.screen_profiles([packs[i]], pts, limit)[0]
                 want, want_seed = reference_screen(packs[i], pts, limit)
                 assert seed == alone_seed == want_seed, (limit, i)
                 np.testing.assert_array_equal(kept.cells, alone.cells)
@@ -1128,18 +1132,22 @@ def _assert_batched_screen(games, resolution, limits=SCREEN_LIMITS + ROOT_LIMITS
 
 
 def _mixed_two_action_games() -> tuple[list[PerceptionGame], list[str]]:
-    """Two-action games of several ``GamePack.screen_key`` groups, in a
-    shuffled order, each with its group's name: a ``tv_to_prior`` game
-    twice at one prior ("tv") and once at another ("tv flat"), the
-    majority family at three alphas ("majority") and at one more
-    ("table"), ``blog``, ``counterexample_lsc`` and a tabulated game."""
+    """Two-action games of several templates, in a shuffled order, each
+    with its template's name: a ``tv_to_prior`` game derived twice at one
+    prior ("tv", "tv twin") and once at another ("tv flat"), each its own
+    template; the majority family derived at three alphas ("majority")
+    and at one more ("table"), and built afresh at one of those
+    ("fresh"); ``blog``, ``counterexample_lsc`` and a tabulated game."""
     tv = tied_prior_tv_game()
     family = default_majority_family()
+    template = family.game_for(0.5)
     named = {
-        "tv": _with_priors(tv, [tv.prior.p, tv.prior.p]),
+        "tv": _with_priors(tv, [tv.prior.p]),
+        "tv twin": _with_priors(tv, [tv.prior.p]),
         "tv flat": _with_priors(tv, [[0.25] * 4]),
-        "majority": [family.game_for(a) for a in (0.3, 0.5, 0.7)],
-        "table": [family.game_for(0.4)],
+        "majority": _with_priors(template, [family.game_for(a).prior.p for a in (0.3, 0.5, 0.7)]),
+        "table": _with_priors(template, [family.game_for(0.4).prior.p]),
+        "fresh": [family.game_for(0.3)],
         "blog": [blog()],
         "lsc": [counterexample_lsc()],
         "tabulated": [tabulate(blog(), 8)],
@@ -1183,15 +1191,15 @@ def _exposure_eight_type_game() -> PerceptionGame:
 
 
 class TestBatchedScreen:
-    """A list of packs that differ in the prior only is screened in one
-    pass, each game keeping what its own screen keeps, in the same order
-    and with the same seed."""
+    """The packs of a template and of the games derived from it are
+    screened in one pass, each game keeping what its own screen keeps, in
+    the same order and with the same seed."""
 
     def test_majority_alphas(self):
-        """The 19 inner alphas share one screen; the endpoints, whose
-        zero-mass types are dropped, have two types and a screen each."""
-        family = default_majority_family()
-        games = [family.game_for(round(0.05 * i, 10)) for i in range(21)]
+        """The 19 inner alphas, derived as ``scan_alpha`` derives them,
+        share one screen; the endpoints, whose zero-mass types are
+        dropped, have two types and a screen each."""
+        games = majority_games([round(0.05 * i, 10) for i in range(21)])
         groups = _assert_batched_screen(games, 20, (1e-9, 0.0, -1.0))
         assert groups == [[0], list(range(1, 20)), [20]]
 
@@ -1204,7 +1212,7 @@ class TestBatchedScreen:
     def test_catalog_families(self, game, counts, data):
         """Priors drawn with zero-mass types; a family without a
         ``tv_to_prior`` penalty is one group, one with it a group per
-        distinct prior."""
+        game."""
         priors = [np.array(c[: game.n], dtype=np.float64) for c in counts if any(c[: game.n])]
         if len(priors) < 2:
             priors = [np.ones(game.n), np.eye(game.n)[0]]
@@ -1215,8 +1223,7 @@ class TestBatchedScreen:
         if all(pen.kind != "tv_to_prior" for pen in game.utility.penalties):
             assert groups == [list(range(len(games)))]
         else:
-            distinct = {p.tobytes(): None for p in priors}
-            assert len(groups) == len(distinct)
+            assert groups == [[i] for i in range(len(games))]
 
     def test_zero_prior_family(self):
         game = _game([0.5, 0.5, 0.0], zero_prior_game().utility.v, [
@@ -1238,15 +1245,15 @@ class TestBatchedScreen:
         assert _assert_batched_screen(_with_priors(game, priors), resolution, limits) == [[0, 1]]
 
     def test_tv_to_prior_family_does_not_share_a_screen(self, monkeypatch):
-        """A ``tv_to_prior`` penalty is anchored at the prior, so games of
-        different priors are screened apart; the same prior twice shares
-        one screen. A list that mixes such games with games of other
-        ``GamePack.screen_key`` groups, in shuffled order, is grouped by
-        the screen itself: one pass per group, and each entry is that
-        game's own screen, bit for bit."""
+        """A ``tv_to_prior`` penalty is anchored at the prior, so
+        ``_with_prior`` derives no game from such a game and each is
+        screened alone, even at the same prior twice. A list that mixes
+        such games with the games of other templates, in shuffled order,
+        is grouped by the screen itself: one pass per group, and each
+        entry is that game's own screen, bit for bit."""
         game = tied_prior_tv_game()
         games = _with_priors(game, [game.prior.p, [0.25] * 4, game.prior.p])
-        assert _assert_batched_screen(games, 4) == [[0, 2], [1]]
+        assert _assert_batched_screen(games, 4) == [[0], [1], [2]]
         games, keys = _mixed_two_action_games()
         games, keys = zip(*[(g, k) for g, k in zip(games, keys) if k != "tabulated"])
         keys = ["majority" if k == "table" else k for k in keys]
@@ -1258,7 +1265,7 @@ class TestBatchedScreen:
             batched = kernels.screen_profiles(packs, pts, limit)
             assert sorted(passes) == _key_groups(keys)
             for pack, (kept, seed) in zip(packs, batched):
-                alone, alone_seed = kernels.screen_profiles(pack, pts, limit)
+                alone, alone_seed = kernels.screen_profiles([pack], pts, limit)[0]
                 assert seed == alone_seed, limit
                 assert kept.cells.tobytes() == alone.cells.tobytes(), limit
         assert kernels.screen_profiles([], pts, 0.05) == []
@@ -1436,7 +1443,7 @@ class TestReduceProfileGains:
         full = sweep_profile_gains(pack, pts, idx)
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", chunk * game.m)
         for tol in TOLS:
-            least, code, within = kernels.reduce_profile_gains(pack, pts, idx, tol)
+            least, code, within = kernels.reduce_profile_gains([pack], pts, [idx], tol)[0]
             assert (least.hex(), code, within.tolist()) == _full_reduction(idx, full, tol), tol
         return full
 
@@ -1499,14 +1506,14 @@ class TestReduceProfileGains:
 
     def test_empty(self):
         pack = pack_game(blog())
-        least, code, within = kernels.reduce_profile_gains(pack, np.eye(2), np.empty(0, np.int64), 0.0)
+        least, code, within = kernels.reduce_profile_gains([pack], np.eye(2), [np.empty(0, np.int64)], 0.0)[0]
         assert (least, code, within.size) == (np.inf, -1, 0)
 
     def test_nan_tol_keeps_nothing_and_limits_nothing(self, monkeypatch):
         game = polyline_knots_game()
         pts, idx = _all_profiles(game, 4)
         full = self._check(monkeypatch, game, pts, idx)
-        least, code, within = kernels.reduce_profile_gains(pack_game(game), pts, idx, np.nan)
+        least, code, within = kernels.reduce_profile_gains([pack_game(game)], pts, [idx], np.nan)[0]
         assert (least.hex(), code, within.tolist()) == _full_reduction(idx, full, np.nan)
 
     def test_limit_is_the_running_least(self, monkeypatch):
@@ -1526,7 +1533,7 @@ class TestReduceProfileGains:
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 50 * game.m)
         full = sweep_profile_gains(pack, pts, idx)
         limits.clear()
-        kernels.reduce_profile_gains(pack, pts, idx, 1e-9)
+        kernels.reduce_profile_gains([pack], pts, [idx], 1e-9)
         running = np.minimum.accumulate(full)[49:-1:50]
         assert limits == [np.inf] + np.maximum(1e-9, running).tolist()
 
@@ -1538,18 +1545,19 @@ def _bits(found) -> tuple:
 
 
 class TestBatchedSweep:
-    """A list of packs that differ in the prior only is swept in one
-    stream of chunks shared across games, and each game gets the triple
-    of its own call, bit for bit."""
+    """The packs of a template and of the games derived from it are swept
+    in one stream of chunks shared across games, and each game gets the
+    triple of its own call, bit for bit."""
 
     @staticmethod
     def _assert_batched(games, pts, sources, tols=TOLS) -> list[list[int]]:
-        """Each ``GamePack.screen_key`` group of ``games`` swept in one call, over
-        ``sources(i)`` (a fresh source of game ``i``'s codes), gives each
-        game the triple of ``reduce_profile_gains`` on its own; the groups
-        are returned."""
+        """Each template group of ``games``, which are the kernel's own
+        groups, swept in one call, over ``sources(i)`` (a fresh source of
+        game ``i``'s codes), gives each game the triple of
+        ``reduce_profile_gains`` on its own; the groups are returned."""
         packs = [pack_game(g) for g in games]
-        groups = _screen_groups(packs)
+        groups = _template_groups(games)
+        assert kernels._groups(packs) == groups
         for tol in tols:
             for members in groups:
                 batched = kernels.reduce_profile_gains(
@@ -1557,7 +1565,7 @@ class TestBatchedSweep:
                 )
                 assert len(batched) == len(members)
                 for i, found in zip(members, batched):
-                    alone = kernels.reduce_profile_gains(packs[i], pts, sources(i), tol)
+                    alone = kernels.reduce_profile_gains([packs[i]], pts, [sources(i)], tol)[0]
                     assert _bits(found) == _bits(alone), (tol, i)
         return groups
 
@@ -1602,7 +1610,7 @@ class TestBatchedSweep:
             pts = SimplexGrid(game.m, data.draw(st.integers(1, _max_resolution(game, 1_500)))).points()
         total = pts.shape[0] ** game.n
         limit = data.draw(st.sampled_from(SCREEN_LIMITS))
-        cells = [kernels.screen_profiles(pack_game(g), pts, limit)[0] for g in games]
+        cells = [kernels.screen_profiles([pack_game(g)], pts, limit)[0][0] for g in games]
         starts = [data.draw(st.integers(0, total)) for _ in games]
         ranges = [(a, min(total, a + data.draw(st.integers(0, 80)))) for a in starts]
 
@@ -1629,10 +1637,10 @@ class TestBatchedSweep:
         with its game's prior, under one limit, gives every entry of each
         game's own call with that limit, bit for bit (partial gains too: a
         profile leaves after the same type either way). The games are
-        those of the first ``GamePack.screen_key`` group."""
+        those of the first template group."""
         priors = [np.array(c[: game.n], dtype=np.float64) for c in counts if any(c[: game.n])]
-        packs = [pack_game(g) for g in _with_priors(game, [p / p.sum() for p in priors or [np.ones(game.n)]])]
-        packs = [packs[i] for i in _screen_groups(packs)[0]]
+        games = _with_priors(game, [p / p.sum() for p in priors or [np.ones(game.n)]])
+        packs = [pack_game(games[i]) for i in _template_groups(games)[0]]
         pts = np.eye(game.m) if resolution == 0 else SimplexGrid(game.m, resolution).points()
         idx = _sample(pts.shape[0] ** game.n, 200, resolution)
         owner = np.array(data.draw(st.lists(st.integers(0, len(packs) - 1), min_size=idx.size, max_size=idx.size)))
@@ -1653,10 +1661,9 @@ class TestBatchedSweep:
         """The 19 inner alphas' kept cells, in chunks of 300 profiles, and
         their 16 pure profiles each, in chunks of 50: many chunks span
         games."""
-        family = default_majority_family()
-        games = [family.game_for(round(0.05 * i, 10)) for i in range(21)]
+        games = majority_games([round(0.05 * i, 10) for i in range(21)])
         pts = SimplexGrid(2, 20).points()
-        cells = [kernels.screen_profiles(pack_game(g), pts, 1e-9)[0] for g in games]
+        cells = [kernels.screen_profiles([pack_game(g)], pts, 1e-9)[0][0] for g in games]
         spans = self._spanning_calls(monkeypatch)
         monkeypatch.setattr(kernels, "_CHUNK_BUDGET", 300 * 2)
         groups = self._assert_batched(games, pts, cells.__getitem__)
@@ -1707,19 +1714,21 @@ class TestBatchedSweep:
         assert not spans
 
     def test_groups_any_packs_and_rejects_unpaired_sources(self, monkeypatch):
-        """A list that mixes ``GamePack.screen_key`` groups, a tabulated
-        game, a game whose own sweep takes the column table (2,600 draws
-        against its 4 * 5**4 table cells) and ``tv_to_prior`` games at
-        two priors, in shuffled order, is grouped by the kernel itself:
-        each group is one stream, the tabulated and the table game each
-        stream alone, and each entry is that game's own call, bit for
-        bit. The ``tv_to_prior`` games sweep ranges, which their stream
-        copies into one buffer; the others their screens' kept cells."""
+        """A list that mixes several templates' games, a tabulated game, a
+        game whose own sweep takes the column table (2,600 draws against
+        its 4 * 5**4 table cells) and ``tv_to_prior`` games at two
+        priors, in shuffled order, is grouped by the kernel itself: each
+        group is one stream, the tabulated, the table and each
+        ``tv_to_prior`` game stream alone, and each entry is that game's
+        own call, bit for bit. The majority and ``tv_to_prior`` games
+        sweep ranges, which the majority games' shared stream copies into
+        one buffer, so that its chunks span games; the others sweep their
+        screens' kept cells."""
         games, keys = _mixed_two_action_games()
         pts = SimplexGrid(2, 4).points()
         packs = [pack_game(g) for g in games]
         kept = [
-            None if key == "tabulated" else kernels.screen_profiles(pack, pts, 0.05)[0]
+            None if key == "tabulated" else kernels.screen_profiles([pack], pts, 0.05)[0][0]
             for pack, key in zip(packs, keys)
         ]
 
@@ -1727,7 +1736,7 @@ class TestBatchedSweep:
             total = pts.shape[0] ** games[i].n
             if keys[i] == "table":
                 return kernels.CodeDraws(np.random.default_rng(i), total, 2_600)
-            if keys[i] in ("tabulated", "tv", "tv flat"):
+            if keys[i] in ("tabulated", "tv", "tv twin", "tv flat", "majority"):
                 return kernels.CodeRange(0, total)
             return kept[i]
 
@@ -1739,9 +1748,49 @@ class TestBatchedSweep:
             batched = kernels.reduce_profile_gains(packs, pts, [sources(i) for i in range(len(packs))], tol)
             assert sorted(streams) == _key_groups(keys)
             for i, found in enumerate(batched):
-                alone = kernels.reduce_profile_gains(packs[i], pts, sources(i), tol)
+                alone = kernels.reduce_profile_gains([packs[i]], pts, [sources(i)], tol)[0]
                 assert _bits(found) == _bits(alone), (tol, keys[i])
         assert spans
         with pytest.raises(ValueError, match="one code source per pack"):
             kernels.reduce_profile_gains(packs[:1], pts, [], 0.0)
         assert kernels.reduce_profile_gains([], pts, [], 0.0) == []
+
+
+class TestGroups:
+    """``kernels._groups`` puts packs in one group exactly when they are
+    one pack up to the prior: a template's, those of the games
+    ``PerceptionGame._with_prior`` derived from it, and any ``replace(pack,
+    prior=...)`` of them. Games built apart never share, whatever their
+    fields."""
+
+    def test_a_template_and_its_derived_games(self):
+        family = default_majority_family()
+        template = family.game_for(0.5)
+        derived = template._with_prior(family.game_for(0.25).prior, "d")
+        again = derived._with_prior(family.game_for(0.75).prior, "e")
+        pack, mine = pack_game(template), pack_game(again)
+        batch = replace(pack, prior=np.stack([pack.prior, mine.prior], axis=1)[:, None])
+        packs = [mine, pack, batch, pack_game(derived)]
+        assert kernels._groups(packs) == [[0, 1, 2, 3]]
+        # a table sweep is alone
+        assert kernels._groups(packs, alone=[False, True, False, False]) == [[0, 2, 3], [1]]
+
+    def test_games_built_apart_are_alone(self):
+        """A second ``game_for`` at the same alpha, ``replace(game,
+        prior=...)``, a tabulated game and the game derived from it, and a
+        ``tv_to_prior`` game and its ``_with_prior`` at its own prior are
+        each a group of their own."""
+        family = default_majority_family()
+        game = family.game_for(0.5)
+        tab, tv = tabulate(blog(), 4), tied_prior_tv_game()
+        games = [
+            game,
+            family.game_for(0.5),
+            replace(game, prior=family.game_for(0.25).prior),
+            tab,
+            tab._with_prior(tab.prior, tab.name),
+            tv,
+            tv._with_prior(tv.prior, tv.name),
+        ]
+        assert games[4]._base is tab and games[6]._base is None
+        assert kernels._groups([pack_game(g) for g in games]) == [[i] for i in range(len(games))]

@@ -22,7 +22,10 @@ from perception_games.simplex import (
 from perception_games.single import PerceptionMap, Strategy, is_consistent
 from perception_games.two_player import TwoPlayerPerceptions, TwoPlayerStrategy, is_consistent_2p
 
-from helpers import dyadic_rows
+from helpers import dyadic_rows, reference_posterior
+
+
+_TENTHS = st.sampled_from((0.0, 0.0, 1.0)) | st.integers(0, 10).map(lambda k: k / 10.0)
 
 
 class TestBelief:
@@ -197,6 +200,20 @@ class TestPosterior:
     def test_zero_mass_is_off_path(self, prior, column):
         assert posterior(np.array(prior), np.array(column)) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_is_the_type_order_loop(self, data):
+        """The one-column case of ``_posteriors`` gives the bits of the
+        loop it replaced (``helpers.reference_posterior``): dyadic priors
+        with zero entries, or [0.1, 0.2, 0.7], whose sums depend on their
+        order, and columns in tenths."""
+        prior = data.draw(st.just(np.array([0.1, 0.2, 0.7])) | dyadic_rows(data.draw(st.integers(1, 5))))
+        column = np.array(data.draw(st.lists(_TENTHS, min_size=prior.size, max_size=prior.size)))
+        got, want = posterior(prior, column), reference_posterior(prior, column)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
 
 class TestBatchedPosteriors:
     """``_posteriors`` is ``posterior`` on every column of a batch."""
@@ -286,6 +303,23 @@ class TestConsistencyErrors:
         errors = consistency_errors(prior, sigma, tau, 1e-9)
         assert [(t, a) for t, a, _ in errors] == [(0, 0), (1, 0), (0, 1), (1, 1)]
         assert [err for _, _, err in errors] == [0.75, 0.75, 0.25, 0.25]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_is_the_per_action_loop(self, data):
+        """Every action's posterior taken at once gives the errors of one
+        ``reference_posterior`` per action, in action-major order."""
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        prior = data.draw(dyadic_rows(n))
+        sigma = np.reshape(data.draw(st.lists(_TENTHS, min_size=n * m, max_size=n * m)), (n, m))
+        tau = np.stack([[data.draw(dyadic_rows(n)) for _ in range(m)] for _ in range(n)])
+        want = []
+        for a in range(m):
+            post = reference_posterior(prior, sigma[:, a])
+            if post is not None:
+                want += [(t, a, tv_distance(tau[t, a], post)) for t in range(n)]
+        tol = data.draw(st.sampled_from((0.0, 0.1, 0.5)))
+        assert consistency_errors(prior, sigma, tau, tol) == [w for w in want if w[2] > tol]
 
     def test_single_player_labels_keep_the_order(self):
         game = blog()
