@@ -16,6 +16,7 @@ equilibrium and compares against the analytic sufficiency bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -404,7 +405,8 @@ def scan_alpha(
     and its derived games share one cell screen, each keeping the cells
     of its own search, and the kernel sweeps them together, a few calls
     for all the pure profiles and a few for all the kept cells, each game
-    keeping its own results."""
+    keeping its own results. Their pure equilibria are confirmed
+    together too: one oracle stack per template group."""
     _check_tol(tol)
     _check_seed(seed)
     if mixed_step is not None:
@@ -571,8 +573,13 @@ def counterexample_check(
     _check_tol(tol)
     _check_seed(seed)
     _step_resolution(strategy_step)
-    # read once: a generator is used up by its first read
+    # read once: a generator is used up by its first read; a bool is no
+    # epsilon, as it is no seed
     epsilons = list(epsilons)
+    odd = [eps for eps in epsilons if isinstance(eps, bool) or not isinstance(eps, Real)]
+    if odd:
+        raise ValueError(f"epsilons must be real numbers, got {odd!r}")
+    epsilons = [float(eps) for eps in epsilons]
     # the rule of ``pgame --eps``; NaN fails the comparison too
     bad = [eps for eps in epsilons if not 0.0 <= eps < np.inf]
     if bad:
@@ -591,8 +598,8 @@ def counterexample_check(
         # min_max_gain is the kernel's gain, equal bitwise to
         # profile_report(...).max_gain, so this test is exact
         hit = sweep.min_max_gain <= eps
-        found[float(eps)] = bool(hit)
-        witness[float(eps)] = sweep.argmin if hit else None
+        found[eps] = bool(hit)
+        witness[eps] = sweep.argmin if hit else None
     return NonexistenceReport(
         pure_min_gain=pure.least,
         pure_argmin=Strategy._built(game, decode_profiles(np.eye(game.m), pure.code, game.n)),

@@ -11,11 +11,12 @@ the off-path rows up to their caps, and reduces to the gains. The
 batch axis is vectorized; types and actions are accumulated in
 ascending order, the order of the one fold of the exact evaluators,
 ``single.payoff_and_gain``. The exact oracle ``single._profile_reports``
-reads its rows from ``_utility_rows`` too and folds a whole stack of
-profiles in one call, so the two agree bitwise, as the tests assert.
-So are its off-path witnesses: ``_pack`` reads each (type, action)'s
-``u_range`` once, its ends and the beliefs at them (``GamePack.argmin``,
-``argmax``), for the oracle and ``single.pooling_check`` alike.
+takes its rows from ``_oracle_rows``, which reads them from
+``_utility_rows`` too, and folds a whole stack of profiles in one call,
+so the two agree bitwise, as the tests assert. So are its off-path
+witnesses: ``_pack`` reads each (type, action)'s ``u_range`` once, its
+ends and the beliefs at them (``GamePack.argmin``, ``argmax``), for the
+oracle and ``single.pooling_check`` alike.
 
 The arrays are type-major, with the batch axis last and contiguous: a
 chunk of ``B`` profiles holds its base-``G`` digits as ``(n, B)``, its
@@ -101,7 +102,7 @@ screen prunes the cells bounded above the tolerance, splits the others
 level by level (``_split``) and returns the profiles of the small cells
 it keeps; ``single.search_mixed_equilibria`` sweeps those through the
 kernel, and the exact oracle confirms the survivors in one stack per
-sweep. At a limit of at least 0 the screen starts at the root's
+group. At a limit of at least 0 the screen starts at the root's
 children: every action has probability 0 at a vertex of the grid, so
 the root's bound is at most 0 and the root is never pruned. A level
 holds few cells, so a level costs numpy calls, not cells, and each step
@@ -135,8 +136,13 @@ is one call, with each profile's game's prior and the largest of its
 games' limits, and its gains are then reduced game by game; a chunk of
 one game is that game's own call. The column table depends on the
 prior, so a game whose own sweep takes it is swept alone, as is a
-tabulated game. A
-``majority-scan`` pass makes 6 kernel calls.
+tabulated game. A ``majority-scan`` pass makes 6 kernel calls.
+
+And their survivors are confirmed together: ``_oracle_rows`` takes every
+game's pack and stack of strategies and gives the oracle one stack per
+group, each row at its own game's prior, so there is one oracle stack
+per template group. A ``majority-scan`` pass hands the oracle 3 stacks,
+one per template, where it handed one per alpha.
 """
 
 from __future__ import annotations
@@ -422,6 +428,47 @@ def _raise_free_rows(
         free_lo = np.maximum(free_lo, lo[a])
     cap = np.maximum(m0, free_lo)
     return np.where(free, np.minimum(u_max[:, None], cap), rows)
+
+
+class _OracleStack(NamedTuple):
+    """One group's stack, as ``_oracle_rows`` builds it; see there."""
+
+    members: list[int]  # indices of the packs, in stack order
+    sigmas: np.ndarray  # (B, n, m)
+    on: np.ndarray  # (m, B)
+    posts: np.ndarray  # (n, m, B)
+    rows: np.ndarray  # (n, m, B)
+    free: np.ndarray  # (n, m, B)
+
+
+def _oracle_rows(packs: Sequence[GamePack], stacks: Sequence[np.ndarray]) -> list[_OracleStack]:
+    """What the exact oracle ``single._profile_reports`` folds, one stack
+    per group of ``packs`` (``_groups``): its members' ``stacks`` of
+    strategies ``(B_k, n, m)`` one after the other (``sigmas``), whether
+    each action is on path and the posteriors there, each profile at its
+    own game's prior (the batch convention, as in the sweep), the utility
+    rows (``_utility_rows``) with every off-path row pinned to the type's
+    ``u_min`` and the free rows, off path and played, raised by
+    ``_raise_free_rows`` once per type that has any, and where the rows are
+    free. Every step is elementwise along the stack, so each profile's
+    entries are those of its own game's one-profile stack, bit for bit."""
+    out = []
+    for group in _groups(packs):
+        pack = packs[group[0]]
+        sigmas = stacks[group[0]]
+        if len(group) > 1:
+            sigmas = np.concatenate([stacks[k] for k in group])
+            priors = np.stack([packs[k].prior for k in group], axis=1)[:, None]  # (n, 1, K)
+            owner = np.repeat(np.arange(len(group)), [len(stacks[k]) for k in group])
+            pack = replace(pack, prior=np.take(priors, owner, axis=2))
+        sig = sigmas.transpose(1, 2, 0)  # (n, m, B)
+        on, posts, rows = _utility_rows(sig, pack)
+        rows = np.where(on, rows, pack.u_min[:, :, None])
+        free = ~on & (sig > 0.0)
+        for t in np.flatnonzero(free.any(axis=(1, 2))):
+            rows[t] = _raise_free_rows(rows[t], sig[t], on, pack.u_max[t])
+        out.append(_OracleStack(group, sigmas, on, posts, rows, free))
+    return out
 
 
 class _Workspace:

@@ -29,8 +29,7 @@ from .kernels import (
     CodeDraws,
     CodeRange,
     GamePack,
-    _raise_free_rows,
-    _utility_rows,
+    _oracle_rows,
     decode_profiles,
     pack_game,
     reduce_profile_gains,
@@ -297,42 +296,49 @@ def profile_report(game: PerceptionGame, sigma: np.ndarray) -> EquilibriumReport
     ``sigma`` is checked first, and the checked rows (entries in
     ``[-SUM_TOL, 0)`` as 0.0) are evaluated and reported: the one-profile
     case of ``_profile_reports``."""
-    return _profile_reports(game, Strategy(game, sigma).sigma[None])[0]
+    return _profile_reports([game], [Strategy(game, sigma).sigma[None]])[0][0]
 
 
-def _profile_reports(game: PerceptionGame, sigmas: np.ndarray) -> list[EquilibriumReport]:
-    """``profile_report`` of each checked strategy of the stack ``sigmas``
-    ``(B, n, m)``, from one batched body: the pack's rows, one fill per
-    type with free rows and one fold, and each report's perceptions built
-    in its own turn, off path the pack's ``argmax`` at a free row, else its
-    ``argmin``. An empty stack returns ``[]`` before any work."""
-    if not len(sigmas):
-        return []
-    pack = pack_game(game)
-    sig = sigmas.transpose(1, 2, 0)  # (n, m, B)
-    on, posts, rows = _utility_rows(sig, pack)  # (m, B), (n, m, B), (n, m, B)
-    rows = np.where(on, rows, pack.u_min[:, :, None])
-    free = ~on & (sig > 0.0)
-    for t in np.flatnonzero(free.any(axis=(1, 2))):
-        rows[t] = _raise_free_rows(rows[t], sig[t], on, pack.u_max[t])
-    clamped = (free & (rows < pack.u_max[:, :, None])).any(axis=(0, 1))
-    payoffs, gains, _ = payoff_and_gain(sigmas, rows.transpose(2, 0, 1))
-    # each report's on, posteriors and free rows as (1, m, 1), (1, m, n) and (n, m, 1)
-    on, posts, free = on.T[:, None, :, None], posts.transpose(2, 1, 0)[:, None], free.transpose(2, 0, 1)[..., None]
-    return [
-        EquilibriumReport(
-            strategy=Strategy._built(game, sigma),
-            perceptions=PerceptionMap._built(
-                game, np.where(on[k], posts[k], np.where(free[k], pack.argmax, pack.argmin))
-            ),
-            payoffs=payoffs[k],
-            gains=gains[k],
-            max_gain=float(gains[k].max()),
-            label="mixed" if (pure := _pure_actions(sigma)) is None else classify_pure_profile(game, pure),
-            clamped=bool(clamped[k]),
-        )
-        for k, sigma in enumerate(sigmas)
-    ]
+def _profile_reports(
+    games: Sequence[PerceptionGame], stacks: Sequence[np.ndarray]
+) -> list[list[EquilibriumReport]]:
+    """``profile_report`` of each checked strategy of each game's stack
+    ``(B, n, m)`` of ``stacks``, as one list per game, from one batched
+    body: one oracle stack per kernel group, a template and the games
+    derived from it (``kernels._oracle_rows``, which gives each row at its
+    own game's prior its on-path posteriors and its rows, off path pinned
+    and free rows filled), one fold of each stack (``payoff_and_gain``),
+    and each report's perceptions built in its own turn, off path the
+    pack's ``argmax`` at a free row, else its ``argmin``. A game whose
+    stack is empty gets ``[]``, and is not touched."""
+    out: list[list[EquilibriumReport]] = [[] for _ in stacks]
+    live = [k for k, sigmas in enumerate(stacks) if len(sigmas)]
+    packs = [pack_game(games[k]) for k in live]
+    for members, sigmas, on, posts, rows, free in _oracle_rows(packs, [stacks[k] for k in live]):
+        pack = packs[members[0]]
+        clamped = (free & (rows < pack.u_max[:, :, None])).any(axis=(0, 1)).tolist()
+        payoffs, gains, _ = payoff_and_gain(sigmas, rows.transpose(2, 0, 1))
+        max_gains = gains.max(axis=1).tolist()
+        # each report's on, posteriors and free rows as (1, m, 1), (1, m, n) and (n, m, 1)
+        on, posts, free = on.T[:, None, :, None], posts.transpose(2, 1, 0)[:, None], free.transpose(2, 0, 1)[..., None]
+        # the stack's rows in order, each with its game's index
+        rows_of = [(live[i], sigma) for i in members for sigma in stacks[live[i]]]
+        for b, (k, sigma) in enumerate(rows_of):
+            game = games[k]
+            out[k].append(
+                EquilibriumReport(
+                    strategy=Strategy._built(game, sigma),
+                    perceptions=PerceptionMap._built(
+                        game, np.where(on[b], posts[b], np.where(free[b], pack.argmax, pack.argmin))
+                    ),
+                    payoffs=payoffs[b],
+                    gains=gains[b],
+                    max_gain=max_gains[b],
+                    label="mixed" if (pure := _pure_actions(sigma)) is None else classify_pure_profile(game, pure),
+                    clamped=clamped[b],
+                )
+            )
+    return out
 
 
 class _Swept(NamedTuple):
@@ -347,19 +353,45 @@ class _Swept(NamedTuple):
 
 
 def _rebuilt(
-    game: PerceptionGame,
-    pts: np.ndarray,
-    found: tuple[float, int, np.ndarray],
+    games: Sequence[PerceptionGame],
+    grids: dict[int, np.ndarray],
+    found: Sequence[tuple[float, int, np.ndarray]],
     tol: float,
     max_survivors: int | None = None,
-) -> _Swept:
-    """What a search keeps of the reduced sweep ``found`` over the grid
-    ``pts``: the exact reports of the first ``max_survivors`` codes within
-    ``tol`` (one oracle stack, or none), kept when they confirm it."""
-    least, code, within = found
-    kept = within[:max_survivors]
-    rebuilt = _profile_reports(game, decode_profiles(pts, kept, game.n)) if kept.size else []
-    return _Swept(least, code, within.size, [rep for rep in rebuilt if rep.max_gain <= tol])
+) -> list[_Swept]:
+    """What a search keeps of each game's reduced sweep ``found`` over its
+    grid ``grids[game.m]``: the exact reports of the first
+    ``max_survivors`` codes within ``tol``, kept when they confirm it.
+    Every game's kept codes are decoded in one call per grid and type
+    count (``_decoded``) and reported in one ``_profile_reports`` call,
+    one oracle stack per template group; a game that keeps no code is
+    neither decoded nor reported."""
+    stacks = _decoded(games, grids, [within[:max_survivors] for _, _, within in found])
+    return [
+        _Swept(least, code, within.size, [rep for rep in reports if rep.max_gain <= tol])
+        for (least, code, within), reports in zip(found, _profile_reports(games, stacks))
+    ]
+
+
+def _decoded(
+    games: Sequence[PerceptionGame], grids: dict[int, np.ndarray], codes: Sequence
+) -> list[np.ndarray]:
+    """Each game's profile ``codes`` (int64 arrays) as strategies on its
+    grid ``grids[game.m]``, ``(len, n, m)``: one ``decode_profiles`` call
+    per grid and type count, which is all a code's strategy depends on,
+    and none where no game has a code."""
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for k, game in enumerate(games):
+        shapes.setdefault((game.m, game.n), []).append(k)
+    out: list = [None] * len(games)
+    for (m, n), members in shapes.items():
+        sizes = [len(codes[k]) for k in members]
+        whole = np.empty((0, n, m))
+        if sum(sizes):
+            whole = decode_profiles(grids[m], np.concatenate([codes[k] for k in members]), n)
+        for k, stack in zip(members, np.split(whole, np.cumsum(sizes)[:-1])):
+            out[k] = stack
+    return out
 
 
 def enumerate_pure_equilibria(
@@ -385,17 +417,20 @@ def _pure_enumerations(
     ``enumerate_pure_equilibria``, with every argument checked before any
     work: one ``reduce_profile_gains`` call per action count on every
     game's pure profiles, which sweeps a template and the games derived
-    from it together, each game with its own results."""
+    from it together, each game with its own results, and one
+    ``_rebuilt`` of every game's equilibria: one oracle stack per
+    template group, one decode per grid and type count."""
     _check_tol(tol)
     sources = [_pure_codes(game, max_profiles) for game in games]
     packs = [pack_game(game) for game in games]
     found: list = [None] * len(games)
+    grids = {}
     for m, members in _by_actions(games).items():
-        pts = np.eye(m)
+        pts = grids[m] = np.eye(m)
         swept = reduce_profile_gains([packs[i] for i in members], pts, [sources[i] for i in members], tol)
         for i, triple in zip(members, swept):
-            found[i] = _rebuilt(games[i], pts, triple, tol)
-    return found
+            found[i] = triple
+    return _rebuilt(games, grids, found, tol)
 
 
 def _by_actions(games: Sequence[PerceptionGame]) -> dict[int, list[int]]:
@@ -535,9 +570,11 @@ def _mixed_searches(
     ``screen_profiles`` call screens the additive grids and one
     ``reduce_profile_gains`` call sweeps every source; the kernel shares
     both among a template and the games derived from it
-    (``PerceptionGame._with_prior``), each keeping its own results. The
-    survivors are rebuilt (``_rebuilt``), and a screened game that keeps
-    none gets a second screen of its own (``_screened_sweep``)."""
+    (``PerceptionGame._with_prior``), each keeping its own results. Every
+    game's survivors are rebuilt in one ``_rebuilt`` call, one oracle
+    stack per template group, and a screened game that keeps none gets a
+    second screen of its own (``_screened_sweep``). The argmins are
+    decoded once per grid and type count (``_decoded``)."""
     _check_tol(tol)
     max_profiles = _cap(max_profiles, "max_profiles")
     max_survivors = _cap(max_survivors, "max_survivors")
@@ -560,37 +597,42 @@ def _mixed_searches(
         if total > np.iinfo(np.int64).max:
             raise ValueError(f"profile grid of size {total} cannot be indexed")
     packs = [pack_game(game) for game in games]
-    results: list = [None] * len(games)
+    found: list = [None] * len(games)
+    evaluated = [0] * len(games)
+    screens: dict = {}
     for m, members in by_actions.items():
         pts = grids[m]
         whole = [i for i in members if totals[i] <= max_profiles and packs[i].values is None]
-        screens = dict(zip(whole, screen_profiles([packs[i] for i in whole], pts, tol)))
+        screens.update(zip(whole, screen_profiles([packs[i] for i in whole], pts, tol)))
         sources = [
             CodeDraws(np.random.default_rng(seed), totals[i], max_profiles) if totals[i] > max_profiles
             else screens[i][0] if i in screens
             else CodeRange(0, totals[i])
             for i in members
         ]
-        found = reduce_profile_gains([packs[i] for i in members], pts, sources, tol)
-        for i, source, triple in zip(members, sources, found):
-            game, total = games[i], totals[i]
-            swept, evaluated = _rebuilt(game, pts, triple, tol, max_survivors), source.size
-            if i in screens:
-                swept, evaluated = _screened_sweep(packs[i], pts, tol, screens[i], swept)
-            results[i] = MixedSearchResult(
-                step=step,
-                resolution=resolution,
-                total=total,
-                swept=min(total, max_profiles),
-                evaluated=evaluated,
-                subsampled=total > max_profiles,
-                min_max_gain=swept.least,
-                argmin=Strategy._built(game, decode_profiles(pts, swept.code, game.n)),
-                survivors=tuple(swept.survivors),
-                survivor_count=swept.count,
-                truncated=swept.count > max_survivors,
-            )
-    return results
+        swept = reduce_profile_gains([packs[i] for i in members], pts, sources, tol)
+        for i, source, triple in zip(members, sources, swept):
+            found[i], evaluated[i] = triple, source.size
+    swept = _rebuilt(games, grids, found, tol, max_survivors)
+    for i, screen in screens.items():
+        swept[i], evaluated[i] = _screened_sweep(packs[i], grids[games[i].m], tol, screen, swept[i])
+    argmins = _decoded(games, grids, [np.array([s.code], dtype=np.int64) for s in swept])
+    return [
+        MixedSearchResult(
+            step=step,
+            resolution=resolution,
+            total=total,
+            swept=min(total, max_profiles),
+            evaluated=count,
+            subsampled=total > max_profiles,
+            min_max_gain=s.least,
+            argmin=Strategy._built(game, argmin[0]),
+            survivors=tuple(s.survivors),
+            survivor_count=s.count,
+            truncated=s.count > max_survivors,
+        )
+        for game, total, count, s, argmin in zip(games, totals, evaluated, swept, argmins)
+    ]
 
 
 def _screened_sweep(

@@ -601,9 +601,9 @@ class TestCountOnlyScan:
         rows = []
         real = single._profile_reports
 
-        def counted(game, sigmas):
-            rows.append(len(sigmas))
-            return real(game, sigmas)
+        def counted(games, stacks):
+            rows.append(sum(len(sigmas) for sigmas in stacks))
+            return real(games, stacks)
 
         monkeypatch.setattr(single, "_profile_reports", counted)
         rep = scan_alpha(family, MAJORITY_ALPHAS, mixed_step=step)
@@ -872,6 +872,35 @@ class TestCounterexampleCheck:
             monkeypatch.setattr(experiments, name, unreachable)
         with pytest.raises(ValueError, match="epsilons must be finite and nonnegative"):
             counterexample_check(counterexample_usc(), strategy_step=0.25, epsilons=(bad, 0.1))
+
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            (np.array([np.nan, 0.1]), r"^epsilons must be finite and nonnegative, got \[nan\]$"),
+            (["x"], r"^epsilons must be real numbers, got \['x'\]$"),
+            ([True, 0.1], r"^epsilons must be real numbers, got \[True\]$"),
+            ([np.True_], r"^epsilons must be real numbers, got \[np\.True_\]$"),
+        ],
+    )
+    def test_epsilons_read_as_real_numbers_before_any_work(self, epsilons, message, monkeypatch):
+        """Each epsilon is read as a real number first: an array's NaN is
+        named as a float (it was ``np.float64(nan)``), a string is a
+        ``ValueError`` (it was a ``TypeError`` from the comparison), and
+        a bool is no epsilon (``True`` ran as 1.0), as it is no seed."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(single, "pack_game", fail)
+        for name in ("_pure_enumerations", "_mixed_searches"):
+            monkeypatch.setattr(experiments, name, fail)
+        with pytest.raises(ValueError, match=message):
+            counterexample_check(counterexample_lsc(), strategy_step=0.25, epsilons=epsilons)
+
+    def test_integer_epsilons_are_read_as_floats(self):
+        rep = counterexample_check(counterexample_lsc(), strategy_step=0.25, epsilons=[np.int64(1), 0])
+        assert list(rep.eps_equilibrium_found) == [1.0, 0.0]
+        assert all(type(eps) is float for eps in rep.eps_witness)
 
     def test_bad_step_rejected_before_any_work(self, monkeypatch):
         # the whole pure sweep ran before the search saw the step

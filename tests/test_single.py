@@ -928,15 +928,17 @@ class TestSweepMemory:
 
 
 def _count_rows(monkeypatch) -> list:
-    """The size of every stack handed to ``single._profile_reports``."""
+    """The size of every oracle stack, one per kernel group, that
+    ``single._profile_reports`` folds."""
     rows = []
-    real = single._profile_reports
+    real = single._oracle_rows
 
-    def counted(game, sigmas):
-        rows.append(len(sigmas))
-        return real(game, sigmas)
+    def counted(packs, stacks):
+        groups = real(packs, stacks)
+        rows.extend(len(group.sigmas) for group in groups)
+        return groups
 
-    monkeypatch.setattr(single, "_profile_reports", counted)
+    monkeypatch.setattr(single, "_oracle_rows", counted)
     return rows
 
 
@@ -1021,7 +1023,7 @@ class TestBatchedReports:
 
     @staticmethod
     def _assert_rows(game, sigmas) -> list:
-        reports = single._profile_reports(game, sigmas)
+        [reports] = single._profile_reports([game], [sigmas])
         assert len(reports) == len(sigmas)
         for rep, sigma in zip(reports, sigmas):
             _, tau, clamped, payoffs, gains = reference_profile_report(game, sigma)
@@ -1075,7 +1077,7 @@ class TestBatchedReports:
         assert {rep.clamped for rep in reports} == {True, False}
         on = np.einsum("t,btm->bm", game.prior.p, sigmas) > 0.0
         assert (on.any(axis=1) & ~on.all(axis=1)).any()
-        assert single._profile_reports(game, sigmas[:1])[0].gains.tobytes() == reports[0].gains.tobytes()
+        assert single._profile_reports([game], [sigmas[:1]])[0][0].gains.tobytes() == reports[0].gains.tobytes()
 
     def test_empty_stack_touches_nothing(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -1085,22 +1087,38 @@ class TestBatchedReports:
         for name in ("penalty", "u", "u_range"):
             monkeypatch.setattr(PerceptionGame, name, fail)
         monkeypatch.setattr(single, "pack_game", fail)
-        assert single._profile_reports(game, np.empty((0, game.n, game.m))) == []
+        assert single._profile_reports([game], [np.empty((0, game.n, game.m))]) == [[]]
 
 
 class TestOracleTraffic:
-    """``_rebuilt`` hands each sweep's kept profiles to the oracle in one
-    stack, and makes no call when it keeps none."""
+    """``_rebuilt`` hands every game's kept profiles to the oracle in one
+    stack per kernel group, decodes them once per grid and type count,
+    and makes no call when it keeps none."""
+
+    ALPHAS = [round(0.05 * i, 10) for i in range(21)]
 
     def test_warm_majority_pass(self, monkeypatch):
         family = default_majority_family()
-        alphas = [round(0.05 * i, 10) for i in range(21)]
-        scan_alpha(family, alphas, mixed_step=0.05)
+        scan_alpha(family, self.ALPHAS, mixed_step=0.05)
         rows = _count_rows(monkeypatch)
-        rep = scan_alpha(family, alphas, mixed_step=0.05)
-        # one stack per pure enumeration; the count-only mixed searches make none
-        assert len(rows) == 21 and 0 not in rows
+        rep = scan_alpha(family, self.ALPHAS, mixed_step=0.05)
+        # one stack per template (alpha 0, the inner alphas, alpha 1) for
+        # the pure enumerations; the count-only mixed searches make none
+        assert len(rows) == 3 and 0 not in rows
         assert sum(rows) == sum(r.n_equilibria for r in rep.rows) == 43
+
+    def test_warm_majority_pass_decodes(self, monkeypatch):
+        """The pure equilibria of the 2-type endpoints and of the 4-type
+        inner alphas take one decode each, and so do the mixed argmins:
+        the count-only searches decode no survivor."""
+        family = default_majority_family()
+        scan_alpha(family, self.ALPHAS, mixed_step=0.05)
+        calls = []
+        for module in (kernels, single):
+            real = module.decode_profiles
+            monkeypatch.setattr(module, "decode_profiles", lambda *args, real=real: calls.append(1) or real(*args))
+        scan_alpha(family, self.ALPHAS, mixed_step=0.05)
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("build", [blog, zero_prior_game, lambda: tabulate(zero_prior_game(), 4)])
     def test_packed_game_reads_no_range(self, build, monkeypatch):
@@ -1113,7 +1131,7 @@ class TestOracleTraffic:
         calls = []
         real = PerceptionGame.u_range
         monkeypatch.setattr(PerceptionGame, "u_range", lambda g, t, a: calls.append((t, a)) or real(g, t, a))
-        reports = single._profile_reports(game, kernels.decode_profiles(pts, idx, game.n))
+        [reports] = single._profile_reports([game], [kernels.decode_profiles(pts, idx, game.n)])
         assert len(reports) == idx.size and calls == []
 
     def test_count_only_search(self, monkeypatch):
@@ -1132,6 +1150,52 @@ class TestOracleTraffic:
         reports, peak = _traced_peak(lambda: enumerate_pure_equilibria(game))
         assert len(reports) == 6561
         assert peak < 22 * 2**20
+
+
+class TestGroupedOracle:
+    """One ``_profile_reports`` call over a template, games derived from
+    it by ``_with_prior`` at random priors (zero masses included), a
+    ``tv_to_prior`` game and a tabulated game: the kernel stacks the
+    template's games that have rows as one (``kernels._oracle_rows``,
+    each row at its own game's prior), the other two alone, and every row
+    is its own game's ``profile_report`` bit for bit: strategy,
+    perceptions, payoffs, gains, ``max_gain``, label and ``clamped``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        template=additive_catalog_games().filter(
+            lambda g: all(spec.kind != "tv_to_prior" for spec in g.utility.penalties)
+        ),
+        data=st.data(),
+    )
+    def test_each_row_is_its_games_report(self, template, data):
+        n, um = template.n, template.utility
+        derived = [template._with_prior(data.draw(_priors(n)), f"d{i}") for i in range(data.draw(st.integers(1, 4)))]
+        tv = PenaltySpec.tv_to_prior(data.draw(st.floats(0.0, 3.0)))
+        tv = replace(template, utility=replace(um, penalties=(tv,) * n))._with_prior(data.draw(_priors(n)), "tv")
+        games = [template, *derived, tv, tabulate(template, data.draw(st.integers(1, 6)))]
+        pts = SimplexGrid(template.m, data.draw(st.sampled_from((2, 4)))).points()
+        codes = st.lists(st.integers(0, len(pts) ** n - 1), max_size=6)
+        stacks = [kernels.decode_profiles(pts, np.array(data.draw(codes), dtype=np.int64), n) for _ in games]
+        groups = []
+        real = single._oracle_rows
+
+        def spied(packs, rows):
+            out = real(packs, rows)
+            groups.extend(group.members for group in out)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(single, "_oracle_rows", spied)
+            reports = single._profile_reports(games, stacks)
+        live = [k for k, stack in enumerate(stacks) if len(stack)]
+        shared = [k for k in live if k <= len(derived)]
+        alone = [[k] for k in live if k > len(derived)]
+        assert [[live[i] for i in members] for members in groups] == ([shared] if shared else []) + alone
+        for game, stack, found in zip(games, stacks, reports, strict=True):
+            assert len(found) == len(stack)
+            for rep, sigma in zip(found, stack):
+                assert _bits(rep) == _bits(profile_report(game, sigma))
 
 
 class TestScalingRelation:
