@@ -337,45 +337,48 @@ class PlayerSpec:
 
 @dataclass(frozen=True, eq=False)
 class TwoPlayerPerceptionGame:
-    """Two players, each a ``PlayerSpec``; immutable like ``PerceptionGame``."""
+    """Two players, each a ``PlayerSpec``; immutable like ``PerceptionGame``.
+
+    Each observer type forms its own perception of a player, so player
+    ``i`` seen by observer type ``t_obs`` is a single-player game
+    (``_observers``): player ``i``'s types, actions and penalties, ``v =
+    0``, and that observer's belief row as the prior. Penalties, their
+    ranges and witnesses are read from those games; ``observer`` picks
+    the one whose anchor the prior-distance kind measures from.
+    """
 
     players: tuple[PlayerSpec, PlayerSpec]
     allow_discontinuous: bool = False
     name: str = ""
-    _penalties: dict[tuple[int, int, int], Penalty] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _pranges: dict[tuple[int, int, int], Range] = field(
+    _observer_games: dict[int, tuple[PerceptionGame, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self):
         object.__setattr__(self, "players", tuple(self.players))
 
-    def penalty(self, i: int, t: int, observer: int = 0) -> Penalty:
-        """Player ``i``'s penalty for type ``t``, anchored at the belief
-        observer type ``observer`` holds about player ``i``."""
-        key = (i, t, observer)
-        if key not in self._penalties:
+    def _observers(self, i: int) -> tuple[PerceptionGame, ...]:
+        """Player ``i`` as each observer type of the other player sees
+        them, one ``PerceptionGame`` per belief row, built once. The first
+        is the template and the others its ``_with_prior``, so the
+        observers of a player without ``tv_to_prior`` share one pack."""
+        if i not in self._observer_games:
             ps = self.players[i]
-            self._penalties[key] = bind(
-                ps.penalties[t], ps.types.labels, self.players[1 - i].beliefs[observer], t
+            rows = self.players[1 - i].beliefs
+            utility = UtilityModel(
+                "additive_separable", v=np.zeros((ps.types.n, ps.actions.m)), penalties=ps.penalties
             )
-        return self._penalties[key]
+            first = PerceptionGame(ps.types, ps.actions, rows[0], utility, self.allow_discontinuous)
+            self._observer_games[i] = (first, *(first._with_prior(row, "") for row in rows[1:]))
+        return self._observer_games[i]
 
     def w(self, i: int, t: int, mu, observer: int = 0) -> float:
-        """Player ``i``'s penalty for type ``t`` at belief ``mu`` over own types.
-
-        The prior-distance kind is anchored at the observer's prior
-        belief about this player, so the observer type matters there.
-        """
-        return penalty_value(self.penalty(i, t, observer), mu)
+        """Player ``i``'s penalty for type ``t`` at belief ``mu`` over own
+        types, in observer type ``observer``'s view."""
+        return self._observers(i)[observer].w(t, mu)
 
     def penalty_range_of(self, i: int, t: int, observer: int = 0) -> Range:
-        key = (i, t, observer)
-        if key not in self._pranges:
-            self._pranges[key] = penalty_range(self.penalty(i, t, observer))
-        return self._pranges[key]
+        return self._observers(i)[observer].penalty_range_of(t)
 
     def u(self, i: int, t_own: int, t_opp: int, a_own: int, a_opp: int, mu) -> float:
         return float(self.players[i].v[t_own, t_opp, a_own, a_opp]) - self.w(i, t_own, mu, t_opp)

@@ -24,13 +24,17 @@ kept-pair reports one opponent profile per pair, and
 single-player ``payoff_and_gain`` turns the values into payoffs and
 deviation gains, once per player for a whole batch of reports or for a
 verification, and also sums the verifier's opponent mixes; only the
-screen writes its gains out in place. One penalty table,
-``_penalty_table``, gives every observer's posterior after a batch of
-own pure profiles (``simplex._posteriors``, the batched ``posterior`` of
-the sweep kernel) and the penalties there (``penalty_batch``). Pure
-enumeration screens every pair through the table and the fold in blocks
-of own profiles (``_pure_pair_gains``); one more table and fold per
-player then build and confirm every pair the screen keeps
+screen writes its gains out in place. A player seen by one observer
+type is a single-player game whose prior is that observer's belief row
+(``TwoPlayerPerceptionGame._observers``), so the per-player rule is the
+single-player one. The one penalty table, ``_penalty_table``, reads
+every observer's posteriors after a batch of own pure profiles, the
+penalties there and the off-path ends from that game's pack
+(``kernels._utility_rows``, the rows of the sweep kernel and the exact
+oracle), and the reports take their off-path witnesses from the same
+packs. Pure enumeration screens every pair through the table and the
+fold in blocks of own profiles (``_pure_pair_gains``); one more table
+and fold per player then build and confirm every pair the screen keeps
 (``_pure_pair_reports``), so games near the 10^6-pair cap enumerate in
 seconds.
 
@@ -59,10 +63,11 @@ from .model import (
     TypeSpace,
     ActionSpace,
 )
-from .penalties import PenaltySpec, penalty_batch
+from .kernels import _utility_rows, pack_game
+from .penalties import PenaltySpec
 # module attributes that perfbench's tracer wraps to count penalty calls
 from .penalties import penalty_range, penalty_value  # noqa: F401
-from .simplex import WEAK_TOL, _check_tol, _posteriors, _stored, consistency_errors, distributions
+from .simplex import WEAK_TOL, _check_tol, _stored, consistency_errors, distributions
 from .single import _Built, _cap, _pure_actions, _pure_rows, payoff_and_gain
 
 __all__ = [
@@ -185,29 +190,24 @@ def _pure_profiles(
 
 
 def _penalty_table(
-    game: TwoPlayerPerceptionGame, i: int, beliefs: tuple[np.ndarray, np.ndarray], own: np.ndarray
+    game: TwoPlayerPerceptionGame, i: int, own: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(w, on, post)`` for player ``i`` under each own pure profile
-    ``own[k]``. ``on[t_obs, a, k]`` says whether ``a`` is on path in
-    observer ``t_obs``'s view, and ``post[t_obs, :, a, k]`` is that
-    observer's posterior there, from one Bayes update per observer.
-    ``w[t, t_obs, a, k]`` is type ``t``'s penalty in that view: at the
-    posterior on path, off path at the range minimum under the type's
-    own action and the maximum for a deviation."""
-    ps = game.players[i]
-    n, m, n_obs = ps.types.n, ps.actions.m, game.players[1 - i].types.n
+    ``own[k]``, read from each observer's game (``_observers``) through
+    its pack's ``_utility_rows``. ``on[t_obs, a, k]`` says whether ``a``
+    is on path in observer ``t_obs``'s view, and ``post[t_obs, :, a, k]``
+    is that observer's posterior there. ``w[t, t_obs, a, k]`` is type
+    ``t``'s penalty in that view, its negated utility (the game has ``v =
+    0``): at the posterior on path, and off path at the penalty minimum
+    (``-u_max``) under the type's own action and the maximum (``-u_min``)
+    for a deviation."""
+    m = game.players[i].actions.m
     col = (own.T[:, None, :] == np.arange(m)[:, None]).astype(np.float64)  # [s, a, k]
-    w = np.empty((n, n_obs, m, own.shape[0]))
-    on = np.empty((n_obs, m, own.shape[0]), dtype=bool)
-    post = np.empty((n_obs, n, m, own.shape[0]))
-    for t_obs, prior in enumerate(beliefs[1 - i]):
-        on[t_obs], post[t_obs] = _posteriors(prior, col)
-        for t in range(n):
-            val = penalty_batch(game.penalty(i, t, t_obs), post[t_obs])
-            if not on[t_obs].all():
-                rng = game.penalty_range_of(i, t, t_obs)
-                val = np.where(on[t_obs], val, np.where(col[t] > 0.0, rng.min, rng.max))
-            w[t, t_obs] = val
+    packs = [pack_game(obs) for obs in game._observers(i)]
+    on, post, rows = (np.stack(x) for x in zip(*(_utility_rows(col, pack) for pack in packs)))
+    u_min = np.stack([pack.u_min for pack in packs], axis=1)[..., None]  # [t, t_obs, a, 1]
+    u_max = np.stack([pack.u_max for pack in packs], axis=1)[..., None]
+    w = -np.where(on, rows.swapaxes(0, 1), np.where(col[:, None] > 0.0, u_max, u_min))
     return w, on, post
 
 
@@ -233,7 +233,7 @@ def _pure_pair_gains(
         size = max(1, _BLOCK // (opp.shape[0] * ps.types.n * ps.actions.m))
         for lo in range(0, own.shape[0], size):
             block = own[lo:lo + size]
-            w = _penalty_table(game, i, beliefs, block)[0]
+            w = _penalty_table(game, i, block)[0]
             vals = _fold(beliefs[i], inner, w[..., None])  # [t, a, k, j]
             chosen = vals[types, block.T, np.arange(block.shape[0])]  # [t, k, j]
             # payoff_and_gain's gain of a one-hot row, written out in place:
@@ -378,16 +378,17 @@ def _pure_pair_reports(
     report's strategy rows are its rows of them."""
     views, sigmas, payoffs, gains = [], [], [], []
     for i, ps in enumerate(game.players):
-        own, n, m = pairs[i], ps.types.n, ps.actions.m
-        w, on, post = _penalty_table(game, i, beliefs, own)
+        own, m = pairs[i], ps.actions.m
+        w, on, post = _penalty_table(game, i, own)
         vals = _fold(beliefs[i], _pure_inner(ps, pairs[1 - i]), w)  # [t, a, k]
         sigmas.append(np.eye(m)[own])  # [k, t, a]
         pay, gain, _ = payoff_and_gain(sigmas[i], vals.transpose(2, 0, 1))
         payoffs.append(pay)
         gains.append(gain)
-        rng = [[game.penalty_range_of(i, t, t_obs) for t_obs in range(on.shape[0])] for t in range(n)]
-        lo = np.array([[r.argmin.p for r in row] for row in rng])[:, :, None]  # [t, t_obs, 1, s]
-        hi = np.array([[r.argmax.p for r in row] for row in rng])[:, :, None]
+        # the beliefs at the ends the table chose: u_max under the own action
+        packs = [pack_game(obs) for obs in game._observers(i)]
+        lo = np.stack([pack.argmax for pack in packs], axis=1)  # [t, t_obs, a, s]
+        hi = np.stack([pack.argmin for pack in packs], axis=1)
         mine = (own[:, :, None] == np.arange(m))[:, :, None, :, None]  # [k, t, 1, a, 1]
         # the table's on and post as [k, t_obs, a, 1] and [k, t_obs, a, s] views
         views.append((on.transpose(2, 0, 1)[..., None], post.transpose(3, 0, 2, 1), mine, lo, hi))

@@ -9,11 +9,15 @@ The exceptions are the two-player solver's former per-pair bodies,
 ``reference_action_values`` (the scalar action-value loop),
 ``reference_pure_pair_report`` (the per-pair report with its scalar
 penalty loop), ``reference_verify_values_2p`` (the verifier's loop over
-types) and ``reference_pure_bne`` (the BNE loop over pairs),
-kept to pin the one fold, the batched reports and the batched BNE
-screen bit for bit; they call the package's ``posterior``,
-``payoff_and_gain``, the game's ``w`` and ``penalty_range_of`` and the
-two-player strategy and perception types. Another is
+types), ``reference_pure_bne`` (the BNE loop over pairs) and
+``reference_penalty_table`` (the penalty table's own Bayes update,
+``penalty_batch`` per type and off-path fill), kept to pin the one
+fold, the batched reports, the batched BNE screen and the table read
+from the observer games' packs bit for bit; they call the package's
+``posterior`` (``_posteriors`` in the table), ``payoff_and_gain``, the
+game's ``w`` and ``penalty_range_of``, which read through its observer
+games (``_observers``), and the two-player strategy and perception
+types. Another is
 ``reference_mixed_search``, the mixed search's former full sweep,
 kept to pin the results of the cell screen and of
 ``reduce_profile_gains``, so it reduces the kernel's full gains
@@ -69,8 +73,8 @@ from perception_games.kernels import (
     sweep_profile_gains,
 )
 from perception_games.model import ActionSpace, PlayerSpec, TwoPlayerPerceptionGame, TypeSpace
-from perception_games.penalties import KINDS, PenaltySpec
-from perception_games.simplex import BOUND_SLACK, SimplexGrid, posterior, share_pair
+from perception_games.penalties import KINDS, PenaltySpec, penalty_batch
+from perception_games.simplex import BOUND_SLACK, SimplexGrid, _posteriors, posterior, share_pair
 from perception_games.single import (
     MixedSearchResult,
     PerceptionMap,
@@ -492,6 +496,28 @@ def reference_pure_pair_report(
         gains=(gains[0], gains[1]),
         max_gain=float(max(gains[0].max(), gains[1].max())),
     )
+
+
+def reference_penalty_table(game, i, beliefs, own):
+    """``two_player._penalty_table`` as it was, given the belief rows
+    ``_beliefs(game)``: one Bayes update per observer (``_posteriors``),
+    one ``penalty_batch`` per type at the observer game's bound penalty,
+    and the off-path fill from ``penalty_range_of``, type by type."""
+    ps = game.players[i]
+    n, m, n_obs = ps.types.n, ps.actions.m, game.players[1 - i].types.n
+    col = (own.T[:, None, :] == np.arange(m)[:, None]).astype(np.float64)  # [s, a, k]
+    w = np.empty((n, n_obs, m, own.shape[0]))
+    on = np.empty((n_obs, m, own.shape[0]), dtype=bool)
+    post = np.empty((n_obs, n, m, own.shape[0]))
+    for t_obs, prior in enumerate(beliefs[1 - i]):
+        on[t_obs], post[t_obs] = _posteriors(prior, col)
+        for t in range(n):
+            val = penalty_batch(game._observers(i)[t_obs].penalty(t), post[t_obs])
+            if not on[t_obs].all():
+                rng = game.penalty_range_of(i, t, t_obs)
+                val = np.where(on[t_obs], val, np.where(col[t] > 0.0, rng.min, rng.max))
+            w[t, t_obs] = val
+    return w, on, post
 
 
 def reference_verify_values_2p(game, strategy, perceptions):

@@ -85,3 +85,10 @@ def test_grouping_lives_only_in_kernels(module):
 
 def test_the_reader_sees_grouping_names():
     assert GROUPING <= _names("kernels")
+
+
+def test_the_per_player_rule_lives_below_two_player():
+    """A two-player player's penalties, posteriors and off-path fill are
+    its observer games' packs: ``two_player`` binds, updates and
+    evaluates no penalty itself."""
+    assert _names("two_player") & {"bind", "_posteriors", "penalty_batch"} == set()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from perception_games import model, penalties, two_player
+from perception_games import kernels, model, penalties, two_player
 from perception_games.fixtures import two_player_game
 from perception_games.model import ActionSpace, PerceptionGame, TypeSpace, UtilityModel
 from perception_games.penalties import PenaltySpec
@@ -31,6 +31,7 @@ from perception_games.two_player import (
 from helpers import (
     random_two_player_game,
     reference_action_values,
+    reference_penalty_table,
     reference_pure_bne,
     reference_pure_pair_report,
     reference_verify_values_2p,
@@ -522,8 +523,8 @@ class TestBatchedScreen:
         for module, name in [
             (penalties, "penalty_value"), (penalties, "penalty_batch"),
             (penalties, "penalty_range"), (model, "penalty_value"), (model, "penalty_range"),
-            (two_player, "penalty_value"), (two_player, "penalty_batch"),
-            (two_player, "penalty_range"),
+            (two_player, "penalty_value"), (two_player, "penalty_range"),
+            (kernels, "penalty_batch"),
         ]:
             monkeypatch.setattr(module, name, fail)
         # 2 types x 2 actions per side: 4 x 4 pairs
@@ -554,8 +555,9 @@ class TestBatchedScreen:
         def fail(*args, **kwargs):
             raise AssertionError("work done before the cap check")
 
-        for name in ("_penalty_table", "_fold", "_pure_inner", "penalty_batch"):
+        for name in ("_penalty_table", "_fold", "_pure_inner"):
             monkeypatch.setattr(two_player, name, fail)
+        monkeypatch.setattr(kernels, "penalty_batch", fail)
         monkeypatch.setattr(model, "penalty_value", fail)
         with pytest.raises(ValueError, match=f"^max_profiles must be an integer, got {cap!r}$"):
             enumerate_(two_player_game(), max_profiles=cap)
@@ -580,9 +582,9 @@ class TestBatchedScreen:
         calls = []
         table = two_player._penalty_table
 
-        def spy(game, i, beliefs, own):
+        def spy(game, i, own):
             calls.append((i, own.shape[0]))
-            return table(game, i, beliefs, own)
+            return table(game, i, own)
 
         monkeypatch.setattr(two_player, "_penalty_table", spy)
         gains = _pure_pair_gains(g, _beliefs(g), _pure_profiles(g, 1_000_000))
@@ -644,6 +646,65 @@ class TestBatchedScreen:
             tracemalloc.stop()
         assert len(found) == 6561
         assert peak < 44 * 2**20, peak
+
+
+class TestObserverGames:
+    """A player seen by one observer type is a single-player game
+    (``_observers``) whose prior is that observer's belief row; the
+    penalty table reads its posteriors, penalties, off-path fill and
+    witnesses from those games' packs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(game=two_player_catalog_games())
+    # generic floats, three observer types and prior-distance penalties
+    @example(game=random_two_player_game(np.random.default_rng(0), 3, 2))
+    def test_table_equals_the_former_loop(self, game):
+        beliefs = _beliefs(game)
+        profiles = _pure_profiles(game, 1_000_000)
+        for i in range(2):
+            w, on, post = two_player._penalty_table(game, i, profiles[i])
+            w_ref, on_ref, post_ref = reference_penalty_table(game, i, beliefs, profiles[i])
+            assert on.tobytes() == on_ref.tobytes() and post.tobytes() == post_ref.tobytes()
+            # -u_max of a zero v is -(0.0 - min): only a zero's sign moves
+            assert (w + 0.0).tobytes() == (w_ref + 0.0).tobytes()
+
+    def test_penalty_is_anchored_at_the_stored_row(self):
+        # the observer's row as given holds a tiny negative, which the
+        # checked row stores as 0.0: the prior-distance penalty there is
+        # 0, so folding it into the BNE payoffs changes no bit
+        g = with_player(two_player_game(), 0, penalties=(PenaltySpec.tv_to_prior(1.0),) * 2)
+        g = with_player(g, 1, beliefs=np.array([[1 + 1e-13, -1e-13], [0.5, 0.5]]))
+        assert g.w(0, 0, [1 + 1e-13, 0.0], 0) == 0.0
+        folded = enumerate_pure_bne(g, fold_prior_penalty=True)
+        plain = enumerate_pure_bne(g)
+        assert [r.actions for r in folded] == [r.actions for r in plain]
+        for r, q in zip(folded, plain):
+            assert r.payoffs[0].tobytes() == q.payoffs[0].tobytes(), (r.actions, r.payoffs, q.payoffs)
+
+    def test_observers_share_one_pack_unless_prior_distance(self, monkeypatch):
+        g = random_two_player_game(np.random.default_rng(0), 3, 2)
+        g = with_player(g, 0, penalties=(PenaltySpec.exposure(1.0),) * 3)
+        g = with_player(g, 1, penalties=(PenaltySpec.tv_to_prior(1.0),) * 3)
+        for name in ("penalty", "_penalties", "_pranges"):
+            assert not hasattr(g, name)
+        ranges = []
+        real = model.penalty_range
+        monkeypatch.setattr(model, "penalty_range", lambda pen: ranges.append(pen) or real(pen))
+        profiles = _pure_profiles(g, 1_000_000)
+        two_player._penalty_table(g, 0, profiles[0])
+        # one range per type, read once by the template's pack
+        assert len(ranges) == 3
+        plans = [kernels.pack_game(obs).bound_plan for obs in g._observers(0)]
+        assert len(plans) == 3 and all(plan is plans[0] for plan in plans)
+        ranges.clear()
+        two_player._penalty_table(g, 1, profiles[1])
+        # the prior-distance kind reads each observer's anchor
+        assert len(ranges) == 9
+        plans = [kernels.pack_game(obs).bound_plan for obs in g._observers(1)]
+        assert len({id(plan) for plan in plans}) == 3
+        ranges.clear()
+        enumerate_pure_equilibria_2p(g)
+        assert ranges == []
 
 
 class TestZeroPenaltyReduction:
